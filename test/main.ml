@@ -14,6 +14,7 @@ let () =
       ("core", Test_core.tests);
       ("journal", Test_journal.tests);
       ("faults", Test_faults.tests);
+      ("recovery", Test_recovery.tests);
       ("replica", Test_replica.tests);
       ("cli", Test_cli.tests);
       ("parallel", Test_parallel.tests);

@@ -1,0 +1,173 @@
+(* Pinned outcomes of the three ways a lane is rebuilt mid-run: a process
+   crash recovered from its own journal (single lane, with worker faults and
+   checkpoints), the same crash across a sharded segment directory, and a
+   permanent primary crash failed over to a sync standby over a lossy link.
+   Every asserted field is decided by the simulation (no wall-clock input),
+   so the numbers are a pure function of the seed: any change to the
+   recovery path that alters event order or RNG draws shows up here. *)
+
+open Ds_core
+
+let spec = { Ds_workload.Spec.paper_default with Ds_workload.Spec.n_objects = 20_000 }
+
+let plan_exn s =
+  match Faults.plan_of_string s with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "plan %S rejected: %s" s e
+
+let cfg ~faults =
+  {
+    Middleware.default_config with
+    Middleware.n_clients = 12;
+    duration = 4.;
+    spec;
+    charge_scheduler_time = false;
+    faults = plan_exn faults;
+    client_redo = true;
+    batch_timeout = Some 0.25;
+  }
+
+let temp_name suffix =
+  let p = Filename.temp_file "ds_recovery_test" suffix in
+  Sys.remove p;
+  p
+
+let rm_f p = try Sys.remove p with Sys_error _ -> ()
+
+let rm_journal p =
+  if Journal.is_segment_dir p then begin
+    List.iter rm_f (Journal.segment_paths p);
+    rm_f (Filename.concat p "MANIFEST");
+    try Sys.rmdir p with Sys_error _ -> ()
+  end
+  else rm_f p
+
+let outcome (s : Middleware.stats) =
+  Middleware.
+    [
+      ("committed", s.committed_txns);
+      ("aborted", s.aborted_txns);
+      ("recovery_replayed", s.recovery_replayed);
+      ("recovery_skipped", s.recovery_skipped);
+      ("checkpoints", s.checkpoints);
+      ("dead_lettered", s.dead_lettered);
+      ("crashes", s.crashes);
+      ("failovers", s.failovers);
+      ("repl_epoch", s.repl_epoch);
+      ("repl_fenced", s.repl_fenced);
+    ]
+
+let check_outcome name expected s =
+  Alcotest.(check (list (pair string int))) name expected (outcome s)
+
+let test_crash_single_lane () =
+  let path = temp_name ".journal" in
+  Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
+  let s, _ =
+    Middleware.run_sharded
+      {
+        (cfg ~faults:"crash=40,wcrash=0.1") with
+        Middleware.workers = 4;
+        journal_path = Some path;
+        checkpoint_interval = Some 10;
+      }
+  in
+  check_outcome "S=1 crash, 4 workers, checkpointed"
+    [
+      ("committed", 70);
+      ("aborted", 0);
+      ("recovery_replayed", 211);
+      ("recovery_skipped", 1114);
+      ("checkpoints", 28);
+      ("dead_lettered", 0);
+      ("crashes", 1);
+      ("failovers", 0);
+      ("repl_epoch", 0);
+      ("repl_fenced", 0);
+    ]
+    s
+
+let test_crash_sharded () =
+  let path = temp_name ".journal.d" in
+  Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
+  let s, _ =
+    Middleware.run_sharded
+      {
+        (cfg ~faults:"crash=40") with
+        Middleware.shards = 4;
+        journal_path = Some path;
+      }
+  in
+  check_outcome "S=4 crash, segment directory"
+    [
+      ("committed", 70);
+      ("aborted", 0);
+      ("recovery_replayed", 961);
+      ("recovery_skipped", 0);
+      ("checkpoints", 0);
+      ("dead_lettered", 0);
+      ("crashes", 1);
+      ("failovers", 0);
+      ("repl_epoch", 0);
+      ("repl_fenced", 0);
+    ]
+    s
+
+let test_failover_sync_standby () =
+  let journal = temp_name ".journal" in
+  let dir = temp_name ".repl.d" in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_f journal;
+      rm_f (Ds_replica.Session.standby_path_of dir);
+      rm_f (Filename.concat dir "REPL");
+      try Sys.rmdir dir with Sys_error _ -> ())
+  @@ fun () ->
+  let plan =
+    {
+      Ds_replica.Link.none with
+      Ds_replica.Link.drop_rate = 0.2;
+      dup_rate = 0.1;
+      reorder_rate = 0.2;
+      delay_rate = 0.1;
+      spike_delay = 0.05;
+    }
+  in
+  let session =
+    Ds_replica.Session.create ~mode:Ds_replica.Session.Sync ~plan ~seed:7 ~dir
+      ()
+  in
+  let s, _ =
+    Middleware.run_sharded
+      {
+        (cfg ~faults:"pcrash=40") with
+        Middleware.journal_path = Some journal;
+        checkpoint_interval = Some 10;
+        repl = Some (Ds_replica.Session.hooks session);
+      }
+  in
+  Ds_replica.Session.close session;
+  check_outcome "S=1 pcrash, sync standby over a lossy link"
+    [
+      ("committed", 70);
+      ("aborted", 0);
+      ("recovery_replayed", 96);
+      ("recovery_skipped", 1116);
+      ("checkpoints", 28);
+      ("dead_lettered", 0);
+      ("crashes", 0);
+      ("failovers", 1);
+      ("repl_epoch", 1);
+      ("repl_fenced", 129);
+    ]
+    s
+
+let tests =
+  [
+    Alcotest.test_case "crash at S=1 with worker faults and checkpoints" `Quick
+      test_crash_single_lane;
+    Alcotest.test_case "crash at S=4 over a segment directory" `Quick
+      test_crash_sharded;
+    Alcotest.test_case "pcrash fails over to a sync standby" `Quick
+      test_failover_sync_standby;
+  ]
