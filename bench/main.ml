@@ -12,6 +12,7 @@ open Ds_core
 open Ds_server
 open Ds_workload
 module Tablefmt = Ds_util.Tablefmt
+module Json = Ds_obs.Json
 
 let section title =
   Printf.printf "\n==============================================================\n";
@@ -19,6 +20,84 @@ let section title =
   Printf.printf "==============================================================\n%!"
 
 let note fmt = Printf.printf (fmt ^^ "\n%!")
+
+(* ------------------------------------------------------------------ *)
+(* Reporting: one table and one stamped JSON record per experiment     *)
+(* ------------------------------------------------------------------ *)
+
+(* One column of an experiment's result rows: [head] is its table header
+   ("" = JSON only), [key] its member in the row's JSON point ("" = table
+   only). *)
+type 'r col = {
+  head : string;
+  align : Tablefmt.align;
+  key : string;
+  cell : 'r -> string;
+  json : 'r -> Json.t;
+}
+
+let col ?(align = Tablefmt.Right) ?(key = "") ?(json = fun _ -> Json.Null) head
+    cell =
+  { head; align; key; cell; json }
+
+let int_col ?key head f =
+  col ?key head
+    (fun r -> string_of_int (f r))
+    ~json:(fun r -> Json.Num (float_of_int (f r)))
+
+(* The table shows [scale *. f r] through [fmt]; the JSON keeps [f r]. *)
+let float_col ?key ?(scale = 1.) fmt head f =
+  col ?key head
+    (fun r -> Printf.sprintf fmt (scale *. f r))
+    ~json:(fun r -> Json.Num (f r))
+
+let text_col ?key head f =
+  col ~align:Tablefmt.Left ?key head f ~json:(fun r -> Json.Str (f r))
+
+let bool_col ?key (yes, no) head f =
+  col ~align:Tablefmt.Left ?key head
+    (fun r -> if f r then yes else no)
+    ~json:(fun r -> Json.Bool (f r))
+
+let table cols rows =
+  let cols = List.filter (fun c -> c.head <> "") cols in
+  let t =
+    Tablefmt.create
+      ~aligns:(List.map (fun c -> c.align) cols)
+      (List.map (fun c -> c.head) cols)
+  in
+  List.iter (fun r -> Tablefmt.add_row t (List.map (fun c -> c.cell r) cols)) rows;
+  Tablefmt.print t
+
+let fields cols r =
+  List.filter_map
+    (fun c -> if c.key = "" then None else Some (c.key, c.json r))
+    cols
+
+let points cols rows = List.map (fun r -> Json.Obj (fields cols r)) rows
+
+(* Writes one experiment's record, [Ds_dst.Stamp]ed with [seed] and
+   [config], to the --json file if one was given. *)
+let emit json ~seed ~config members =
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc
+            (Json.to_string (Ds_dst.Stamp.add ~seed ~config (Json.Obj members)));
+          output_char oc '\n');
+      note "wrote %s" path)
+    json
+
+(* The common shape: print the table, then the [after] note, then emit
+   [config], [summary] and the rows as JSON [points]. *)
+let report ?json ?(seed = Middleware.default_config.Middleware.seed) ~config
+    ?(summary = []) ~after cols rows =
+  table cols rows;
+  note "%s" after;
+  emit json ~seed ~config
+    (config @ summary @ [ ("points", Json.List (points cols rows)) ])
+
+let experiment name params = ("experiment", Json.Str name) :: params
 
 (* ------------------------------------------------------------------ *)
 (* Shared measurement machinery                                       *)
@@ -64,6 +143,11 @@ let measure_mu ~window ~runs clients =
     cpu_util = !cpu /. f;
   }
 
+let probe ~runs clients protocol =
+  Overhead_probe.measure ~runs
+    { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
+    protocol
+
 (* ------------------------------------------------------------------ *)
 (* E1 — Figure 2                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -74,35 +158,27 @@ let figure2 ~window ~runs () =
        "Figure 2: execution time MU / execution time SU (%%), %.0f s window, \
         %d run(s) per point"
        window runs);
-  let points = [ 1; 25; 50; 100; 150; 200; 250; 300; 350; 400; 450; 500; 550; 600 ] in
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "clients"; "MU stmts"; "SU time (s)"; "MU/SU (%)"; "deadlocks" ]
+  let rows =
+    List.map (measure_mu ~window ~runs)
+      [ 1; 25; 50; 100; 150; 200; 250; 300; 350; 400; 450; 500; 550; 600 ]
   in
-  let series = ref [] in
-  List.iter
-    (fun clients ->
-      let p = measure_mu ~window ~runs clients in
-      series := (clients, p.ratio_pct) :: !series;
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          Printf.sprintf "%.0f" p.committed_stmts;
-          Printf.sprintf "%.1f" p.su_time;
-          Printf.sprintf "%.0f" p.ratio_pct;
-          Printf.sprintf "%.0f" p.deadlocks;
-        ])
-    points;
-  Tablefmt.print t;
+  table
+    [
+      int_col "clients" (fun (p : mu_point) -> p.clients);
+      float_col "%.0f" "MU stmts" (fun p -> p.committed_stmts);
+      float_col "%.1f" "SU time (s)" (fun p -> p.su_time);
+      float_col "%.0f" "MU/SU (%)" (fun p -> p.ratio_pct);
+      float_col "%.0f" "deadlocks" (fun p -> p.deadlocks);
+    ]
+    rows;
   (* ASCII rendition of the figure (log-scale y, like the paper's plot). *)
   note "";
   note "log10(MU/SU %%) vs clients  (paper: ~100%% at 1 client, knee before 500)";
   List.iter
-    (fun (c, ratio) ->
-      let stars = int_of_float ((log10 (Float.max 100. ratio) -. 1.9) *. 25.) in
-      note "%5d | %s %.0f%%" c (String.make (max 1 stars) '#') ratio)
-    (List.rev !series)
+    (fun p ->
+      let stars = int_of_float ((log10 (Float.max 100. p.ratio_pct) -. 1.9) *. 25.) in
+      note "%5d | %s %.0f%%" p.clients (String.make (max 1 stars) '#') p.ratio_pct)
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* E2 — §4.2.2 native scheduler overhead                              *)
@@ -115,25 +191,15 @@ let native_overhead ~window ~runs () =
         -> 550055 stmts, SU 194 s, overhead 46 s; 500 clients -> 48267 \
         stmts, SU 15 s, overhead 225 s)"
        );
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "clients"; "MU stmts"; "SU time (s)"; "overhead (s)"; "CPU util (%)" ]
-  in
-  List.iter
-    (fun clients ->
-      let p = measure_mu ~window ~runs clients in
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          Printf.sprintf "%.0f" p.committed_stmts;
-          Printf.sprintf "%.1f" p.su_time;
-          Printf.sprintf "%.1f" (window -. p.su_time);
-          Printf.sprintf "%.0f" (100. *. p.cpu_util);
-        ])
-    [ 300; 500 ];
-  Tablefmt.print t;
+  table
+    [
+      int_col "clients" (fun (p : mu_point) -> p.clients);
+      float_col "%.0f" "MU stmts" (fun p -> p.committed_stmts);
+      float_col "%.1f" "SU time (s)" (fun p -> p.su_time);
+      float_col "%.1f" "overhead (s)" (fun p -> window -. p.su_time);
+      float_col ~scale:100. "%.0f" "CPU util (%)" (fun p -> p.cpu_util);
+    ]
+    (List.map (measure_mu ~window ~runs) [ 300; 500 ]);
   note "window = %.0f s; 'overhead' = window - SU replay time (paper's method)"
     window
 
@@ -145,35 +211,20 @@ let declarative_overhead ~runs () =
   section
     "Declarative scheduling overhead (paper 4.3.2; paper: 358 ms per cycle at \
      300 clients, 545 ms at 500; qualified ~ clients/2)";
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right;
-        ]
-      [
-        "clients"; "pending"; "history"; "qualified"; "cycle (ms)"; "query (ms)";
-      ]
-  in
-  List.iter
-    (fun clients ->
-      let m =
-        Overhead_probe.measure ~runs
-          { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
-          Builtin.ss2pl_sql
-      in
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          string_of_int m.Overhead_probe.pending;
-          string_of_int m.Overhead_probe.history;
-          string_of_int m.Overhead_probe.qualified;
-          Printf.sprintf "%.3f" (1000. *. m.Overhead_probe.cycle_time);
-          Printf.sprintf "%.3f" (1000. *. m.Overhead_probe.query_time);
-        ])
-    [ 50; 100; 200; 300; 400; 500; 600 ];
-  Tablefmt.print t;
+  table
+    [
+      int_col "clients" fst;
+      int_col "pending" (fun (_, m) -> m.Overhead_probe.pending);
+      int_col "history" (fun (_, m) -> m.Overhead_probe.history);
+      int_col "qualified" (fun (_, m) -> m.Overhead_probe.qualified);
+      float_col ~scale:1000. "%.3f" "cycle (ms)" (fun (_, m) ->
+          m.Overhead_probe.cycle_time);
+      float_col ~scale:1000. "%.3f" "query (ms)" (fun (_, m) ->
+          m.Overhead_probe.query_time);
+    ]
+    (List.map
+       (fun clients -> (clients, probe ~runs clients Builtin.ss2pl_sql))
+       [ 50; 100; 200; 300; 400; 500; 600 ]);
   note
     "One cycle = drain queue + insert pending + run Listing 1 + move \
      qualified to history (the paper's 4.3.1 measurement)."
@@ -194,45 +245,33 @@ let crossover ~window ~runs ~cycle_scale () =
      evaluates Listing 1 orders of magnitude faster, which moves the \
      crossover to much lower client counts; --cycle-scale emulates a slower \
      scheduler database.";
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Left;
-        ]
-      [
-        "clients"; "native ovh (s)"; "declarative ovh (s)"; "cycles needed";
-        "winner";
-      ]
+  let rows =
+    List.map
+      (fun clients ->
+        let p = measure_mu ~window ~runs clients in
+        let m = probe ~runs clients Builtin.ss2pl_sql in
+        let native_ovh = window -. p.su_time in
+        let decl_ovh =
+          cycle_scale
+          *. Overhead_probe.amortized_overhead m
+               ~total_stmts:(int_of_float p.committed_stmts)
+        in
+        let cycles_needed =
+          p.committed_stmts /. float_of_int (max 1 m.Overhead_probe.qualified)
+        in
+        (clients, native_ovh, decl_ovh, cycles_needed))
+      [ 1; 10; 25; 50; 100; 200; 300; 400; 500 ]
   in
-  List.iter
-    (fun clients ->
-      let p = measure_mu ~window ~runs clients in
-      let m =
-        Overhead_probe.measure ~runs
-          { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
-          Builtin.ss2pl_sql
-      in
-      let native_ovh = window -. p.su_time in
-      let decl_ovh =
-        cycle_scale
-        *. Overhead_probe.amortized_overhead m
-             ~total_stmts:(int_of_float p.committed_stmts)
-      in
-      let cycles_needed =
-        p.committed_stmts /. float_of_int (max 1 m.Overhead_probe.qualified)
-      in
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          Printf.sprintf "%.1f" native_ovh;
-          Printf.sprintf "%.1f" decl_ovh;
-          Printf.sprintf "%.0f" cycles_needed;
-          (if decl_ovh < native_ovh then "declarative" else "native");
-        ])
-    [ 1; 10; 25; 50; 100; 200; 300; 400; 500 ];
-  Tablefmt.print t
+  table
+    [
+      int_col "clients" (fun (c, _, _, _) -> c);
+      float_col "%.1f" "native ovh (s)" (fun (_, n, _, _) -> n);
+      float_col "%.1f" "declarative ovh (s)" (fun (_, _, d, _) -> d);
+      float_col "%.0f" "cycles needed" (fun (_, _, _, k) -> k);
+      text_col "winner" (fun (_, n, d, _) ->
+          if d < n then "declarative" else "native");
+    ]
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* E4 — Table 1                                                       *)
@@ -250,16 +289,15 @@ let table1 () =
 
 let table2 () =
   section "Table 2: attributes of the requests / history / rte tables";
-  let t = Tablefmt.create [ "Attribute"; "Description" ] in
-  List.iter (Tablefmt.add_row t)
+  table
+    [ text_col "Attribute" fst; text_col "Description" snd ]
     [
-      [ "ID"; "Consecutive request number" ];
-      [ "TA"; "Transaction number" ];
-      [ "INTRATA"; "Request number within a transaction" ];
-      [ "Operation"; "Operation type (read/write/abort/commit)" ];
-      [ "Object"; "Object number" ];
+      ("ID", "Consecutive request number");
+      ("TA", "Transaction number");
+      ("INTRATA", "Request number within a transaction");
+      ("Operation", "Operation type (read/write/abort/commit)");
+      ("Object", "Object number");
     ];
-  Tablefmt.print t;
   let s = Relations.schema ~extended:false in
   note "Implemented schema: %s"
     (Format.asprintf "%a" Ds_relal.Schema.pp s);
@@ -346,41 +384,43 @@ let middleware_cfg ~protocol ~trigger ~clients ~duration ~spec =
     charge_scheduler_time = true;
   }
 
+(* Columns over [(label, stats)] rows of middleware runs. *)
+let committed_col () = int_col "committed txns" (fun (_, s) -> s.Middleware.committed_txns)
+
+let p95_latency_col () =
+  float_col "%.3f" "p95 latency (s)" (fun (_, s) -> s.Middleware.p95_txn_latency)
+
+let mean_cycle_col () =
+  float_col ~scale:1000. "%.3f" "mean cycle (ms)" (fun (_, s) ->
+      s.Middleware.mean_cycle_time)
+
 let trigger_policies ~duration () =
   section
     "Ablation A1: trigger policy (paper 3.3: 'the best condition has to be \
      evaluated experimentally')";
   let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "trigger"; "committed txns"; "cycles"; "mean batch"; "p95 latency (s)" ]
-  in
-  List.iter
-    (fun trigger ->
-      let s =
-        Middleware.run
-          (middleware_cfg ~protocol:Builtin.ss2pl_ocaml ~trigger ~clients:100
-             ~duration ~spec)
-      in
-      Tablefmt.add_row t
-        [
-          Trigger.to_string trigger;
-          string_of_int s.Middleware.committed_txns;
-          string_of_int s.Middleware.cycles;
-          Printf.sprintf "%.1f" s.Middleware.mean_batch;
-          Printf.sprintf "%.3f" s.Middleware.p95_txn_latency;
-        ])
+  table
     [
-      Trigger.Time_lapse 0.002;
-      Trigger.Time_lapse 0.01;
-      Trigger.Time_lapse 0.05;
-      Trigger.Fill_level 25;
-      Trigger.Fill_level 100;
-      Trigger.Hybrid (0.01, 100);
-    ];
-  Tablefmt.print t
+      text_col "trigger" (fun (t, _) -> Trigger.to_string t);
+      committed_col ();
+      int_col "cycles" (fun (_, s) -> s.Middleware.cycles);
+      float_col "%.1f" "mean batch" (fun (_, s) -> s.Middleware.mean_batch);
+      p95_latency_col ();
+    ]
+    (List.map
+       (fun trigger ->
+         ( trigger,
+           Middleware.run
+             (middleware_cfg ~protocol:Builtin.ss2pl_ocaml ~trigger ~clients:100
+                ~duration ~spec) ))
+       [
+         Trigger.Time_lapse 0.002;
+         Trigger.Time_lapse 0.01;
+         Trigger.Time_lapse 0.05;
+         Trigger.Fill_level 25;
+         Trigger.Fill_level 100;
+         Trigger.Hybrid (0.01, 100);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* A3 — SQL vs Datalog vs hand-coded                                  *)
@@ -389,22 +429,16 @@ let trigger_policies ~duration () =
 let succinctness () =
   section
     "Ablation A3a: specification size (paper 3.4 productivity metric, lines)";
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right ]
-      [ "protocol"; "language"; "spec lines" ]
-  in
-  List.iter
-    (fun (p : Protocol.t) ->
-      Tablefmt.add_row t
-        [
-          p.Protocol.name;
-          (match p.Protocol.language with
+  table
+    [
+      text_col "protocol" (fun (p : Protocol.t) -> p.Protocol.name);
+      text_col "language" (fun p ->
+          match p.Protocol.language with
           | `Sql -> "SQL"
           | `Datalog -> "Datalog"
           | `Ocaml -> "OCaml (imperative)");
-          string_of_int p.Protocol.spec_loc;
-        ])
+      int_col "spec lines" (fun p -> p.Protocol.spec_loc);
+    ]
     [
       Builtin.ss2pl_sql;
       Builtin.ss2pl_datalog;
@@ -413,35 +447,21 @@ let succinctness () =
       Builtin.ss2pl_ordered_datalog;
       Builtin.read_committed_sql;
       Builtin.read_committed_datalog;
-    ];
-  Tablefmt.print t
+    ]
 
 let datalog_vs_sql ~runs () =
   section "Ablation A3b: protocol evaluation cost, SQL vs Datalog vs OCaml";
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "clients"; "SQL (ms)"; "Datalog (ms)"; "OCaml (ms)" ]
+  let time proto clients =
+    1000. *. (probe ~runs clients proto).Overhead_probe.cycle_time
   in
-  List.iter
-    (fun clients ->
-      let time proto =
-        let m =
-          Overhead_probe.measure ~runs
-            { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
-            proto
-        in
-        1000. *. m.Overhead_probe.cycle_time
-      in
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          Printf.sprintf "%.2f" (time Builtin.ss2pl_sql);
-          Printf.sprintf "%.2f" (time Builtin.ss2pl_datalog);
-          Printf.sprintf "%.2f" (time Builtin.ss2pl_ocaml);
-        ])
-    [ 50; 150; 300; 500 ];
-  Tablefmt.print t
+  table
+    [
+      int_col "clients" Fun.id;
+      float_col "%.2f" "SQL (ms)" (time Builtin.ss2pl_sql);
+      float_col "%.2f" "Datalog (ms)" (time Builtin.ss2pl_datalog);
+      float_col "%.2f" "OCaml (ms)" (time Builtin.ss2pl_ocaml);
+    ]
+    [ 50; 150; 300; 500 ]
 
 (* ------------------------------------------------------------------ *)
 (* A2 — optimizer ablation (table form)                               *)
@@ -451,38 +471,22 @@ let optimizer_ablation ~runs () =
   section
     "Ablation A2: optimizer level for Listing 1 (same declarative spec, \
      different plans)";
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right;
-        ]
-      [ "clients"; "no-opt (ms)"; "basic (ms)"; "full (ms)"; "full, no index (ms)" ]
+  let time ?(indexes = true) level clients =
+    let saved = !Ds_relal.Eval.use_table_indexes in
+    Ds_relal.Eval.use_table_indexes := indexes;
+    let m = probe ~runs clients (Builtin.ss2pl_sql_at level) in
+    Ds_relal.Eval.use_table_indexes := saved;
+    1000. *. m.Overhead_probe.query_time
   in
-  List.iter
-    (fun clients ->
-      let time ?(indexes = true) level =
-        let saved = !Ds_relal.Eval.use_table_indexes in
-        Ds_relal.Eval.use_table_indexes := indexes;
-        let m =
-          Overhead_probe.measure ~runs
-            { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
-            (Builtin.ss2pl_sql_at level)
-        in
-        Ds_relal.Eval.use_table_indexes := saved;
-        1000. *. m.Overhead_probe.query_time
-      in
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          Printf.sprintf "%.2f" (time `None);
-          Printf.sprintf "%.2f" (time `Basic);
-          Printf.sprintf "%.2f" (time `Full);
-          Printf.sprintf "%.2f" (time ~indexes:false `Full);
-        ])
+  table
+    [
+      int_col "clients" Fun.id;
+      float_col "%.2f" "no-opt (ms)" (time `None);
+      float_col "%.2f" "basic (ms)" (time `Basic);
+      float_col "%.2f" "full (ms)" (time `Full);
+      float_col "%.2f" "full, no index (ms)" (time ~indexes:false `Full);
+    ]
     [ 50; 150; 300 ];
-  Tablefmt.print t;
   note
     "The specification is identical in all three columns; only plan \
      rewriting differs (the paper's 1 'optimization without affecting the \
@@ -496,35 +500,33 @@ let relaxed_consistency ~duration () =
   section
     "Ablation A4: relaxed consistency under contention (paper 1: 'reduced \
      consistency criteria may be used during times of high load')";
-  let spec = { Spec.paper_default with Spec.n_objects = 3_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "protocol"; "committed txns"; "starvation aborts"; "p95 latency (s)" ]
+  let runs spec protocols =
+    List.map
+      (fun (proto : Protocol.t) ->
+        ( proto.Protocol.name,
+          Middleware.run
+            (middleware_cfg ~protocol:proto ~trigger:(Trigger.Hybrid (0.01, 60))
+               ~clients:60 ~duration ~spec) ))
+      protocols
   in
-  List.iter
-    (fun (proto : Protocol.t) ->
-      let s =
-        Middleware.run
-          (middleware_cfg ~protocol:proto ~trigger:(Trigger.Hybrid (0.01, 60))
-             ~clients:60 ~duration ~spec)
-      in
-      Tablefmt.add_row t
-        [
-          proto.Protocol.name;
-          string_of_int s.Middleware.committed_txns;
-          string_of_int s.Middleware.aborted_txns;
-          Printf.sprintf "%.3f" s.Middleware.p95_txn_latency;
-        ])
+  let spec = { Spec.paper_default with Spec.n_objects = 3_000 } in
+  let protocol_col = text_col "protocol" fst in
+  table
     [
-      Builtin.ss2pl_sql;
-      Builtin.read_committed_sql;
-      Builtin.rationing ~threshold:300;
-      Adaptive.protocol
-        (Adaptive.ss2pl_with_relief ~high_watermark:40 ~low_watermark:10);
-      Builtin.fcfs;
-    ];
-  Tablefmt.print t;
+      protocol_col;
+      committed_col ();
+      int_col "starvation aborts" (fun (_, s) -> s.Middleware.aborted_txns);
+      p95_latency_col ();
+    ]
+    (runs spec
+       [
+         Builtin.ss2pl_sql;
+         Builtin.read_committed_sql;
+         Builtin.rationing ~threshold:300;
+         Adaptive.protocol
+           (Adaptive.ss2pl_with_relief ~high_watermark:40 ~low_watermark:10);
+         Builtin.fcfs;
+       ]);
   (* Read-mostly variant (80% read-only transactions): the regime where the
      Ganymed-style reader offload (paper 2) pays off. *)
   note "";
@@ -532,26 +534,10 @@ let relaxed_consistency ~duration () =
   let spec =
     { spec with Spec.read_only_fraction = 0.8; updates_per_txn = 6; selects_per_txn = 14 }
   in
-  let t2 =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right ]
-      [ "protocol"; "committed txns"; "p95 latency (s)" ]
-  in
-  List.iter
-    (fun (proto : Protocol.t) ->
-      let s =
-        Middleware.run
-          (middleware_cfg ~protocol:proto ~trigger:(Trigger.Hybrid (0.01, 60))
-             ~clients:60 ~duration ~spec)
-      in
-      Tablefmt.add_row t2
-        [
-          proto.Protocol.name;
-          string_of_int s.Middleware.committed_txns;
-          Printf.sprintf "%.3f" s.Middleware.p95_txn_latency;
-        ])
-    [ Builtin.ss2pl_sql; Builtin.read_committed_sql; Builtin.reader_offload ];
-  Tablefmt.print t2
+  table
+    [ protocol_col; committed_col (); p95_latency_col () ]
+    (runs spec
+       [ Builtin.ss2pl_sql; Builtin.read_committed_sql; Builtin.reader_offload ])
 
 (* ------------------------------------------------------------------ *)
 (* A5 — batch size sweep                                              *)
@@ -560,27 +546,16 @@ let relaxed_consistency ~duration () =
 let batch_sweep ~duration () =
   section "Ablation A5: fill-level (batch size) sweep";
   let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "fill level"; "committed txns"; "mean cycle (ms)"; "p95 latency (s)" ]
-  in
-  List.iter
-    (fun k ->
-      let s =
-        Middleware.run
-          (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-             ~trigger:(Trigger.Hybrid (0.1, k)) ~clients:120 ~duration ~spec)
-      in
-      Tablefmt.add_row t
-        [
-          string_of_int k;
-          string_of_int s.Middleware.committed_txns;
-          Printf.sprintf "%.3f" (1000. *. s.Middleware.mean_cycle_time);
-          Printf.sprintf "%.3f" s.Middleware.p95_txn_latency;
-        ])
-    [ 10; 30; 60; 120; 240 ];
-  Tablefmt.print t
+  table
+    [ int_col "fill level" fst; committed_col (); mean_cycle_col (); p95_latency_col () ]
+    (List.map
+       (fun k ->
+         ( k,
+           Middleware.run
+             (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
+                ~trigger:(Trigger.Hybrid (0.1, k)) ~clients:120 ~duration ~spec)
+         ))
+       [ 10; 30; 60; 120; 240 ])
 
 (* ------------------------------------------------------------------ *)
 (* MPL ablation: external admission control on the native scheduler    *)
@@ -591,39 +566,38 @@ let mpl_ablation ~window ~runs () =
     "Ablation: multiprogramming limit at 500 clients (the EQMS-style MPL \
      tuning of Schroeder et al., paper 2) - admission control avoids the \
      thrashing the declarative scheduler also avoids";
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "MPL"; "MU stmts"; "deadlocks"; "CPU util (%)" ]
+  let rows =
+    List.map
+      (fun mpl ->
+        let stmts = ref 0. and dl = ref 0. and cpu = ref 0. in
+        for r = 1 to runs do
+          let s =
+            Native_sim.run
+              {
+                Native_sim.default_config with
+                Native_sim.n_clients = 500;
+                duration = window;
+                seed = 60 + r;
+                mpl;
+              }
+          in
+          stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
+          dl := !dl +. float_of_int s.Native_sim.deadlocks;
+          cpu := !cpu +. s.Native_sim.cpu_utilization
+        done;
+        let f = float_of_int runs in
+        (mpl, !stmts /. f, !dl /. f, !cpu /. f))
+      [ None; Some 300; Some 150; Some 75; Some 25 ]
   in
-  List.iter
-    (fun mpl ->
-      let stmts = ref 0. and dl = ref 0. and cpu = ref 0. in
-      for r = 1 to runs do
-        let s =
-          Native_sim.run
-            {
-              Native_sim.default_config with
-              Native_sim.n_clients = 500;
-              duration = window;
-              seed = 60 + r;
-              mpl;
-            }
-        in
-        stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
-        dl := !dl +. float_of_int s.Native_sim.deadlocks;
-        cpu := !cpu +. s.Native_sim.cpu_utilization
-      done;
-      let f = float_of_int runs in
-      Tablefmt.add_row t
-        [
-          (match mpl with None -> "unlimited" | Some k -> string_of_int k);
-          Printf.sprintf "%.0f" (!stmts /. f);
-          Printf.sprintf "%.0f" (!dl /. f);
-          Printf.sprintf "%.0f" (100. *. !cpu /. f);
-        ])
-    [ None; Some 300; Some 150; Some 75; Some 25 ];
-  Tablefmt.print t
+  table
+    [
+      text_col "MPL" (fun (mpl, _, _, _) ->
+          match mpl with None -> "unlimited" | Some k -> string_of_int k);
+      float_col "%.0f" "MU stmts" (fun (_, s, _, _) -> s);
+      float_col "%.0f" "deadlocks" (fun (_, _, d, _) -> d);
+      float_col ~scale:100. "%.0f" "CPU util (%)" (fun (_, _, _, c) -> c);
+    ]
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Open-loop saturation sweep (the paper's 4.3 operating mode)          *)
@@ -635,44 +609,34 @@ let open_loop ~duration () =
      stream (the paper's pre-scheduled workloads); saturation sweep over the \
      arrival rate (server capacity ~ 69 txns/s at 41 ops per txn)";
   let spec = { Spec.paper_default with Spec.n_objects = 50_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right;
-        ]
-      [
-        "txns/s"; "protocol"; "completed"; "p95 latency (s)"; "peak backlog";
-        "residual";
-      ]
+  let rows =
+    List.concat_map
+      (fun rate ->
+        List.map
+          (fun (proto : Protocol.t) ->
+            ( rate,
+              proto.Protocol.name,
+              Batch_sim.run
+                {
+                  Batch_sim.default_config with
+                  Batch_sim.arrival_rate = rate;
+                  duration;
+                  spec;
+                  protocol = proto;
+                } ))
+          [ Builtin.ss2pl_ocaml; Builtin.c2pl; Builtin.fcfs ])
+      [ 20.; 40.; 60.; 80. ]
   in
-  List.iter
-    (fun rate ->
-      List.iter
-        (fun (proto : Protocol.t) ->
-          let s =
-            Batch_sim.run
-              {
-                Batch_sim.default_config with
-                Batch_sim.arrival_rate = rate;
-                duration;
-                spec;
-                protocol = proto;
-              }
-          in
-          Tablefmt.add_row t
-            [
-              Printf.sprintf "%.0f" rate;
-              proto.Protocol.name;
-              string_of_int s.Batch_sim.completed_txns;
-              Printf.sprintf "%.3f" s.Batch_sim.p95_latency;
-              string_of_int s.Batch_sim.peak_backlog;
-              string_of_int s.Batch_sim.residual_pending;
-            ])
-        [ Builtin.ss2pl_ocaml; Builtin.c2pl; Builtin.fcfs ])
-    [ 20.; 40.; 60.; 80. ];
-  Tablefmt.print t;
+  table
+    [
+      float_col "%.0f" "txns/s" (fun (rate, _, _) -> rate);
+      text_col "protocol" (fun (_, name, _) -> name);
+      int_col "completed" (fun (_, _, s) -> s.Batch_sim.completed_txns);
+      float_col "%.3f" "p95 latency (s)" (fun (_, _, s) -> s.Batch_sim.p95_latency);
+      int_col "peak backlog" (fun (_, _, s) -> s.Batch_sim.peak_backlog);
+      int_col "residual" (fun (_, _, s) -> s.Batch_sim.residual_pending);
+    ]
+    rows;
   note
     "Beyond saturation (~69 txns/s) completions cap at server capacity and \
      latency explodes: the excess queues in front of the server, while the \
@@ -688,43 +652,37 @@ let deadlock_policy_ablation ~window ~runs () =
   section
     "Ablation: deadlock handling in the native scheduler (detection vs \
      wound-wait), 300 clients on a contended store";
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "policy"; "MU stmts"; "deadlocks"; "wounds"; "wasted stmts" ]
+  let rows =
+    List.map
+      (fun (name, policy) ->
+        let stmts = ref 0. and dl = ref 0. and wo = ref 0. and wasted = ref 0. in
+        for r = 1 to runs do
+          let s =
+            Native_sim.run
+              {
+                Native_sim.default_config with
+                Native_sim.n_clients = 300;
+                duration = window;
+                seed = 70 + r;
+                spec = { Spec.paper_default with Spec.n_objects = 20_000 };
+                deadlock_policy = policy;
+              }
+          in
+          stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
+          dl := !dl +. float_of_int s.Native_sim.deadlocks;
+          wo := !wo +. float_of_int s.Native_sim.wounds;
+          wasted := !wasted +. float_of_int s.Native_sim.wasted_stmts
+        done;
+        let f = float_of_int runs in
+        (name, [ !stmts /. f; !dl /. f; !wo /. f; !wasted /. f ]))
+      [ ("detection", `Detection); ("wound-wait", `Wound_wait) ]
   in
-  List.iter
-    (fun (name, policy) ->
-      let stmts = ref 0. and dl = ref 0. and wo = ref 0. and wasted = ref 0. in
-      for r = 1 to runs do
-        let s =
-          Native_sim.run
-            {
-              Native_sim.default_config with
-              Native_sim.n_clients = 300;
-              duration = window;
-              seed = 70 + r;
-              spec = { Spec.paper_default with Spec.n_objects = 20_000 };
-              deadlock_policy = policy;
-            }
-        in
-        stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
-        dl := !dl +. float_of_int s.Native_sim.deadlocks;
-        wo := !wo +. float_of_int s.Native_sim.wounds;
-        wasted := !wasted +. float_of_int s.Native_sim.wasted_stmts
-      done;
-      let f = float_of_int runs in
-      Tablefmt.add_row t
-        [
-          name;
-          Printf.sprintf "%.0f" (!stmts /. f);
-          Printf.sprintf "%.0f" (!dl /. f);
-          Printf.sprintf "%.0f" (!wo /. f);
-          Printf.sprintf "%.0f" (!wasted /. f);
-        ])
-    [ ("detection", `Detection); ("wound-wait", `Wound_wait) ];
-  Tablefmt.print t
+  table
+    (text_col "policy" fst
+    :: List.mapi
+         (fun i head -> float_col "%.0f" head (fun (_, avgs) -> List.nth avgs i))
+         [ "MU stmts"; "deadlocks"; "wounds"; "wasted stmts" ])
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* History pruning ablation                                            *)
@@ -733,30 +691,23 @@ let deadlock_policy_ablation ~window ~runs () =
 let history_pruning ~duration () =
   section "Ablation: history pruning on/off";
   let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right ]
-      [ "pruning"; "committed txns"; "mean cycle (ms)" ]
-  in
-  List.iter
-    (fun prune ->
-      let cfg =
-        {
-          (middleware_cfg ~protocol:Builtin.ss2pl_sql
-             ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
-          with
-          Middleware.prune_history = prune;
-        }
-      in
-      let s = Middleware.run cfg in
-      Tablefmt.add_row t
-        [
-          (if prune then "every cycle" else "never");
-          string_of_int s.Middleware.committed_txns;
-          Printf.sprintf "%.3f" (1000. *. s.Middleware.mean_cycle_time);
-        ])
-    [ true; false ];
-  Tablefmt.print t
+  table
+    [
+      text_col "pruning" (fun (prune, _) -> if prune then "every cycle" else "never");
+      committed_col ();
+      mean_cycle_col ();
+    ]
+    (List.map
+       (fun prune ->
+         ( prune,
+           Middleware.run
+             {
+               (middleware_cfg ~protocol:Builtin.ss2pl_sql
+                  ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
+               with
+               Middleware.prune_history = prune;
+             } ))
+       [ true; false ])
 
 (* ------------------------------------------------------------------ *)
 (* Chaos sweep: throughput and per-tier latency vs fault rate          *)
@@ -775,107 +726,70 @@ let faults_sweep ~duration ~json () =
         [ (Ds_model.Sla.premium, 0.2); (Ds_model.Sla.standard, 0.5); (Ds_model.Sla.free, 0.3) ];
     }
   in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-        ]
-      [
-        "fault rate"; "committed"; "retries"; "shed"; "dead";
-        "p95 prem (s)"; "p95 std (s)"; "p95 free (s)";
-      ]
+  let rows =
+    List.map
+      (fun rate ->
+        let plan =
+          {
+            Faults.none with
+            Faults.batch_fail_rate = rate;
+            stall_rate = rate /. 2.;
+            stall_duration = 0.05;
+            poison_rate = rate /. 20.;
+            disconnect_rate = rate /. 10.;
+          }
+        in
+        let cfg =
+          {
+            (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
+               ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
+            with
+            Middleware.extended_relations = true;
+            faults = plan;
+            max_retries = 4;
+            batch_timeout = Some 0.2;
+            queue_capacity = Some 40;
+            client_redo = true;
+            (* fault runs must be reproducible from the seed *)
+            charge_scheduler_time = false;
+          }
+        in
+        (rate, cfg, Middleware.run cfg))
+      [ 0.; 0.02; 0.05; 0.1; 0.2 ]
   in
-  let points = ref [] in
-  List.iter
-    (fun rate ->
-      let plan =
-        {
-          Faults.none with
-          Faults.batch_fail_rate = rate;
-          stall_rate = rate /. 2.;
-          stall_duration = 0.05;
-          poison_rate = rate /. 20.;
-          disconnect_rate = rate /. 10.;
-        }
-      in
-      let cfg =
-        {
-          (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-             ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
-          with
-          Middleware.extended_relations = true;
-          faults = plan;
-          max_retries = 4;
-          batch_timeout = Some 0.2;
-          queue_capacity = Some 40;
-          client_redo = true;
-          (* fault runs must be reproducible from the seed *)
-          charge_scheduler_time = false;
-        }
-      in
-      let s = Middleware.run cfg in
-      points := (rate, cfg, s) :: !points;
-      let p95 tier =
+  let p95 short tier =
+    col (Printf.sprintf "p95 %s (s)" short)
+      (fun (_, _, (s : Middleware.stats)) ->
         match
           List.find_opt (fun (t', _, _, _) -> t' = tier) s.Middleware.latency_by_tier
         with
         | Some (_, _, p, _) -> Printf.sprintf "%.3f" p
-        | None -> "-"
-      in
-      Tablefmt.add_row t
-        [
-          Printf.sprintf "%.2f" rate;
-          string_of_int s.Middleware.committed_txns;
-          string_of_int s.Middleware.retries;
-          string_of_int s.Middleware.shed_txns;
-          string_of_int s.Middleware.dead_lettered;
-          p95 Ds_model.Sla.Premium;
-          p95 Ds_model.Sla.Standard;
-          p95 Ds_model.Sla.Free;
-        ])
-    [ 0.; 0.02; 0.05; 0.1; 0.2 ];
-  Tablefmt.print t;
-  note
-    "Same seed, same plan => identical counters (deterministic chaos). At \
-     high rates the retry ladder trades latency for completed transactions; \
-     poison requests end in the dead-letter relation instead of wedging the \
-     loop.";
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:Middleware.default_config.Middleware.seed
-        ~config:[ ("experiment", Str "faults"); ("duration", Num duration) ]
-    @@ Obj
-        [
-          ("experiment", Str "faults");
-          ("duration", Num duration);
-          ( "points",
-            List
-              (List.rev_map
-                 (fun (rate, (cfg : Middleware.config), (s : Middleware.stats)) ->
-                   Obj
-                     [
-                       ("fault_rate", Num rate);
-                       (* every record carries the knobs that reproduce it *)
-                       ("workers", Num (float_of_int cfg.Middleware.workers));
-                       ("seed", Num (float_of_int cfg.Middleware.seed));
-                       ("committed", Num (float_of_int s.Middleware.committed_txns));
-                       ("retries", Num (float_of_int s.Middleware.retries));
-                       ("shed", Num (float_of_int s.Middleware.shed_txns));
-                       ("dead", Num (float_of_int s.Middleware.dead_lettered));
-                       ("injected", Num (float_of_int s.Middleware.injected_failures));
-                     ])
-                 !points) );
-        ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+        | None -> "-")
+  in
+  let stat key head f = int_col ~key head (fun (_, _, s) -> f s) in
+  report ?json
+    ~config:(experiment "faults" [ ("duration", Json.Num duration) ])
+    ~after:
+      "Same seed, same plan => identical counters (deterministic chaos). At \
+       high rates the retry ladder trades latency for completed \
+       transactions; poison requests end in the dead-letter relation \
+       instead of wedging the loop."
+    [
+      (* every record carries the knobs that reproduce it *)
+      float_col ~key:"fault_rate" "%.2f" "fault rate" (fun (rate, _, _) -> rate);
+      int_col ~key:"workers" "" (fun (_, (cfg : Middleware.config), _) ->
+          cfg.Middleware.workers);
+      int_col ~key:"seed" "" (fun (_, cfg, _) -> cfg.Middleware.seed);
+      stat "committed" "committed" (fun s -> s.Middleware.committed_txns);
+      stat "retries" "retries" (fun s -> s.Middleware.retries);
+      stat "shed" "shed" (fun s -> s.Middleware.shed_txns);
+      stat "dead" "dead" (fun s -> s.Middleware.dead_lettered);
+      stat "injected" "" (fun s -> s.Middleware.injected_failures);
+      p95 "prem" Ds_model.Sla.Premium;
+      p95 "std" Ds_model.Sla.Standard;
+      p95 "free" Ds_model.Sla.Free;
+    ]
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Index maintenance scaling: incremental vs rebuild                  *)
@@ -969,292 +883,169 @@ let index_scaling ~json ~history_sizes ~cycles ~batch () =
     let per_cycle x = x /. float_of_int cycles in
     (per_cycle !time, per_cycle !index_time, List.rev !qualified)
   in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Left;
-        ]
-      [
-        "regime"; "history"; "rebuild (ms)"; "incremental (ms)"; "index (ms)";
-        "speedup"; "identical";
-      ]
+  let rows =
+    List.concat_map
+      (fun (regime, regime_name) ->
+        List.map
+          (fun history_size ->
+            let rebuild_t, _, rebuild_q =
+              run_mode ~regime ~incremental:false ~history_size
+            in
+            let incr_t, incr_ix, incr_q =
+              run_mode ~regime ~incremental:true ~history_size
+            in
+            ( regime_name, history_size, rebuild_t, incr_t, incr_ix,
+              rebuild_q = incr_q ))
+          history_sizes)
+      [ (`Churn, "churn (fcfs+prune)"); (`Scan, "scan (ss2pl-sql)") ]
   in
-  let points = ref [] in
-  List.iter
-    (fun (regime, regime_name) ->
-      List.iter
-        (fun history_size ->
-          let rebuild_t, _, rebuild_q =
-            run_mode ~regime ~incremental:false ~history_size
-          in
-          let incr_t, incr_ix, incr_q =
-            run_mode ~regime ~incremental:true ~history_size
-          in
-          let identical = rebuild_q = incr_q in
-          let speedup = rebuild_t /. Float.max 1e-9 incr_t in
-          points :=
-            ( regime_name, history_size, rebuild_t, incr_t, incr_ix, speedup,
-              identical )
-            :: !points;
-          Tablefmt.add_row t
-            [
-              regime_name;
-              string_of_int history_size;
-              Printf.sprintf "%.3f" (1000. *. rebuild_t);
-              Printf.sprintf "%.3f" (1000. *. incr_t);
-              Printf.sprintf "%.3f" (1000. *. incr_ix);
-              Printf.sprintf "%.1fx" speedup;
-              string_of_bool identical;
-            ])
-        history_sizes)
-    [ (`Churn, "churn (fcfs+prune)"); (`Scan, "scan (ss2pl-sql)") ];
-  Tablefmt.print t;
-  note
-    "%d measured cycles, %d fresh transactions per cycle; 'identical' = both \
-     modes admitted the same (TA, INTRATA) sequence; 'index' = incremental \
-     mode's per-cycle maintenance time. The churn regime isolates the \
-     scheduler write path (move + prune), where the rebuild baseline pays \
-     O(|history|) per cycle; the scan regime includes Listing 1's inherent \
-     full-history recomputation, which bounds the achievable speedup."
-    cycles batch;
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:0
-        ~config:
-          [
-            ("experiment", Str "index");
-            ("cycles", Num (float_of_int cycles));
-            ("batch", Num (float_of_int batch));
-          ]
-    @@ Obj
-        [
-          ("experiment", Str "index");
-          ("cycles", Num (float_of_int cycles));
-          ("batch", Num (float_of_int batch));
-          ( "points",
-            List
-              (List.rev_map
-                 (fun ( regime, h, rebuild_t, incr_t, incr_ix, speedup,
-                        identical ) ->
-                   Obj
-                     [
-                       ("regime", Str regime);
-                       ("history", Num (float_of_int h));
-                       ("rebuild_s", Num rebuild_t);
-                       ("incremental_s", Num incr_t);
-                       ("index_s", Num incr_ix);
-                       ("speedup", Num speedup);
-                       ("identical", Bool identical);
-                     ])
-                 !points) );
-        ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+  let ms key head f = float_col ~key ~scale:1000. "%.3f" head f in
+  report ?json ~seed:0
+    ~config:
+      (experiment "index"
+         [
+           ("cycles", Json.Num (float_of_int cycles));
+           ("batch", Json.Num (float_of_int batch));
+         ])
+    ~after:
+      (Printf.sprintf
+         "%d measured cycles, %d fresh transactions per cycle; 'identical' = \
+          both modes admitted the same (TA, INTRATA) sequence; 'index' = \
+          incremental mode's per-cycle maintenance time. The churn regime \
+          isolates the scheduler write path (move + prune), where the \
+          rebuild baseline pays O(|history|) per cycle; the scan regime \
+          includes Listing 1's inherent full-history recomputation, which \
+          bounds the achievable speedup."
+         cycles batch)
+    [
+      text_col ~key:"regime" "regime" (fun (r, _, _, _, _, _) -> r);
+      int_col ~key:"history" "history" (fun (_, h, _, _, _, _) -> h);
+      ms "rebuild_s" "rebuild (ms)" (fun (_, _, t, _, _, _) -> t);
+      ms "incremental_s" "incremental (ms)" (fun (_, _, _, t, _, _) -> t);
+      ms "index_s" "index (ms)" (fun (_, _, _, _, ix, _) -> ix);
+      float_col ~key:"speedup" "%.1fx" "speedup" (fun (_, _, r, i, _, _) ->
+          r /. Float.max 1e-9 i);
+      bool_col ~key:"identical" ("true", "false") "identical"
+        (fun (_, _, _, _, _, same) -> same);
+    ]
+    rows
 
 (* ------------------------------------------------------------------ *)
-(* Observability overhead                                             *)
+(* Checker verdicts shared by the parallel and sharded experiments    *)
 (* ------------------------------------------------------------------ *)
 
-let obs_overhead ~duration () =
-  section
-    "Observability: tracing off vs on (same seed; lifecycle events + tier \
-     metrics)";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let base =
-    {
-      (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-         ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
-      with
-      (* Wall-clock cycle charging is non-deterministic; the off/on stats
-         comparison below needs bit-identical runs. *)
-      Middleware.charge_scheduler_time = false;
-    }
+(* The serializability battery on a run's (merged) rte, and conflict
+   equivalence of its delivery order to that rte — at S > 1 including
+   router soundness: no conflicting pair split across shard lanes. *)
+let verdicts ~shards (h : Middleware.handle) =
+  let rte = h.Middleware.merged_rte in
+  let by_key = Hashtbl.create (2 * List.length rte) in
+  List.iter (fun r -> Hashtbl.replace by_key (Ds_model.Request.key r) r) rte;
+  let merged =
+    List.filter_map (Hashtbl.find_opt by_key) h.Middleware.merged_execution_order
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+  let report =
+    Ds_check.Serializability.check_committed
+      (Ds_check.Conflict_graph.events_of_requests rte)
   in
-  let s_off, t_off = time (fun () -> Middleware.run base) in
-  let tr = Ds_obs.Trace.create () in
-  let m = Ds_obs.Metrics.create () in
-  let s_on, t_on =
-    time (fun () ->
-        Middleware.run
-          { base with Middleware.trace = Some tr; metrics = Some m })
+  let equiv =
+    if shards > 1 then
+      Ds_check.Equivalence.check_sharded ~shards ~shard_of:h.Middleware.shard_of
+        ~reference:rte ~candidate:merged ()
+    else Ds_check.Equivalence.check ~reference:rte ~candidate:merged ()
   in
-  note "tracing off: %.3fs wall" t_off;
-  note "tracing on:  %.3fs wall  (%d events, %+.1f%% overhead)" t_on
-    (Ds_obs.Trace.count tr)
-    (100. *. (t_on -. t_off) /. Float.max 1e-9 t_off);
-  (* [mean_cycle_time]/[p95_cycle_time]/[scheduler_time] are wall-clock
-     measurements, never reproducible; everything else must be identical. *)
-  let deterministic (s : Middleware.stats) =
-    {
-      s with
-      Middleware.mean_cycle_time = 0.;
-      p95_cycle_time = 0.;
-      scheduler_time = 0.;
-    }
-  in
-  note "simulation stats identical under tracing: %b (no observer effect)"
-    (deterministic s_off = deterministic s_on);
-  List.iter
-    (fun (tier, n, p50, p95, p99) ->
-      note "  %-8s n=%d p50=%.3fs p95=%.3fs p99=%.3fs" tier n p50 p95 p99)
-    (Ds_obs.Metrics.tier_quantiles m);
-  (match Ds_obs.Span.validate (Ds_obs.Trace.events tr) with
-  | Ok () -> note "trace valid (%d transactions)"
-               (List.length (Ds_obs.Span.build (Ds_obs.Trace.events tr)))
-  | Error e -> note "TRACE INVALID: %s" e)
+  ( Ds_check.Serializability.is_clean report,
+    Ds_check.Equivalence.is_equivalent equiv )
+
+let verdict_cols clean equivalent =
+  [
+    bool_col ~key:"checker_clean" ("clean", "DIRTY") "checker" clean;
+    bool_col ~key:"conflict_equivalent" ("yes", "NO") "conflict-equivalent"
+      equivalent;
+  ]
+
+(* [base /. x] against the first row's [x] (the K=1 / S=1 point). *)
+let speedups xs =
+  let base = List.hd xs in
+  List.map (fun x -> if x > 0. then base /. x else 1.) xs
 
 (* ------------------------------------------------------------------ *)
 (* Parallel backend scaling                                           *)
 (* ------------------------------------------------------------------ *)
+
+type scaling_row = {
+  k : int;
+  stats : Middleware.stats;
+  speedup : float;
+  util : float;
+  clean : bool;
+  equivalent : bool;
+}
 
 let parallel_scaling ~duration ~json () =
   section
     "Parallel backend: conflict-class execution across K workers \
      (low-conflict workload; every schedule checker-validated)";
   let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Left; Tablefmt.Left;
-        ]
-      [
-        "workers"; "committed"; "makespan mean (ms)"; "p95 (ms)"; "speedup";
-        "mean util"; "checker"; "conflict-equivalent";
-      ]
+  let runs =
+    List.map
+      (fun workers ->
+        let m = Ds_obs.Metrics.create () in
+        let s, h =
+          Middleware.run_sharded
+            {
+              (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
+                 ~trigger:(Trigger.Hybrid (0.01, 50))
+                 ~clients:80 ~duration ~spec)
+              with
+              Middleware.workers;
+              metrics = Some m;
+              (* identical virtual-time behavior at every K: don't charge
+                 wall-clock scheduler time *)
+              charge_scheduler_time = false;
+            }
+        in
+        let util =
+          match Ds_obs.Metrics.workers m with
+          | [] -> 0.
+          | rows ->
+            List.fold_left
+              (fun acc (w : Ds_obs.Metrics.worker_row) ->
+                acc +. w.Ds_obs.Metrics.utilization)
+              0. rows
+            /. float_of_int (List.length rows)
+        in
+        let clean, equivalent = verdicts ~shards:1 h in
+        { k = workers; stats = s; speedup = 1.; util; clean; equivalent })
+      [ 1; 2; 4; 8 ]
   in
-  let base_makespan = ref None in
-  let points = ref [] in
-  List.iter
-    (fun workers ->
-      let m = Ds_obs.Metrics.create () in
-      let s, sched =
-        Middleware.run_full
-          {
-            (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-               ~trigger:(Trigger.Hybrid (0.01, 50))
-               ~clients:80 ~duration ~spec)
-            with
-            Middleware.workers;
-            metrics = Some m;
-            (* identical virtual-time behavior at every K: don't charge
-               wall-clock scheduler time *)
-            charge_scheduler_time = false;
-          }
-      in
-      let rels = Scheduler.relations sched in
-      let rte = Relations.rte_requests rels in
-      (* The merged parallel schedule, reassembled from the declarative
-         assignment log (pos = delivery order). *)
-      let by_key = Hashtbl.create (2 * List.length rte) in
-      List.iter
-        (fun r -> Hashtbl.replace by_key (Ds_model.Request.key r) r)
-        rte;
-      let merged =
-        List.filter_map
-          (fun key -> Hashtbl.find_opt by_key key)
-          (Relations.execution_order rels)
-      in
-      let report =
-        Ds_check.Serializability.check_committed
-          (Ds_check.Conflict_graph.events_of_requests rte)
-      in
-      let equiv =
-        Ds_check.Equivalence.check ~reference:rte ~candidate:merged ()
-      in
-      let makespan = s.Middleware.mean_batch_makespan in
-      if workers = 1 then base_makespan := Some makespan;
-      let speedup =
-        match !base_makespan with
-        | Some base when makespan > 0. -> base /. makespan
-        | _ -> 1.
-      in
-      let util =
-        match Ds_obs.Metrics.parallel m with
-        | Some p when p.Ds_obs.Metrics.per_worker <> [] ->
-          List.fold_left
-            (fun acc (w : Ds_obs.Metrics.worker_row) ->
-              acc +. w.Ds_obs.Metrics.utilization)
-            0. p.Ds_obs.Metrics.per_worker
-          /. float_of_int (List.length p.Ds_obs.Metrics.per_worker)
-        | _ -> 0.
-      in
-      let clean = Ds_check.Serializability.is_clean report in
-      let equivalent = Ds_check.Equivalence.is_equivalent equiv in
-      points :=
-        (workers, s.Middleware.committed_txns, makespan, speedup, util, clean,
-         equivalent)
-        :: !points;
-      Tablefmt.add_row t
-        [
-          string_of_int workers;
-          string_of_int s.Middleware.committed_txns;
-          Printf.sprintf "%.3f" (1000. *. makespan);
-          Printf.sprintf "%.3f" (1000. *. s.Middleware.p95_batch_makespan);
-          Printf.sprintf "%.2fx" speedup;
-          Printf.sprintf "%.3f" util;
-          (if clean then "clean" else "DIRTY");
-          (if equivalent then "yes" else "NO");
-        ])
-    [ 1; 2; 4; 8 ];
-  Tablefmt.print t;
-  note
-    "speedup = mean batch makespan at K=1 / at K; conflict classes of one \
-     batch run as overlapping spans, so makespan approaches the largest \
-     class instead of the batch total. 'checker' validates the rte log \
-     (serializability battery), 'conflict-equivalent' compares the merged \
-     delivery order (assignment relation) against the admitted rte order.";
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:Middleware.default_config.Middleware.seed
-        ~config:[ ("experiment", Str "parallel"); ("duration", Num duration) ]
-    @@ Obj
-        [
-          ("experiment", Str "parallel");
-          ("duration", Num duration);
-          ( "points",
-            List
-              (List.rev_map
-                 (fun (k, committed, makespan, speedup, util, clean, equivalent)
-                    ->
-                   Obj
-                     [
-                       ("workers", Num (float_of_int k));
-                       ( "seed",
-                         Num
-                           (float_of_int
-                              Middleware.default_config.Middleware.seed) );
-                       ("committed", Num (float_of_int committed));
-                       ("makespan_s", Num makespan);
-                       ("speedup", Num speedup);
-                       ("mean_utilization", Num util);
-                       ("checker_clean", Bool clean);
-                       ("conflict_equivalent", Bool equivalent);
-                     ])
-                 !points) );
-        ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+  let rows =
+    List.map2
+      (fun r speedup -> { r with speedup })
+      runs
+      (speedups (List.map (fun r -> r.stats.Middleware.mean_batch_makespan) runs))
+  in
+  report ?json
+    ~config:(experiment "parallel" [ ("duration", Json.Num duration) ])
+    ~after:
+      "speedup = mean batch makespan at K=1 / at K; conflict classes of one \
+       batch run as overlapping spans, so makespan approaches the largest \
+       class instead of the batch total. 'checker' validates the rte log \
+       (serializability battery), 'conflict-equivalent' compares the merged \
+       delivery order (assignment relation) against the admitted rte order."
+    ([
+       int_col ~key:"workers" "workers" (fun r -> r.k);
+       int_col ~key:"seed" "" (fun _ -> Middleware.default_config.Middleware.seed);
+       int_col ~key:"committed" "committed" (fun r -> r.stats.Middleware.committed_txns);
+       float_col ~key:"makespan_s" ~scale:1000. "%.3f" "makespan mean (ms)"
+         (fun r -> r.stats.Middleware.mean_batch_makespan);
+       float_col ~scale:1000. "%.3f" "p95 (ms)" (fun r ->
+           r.stats.Middleware.p95_batch_makespan);
+       float_col ~key:"speedup" "%.2fx" "speedup" (fun r -> r.speedup);
+       float_col ~key:"mean_utilization" "%.3f" "mean util" (fun r -> r.util);
+     ]
+    @ verdict_cols (fun r -> r.clean) (fun r -> r.equivalent))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Sharded scheduler scaling                                          *)
@@ -1294,131 +1085,55 @@ let shards_scaling ~duration ~json () =
       charge_scheduler_time = false;
     }
   in
-  (* S=1 must be the single-scheduler code path bit for bit: same rte log,
-     same delivery order. *)
+  (* S=1 must be the single-scheduler code path bit for bit: one run's lane
+     rte and delivery order equal another run's merged artifacts. *)
   let s1_identical =
-    let _, sched = Middleware.run_full (cfg 1) in
+    let _, single = Middleware.run_sharded (cfg 1) in
     let _, h = Middleware.run_sharded (cfg 1) in
-    let rels = Scheduler.relations sched in
+    let rels = Scheduler.relations single.Middleware.lane_schedulers.(0) in
     List.map Ds_model.Request.to_string (Relations.rte_requests rels)
     = List.map Ds_model.Request.to_string h.Middleware.merged_rte
     && Relations.execution_order rels = h.Middleware.merged_execution_order
   in
   note "S=1 bit-identical to the unsharded scheduler: %b" s1_identical;
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Left;
-          Tablefmt.Left;
-        ]
-      [
-        "shards"; "committed"; "cycles"; "global txns"; "deferrals";
-        "sched time (s)"; "speedup"; "checker"; "conflict-equivalent";
-      ]
+  let runs =
+    List.map
+      (fun shards ->
+        let s, h = Middleware.run_sharded (cfg shards) in
+        let clean, equivalent = verdicts ~shards h in
+        { k = shards; stats = s; speedup = 1.; util = 0.; clean; equivalent })
+      [ 1; 2; 4; 8 ]
   in
-  let base_time = ref None in
-  let points = ref [] in
-  List.iter
-    (fun shards ->
-      let s, h = Middleware.run_sharded (cfg shards) in
-      let rte = h.Middleware.merged_rte in
-      let by_key = Hashtbl.create (2 * List.length rte) in
-      List.iter
-        (fun r -> Hashtbl.replace by_key (Ds_model.Request.key r) r)
-        rte;
-      let merged =
-        List.filter_map
-          (fun key -> Hashtbl.find_opt by_key key)
-          h.Middleware.merged_execution_order
-      in
-      let report =
-        Ds_check.Serializability.check_committed
-          (Ds_check.Conflict_graph.events_of_requests rte)
-      in
-      let equiv =
-        if shards > 1 then
-          Ds_check.Equivalence.check_sharded ~shards
-            ~shard_of:h.Middleware.shard_of ~reference:rte ~candidate:merged
-            ()
-        else Ds_check.Equivalence.check ~reference:rte ~candidate:merged ()
-      in
-      let sched_time = s.Middleware.scheduler_time in
-      if shards = 1 then base_time := Some sched_time;
-      let speedup =
-        match !base_time with
-        | Some base when sched_time > 0. -> base /. sched_time
-        | _ -> 1.
-      in
-      let clean = Ds_check.Serializability.is_clean report in
-      let equivalent = Ds_check.Equivalence.is_equivalent equiv in
-      points :=
-        (shards, s.Middleware.committed_txns, s.Middleware.cycles,
-         s.Middleware.global_lane_txns, s.Middleware.shard_deferrals,
-         sched_time, speedup, clean, equivalent)
-        :: !points;
-      Tablefmt.add_row t
-        [
-          string_of_int shards;
-          string_of_int s.Middleware.committed_txns;
-          string_of_int s.Middleware.cycles;
-          string_of_int s.Middleware.global_lane_txns;
-          string_of_int s.Middleware.shard_deferrals;
-          Printf.sprintf "%.3f" sched_time;
-          Printf.sprintf "%.2fx" speedup;
-          (if clean then "clean" else "DIRTY");
-          (if equivalent then "yes" else "NO");
-        ])
-    [ 1; 2; 4; 8 ];
-  Tablefmt.print t;
-  note
-    "speedup = total scheduler wall time at S=1 / at S (virtual-time \
-     behavior held fixed). 'global txns' crossed shard boundaries and ran \
-     on the barrier-fenced global lane; 'deferrals' are admissions parked \
-     while the barrier drained. 'checker' validates the stamp-merged rte \
-     (serializability battery); 'conflict-equivalent' additionally checks \
-     router soundness — no conflicting pair split across shard lanes.";
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:Middleware.default_config.Middleware.seed
-        ~config:[ ("experiment", Str "shards"); ("duration", Num duration) ]
-      @@ Obj
-          [
-            ("experiment", Str "shards");
-            ("duration", Num duration);
-            ("s1_bit_identical", Bool s1_identical);
-            ( "points",
-              List
-                (List.rev_map
-                   (fun (shards, committed, cycles, global_txns, deferrals,
-                         sched_time, speedup, clean, equivalent) ->
-                     Obj
-                       [
-                         ("shards", Num (float_of_int shards));
-                         ( "seed",
-                           Num
-                             (float_of_int
-                                Middleware.default_config.Middleware.seed) );
-                         ("committed", Num (float_of_int committed));
-                         ("cycles", Num (float_of_int cycles));
-                         ("global_lane_txns", Num (float_of_int global_txns));
-                         ("shard_deferrals", Num (float_of_int deferrals));
-                         ("scheduler_time_s", Num sched_time);
-                         ("speedup", Num speedup);
-                         ("checker_clean", Bool clean);
-                         ("conflict_equivalent", Bool equivalent);
-                       ])
-                   !points) );
-          ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+  let rows =
+    List.map2
+      (fun r speedup -> { r with speedup })
+      runs
+      (speedups (List.map (fun r -> r.stats.Middleware.scheduler_time) runs))
+  in
+  let stat key head f = int_col ~key head (fun r -> f r.stats) in
+  report ?json
+    ~config:(experiment "shards" [ ("duration", Json.Num duration) ])
+    ~summary:[ ("s1_bit_identical", Json.Bool s1_identical) ]
+    ~after:
+      "speedup = total scheduler wall time at S=1 / at S (virtual-time \
+       behavior held fixed). 'global txns' crossed shard boundaries and ran \
+       on the barrier-fenced global lane; 'deferrals' are admissions parked \
+       while the barrier drained. 'checker' validates the stamp-merged rte \
+       (serializability battery); 'conflict-equivalent' additionally checks \
+       router soundness — no conflicting pair split across shard lanes."
+    ([
+       int_col ~key:"shards" "shards" (fun r -> r.k);
+       int_col ~key:"seed" "" (fun _ -> Middleware.default_config.Middleware.seed);
+       stat "committed" "committed" (fun s -> s.Middleware.committed_txns);
+       stat "cycles" "cycles" (fun s -> s.Middleware.cycles);
+       stat "global_lane_txns" "global txns" (fun s -> s.Middleware.global_lane_txns);
+       stat "shard_deferrals" "deferrals" (fun s -> s.Middleware.shard_deferrals);
+       float_col ~key:"scheduler_time_s" "%.3f" "sched time (s)" (fun r ->
+           r.stats.Middleware.scheduler_time);
+       float_col ~key:"speedup" "%.2fx" "speedup" (fun r -> r.speedup);
+     ]
+    @ verdict_cols (fun r -> r.clean) (fun r -> r.equivalent))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Recovery: checkpointed replay vs journal length                    *)
@@ -1442,203 +1157,151 @@ let recovery_bench ~duration ~json () =
   section
     "Recovery: checkpointed replay vs journal length (synthetic journals + \
      a crashing middleware run)";
-  let points = ref [] in
   let with_temp_journal f =
     let path = Filename.temp_file "ds_bench" ".journal" in
-    Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () -> f path)
+    Fun.protect ~finally:(fun () -> Journal.remove path) (fun () -> f path)
   in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right;
-        ]
-      [
-        "events"; "ckpt every"; "journal lines"; "recover (ms)"; "replayed";
-        "skipped";
+  let mode name workers seed =
+    [
+      text_col ~key:"mode" "" (fun _ -> name);
+      int_col ~key:"workers" "" workers;
+      int_col ~key:"seed" "" (fun _ -> seed);
+    ]
+  in
+  let ckpt_col f =
+    col ~key:"checkpoint_interval" "ckpt every"
+      (fun r -> match f r with 0 -> "-" | i -> string_of_int i)
+      ~json:(fun r -> Json.Num (float_of_int (f r)))
+  in
+  let synthetic =
+    List.concat_map
+      (fun events ->
+        List.map
+          (fun checkpoint_every ->
+            with_temp_journal (fun path ->
+                let journal = Journal.open_ path in
+                let sched =
+                  Scheduler.create ~journal ?checkpoint_every Builtin.fcfs
+                in
+                let id = ref 0 and ta = ref 0 in
+                while !id < events do
+                  for _ = 1 to 8 do
+                    incr ta;
+                    incr id;
+                    Scheduler.submit sched
+                      (Ds_model.Request.make ~id:!id ~ta:!ta ~intrata:1
+                         ~op:Ds_model.Op.Write ~obj:(!ta mod 512) ());
+                    incr id;
+                    Scheduler.submit sched
+                      (Ds_model.Request.make ~id:!id ~ta:!ta ~intrata:2
+                         ~op:Ds_model.Op.Commit ())
+                  done;
+                  ignore (Scheduler.cycle sched)
+                done;
+                Journal.close journal;
+                let lines =
+                  In_channel.with_open_bin path (fun ic ->
+                      let n = ref 0 in
+                      String.iter
+                        (fun c -> if c = '\n' then incr n)
+                        (In_channel.input_all ic);
+                      !n)
+                in
+                (* median-ish of 3: recover is fast, wall time is noisy *)
+                let times =
+                  List.init 3 (fun _ ->
+                      let t0 = Unix.gettimeofday () in
+                      ignore (Journal.recover path);
+                      Unix.gettimeofday () -. t0)
+                in
+                let recover_s = List.nth (List.sort compare times) 1 in
+                ( events,
+                  Option.value ~default:0 checkpoint_every,
+                  lines,
+                  recover_s,
+                  Journal.recover path )))
+          [ None; Some 100 ])
+      [ 2_000; 8_000; 32_000 ]
+  in
+  let synthetic_cols =
+    mode "synthetic" (fun _ -> 1) 0
+    @ [
+        int_col ~key:"events" "events" (fun (e, _, _, _, _) -> e);
+        ckpt_col (fun (_, i, _, _, _) -> i);
+        int_col ~key:"journal_lines" "journal lines" (fun (_, _, l, _, _) -> l);
+        float_col ~key:"recover_ms" "%.3f" "recover (ms)" (fun (_, _, _, t, _) ->
+            1000. *. t);
+        int_col ~key:"replayed" "replayed" (fun (_, _, _, _, r) ->
+            r.Journal.replayed);
+        int_col ~key:"skipped" "skipped" (fun (_, _, _, _, r) -> r.Journal.skipped);
       ]
   in
-  List.iter
-    (fun events ->
-      List.iter
-        (fun checkpoint_every ->
-          with_temp_journal (fun path ->
-              let journal = Journal.open_ path in
-              let sched =
-                Scheduler.create ~journal ?checkpoint_every Builtin.fcfs
-              in
-              let id = ref 0 and ta = ref 0 in
-              while !id < events do
-                for _ = 1 to 8 do
-                  incr ta;
-                  incr id;
-                  Scheduler.submit sched
-                    (Ds_model.Request.make ~id:!id ~ta:!ta ~intrata:1
-                       ~op:Ds_model.Op.Write ~obj:(!ta mod 512) ());
-                  incr id;
-                  Scheduler.submit sched
-                    (Ds_model.Request.make ~id:!id ~ta:!ta ~intrata:2
-                       ~op:Ds_model.Op.Commit ())
-                done;
-                ignore (Scheduler.cycle sched)
-              done;
-              Journal.close journal;
-              let lines =
-                In_channel.with_open_bin path (fun ic ->
-                    let n = ref 0 in
-                    String.iter
-                      (fun c -> if c = '\n' then incr n)
-                      (In_channel.input_all ic);
-                    !n)
-              in
-              (* median-ish of 3: recover is fast, wall time is noisy *)
-              let times =
-                List.init 3 (fun _ ->
-                    let t0 = Unix.gettimeofday () in
-                    ignore (Journal.recover path);
-                    Unix.gettimeofday () -. t0)
-              in
-              let recover_s = List.nth (List.sort compare times) 1 in
-              let r = Journal.recover path in
-              let interval = Option.value ~default:0 checkpoint_every in
-              points :=
-                `Synthetic
-                  (events, interval, lines, recover_s, r.Journal.replayed,
-                   r.Journal.skipped)
-                :: !points;
-              Tablefmt.add_row t
-                [
-                  string_of_int events;
-                  (if interval = 0 then "-" else string_of_int interval);
-                  string_of_int lines;
-                  Printf.sprintf "%.3f" (1000. *. recover_s);
-                  string_of_int r.Journal.replayed;
-                  string_of_int r.Journal.skipped;
-                ]))
-        [ None; Some 100 ])
-    [ 2_000; 8_000; 32_000 ];
-  Tablefmt.print t;
+  table synthetic_cols synthetic;
   note
     "Churn workload, history pruned every cycle, so checkpoints snapshot \
      only live transactions: with the interval fixed, recover time and \
      'replayed' stay flat while the journal grows — the no-checkpoint rows \
      replay everything and scale with journal length.";
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-        ]
-      [
-        "wcrash"; "ckpt every"; "committed"; "recovery (ms)"; "replayed";
-        "skipped"; "reassigned";
+  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
+  let middleware =
+    List.map
+      (fun (wcrash, checkpoint_interval) ->
+        with_temp_journal (fun path ->
+            let cfg =
+              {
+                (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
+                   ~trigger:(Trigger.Hybrid (0.01, 50))
+                   ~clients:60 ~duration ~spec)
+                with
+                Middleware.workers = 4;
+                journal_path = Some path;
+                checkpoint_interval;
+                faults =
+                  {
+                    Faults.none with
+                    Faults.crash_at_cycle = Some 40;
+                    worker_crash_rate = wcrash;
+                    worker_stall_rate = wcrash /. 2.;
+                    worker_stall_duration = 0.02;
+                  };
+                charge_scheduler_time = false;
+              }
+            in
+            (cfg, wcrash, Middleware.run cfg)))
+      [ (0., None); (0., Some 10); (0.2, None); (0.2, Some 10) ]
+  in
+  let stat key head f = int_col ~key head (fun (_, _, s) -> f s) in
+  let middleware_cols =
+    mode "middleware"
+      (fun ((cfg : Middleware.config), _, _) -> cfg.Middleware.workers)
+      Middleware.default_config.Middleware.seed
+    @ [
+        float_col ~key:"wcrash" "%.2f" "wcrash" (fun (_, w, _) -> w);
+        ckpt_col (fun (cfg, _, _) ->
+            Option.value ~default:0 cfg.Middleware.checkpoint_interval);
+        stat "committed" "committed" (fun s -> s.Middleware.committed_txns);
+        float_col ~key:"recovery_ms" "%.3f" "recovery (ms)" (fun (_, _, s) ->
+            1000. *. s.Middleware.recovery_time);
+        stat "replayed" "replayed" (fun s -> s.Middleware.recovery_replayed);
+        stat "skipped" "skipped" (fun s -> s.Middleware.recovery_skipped);
+        stat "reassigned" "reassigned" (fun s -> s.Middleware.reassigned_classes);
+        stat "checkpoints" "" (fun s -> s.Middleware.checkpoints);
       ]
   in
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  List.iter
-    (fun (wcrash, checkpoint_interval) ->
-      with_temp_journal (fun path ->
-          let cfg =
-            {
-              (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-                 ~trigger:(Trigger.Hybrid (0.01, 50))
-                 ~clients:60 ~duration ~spec)
-              with
-              Middleware.workers = 4;
-              journal_path = Some path;
-              checkpoint_interval;
-              faults =
-                {
-                  Faults.none with
-                  Faults.crash_at_cycle = Some 40;
-                  worker_crash_rate = wcrash;
-                  worker_stall_rate = wcrash /. 2.;
-                  worker_stall_duration = 0.02;
-                };
-              charge_scheduler_time = false;
-            }
-          in
-          let s = Middleware.run cfg in
-          let interval = Option.value ~default:0 checkpoint_interval in
-          points :=
-            `Middleware
-              (cfg.Middleware.workers, cfg.Middleware.seed, wcrash, interval, s)
-            :: !points;
-          Tablefmt.add_row t
-            [
-              Printf.sprintf "%.2f" wcrash;
-              (if interval = 0 then "-" else string_of_int interval);
-              string_of_int s.Middleware.committed_txns;
-              Printf.sprintf "%.3f" (1000. *. s.Middleware.recovery_time);
-              string_of_int s.Middleware.recovery_replayed;
-              string_of_int s.Middleware.recovery_skipped;
-              string_of_int s.Middleware.reassigned_classes;
-            ]))
-    [ (0., None); (0., Some 10); (0.2, None); (0.2, Some 10) ];
-  Tablefmt.print t;
+  table middleware_cols middleware;
   note
     "Same seed and fault plan per pair of rows; the checkpointed run \
      replays only the journal suffix after the crash at cycle 40 while the \
      supervisor keeps reassigning classes from crashed workers.";
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:Middleware.default_config.Middleware.seed
-        ~config:[ ("experiment", Str "recovery"); ("duration", Num duration) ]
-    @@ Obj
-        [
-          ("experiment", Str "recovery");
-          ("duration", Num duration);
-          ( "points",
-            List
-              (List.rev_map
-                 (function
-                   | `Synthetic (events, interval, lines, recover_s, replayed,
-                                 skipped) ->
-                     Obj
-                       [
-                         ("mode", Str "synthetic");
-                         ("workers", Num 1.);
-                         ("seed", Num 0.);
-                         ("events", Num (float_of_int events));
-                         ("checkpoint_interval", Num (float_of_int interval));
-                         ("journal_lines", Num (float_of_int lines));
-                         ("recover_ms", Num (1000. *. recover_s));
-                         ("replayed", Num (float_of_int replayed));
-                         ("skipped", Num (float_of_int skipped));
-                       ]
-                   | `Middleware (workers, seed, wcrash, interval, s) ->
-                     Obj
-                       [
-                         ("mode", Str "middleware");
-                         ("workers", Num (float_of_int workers));
-                         ("seed", Num (float_of_int seed));
-                         ("wcrash", Num wcrash);
-                         ("checkpoint_interval", Num (float_of_int interval));
-                         ( "committed",
-                           Num (float_of_int s.Middleware.committed_txns) );
-                         ("recovery_ms", Num (1000. *. s.Middleware.recovery_time));
-                         ( "replayed",
-                           Num (float_of_int s.Middleware.recovery_replayed) );
-                         ( "skipped",
-                           Num (float_of_int s.Middleware.recovery_skipped) );
-                         ( "reassigned",
-                           Num (float_of_int s.Middleware.reassigned_classes) );
-                         ( "checkpoints",
-                           Num (float_of_int s.Middleware.checkpoints) );
-                       ])
-                 !points) );
-        ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+  let config = experiment "recovery" [ ("duration", Json.Num duration) ] in
+  emit json ~seed:Middleware.default_config.Middleware.seed ~config
+    (config
+    @ [
+        ( "points",
+          Json.List
+            (points synthetic_cols synthetic @ points middleware_cols middleware)
+        );
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Swarm: simulation-testing throughput                               *)
@@ -1654,47 +1317,26 @@ let swarm_bench ~n ~seed ~json () =
   let report = Ds_dst.Swarm.run ~shrink:true ~n ~seed () in
   let elapsed = Unix.gettimeofday () -. t0 in
   let failed = List.length (Ds_dst.Swarm.failed report) in
-  let checks = n * List.length Ds_dst.Invariant.names in
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "scenarios"; "failed"; "invariant checks"; "elapsed (s)"; "scen/s" ]
-  in
-  Tablefmt.add_row t
+  let cols =
     [
-      string_of_int n;
-      string_of_int failed;
-      string_of_int checks;
-      Printf.sprintf "%.2f" elapsed;
-      Printf.sprintf "%.1f" (float_of_int n /. elapsed);
-    ];
-  Tablefmt.print t;
+      int_col ~key:"scenarios" "scenarios" (fun () -> n);
+      int_col ~key:"failed" "failed" (fun () -> failed);
+      int_col ~key:"invariant_checks" "invariant checks" (fun () ->
+          n * List.length Ds_dst.Invariant.names);
+      float_col ~key:"elapsed_s" "%.2f" "elapsed (s)" (fun () -> elapsed);
+      float_col ~key:"scenarios_per_s" "%.1f" "scen/s" (fun () ->
+          float_of_int n /. elapsed);
+    ]
+  in
+  table cols [ () ];
   note
     "Every scenario runs the real middleware/scheduler/worker-pool/journal \
      stack and the complete battery (%s); failures would be shrunk to \
      minimal repros. Verdicts are a pure function of (n, seed)."
     (String.concat ", " Ds_dst.Invariant.names);
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed
-        ~config:[ ("experiment", Str "swarm"); ("n", Num (float_of_int n)) ]
-        (Obj
-           [
-             ("experiment", Str "swarm");
-             ("scenarios", Num (float_of_int n));
-             ("failed", Num (float_of_int failed));
-             ("invariant_checks", Num (float_of_int checks));
-             ("elapsed_s", Num elapsed);
-             ("scenarios_per_s", Num (float_of_int n /. elapsed));
-           ])
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+  emit json ~seed
+    ~config:(experiment "swarm" [ ("n", Json.Num (float_of_int n)) ])
+    (experiment "swarm" (fields cols ()))
 
 (* ------------------------------------------------------------------ *)
 (* Failover: hot-standby replication under link faults                *)
@@ -1703,36 +1345,17 @@ let swarm_bench ~n ~seed ~json () =
 (* {async, sync} x {clean, lossy, partition} link, each run killed by a
    permanent primary crash (pcrash) mid-flight and failed over to the hot
    standby. The durability verdict per point comes from
-   [Equivalence.check_failover]: every transaction a client saw committed
-   before the failover is looked up in the promoted standby journal —
-   sync mode must lose none, async mode may lose only records above the
-   standby's watermark (the lag window). 'fenced' counts the old primary's
-   stragglers the promoted standby refused by stale epoch. *)
+   [Ds_dst.Runner.failover_report]: every transaction a client saw
+   committed before the failover is looked up in the promoted standby
+   journal — sync mode must lose none, async mode may lose only records
+   above the standby's watermark (the lag window). 'fenced' counts the old
+   primary's stragglers the promoted standby refused by stale epoch. *)
 let failover_bench ~duration ~json () =
   section
     "Failover: hot-standby promotion under replication-link faults \
      (pcrash at cycle 150; durability checked per point)";
   let module Link = Ds_replica.Link in
   let module Session = Ds_replica.Session in
-  (* tas physically present ('Q' records) in the standby journal file *)
-  let standby_tas path =
-    let tas = Hashtbl.create 256 in
-    In_channel.with_open_bin path (fun ic ->
-        try
-          while true do
-            let line = input_line ic in
-            (* framing: '!' + crc32 hex + ' ' + payload *)
-            if String.length line > 12 && String.sub line 10 2 = "Q " then
-              match String.split_on_char ' ' line with
-              | _ :: "Q" :: ta :: _ -> (
-                match int_of_string_opt ta with
-                | Some ta -> Hashtbl.replace tas ta ()
-                | None -> ())
-              | _ -> ()
-          done
-        with End_of_file -> ());
-    tas
-  in
   let links =
     [
       ("clean", Link.none);
@@ -1747,196 +1370,102 @@ let failover_bench ~duration ~json () =
         { Link.none with Link.drop_rate = 0.02; partition_at = Some 0.9; partition_for = 0.8 } );
     ]
   in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Left; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Left;
-        ]
-      [
-        "mode"; "link"; "committed"; "acked@crash"; "lost<=wm"; "lost>wm";
-        "watermark"; "fenced"; "diverg"; "durability";
-      ]
+  let run mode (link_name, plan) =
+    let dir = Filename.temp_file "ds_bench_repl" "" in
+    Sys.remove dir;
+    let journal = Filename.temp_file "ds_bench" ".journal" in
+    Fun.protect ~finally:(fun () ->
+        List.iter
+          (fun p -> try Sys.remove p with Sys_error _ -> ())
+          [ journal; Session.standby_path_of dir; Filename.concat dir "REPL" ];
+        try Sys.rmdir dir with Sys_error _ -> ())
+    @@ fun () ->
+    let trace = Ds_obs.Trace.create () in
+    let session = Session.create ~mode ~plan ~seed:42 ~trace ~dir () in
+    let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
+    let s =
+      Middleware.run
+        {
+          (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
+             ~trigger:(Trigger.Hybrid (0.01, 50))
+             ~clients:30 ~duration ~spec)
+          with
+          Middleware.journal_path = Some journal;
+          checkpoint_interval = Some 10;
+          (* late enough that a meaningful set of transactions has been
+             acked to clients before the primary dies *)
+          faults = { Faults.none with Faults.pcrash_at_cycle = Some 150 };
+          client_redo = true;
+          repl = Some (Session.hooks session);
+          trace = Some trace;
+          charge_scheduler_time = false;
+        }
+    in
+    Session.close session;
+    let r =
+      Ds_dst.Runner.failover_report session
+        ~trace_events:(Ds_obs.Trace.events trace)
+    in
+    (mode, link_name, s, session, r, Ds_check.Equivalence.failover_ok r)
   in
-  let points = ref [] in
-  List.iter
-    (fun mode ->
-      List.iter
-        (fun (link_name, plan) ->
-          let dir = Filename.temp_file "ds_bench_repl" "" in
-          Sys.remove dir;
-          let journal = Filename.temp_file "ds_bench" ".journal" in
-          Fun.protect ~finally:(fun () ->
-              List.iter
-                (fun p -> try Sys.remove p with Sys_error _ -> ())
-                [
-                  journal;
-                  Session.standby_path_of dir;
-                  Filename.concat dir "REPL";
-                ];
-              try Sys.rmdir dir with Sys_error _ -> ())
-          @@ fun () ->
-          let trace = Ds_obs.Trace.create () in
-          let session =
-            Session.create ~mode ~plan ~seed:42 ~trace ~dir ()
-          in
-          let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-          let cfg =
-            {
-              (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-                 ~trigger:(Trigger.Hybrid (0.01, 50))
-                 ~clients:30 ~duration ~spec)
-              with
-              Middleware.journal_path = Some journal;
-              checkpoint_interval = Some 10;
-              (* late enough that a meaningful set of transactions has been
-                 acked to clients before the primary dies *)
-              faults = { Faults.none with Faults.pcrash_at_cycle = Some 150 };
-              client_redo = true;
-              repl = Some (Session.hooks session);
-              trace = Some trace;
-              charge_scheduler_time = false;
-            }
-          in
-          let s = Middleware.run cfg in
-          Session.close session;
-          let events = Ds_obs.Trace.events trace in
-          let failover_at =
-            List.fold_left
-              (fun acc (e : Ds_obs.Trace.event) ->
-                if e.Ds_obs.Trace.kind = Ds_obs.Trace.Failover then
-                  Float.min acc e.Ds_obs.Trace.at
-                else acc)
-              infinity events
-          in
-          let acked_tas = Hashtbl.create 64 in
-          List.iter
-            (fun (e : Ds_obs.Trace.event) ->
-              if
-                e.Ds_obs.Trace.kind = Ds_obs.Trace.Commit
-                && e.Ds_obs.Trace.at < failover_at
-              then Hashtbl.replace acked_tas e.Ds_obs.Trace.ta ())
-            events;
-          let lsn_of = Hashtbl.create 256 in
-          List.iter
-            (fun (ta, lsn) -> Hashtbl.replace lsn_of ta lsn)
-            (Session.ta_lsns session);
-          let acked =
-            Hashtbl.fold
-              (fun ta () acc ->
-                (ta, Option.value ~default:0 (Hashtbl.find_opt lsn_of ta))
-                :: acc)
-              acked_tas []
-            |> List.sort compare
-          in
-          let present = standby_tas (Session.standby_path session) in
-          let report =
-            Ds_check.Equivalence.check_failover ~sync:(mode = Session.Sync)
-              ~watermark:(Session.watermark session)
-              ~acked
-              ~survived:(Hashtbl.mem present)
-              ()
-          in
-          let ok = Ds_check.Equivalence.failover_ok report in
-          points :=
-            (mode, link_name, s, session, report, ok) :: !points;
-          Tablefmt.add_row t
-            [
-              Session.mode_to_string mode;
-              link_name;
-              string_of_int s.Middleware.committed_txns;
-              string_of_int report.Ds_check.Equivalence.acked;
-              string_of_int
-                (List.length report.Ds_check.Equivalence.lost_below_watermark);
-              string_of_int
-                (List.length report.Ds_check.Equivalence.lost_above_watermark);
-              string_of_int (Session.watermark session);
-              string_of_int (Session.fenced session);
-              string_of_int (Session.divergences session);
-              (if ok then "ok" else "VIOLATION");
-            ])
-        links)
-    [ Session.Async; Session.Sync ];
-  Tablefmt.print t;
+  let rows =
+    List.concat_map
+      (fun mode -> List.map (run mode) links)
+      [ Session.Async; Session.Sync ]
+  in
   let sync_zero_loss =
     List.for_all
       (fun (mode, _, _, _, (r : Ds_check.Equivalence.failover_report), ok) ->
-        match mode with
-        | Session.Sync ->
-          ok && r.Ds_check.Equivalence.lost_above_watermark = []
-        | Session.Async -> true)
-      !points
+        mode = Session.Async
+        || (ok && r.Ds_check.Equivalence.lost_above_watermark = []))
+      rows
   in
   let async_loss_bounded =
     List.for_all
       (fun (mode, _, _, _, (r : Ds_check.Equivalence.failover_report), _) ->
-        match mode with
-        | Session.Async -> r.Ds_check.Equivalence.lost_below_watermark = []
-        | Session.Sync -> true)
-      !points
+        mode = Session.Sync || r.Ds_check.Equivalence.lost_below_watermark = [])
+      rows
   in
   let fenced_witnessed =
-    List.exists
-      (fun (_, _, _, session, _, _) -> Session.fenced session > 0)
-      !points
+    List.exists (fun (_, _, _, session, _, _) -> Session.fenced session > 0) rows
   in
-  note
-    "sync zero-loss: %b; async loss bounded by watermark: %b; stale-epoch \
-     fencing witnessed: %b; every run failed over exactly once (epoch 0 -> 1)."
-    sync_zero_loss async_loss_bounded fenced_witnessed;
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:42
-        ~config:[ ("experiment", Str "failover"); ("duration", Num duration) ]
-    @@ Obj
-        [
-          ("experiment", Str "failover");
-          ("duration", Num duration);
-          ("sync_zero_loss", Bool sync_zero_loss);
-          ("async_loss_bounded", Bool async_loss_bounded);
-          ("fenced_witnessed", Bool fenced_witnessed);
-          ( "points",
-            List
-              (List.rev_map
-                 (fun ( mode, link_name, (s : Middleware.stats), session,
-                        (r : Ds_check.Equivalence.failover_report), ok ) ->
-                   Obj
-                     [
-                       ("mode", Str (Session.mode_to_string mode));
-                       ("link", Str link_name);
-                       ("seed", Num 42.);
-                       ("committed", Num (float_of_int s.Middleware.committed_txns));
-                       ("failovers", Num (float_of_int s.Middleware.failovers));
-                       ("epoch", Num (float_of_int (Session.epoch session)));
-                       ("watermark", Num (float_of_int (Session.watermark session)));
-                       ("acked_at_crash", Num (float_of_int r.Ds_check.Equivalence.acked));
-                       ( "lost_below_watermark",
-                         Num
-                           (float_of_int
-                              (List.length
-                                 r.Ds_check.Equivalence.lost_below_watermark)) );
-                       ( "lost_above_watermark",
-                         Num
-                           (float_of_int
-                              (List.length
-                                 r.Ds_check.Equivalence.lost_above_watermark)) );
-                       ("fenced", Num (float_of_int (Session.fenced session)));
-                       ( "divergences",
-                         Num (float_of_int (Session.divergences session)) );
-                       ("durability_ok", Bool ok);
-                     ])
-                 !points) );
-        ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+  let session_col ?key head f = int_col ?key head (fun (_, _, _, x, _, _) -> f x) in
+  let report_col key head f = int_col ~key head (fun (_, _, _, _, r, _) -> f r) in
+  report ?json ~seed:42
+    ~config:(experiment "failover" [ ("duration", Json.Num duration) ])
+    ~summary:
+      [
+        ("sync_zero_loss", Json.Bool sync_zero_loss);
+        ("async_loss_bounded", Json.Bool async_loss_bounded);
+        ("fenced_witnessed", Json.Bool fenced_witnessed);
+      ]
+    ~after:
+      (Printf.sprintf
+         "sync zero-loss: %b; async loss bounded by watermark: %b; \
+          stale-epoch fencing witnessed: %b; every run failed over exactly \
+          once (epoch 0 -> 1)."
+         sync_zero_loss async_loss_bounded fenced_witnessed)
+    [
+      text_col ~key:"mode" "mode" (fun (m, _, _, _, _, _) -> Session.mode_to_string m);
+      text_col ~key:"link" "link" (fun (_, l, _, _, _, _) -> l);
+      int_col ~key:"seed" "" (fun _ -> 42);
+      int_col ~key:"committed" "committed" (fun (_, _, s, _, _, _) ->
+          s.Middleware.committed_txns);
+      int_col ~key:"failovers" "" (fun (_, _, s, _, _, _) -> s.Middleware.failovers);
+      session_col ~key:"epoch" "" Session.epoch;
+      session_col ~key:"watermark" "" Session.watermark;
+      report_col "acked_at_crash" "acked@crash" (fun r -> r.Ds_check.Equivalence.acked);
+      report_col "lost_below_watermark" "lost<=wm" (fun r ->
+          List.length r.Ds_check.Equivalence.lost_below_watermark);
+      report_col "lost_above_watermark" "lost>wm" (fun r ->
+          List.length r.Ds_check.Equivalence.lost_above_watermark);
+      session_col "watermark" Session.watermark;
+      session_col ~key:"fenced" "fenced" Session.fenced;
+      session_col ~key:"divergences" "diverg" Session.divergences;
+      bool_col ~key:"durability_ok" ("ok", "VIOLATION") "durability"
+        (fun (_, _, _, _, _, ok) -> ok);
+    ]
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
@@ -1964,7 +1493,6 @@ let all_experiments ~window ~runs ~duration ~cycle_scale ~json () =
   deadlock_policy_ablation ~window ~runs ();
   history_pruning ~duration ();
   faults_sweep ~duration ~json:None ();
-  obs_overhead ~duration ();
   parallel_scaling ~duration ~json:None ();
   shards_scaling ~duration ~json:None ();
   recovery_bench ~duration ~json:None ();
@@ -1984,7 +1512,7 @@ let () =
     Arg.(value & opt float 1. & info [ "cycle-scale" ] ~doc:"Scale factor on declarative cycle times (emulates the paper's slower scheduler DBMS; try 100).")
   in
   let json =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the experiment's results as JSON to $(docv) (index, faults, parallel, recovery and failover).")
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the experiment's results as JSON to $(docv) (index, faults, parallel, shards, recovery, failover and swarm).")
   in
   let history_sizes =
     Arg.(value & opt (list int) default_history_sizes & info [ "history-sizes" ] ~doc:"History sizes for the index experiment (comma-separated).")
@@ -2003,7 +1531,7 @@ let () =
   in
   let experiment =
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT"
-           ~doc:"One of: all, table1, table2, figure2, native-overhead, declarative-overhead, crossover, listing1-micro, succinctness, datalog-vs-sql, optimizer, index, triggers, relaxed, batch-sweep, open-loop, mpl, deadlock-policy, pruning, faults, obs, parallel, shards, recovery, failover, swarm, list.")
+           ~doc:"One of: all, table1, table2, figure2, native-overhead, declarative-overhead, crossover, listing1-micro, succinctness, datalog-vs-sql, optimizer, index, triggers, relaxed, batch-sweep, open-loop, mpl, deadlock-policy, pruning, faults, parallel, shards, recovery, failover, swarm, list.")
   in
   let main experiment window runs duration cycle_scale json history_sizes
       cycles batch swarm_n swarm_seed =
@@ -2028,7 +1556,6 @@ let () =
     | "deadlock-policy" -> deadlock_policy_ablation ~window ~runs ()
     | "pruning" -> history_pruning ~duration ()
     | "faults" -> faults_sweep ~duration ~json ()
-    | "obs" -> obs_overhead ~duration ()
     | "parallel" -> parallel_scaling ~duration ~json ()
     | "shards" -> shards_scaling ~duration ~json ()
     | "recovery" -> recovery_bench ~duration ~json ()
@@ -2039,7 +1566,7 @@ let () =
         "all table1 table2 figure2 native-overhead declarative-overhead \
          crossover listing1-micro succinctness datalog-vs-sql optimizer \
          index triggers relaxed batch-sweep open-loop mpl deadlock-policy \
-         pruning faults obs parallel shards recovery failover swarm"
+         pruning faults parallel shards recovery failover swarm"
     | other ->
       Printf.eprintf "unknown experiment %s (try 'list')\n" other;
       exit 2

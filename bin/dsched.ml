@@ -85,18 +85,35 @@ let demo_cmd =
   in
   Cmd.v (Cmd.info "demo" ~doc) Term.(const run $ const ())
 
-(* Strict positive-int converter: [--workers 0], [--workers -2] or
-   [--workers four] all die with a clear message instead of whatever
-   int_of_string + downstream code would do. *)
-let pos_int_conv what =
+(* Strict numeric converters: [--workers 0], [--workers -2] or
+   [--workers four] all die at parse time with a message naming the flag,
+   instead of whatever int_of_string + downstream code would do mid-run.
+   [int_conv] takes the smallest accepted value (default 1). *)
+let int_conv ?(min = 1) what =
+  let bound =
+    match min with
+    | 0 -> "non-negative"
+    | 1 -> "positive"
+    | n -> Printf.sprintf "at least %d" n
+  in
   let parse s =
     match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%s must be positive, got %d" what n))
+    | Some n when n >= min -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%s must be %s, got %d" what bound n))
     | None ->
-      Error (`Msg (Printf.sprintf "%s must be a positive integer, got '%s'" what s))
+      Error (`Msg (Printf.sprintf "%s must be a %s integer, got '%s'" what bound s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pos_float_conv what =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some x when x > 0. && Float.is_finite x -> Ok x
+    | Some x -> Error (`Msg (Printf.sprintf "%s must be positive, got %g" what x))
+    | None ->
+      Error (`Msg (Printf.sprintf "%s must be a positive number, got '%s'" what s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let protocol_arg =
   let conv_protocol =
@@ -115,12 +132,17 @@ let protocol_arg =
 
 let run_cmd =
   let doc = "Run the end-to-end middleware simulation (Figure 1)." in
-  let clients = Arg.(value & opt int 50 & info [ "clients" ] ~doc:"Concurrent clients.") in
+  let clients =
+    Arg.(value & opt (int_conv "--clients") 50 & info [ "clients" ] ~doc:"Concurrent clients.")
+  in
   let duration =
     Arg.(value & opt float 5. & info [ "duration" ] ~doc:"Virtual seconds.")
   in
   let objects =
-    Arg.(value & opt int 20_000 & info [ "objects" ] ~doc:"Database objects.")
+    Arg.(
+      value
+      & opt (int_conv "--objects") 20_000
+      & info [ "objects" ] ~doc:"Database objects.")
   in
   let passthrough =
     Arg.(value & flag & info [ "passthrough" ] ~doc:"Non-scheduling mode (3.3).")
@@ -128,7 +150,7 @@ let run_cmd =
   let workers =
     Arg.(
       value
-      & opt (pos_int_conv "--workers") 1
+      & opt (int_conv "--workers") 1
       & info [ "workers" ] ~docv:"K"
           ~doc:
             "Simulated worker backends. With $(docv) > 1 each admitted batch \
@@ -139,7 +161,7 @@ let run_cmd =
   let shards =
     Arg.(
       value
-      & opt (pos_int_conv "--shards") 1
+      & opt (int_conv "--shards") 1
       & info [ "shards" ] ~docv:"S"
           ~doc:
             "Scheduler shards. With $(docv) > 1 transactions are routed by \
@@ -245,7 +267,7 @@ let run_cmd =
   let checkpoint =
     Arg.(
       value
-      & opt (some (pos_int_conv "--checkpoint")) None
+      & opt (some (int_conv "--checkpoint")) None
       & info [ "checkpoint" ] ~docv:"N"
           ~doc:
             "Write a journal checkpoint every $(docv) cycles; recovery then \
@@ -262,14 +284,15 @@ let run_cmd =
   in
   let max_retries =
     Arg.(
-      value & opt int 3
+      value
+      & opt (int_conv ~min:0 "--max-retries") 3
       & info [ "max-retries" ]
           ~doc:"Transient failures tolerated per request before dead-letter.")
   in
   let queue_cap =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_conv "--queue-cap")) None
       & info [ "queue-cap" ] ~docv:"N"
           ~doc:
             "Bound the incoming queue: shed the least urgent request for a \
@@ -278,7 +301,7 @@ let run_cmd =
   let batch_timeout =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (pos_float_conv "--batch-timeout")) None
       & info [ "batch-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Per-batch-attempt timeout (default 0.25 when faults are active).")
@@ -736,7 +759,7 @@ let swarm_cmd =
   let n =
     Arg.(
       value
-      & opt (pos_int_conv "-n") 50
+      & opt (int_conv "-n") 50
       & info [ "n"; "scenarios" ] ~docv:"N" ~doc:"Scenarios to run.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Sweep base seed.") in
@@ -765,7 +788,7 @@ let swarm_cmd =
   let max_shrink_runs =
     Arg.(
       value
-      & opt (pos_int_conv "--max-shrink-runs") 120
+      & opt (int_conv "--max-shrink-runs") 120
       & info [ "max-shrink-runs" ] ~docv:"N"
           ~doc:"Re-executions the shrinker may spend per failure.")
   in

@@ -420,6 +420,20 @@ let classify raw =
     else Corrupt
   else Legacy line
 
+(* Only checksum-valid records of the continuous log count: checkpoint-block
+   copies are ['c ']-prefixed, so they never match a ['Q'] payload. *)
+let qualified_tas path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun raw ->
+         match classify raw with
+         | Framed payload | Legacy payload -> (
+           match String.split_on_char ' ' payload with
+           | "Q" :: ta :: _ -> int_of_string_opt ta
+           | _ -> None)
+         | Empty | Corrupt -> None)
+  |> List.sort_uniq compare
+
 let starts_with prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
@@ -837,6 +851,15 @@ let init_segment_dir dir ~shards =
   output_string oc (Printf.sprintf "%s\nshards %d\n" manifest_magic shards);
   close_out oc;
   segment_paths_of ~shards dir
+
+let remove path =
+  let rm p = try Sys.remove p with Sys_error _ -> () in
+  if is_segment_dir path then begin
+    (try List.iter rm (segment_paths path) with Failure _ -> ());
+    rm (manifest_path path);
+    try Sys.rmdir path with Sys_error _ -> ()
+  end
+  else rm path
 
 let empty_recovered =
   {

@@ -180,6 +180,11 @@ val crash : t -> unit
     unparseable legacy data before the end) raises [Failure]. *)
 val recover : ?repair:bool -> string -> recovered
 
+(** Transactions with at least one ['Q'] (executed) record in the journal
+    file's continuous log, ascending. Checkpoint-block copies do not count:
+    this is what a failover audit asks of a promoted standby journal. *)
+val qualified_tas : string -> int list
+
 (** {2 Segment directories (sharded journals)}
 
     A sharded run ([--shards S], S > 1) journals into a {e directory} of
@@ -224,6 +229,10 @@ val recover_dir : ?repair:bool -> string -> recovered
     counts behind [recover --repair] reporting. Corruption failures are
     prefixed with the segment basename. *)
 val recover_segments : ?repair:bool -> string -> (string * recovered) list
+
+(** Deletes a journal: a flat file, or a segment directory's segments,
+    manifest and the directory itself. Missing pieces are ignored. *)
+val remove : string -> unit
 
 (** Rebuilds a relation set from a recovery result: pending requests are
     reinserted into [requests]; the history is restored in order, with abort

@@ -9,7 +9,6 @@ open Ds_workload
 type repl_promotion = {
   rp_recovered : Journal.recovered;
   rp_journal : Journal.t;
-  rp_epoch : int;
 }
 
 type repl_status = {
@@ -35,7 +34,6 @@ type config = {
   n_clients : int;
   duration : float;
   spec : Spec.t;
-  cost : Ds_server.Cost_model.t;
   workers : int;
   shards : int;
   seed : int;
@@ -48,14 +46,11 @@ type config = {
   passthrough : bool;
   faults : Faults.plan;
   max_retries : int;
-  retry_base : float;
-  retry_cap : float;
   batch_timeout : float option;
   queue_capacity : int option;
   journal_path : string option;
   sync_journal : bool;
   checkpoint_interval : int option;
-  deadline_factor : float option;
   hedging : bool;
   client_redo : bool;
   repl : repl_hooks option;
@@ -68,7 +63,6 @@ let default_config =
     n_clients = 10;
     duration = 10.;
     spec = Spec.paper_default;
-    cost = Ds_server.Cost_model.default;
     workers = 1;
     shards = 1;
     seed = 42;
@@ -81,14 +75,11 @@ let default_config =
     passthrough = false;
     faults = Faults.none;
     max_retries = 3;
-    retry_base = 0.01;
-    retry_cap = 0.5;
     batch_timeout = None;
     queue_capacity = None;
     journal_path = None;
     sync_journal = false;
     checkpoint_interval = None;
-    deadline_factor = None;
     hedging = false;
     client_redo = false;
     repl = None;
@@ -247,6 +238,23 @@ type sim = {
   latencies : Ds_stats.Histogram.t;
   tier_latencies : (Sla.tier, Ds_stats.Histogram.t * int ref) Hashtbl.t;
 }
+
+(* A lane's scheduler, fresh at start-up or rebuilt from [recovered] state
+   after a crash or failover. ~rte keeps the execution log continuous across
+   the rebuild, so the whole run still check-validates as one schedule. *)
+let lane_sched cfg ~stamp ?journal ?recovered () =
+  let sched =
+    Scheduler.create ~extended:cfg.extended_relations
+      ~prune_history_each_cycle:cfg.prune_history ?journal
+      ?checkpoint_every:cfg.checkpoint_interval ?trace:cfg.trace ?stamp
+      cfg.protocol
+  in
+  let rels = Scheduler.relations sched in
+  Option.iter (fun r -> Journal.restore ~rte:true r rels) recovered;
+  Relations.register_workers rels ~workers:cfg.workers
+    ~cores:Ds_server.Cost_model.default.Ds_server.Cost_model.n_cores;
+  Relations.register_shards rels ~shards:cfg.shards;
+  sched
 
 let fresh_ta sim client =
   sim.ta_counter <- sim.ta_counter + 1;
@@ -456,29 +464,20 @@ and maybe_fire sim lane =
 and run_cycle sim lane =
   lane.fire_pending <- false;
   lane.last_cycle_at <- Engine.now sim.engine;
-  let crash_now =
-    match sim.faults with
-    | Some f -> (
-      match (Faults.plan f).Faults.crash_at_cycle with
-      | Some c -> (not sim.crash_done) && sim.cycles_done + 1 >= c
-      | None -> false)
-    | None -> false
+  (* Process-level faults fire once, at the first cycle at or past the
+     planned index. *)
+  let due at fired =
+    (not fired)
+    && match at with Some c -> sim.cycles_done + 1 >= c | None -> false
   in
-  let pcrash_now =
-    match sim.faults with
-    | Some f -> (
-      match (Faults.plan f).Faults.pcrash_at_cycle with
-      | Some c -> (not sim.pcrash_done) && sim.cycles_done + 1 >= c
-      | None -> false)
-    | None -> false
-  in
-  if crash_now then begin
+  if due sim.cfg.faults.Faults.crash_at_cycle sim.crash_done then begin
     sim.crash_done <- true;
     crash_and_recover sim
   end
-  else if pcrash_now then begin
+  else if due sim.cfg.faults.Faults.pcrash_at_cycle sim.pcrash_done then begin
     sim.pcrash_done <- true;
-    failover_promote sim
+    (* validated: pcrash requires a replication session *)
+    failover_promote sim (Option.get sim.cfg.repl)
   end
   else if not (barrier_clear sim lane) then begin
     (* Cross-shard barrier: this lane may not admit work right now. Hold
@@ -637,8 +636,7 @@ and handle_failure sim lane ~epoch ~cycle failed undelivered =
     sim.retries <- sim.retries + 1;
     Ds_obs.Trace.emit_req sim.cfg.trace ~arg:streak Ds_obs.Trace.Retry failed;
     let backoff =
-      Faults.backoff ~base:sim.cfg.retry_base ~cap:sim.cfg.retry_cap
-        ~attempt:(streak - 1)
+      Faults.backoff ~base:0.01 ~cap:0.5 ~attempt:(streak - 1)
       *. (1. +. (0.5 *. Rng.float sim.rng))
     in
     ignore
@@ -721,57 +719,66 @@ and deliver sim (req : Request.t) =
       end
     | Some _ | None -> ())
 
+(* Middleware crash: every lane recovers its own journal (segment). ~repair
+   truncates any torn tail so the reopened journal appends after the trusted
+   prefix; ~state seeds the new journal's state mirror, since a checkpoint
+   written after a blind reopen would snapshot an empty state. A crash fault
+   always has a journal: [run_sim] provides a temp file when none is set. *)
 and crash_and_recover sim =
   sim.crashes <- sim.crashes + 1;
-  (* The epoch bump orphans every in-flight server callback: whatever the
-     backends were executing dies with the middleware process. *)
+  recover_lanes sim (fun lane ->
+      let path = Option.get lane.journal_path in
+      let recovered = Journal.recover ~repair:true path in
+      (recovered, Journal.open_ ~sync:sim.cfg.sync_journal ~state:recovered path))
+
+(* Hot-standby failover: the primary dies permanently (its disk is never
+   consulted) and the replication session promotes the warm standby under
+   the next epoch. Whatever had not crossed the replication watermark is
+   gone; client reconciliation turns that loss into resubmissions and redos.
+   Replication requires shards = 1, so lane 0 is the only lane. *)
+and failover_promote sim h =
+  sim.failovers <- sim.failovers + 1;
+  sim.failed_over <- true;
+  recover_lanes sim
+    ~on_rebuilt:(fun lane ->
+      let epoch = Journal.writer_epoch (Option.get lane.journal) in
+      Relations.record_failover
+        (Scheduler.relations lane.sched)
+        ~epoch ~cycle:sim.cycles_done ~reason:"pcrash";
+      Ds_obs.Trace.emit sim.cfg.trace Ds_obs.Trace.Failover ~ta:(-1) ~seq:(-1)
+        ~arg:epoch ())
+    (fun _ ->
+      let p = h.repl_promote () in
+      (p.rp_recovered, p.rp_journal))
+
+(* Lane lifecycle: the one path that rebuilds lanes mid-run. [recover lane]
+   returns the state the lane continues from and the journal it continues
+   on. The epoch bump orphans every in-flight server callback and every held
+   sync-mode ack: whatever the dead process still owed its clients is now
+   decided by the recovered state. *)
+and recover_lanes ?(on_rebuilt = ignore) sim recover =
   sim.epoch <- sim.epoch + 1;
-  (* Recovery is wall-clock timed end to end (read + replay + restore): with
+  (* Wall-clock timed end to end (read + replay + restore): with
      checkpointing on, this is the number the recovery bench shows staying
-     sublinear in journal length. ~repair truncates any torn tail so the
-     reopened journal appends after the trusted prefix. Every lane crashes
-     and recovers its own journal segment. *)
+     sublinear in journal length. *)
   let t0 = Unix.gettimeofday () in
   let recovered_by_lane =
     Array.map
       (fun lane ->
-        let path =
-          match lane.journal_path with
-          | Some p -> p
-          | None -> invalid_arg "Middleware: crash fault requires a journal"
-        in
-        (match lane.journal with
-        | Some j ->
-          sim.checkpoints_acc <-
-            sim.checkpoints_acc + Journal.checkpoints_written j;
-          Journal.crash j
-        | None -> assert false);
-        let recovered = Journal.recover ~repair:true path in
-        (* ~state seeds the new journal's state mirror; a checkpoint written
-           after a blind reopen would snapshot an empty state. *)
-        let j =
-          Journal.open_ ~sync:sim.cfg.sync_journal ~state:recovered path
-        in
-        let sched =
-          Scheduler.create ~extended:sim.cfg.extended_relations
-            ~prune_history_each_cycle:sim.cfg.prune_history ~journal:j
-            ?checkpoint_every:sim.cfg.checkpoint_interval ?trace:sim.cfg.trace
-            ?stamp:sim.stamp sim.cfg.protocol
-        in
-        (* ~rte keeps the execution log continuous across the crash, so the
-           whole run still check-validates as one schedule. *)
-        Journal.restore ~rte:true recovered (Scheduler.relations sched);
+        Option.iter
+          (fun j ->
+            sim.checkpoints_acc <-
+              sim.checkpoints_acc + Journal.checkpoints_written j;
+            Journal.crash j)
+          lane.journal;
+        let recovered, j = recover lane in
+        lane.sched <- lane_sched sim.cfg ~stamp:sim.stamp ~journal:j ~recovered ();
+        lane.journal <- Some j;
+        lane.fire_pending <- false;
         sim.recovery_replayed <-
           sim.recovery_replayed + recovered.Journal.replayed;
         sim.recovery_skipped <- sim.recovery_skipped + recovered.Journal.skipped;
-        Relations.register_workers (Scheduler.relations sched)
-          ~workers:sim.cfg.workers
-          ~cores:sim.cfg.cost.Ds_server.Cost_model.n_cores;
-        Relations.register_shards (Scheduler.relations sched)
-          ~shards:sim.cfg.shards;
-        lane.journal <- Some j;
-        lane.sched <- sched;
-        lane.fire_pending <- false;
+        on_rebuilt lane;
         recovered)
       sim.lanes
   in
@@ -897,63 +904,6 @@ and reconcile_clients sim recovered_by_lane =
           Scheduler.submit lane.sched req)
     sim.clients
 
-(* Hot-standby failover: the primary dies permanently (its disk is never
-   consulted) and the replication session promotes the warm standby under
-   the next epoch.  Structurally a sibling of [crash_and_recover], but the
-   continuation state comes from the standby's journal — whatever had not
-   crossed the replication watermark is gone, and the client reconciliation
-   below is what turns that loss into resubmissions and redos. *)
-and failover_promote sim =
-  let h =
-    match sim.cfg.repl with Some h -> h | None -> assert false
-    (* validated: pcrash requires a replication session *)
-  in
-  sim.failovers <- sim.failovers + 1;
-  (* The epoch bump orphans every in-flight server callback and every held
-     sync-mode ack: whatever the dead primary still owed its clients is now
-     decided by the promoted standby's recovered state. *)
-  sim.epoch <- sim.epoch + 1;
-  sim.failed_over <- true;
-  let lane = sim.lanes.(0) in
-  (match lane.journal with
-  | Some j ->
-    sim.checkpoints_acc <- sim.checkpoints_acc + Journal.checkpoints_written j;
-    Journal.crash j
-  | None -> assert false);
-  let t0 = Unix.gettimeofday () in
-  let p = h.repl_promote () in
-  let recovered = p.rp_recovered in
-  let j = p.rp_journal in
-  let sched =
-    Scheduler.create ~extended:sim.cfg.extended_relations
-      ~prune_history_each_cycle:sim.cfg.prune_history ~journal:j
-      ?checkpoint_every:sim.cfg.checkpoint_interval ?trace:sim.cfg.trace
-      ?stamp:sim.stamp sim.cfg.protocol
-  in
-  (* ~rte keeps the execution log continuous across the failover, so the
-     whole run still check-validates as one schedule (now truncated at the
-     watermark and continued by the new primary). *)
-  Journal.restore ~rte:true recovered (Scheduler.relations sched);
-  sim.recovery_replayed <- sim.recovery_replayed + recovered.Journal.replayed;
-  sim.recovery_skipped <- sim.recovery_skipped + recovered.Journal.skipped;
-  Relations.register_workers (Scheduler.relations sched)
-    ~workers:sim.cfg.workers
-    ~cores:sim.cfg.cost.Ds_server.Cost_model.n_cores;
-  Relations.register_shards (Scheduler.relations sched) ~shards:sim.cfg.shards;
-  Relations.record_failover
-    (Scheduler.relations sched)
-    ~epoch:p.rp_epoch ~cycle:sim.cycles_done ~reason:"pcrash";
-  Ds_obs.Trace.emit sim.cfg.trace Ds_obs.Trace.Failover ~ta:(-1) ~seq:(-1)
-    ~arg:p.rp_epoch ();
-  lane.journal <- Some j;
-  lane.sched <- sched;
-  lane.fire_pending <- false;
-  sim.recovery_time <- sim.recovery_time +. (Unix.gettimeofday () -. t0);
-  (* In-flight retry bookkeeping died with the primary. *)
-  Hashtbl.reset sim.fail_streaks;
-  reconcile_clients sim [| recovered |];
-  maybe_fire sim lane
-
 let run_sim (cfg : config) =
   (match Spec.validate cfg.spec with
   | Ok () -> ()
@@ -961,18 +911,17 @@ let run_sim (cfg : config) =
   (match Faults.validate cfg.faults with
   | Ok () -> ()
   | Error m -> invalid_arg ("Middleware.run: faults: " ^ m));
-  if cfg.max_retries < 0 then
-    invalid_arg "Middleware.run: max_retries must be non-negative";
-  if cfg.workers < 1 then invalid_arg "Middleware.run: workers must be >= 1";
-  if cfg.shards < 1 then invalid_arg "Middleware.run: shards must be >= 1";
-  (match cfg.checkpoint_interval with
-  | Some n when n <= 0 ->
-    invalid_arg "Middleware.run: checkpoint_interval must be positive"
-  | _ -> ());
-  (match cfg.deadline_factor with
-  | Some f when f <= 0. ->
-    invalid_arg "Middleware.run: deadline_factor must be positive"
-  | _ -> ());
+  let require ok msg = if not ok then invalid_arg ("Middleware.run: " ^ msg) in
+  let positive = Option.fold ~none:true ~some:(fun x -> x > 0) in
+  require (cfg.max_retries >= 0) "max_retries must be non-negative";
+  require (cfg.workers >= 1) "workers must be >= 1";
+  require (cfg.shards >= 1) "shards must be >= 1";
+  require (positive cfg.checkpoint_interval)
+    "checkpoint_interval must be positive";
+  require (positive cfg.queue_capacity) "queue_capacity must be positive";
+  require
+    (Option.fold ~none:true ~some:(fun t -> t > 0.) cfg.batch_timeout)
+    "batch_timeout must be positive";
   (match cfg.repl with
   | Some _ ->
     if cfg.shards > 1 then
@@ -1042,15 +991,12 @@ let run_sim (cfg : config) =
             (fun p -> Journal.open_ ~sync:cfg.sync_journal p)
             lane_paths.(i)
         in
-        let sched =
-          Scheduler.create ~extended:cfg.extended_relations
-            ~prune_history_each_cycle:cfg.prune_history ?journal
-            ?checkpoint_every:cfg.checkpoint_interval ?trace:cfg.trace
-            ?stamp:stamp_hook cfg.protocol
-        in
+        let sched = lane_sched cfg ~stamp:stamp_hook ?journal () in
         {
           lane_id = i;
-          pool = Ds_server.Worker_pool.create engine cfg.cost ~workers:cfg.workers;
+          pool =
+            Ds_server.Worker_pool.create engine Ds_server.Cost_model.default
+              ~workers:cfg.workers;
           sched;
           journal;
           journal_path = lane_paths.(i);
@@ -1132,18 +1078,10 @@ let run_sim (cfg : config) =
   Array.iter
     (fun lane ->
       Ds_server.Worker_pool.set_trace lane.pool cfg.trace;
-      Relations.register_workers (Scheduler.relations lane.sched)
-        ~workers:cfg.workers ~cores:cfg.cost.Ds_server.Cost_model.n_cores;
-      Relations.register_shards (Scheduler.relations lane.sched)
-        ~shards:cfg.shards;
-      (* Supervision deadlines: explicit factor wins; otherwise armed with a
-         conservative default only when the plan injects worker faults (so
-         fault-free runs keep their exact event timing). *)
-      (match cfg.deadline_factor with
-      | Some f -> Ds_server.Worker_pool.set_deadline_factor lane.pool (Some f)
-      | None ->
-        if Faults.has_worker_faults cfg.faults then
-          Ds_server.Worker_pool.set_deadline_factor lane.pool (Some 4.0));
+      (* Supervision deadlines are armed only when the plan injects worker
+         faults, so fault-free runs keep their exact event timing. *)
+      if Faults.has_worker_faults cfg.faults then
+        Ds_server.Worker_pool.set_deadline_factor lane.pool (Some 4.0);
       if cfg.hedging then Ds_server.Worker_pool.set_hedging lane.pool true;
       if cfg.workers > 1 then
         (* Supervisor decisions land in the [supervision] relation and the
@@ -1266,6 +1204,7 @@ let run_sim (cfg : config) =
       done)
     cfg.repl;
   let repl_final = Option.map (fun h -> h.repl_status ()) cfg.repl in
+  let repl f = Option.fold ~none:0 ~some:f repl_final in
   let sum_pools f = Array.fold_left (fun acc l -> acc + f l.pool) 0 sim.lanes in
   let makespans =
     if n_lanes = 1 then Ds_server.Worker_pool.makespans sim.lanes.(0).pool
@@ -1281,82 +1220,23 @@ let run_sim (cfg : config) =
   in
   Option.iter
     (fun m ->
-      Ds_obs.Metrics.set_parallel m
-        {
-          Ds_obs.Metrics.workers = cfg.workers;
-          batches = sum_pools Ds_server.Worker_pool.batch_count;
-          makespan_mean = Ds_stats.Histogram.mean makespans;
-          makespan_p95 = Ds_stats.Histogram.p95 makespans;
-          makespan_max = Ds_stats.Histogram.max_observed makespans;
-          per_worker =
-            List.concat_map
-              (fun l ->
-                List.map
-                  (fun (worker, executed, busy, utilization) ->
-                    { Ds_obs.Metrics.worker; executed; busy; utilization })
-                  (Ds_server.Worker_pool.worker_stats l.pool))
-              (Array.to_list sim.lanes);
-        })
+      Ds_obs.Metrics.set_workers m
+        (List.concat_map
+           (fun l ->
+             List.map
+               (fun (worker, executed, busy, utilization) ->
+                 { Ds_obs.Metrics.worker; executed; busy; utilization })
+               (Ds_server.Worker_pool.worker_stats l.pool))
+           (Array.to_list sim.lanes)))
     cfg.metrics;
   let checkpoints =
-    sim.checkpoints_acc
-    + Array.fold_left
-        (fun acc l ->
-          acc
-          +
-          match l.journal with
-          | Some j -> Journal.checkpoints_written j
-          | None -> 0)
-        0 sim.lanes
+    Array.fold_left
+      (fun acc l ->
+        acc + Option.fold ~none:0 ~some:Journal.checkpoints_written l.journal)
+      sim.checkpoints_acc sim.lanes
   in
-  Option.iter
-    (fun m ->
-      Ds_obs.Metrics.set_supervision m
-        {
-          Ds_obs.Metrics.worker_crashes =
-            sum_pools Ds_server.Worker_pool.worker_crashes;
-          worker_deaths = sum_pools Ds_server.Worker_pool.worker_deaths;
-          stalls_detected =
-            sum_pools Ds_server.Worker_pool.worker_stalls_detected;
-          reassigned = sum_pools Ds_server.Worker_pool.reassigned_classes;
-          hedged = sum_pools Ds_server.Worker_pool.hedged_classes;
-          checkpoints;
-          recoveries = sim.crashes;
-          recovery_replayed = sim.recovery_replayed;
-          recovery_skipped = sim.recovery_skipped;
-          recovery_time = sim.recovery_time;
-        })
-    cfg.metrics;
-  Option.iter
-    (fun m ->
-      match repl_final with
-      | None -> ()
-      | Some s ->
-        Ds_obs.Metrics.set_replication m
-          {
-            Ds_obs.Metrics.repl_sync = s.rs_sync;
-            repl_epoch = s.rs_epoch;
-            repl_watermark = s.rs_watermark;
-            repl_lag = s.rs_lag;
-            repl_fenced = s.rs_fenced;
-            repl_divergences = s.rs_divergences;
-            repl_failovers = sim.failovers;
-          })
-    cfg.metrics;
   Array.iter (fun l -> Option.iter Journal.close l.journal) sim.lanes;
-  if auto_journal then
-    Option.iter
-      (fun p ->
-        if cfg.shards > 1 then (
-          try
-            List.iter
-              (fun seg -> try Sys.remove seg with Sys_error _ -> ())
-              (Journal.segment_paths p);
-            Sys.remove (Filename.concat p "MANIFEST");
-            Sys.rmdir p
-          with Sys_error _ | Failure _ -> ())
-        else try Sys.remove p with Sys_error _ -> ())
-      journal_path;
+  if auto_journal then Option.iter Journal.remove journal_path;
   let tiers =
     Hashtbl.fold
       (fun tier (hist, count) acc ->
@@ -1406,22 +1286,13 @@ let run_sim (cfg : config) =
       global_lane_txns = sim.global_lane_txns;
       shard_deferrals = sim.shard_deferrals;
       failovers = sim.failovers;
-      repl_epoch =
-        (match repl_final with Some s -> s.rs_epoch | None -> 0);
-      repl_watermark =
-        (match repl_final with Some s -> s.rs_watermark | None -> 0);
-      repl_lag = (match repl_final with Some s -> s.rs_lag | None -> 0);
-      repl_fenced = (match repl_final with Some s -> s.rs_fenced | None -> 0);
-      repl_divergences =
-        (match repl_final with Some s -> s.rs_divergences | None -> 0);
+      repl_epoch = repl (fun s -> s.rs_epoch);
+      repl_watermark = repl (fun s -> s.rs_watermark);
+      repl_lag = repl (fun s -> s.rs_lag);
+      repl_fenced = repl (fun s -> s.rs_fenced);
+      repl_divergences = repl (fun s -> s.rs_divergences);
     },
     sim )
-
-let run_full (cfg : config) =
-  if cfg.shards > 1 then
-    invalid_arg "Middleware.run_full: shards > 1 requires run_sharded";
-  let stats, sim = run_sim cfg in
-  (stats, sim.lanes.(0).sched)
 
 let run cfg = fst (run_sim cfg)
 
@@ -1515,7 +1386,7 @@ let pp_stats ppf (s : stats) =
       " supervision(crashes=%d deaths=%d stuck=%d reassigned=%d hedged=%d)"
       s.worker_crashes s.worker_deaths s.worker_stalls s.reassigned_classes
       s.hedged_classes;
-  if s.checkpoints > 0 || s.crashes > 0 then
+  if s.checkpoints > 0 || s.crashes > 0 || s.failovers > 0 then
     Format.fprintf ppf
       " recovery(checkpoints=%d replayed=%d skipped=%d time=%.3fms)"
       s.checkpoints s.recovery_replayed s.recovery_skipped

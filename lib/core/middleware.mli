@@ -88,12 +88,11 @@ open Ds_workload
     epoch and continues the run from its recovered state. *)
 
 (** What a promotion hands the middleware: the standby's recovered state (as
-    of the replication watermark), its reopened journal with the new epoch
-    already stamped, and that epoch. *)
+    of the replication watermark) and its reopened journal with the new
+    epoch already stamped ({!Journal.writer_epoch}). *)
 type repl_promotion = {
   rp_recovered : Journal.recovered;
   rp_journal : Journal.t;
-  rp_epoch : int;
 }
 
 type repl_status = {
@@ -119,7 +118,6 @@ type config = {
   n_clients : int;
   duration : float;  (** virtual seconds *)
   spec : Spec.t;
-  cost : Ds_server.Cost_model.t;
   workers : int;
       (** simulated worker backends; with [workers > 1] each admitted batch
           is split into conflict classes and executed as overlapping
@@ -141,11 +139,13 @@ type config = {
   starvation_cycles : int;
   passthrough : bool;  (** non-scheduling mode (§3.3) *)
   faults : Faults.plan;  (** fault plan ({!Faults.none} = fault-free) *)
-  max_retries : int;  (** per-request transient-failure budget before dead-letter *)
-  retry_base : float;  (** backoff base in virtual seconds *)
-  retry_cap : float;  (** backoff ceiling in virtual seconds *)
-  batch_timeout : float option;  (** per-batch-attempt timeout ([None] = off) *)
-  queue_capacity : int option;  (** incoming-queue bound ([None] = unbounded) *)
+  max_retries : int;
+      (** per-request transient-failure budget before dead-letter; retries
+          back off exponentially from 10 ms, capped at 0.5 s (virtual) *)
+  batch_timeout : float option;
+      (** per-batch-attempt timeout, positive ([None] = off) *)
+  queue_capacity : int option;
+      (** incoming-queue bound, positive ([None] = unbounded) *)
   journal_path : string option;
       (** write-ahead journal; a crash fault without one gets a temp file *)
   sync_journal : bool;  (** fsync the journal at every cycle flush *)
@@ -153,13 +153,6 @@ type config = {
       (** write a journal checkpoint block every N cycles (requires a
           journal to have any effect); recovery then replays only the suffix
           since the last snapshot. [None] (default) = never checkpoint. *)
-  deadline_factor : float option;
-      (** per-class execution deadline as a multiple of the class's modeled
-          cost; a worker that overruns it is declared stuck and its queue is
-          reassigned (see {!Ds_server.Worker_pool.set_deadline_factor}).
-          [None] (default) arms a conservative factor of [4.0] only when the
-          fault plan injects worker faults, so fault-free runs keep their
-          exact event timing. *)
   hedging : bool;
       (** race a duplicate of an overdue class on a surviving worker;
           deliveries are deduplicated first-wins (off by default) *)
@@ -177,8 +170,9 @@ type config = {
           middleware; its clock is set to the simulation's virtual clock.
           [None] (default) records nothing and adds no work. *)
   metrics : Ds_obs.Metrics.t option;
-      (** online metrics: per-SLA-tier commit latency histograms and
-          per-cycle scheduler rows. [None] (default) records nothing. *)
+      (** online metrics: per-SLA-tier commit latency histograms, per-cycle
+          scheduler rows and per-worker rows. [None] (default) records
+          nothing. *)
 }
 
 val default_config : config
@@ -239,12 +233,6 @@ type stats = {
 
 val run : config -> stats
 
-(** Like {!run}, also returning the scheduler so callers can inspect the
-    relations afterwards (e.g. the [rte] execution log). Only valid for
-    [shards = 1] configs; raises [Invalid_argument] otherwise — sharded runs
-    go through {!run_sharded}, which exposes every lane. *)
-val run_full : config -> stats * Scheduler.t
-
 (** Post-run inspection surface of a (possibly) sharded run. *)
 type handle = {
   lane_schedulers : Scheduler.t array;
@@ -264,8 +252,9 @@ type handle = {
           run-global position column) *)
 }
 
-(** {!run} for any [shards >= 1], returning the lanes and the merged
-    cross-shard artifacts for checking. *)
+(** {!run}, also returning the lanes and the merged cross-shard artifacts for
+    inspection and checking ([lane_schedulers.(0)] is the only lane at
+    [shards = 1]). *)
 val run_sharded : config -> stats * handle
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -108,12 +108,9 @@ let apply_inject inject ~rte ~merged =
         arr.(j) <- tmp);
       (Array.to_list arr, merged))
 
-(* The failover durability audit, mirroring `bench failover`: which
-   transactions were client-acked strictly before the promotion, and which of
-   those survive as ['Q'] records on the promoted journal — classified
-   against the final replication watermark by
-   {!Ds_check.Equivalence.check_failover}. *)
-let failover_report session ~trace_events ~standby_path =
+(* Client acks strictly before the promotion, each with its journal LSN;
+   survival is a ['Q'] record in the promoted journal's continuous log. *)
+let failover_report session ~trace_events =
   let failover_at =
     List.fold_left
       (fun acc (e : Ds_obs.Trace.event) ->
@@ -136,30 +133,14 @@ let failover_report session ~trace_events ~standby_path =
       trace_events
     |> List.sort_uniq compare
   in
-  (* Execution records frame as [!crc32 Q <ta> <intrata>]: payload offset 10.
-     Checkpoint-block copies are prefixed [c ] and don't count — only the
-     continuous log decides survival. *)
-  let present = Hashtbl.create 64 in
-  In_channel.with_open_text standby_path (fun ic ->
-      let rec scan () =
-        match In_channel.input_line ic with
-        | None -> ()
-        | Some line ->
-          (if String.length line > 12 && String.sub line 10 2 = "Q " then
-             match String.split_on_char ' ' line with
-             | _ :: "Q" :: ta :: _ -> (
-               match int_of_string_opt ta with
-               | Some ta -> Hashtbl.replace present ta ()
-               | None -> ())
-             | _ -> ());
-          scan ()
-      in
-      scan ());
+  let present =
+    Journal.qualified_tas (Ds_replica.Session.standby_path session)
+  in
   Ds_check.Equivalence.check_failover
     ~sync:(Ds_replica.Session.mode session = Ds_replica.Session.Sync)
     ~watermark:(Ds_replica.Session.watermark session)
     ~acked
-    ~survived:(fun ta -> Hashtbl.mem present ta)
+    ~survived:(fun ta -> List.mem ta present)
     ()
 
 let run (s : Scenario.t) =
@@ -187,15 +168,7 @@ let run (s : Scenario.t) =
       s.Scenario.repl
   in
   let cleanup () =
-    (if Journal.is_segment_dir journal_path then begin
-       List.iter
-         (fun p -> try Sys.remove p with Sys_error _ -> ())
-         (Journal.segment_paths journal_path);
-       (try Sys.remove (Filename.concat journal_path "MANIFEST")
-        with Sys_error _ -> ());
-       try Sys.rmdir journal_path with Sys_error _ -> ()
-     end
-     else try Sys.remove journal_path with Sys_error _ -> ());
+    Journal.remove journal_path;
     Option.iter
       (fun d ->
         List.iter
@@ -277,9 +250,7 @@ let run (s : Scenario.t) =
             (match session with
             | Some sess when promoted ->
               Some
-                (failover_report sess
-                   ~trace_events:(Ds_obs.Trace.events trace)
-                   ~standby_path:(Ds_replica.Session.standby_path sess))
+                (failover_report sess ~trace_events:(Ds_obs.Trace.events trace))
             | _ -> None);
         }
       in

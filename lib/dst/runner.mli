@@ -1,5 +1,5 @@
 (** Executes one scenario through the {e real} middleware / scheduler /
-    worker-pool / journal stack (no mocks: {!Ds_core.Middleware.run_full}
+    worker-pool / journal stack (no mocks: {!Ds_core.Middleware.run_sharded}
     with a live write-ahead journal and a lifecycle trace sink), then applies
     the complete {!Invariant} battery to what the run left behind.
 
@@ -23,3 +23,14 @@ val run : Scenario.t -> outcome
 val failures : outcome -> (string * string) list
 
 val ok : outcome -> bool
+
+(** The failover durability audit of a promoted replication session: every
+    transaction a client saw committed strictly before the [Failover] trace
+    event, with its journal LSN, looked up as an executed ([Q]) record in
+    the promoted standby journal ({!Ds_core.Journal.qualified_tas}) and
+    classified against the final watermark by
+    {!Ds_check.Equivalence.check_failover}. *)
+val failover_report :
+  Ds_replica.Session.t ->
+  trace_events:Ds_obs.Trace.event list ->
+  Ds_check.Equivalence.failover_report

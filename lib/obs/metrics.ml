@@ -15,45 +15,11 @@ type worker_row = {
   utilization : float;
 }
 
-type parallel = {
-  workers : int;
-  batches : int;
-  makespan_mean : float;
-  makespan_p95 : float;
-  makespan_max : float;
-  per_worker : worker_row list;
-}
-
-type supervision = {
-  worker_crashes : int;
-  worker_deaths : int;
-  stalls_detected : int;
-  reassigned : int;
-  hedged : int;
-  checkpoints : int;
-  recoveries : int;
-  recovery_replayed : int;
-  recovery_skipped : int;
-  recovery_time : float;
-}
-
-type replication = {
-  repl_sync : bool;
-  repl_epoch : int;
-  repl_watermark : int;
-  repl_lag : int;
-  repl_fenced : int;
-  repl_divergences : int;
-  repl_failovers : int;
-}
-
 type t = {
   tiers : (string, Ds_stats.Histogram.t) Hashtbl.t;
   cycle_rows : cycle_row Ds_util.Vec.t;
   mutable n_cycles : int;
-  mutable parallel : parallel option;
-  mutable supervision : supervision option;
-  mutable replication : replication option;
+  mutable workers : worker_row list;
 }
 
 let create () =
@@ -61,22 +27,12 @@ let create () =
     tiers = Hashtbl.create 4;
     cycle_rows = Ds_util.Vec.create ();
     n_cycles = 0;
-    parallel = None;
-    supervision = None;
-    replication = None;
+    workers = [];
   }
 
-let set_parallel t p = t.parallel <- Some p
+let set_workers t rows = t.workers <- rows
 
-let parallel t = t.parallel
-
-let set_supervision t s = t.supervision <- Some s
-
-let supervision t = t.supervision
-
-let set_replication t r = t.replication <- Some r
-
-let replication t = t.replication
+let workers t = t.workers
 
 let tier_hist t tier =
   match Hashtbl.find_opt t.tiers tier with
@@ -171,50 +127,18 @@ let render t =
          (sum (fun r -> r.query_time) /. fn)
          (sum (fun r -> r.index_time) /. fn))
   end;
-  (match t.parallel with
-  | None -> ()
-  | Some p ->
+  if t.workers <> [] then begin
     Buffer.add_string buf
-      (Printf.sprintf
-         "parallel backend: %d worker(s), %d batch(es), makespan \
-          mean=%.3fms p95=%.3fms max=%.3fms\n"
-         p.workers p.batches
-         (1000. *. p.makespan_mean)
-         (1000. *. p.makespan_p95)
-         (1000. *. p.makespan_max));
-    Buffer.add_string buf
-      (Printf.sprintf "%-10s %10s %12s %12s\n" "" "executed" "busy(s)" "util");
+      (Printf.sprintf "parallel backend: %d worker(s)\n%-10s %10s %12s %12s\n"
+         (List.length t.workers) "" "executed" "busy(s)" "util");
     List.iter
       (fun w ->
         Buffer.add_string buf
           (Printf.sprintf "%-10s %10d %12.6f %12.3f\n"
              (Printf.sprintf "worker %d" w.worker)
              w.executed w.busy w.utilization))
-      p.per_worker);
-  (match t.supervision with
-  | None -> ()
-  | Some s ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "supervision: crashes=%d deaths=%d stuck=%d reassigned=%d hedged=%d\n"
-         s.worker_crashes s.worker_deaths s.stalls_detected s.reassigned
-         s.hedged);
-    Buffer.add_string buf
-      (Printf.sprintf
-         "recovery: checkpoints=%d recoveries=%d replayed=%d skipped=%d \
-          time=%.3fms\n"
-         s.checkpoints s.recoveries s.recovery_replayed s.recovery_skipped
-         (1000. *. s.recovery_time)));
-  (match t.replication with
-  | None -> ()
-  | Some r ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "replication (%s): epoch=%d watermark=%d lag=%d fenced=%d \
-          divergences=%d failovers=%d\n"
-         (if r.repl_sync then "sync" else "async")
-         r.repl_epoch r.repl_watermark r.repl_lag r.repl_fenced
-         r.repl_divergences r.repl_failovers));
+      t.workers
+  end;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

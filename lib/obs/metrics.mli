@@ -27,54 +27,16 @@ type worker_row = {
   utilization : float;  (** busy / (elapsed * cores) *)
 }
 
-(** Parallel-backend summary set once at end of run by the middleware. *)
-type parallel = {
-  workers : int;
-  batches : int;  (** batches fully drained by the pool *)
-  makespan_mean : float;  (** batch dispatch-to-drain, virtual seconds *)
-  makespan_p95 : float;
-  makespan_max : float;
-  per_worker : worker_row list;
-}
-
-(** Worker-supervision and recovery summary set once at end of run by the
-    middleware: worker faults handled by the pool supervisor, journal
-    checkpointing and crash-recovery totals. *)
-type supervision = {
-  worker_crashes : int;  (** workers crashed between classes (rejoin next batch) *)
-  worker_deaths : int;  (** workers removed permanently *)
-  stalls_detected : int;  (** classes that overran their execution deadline *)
-  reassigned : int;  (** conflict classes moved to a surviving worker *)
-  hedged : int;  (** duplicate executions raced against stragglers *)
-  checkpoints : int;  (** journal snapshot blocks written *)
-  recoveries : int;  (** middleware crashes recovered from the journal *)
-  recovery_replayed : int;  (** journal lines replayed across all recoveries *)
-  recovery_skipped : int;  (** journal lines skipped thanks to checkpoints *)
-  recovery_time : float;  (** total wall-clock seconds spent recovering *)
-}
-
-(** Hot-standby replication summary set once at end of run by the
-    middleware when a standby was attached (see {!Ds_core.Middleware}). *)
-type replication = {
-  repl_sync : bool;  (** commit acks gated on the watermark *)
-  repl_epoch : int;  (** final promotion epoch (0 = never failed over) *)
-  repl_watermark : int;  (** highest contiguous LSN the standby applied *)
-  repl_lag : int;  (** primary LSN minus watermark at end of run *)
-  repl_fenced : int;  (** stale-epoch records refused after promotion *)
-  repl_divergences : int;  (** checkpoint state-hash mismatches *)
-  repl_failovers : int;  (** standby promotions during the run *)
-}
-
 type t
 
 val create : unit -> t
 
-val set_parallel : t -> parallel -> unit
-val parallel : t -> parallel option
-val set_supervision : t -> supervision -> unit
-val supervision : t -> supervision option
-val set_replication : t -> replication -> unit
-val replication : t -> replication option
+(** Per-worker rows, set once at end of run by the middleware (every lane's
+    pool, in lane order). Run-level counters (batches, makespans, worker
+    faults, recovery, replication) live in [Middleware.stats] only. *)
+val set_workers : t -> worker_row list -> unit
+
+val workers : t -> worker_row list
 
 (** [observe_latency t ~tier dt] adds one request latency (seconds) to the
     tier's histogram. *)
@@ -97,9 +59,7 @@ val tier_quantiles : t -> (string * int * float * float * float) list
 val cycles : t -> cycle_row list
 
 (** Human-readable report: the tier table, cycle aggregates, and — when
-    {!set_parallel} / {!set_supervision} / {!set_replication} were called —
-    batch makespans with a per-worker utilization table, the
-    supervision/recovery summary, and the replication summary. *)
+    {!set_workers} was given rows — the per-worker utilization table. *)
 val render : t -> string
 
 (** Per-transaction latencies from a trace: [(tier, seconds)] for every TA

@@ -265,7 +265,6 @@ let hooks t : Middleware.repl_hooks =
         {
           Middleware.rp_recovered = p.p_recovered;
           rp_journal = p.p_journal;
-          rp_epoch = p.p_epoch;
         });
     repl_status =
       (fun () ->

@@ -267,7 +267,7 @@ let middleware_cfg ~seed ~protocol =
   }
 
 let check_middleware ~seed ~protocol =
-  let stats, sched = Middleware.run_full (middleware_cfg ~seed ~protocol) in
+  let stats, sched = Helpers.run_single (middleware_cfg ~seed ~protocol) in
   let report =
     Serializability.check_committed
       (Conflict_graph.events_of_requests

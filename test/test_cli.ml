@@ -1,6 +1,6 @@
-(* CLI argument validation: the strict positive-int converter behind
-   --checkpoint and --shards (the --workers treatment from the checkpoint
-   PR), and the replication flag preconditions. These run the real dsched
+(* CLI argument validation: the strict numeric converters behind
+   --checkpoint, --shards and the other numeric run flags, and the
+   replication flag preconditions. These run the real dsched
    binary — the tests execute from _build/default/test, next to bin/. *)
 
 let dsched_exe = Filename.concat ".." (Filename.concat "bin" "dsched.exe")
@@ -59,6 +59,16 @@ let test_repl_flag_preconditions () =
   check_rejected ~flag:"--repl-faults without --standby" ~needle:"--standby"
     "run --duration 0.1 --journal /tmp/x.journal --repl-faults drop=0.1"
 
+(* Out-of-range numbers are refused by the flag's converter before the
+   run starts, instead of raising from inside the engine mid-run (or, for
+   a zero batch timeout, silently dead-lettering every request). *)
+let rejects flag ~needle values () =
+  List.iter
+    (fun v ->
+      check_rejected ~flag:(flag ^ v) ~needle
+        (Printf.sprintf "run --duration 0.1 %s%s" flag v))
+    values
+
 let tests =
   [
     Alcotest.test_case "--checkpoint rejects non-positive values" `Quick
@@ -71,4 +81,17 @@ let tests =
       test_shards_rejects_nonnumeric;
     Alcotest.test_case "replication flags validate their prerequisites" `Quick
       test_repl_flag_preconditions;
+    Alcotest.test_case "--queue-cap rejects non-positive values" `Quick
+      (rejects "--queue-cap" ~needle:"--queue-cap must be positive"
+         [ " 0"; "=-3" ]);
+    Alcotest.test_case "--max-retries rejects negative values" `Quick
+      (rejects "--max-retries" ~needle:"--max-retries must be non-negative"
+         [ "=-1" ]);
+    Alcotest.test_case "--batch-timeout rejects non-positive values" `Quick
+      (rejects "--batch-timeout" ~needle:"--batch-timeout must be positive"
+         [ "=-1"; " 0" ]);
+    Alcotest.test_case "--clients rejects non-positive values" `Quick
+      (rejects "--clients" ~needle:"--clients must be positive" [ "=-5"; " 0" ]);
+    Alcotest.test_case "--objects rejects non-positive values" `Quick
+      (rejects "--objects" ~needle:"--objects must be positive" [ " 0" ]);
   ]

@@ -157,7 +157,7 @@ let test_stalls_trip_timeout () =
 
 let test_poison_dead_lettered () =
   let s, sched =
-    Middleware.run_full (cfg ~faults:(plan_exn "poison=0.02") ())
+    Helpers.run_single (cfg ~faults:(plan_exn "poison=0.02") ())
   in
   let rels = Scheduler.relations sched in
   Alcotest.(check bool) "poison gave up on" true (s.Middleware.dead_lettered > 0);
@@ -304,7 +304,7 @@ let crash_cfg path =
 
 let test_crash_recovery_end_to_end () =
   with_tmp_journal (fun path ->
-      let s, sched = Middleware.run_full (crash_cfg path) in
+      let s, sched = Helpers.run_single (crash_cfg path) in
       Alcotest.(check int) "one crash survived" 1 s.Middleware.crashes;
       Alcotest.(check bool) "run continued past the crash" true
         (s.Middleware.committed_txns > 0);
@@ -333,7 +333,7 @@ let test_crash_recovery_deterministic () =
      the simulation decides must not. *)
   let run () =
     with_tmp_journal (fun path ->
-        let s, sched = Middleware.run_full (crash_cfg path) in
+        let s, sched = Helpers.run_single (crash_cfg path) in
         let rte =
           List.map Request.key (Relations.rte_requests (Scheduler.relations sched))
         in
@@ -388,6 +388,16 @@ let test_fault_free_runs_unchanged () =
     (armed.Middleware.retries + armed.Middleware.timeouts
     + armed.Middleware.dead_lettered + armed.Middleware.crashes)
 
+let test_rejects_nonpositive_bounds () =
+  (* Library callers get the same up-front refusal as the CLI, before the
+     engine starts, instead of a failure raised mid-run. *)
+  Alcotest.check_raises "queue_capacity"
+    (Invalid_argument "Middleware.run: queue_capacity must be positive")
+    (fun () -> ignore (Middleware.run { (cfg ()) with queue_capacity = Some 0 }));
+  Alcotest.check_raises "batch_timeout"
+    (Invalid_argument "Middleware.run: batch_timeout must be positive")
+    (fun () -> ignore (Middleware.run { (cfg ()) with batch_timeout = Some 0. }))
+
 (* --- faults x parallelism ------------------------------------------------- *)
 
 (* Failures injected mid-batch on a 4-worker pool: a worker's request failing
@@ -402,7 +412,7 @@ let test_parallel_faults_end_to_end () =
       Middleware.workers = 4;
     }
   in
-  let s, sched = Middleware.run_full config in
+  let s, sched = Helpers.run_single config in
   Alcotest.(check int) "ran with 4 workers" 4 s.Middleware.workers;
   Alcotest.(check bool) "still commits under faults" true
     (s.Middleware.committed_txns > 0);
@@ -438,7 +448,7 @@ let test_parallel_faults_end_to_end () =
 let test_parallel_crash_recovery () =
   with_tmp_journal (fun path ->
       let config = { (crash_cfg path) with Middleware.workers = 4 } in
-      let s, sched = Middleware.run_full config in
+      let s, sched = Helpers.run_single config in
       Alcotest.(check int) "one crash survived" 1 s.Middleware.crashes;
       Alcotest.(check bool) "run continued past the crash" true
         (s.Middleware.committed_txns > 0);
@@ -474,7 +484,7 @@ let test_worker_faults_checkpoint_deterministic () =
             hedging = true;
           }
         in
-        let s, sched = Middleware.run_full config in
+        let s, sched = Helpers.run_single config in
         let rte =
           List.map Request.key
             (Relations.rte_requests (Scheduler.relations sched))
@@ -546,6 +556,8 @@ let tests =
       test_crash_recovery_deterministic;
     Alcotest.test_case "fault-free runs are unchanged" `Quick
       test_fault_free_runs_unchanged;
+    Alcotest.test_case "non-positive queue cap and timeout rejected" `Quick
+      test_rejects_nonpositive_bounds;
     Alcotest.test_case "faults on 4-worker pool stay clean" `Quick
       test_parallel_faults_end_to_end;
     Alcotest.test_case "crash recovery with 4 workers" `Quick

@@ -39,7 +39,7 @@ let test_middleware_serializable_execution () =
       starvation_cycles = 20;
     }
   in
-  let _, sched = Middleware.run_full config in
+  let _, sched = Helpers.run_single config in
   (* Extract the executed schedule from the rte table. Starvation-aborted
      transactions never reached the server in full, but their executed
      prefixes held logical locks, so they participate in the check. *)
@@ -167,7 +167,7 @@ let test_middleware_intrinsic_aborts () =
      and the system keeps making progress. *)
   let spec = { small_spec with Ds_workload.Spec.abort_fraction = 0.5 } in
   let config = { (cfg ~n_clients:10 ~duration:3. ()) with Middleware.spec } in
-  let s, sched = Middleware.run_full config in
+  let s, sched = Helpers.run_single config in
   Alcotest.(check bool) "still commits" true (s.Middleware.committed_txns > 0);
   (* Roughly half the finished transactions aborted: commits should be well
      below what a 0-abort run achieves. *)

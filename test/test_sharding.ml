@@ -68,10 +68,12 @@ let check_serializable rte =
       Ds_check.Serializability.pp_report report
 
 (* shards=1 must be the single-scheduler middleware, bit for bit: same
-   deterministic counters, same rte sequence, same delivery order. *)
+   deterministic counters, and the merged artifacts are exactly the one
+   lane's rte sequence and delivery order. *)
 let test_s1_identity () =
-  let stats_a, sched = Middleware.run_full (cfg ()) in
+  let stats_a = Middleware.run (cfg ()) in
   let stats_b, h = Middleware.run_sharded (cfg ()) in
+  let sched = h.Middleware.lane_schedulers.(0) in
   Alcotest.(check int) "committed" stats_a.Middleware.committed_txns
     stats_b.Middleware.committed_txns;
   Alcotest.(check int) "stmts" stats_a.Middleware.committed_stmts
@@ -93,11 +95,6 @@ let test_s1_identity () =
     "identical delivery order"
     (Relations.execution_order rels)
     h.Middleware.merged_execution_order
-
-let test_run_full_rejects_shards () =
-  Alcotest.check_raises "run_full refuses shards > 1"
-    (Invalid_argument "Middleware.run_full: shards > 1 requires run_sharded")
-    (fun () -> ignore (Middleware.run_full (cfg ~shards:2 ())))
 
 (* A perfectly partitioned workload (groups = shards, no escapes) routes
    every transaction to its home shard lane; the global lane stays idle. *)
@@ -277,9 +274,8 @@ let test_segment_dir_layout () =
 
 let tests =
   [
-    Alcotest.test_case "S=1 identical to run_full" `Quick test_s1_identity;
-    Alcotest.test_case "run_full rejects shards>1" `Quick
-      test_run_full_rejects_shards;
+    Alcotest.test_case "S=1 identical to the unsharded run" `Quick
+      test_s1_identity;
     Alcotest.test_case "partitioned workload routes by group" `Quick
       test_partitioned_routing;
     Alcotest.test_case "mixed traffic crosses the barrier" `Quick
