@@ -556,12 +556,12 @@ let tests =
       test_crash_recovery_deterministic;
     Alcotest.test_case "fault-free runs are unchanged" `Quick
       test_fault_free_runs_unchanged;
-    Alcotest.test_case "non-positive queue cap and timeout rejected" `Quick
-      test_rejects_nonpositive_bounds;
     Alcotest.test_case "faults on 4-worker pool stay clean" `Quick
       test_parallel_faults_end_to_end;
     Alcotest.test_case "crash recovery with 4 workers" `Quick
       test_parallel_crash_recovery;
     Alcotest.test_case "worker faults + checkpoints deterministic" `Quick
       test_worker_faults_checkpoint_deterministic;
+    Alcotest.test_case "non-positive queue cap and timeout rejected" `Quick
+      test_rejects_nonpositive_bounds;
   ]
