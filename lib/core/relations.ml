@@ -287,23 +287,42 @@ let move_to_history t keys =
   Table.insert_many t.rte rows;
   List.map (request_of_row ~extended:t.extended) rows
 
-let prune_history t =
-  if !Table.incremental_maintenance then begin
-    (* Warm indexes make pruning O(batch): terminal rows come straight off
-       the operation index (catching every insertion path — scheduler,
-       journal restore, direct test inserts), and each finished transaction
-       is deleted through the ta index. No full scan anywhere. *)
-    let finished = Hashtbl.create 64 in
-    let collect op =
+(* Transactions with a terminal row in history, off the operation index
+   (catching every insertion path — scheduler, journal restore, direct test
+   inserts). *)
+let finished_tas t =
+  let finished = Hashtbl.create 64 in
+  List.iter
+    (fun op ->
       List.iter
         (fun row ->
           match row.(1) with
           | Value.Int ta -> Hashtbl.replace finished ta ()
           | _ -> ())
-        (Table.probe t.history [ 3 ] [ Value.Str op ])
-    in
-    collect "a";
-    collect "c";
+        (Table.probe t.history [ 3 ] [ Value.Str op ]))
+    [ "a"; "c" ];
+  finished
+
+let blocker_lookup t =
+  let finished = finished_tas t in
+  fun (r : Request.t) ->
+    match r.Request.obj with
+    | None -> None
+    | Some o ->
+      List.find_map
+        (fun row ->
+          let h = request_of_row ~extended:t.extended row in
+          if Request.conflicts r h && not (Hashtbl.mem finished h.Request.ta)
+          then Some h.Request.ta
+          else None)
+        (Table.probe t.history [ 4 ] [ Value.Int o ])
+
+let prune_history t =
+  if !Table.incremental_maintenance then begin
+    (* Warm indexes make pruning O(batch): terminal rows come straight off
+       the operation index, and each finished transaction is deleted through
+       the ta index. No full scan anywhere. *)
+    let finished = finished_tas t in
     Hashtbl.fold
       (fun ta () removed ->
         removed

@@ -87,6 +87,14 @@ val move_to_history : t -> (int * int) list -> Request.t list
     instead of two full history scans. *)
 val prune_history : t -> int
 
+(** [blocker_lookup t] snapshots which transactions in [history] are
+    finished and returns a lookup: for a pending request, the TA of the
+    first history request (in insertion order) on the same object that
+    conflicts with it and belongs to a transaction without a terminal row —
+    one that still holds its locks. Probes the object index, so each lookup
+    costs the object's posting, not a history scan. *)
+val blocker_lookup : t -> Request.t -> int option
+
 (** The [rte] execution log decoded back into requests, in execution order —
     the schedule the declarative scheduler produced, as consumed by the
     [ds_check] correctness tooling. *)

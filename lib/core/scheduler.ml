@@ -214,14 +214,10 @@ let cycle ?(passthrough = false) t =
     if Ds_obs.Trace.is_on t.trace then begin
       (* Deferrals, with the blocking conflict: anything still pending lost
          to some conflicting request of an active transaction in history. *)
-      let active = Relations.history_requests t.rels in
+      let blocker = Relations.blocker_lookup t.rels in
       List.iter
-        (fun (r : Request.t) ->
-          let blocker =
-            List.find_opt (fun h -> Request.conflicts r h) active
-          in
-          Ds_obs.Trace.emit_req t.trace
-            ?arg:(Option.map (fun (h : Request.t) -> h.Request.ta) blocker)
+        (fun r ->
+          Ds_obs.Trace.emit_req t.trace ?arg:(blocker r)
             Ds_obs.Trace.Sched_defer r)
         (Relations.pending t.rels)
     end;

@@ -82,23 +82,35 @@ end
 
 module Row_tbl = Hashtbl.Make (Row_key)
 
-(* Filter-over-scan with a range predicate on an ordered-indexed column:
-   narrow the scan with a range probe. The full predicate is still applied
-   afterwards, so the probe only needs to return a superset. *)
-let range_candidates pred p =
-  if not !use_table_indexes then None
-  else
-    match p with
-    | Scan (t, _) ->
-      let rec conjuncts = function
-        | And (a, b) -> conjuncts a @ conjuncts b
-        | e -> [ e ]
-      in
-      let const_of = function
-        | Const v -> Some v
-        | Param r -> Some !r
-        | _ -> None
-      in
+(* Filter-over-scan: the rows the predicate has to be tested on. A
+   [col = const] conjunct on a hash-indexed column probes that index; else a
+   range predicate on an ordered-indexed column narrows the scan with a range
+   probe; else every row. The full predicate is still applied afterwards, so
+   a probe only needs to return a superset. Both probes return rows in slot
+   order, the order of a full scan. *)
+let index_candidates pred p =
+  match p with
+  | Scan (t, _) when !use_table_indexes -> (
+    let rec conjuncts = function
+      | And (a, b) -> conjuncts a @ conjuncts b
+      | e -> [ e ]
+    in
+    let const_of = function
+      | Const v -> Some v
+      | Param r -> Some !r
+      | _ -> None
+    in
+    let point = function
+      | Cmp (Eq, Col i, rhs) | Cmp (Eq, rhs, Col i) -> (
+        match const_of rhs with
+        | Some v when (not (Value.is_null v)) && Table.has_index t [ i ] ->
+          Some (i, v)
+        | _ -> None)
+      | _ -> None
+    in
+    match List.find_map point (conjuncts pred) with
+    | Some (i, v) -> Some (Table.probe t [ i ] [ v ])
+    | None ->
       (* (column, lo bound, hi bound) of one conjunct, if range-shaped. *)
       let bound_of = function
         | Cmp (op, Col i, rhs) when const_of rhs <> None -> (
@@ -156,11 +168,11 @@ let range_candidates pred p =
             | _ -> acc)
           None (conjuncts pred)
       in
-      (match bounds with
+      match bounds with
       | Some (col, lo, hi) when lo <> None || hi <> None ->
         Some (Table.range_probe t col ~lo ~hi)
       | _ -> None)
-    | _ -> None
+  | _ -> None
 
 let rec eval_expr ?(env = []) ~row e =
   match e with
@@ -214,12 +226,9 @@ and run ?(env = []) plan =
   | Scan (t, _) -> Table.rows t
   | Values (_, rows) -> rows
   | Filter (pred, p) ->
-    let candidates =
-      match range_candidates pred p with
-      | Some rows -> rows
-      | None -> run ~env p
-    in
-    List.filter (fun row -> truthy (eval_expr ~env ~row pred)) candidates
+    List.filter
+      (fun row -> truthy (eval_expr ~env ~row pred))
+      (candidates ~env pred p)
 
   | Project (cols, p) ->
     List.map
@@ -269,6 +278,9 @@ and run ?(env = []) plan =
     take n (run ~env p)
   | Group { keys; aggs; input } -> eval_group ~env keys aggs input
 
+and candidates ?(env = []) pred p =
+  match index_candidates pred p with Some rows -> rows | None -> run ~env p
+
 and dedup rows =
   let seen = Row_tbl.create 64 in
   List.filter
@@ -298,7 +310,7 @@ and eval_join ~env { kind; lkeys; rkeys; residual; left; right } =
      right side. NULL keys never join either way (left NULL keys are
      rejected before probing; the persistent index may file rows under NULL
      keys, but those buckets are unreachable). *)
-  let probe =
+  let bucket, probe =
     let direct =
       if not !use_table_indexes then None
       else
@@ -313,7 +325,7 @@ and eval_join ~env { kind; lkeys; rkeys; residual; left; right } =
         | _ -> None
     in
     match direct with
-    | Some probe -> probe
+    | Some probe -> (probe, probe)
     | None ->
       let right_rows = run ~env right in
       let index = Row_tbl.create (max 16 (List.length right_rows)) in
@@ -327,20 +339,35 @@ and eval_join ~env { kind; lkeys; rkeys; residual; left; right } =
             Row_tbl.replace index key (rrow :: prev)
           end)
         right_rows;
-      fun key ->
-        (match Row_tbl.find_opt index key with
-        | None -> []
-        | Some rrows -> List.rev rrows)
+      (* [bucket] holds a key's rows newest first; [probe] restores the
+         right side's order. *)
+      let bucket key = Option.value ~default:[] (Row_tbl.find_opt index key) in
+      (bucket, fun key -> List.rev (bucket key))
+  in
+  let key_of lrow =
+    let key = Array.of_list (List.map (fun e -> eval_expr ~env ~row:lrow e) lkeys) in
+    if Array.exists Value.is_null key then None else Some key
   in
   let matches lrow =
-    let key = Array.of_list (List.map (fun e -> eval_expr ~env ~row:lrow e) lkeys) in
-    if Array.exists Value.is_null key then []
-    else
+    match key_of lrow with
+    | None -> []
+    | Some key ->
       List.filter_map
         (fun rrow ->
           let combined = Array.append lrow rrow in
           if residual_ok combined then Some combined else None)
         (probe key)
+  in
+  (* Semi and anti joins only ask whether a match exists: stop at the first
+     one, and build no combined row when there is no residual to test. *)
+  let has_match lrow =
+    match key_of lrow with
+    | None -> false
+    | Some key -> (
+      match residual with
+      | None -> bucket key <> []
+      | Some _ ->
+        List.exists (fun rrow -> residual_ok (Array.append lrow rrow)) (bucket key))
   in
   match kind with
   | Inner -> List.concat_map matches left_rows
@@ -351,8 +378,8 @@ and eval_join ~env { kind; lkeys; rkeys; residual; left; right } =
         | [] -> [ Array.append lrow (Array.make right_arity Value.Null) ]
         | ms -> ms)
       left_rows
-  | Semi -> List.filter (fun lrow -> matches lrow <> []) left_rows
-  | Anti -> List.filter (fun lrow -> matches lrow = []) left_rows
+  | Semi -> List.filter has_match left_rows
+  | Anti -> List.filter (fun lrow -> not (has_match lrow)) left_rows
 
 and eval_group ~env keys aggs input =
   let rows = run ~env input in

@@ -36,10 +36,11 @@ let rec expr_equal a b =
   | Exists _, Exists _ -> false (* conservative: never equal *)
   | _ -> false
 
+let rec disjuncts = function Or (a, b) -> disjuncts a @ disjuncts b | e -> [ e ]
+
 (* (A and B) or (A and C) --> A and (B or C), recursively, for conjuncts
    that appear (syntactically) in every disjunct. *)
 let factor_common_disjunction e =
-  let rec disjuncts = function Or (a, b) -> disjuncts a @ disjuncts b | e -> [ e ] in
   match disjuncts e with
   | [] | [ _ ] -> e
   | first :: rest as all ->
@@ -269,7 +270,7 @@ type decorrelated = {
 }
 
 (* Does [e] reference only Outer (1, _) of the current level (no Col, no
-   deeper Outer)? Then it can serve as a left join key. *)
+   deeper Outer)? *)
 let only_outer1 e =
   let rec loop = function
     | Outer (1, _) -> true
@@ -281,6 +282,13 @@ let only_outer1 e =
 
 let only_local e =
   (not (has_exists e)) && not (refers_outer ~depth:1 e)
+
+(* [a = b] is a join key when [a] reads the outer row and [b] the subquery
+   row. A side that reads neither (a bare constant) makes the conjunct a
+   one-sided test: a subquery filter, or a residual. *)
+let key_pair a b =
+  only_outer1 a && refers_outer ~depth:1 a && only_local b
+  && not (Int_set.is_empty (cols_used b))
 
 let rewrite_outer1_to_col e =
   let rec loop = function
@@ -338,9 +346,9 @@ let decorrelate_pred ~left_arity pred =
     let acc = { d_lkeys = []; d_rkeys = []; d_sub_filters = []; d_residual = [] } in
     let step acc c =
       match c with
-      | Cmp (Eq, a, b) when only_outer1 a && only_local b ->
+      | Cmp (Eq, a, b) when key_pair a b ->
         { acc with d_lkeys = rewrite_outer1_to_col a :: acc.d_lkeys; d_rkeys = b :: acc.d_rkeys }
-      | Cmp (Eq, a, b) when only_outer1 b && only_local a ->
+      | Cmp (Eq, a, b) when key_pair b a ->
         { acc with d_lkeys = rewrite_outer1_to_col b :: acc.d_lkeys; d_rkeys = a :: acc.d_rkeys }
       | c when only_local c -> { acc with d_sub_filters = c :: acc.d_sub_filters }
       | c -> { acc with d_residual = rewrite_to_residual ~left_arity c :: acc.d_residual }
@@ -348,15 +356,13 @@ let decorrelate_pred ~left_arity pred =
     Some (List.fold_left step acc conj)
   end
 
+let rec strip_distinct = function Distinct p -> strip_distinct p | p -> p
+
 (* Try to decorrelate one Exists payload. The payload must be Filter over an
    uncorrelated plan (the common SQL lowering shape); Distinct and Project-of-
    plain-columns on top are tolerated by unwrapping. *)
 let decorrelate_exists ~left_arity sub =
-  let rec unwrap = function
-    | Distinct p -> unwrap p
-    | p -> p
-  in
-  match unwrap sub with
+  match strip_distinct sub with
   | Filter (pred, inner) when not (plan_refers_outer ~depth:1 inner) -> (
     match decorrelate_pred ~left_arity pred with
     | None -> None
@@ -372,18 +378,69 @@ let decorrelate_exists ~left_arity sub =
     Some ({ d_lkeys = []; d_rkeys = []; d_sub_filters = []; d_residual = [] }, p)
   | _ -> None
 
+(* NOT EXISTS σ[C ∧ (D1 ∨ … ∨ Dn)] R  =  ∧i NOT EXISTS σ[C ∧ Di] R. Exact
+   under three-valued logic: a filter keeps the rows where its predicate is
+   TRUE, and a disjunction is TRUE exactly when one of its disjuncts is. The
+   split targets the first disjunctive conjunct that would otherwise be an OR
+   residual (one reading both rows), and applies only when every piece
+   decorrelates with at least one join key — each piece then costs a hash
+   probe per outer row instead of a residual check per candidate. *)
+let split_not_exists ~left_arity sub =
+  match strip_distinct sub with
+  | Filter (pred, inner) -> (
+    let conj = conjuncts (factor_common_disjunction pred) in
+    let splittable = function Or _ as c -> not (only_local c) | _ -> false in
+    match List.find_index splittable conj with
+    | None -> None
+    | Some i ->
+      let c = List.nth conj i in
+      let rest = List.filteri (fun j _ -> j <> i) conj in
+      let pieces =
+        List.map
+          (fun d ->
+            decorrelate_exists ~left_arity (Filter (conjoin (rest @ [ d ]), inner)))
+          (disjuncts c)
+      in
+      if List.for_all (function Some (d, _) -> d.d_lkeys <> [] | None -> false) pieces
+      then Some (List.filter_map Fun.id pieces)
+      else None)
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* The rewriter                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let is_true = function Const (Value.Bool true) -> true | _ -> false
 
+(* Project over Project (level `Full) collapses into one projection by
+   substituting the inner expressions into the outer ones. *)
+let project ~level cols p =
+  match p with
+  | Project (inner, q)
+    when level = `Full
+         && (not (List.exists (fun (e, _) -> has_exists e) (cols @ inner)))
+         && List.for_all
+              (fun (e, _) -> Int_set.for_all (fun i -> i < List.length inner) (cols_used e))
+              cols ->
+    let arr = Array.of_list (List.map fst inner) in
+    Project
+      (List.map (fun (e, c) -> (fold_expr (subst_cols (fun i -> arr.(i)) e), c)) cols, q)
+  | p -> Project (cols, p)
+
+(* Is [c] the test [y.k IS NULL] on a right join-key column [y.k] of [j]? *)
+let tests_null_key j c =
+  match c with
+  | Is_null (Col k) ->
+    let la = Schema.arity (schema_of j.left) in
+    List.exists (function Col i -> i + la = k | _ -> false) j.rkeys
+  | _ -> false
+
 let rec rewrite ~level plan =
   match plan with
   | Scan _ | Values _ -> plan
   | Filter (pred, p) -> rewrite_filter ~level (fold_expr pred) (rewrite ~level p)
   | Project (cols, p) ->
-    Project (List.map (fun (e, c) -> (fold_expr e, c)) cols, rewrite ~level p)
+    project ~level (List.map (fun (e, c) -> (fold_expr e, c)) cols) (rewrite ~level p)
   | Cross (l, r) -> Cross (rewrite ~level l, rewrite ~level r)
   | Join j ->
     Join { j with left = rewrite ~level j.left; right = rewrite ~level j.right }
@@ -408,29 +465,31 @@ and rewrite_filter ~level pred p =
         let left_arity = Schema.arity (schema_of p) in
         List.fold_left
           (fun (plan, remaining) c ->
+            let join kind plan (d, right) =
+              let residual =
+                match d.d_residual with [] -> None | rs -> Some (conjoin rs)
+              in
+              Join
+                {
+                  kind;
+                  lkeys = List.rev d.d_lkeys;
+                  rkeys = List.rev d.d_rkeys;
+                  residual;
+                  left = plan;
+                  right = rewrite ~level right;
+                }
+            in
             let attempt kind sub =
               match decorrelate_exists ~left_arity sub with
-              | Some (d, right) ->
-                let residual =
-                  match d.d_residual with [] -> None | rs -> Some (conjoin rs)
-                in
-                let join =
-                  Join
-                    {
-                      kind;
-                      lkeys = List.rev d.d_lkeys;
-                      rkeys = List.rev d.d_rkeys;
-                      residual;
-                      left = plan;
-                      right = rewrite ~level right;
-                    }
-                in
-                (join, remaining)
+              | Some piece -> (join kind plan piece, remaining)
               | None -> (plan, c :: remaining)
             in
             match c with
             | Exists sub -> attempt Semi sub
-            | Not (Exists sub) -> attempt Anti sub
+            | Not (Exists sub) -> (
+              match split_not_exists ~left_arity sub with
+              | Some pieces -> (List.fold_left (join Anti) plan pieces, remaining)
+              | None -> attempt Anti sub)
             | c -> (plan, c :: remaining))
           (p, []) conj
         |> fun (plan, rem) -> (plan, List.rev rem)
@@ -508,7 +567,35 @@ and push_conjuncts ~level conj plan =
     let substituted =
       List.map (fun c -> subst_cols (fun i -> arr.(i)) c) conj
     in
-    Project (cols, rewrite_filter ~level (conjoin substituted) q)
+    project ~level cols (rewrite_filter ~level (conjoin substituted) q)
+  | Join ({ kind = Left; _ } as j)
+    when level = `Full && List.exists (tests_null_key j) conj ->
+    (* σ[y.k IS NULL ∧ P] (x ⟕[x.j = y.k] y), with y.k a right join-key
+       column, keeps exactly the left rows without a match, padded with
+       NULLs: a NULL key never joins, so every matched row has y.k non-NULL.
+       That is the anti-join x ▷ y under a NULL-padding projection; the
+       conjuncts of P that read only x move under the join. *)
+    let la = Schema.arity (schema_of j.left) in
+    let conj = List.filter (fun c -> not (tests_null_key j c)) conj in
+    let left_only, above =
+      List.partition
+        (fun c ->
+          (not (has_exists c)) && Int_set.for_all (fun i -> i < la) (cols_used c))
+        conj
+    in
+    let left =
+      match left_only with
+      | [] -> j.left
+      | cs -> rewrite_filter ~level (conjoin cs) j.left
+    in
+    let padded =
+      Array.to_list
+        (Array.mapi
+           (fun i c -> ((if i < la then Col i else Const Value.Null), c))
+           (Schema.concat (schema_of j.left) (schema_of j.right)))
+    in
+    let anti = Project (padded, Join { j with kind = Anti; left }) in
+    if above = [] then anti else push_conjuncts ~level above anti
   | Union_all (l, r) when level <> `None && not (List.exists has_exists conj) ->
     Union_all
       (rewrite_filter ~level (conjoin conj) l, rewrite_filter ~level (conjoin conj) r)

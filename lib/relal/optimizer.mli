@@ -12,8 +12,11 @@
       products (hash joins).
     - [`Full]: [`Basic] plus decorrelation of (NOT) EXISTS subqueries into
       hash semi/anti joins, factoring common conjuncts out of disjunctions to
-      expose join keys (this is what turns Listing 1's correlated NOT EXISTS
-      into a hash anti join on TA). *)
+      expose join keys; splitting a NOT EXISTS over a disjunction into one
+      keyed anti join per disjunct (Listing 1's RLockedObjects becomes three
+      anti joins: on (TA, object) against writes, on TA against aborts and
+      commits); [LEFT JOIN … WHERE <right key> IS NULL] as an anti join under
+      a NULL-padding projection; and fusing Project over Project. *)
 
 type level = [ `None | `Basic | `Full ]
 

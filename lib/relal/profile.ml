@@ -78,6 +78,27 @@ let rec profile plan =
   in
   match plan with
   | Scan _ | Values _ -> timed_leaf ()
+  | Filter (e, (Scan _ as scan)) ->
+    (* One unit, as Eval runs it: an index probe narrows the scan, so the
+       scan child reports the probe's candidates, not the whole table. *)
+    let t0 = now () in
+    let candidates = Eval.candidates e scan in
+    let rows = List.filter (fun row -> Eval.truthy (Eval.eval_expr ~row e)) candidates in
+    ( rows,
+      {
+        label = label_of plan;
+        rows = List.length rows;
+        time = now () -. t0;
+        children =
+          [
+            {
+              label = label_of scan;
+              rows = List.length candidates;
+              time = 0.;
+              children = [];
+            };
+          ];
+      } )
   | Filter (e, p) -> unary p (fun p -> Filter (e, p))
   | Project (cols, p) -> unary p (fun p -> Project (cols, p))
   | Distinct p -> unary p (fun p -> Distinct p)

@@ -3,9 +3,11 @@
 
     Implementation note: each child's result is materialized and substituted
     as a literal relation before its parent is timed, so a node's time covers
-    that node's own work only. A join whose right side is an indexed base
-    table keeps the real scan so the index fast path stays on the measured
-    path. Only valid for top-level plans (no outer-row references). *)
+    that node's own work only. A filter over a base table, and a join whose
+    right side is an indexed base table, keep the real scan so the index fast
+    path stays on the measured path; the scan child then reports the rows
+    the probe returned. Only valid for top-level plans (no outer-row
+    references). *)
 
 type node_stats = {
   label : string;  (** node kind, e.g. "Filter", "INNERJoin" *)

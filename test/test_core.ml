@@ -111,14 +111,27 @@ let qualify proto ~pending ~history =
 (* All five SS2PL formulations must agree on random request batches. *)
 let ss2pl_equivalence =
   QCheck2.Test.make ~name:"SS2PL: SQL(3 levels) = Datalog = OCaml oracle"
-    ~count:60
+    ~count:(Helpers.Config.qcheck_count 60)
     QCheck2.Gen.(triple small_int (int_range 1 8) (int_range 1 12))
     (fun (seed, n_txns, n_objects) ->
       let rng = Ds_sim.Rng.create seed in
       let all = Helpers.random_requests rng ~n_txns ~ops_per_txn:4 ~n_objects in
-      (* Random split into history and pending, txn-wise to stay realistic. *)
+      (* Each transaction's first k requests (k drawn per transaction) are in
+         history and the rest pending, so a pending request's transaction
+         may already hold locks of its own. *)
+      let admitted = Hashtbl.create 8 in
+      let prefix ta =
+        match Hashtbl.find_opt admitted ta with
+        | Some k -> k
+        | None ->
+          let k = Ds_sim.Rng.int rng 5 in
+          Hashtbl.replace admitted ta k;
+          k
+      in
       let history, pending =
-        List.partition (fun (r : Request.t) -> r.Request.ta mod 2 = 0) all
+        List.partition
+          (fun (r : Request.t) -> r.Request.intrata <= prefix r.Request.ta)
+          all
       in
       let reference = Oracle.ss2pl_qualify ~pending ~history in
       List.for_all
@@ -752,6 +765,34 @@ let test_overhead_probe () =
   Alcotest.(check bool) "amortized scales" true
     (amortized > 0. && amortized < 10.)
 
+(* With pruning off, history keeps finished transactions, which hold no
+   locks: the blocker a deferral reports must be the active writer. *)
+let test_defer_blocker_holds_lock () =
+  let trace = Ds_obs.Trace.create () in
+  let sched =
+    Scheduler.create ~prune_history_each_cycle:false ~trace Builtin.ss2pl_sql
+  in
+  load_case (Scheduler.relations sched) ~pending:[]
+    ~history:
+      [
+        Request.v 1 1 Op.Write 7;
+        Request.terminal 1 2 Op.Commit;
+        Request.v 2 1 Op.Write 7;
+      ];
+  Scheduler.submit sched (Request.v 3 1 Op.Read 7);
+  let qualified, _ = Scheduler.cycle sched in
+  Alcotest.(check int) "read deferred" 0 (List.length qualified);
+  let defers =
+    List.filter
+      (fun (e : Ds_obs.Trace.event) -> e.Ds_obs.Trace.kind = Ds_obs.Trace.Sched_defer)
+      (Ds_obs.Trace.events trace)
+  in
+  Alcotest.(check (list (pair int int)))
+    "blocked by the active writer T2, not the committed T1" [ (3, 2) ]
+    (List.map
+       (fun (e : Ds_obs.Trace.event) -> (e.Ds_obs.Trace.ta, e.Ds_obs.Trace.arg))
+       defers)
+
 let tests =
   [
     Alcotest.test_case "table 2 schema" `Quick test_table2_schema;
@@ -793,4 +834,6 @@ let tests =
     Alcotest.test_case "adaptive hysteresis" `Quick test_adaptive_hysteresis;
     Alcotest.test_case "adaptive validation" `Quick test_adaptive_validation;
     Alcotest.test_case "overhead probe" `Quick test_overhead_probe;
+    Alcotest.test_case "deferral names a lock holder" `Quick
+      test_defer_blocker_holds_lock;
   ]

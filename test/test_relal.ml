@@ -504,7 +504,7 @@ let optimizer_preserves_filter_semantics =
   (* Random conjunctive/disjunctive filters over a cross product evaluate the
      same optimized and unoptimized. *)
   QCheck2.Test.make ~name:"optimizer preserves filter-over-cross semantics"
-    ~count:60
+    ~count:(Helpers.Config.qcheck_count 60)
     QCheck2.Gen.(pair (int_range 0 1000) (int_range 1 6))
     (fun (seed, nrows) ->
       let rng = Ds_sim.Rng.create seed in

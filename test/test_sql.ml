@@ -441,6 +441,66 @@ let test_render () =
   Alcotest.(check bool) "has name" true (Helpers.contains s "ann");
   Alcotest.(check bool) "has header" true (Helpers.contains s "name")
 
+(* Listing 1 at `Full: RLockedObjects' disjunctive NOT EXISTS is split
+   into keyed anti-joins and WLockedObjects' LEFT JOIN ... IS NULL is an
+   anti-join — no OR residual is left for a per-candidate check. *)
+let test_listing1_full_plan () =
+  let plan = Exec.prepare ~optimize:`Full (listing1_db ()) Ds_core.Queries.ss2pl in
+  let rec joins = function
+    | Ra.Join j -> j :: (joins j.Ra.left @ joins j.Ra.right)
+    | Ra.Scan _ | Ra.Values _ -> []
+    | Ra.Filter (_, p) | Ra.Project (_, p) | Ra.Distinct p | Ra.Sort (_, p)
+    | Ra.Limit (_, p) ->
+      joins p
+    | Ra.Group g -> joins g.Ra.input
+    | Ra.Cross (l, r) | Ra.Union_all (l, r) | Ra.Union (l, r)
+    | Ra.Except (l, r) | Ra.Intersect (l, r) ->
+      joins l @ joins r
+  in
+  let rec has_or = function
+    | Ra.Or _ -> true
+    | e -> List.exists has_or (Ra.expr_children e)
+  in
+  let js = joins plan in
+  let anti = List.filter (fun j -> j.Ra.kind = Ra.Anti) js in
+  Alcotest.(check int) "anti-joins: three for RLockedObjects, one for WLockedObjects"
+    4 (List.length anti);
+  Alcotest.(check bool) "no LEFT join left" false
+    (List.exists (fun j -> j.Ra.kind = Ra.Left) js);
+  List.iter
+    (fun j ->
+      Alcotest.(check bool) "anti-join has a key" true (j.Ra.lkeys <> []);
+      Alcotest.(check bool) "anti-join has no OR residual" false
+        (Option.fold ~none:false ~some:has_or j.Ra.residual))
+    anti
+
+(* A filter over an indexed table is profiled as Eval runs it: the scan
+   child reports the probe's candidates, not the whole table. *)
+let test_profile_filter_probe () =
+  let t =
+    Table.create ~name:"h"
+      (Schema.of_list [ Schema.column "k" Schema.Tint; Schema.column "v" Schema.Tint ])
+  in
+  for i = 0 to 99 do
+    Table.insert t [| Value.Int (i mod 10); Value.Int i |]
+  done;
+  Table.create_index t [ 0 ];
+  Table.create_ordered_index t 1;
+  let check name pred ~candidates =
+    let plan = Ra.Filter (pred, Ra.Scan (t, None)) in
+    let rows, stats = Profile.run plan in
+    Alcotest.(check bool) (name ^ ": rows = Eval.run") true (rows = Eval.run plan);
+    match stats.Profile.children with
+    | [ scan ] -> Alcotest.(check int) (name ^ ": examined") candidates scan.Profile.rows
+    | _ -> Alcotest.fail "filter over scan has one scan child"
+  in
+  let int i = Ra.Const (Value.Int i) in
+  check "point probe"
+    (Ra.And (Ra.Cmp (Ra.Eq, Ra.Col 0, int 3), Ra.Cmp (Ra.Gt, Ra.Col 1, int 50)))
+    ~candidates:10;
+  check "range probe" (Ra.Cmp (Ra.Geq, Ra.Col 1, int 90)) ~candidates:10;
+  check "no usable index" (Ra.Cmp (Ra.Neq, Ra.Col 0, int 3)) ~candidates:100
+
 let tests =
   [
     Alcotest.test_case "lexer" `Quick test_lexer;
@@ -472,4 +532,8 @@ let tests =
     Alcotest.test_case "explain analyze" `Quick test_explain_analyze;
     Alcotest.test_case "profile agrees with eval" `Quick test_profile_agrees_with_eval;
     Alcotest.test_case "render" `Quick test_render;
+    Alcotest.test_case "listing1 full plan has keyed anti-joins" `Quick
+      test_listing1_full_plan;
+    Alcotest.test_case "profile keeps filter index probes" `Quick
+      test_profile_filter_probe;
   ]

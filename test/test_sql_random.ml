@@ -91,7 +91,48 @@ let rec rand_pred rng aliases depth =
          else "")
   end
 
+(* A correlated (NOT) EXISTS whose predicate is a key equality AND a
+   disjunction — the shape the optimizer splits into one anti-join per
+   disjunct. Disjuncts mix correlated tests with constant-only ones. *)
+let disjunctive_exists rng =
+  let outer () = "x." ^ Ds_sim.Rng.pick rng [| "a"; "b" |] in
+  let disjunct () =
+    match Ds_sim.Rng.int rng 5 with
+    | 0 -> Printf.sprintf "sub.b = %s" (outer ())
+    | 1 -> Printf.sprintf "(sub.b = %s AND sub.c = %s)" (outer ()) (rand_const rng)
+    | 2 -> Printf.sprintf "sub.c = %s" (rand_const rng)
+    | 3 -> Printf.sprintf "sub.b <> %s" (outer ())
+    | _ -> Printf.sprintf "%s = %s" (outer ()) (rand_const rng)
+  in
+  let ds = List.init (2 + Ds_sim.Rng.int rng 2) (fun _ -> disjunct ()) in
+  Printf.sprintf "%sEXISTS (SELECT * FROM t sub WHERE sub.a = %s AND (%s))"
+    (if Ds_sim.Rng.bool rng then "NOT " else "")
+    (outer ()) (String.concat " OR " ds)
+
 let rand_query rng =
+  match Ds_sim.Rng.int rng 8 with
+  | 4 | 5 ->
+    Printf.sprintf "SELECT * FROM s x WHERE %s AND %s ORDER BY 1, 2, 3"
+      (disjunctive_exists rng) (rand_pred rng [ "x" ] 1)
+  | 6 ->
+    (* LEFT JOIN ... IS NULL: on a right join-key column it is an anti-join;
+       on any other right column (the negative case) it is not. *)
+    let key = Ds_sim.Rng.pick rng [| "a"; "b" |] in
+    Printf.sprintf
+      "SELECT x.a, x.b, x.c, y.a, y.c FROM s x LEFT JOIN t y ON x.%s = y.%s%s \
+       WHERE y.%s IS NULL AND %s ORDER BY 1, 2, 3, 4, 5"
+      (Ds_sim.Rng.pick rng [| "a"; "b" |])
+      key
+      (if Ds_sim.Rng.bool rng then " AND y.c <> 'p'" else "")
+      (Ds_sim.Rng.pick rng [| key; key; "c" |])
+      (rand_pred rng [ "x"; "y" ] 1)
+  | 7 ->
+    (* col = const on an indexed column: a point probe. *)
+    Printf.sprintf "SELECT * FROM s x WHERE x.%s = %s AND %s ORDER BY 1, 2, 3"
+      (Ds_sim.Rng.pick rng [| "a"; "b" |])
+      (rand_const rng)
+      (rand_pred rng [ "x" ] 1)
+  | _ -> (
   match Ds_sim.Rng.int rng 4 with
   | 0 ->
     (* single-table select with order/limit *)
@@ -118,13 +159,15 @@ let rand_query rng =
        BY 1, 2"
       (rand_pred rng [ "s" ] 1)
       (Ds_sim.Rng.pick rng [| "UNION"; "UNION ALL"; "EXCEPT"; "INTERSECT" |])
-      (rand_pred rng [ "t" ] 1)
+      (rand_pred rng [ "t" ] 1))
 
 let normalize rows = List.map Array.to_list rows
 
 let pipeline_equivalence =
   QCheck2.Test.make ~name:"random SQL: all optimizer levels and index modes agree"
-    ~count:250 QCheck2.Gen.int (fun seed ->
+    ~count:(Helpers.Config.qcheck_count 250)
+    QCheck2.Gen.int
+    (fun seed ->
       let rng = Ds_sim.Rng.create seed in
       let cat = build_db rng in
       let sql = rand_query rng in
