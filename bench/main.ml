@@ -221,13 +221,17 @@ let declarative_overhead ~runs () =
           m.Overhead_probe.cycle_time);
       float_col ~scale:1000. "%.3f" "query (ms)" (fun (_, m) ->
           m.Overhead_probe.query_time);
+      float_col ~scale:1000. "%.3f" "fill upkeep (ms)" (fun (_, m) ->
+          m.Overhead_probe.maintain_time);
     ]
     (List.map
        (fun clients -> (clients, probe ~runs clients Builtin.ss2pl_sql))
        [ 50; 100; 200; 300; 400; 500; 600 ]);
   note
     "One cycle = drain queue + insert pending + run Listing 1 + move \
-     qualified to history (the paper's 4.3.1 measurement)."
+     qualified to history (the paper's 4.3.1 measurement). Fill upkeep = \
+     index and view maintenance the table fill triggered before the cycle: \
+     Listing 1's history-side lock tables are views that catch up there."
 
 (* ------------------------------------------------------------------ *)
 (* E3b — crossover: native vs declarative amortized overhead           *)
@@ -259,16 +263,17 @@ let crossover ~window ~runs ~cycle_scale () =
         let cycles_needed =
           p.committed_stmts /. float_of_int (max 1 m.Overhead_probe.qualified)
         in
-        (clients, native_ovh, decl_ovh, cycles_needed))
+        (clients, native_ovh, decl_ovh, cycles_needed, m.Overhead_probe.maintain_time))
       [ 1; 10; 25; 50; 100; 200; 300; 400; 500 ]
   in
   table
     [
-      int_col "clients" (fun (c, _, _, _) -> c);
-      float_col "%.1f" "native ovh (s)" (fun (_, n, _, _) -> n);
-      float_col "%.1f" "declarative ovh (s)" (fun (_, _, d, _) -> d);
-      float_col "%.0f" "cycles needed" (fun (_, _, _, k) -> k);
-      text_col "winner" (fun (_, n, d, _) ->
+      int_col "clients" (fun (c, _, _, _, _) -> c);
+      float_col "%.1f" "native ovh (s)" (fun (_, n, _, _, _) -> n);
+      float_col "%.1f" "declarative ovh (s)" (fun (_, _, d, _, _) -> d);
+      float_col "%.0f" "cycles needed" (fun (_, _, _, k, _) -> k);
+      float_col ~scale:1000. "%.2f" "fill upkeep (ms)" (fun (_, _, _, _, u) -> u);
+      text_col "winner" (fun (_, n, d, _, _) ->
           if d < n then "declarative" else "native");
     ]
     rows
@@ -451,17 +456,23 @@ let succinctness () =
 
 let datalog_vs_sql ~runs () =
   section "Ablation A3b: protocol evaluation cost, SQL vs Datalog vs OCaml";
-  let time proto clients =
-    1000. *. (probe ~runs clients proto).Overhead_probe.cycle_time
-  in
+  let cycle m = 1000. *. m.Overhead_probe.cycle_time in
   table
     [
-      int_col "clients" Fun.id;
-      float_col "%.2f" "SQL (ms)" (time Builtin.ss2pl_sql);
-      float_col "%.2f" "Datalog (ms)" (time Builtin.ss2pl_datalog);
-      float_col "%.2f" "OCaml (ms)" (time Builtin.ss2pl_ocaml);
+      int_col "clients" (fun (c, _, _, _) -> c);
+      float_col "%.2f" "SQL (ms)" (fun (_, sql, _, _) -> cycle sql);
+      float_col ~scale:1000. "%.2f" "SQL fill upkeep (ms)" (fun (_, sql, _, _) ->
+          sql.Overhead_probe.maintain_time);
+      float_col "%.2f" "Datalog (ms)" (fun (_, _, dl, _) -> cycle dl);
+      float_col "%.2f" "OCaml (ms)" (fun (_, _, _, oc) -> cycle oc);
     ]
-    [ 50; 150; 300; 500 ]
+    (List.map
+       (fun clients ->
+         ( clients,
+           probe ~runs clients Builtin.ss2pl_sql,
+           probe ~runs clients Builtin.ss2pl_datalog,
+           probe ~runs clients Builtin.ss2pl_ocaml ))
+       [ 50; 150; 300; 500 ])
 
 (* ------------------------------------------------------------------ *)
 (* A2 — optimizer ablation (table form)                               *)
@@ -471,26 +482,38 @@ let optimizer_ablation ~runs () =
   section
     "Ablation A2: optimizer level for Listing 1 (same declarative spec, \
      different plans)";
-  let time ?(indexes = true) level clients =
+  let measure ?(indexes = true) level clients =
     let saved = !Ds_relal.Eval.use_table_indexes in
     Ds_relal.Eval.use_table_indexes := indexes;
     let m = probe ~runs clients (Builtin.ss2pl_sql_at level) in
     Ds_relal.Eval.use_table_indexes := saved;
-    1000. *. m.Overhead_probe.query_time
+    m
   in
+  let query m = 1000. *. m.Overhead_probe.query_time in
   table
     [
-      int_col "clients" Fun.id;
-      float_col "%.2f" "no-opt (ms)" (time `None);
-      float_col "%.2f" "basic (ms)" (time `Basic);
-      float_col "%.2f" "full (ms)" (time `Full);
-      float_col "%.2f" "full, no index (ms)" (time ~indexes:false `Full);
+      int_col "clients" (fun (c, _, _, _, _) -> c);
+      float_col "%.2f" "no-opt (ms)" (fun (_, n, _, _, _) -> query n);
+      float_col "%.2f" "basic (ms)" (fun (_, _, b, _, _) -> query b);
+      float_col "%.2f" "full (ms)" (fun (_, _, _, f, _) -> query f);
+      float_col ~scale:1000. "%.2f" "full fill upkeep (ms)" (fun (_, _, _, f, _) ->
+          f.Overhead_probe.maintain_time);
+      float_col "%.2f" "full, no index (ms)" (fun (_, _, _, _, x) -> query x);
     ]
-    [ 50; 150; 300 ];
+    (List.map
+       (fun clients ->
+         ( clients,
+           measure `None clients,
+           measure `Basic clients,
+           measure `Full clients,
+           measure ~indexes:false `Full clients ))
+       [ 50; 150; 300 ]);
   note
     "The specification is identical in all three columns; only plan \
      rewriting differs (the paper's 1 'optimization without affecting the \
-     scheduler specification')."
+     scheduler specification'). At full, the history-side lock tables are \
+     views; their upkeep for the table fill is the fill-upkeep column, \
+     outside the query time."
 
 (* ------------------------------------------------------------------ *)
 (* A4 — relaxed consistency under load                                *)
@@ -812,9 +835,11 @@ let faults_sweep ~duration ~json () =
      index from all of history each cycle and the incremental path does
      O(batch) posting updates. This is where the big ratio lives.
 
-   - [`Scan] (query bound): SS2PL's Listing 1 recomputes the lock tables
-     from the full history every cycle, an O(|history|) floor no index can
-     remove, so warm indexes only shave the rebuild share off the total. *)
+   - [`Scan] (query bound): SS2PL's Listing 1, whose history-side lock
+     tables are incrementally maintained views (DESIGN.md 9): a cycle
+     updates them from its own moves, so both modes stay nearly flat in
+     the history size and the 'index' column, which includes the view
+     upkeep, is most of the cycle. *)
 let index_scaling ~json ~history_sizes ~cycles ~batch () =
   section
     "Index maintenance: per-cycle protocol-query + move time vs history size \
@@ -913,9 +938,9 @@ let index_scaling ~json ~history_sizes ~cycles ~batch () =
           both modes admitted the same (TA, INTRATA) sequence; 'index' = \
           incremental mode's per-cycle maintenance time. The churn regime \
           isolates the scheduler write path (move + prune), where the \
-          rebuild baseline pays O(|history|) per cycle; the scan regime \
-          includes Listing 1's inherent full-history recomputation, which \
-          bounds the achievable speedup."
+          rebuild baseline pays O(|history|) per cycle; in the scan regime \
+          Listing 1's lock tables are views updated from each cycle's moves, \
+          and their upkeep is part of 'index'."
          cycles batch)
     [
       text_col ~key:"regime" "regime" (fun (r, _, _, _, _, _) -> r);

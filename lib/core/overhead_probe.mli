@@ -25,6 +25,10 @@ type measurement = {
   qualified : int;  (** tuples returned by the protocol query *)
   cycle_time : float;  (** seconds for the full drain/insert/query/move cycle *)
   query_time : float;  (** seconds for the protocol query alone *)
+  maintain_time : float;
+      (** seconds of index and view upkeep the table fill triggered before
+          the cycle ran: the catch-up a protocol's incrementally maintained
+          views pay for rows that arrive outside a cycle *)
 }
 
 (** [measure ?runs setup protocol] fills the tables per [setup] and times

@@ -41,9 +41,17 @@ let key_runner ~ordered plan =
         | _ -> invalid_arg "Protocol: non-integer ta/intrata in query result")
       rows
 
+(* A protocol plan lives as long as its scheduler, so at [`Full] its
+   stateful subplans over the relations (Listing 1's lock tables) become
+   views kept up to date from the tables' change feeds; the lower levels
+   stay as the references. *)
+let standing ~optimize plan =
+  if optimize = `Full then View.materialize plan else plan
+
 let of_sql ?(optimize = `Full) ?(description = "") ~name ~guarantee ~ordered sql =
   let prepare (rels : Relations.t) =
-    key_runner ~ordered (Ds_sql.Exec.prepare ~optimize rels.Relations.catalog sql)
+    key_runner ~ordered
+      (standing ~optimize (Ds_sql.Exec.prepare ~optimize rels.Relations.catalog sql))
   in
   {
     name;
@@ -78,7 +86,9 @@ let of_sql_dynamic ?(optimize = `Full) ?(description = "") ~name ~guarantee
     in
     bind !current;
     all_binders := bind :: !all_binders;
-    key_runner ~ordered plan
+    (* Subplans reading a placeholder are never views, so a new binding
+       takes effect on the next cycle. *)
+    key_runner ~ordered (standing ~optimize plan)
   in
   let set v =
     current := v;

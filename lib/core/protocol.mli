@@ -30,7 +30,9 @@ type t = {
     over [requests]/[history] returning (at least) [ta] and [intrata]
     columns. When [ordered] is false the result is sorted by request id
     (column [id] must be in the output). [optimize] selects the plan
-    rewriting level (ablation A2). *)
+    rewriting level (ablation A2); at [`Full] (the default) each prepared
+    plan also keeps its stateful subplans over the scheduler relations as
+    incrementally maintained views ({!Ds_relal.View}). *)
 val of_sql :
   ?optimize:Ds_relal.Optimizer.level ->
   ?description:string ->

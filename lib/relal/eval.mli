@@ -6,6 +6,12 @@
     Comparisons follow SQL three-valued logic: any comparison with NULL is
     NULL; [Filter] keeps rows whose predicate is exactly TRUE. *)
 
+(** Rows as hash keys, compared with {!Value.equal} column by column (the
+    equality of DISTINCT, set operations and hash joins). *)
+module Row_key : Hashtbl.HashedType with type t = Value.t array
+
+module Row_tbl : Hashtbl.S with type key = Value.t array
+
 (** [run ?env plan] evaluates and materializes the result rows in order. *)
 val run : ?env:Value.t array list -> Ra.plan -> Value.t array list
 

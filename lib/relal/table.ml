@@ -39,6 +39,7 @@ type t = {
   mutable n_dead : int;
   mutable indexes : index list;
   mutable ordered : ordered_index list;
+  mutable subscribers : (added:Value.t array list -> removed:Value.t array list -> unit) list;
 }
 
 (* Global switch between incremental maintenance (default) and the
@@ -56,16 +57,26 @@ let maintenance_time () = !maintenance_clock
 
 let reset_maintenance_time () = maintenance_clock := 0.
 
+(* Nesting depth of [timed_maintenance]: view upkeep runs inside a base
+   table's section and mutates the view's own table, whose index work must
+   not be counted a second time. *)
+let maintenance_depth = ref 0
+
 (* Wall-clock the index work of one mutation/build. Callers only wrap the
    index-maintenance part, never the base row work, so the counter isolates
-   what incremental maintenance is supposed to shrink. *)
+   what incremental maintenance is supposed to shrink. Only the outermost
+   section is timed. *)
 let timed_maintenance f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  maintenance_clock := !maintenance_clock +. dt;
-  Hook.note "index-maintenance" dt;
-  r
+  if !maintenance_depth > 0 then f ()
+  else begin
+    let t0 = Unix.gettimeofday () in
+    incr maintenance_depth;
+    let r = Fun.protect ~finally:(fun () -> decr maintenance_depth) f in
+    let dt = Unix.gettimeofday () -. t0 in
+    maintenance_clock := !maintenance_clock +. dt;
+    Hook.note "index-maintenance" dt;
+    r
+  end
 
 (* ------------------------------------------------------------------ *)
 (* basics                                                             *)
@@ -80,6 +91,7 @@ let create ~name schema =
     n_dead = 0;
     indexes = [];
     ordered = [];
+    subscribers = [];
   }
 
 let name t = t.name
@@ -91,6 +103,21 @@ let slot_count t = Vec.length t.rows
 let row_count t = Vec.length t.rows - t.n_dead
 
 let is_live t pos = Bytes.unsafe_get t.live pos = '\001'
+
+(* ------------------------------------------------------------------ *)
+(* change feed                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
+
+let has_subscribers t = t.subscribers <> []
+
+(* Hand one finished mutation's rows to every subscriber. Their upkeep is
+   index maintenance in the wide sense, so it is timed as such. *)
+let notify t ~added ~removed =
+  if added <> [] || removed <> [] then
+    timed_maintenance (fun () ->
+        List.iter (fun f -> f ~added ~removed) t.subscribers)
 
 let invalidate t =
   List.iter (fun ix -> ix.map <- None) t.indexes;
@@ -169,10 +196,11 @@ let insert t row =
   let pos = push_row t row in
   if not !incremental_maintenance then invalidate t
   else if has_built_index t then
-    timed_maintenance (fun () -> index_insert t pos row)
+    timed_maintenance (fun () -> index_insert t pos row);
+  if has_subscribers t then notify t ~added:[ row ] ~removed:[]
 
 let insert_many t rows =
-  match rows with
+  (match rows with
   | [] -> ()
   | _ when not !incremental_maintenance ->
     List.iter
@@ -193,7 +221,8 @@ let insert_many t rows =
       timed_maintenance (fun () ->
           for pos = !first to Vec.length t.rows - 1 do
             index_insert t pos (Vec.get t.rows pos)
-          done)
+          done));
+  if has_subscribers t then notify t ~added:rows ~removed:[]
 
 (* ------------------------------------------------------------------ *)
 (* compaction                                                         *)
@@ -291,20 +320,29 @@ let maybe_compact t =
 (* delete / update / clear                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Tombstone slot [pos]; its row joins [gone] only when someone listens. *)
+let kill t gone pos =
+  Bytes.unsafe_set t.live pos '\000';
+  if has_subscribers t then gone := Vec.get t.rows pos :: !gone
+
+let finish_delete t gone removed =
+  if removed > 0 then begin
+    t.n_dead <- t.n_dead + removed;
+    if not !incremental_maintenance then invalidate t;
+    maybe_compact t;
+    if has_subscribers t then notify t ~added:[] ~removed:(List.rev gone)
+  end;
+  removed
+
 let delete_where t p =
-  let removed = ref 0 in
+  let removed = ref 0 and gone = ref [] in
   for pos = 0 to Vec.length t.rows - 1 do
     if is_live t pos && p (Vec.get t.rows pos) then begin
-      Bytes.unsafe_set t.live pos '\000';
+      kill t gone pos;
       incr removed
     end
   done;
-  if !removed > 0 then begin
-    t.n_dead <- t.n_dead + !removed;
-    if not !incremental_maintenance then invalidate t;
-    maybe_compact t
-  end;
-  !removed
+  finish_delete t !gone !removed
 
 (* Move slot [pos] from its old hash-index postings to the new ones after an
    in-place row update. Postings must stay ascending so probes return rows in
@@ -354,13 +392,21 @@ let reindex_ordered t pos old_vals row =
       end)
     t.ordered old_vals
 
+(* Rows change in place, so the feed reports a copy of each row as it was
+   before the update as removed, and the updated row as added. *)
 let update_where t p f =
   let touched = ref 0 in
   let incr_mode = !incremental_maintenance && has_built_index t in
+  let feed = has_subscribers t in
+  let before = ref [] and after = ref [] in
   for pos = 0 to Vec.length t.rows - 1 do
     if is_live t pos then begin
       let row = Vec.get t.rows pos in
       if p row then begin
+        if feed then begin
+          before := Array.copy row :: !before;
+          after := row :: !after
+        end;
         if incr_mode then begin
           let old_keys =
             List.map (fun ix -> key_of_row ix.cols row) t.indexes
@@ -377,13 +423,8 @@ let update_where t p f =
     end
   done;
   if !touched > 0 && not !incremental_maintenance then invalidate t;
+  if feed then notify t ~added:(List.rev !after) ~removed:(List.rev !before);
   !touched
-
-let clear t =
-  Vec.clear t.rows;
-  Bytes.fill t.live 0 (Bytes.length t.live) '\000';
-  t.n_dead <- 0;
-  invalidate t
 
 (* ------------------------------------------------------------------ *)
 (* scans                                                              *)
@@ -405,6 +446,15 @@ let fold f acc t =
   let acc = ref acc in
   iter (fun row -> acc := f !acc row) t;
   !acc
+
+(* After the scans: the change feed reports every live row as removed. *)
+let clear t =
+  let gone = if has_subscribers t then rows t else [] in
+  Vec.clear t.rows;
+  Bytes.fill t.live 0 (Bytes.length t.live) '\000';
+  t.n_dead <- 0;
+  invalidate t;
+  if gone <> [] then notify t ~added:[] ~removed:gone
 
 (* ------------------------------------------------------------------ *)
 (* hash indexes                                                       *)
@@ -601,20 +651,15 @@ let delete_by_key t cols key p =
     invalid_arg (Printf.sprintf "Table.delete_by_key(%s): no such index" t.name)
   | Some ix ->
     let map = match ix.map with Some m -> m | None -> build ix t in
-    let removed = ref 0 in
+    let removed = ref 0 and gone = ref [] in
     (match Key_tbl.find_opt map key with
     | None -> ()
     | Some posting ->
       Vec.iter
         (fun pos ->
           if is_live t pos && p (Vec.get t.rows pos) then begin
-            Bytes.unsafe_set t.live pos '\000';
+            kill t gone pos;
             incr removed
           end)
         posting);
-    if !removed > 0 then begin
-      t.n_dead <- t.n_dead + !removed;
-      if not !incremental_maintenance then invalidate t;
-      maybe_compact t
-    end;
-    !removed
+    finish_delete t !gone !removed

@@ -31,8 +31,10 @@ val slot_count : t -> int
 val incremental_maintenance : bool ref
 
 (** Cumulative wall-clock seconds spent on index maintenance (incremental
-    updates, lazy builds, overflow merges, compaction) across all tables
-    since the last {!reset_maintenance_time}. Also reported per section
+    updates, lazy builds, overflow merges, compaction, change-feed
+    subscribers such as {!View} upkeep) across all tables since the last
+    {!reset_maintenance_time}; nested sections count once. Also reported per
+    section
     through {!Profile.set_section_observer} under the label
     ["index-maintenance"]. *)
 val maintenance_time : unit -> float
@@ -66,7 +68,19 @@ val delete_by_key :
     to their overflow run, the stale entry self-invalidating on probe. *)
 val update_where : t -> (Value.t array -> bool) -> (Value.t array -> unit) -> int
 
+(** Removes every row; the change feed reports each of them as removed. *)
 val clear : t -> unit
+
+(** [subscribe t f] adds [f] to [t]'s change feed: after every mutation that
+    changed rows, [f ~added ~removed] receives the rows it inserted and the
+    rows it took out, in slot order. [update_where] reports a copy of each
+    row as it was before the update as removed and the updated row itself as
+    added. The rows are the table's own arrays: a subscriber that keeps one
+    must copy it, since [update_where] changes rows in place. Subscribers run
+    inside the mutation's ["index-maintenance"] section. A table without
+    subscribers pays one check per mutation. *)
+val subscribe :
+  t -> (added:Value.t array list -> removed:Value.t array list -> unit) -> unit
 
 (** Snapshot of live rows in insertion order. *)
 val rows : t -> Value.t array list

@@ -195,6 +195,7 @@ let test_amortized_zero_qualified () =
       qualified = 0;
       cycle_time = 0.001;
       query_time = 0.001;
+      maintain_time = 0.;
     }
   in
   Alcotest.(check bool) "infinite when nothing qualifies" true
