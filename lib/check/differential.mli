@@ -1,8 +1,9 @@
 (** Differential fuzzing of the scheduler formulations.
 
     One iteration draws a random closed-loop workload from a seed and drives
-    it, cycle by cycle and in lockstep, through the hand-coded {!Ds_core.Oracle}
-    (the reference) and every subject formulation — by default SS2PL through
+    it, cycle by cycle and in lockstep, through the hand-coded
+    [ss2pl-ocaml] protocol (the reference; the [core] tests hold it to
+    {!Ds_core.Oracle}) and every subject formulation — by default SS2PL through
     the SQL engine on base relations, on extended relations, and through the
     Datalog engine. Each transaction behaves like a middleware client: it has
     at most one outstanding request, and submits its next one only after the

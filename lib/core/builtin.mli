@@ -9,7 +9,9 @@ val ss2pl_sql_at : Ds_relal.Optimizer.level -> Protocol.t
 (** SS2PL as a Datalog program (ablation A3). *)
 val ss2pl_datalog : Protocol.t
 
-(** Hand-coded SS2PL (the imperative state of the art; also the oracle). *)
+(** Hand-coded SS2PL (the imperative state of the art), answered per
+    pending request from [history]'s indexes; {!Oracle.ss2pl_qualify} is its
+    reference and its reported spec. *)
 val ss2pl_ocaml : Protocol.t
 
 (** SS2PL plus intra-transaction ordering (SQL / Datalog). *)

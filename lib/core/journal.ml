@@ -30,8 +30,12 @@ let crc32 s =
 (* ------------------------------------------------------------------ *)
 
 type replay_state = {
-  submitted : (int * int, Request.t) Hashtbl.t;
-  mutable order : (int * int) list;  (* submission order, reversed *)
+  submitted : (int * int, int * Request.t) Hashtbl.t;
+      (* live (submitted, not yet qualified, aborted or dead-lettered)
+         requests by key, each with the sequence number of the submission
+         that made it live; a key submitted again while live keeps its number
+         and takes the newer request *)
+  mutable submissions : int;
   mutable hist : Request.t list;  (* reversed *)
   stamps : (int * int, int) Hashtbl.t;
       (* global admission sequence per qualified key; only sharded journal
@@ -45,7 +49,7 @@ type replay_state = {
 let fresh_state () =
   {
     submitted = Hashtbl.create 64;
-    order = [];
+    submissions = 0;
     hist = [];
     stamps = Hashtbl.create 64;
     aborts = [];
@@ -54,12 +58,19 @@ let fresh_state () =
   }
 
 let st_submit st r =
-  Hashtbl.replace st.submitted (Request.key r) r;
-  st.order <- Request.key r :: st.order
+  let key = Request.key r in
+  let seq =
+    match Hashtbl.find_opt st.submitted key with
+    | Some (seq, _) -> seq
+    | None ->
+      st.submissions <- st.submissions + 1;
+      st.submissions
+  in
+  Hashtbl.replace st.submitted key (seq, r)
 
 let st_qualify ?gseq st key =
   match Hashtbl.find_opt st.submitted key with
-  | Some r ->
+  | Some (_, r) ->
     Hashtbl.remove st.submitted key;
     st.hist <- r :: st.hist;
     Option.iter (fun g -> Hashtbl.replace st.stamps key g) gseq;
@@ -67,28 +78,22 @@ let st_qualify ?gseq st key =
   | None -> false
 
 let st_abort st ta =
-  Hashtbl.iter
-    (fun key (r : Request.t) ->
-      if r.Request.ta = ta then Hashtbl.remove st.submitted key |> ignore)
-    (Hashtbl.copy st.submitted);
+  Hashtbl.filter_map_inplace
+    (fun _ ((_, (r : Request.t)) as live) ->
+      if r.Request.ta = ta then None else Some live)
+    st.submitted;
   st.aborts <- ta :: st.aborts
 
 let st_dead st r =
   Hashtbl.remove st.submitted (Request.key r);
   st.dead_ <- r :: st.dead_
 
-(* Submitted-but-unqualified requests in submission order.  A key can appear
-   twice in [order] after requeue; dedup keeps the first occurrence. *)
+(* Live requests in submission order: the cost is the live set, not every
+   key the journal has seen. *)
 let pending_of_state st =
-  List.rev st.order
-  |> List.filter_map (fun key -> Hashtbl.find_opt st.submitted key)
-  |> List.fold_left
-       (fun (seen, acc) r ->
-         let k = Request.key r in
-         if List.mem k seen then (seen, acc) else (k :: seen, r :: acc))
-       ([], [])
-  |> snd
-  |> List.rev
+  Hashtbl.fold (fun _ live acc -> live :: acc) st.submitted []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)

@@ -163,9 +163,7 @@ let of_datalog ?(description = "") ~name ~guarantee program_text =
   }
 
 let of_fn ?(description = "") ~name ~guarantee ~spec_loc fn =
-  let prepare (rels : Relations.t) () =
-    fn ~pending:(Relations.pending rels) ~history:(Relations.history_requests rels)
-  in
+  let prepare rels () = fn rels in
   { name; description; guarantee; language = `Ocaml; spec_loc; prepare }
 
 let guarantee_to_string = function

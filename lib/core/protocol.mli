@@ -6,8 +6,6 @@
     [history], decides which pending requests are qualified for execution and
     in what order. *)
 
-open Ds_model
-
 type guarantee =
   | Serializable
   | Read_committed
@@ -67,14 +65,17 @@ val of_sql_dynamic :
 val of_datalog :
   ?description:string -> name:string -> guarantee:guarantee -> string -> t
 
-(** Hand-coded protocol (the paper's state-of-the-art baseline). [spec_loc]
-    should be the line count of the imperative implementation. *)
+(** Hand-coded protocol (the paper's state-of-the-art baseline). The
+    function is the per-cycle qualifier: it reads the relations directly,
+    their indexes included, and returns (TA, INTRATA) keys in execution
+    order. [spec_loc] should be the line count of the imperative
+    implementation. *)
 val of_fn :
   ?description:string ->
   name:string ->
   guarantee:guarantee ->
   spec_loc:int ->
-  (pending:Request.t list -> history:Request.t list -> (int * int) list) ->
+  (Relations.t -> (int * int) list) ->
   t
 
 val guarantee_to_string : guarantee -> string

@@ -114,3 +114,57 @@ let env_workers = Config.workers
 let run_single cfg =
   let stats, h = Ds_core.Middleware.run_sharded cfg in
   (stats, h.Ds_core.Middleware.lane_schedulers.(0))
+
+(* --- whole middleware runs that must match bit for bit -------------------- *)
+
+(* A small journaled run: 12 clients for 2 virtual seconds over 2,000
+   objects, host time not charged to the virtual clock, so two protocols
+   that decide alike give identical runs. *)
+let whole_run ?(tweak = Fun.id) protocol =
+  let open Ds_core in
+  let path = Filename.temp_file "ds_whole_run" ".journal" in
+  Sys.remove path;
+  let rm_journal p =
+    if Journal.is_segment_dir p then begin
+      List.iter Sys.remove (Journal.segment_paths p);
+      (try Sys.remove (Filename.concat p "MANIFEST") with Sys_error _ -> ());
+      try Sys.rmdir p with Sys_error _ -> ()
+    end
+    else try Sys.remove p with Sys_error _ -> ()
+  in
+  Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
+  Middleware.run_sharded
+    (tweak
+       {
+         Middleware.default_config with
+         Middleware.n_clients = 12;
+         duration = 2.;
+         spec =
+           { Ds_workload.Spec.paper_default with Ds_workload.Spec.n_objects = 2_000 };
+         protocol;
+         charge_scheduler_time = false;
+         journal_path = Some path;
+       })
+
+(* Host-time fields are measurements, everything else must match. *)
+let deterministic (s : Ds_core.Middleware.stats) =
+  {
+    s with
+    Ds_core.Middleware.mean_cycle_time = 0.;
+    p95_cycle_time = 0.;
+    scheduler_time = 0.;
+    recovery_time = 0.;
+  }
+
+let same_run name (sa, (ha : Ds_core.Middleware.handle)) (sb, (hb : Ds_core.Middleware.handle)) =
+  Alcotest.(check bool) (name ^ ": committed something") true
+    (sb.Ds_core.Middleware.committed_txns > 0);
+  Alcotest.(check bool) (name ^ ": identical stats") true
+    (deterministic sa = deterministic sb);
+  Alcotest.(check bool) (name ^ ": identical rte") true
+    (ha.Ds_core.Middleware.merged_rte = hb.Ds_core.Middleware.merged_rte)
+
+let plan_exn s =
+  match Ds_core.Faults.plan_of_string s with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "plan %S rejected: %s" s e

@@ -547,6 +547,58 @@ let test_segment_dir_rejects_bad_manifest () =
         (Invalid_argument "Journal.init_segment_dir: needs at least 2 shards")
         (fun () -> ignore (Journal.init_segment_dir dir ~shards:1)))
 
+(* Record payloads of a journal file, CRC frames stripped. *)
+let payloads path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun l ->
+         if String.length l > 10 && l.[0] = '!' then
+           Some (String.sub l 10 (String.length l - 10))
+         else None)
+
+(* A key submitted again while still live keeps the position of its first
+   submission and carries the newer request, in the checkpoint block, in
+   the state hash and in recovery. The hash is pinned so the writer mirror's
+   serialization cannot drift. *)
+let test_resubmitted_key_keeps_position () =
+  with_journal_file (fun path ->
+      let j = Journal.open_ path in
+      Journal.set_hash_checkpoints j true;
+      let a = Request.v 1 1 Op.Write 5 in
+      let a' = { a with Request.id = 9 } in
+      let c = Request.v 3 1 Op.Read 7 in
+      List.iter (Journal.log_submit j) [ a; Request.v 2 1 Op.Read 6; c; a' ];
+      Journal.log_qualified j [ (2, 1) ];
+      Journal.checkpoint j ~cycle:1;
+      let hash = Journal.state_hash j in
+      Journal.close j;
+      let line r = "c P " ^ Ds_workload.Trace.line_of_request r in
+      let records = payloads path in
+      Alcotest.(check (list string)) "checkpoint pending block" [ line a'; line c ]
+        (List.filter (fun p -> String.starts_with ~prefix:"c P " p) records);
+      Alcotest.(check string) "hash record" (Printf.sprintf "H 1 %08x" hash)
+        (List.nth records (List.length records - 1));
+      Alcotest.(check int) "pinned state hash" 0xbcf55448 hash;
+      Alcotest.(check (list int)) "recovered pending" [ 9; 3001 ]
+        (List.map
+           (fun (r : Request.t) -> r.Request.id)
+           (Journal.recover path).Journal.pending))
+
+(* An abort drops exactly the aborted transaction's live requests from the
+   writer mirror, so the next checkpoint no longer lists them. *)
+let test_abort_drops_live_requests () =
+  with_journal_file (fun path ->
+      let j = Journal.open_ path in
+      let kept = Request.v 2 1 Op.Read 6 in
+      List.iter (Journal.log_submit j)
+        [ Request.v 1 1 Op.Write 5; kept; Request.v 1 2 Op.Read 7 ];
+      Journal.log_abort j 1;
+      Journal.checkpoint j ~cycle:1;
+      Journal.close j;
+      Alcotest.(check (list string)) "checkpoint pending block"
+        [ "c P " ^ Ds_workload.Trace.line_of_request kept ]
+        (List.filter (fun p -> String.starts_with ~prefix:"c P " p) (payloads path)))
+
 let tests =
   [
     Alcotest.test_case "journal roundtrip + recovery decision" `Quick
@@ -581,4 +633,8 @@ let tests =
       test_segment_torn_tail_isolated;
     Alcotest.test_case "segment dir rejects bad manifest" `Quick
       test_segment_dir_rejects_bad_manifest;
+    Alcotest.test_case "resubmitted live key keeps its position" `Quick
+      test_resubmitted_key_keeps_position;
+    Alcotest.test_case "abort drops the transaction's live requests" `Quick
+      test_abort_drops_live_requests;
   ]

@@ -274,21 +274,11 @@ let trace_invariants_prop =
 
 (* --- no observer effect -------------------------------------------------- *)
 
-(* mean_cycle_time / p95_cycle_time / scheduler_time are wall-clock
-   measurements; everything else must be bit-identical. *)
-let deterministic (s : Middleware.stats) =
-  {
-    s with
-    Middleware.mean_cycle_time = 0.;
-    p95_cycle_time = 0.;
-    scheduler_time = 0.;
-  }
-
 let test_no_observer_effect () =
   let plain = Middleware.run (mw_config ~faults:chaos_plan ()) in
   let traced, events = traced_run ~faults:chaos_plan () in
   Alcotest.(check bool) "tracing changes nothing" true
-    (deterministic plain = deterministic traced);
+    (Helpers.deterministic plain = Helpers.deterministic traced);
   Alcotest.(check bool) "but did record" true (events <> [])
 
 let test_disabled_sink_full_run () =
@@ -299,7 +289,7 @@ let test_disabled_sink_full_run () =
   let gated = Middleware.run (mw_config ~trace:tr ()) in
   Alcotest.(check int) "no events" 0 (Trace.count tr);
   Alcotest.(check bool) "identical stats" true
-    (deterministic plain = deterministic gated)
+    (Helpers.deterministic plain = Helpers.deterministic gated)
 
 (* --- export / load ------------------------------------------------------- *)
 

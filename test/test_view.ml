@@ -128,72 +128,20 @@ let test_listing1_views () =
 
 (* --- oracle: views vs recomputation in whole middleware runs ------------- *)
 
-let spec = { Ds_workload.Spec.paper_default with Ds_workload.Spec.n_objects = 2_000 }
-
-let cfg protocol =
-  {
-    Middleware.default_config with
-    Middleware.n_clients = 12;
-    duration = 2.;
-    spec;
-    protocol;
-    charge_scheduler_time = false;
-  }
-
-(* Host-time fields are measurements, everything else must match. *)
-let deterministic (s : Middleware.stats) =
-  {
-    s with
-    Middleware.mean_cycle_time = 0.;
-    p95_cycle_time = 0.;
-    scheduler_time = 0.;
-    recovery_time = 0.;
-  }
-
-let same_run name (views : Middleware.stats * Middleware.handle) (reference : Middleware.stats * Middleware.handle) =
-  let (sv, hv), (sr, hr) = (views, reference) in
-  Alcotest.(check bool) (name ^ ": committed something") true (sr.Middleware.committed_txns > 0);
-  Alcotest.(check bool) (name ^ ": identical stats") true (deterministic sv = deterministic sr);
-  Alcotest.(check bool) (name ^ ": identical rte") true
-    (hv.Middleware.merged_rte = hr.Middleware.merged_rte)
-
-let temp_name suffix =
-  let p = Filename.temp_file "ds_view_test" suffix in
-  Sys.remove p;
-  p
-
-let rm_journal p =
-  if Journal.is_segment_dir p then begin
-    List.iter Sys.remove (Journal.segment_paths p);
-    (try Sys.remove (Filename.concat p "MANIFEST") with Sys_error _ -> ());
-    try Sys.rmdir p with Sys_error _ -> ()
-  end
-  else try Sys.remove p with Sys_error _ -> ()
-
-let run_with ?(tweak = Fun.id) protocol =
-  let path = temp_name ".journal" in
-  Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
-  Middleware.run_sharded (tweak { (cfg protocol) with Middleware.journal_path = Some path })
-
-let plan_exn s =
-  match Faults.plan_of_string s with
-  | Ok p -> p
-  | Error e -> Alcotest.failf "plan %S rejected: %s" s e
-
 (* A mid-run crash rebuilds history from the checkpointed journal, straight
    into the table: the views must follow that path too. *)
 let test_crash_checkpointed () =
   let tweak c =
-    { c with Middleware.faults = plan_exn "crash=40"; checkpoint_interval = Some 10 }
+    { c with Middleware.faults = Helpers.plan_exn "crash=40"; checkpoint_interval = Some 10 }
   in
-  let views = run_with ~tweak Builtin.ss2pl_sql in
+  let views = Helpers.whole_run ~tweak Builtin.ss2pl_sql in
   Alcotest.(check int) "crashed once" 1 (fst views).Middleware.crashes;
-  same_run "S=1 crash" views (run_with ~tweak (Builtin.ss2pl_sql_at `Basic))
+  Helpers.same_run "S=1 crash" views (Helpers.whole_run ~tweak (Builtin.ss2pl_sql_at `Basic))
 
 let test_sharded () =
   let tweak c = { c with Middleware.shards = 4; journal_path = None } in
-  same_run "S=4" (run_with ~tweak Builtin.ss2pl_sql)
-    (run_with ~tweak (Builtin.ss2pl_sql_at `Basic))
+  Helpers.same_run "S=4" (Helpers.whole_run ~tweak Builtin.ss2pl_sql)
+    (Helpers.whole_run ~tweak (Builtin.ss2pl_sql_at `Basic))
 
 (* The rationing boundary moves mid-run; the placeholder subplan is never a
    view, so the next cycle must already see the new boundary. *)
@@ -215,9 +163,9 @@ let test_rationing_dynamic () =
     in
     { proto with Protocol.prepare }
   in
-  let views = run_with (dynamic `Full) in
-  same_run "rationing-dynamic" views (run_with (dynamic `Basic));
-  let unchanged = run_with (dynamic ~change:false `Full) in
+  let views = Helpers.whole_run (dynamic `Full) in
+  Helpers.same_run "rationing-dynamic" views (Helpers.whole_run (dynamic `Basic));
+  let unchanged = Helpers.whole_run (dynamic ~change:false `Full) in
   Alcotest.(check bool) "the boundary change mattered" false
     ((snd views).Middleware.merged_rte = (snd unchanged).Middleware.merged_rte)
 
