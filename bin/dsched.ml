@@ -166,8 +166,8 @@ let run_cmd =
           ~doc:
             "Scheduler shards. With $(docv) > 1 transactions are routed by \
              object-group footprint to $(docv) independent scheduler lanes \
-             plus a barrier-fenced global lane for multi-group work; the \
-             routing is queryable in the shards/shard_assignment relations \
+             plus a barrier-fenced global lane for multi-group work; each \
+             routing decision is a shard_route event in the --trace output \
              and --journal becomes a segment directory (one journal per \
              lane, merged on recovery).")
   in

@@ -178,9 +178,6 @@ type t = {
   mutable stall_extra : float;
   mutable n_failures : int;
   mutable n_stalls : int;
-  mutable n_worker_crashes : int;
-  mutable n_worker_deaths : int;
-  mutable n_worker_stalls : int;
 }
 
 let create plan rng =
@@ -193,9 +190,6 @@ let create plan rng =
     stall_extra = 0.;
     n_failures = 0;
     n_stalls = 0;
-    n_worker_crashes = 0;
-    n_worker_deaths = 0;
-    n_worker_stalls = 0;
   }
 
 let plan t = t.plan
@@ -266,20 +260,14 @@ let draw_worker_faults t ~alive =
     if
       t.plan.worker_crash_rate > 0. && n > 1
       && Rng.float t.rng < t.plan.worker_crash_rate
-    then begin
-      t.n_worker_crashes <- t.n_worker_crashes + 1;
-      [ Worker_crash { worker = pick (); after = Rng.int t.rng 3 } ]
-    end
+    then [ Worker_crash { worker = pick (); after = Rng.int t.rng 3 } ]
     else []
   in
   let death =
     if
       t.plan.worker_death_rate > 0. && n > 1
       && Rng.float t.rng < t.plan.worker_death_rate
-    then begin
-      t.n_worker_deaths <- t.n_worker_deaths + 1;
-      [ Worker_death { worker = pick () } ]
-    end
+    then [ Worker_death { worker = pick () } ]
     else []
   in
   let stall =
@@ -287,16 +275,9 @@ let draw_worker_faults t ~alive =
       t.plan.worker_stall_rate > 0. && n > 0
       && Rng.float t.rng < t.plan.worker_stall_rate
     then begin
-      t.n_worker_stalls <- t.n_worker_stalls + 1;
       let delay = t.plan.worker_stall_duration *. (0.5 +. Rng.float t.rng) in
       [ Worker_stall { worker = pick (); delay } ]
     end
     else []
   in
   crash @ death @ stall
-
-let injected_worker_crashes t = t.n_worker_crashes
-
-let injected_worker_deaths t = t.n_worker_deaths
-
-let injected_worker_stalls t = t.n_worker_stalls

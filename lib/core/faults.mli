@@ -127,7 +127,3 @@ type worker_fault =
     survivor). Draws are gated on nonzero rates so zero-rate plans consume
     no randomness from this channel. *)
 val draw_worker_faults : t -> alive:int list -> worker_fault list
-
-val injected_worker_crashes : t -> int
-val injected_worker_deaths : t -> int
-val injected_worker_stalls : t -> int

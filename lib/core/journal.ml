@@ -119,17 +119,14 @@ type t = {
 }
 
 (* Every record is framed as [!crc32-hex payload]; recovery verifies the
-   checksum before trusting the payload.  Unframed (legacy) lines are still
-   readable. *)
+   checksum before trusting the payload. *)
 let write_line t payload =
   t.n_lines <- t.n_lines + 1;
   output_string t.oc (Printf.sprintf "!%08x %s\n" (crc32 payload) payload);
   match t.sink with None -> () | Some f -> f t.n_lines payload
 
 let set_sink t f = t.sink <- Some f
-let clear_sink t = t.sink <- None
 let set_hash_checkpoints t b = t.hash_checkpoints <- b
-let lines_written t = t.n_lines
 
 let log_submit t r =
   st_submit t.state r;
@@ -400,30 +397,28 @@ let split_lines ?(base = 0) content =
 type classified =
   | Empty
   | Framed of string  (* checksum verified; payload is exactly as written *)
-  | Legacy of string  (* pre-CRC record: trusted as far as it parses *)
-  | Corrupt  (* framed record whose checksum does not match *)
+  | Corrupt  (* unframed, or a checksum that does not match *)
 
 let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
 
 let classify raw =
   let line = String.trim raw in
   if line = "" then Empty
-  else if line.[0] = '!' then
-    if
-      String.length line >= 10
-      && line.[9] = ' '
-      && (let ok = ref true in
-          for i = 1 to 8 do
-            if not (is_hex line.[i]) then ok := false
-          done;
-          !ok)
-    then begin
-      let payload = String.sub line 10 (String.length line - 10) in
-      let crc = int_of_string ("0x" ^ String.sub line 1 8) in
-      if crc32 payload = crc then Framed payload else Corrupt
-    end
-    else Corrupt
-  else Legacy line
+  else if
+    String.length line >= 10
+    && line.[0] = '!'
+    && line.[9] = ' '
+    && (let ok = ref true in
+        for i = 1 to 8 do
+          if not (is_hex line.[i]) then ok := false
+        done;
+        !ok)
+  then begin
+    let payload = String.sub line 10 (String.length line - 10) in
+    let crc = int_of_string ("0x" ^ String.sub line 1 8) in
+    if crc32 payload = crc then Framed payload else Corrupt
+  end
+  else Corrupt
 
 (* Only checksum-valid records of the continuous log count: checkpoint-block
    copies are ['c ']-prefixed, so they never match a ['Q'] payload. *)
@@ -432,7 +427,7 @@ let qualified_tas path =
   |> String.split_on_char '\n'
   |> List.filter_map (fun raw ->
          match classify raw with
-         | Framed payload | Legacy payload -> (
+         | Framed payload -> (
            match String.split_on_char ' ' payload with
            | "Q" :: ta :: _ -> int_of_string_opt ta
            | _ -> None)
@@ -477,10 +472,10 @@ let recover ?(repair = false) path =
     let cycle =
       match classify_at i_begin with
       | Framed p -> (
-        (* "C BEGIN cycle [lines-before]"; the optional count is for the
-           tail-reading fast path and ignored here *)
+        (* "C BEGIN cycle lines-before"; the count is for the tail-reading
+           fast path and ignored here *)
         match String.split_on_char ' ' p with
-        | "C" :: "BEGIN" :: c :: ([] | [ _ ]) -> int_of_string c
+        | [ "C"; "BEGIN"; c; _ ] -> int_of_string c
         | _ -> failwith "bad C BEGIN")
       | _ -> failwith "bad C BEGIN"
     in
@@ -570,13 +565,6 @@ let recover ?(repair = false) path =
     done;
     !c
   in
-  let rest_all_empty i =
-    let ok = ref true in
-    for j = i + 1 to n - 1 do
-      if String.trim (snd lines.(j)) <> "" then ok := false
-    done;
-    !ok
-  in
   let any_framed_after i =
     let found = ref false in
     for j = i + 1 to n - 1 do
@@ -602,21 +590,9 @@ let recover ?(repair = false) path =
          | () -> incr replayed
          | exception ((Failure _ | Ds_workload.Trace.Malformed _) as e) ->
            failwith (corruption_message e i))
-       | Legacy payload -> (
-         match apply st (i + 1) payload with
-         | () -> incr replayed
-         | exception ((Failure _ | Ds_workload.Trace.Malformed _) as e) ->
-           (* A torn final line is expected after a crash; garbage earlier
-              in the file is corruption. *)
-           if rest_all_empty i then begin
-             valid_bytes := fst lines.(i);
-             corrupt_dropped := 1;
-             raise Exit
-           end
-           else failwith (corruption_message e i))
        | Corrupt ->
-         (* A bad checksum followed only by more garbage is a torn tail:
-            truncate to the last valid prefix.  A bad checksum with valid
+         (* A bad frame followed only by more garbage is a torn tail:
+            truncate to the last valid prefix.  A bad frame with valid
             records after it means the middle of the file rotted — refuse
             to load a journal with a hole in it. *)
          if any_framed_after i then
@@ -655,7 +631,7 @@ let recover ?(repair = false) path =
      never read, parsed or checksummed, so recovery cost tracks live state
      plus the suffix, not journal length.  The BEGIN record embeds how many
      lines precede it, which becomes [skipped].  Any doubt about the
-     candidate block (torn, corrupt, legacy format) falls back to the full
+     candidate block (torn or corrupt) falls back to the full
      view, whose backward scan finds an earlier intact block or replays
      from scratch.  The markers are anchored on their uppercase 'C': kind
      characters are the only place the journal grammar produces one, and a

@@ -23,20 +23,17 @@
 
     Every record is framed as [!crc32 payload] (8 lowercase hex digits), so
     recovery can tell a torn or corrupted record from a valid one instead of
-    trusting whatever parses. Unframed records written by older journals are
-    still readable.
+    trusting whatever parses. Recovery reads framed records only: an
+    unframed line counts as corrupt.
 
     Periodic {e checkpoints} snapshot the journal's logical state as a block
     of framed lines ([C BEGIN cycle lines] / [c P|H|G|A|D entry]* /
     [C END n] — [c G gseq request] is a history entry carrying its admission
-    stamp),
-    where [lines] counts the journal lines preceding the block. Recovery
-    seeks backwards for the last complete, checksum-valid block, reads
+    stamp), where [lines] counts the journal lines preceding the block.
+    Recovery seeks backwards for the last complete, checksum-valid block, reads
     {e only} the tail from that point, loads the snapshot directly and
     replays the suffix — recovery work is proportional to live state plus
     the tail written since the last checkpoint, not to journal length.
-    Blocks written by older journals (no line count) are still readable via
-    a full-file fallback.
 
     Recovery replays a journal — possibly truncated mid-write by a crash —
     into a fresh relation set: submitted-but-unqualified requests are pending
@@ -125,17 +122,11 @@ val checkpoints_written : t -> int
     line number in the file. *)
 val set_sink : t -> (int -> string -> unit) -> unit
 
-val clear_sink : t -> unit
-
 (** Enables the ['H cycle hash'] record after each checkpoint block: the
     CRC32 of the writer mirror's canonical serialization. Off by default so
     unreplicated journals stay byte-identical to previous versions
     (replaying ['H'] is always a no-op). *)
 val set_hash_checkpoints : t -> bool -> unit
-
-(** Records written through this handle so far (the next record's LSN minus
-    one). *)
-val lines_written : t -> int
 
 (** CRC32 over the writer mirror's canonical serialization — equal on
     primary and standby iff their replayed states agree. *)
@@ -172,12 +163,12 @@ val size : t -> int
 val crash : t -> unit
 
 (** Replays a journal file, starting from the last complete checkpoint when
-    one exists. A checksum-invalid or unparseable tail is dropped and
+    one exists. A tail of unframed or checksum-invalid lines is dropped and
     reported in [corrupt_dropped]/[valid_bytes]; with [~repair:true] the
     file is also truncated to the trusted prefix so a subsequent append
     cannot bury garbage between valid records. Corruption in the {e middle}
-    of the file (a bad record with checksum-valid records after it, or
-    unparseable legacy data before the end) raises [Failure]. *)
+    of the file (a bad line with checksum-valid records after it, or a
+    checksum-valid record that does not parse) raises [Failure]. *)
 val recover : ?repair:bool -> string -> recovered
 
 (** Transactions with at least one ['Q'] (executed) record in the journal

@@ -253,7 +253,6 @@ let lane_sched cfg ~stamp ?journal ?recovered () =
   Option.iter (fun r -> Journal.restore ~rte:true r rels) recovered;
   Relations.register_workers rels ~workers:cfg.workers
     ~cores:Ds_server.Cost_model.default.Ds_server.Cost_model.n_cores;
-  Relations.register_shards rels ~shards:cfg.shards;
   sched
 
 let fresh_ta sim client =
@@ -370,9 +369,6 @@ let rec start_txn sim client =
   if sim.cfg.shards > 1 then begin
     if lane_id = sim.cfg.shards then
       sim.global_lane_txns <- sim.global_lane_txns + 1;
-    Relations.record_shard_assignment
-      (Scheduler.relations sim.lanes.(lane_id).sched)
-      ~cycle:sim.cycles_done ~shard:lane_id ~ta;
     Ds_obs.Trace.emit sim.cfg.trace Ds_obs.Trace.Shard_route ~ta ~seq:(-1)
       ~arg:lane_id ()
   end;
@@ -495,14 +491,6 @@ and run_cycle sim lane =
       Scheduler.cycle ~passthrough:sim.cfg.passthrough lane.sched
     in
     sim.cycles_done <- sim.cycles_done + 1;
-    (match sim.cfg.repl with
-    | Some h ->
-      let st = h.repl_status () in
-      Relations.record_replication
-        (Scheduler.relations lane.sched)
-        ~cycle:sim.cycles_done ~epoch:st.rs_epoch ~watermark:st.rs_watermark
-        ~lag:st.rs_lag
-    | None -> ());
     if sim.cfg.shards > 1 then
       (* lock-holder accounting for the barrier: a transaction holds locks
          from its first admitted request until it ends *)
@@ -741,12 +729,9 @@ and failover_promote sim h =
   sim.failed_over <- true;
   recover_lanes sim
     ~on_rebuilt:(fun lane ->
-      let epoch = Journal.writer_epoch (Option.get lane.journal) in
-      Relations.record_failover
-        (Scheduler.relations lane.sched)
-        ~epoch ~cycle:sim.cycles_done ~reason:"pcrash";
       Ds_obs.Trace.emit sim.cfg.trace Ds_obs.Trace.Failover ~ta:(-1) ~seq:(-1)
-        ~arg:epoch ())
+        ~arg:(Journal.writer_epoch (Option.get lane.journal))
+        ())
     (fun _ ->
       let p = h.repl_promote () in
       (p.rp_recovered, p.rp_journal))
@@ -1082,42 +1067,7 @@ let run_sim (cfg : config) =
          faults, so fault-free runs keep their exact event timing. *)
       if Faults.has_worker_faults cfg.faults then
         Ds_server.Worker_pool.set_deadline_factor lane.pool (Some 4.0);
-      if cfg.hedging then Ds_server.Worker_pool.set_hedging lane.pool true;
-      if cfg.workers > 1 then
-        (* Supervisor decisions land in the [supervision] relation and the
-           trace. The hook reads [lane.sched] at event time, so it survives
-           the scheduler swap done by crash recovery. *)
-        Ds_server.Worker_pool.set_event_hook lane.pool
-          (Some
-             (fun ev ->
-               let rels = Scheduler.relations lane.sched in
-               let cycle = sim.cycles_done in
-               match ev with
-               | Ds_server.Worker_pool.Worker_crashed { worker } ->
-                 Relations.record_supervision rels ~cycle ~worker ~event:"crash"
-                   ~cls:(-1);
-                 Ds_obs.Trace.emit cfg.trace Ds_obs.Trace.Worker_down ~ta:(-1)
-                   ~seq:(-1) ~arg:worker ()
-               | Ds_server.Worker_pool.Worker_died { worker } ->
-                 Relations.record_supervision rels ~cycle ~worker ~event:"death"
-                   ~cls:(-1);
-                 Ds_obs.Trace.emit cfg.trace Ds_obs.Trace.Worker_down ~ta:(-1)
-                   ~seq:(-1) ~arg:worker ()
-               | Ds_server.Worker_pool.Worker_stuck { worker; cls } ->
-                 Relations.record_supervision rels ~cycle ~worker ~event:"stuck"
-                   ~cls;
-                 Ds_obs.Trace.emit cfg.trace Ds_obs.Trace.Worker_down ~ta:(-1)
-                   ~seq:(-1) ~obj:cls ~arg:worker ()
-               | Ds_server.Worker_pool.Class_reassigned { cls; from_; to_ } ->
-                 Relations.record_supervision rels ~cycle ~worker:from_
-                   ~event:"reassign" ~cls;
-                 Ds_obs.Trace.emit cfg.trace Ds_obs.Trace.Reassign ~ta:(-1)
-                   ~seq:(-1) ~obj:cls ~arg:to_ ()
-               | Ds_server.Worker_pool.Class_hedged { cls; from_; to_ } ->
-                 Relations.record_supervision rels ~cycle ~worker:from_
-                   ~event:"hedge" ~cls;
-                 Ds_obs.Trace.emit cfg.trace Ds_obs.Trace.Reassign ~ta:(-1)
-                   ~seq:(-1) ~obj:cls ~arg:to_ ())))
+      if cfg.hedging then Ds_server.Worker_pool.set_hedging lane.pool true)
     sim.lanes;
   if not (Faults.is_none cfg.faults) then begin
     let f = Faults.create cfg.faults (Rng.split master) in

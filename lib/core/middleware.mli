@@ -44,7 +44,8 @@
       death, stall) are survived by the pool supervisor: unstarted conflict
       classes move to surviving workers, stragglers are detected against
       per-class execution deadlines and optionally hedged, and every
-      decision is logged in the [supervision] relation and the trace.
+      decision is a trace event ([worker_down]/[reassign], the cause in
+      [op]; see {!Ds_server.Worker_pool.set_trace}).
 
     {2 Sharding}
 
@@ -57,11 +58,12 @@
     per-lane segments with a manifest; see {!Journal.init_segment_dir}).
 
     Routing is deterministic from the transaction's object footprint, done
-    once at submission ({e before} any statement runs), and recorded in the
-    routed lane's [shard_assignment] relation. Cross-shard SS2PL is kept by
-    a drain barrier: the global lane admits work only when every shard lane
-    is idle, and shard lanes admit work only while no global transaction
-    holds locks; newly arriving shard transactions defer (counted in
+    once at submission ({e before} any statement runs), and recorded as one
+    [shard_route] trace event; {!handle.shard_of} answers it after the run.
+    Cross-shard SS2PL is kept by a drain barrier: the global lane admits
+    work only when every shard lane is idle, and shard lanes admit work only
+    while no global transaction holds locks; newly arriving shard
+    transactions defer (counted in
     [shard_deferrals]) while the global lane has outstanding work. Every
     qualification draws a run-global admission stamp that is journalled with
     the Q record, so the per-lane execution logs merge into one totally
@@ -82,10 +84,10 @@ open Ds_workload
     one); the middleware drives it through this closure record, built by
     [Ds_replica.Session.hooks]. With [config.repl] set, every journal record
     the primary writes is streamed to a warm standby; the middleware pumps
-    the link periodically, records the watermark/lag in the [replication]
-    relation each cycle, gates commit acks on the watermark in sync mode,
+    the link periodically, gates commit acks on the watermark in sync mode,
     and — on an injected [pcrash] fault — promotes the standby under a fresh
-    epoch and continues the run from its recovered state. *)
+    epoch (a [failover] trace event) and continues the run from its
+    recovered state. *)
 
 (** What a promotion hands the middleware: the standby's recovered state (as
     of the replication watermark) and its reopened journal with the new

@@ -9,11 +9,6 @@ type t = {
   dead : Table.t;
   workers : Table.t;
   assignment : Table.t;
-  supervision : Table.t;
-  shards : Table.t;
-  shard_assignment : Table.t;
-  replication : Table.t;
-  failover : Table.t;
   extended : bool;
 }
 
@@ -55,58 +50,6 @@ let assignment_schema =
       Schema.column "pos" Schema.Tint;
     ]
 
-(* Supervisor decisions, one row per event: a worker went down (crash /
-   permanent death / declared stuck), a conflict class was reassigned or
-   hedged, a checkpoint was written.  [cls] is -1 for worker-scoped events,
-   [worker] is -1 for checkpoints. *)
-let supervision_schema =
-  Schema.of_list
-    [
-      Schema.column "cycle" Schema.Tint;
-      Schema.column "worker" Schema.Tint;
-      Schema.column "event" Schema.Tstr;
-      Schema.column "cls" Schema.Tint;
-    ]
-
-(* The sharding configuration and routing decisions, kept relational like
-   every other scheduler decision: [shards] maps each scheduler lane to the
-   object group it owns ([groups] = -1 for the global lane, which owns every
-   group), [shard_assignment] logs which lane each transaction was routed to
-   and at which scheduler cycle the routing happened. *)
-let shards_schema =
-  Schema.of_list
-    [ Schema.column "shard" Schema.Tint; Schema.column "groups" Schema.Tint ]
-
-let shard_assignment_schema =
-  Schema.of_list
-    [
-      Schema.column "cycle" Schema.Tint;
-      Schema.column "shard" Schema.Tint;
-      Schema.column "ta" Schema.Tint;
-    ]
-
-(* Hot-standby replication progress, one row per scheduler cycle of a
-   replicated run: the primary's journal length, the standby's acked
-   watermark and the resulting lag, all under the current promotion epoch.
-   [failover] records each promotion: the new epoch, the cycle it happened
-   at and why ("pcrash" for an injected primary kill). *)
-let replication_schema =
-  Schema.of_list
-    [
-      Schema.column "cycle" Schema.Tint;
-      Schema.column "epoch" Schema.Tint;
-      Schema.column "watermark" Schema.Tint;
-      Schema.column "lag" Schema.Tint;
-    ]
-
-let failover_schema =
-  Schema.of_list
-    [
-      Schema.column "epoch" Schema.Tint;
-      Schema.column "cycle" Schema.Tint;
-      Schema.column "reason" Schema.Tstr;
-    ]
-
 let create ?(extended = false) () =
   let s = schema ~extended in
   let requests = Table.create ~name:"requests" s in
@@ -129,36 +72,10 @@ let create ?(extended = false) () =
   let assignment = Table.create ~name:"assignment" assignment_schema in
   Table.create_index assignment [ 2 ];
   (* worker: per-worker sub-schedule probes *)
-  let supervision = Table.create ~name:"supervision" supervision_schema in
-  let shards = Table.create ~name:"shards" shards_schema in
-  let shard_assignment =
-    Table.create ~name:"shard_assignment" shard_assignment_schema
-  in
-  Table.create_index shard_assignment [ 1 ];
-  (* shard: per-lane routing probes *)
-  let replication = Table.create ~name:"replication" replication_schema in
-  let failover = Table.create ~name:"failover" failover_schema in
   let catalog = Ds_sql.Catalog.create () in
   List.iter (Ds_sql.Catalog.register catalog)
-    [
-      requests; history; rte; dead; workers; assignment; supervision; shards;
-      shard_assignment; replication; failover;
-    ];
-  {
-    catalog;
-    requests;
-    history;
-    rte;
-    dead;
-    workers;
-    assignment;
-    supervision;
-    shards;
-    shard_assignment;
-    replication;
-    failover;
-    extended;
-  }
+    [ requests; history; rte; dead; workers; assignment ];
+  { catalog; requests; history; rte; dead; workers; assignment; extended }
 
 let row_of_request ~extended (r : Request.t) =
   let obj = match r.Request.obj with Some o -> Value.Int o | None -> Value.Null in
@@ -351,8 +268,6 @@ let prune_history t =
 let rte_requests t =
   List.map (request_of_row ~extended:t.extended) (Table.rows t.rte)
 
-let rte_count t = Table.row_count t.rte
-
 let insert_rte t rs =
   Table.insert_many t.rte (List.map (row_of_request ~extended:t.extended) rs)
 
@@ -383,42 +298,6 @@ let record_assignment t ~cycle ~cls ~worker ~pos (r : Request.t) =
 
 let assignment_count t = Table.row_count t.assignment
 
-(* One row per shard lane: shard s owns object group s (objects with
-   [obj mod shards = s]); the global lane, when present, is lane [shards]
-   with [groups] = -1 ("all groups"). *)
-let register_shards t ~shards:n =
-  Table.clear t.shards;
-  if n > 1 then
-    Table.insert_many t.shards
-      (List.init (n + 1) (fun s ->
-           [| Value.Int s; Value.Int (if s = n then -1 else s) |]))
-
-let shard_count t = Table.row_count t.shards
-
-let record_shard_assignment t ~cycle ~shard ~ta =
-  Table.insert t.shard_assignment
-    [| Value.Int cycle; Value.Int shard; Value.Int ta |]
-
-let shard_assignment_count t = Table.row_count t.shard_assignment
-
-let record_supervision t ~cycle ~worker ~event ~cls =
-  Table.insert t.supervision
-    [| Value.Int cycle; Value.Int worker; Value.Str event; Value.Int cls |]
-
-let supervision_count t = Table.row_count t.supervision
-
-let record_replication t ~cycle ~epoch ~watermark ~lag =
-  Table.insert t.replication
-    [| Value.Int cycle; Value.Int epoch; Value.Int watermark; Value.Int lag |]
-
-let replication_count t = Table.row_count t.replication
-
-let record_failover t ~epoch ~cycle ~reason =
-  Table.insert t.failover
-    [| Value.Int epoch; Value.Int cycle; Value.Str reason |]
-
-let failover_count t = Table.row_count t.failover
-
 (* The merged parallel schedule: assignment rows by delivery position. The
    checker compares this against [rte] order for conflict equivalence. *)
 let execution_order t =
@@ -445,11 +324,6 @@ let table_facts t name =
   | "dead" -> Table.rows t.dead
   | "workers" -> Table.rows t.workers
   | "assignment" -> Table.rows t.assignment
-  | "supervision" -> Table.rows t.supervision
-  | "shards" -> Table.rows t.shards
-  | "shard_assignment" -> Table.rows t.shard_assignment
-  | "replication" -> Table.rows t.replication
-  | "failover" -> Table.rows t.failover
   | _ -> invalid_arg ("Relations.table_facts: unknown table " ^ name)
 
 let clear t =
@@ -458,9 +332,4 @@ let clear t =
   Table.clear t.rte;
   Table.clear t.dead;
   Table.clear t.workers;
-  Table.clear t.assignment;
-  Table.clear t.supervision;
-  Table.clear t.shards;
-  Table.clear t.shard_assignment;
-  Table.clear t.replication;
-  Table.clear t.failover
+  Table.clear t.assignment

@@ -7,7 +7,13 @@
     In [extended] mode three more columns — [sla] (class name), [weight]
     (scheduling weight) and [arrival] (seconds) — are appended for the QoS
     protocols; the paper columns keep their exact names and positions either
-    way. *)
+    way.
+
+    Besides those and [dead], the catalog holds only the parallel backend's
+    [workers] and [assignment] (the merged delivery order is read from
+    [assignment]). Run decisions that nothing queries (worker supervision,
+    shard routing, checkpoints, failovers) are recorded once, as
+    {!Ds_obs.Trace} events. *)
 
 open Ds_model
 open Ds_relal
@@ -27,26 +33,6 @@ type t = {
           [cycle | cls | worker | ta | intrata | pos] — which conflict class
           and worker ran each admitted request, and its position in the
           merged (delivery-order) schedule *)
-  supervision : Table.t;
-      (** supervisor decision log: [cycle | worker | event | cls] — worker
-          crashes/deaths/stalls, class reassignments, hedged re-executions
-          and journal checkpoints, queryable like everything else *)
-  shards : Table.t;
-      (** sharding map: [shard | groups] — shard lane [s] owns object group
-          [s] (objects with [obj mod S = s]); the global lane is row
-          [(S, -1)]. Empty for unsharded (S=1) runs. *)
-  shard_assignment : Table.t;
-      (** routing log: [cycle | shard | ta] — the lane each transaction was
-          routed to, stamped with the scheduler cycle count at routing
-          time *)
-  replication : Table.t;
-      (** hot-standby progress log: [cycle | epoch | watermark | lag] — the
-          standby's acked replication watermark and its lag behind the
-          primary's journal, one row per scheduler cycle of a replicated
-          run. Empty without a replication session. *)
-  failover : Table.t;
-      (** promotion log: [epoch | cycle | reason] — one row per standby
-          promotion (epoch fencing boundary) *)
   extended : bool;
 }
 
@@ -100,8 +86,6 @@ val blocker_lookup : t -> Request.t -> int option
     [ds_check] correctness tooling. *)
 val rte_requests : t -> Request.t list
 
-val rte_count : t -> int
-
 (** Appends rows to [rte] without touching [requests] (used by tests). *)
 val insert_rte : t -> Request.t list -> unit
 
@@ -124,46 +108,13 @@ val record_assignment :
 
 val assignment_count : t -> int
 
-(** Logs one supervisor event row. Use [cls = -1] for worker-scoped events
-    and [worker = -1] for checkpoints. *)
-val record_supervision :
-  t -> cycle:int -> worker:int -> event:string -> cls:int -> unit
-
-val supervision_count : t -> int
-
-(** Logs one replication-progress row ([lag] = primary journal length minus
-    acked watermark). *)
-val record_replication :
-  t -> cycle:int -> epoch:int -> watermark:int -> lag:int -> unit
-
-val replication_count : t -> int
-
-(** Logs one standby promotion into [failover]. *)
-val record_failover : t -> epoch:int -> cycle:int -> reason:string -> unit
-
-val failover_count : t -> int
-
-(** [register_shards t ~shards] (re)populates the [shards] relation: rows
-    [(0,0) .. (S-1,S-1)] — lane [s] owns object group [s] — plus the global
-    lane row [(S,-1)]. A no-op (beyond clearing) for [shards <= 1]: an
-    unsharded scheduler has no routing to describe. *)
-val register_shards : t -> shards:int -> unit
-
-val shard_count : t -> int
-
-(** Logs one routing decision into [shard_assignment]. *)
-val record_shard_assignment : t -> cycle:int -> shard:int -> ta:int -> unit
-
-val shard_assignment_count : t -> int
-
 (** The merged parallel schedule as [(ta, intrata)] keys, sorted by the
     [pos] column — the delivery order across all workers, which the checker
     compares against [rte] order for conflict equivalence. *)
 val execution_order : t -> (int * int) list
 
 (** Raw rows of a relation by its public name ([requests], [history], [rte],
-    [dead], [workers], [assignment], [supervision], [shards],
-    [shard_assignment], [replication], [failover]) — the bridge for loading
+    [dead], [workers], [assignment]) — the bridge for loading
     scheduler state into a datalog engine via [Dl_engine.load_rows].
     @raise Invalid_argument on an unknown name. *)
 val table_facts : t -> string -> Value.t array list

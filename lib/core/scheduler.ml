@@ -139,15 +139,13 @@ let drain t =
 
 (* End-of-cycle snapshot: every [checkpoint_every] cycles the journal writes
    its logical state as a checkpoint block, so recovery replays only the
-   suffix written since. The snapshot is also a supervision fact and a trace
-   event — checkpointing is observable like every other decision. *)
+   suffix written since. The snapshot is also a trace event — checkpointing
+   is observable like every other decision. *)
 let maybe_checkpoint t j =
   match t.checkpoint_every with
   | Some n when t.cycles mod n = 0 ->
     Journal.checkpoint j ~cycle:t.cycles;
     Journal.flush j;
-    Relations.record_supervision t.rels ~cycle:t.cycles ~worker:(-1)
-      ~event:"checkpoint" ~cls:(-1);
     Ds_obs.Trace.emit t.trace Ds_obs.Trace.Checkpoint ~ta:(-1) ~seq:(-1)
       ~arg:t.cycles ()
   | _ -> ()

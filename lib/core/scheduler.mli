@@ -38,9 +38,9 @@ type t
     prune, flushed at the end of each cycle; see {!Journal}.
 
     [checkpoint_every] (optional, requires [journal]) writes a journal
-    checkpoint block every N cycles at end-of-cycle, records a
-    [supervision] row and emits a [checkpoint] trace event; recovery then
-    replays only the journal suffix written since the last snapshot.
+    checkpoint block every N cycles at end-of-cycle and emits a
+    [checkpoint] trace event; recovery then replays only the journal suffix
+    written since the last snapshot.
     @raise Invalid_argument if non-positive.
 
     [trace] (optional) receives lifecycle events ([enqueued], [drained],

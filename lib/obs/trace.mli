@@ -38,11 +38,13 @@ type kind =
   | Retry  (** a batch attempt failed; this request will be re-dispatched *)
   | Dead_letter  (** transaction terminal: given up on (poison request) *)
   | Worker_down
-      (** a pool worker crashed, died or was declared stuck; emitted with
-          [ta = -1], [arg] is the worker id *)
+      (** a pool worker went down; emitted with [ta = -1], [arg] is the
+          worker id, [op] the cause: ['c'] crash, ['d'] death, ['s'] stuck
+          (then [obj] is the overdue class) *)
   | Reassign
-      (** a conflict class was moved to a surviving worker (or hedged);
-          [ta = -1], [obj] is the class id, [arg] the new worker *)
+      (** a conflict class was given to a surviving worker; [ta = -1], [obj]
+          is the class id, [arg] the new worker, [op] ['r'] (moved off a
+          failed or stuck worker) or ['h'] (hedged copy) *)
   | Checkpoint
       (** the journal wrote a snapshot record; [ta = -1], [arg] is the
           cycle number of the watermark *)
@@ -73,7 +75,9 @@ type event = {
   ta : int;
   seq : int;  (** INTRATA; [-1] for transaction-level events *)
   kind : kind;
-  op : char;  (** 'r' / 'w' / 'a' / 'c', or ' ' when not request-scoped *)
+  op : char;
+      (** 'r' / 'w' / 'a' / 'c', the cause for [Worker_down]/[Reassign], or
+          ' ' otherwise *)
   obj : int;  (** object touched, [-1] when none *)
   arg : int;  (** kind-specific: blocker TA, retry streak…; [-1] when none *)
   tier : string;  (** SLA tier name, [""] when unknown *)

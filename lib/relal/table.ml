@@ -55,8 +55,6 @@ let maintenance_clock = ref 0.
 
 let maintenance_time () = !maintenance_clock
 
-let reset_maintenance_time () = maintenance_clock := 0.
-
 (* Nesting depth of [timed_maintenance]: view upkeep runs inside a base
    table's section and mutates the view's own table, whose index work must
    not be counted a second time. *)
@@ -97,8 +95,6 @@ let create ~name schema =
 let name t = t.name
 
 let schema t = t.schema
-
-let slot_count t = Vec.length t.rows
 
 let row_count t = Vec.length t.rows - t.n_dead
 
@@ -639,8 +635,6 @@ let range_probe t col ~lo ~hi =
       end
     done;
     List.rev !out
-
-let indexed_columns t = List.map (fun ix -> ix.cols) t.indexes
 
 (* Probe the hash index on [cols] for [key] and tombstone every matching live
    row satisfying [p]; returns how many were removed. The batched delete used

@@ -20,10 +20,6 @@ val schema : t -> Schema.t
 (** Number of live rows. *)
 val row_count : t -> int
 
-(** Number of slots, live + tombstoned (for tests and diagnostics; equals
-    {!row_count} right after a compaction). *)
-val slot_count : t -> int
-
 (** When [true] (the default), indexes are maintained in place across
     mutations; when [false], any mutation invalidates all indexes and probes
     rebuild them from scratch. Flipping the switch mid-stream is safe: it
@@ -32,14 +28,10 @@ val incremental_maintenance : bool ref
 
 (** Cumulative wall-clock seconds spent on index maintenance (incremental
     updates, lazy builds, overflow merges, compaction, change-feed
-    subscribers such as {!View} upkeep) across all tables since the last
-    {!reset_maintenance_time}; nested sections count once. Also reported per
-    section
-    through {!Profile.set_section_observer} under the label
-    ["index-maintenance"]. *)
+    subscribers such as {!View} upkeep) across all tables since start-up;
+    nested sections count once. Also reported per section through
+    {!Profile.set_section_observer} under the label ["index-maintenance"]. *)
 val maintenance_time : unit -> float
-
-val reset_maintenance_time : unit -> unit
 
 (** @raise Invalid_argument on arity mismatch with the schema. *)
 val insert : t -> Value.t array -> unit
@@ -117,6 +109,3 @@ val range_probe :
   lo:(Value.t * bool) option ->
   hi:(Value.t * bool) option ->
   Value.t array list
-
-(** For the optimizer: lookup cost signal. *)
-val indexed_columns : t -> int list list

@@ -12,13 +12,6 @@ type worker_fault =
   | Die of { worker : int }
   | Slow of { worker : int; delay : float }
 
-type event =
-  | Worker_crashed of { worker : int }
-  | Worker_died of { worker : int }
-  | Worker_stuck of { worker : int; cls : int }
-  | Class_reassigned of { cls : int; from_ : int; to_ : int }
-  | Class_hedged of { cls : int; from_ : int; to_ : int }
-
 type t = {
   engine : Engine.t;
   backends : Backend.t array;
@@ -28,7 +21,7 @@ type t = {
   makespans : Ds_stats.Histogram.t;
   dead : bool array;  (* permanently-dead workers (Die faults) *)
   mutable worker_fault_hook : (alive:int list -> worker_fault list) option;
-  mutable on_event : (event -> unit) option;
+  mutable trace : Ds_obs.Trace.t option;
   mutable deadline_factor : float option;
   mutable hedging : bool;
   mutable n_reassigned : int;
@@ -49,7 +42,7 @@ let create engine cost ~workers =
     makespans = Ds_stats.Histogram.create ();
     dead = Array.make workers false;
     worker_fault_hook = None;
-    on_event = None;
+    trace = None;
     deadline_factor = None;
     hedging = false;
     n_reassigned = 0;
@@ -70,13 +63,12 @@ let set_fault_hook t hook =
 
 let set_worker_fault_hook t hook = t.worker_fault_hook <- hook
 
-let set_event_hook t hook = t.on_event <- hook
-
 let set_deadline_factor t f = t.deadline_factor <- f
 
 let set_hedging t b = t.hedging <- b
 
 let set_trace t trace =
+  t.trace <- trace;
   Array.iter (fun b -> Backend.set_trace b trace) t.backends
 
 let executed_stmts t =
@@ -110,7 +102,16 @@ let worker_stats t =
          (w, Backend.executed_stmts b, Cpu.busy_time cpu, Cpu.utilization cpu))
        t.backends)
 
-let emit_event t e = match t.on_event with None -> () | Some f -> f e
+(* Supervisor decisions, as trace events whose [op] names the cause:
+   [Worker_down] 'c'rash / 'd'eath / 's'tuck, [Reassign] 'r'eassign /
+   'h'edge. [arg] is the worker that went down, or the class's new worker. *)
+let worker_down t op ?obj worker =
+  Ds_obs.Trace.emit t.trace Ds_obs.Trace.Worker_down ~ta:(-1) ~seq:(-1) ~op
+    ?obj ~arg:worker ()
+
+let reassign t op ~cls ~to_ =
+  Ds_obs.Trace.emit t.trace Ds_obs.Trace.Reassign ~ta:(-1) ~seq:(-1) ~op
+    ~obj:cls ~arg:to_ ()
 
 let finish_batch t started k result =
   t.batches_done <- t.batches_done + 1;
@@ -187,7 +188,7 @@ let rec run_batch t batch =
           if (not t.dead.(worker)) && List.length (alive_workers t) > 1 then begin
             t.dead.(worker) <- true;
             t.n_deaths <- t.n_deaths + 1;
-            emit_event t (Worker_died { worker })
+            worker_down t 'd' worker
           end
         | Slow { worker; delay } ->
           if not t.dead.(worker) then slow.(worker) <- slow.(worker) +. delay)
@@ -252,8 +253,7 @@ let rec run_batch t batch =
         | Some target ->
           Queue.add cls ctx.queues.(target);
           t.n_reassigned <- t.n_reassigned + 1;
-          emit_event t
-            (Class_reassigned { cls = cls.Partition.id; from_ = w; to_ = target });
+          reassign t 'r' ~cls:cls.Partition.id ~to_:target;
           kick target;
           reassign_queue t ctx w ~kick)
     in
@@ -321,7 +321,7 @@ let rec run_batch t batch =
       if eligible_target t ctx ~except:w <> None then begin
         ctx.crashed.(w) <- true;
         t.n_crashes <- t.n_crashes + 1;
-        emit_event t (Worker_crashed { worker = w });
+        worker_down t 'c' w;
         reassign_queue t ctx w ~kick
       end
     and on_deadline w cls =
@@ -334,7 +334,7 @@ let rec run_batch t batch =
         && not ctx.failed
       then begin
         t.n_stuck <- t.n_stuck + 1;
-        emit_event t (Worker_stuck { worker = w; cls = cls.Partition.id });
+        worker_down t 's' ~obj:cls.Partition.id w;
         reassign_queue t ctx w ~kick;
         if t.hedging && not ctx.hedged.(cls.Partition.id) then
           match eligible_target t ctx ~except:w with
@@ -342,8 +342,7 @@ let rec run_batch t batch =
           | Some target ->
             ctx.hedged.(cls.Partition.id) <- true;
             t.n_hedged <- t.n_hedged + 1;
-            emit_event t
-              (Class_hedged { cls = cls.Partition.id; from_ = w; to_ = target });
+            reassign t 'h' ~cls:cls.Partition.id ~to_:target;
             run_class target cls ~primary:false
       end
     in

@@ -46,16 +46,6 @@ type worker_fault =
   | Die of { worker : int }
   | Slow of { worker : int; delay : float }
 
-(** Supervisor decisions, reported through {!set_event_hook} as they
-    happen (the middleware turns them into [supervision] relation rows and
-    trace events). *)
-type event =
-  | Worker_crashed of { worker : int }
-  | Worker_died of { worker : int }
-  | Worker_stuck of { worker : int; cls : int }
-  | Class_reassigned of { cls : int; from_ : int; to_ : int }
-  | Class_hedged of { cls : int; from_ : int; to_ : int }
-
 val create : Engine.t -> Cost_model.t -> workers:int -> t
 
 val workers : t -> int
@@ -87,9 +77,6 @@ val set_fault_hook :
 val set_worker_fault_hook :
   t -> (alive:int list -> worker_fault list) option -> unit
 
-(** Observer for supervisor decisions; [None] detaches. *)
-val set_event_hook : t -> (event -> unit) option -> unit
-
 (** [set_deadline_factor t (Some f)] arms per-class execution deadlines:
     a class dispatched to a worker must complete within [f] times its
     modeled cost, or the worker is declared stuck (queue reassigned,
@@ -103,8 +90,13 @@ val set_deadline_factor : t -> float option -> unit
     first-wins. *)
 val set_hedging : t -> bool -> unit
 
-(** Attaches the trace sink to every worker backend (exec spans carry the
-    worker id, see {!Backend.set_trace}). *)
+(** Attaches the trace sink to the pool and every worker backend (exec spans
+    carry the worker id, see {!Backend.set_trace}). The supervisor records
+    each decision on it, with the cause in the event's [op]:
+    - [worker_down] ([arg] the worker): ['c'] crash, ['d'] death, ['s']
+      stuck ([obj] the overdue class);
+    - [reassign] ([obj] the class, [arg] its new worker): ['r'] moved off a
+      failed or stuck worker, ['h'] hedged copy. *)
 val set_trace : t -> Ds_obs.Trace.t option -> unit
 
 (** Data statements executed across all workers. *)

@@ -12,13 +12,6 @@ let test_histogram_merge_incompatible () =
     (Invalid_argument "Histogram.merge_into: incompatible shapes") (fun () ->
       Ds_stats.Histogram.merge_into ~dst:a b)
 
-let test_throughput_rate () =
-  let t = Ds_stats.Throughput.create () in
-  Alcotest.(check (float 0.)) "empty rate" 0. (Ds_stats.Throughput.rate t);
-  Ds_stats.Throughput.record t 0.;
-  Ds_stats.Throughput.record t 10.;
-  Alcotest.(check (float 1e-9)) "rate over span" 0.2 (Ds_stats.Throughput.rate t)
-
 let test_summary_single () =
   let s = Ds_stats.Summary.create () in
   Ds_stats.Summary.add s 5.;
@@ -208,7 +201,6 @@ let tests =
   [
     Alcotest.test_case "histogram merge incompatible" `Quick
       test_histogram_merge_incompatible;
-    Alcotest.test_case "throughput rate" `Quick test_throughput_rate;
     Alcotest.test_case "summary single" `Quick test_summary_single;
     Alcotest.test_case "zipf validation" `Quick test_zipf_validation;
     Alcotest.test_case "rng errors" `Quick test_rng_errors;

@@ -7,6 +7,20 @@ let with_journal_file f =
   let path = Filename.temp_file "ds_journal" ".log" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
+(* One journal record line, ["!crc32 payload"], with the CRC32 computed
+   bit by bit here rather than through the journal's table. *)
+let frame payload =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 0 to 7 do
+        crc :=
+          if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+      done)
+    payload;
+  Printf.sprintf "!%08x %s\n" (!crc lxor 0xFFFFFFFF) payload
+
 let sorted_pending rels =
   Helpers.sorted_keys (List.map Request.key (Relations.pending rels))
 
@@ -63,7 +77,8 @@ let test_torn_tail_tolerated () =
 let test_mid_file_corruption_rejected () =
   with_journal_file (fun path ->
       let oc = open_out path in
-      output_string oc "S 1,1,1,r,5,standard,0.0\nGARBAGE LINE\nQ 1 1\n";
+      output_string oc
+        (frame "S 1,1,1,r,5,standard,0.0" ^ "GARBAGE LINE\n" ^ frame "Q 1 1");
       close_out oc;
       match Journal.recover path with
       | exception Failure _ -> ()
@@ -72,7 +87,7 @@ let test_mid_file_corruption_rejected () =
 let test_unknown_qualified_rejected () =
   with_journal_file (fun path ->
       let oc = open_out path in
-      output_string oc "Q 7 1\nS 1,1,1,r,5,standard,0.0\n";
+      output_string oc (frame "Q 7 1" ^ frame "S 1,1,1,r,5,standard,0.0");
       close_out oc;
       match Journal.recover path with
       | exception Failure _ -> ()
@@ -474,7 +489,8 @@ let test_segment_mid_corruption_names_segment () =
          is bad so the operator knows what to restore. *)
       let shard0 = List.nth paths 0 and global = List.nth paths 2 in
       let oc = open_out shard0 in
-      output_string oc "S 1,1,1,r,5,standard,0.0\nGARBAGE LINE\nQ 1 1\n";
+      output_string oc
+        (frame "S 1,1,1,r,5,standard,0.0" ^ "GARBAGE LINE\n" ^ frame "Q 1 1");
       close_out oc;
       let jg = Journal.open_ global in
       Journal.log_submit jg (Request.v 2 1 Op.Write 7);

@@ -357,6 +357,13 @@ let keys_once name keys =
   in
   Alcotest.(check bool) (name ^ ": no duplicate delivery") false (dup sorted)
 
+(* Supervisor decisions of one kind and cause ([op]) in a trace sink. *)
+let traced trace kind op =
+  List.filter
+    (fun (e : Ds_obs.Trace.event) ->
+      e.Ds_obs.Trace.kind = kind && e.Ds_obs.Trace.op = op)
+    (Ds_obs.Trace.events trace)
+
 let test_pool_crash_reassigns () =
   (* Worker 0 crashes before starting anything; its queued classes must all
      run elsewhere, each request delivered exactly once. *)
@@ -365,8 +372,8 @@ let test_pool_crash_reassigns () =
   Worker_pool.set_worker_fault_hook pool
     (Some
        (fun ~alive:_ -> [ Worker_pool.Crash { worker = 0; after = 0 } ]));
-  let events = ref [] in
-  Worker_pool.set_event_hook pool (Some (fun e -> events := e :: !events));
+  let trace = Ds_obs.Trace.create () in
+  Worker_pool.set_trace pool (Some trace);
   let batch = independent_batch 12 in
   let delivered = ref [] in
   let result = ref None in
@@ -383,10 +390,13 @@ let test_pool_crash_reassigns () =
     (Worker_pool.reassigned_classes pool > 0);
   Alcotest.(check bool) "nothing ran on the crashed worker" true
     (List.for_all (fun (w, _) -> w <> 0) !delivered);
-  Alcotest.(check bool) "crash event observed" true
-    (List.exists
-       (function Worker_pool.Worker_crashed { worker = 0 } -> true | _ -> false)
-       !events);
+  Alcotest.(check (list int)) "crash of worker 0 traced" [ 0 ]
+    (List.map
+       (fun (e : Ds_obs.Trace.event) -> e.Ds_obs.Trace.arg)
+       (traced trace Ds_obs.Trace.Worker_down 'c'));
+  Alcotest.(check int) "each reassignment traced"
+    (Worker_pool.reassigned_classes pool)
+    (List.length (traced trace Ds_obs.Trace.Reassign 'r'));
   (* The crash was per-batch: worker 0 rejoins for the next one. *)
   Worker_pool.set_worker_fault_hook pool None;
   Alcotest.(check (list int)) "all alive again" [ 0; 1; 2; 3 ]
@@ -493,9 +503,11 @@ let test_pool_conflict_order_survives_crash () =
     (Ds_check.Equivalence.is_equivalent eq)
 
 let test_middleware_worker_faults_clean () =
-  (* End-to-end: injected worker crashes and stalls at K=4, supervisor
-     reassigning and hedging — the merged schedule must stay checker-clean
-     and conflict-equivalent, and the supervision relation queryable. *)
+  (* End-to-end: injected worker crashes, deaths and stalls at K=4,
+     supervisor reassigning and hedging — the merged schedule must stay
+     checker-clean and conflict-equivalent, and the trace must carry every
+     supervisor decision, its cause in [op]. *)
+  let trace = Ds_obs.Trace.create () in
   let s, sched =
     Helpers.run_single
       {
@@ -505,10 +517,12 @@ let test_middleware_worker_faults_clean () =
         workers = 4;
         charge_scheduler_time = false;
         hedging = true;
+        trace = Some trace;
         faults =
           {
             Ds_core.Faults.none with
             Ds_core.Faults.worker_crash_rate = 0.2;
+            worker_death_rate = 0.02;
             worker_stall_rate = 0.3;
             worker_stall_duration = 0.05;
           };
@@ -533,15 +547,27 @@ let test_middleware_worker_faults_clean () =
   let eq = Ds_check.Equivalence.check ~reference:rte ~candidate:merged () in
   Alcotest.(check bool) "merged conflict-equivalent under worker faults" true
     (Ds_check.Equivalence.is_equivalent eq);
-  let rels = Scheduler.relations sched in
-  match
-    Ds_sql.Exec.exec_script rels.Relations.catalog
-      "SELECT event, COUNT(*) FROM supervision GROUP BY event"
-  with
-  | Ds_sql.Exec.Rows (_, rows) ->
-    Alcotest.(check bool) "supervision rows via SQL" true
-      (List.length rows >= 1)
-  | _ -> Alcotest.fail "expected rows from supervision"
+  Alcotest.(check bool) "a worker died" true (s.Middleware.worker_deaths > 0);
+  Alcotest.(check bool) "a class was hedged" true
+    (s.Middleware.hedged_classes > 0);
+  let n_traced kind op = List.length (traced trace kind op) in
+  Alcotest.(check (list int)) "trace counts = supervision counters"
+    Middleware.
+      [
+        s.worker_crashes;
+        s.worker_deaths;
+        s.worker_stalls;
+        s.reassigned_classes;
+        s.hedged_classes;
+      ]
+    Ds_obs.Trace.
+      [
+        n_traced Worker_down 'c';
+        n_traced Worker_down 'd';
+        n_traced Worker_down 's';
+        n_traced Reassign 'r';
+        n_traced Reassign 'h';
+      ]
 
 let tests =
   [

@@ -173,26 +173,40 @@ let test_sharded_determinism () =
     (keys ha.Middleware.merged_rte)
     (keys hb.Middleware.merged_rte)
 
-(* The declarative view: every lane carries the shards relation and the
-   routed transactions land in shard_assignment rows of their own lane. *)
-let test_shard_relations () =
+(* Routing is recorded once, in the trace: one [shard_route] event per
+   transaction the router saw (TAs are drawn 1, 2, ... and every one is
+   routed), naming the lane the run's [shard_of] view reports. *)
+let test_shard_route_traced () =
   let sp = spec ~access:(Ds_workload.Spec.Partitioned (2, 0.3)) () in
-  let _, h = Middleware.run_sharded (cfg ~shards:2 ~spec:sp ()) in
-  Array.iteri
-    (fun i sched ->
-      let rels = Scheduler.relations sched in
-      Alcotest.(check int)
-        (Printf.sprintf "lane %d shards rows" i)
-        3 (* 2 shard lanes + the global lane row *)
-        (Relations.shard_count rels))
-    h.Middleware.lane_schedulers;
-  let total_assigned =
-    Array.fold_left
-      (fun acc sched ->
-        acc + Relations.shard_assignment_count (Scheduler.relations sched))
-      0 h.Middleware.lane_schedulers
+  let trace = Ds_obs.Trace.create () in
+  let s, h =
+    Middleware.run_sharded
+      { (cfg ~shards:2 ~spec:sp ()) with Middleware.trace = Some trace }
   in
-  Alcotest.(check bool) "shard_assignment populated" true (total_assigned > 0)
+  let routes =
+    List.filter_map
+      (fun (e : Ds_obs.Trace.event) ->
+        if e.Ds_obs.Trace.kind = Ds_obs.Trace.Shard_route then
+          Some (e.Ds_obs.Trace.ta, e.Ds_obs.Trace.arg)
+        else None)
+      (Ds_obs.Trace.events trace)
+  in
+  let n = List.length routes in
+  Alcotest.(check bool) "transactions routed" true (n > 0);
+  Alcotest.(check (list int)) "one event per transaction"
+    (List.init n (fun i -> i + 1))
+    (List.sort compare (List.map fst routes));
+  Alcotest.(check (option int)) "no transaction routed untraced" None
+    (h.Middleware.shard_of (n + 1));
+  List.iter
+    (fun (ta, lane) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "T%d routed to its lane" ta)
+        (Some lane) (h.Middleware.shard_of ta))
+    routes;
+  Alcotest.(check int) "global-lane routes = global_lane_txns"
+    s.Middleware.global_lane_txns
+    (List.length (List.filter (fun (_, lane) -> lane = 2) routes))
 
 (* Crash mid-run with S=2: every lane's journal segment recovers, the
    admission clock survives, and the whole run still checks out (set-level;
@@ -284,8 +298,8 @@ let tests =
       test_global_heavy;
     Alcotest.test_case "sharded runs are deterministic" `Quick
       test_sharded_determinism;
-    Alcotest.test_case "shards/shard_assignment relations" `Quick
-      test_shard_relations;
+    Alcotest.test_case "shard_route traced per transaction" `Quick
+      test_shard_route_traced;
     Alcotest.test_case "crash recovery across segments" `Quick
       test_sharded_crash_recovery;
     Alcotest.test_case "journal segment directory" `Quick

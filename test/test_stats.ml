@@ -142,40 +142,6 @@ let histogram_merge_prop =
            (fun q -> feq (Histogram.quantile a q) (Histogram.quantile c q))
            [ 0.1; 0.5; 0.99 ])
 
-let run_average_prop =
-  QCheck2.Test.make ~name:"Run_average.mean = naive mean per key" ~count:200
-    QCheck2.Gen.(
-      list_size (int_range 1 100)
-        (pair (int_range 0 3) (float_bound_inclusive 100.)))
-    (fun obs ->
-      let r = Run_average.create () in
-      List.iter (fun (key, v) -> Run_average.observe r ~key v) obs;
-      List.for_all
-        (fun key ->
-          let vs = List.filter_map
-              (fun (k, v) -> if k = key then Some v else None) obs
-          in
-          match vs with
-          | [] -> true
-          | _ ->
-            let naive =
-              List.fold_left ( +. ) 0. vs /. float_of_int (List.length vs)
-            in
-            Run_average.runs r ~key = List.length vs
-            && feq ~eps:1e-6 (Run_average.mean r ~key) naive)
-        [ 0; 1; 2; 3 ])
-
-let throughput_prop =
-  QCheck2.Test.make ~name:"Throughput series sums to total" ~count:200
-    QCheck2.Gen.(list (float_bound_inclusive 50.))
-    (fun times ->
-      let t = Throughput.create ~window:1.0 () in
-      List.iter (Throughput.record t) times;
-      let series_sum = List.fold_left (fun acc (_, n) -> acc + n) 0 (Throughput.series t) in
-      Throughput.total t = List.length times
-      && series_sum = Throughput.total t
-      && Throughput.in_range t 0. 51. = Throughput.total t)
-
 let test_histogram_merge () =
   let a = Histogram.create () and b = Histogram.create () in
   List.iter (Histogram.add a) [ 0.1; 0.2 ];
@@ -183,59 +149,6 @@ let test_histogram_merge () =
   Histogram.merge_into ~dst:a b;
   Alcotest.(check int) "merged count" 4 (Histogram.count a);
   Alcotest.(check bool) "max" true (feq (Histogram.max_observed a) 20.)
-
-let test_counter () =
-  let reg = Counter.create_registry () in
-  let c = Counter.counter reg "commits" in
-  Counter.incr c;
-  Counter.add c 4;
-  Alcotest.(check int) "value" 5 (Counter.value c);
-  Alcotest.(check bool) "same counter" true (Counter.counter reg "commits" == c);
-  let d = Counter.counter reg "aborts" in
-  Counter.incr d;
-  Alcotest.(check (list (pair string int)))
-    "dump sorted"
-    [ ("aborts", 1); ("commits", 5) ]
-    (Counter.dump reg);
-  Counter.reset_all reg;
-  Alcotest.(check int) "reset" 0 (Counter.value c)
-
-let test_throughput () =
-  let t = Throughput.create ~window:1.0 () in
-  Throughput.record t 0.5;
-  Throughput.record t 0.9;
-  Throughput.record t 2.1;
-  Throughput.record_n t 2.2 3;
-  Alcotest.(check int) "total" 6 (Throughput.total t);
-  Alcotest.(check (list (pair (float 0.) int)))
-    "series with gap"
-    [ (0., 2); (1., 0); (2., 4) ]
-    (Throughput.series t);
-  Alcotest.(check int) "in_range" 2 (Throughput.in_range t 0. 1.)
-
-let test_throughput_rate () =
-  let t = Throughput.create ~window:1.0 () in
-  Alcotest.(check (float 0.)) "empty rate" 0. (Throughput.rate t);
-  (* All events at one timestamp: the span is zero, so there is no defined
-     rate — the old behavior returned the raw count here. *)
-  Throughput.record_n t 5.0 4;
-  Alcotest.(check (float 0.)) "zero-span rate" 0. (Throughput.rate t);
-  Throughput.record t 7.0;
-  Alcotest.(check (float 1e-9)) "spanned rate" 2.5 (Throughput.rate t)
-
-let test_run_average () =
-  let r = Run_average.create () in
-  Run_average.observe r ~key:10 1.0;
-  Run_average.observe r ~key:10 3.0;
-  Run_average.observe r ~key:20 5.0;
-  Alcotest.(check (float 1e-9)) "mean" 2.0 (Run_average.mean r ~key:10);
-  Alcotest.(check int) "runs" 2 (Run_average.runs r ~key:10);
-  (match Run_average.rows r with
-  | [ (10, m1, _, 2); (20, m2, _, 1) ] ->
-    Alcotest.(check bool) "rows" true (feq m1 2.0 && feq m2 5.0)
-  | _ -> Alcotest.fail "unexpected rows");
-  Alcotest.check_raises "missing key" Not_found (fun () ->
-      ignore (Run_average.mean r ~key:99))
 
 let tests =
   [
@@ -247,11 +160,5 @@ let tests =
     QCheck_alcotest.to_alcotest histogram_quantile_vs_sorted;
     QCheck_alcotest.to_alcotest histogram_quantile_extremes;
     QCheck_alcotest.to_alcotest histogram_merge_prop;
-    QCheck_alcotest.to_alcotest run_average_prop;
-    QCheck_alcotest.to_alcotest throughput_prop;
     Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
-    Alcotest.test_case "counter registry" `Quick test_counter;
-    Alcotest.test_case "throughput windows" `Quick test_throughput;
-    Alcotest.test_case "throughput rate span rule" `Quick test_throughput_rate;
-    Alcotest.test_case "run average" `Quick test_run_average;
   ]
