@@ -214,8 +214,11 @@ let run_cmd =
       & info [ "standby" ] ~docv:"DIR"
           ~doc:
             "Replicate the journal to a hot standby rooted at $(docv) \
-             (needs --journal): every record is streamed over a simulated \
-             link into $(docv)/standby.journal, kept a byte-prefix of the \
+             (needs --journal): every record of the log is streamed over a \
+             simulated link into $(docv)/standby.journal. Checkpoint blocks \
+             do not travel: the standby writes its own from its replayed \
+             state and checks the block's first line and state hash against \
+             the primary's, so its file stays a byte-prefix of the \
              primary's. A $(b,pcrash=N) fault fails over to it mid-run; \
              otherwise promote it later with 'dsched failover $(docv)'.")
   in

@@ -99,8 +99,8 @@ type failover_report = {
 }
 
 (** [check_failover ~sync ~watermark ~acked ~survived ()] classifies each
-    acked transaction — [(ta, high-water journal LSN)] pairs, the LSN being
-    the last journal record the transaction produced on the old primary —
+    acked transaction — [(ta, high-water LSN)] pairs, the LSN being that of
+    the last record the transaction streamed off the old primary —
     by whether [survived ta] holds in the promoted state and which side of
     the watermark its LSN fell on. *)
 val check_failover :

@@ -7,41 +7,63 @@ open Ds_model
 (* ------------------------------------------------------------------ *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
+(* [crc_feed c s] continues a running (pre-inversion) CRC over [s], so a
+   record assembled from pieces is checksummed without concatenating it. *)
+let crc_feed c s =
+  let c = ref c in
+  for i = 0 to String.length s - 1 do
+    c :=
+      Array.unsafe_get crc_table
+        ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+      lxor (!c lsr 8)
+  done;
+  !c
+
+let crc_init = 0xFFFFFFFF
+let crc_finish c = c lxor 0xFFFFFFFF
+let crc32 s = crc_finish (crc_feed crc_init s)
 
 (* ------------------------------------------------------------------ *)
 (* Replay state: the logical content of a journal.  The writer keeps a *)
 (* live mirror of it so [checkpoint] can serialize a snapshot without  *)
-(* re-reading the file.                                                *)
+(* re-reading the file.  Every request in it carries its serialized    *)
+(* line (the Trace format), made once when the request entered the     *)
+(* mirror: checkpoints and state hashes reuse it instead of            *)
+(* re-formatting, and it is dropped with its entry.                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A history entry. [live] turns false when a prune drops the entry; the
+   entry then waits in [hist] until the next compaction. *)
+type hist_entry = { req : Request.t; line : string; mutable live : bool }
+
 type replay_state = {
-  submitted : (int * int, int * Request.t) Hashtbl.t;
+  submitted : (int * int, int * Request.t * string) Hashtbl.t;
       (* live (submitted, not yet qualified, aborted or dead-lettered)
          requests by key, each with the sequence number of the submission
          that made it live; a key submitted again while live keeps its number
          and takes the newer request *)
   mutable submissions : int;
-  mutable hist : Request.t list;  (* reversed *)
+  mutable hist : hist_entry list;  (* reversed, pruned entries included *)
+  mutable hist_len : int;  (* entries in [hist] *)
+  mutable hist_dead : int;  (* pruned entries in [hist] *)
+  hist_by_ta : (int, hist_entry list) Hashtbl.t;
+      (* live history entries per transaction: a prune touches only the
+         transactions that finished since the previous one *)
+  mutable finished : int list;
+      (* transactions with a terminal op entered into history since the last
+         prune *)
   stamps : (int * int, int) Hashtbl.t;
       (* global admission sequence per qualified key; only sharded journal
          segments write stamps, so this is empty for unsharded journals *)
   mutable aborts : int list;  (* reversed *)
-  mutable dead_ : Request.t list;  (* reversed *)
+  mutable dead_ : (Request.t * string) list;  (* reversed *)
   mutable epoch : int;
       (* promotion epoch ('E' records); 0 until a failover ever happened *)
 }
@@ -51,49 +73,140 @@ let fresh_state () =
     submitted = Hashtbl.create 64;
     submissions = 0;
     hist = [];
+    hist_len = 0;
+    hist_dead = 0;
+    hist_by_ta = Hashtbl.create 64;
+    finished = [];
     stamps = Hashtbl.create 64;
     aborts = [];
     dead_ = [];
     epoch = 0;
   }
 
-let st_submit st r =
+let st_submit st r line =
   let key = Request.key r in
   let seq =
     match Hashtbl.find_opt st.submitted key with
-    | Some (seq, _) -> seq
+    | Some (seq, _, _) -> seq
     | None ->
       st.submissions <- st.submissions + 1;
       st.submissions
   in
-  Hashtbl.replace st.submitted key (seq, r)
+  Hashtbl.replace st.submitted key (seq, r, line)
+
+let st_add_hist st (r : Request.t) line =
+  let e = { req = r; line; live = true } in
+  let ta = r.Request.ta in
+  st.hist <- e :: st.hist;
+  st.hist_len <- st.hist_len + 1;
+  Hashtbl.replace st.hist_by_ta ta
+    (e :: Option.value (Hashtbl.find_opt st.hist_by_ta ta) ~default:[]);
+  match r.Request.op with
+  | Op.Commit | Op.Abort -> st.finished <- ta :: st.finished
+  | _ -> ()
 
 let st_qualify ?gseq st key =
   match Hashtbl.find_opt st.submitted key with
-  | Some (_, r) ->
+  | Some (_, r, line) ->
     Hashtbl.remove st.submitted key;
-    st.hist <- r :: st.hist;
+    st_add_hist st r line;
     Option.iter (fun g -> Hashtbl.replace st.stamps key g) gseq;
     true
   | None -> false
 
 let st_abort st ta =
   Hashtbl.filter_map_inplace
-    (fun _ ((_, (r : Request.t)) as live) ->
+    (fun _ ((_, (r : Request.t), _) as live) ->
       if r.Request.ta = ta then None else Some live)
     st.submitted;
   st.aborts <- ta :: st.aborts
 
-let st_dead st r =
+let st_dead st r line =
   Hashtbl.remove st.submitted (Request.key r);
-  st.dead_ <- r :: st.dead_
+  st.dead_ <- (r, line) :: st.dead_
 
-(* Live requests in submission order: the cost is the live set, not every
-   key the journal has seen. *)
+(* Live requests with their lines, in submission order: the cost is the live
+   set, not every key the journal has seen. *)
 let pending_of_state st =
   Hashtbl.fold (fun _ live acc -> live :: acc) st.submitted []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  |> List.map (fun (_, r, line) -> (r, line))
+
+(* Live history entries in qualification order. *)
+let hist_of_state st =
+  List.fold_left (fun acc e -> if e.live then e :: acc else acc) [] st.hist
+
+(* Mirrors [Relations.prune_history]: transactions with a terminal op in
+   history (abort markers included) are dropped from the state mirror, so a
+   checkpoint snapshots the live relation state — bounded by the number of
+   active transactions — rather than the full log. The work is the entries
+   of the transactions that finished since the previous prune; the list
+   itself is compacted once pruned entries make up half of it. Replay of
+   the 'P' record itself stays a no-op: a full (checkpoint-free) replay
+   keeps the complete history so the restored [rte] log spans the whole
+   run. *)
+let prune_mirror st =
+  let drop ta =
+    match Hashtbl.find_opt st.hist_by_ta ta with
+    | None -> ()
+    | Some entries ->
+      Hashtbl.remove st.hist_by_ta ta;
+      List.iter
+        (fun e ->
+          e.live <- false;
+          st.hist_dead <- st.hist_dead + 1)
+        entries
+  in
+  List.iter drop st.finished;
+  List.iter drop st.aborts;
+  st.finished <- [];
+  st.aborts <- [];
+  if 2 * st.hist_dead > st.hist_len then begin
+    st.hist <- List.filter (fun e -> e.live) st.hist;
+    st.hist_len <- st.hist_len - st.hist_dead;
+    st.hist_dead <- 0
+  end
+
+let stamp_of st r = Hashtbl.find_opt st.stamps (Request.key r)
+
+(* Canonical serialization of the writer mirror, folded through CRC32 piece
+   by piece.  The traversal order is fully determined by the record order
+   (no hashtable iteration), so a standby that applied the same record
+   stream computes the same hash — any difference is replay divergence. *)
+let state_hash_parts st ~pending ~hist =
+  let c = ref (crc_feed crc_init ("E" ^ string_of_int st.epoch ^ "\n")) in
+  let feed s = c := crc_feed !c s in
+  List.iter
+    (fun (_, line) ->
+      feed "P ";
+      feed line;
+      feed "\n")
+    pending;
+  List.iter
+    (fun e ->
+      feed "H ";
+      feed
+        (match stamp_of st e.req with Some g -> string_of_int g | None -> "-");
+      feed " ";
+      feed e.line;
+      feed "\n")
+    hist;
+  List.iter
+    (fun ta ->
+      feed "A ";
+      feed (string_of_int ta);
+      feed "\n")
+    (List.rev st.aborts);
+  List.iter
+    (fun (_, line) ->
+      feed "D ";
+      feed line;
+      feed "\n")
+    (List.rev st.dead_);
+  crc_finish !c
+
+let state_hash_of st =
+  state_hash_parts st ~pending:(pending_of_state st) ~hist:(hist_of_state st)
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
@@ -105,32 +218,51 @@ type t = {
   sync : bool;
   mutable flushed_pos : int;  (* bytes known durable (after last [flush]) *)
   state : replay_state;  (* mirror of the journal's logical content *)
+  frame : Bytes.t;  (* the "!xxxxxxxx " frame prefix, rewritten per record *)
   mutable n_checkpoints : int;
   mutable n_lines : int;
       (* lines in the file so far; embedded in each C BEGIN so recovery can
          report how many prefix lines the checkpoint let it skip without
          ever reading the prefix *)
-  mutable sink : (int -> string -> unit) option;
-      (* replication tap: called with (lsn, payload) for every record written
-         through this handle — the primary side of a replication session *)
+  mutable sink : (string -> unit) option;
+      (* replication tap: called with the payload of every streamed record
+         written through this handle — the primary side of a replication
+         session *)
   mutable hash_checkpoints : bool;
       (* when set, every checkpoint block is followed by an 'H' record
          carrying the writer-mirror state hash (divergence detection) *)
 }
 
+let hex_digits = "0123456789abcdef"
+
 (* Every record is framed as [!crc32-hex payload]; recovery verifies the
-   checksum before trusting the payload. *)
-let write_line t payload =
+   checksum before trusting the payload.  [output_record t prefix body]
+   writes the record whose payload is [prefix ^ body] without building
+   it. *)
+let output_record t prefix body =
   t.n_lines <- t.n_lines + 1;
-  output_string t.oc (Printf.sprintf "!%08x %s\n" (crc32 payload) payload);
-  match t.sink with None -> () | Some f -> f t.n_lines payload
+  let crc = crc_finish (crc_feed (crc_feed crc_init prefix) body) in
+  for i = 0 to 7 do
+    Bytes.unsafe_set t.frame (8 - i)
+      hex_digits.[(crc lsr (4 * i)) land 0xf]
+  done;
+  output_bytes t.oc t.frame;
+  output_string t.oc prefix;
+  output_string t.oc body;
+  output_char t.oc '\n'
+
+(* A record of the log: written, then handed to the replication tap. *)
+let write_line t payload =
+  output_record t "" payload;
+  match t.sink with None -> () | Some f -> f payload
 
 let set_sink t f = t.sink <- Some f
 let set_hash_checkpoints t b = t.hash_checkpoints <- b
 
 let log_submit t r =
-  st_submit t.state r;
-  write_line t ("S " ^ Ds_workload.Trace.line_of_request r)
+  let line = Ds_workload.Trace.line_of_request r in
+  st_submit t.state r line;
+  write_line t ("S " ^ line)
 
 let log_qualified t keys =
   List.iter
@@ -155,63 +287,13 @@ let log_abort t ta =
   write_line t (Printf.sprintf "A %d" ta)
 
 let log_dead t r =
-  st_dead t.state r;
-  write_line t ("D " ^ Ds_workload.Trace.line_of_request r)
-
-(* Mirrors [Relations.prune_history]: transactions with a terminal op in
-   history (abort markers included) are dropped from the state mirror, so a
-   checkpoint snapshots the live relation state — bounded by the number of
-   active transactions — rather than the full log. Replay of the 'P' record
-   itself stays a no-op: a full (checkpoint-free) replay keeps the complete
-   history so the restored [rte] log spans the whole run. *)
-let prune_mirror st =
-  let terminal = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Request.t) ->
-      match r.Request.op with
-      | Op.Commit | Op.Abort -> Hashtbl.replace terminal r.Request.ta ()
-      | _ -> ())
-    st.hist;
-  List.iter (fun ta -> Hashtbl.replace terminal ta ()) st.aborts;
-  st.hist <-
-    List.filter
-      (fun (r : Request.t) -> not (Hashtbl.mem terminal r.Request.ta))
-      st.hist;
-  st.aborts <- []
+  let line = Ds_workload.Trace.line_of_request r in
+  st_dead t.state r line;
+  write_line t ("D " ^ line)
 
 let log_prune t =
   prune_mirror t.state;
   write_line t "P"
-
-(* Canonical serialization of the writer mirror, folded through CRC32.  The
-   traversal order is fully determined by the record order (no hashtable
-   iteration), so a standby that applied the same record stream computes the
-   same hash — any difference is replay divergence. *)
-let state_hash_of st =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "E%d\n" st.epoch);
-  List.iter
-    (fun r ->
-      Buffer.add_string buf ("P " ^ Ds_workload.Trace.line_of_request r ^ "\n"))
-    (pending_of_state st);
-  List.iter
-    (fun r ->
-      let stamp =
-        match Hashtbl.find_opt st.stamps (Request.key r) with
-        | Some g -> string_of_int g
-        | None -> "-"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "H %s %s\n" stamp (Ds_workload.Trace.line_of_request r)))
-    (List.rev st.hist);
-  List.iter
-    (fun ta -> Buffer.add_string buf (Printf.sprintf "A %d\n" ta))
-    (List.rev st.aborts);
-  List.iter
-    (fun r ->
-      Buffer.add_string buf ("D " ^ Ds_workload.Trace.line_of_request r ^ "\n"))
-    (List.rev st.dead_);
-  crc32 (Buffer.contents buf)
 
 let state_hash t = state_hash_of t.state
 
@@ -224,48 +306,54 @@ let log_epoch t e =
 
 let writer_epoch t = t.state.epoch
 
-let checkpoint t ~cycle =
-  let pending = pending_of_state t.state in
-  let hist = List.rev t.state.hist in
-  let aborts = List.rev t.state.aborts in
-  let dead = List.rev t.state.dead_ in
+(* Writes the snapshot block and returns its C BEGIN payload.  Only the
+   BEGIN record (and the 'H' record after the block) reaches the replication
+   tap: a standby rebuilds the entries and the END record from its own
+   mirror ([append_checkpoint]). *)
+let write_checkpoint t ~cycle =
+  let st = t.state in
+  let pending = pending_of_state st in
+  let hist = hist_of_state st in
   let entries =
-    List.length pending + List.length hist + List.length aborts
-    + List.length dead
-    + if t.state.epoch > 0 then 1 else 0
+    List.length pending + List.length hist + List.length st.aborts
+    + List.length st.dead_
+    + if st.epoch > 0 then 1 else 0
   in
-  write_line t (Printf.sprintf "C BEGIN %d %d" cycle t.n_lines);
+  let begin_ = Printf.sprintf "C BEGIN %d %d" cycle t.n_lines in
+  write_line t begin_;
   (* The promotion epoch is part of the snapshot: checkpoint-suffix recovery
      never reads past records, so without this a recovered post-failover
      journal would fall back to epoch 0 and stop fencing stale-primary
      writes. Epoch-0 journals write no entry — their bytes are unchanged. *)
-  if t.state.epoch > 0 then
-    write_line t (Printf.sprintf "c E %d" t.state.epoch);
-  List.iter
-    (fun r -> write_line t ("c P " ^ Ds_workload.Trace.line_of_request r))
-    pending;
+  if st.epoch > 0 then output_record t "c E " (string_of_int st.epoch);
+  List.iter (fun (_, line) -> output_record t "c P " line) pending;
   (* History entries carry their admission stamp when one was recorded
      ('c G gseq request'), so a sharded segment's checkpoint preserves the
      cross-segment merge order; unstamped entries keep the 'c H' form. *)
   List.iter
-    (fun r ->
-      match Hashtbl.find_opt t.state.stamps (Request.key r) with
-      | Some g ->
-        write_line t
-          (Printf.sprintf "c G %d %s" g (Ds_workload.Trace.line_of_request r))
-      | None -> write_line t ("c H " ^ Ds_workload.Trace.line_of_request r))
+    (fun e ->
+      match stamp_of st e.req with
+      | Some g -> output_record t ("c G " ^ string_of_int g ^ " ") e.line
+      | None -> output_record t "c H " e.line)
     hist;
-  List.iter (fun ta -> write_line t (Printf.sprintf "c A %d" ta)) aborts;
   List.iter
-    (fun r -> write_line t ("c D " ^ Ds_workload.Trace.line_of_request r))
-    dead;
-  write_line t (Printf.sprintf "C END %d" entries);
+    (fun ta -> output_record t "c A " (string_of_int ta))
+    (List.rev st.aborts);
+  List.iter (fun (_, line) -> output_record t "c D " line) (List.rev st.dead_);
+  output_record t "C END " (string_of_int entries);
   (* Replicated journals stamp each checkpoint with the writer-mirror state
      hash so a standby can compare its own replayed mirror ('H' replay is a
      no-op, so unreplicated journals and their recovery are untouched). *)
   if t.hash_checkpoints then
-    write_line t (Printf.sprintf "H %d %08x" cycle (state_hash_of t.state));
-  t.n_checkpoints <- t.n_checkpoints + 1
+    write_line t
+      (Printf.sprintf "H %d %08x" cycle (state_hash_parts st ~pending ~hist));
+  t.n_checkpoints <- t.n_checkpoints + 1;
+  begin_
+
+let checkpoint t ~cycle = ignore (write_checkpoint t ~cycle)
+
+let append_checkpoint t ~cycle begin_ =
+  String.equal (write_checkpoint t ~cycle) begin_
 
 let checkpoints_written t = t.n_checkpoints
 
@@ -322,7 +410,7 @@ let apply_record ~writer st lineno line =
         else "" )
     with
     | 'S', rest ->
-      st_submit st (Ds_workload.Trace.request_of_line ~lineno rest)
+      st_submit st (Ds_workload.Trace.request_of_line ~lineno rest) rest
     | 'Q', rest -> (
       (* 2-field: "Q ta intrata" (unsharded); 3-field adds the global
          admission sequence: "Q ta intrata gseq" (sharded segments). *)
@@ -344,7 +432,8 @@ let apply_record ~writer st lineno line =
       match int_of_string_opt (String.trim rest) with
       | Some ta -> st_abort st ta
       | None -> fail "malformed A entry")
-    | 'D', rest -> st_dead st (Ds_workload.Trace.request_of_line ~lineno rest)
+    | 'D', rest ->
+      st_dead st (Ds_workload.Trace.request_of_line ~lineno rest) rest
     | 'P', _ ->
       (* pruning is an optimization; replay keeps full history so the
          restored rte spans the whole run, while the writer-semantics
@@ -370,8 +459,9 @@ let apply_record ~writer st lineno line =
 let apply st lineno line = apply_record ~writer:false st lineno line
 
 (* Standby-side append: applies [payload] to the writer mirror with writer
-   semantics, then writes the identical framed record — the standby journal
-   file stays a byte-prefix of the primary's.
+   semantics (the mirror keeps the payload's request line as it is), then
+   writes the identical framed record — the standby journal file stays a
+   byte-prefix of the primary's.
    @raise Failure on a malformed record or a fenced stale epoch. *)
 let append_raw t payload =
   apply_record ~writer:true t.state (t.n_lines + 1) payload;
@@ -485,28 +575,22 @@ let recover ?(repair = false) path =
       | Framed p when String.length p >= 4 && p.[0] = 'c' ->
         incr entries;
         let rest = String.sub p 4 (String.length p - 4) in
+        let request = Ds_workload.Trace.request_of_line ~lineno:(i + 1) in
         (match p.[2] with
-        | 'P' ->
-          st_submit st (Ds_workload.Trace.request_of_line ~lineno:(i + 1) rest)
-        | 'H' ->
-          st.hist <-
-            Ds_workload.Trace.request_of_line ~lineno:(i + 1) rest :: st.hist
+        | 'P' -> st_submit st (request rest) rest
+        | 'H' -> st_add_hist st (request rest) rest
         | 'G' -> (
           (* stamped history entry: "c G gseq request-line" *)
           match String.index_opt rest ' ' with
           | None -> failwith "bad checkpoint entry"
           | Some sp ->
             let gseq = int_of_string (String.sub rest 0 sp) in
-            let r =
-              Ds_workload.Trace.request_of_line ~lineno:(i + 1)
-                (String.sub rest (sp + 1) (String.length rest - sp - 1))
-            in
+            let line = String.sub rest (sp + 1) (String.length rest - sp - 1) in
+            let r = request line in
             Hashtbl.replace st.stamps (Request.key r) gseq;
-            st.hist <- r :: st.hist)
+            st_add_hist st r line)
         | 'A' -> st.aborts <- int_of_string (String.trim rest) :: st.aborts
-        | 'D' ->
-          st.dead_ <-
-            Ds_workload.Trace.request_of_line ~lineno:(i + 1) rest :: st.dead_
+        | 'D' -> st.dead_ <- (request rest, rest) :: st.dead_
         | 'E' -> st.epoch <- int_of_string (String.trim rest)
         | _ -> failwith "bad checkpoint entry")
       | Empty -> ()
@@ -608,16 +692,13 @@ let recover ?(repair = false) path =
      done
    with Exit -> ());
   if repair && !valid_bytes < file_len then Unix.truncate path !valid_bytes;
-  let history = List.rev st.hist in
+  let history = List.map (fun e -> e.req) (hist_of_state st) in
   {
-    pending = pending_of_state st;
+    pending = List.map fst (pending_of_state st);
     history;
-    history_stamped =
-      List.map
-        (fun r -> (r, Hashtbl.find_opt st.stamps (Request.key r)))
-        history;
+    history_stamped = List.map (fun r -> (r, stamp_of st r)) history;
     aborted = List.rev st.aborts;
-    dead = List.rev st.dead_;
+    dead = List.rev_map fst st.dead_;
     replayed = !replayed;
     checkpoint_cycle;
     skipped;
@@ -756,14 +837,17 @@ let open_ ?(sync = false) ?state path =
   (match state with
   | None -> ()
   | Some r ->
-    List.iter (st_submit st) r.pending;
-    st.hist <- List.rev r.history;
+    (* the one place a request line is formatted for a request the journal
+       did not just write *)
+    let line = Ds_workload.Trace.line_of_request in
+    List.iter (fun req -> st_submit st req (line req)) r.pending;
+    List.iter (fun req -> st_add_hist st req (line req)) r.history;
     List.iter
       (fun (req, g) ->
         Option.iter (fun g -> Hashtbl.replace st.stamps (Request.key req) g) g)
       r.history_stamped;
     st.aborts <- List.rev r.aborted;
-    st.dead_ <- List.rev r.dead;
+    st.dead_ <- List.rev_map (fun req -> (req, line req)) r.dead;
     st.epoch <- r.epoch);
   {
     oc;
@@ -771,6 +855,7 @@ let open_ ?(sync = false) ?state path =
     sync;
     flushed_pos = out_channel_length oc;
     state = st;
+    frame = Bytes.of_string "!00000000 ";
     n_checkpoints = 0;
     n_lines = count_file_lines path;
     sink = None;

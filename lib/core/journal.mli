@@ -103,7 +103,13 @@ val log_prune : t -> unit
 (** [checkpoint t ~cycle] writes a snapshot block of the journal's current
     logical state (pending, history, aborts, dead letters) with [cycle] as
     its watermark. Recovery replays only what follows the last complete
-    block. The caller is responsible for {!flush}ing. *)
+    block. The entries come from request lines the writer already holds:
+    each request is formatted once, when it enters the mirror, and a
+    checkpoint formats none. The caller is responsible for {!flush}ing.
+
+    Of the block, only the [C BEGIN] record reaches the {!set_sink} tap
+    (followed by the ['H'] record when {!set_hash_checkpoints} is on): a
+    standby writes the entries and [C END] itself ({!append_checkpoint}). *)
 val checkpoint : t -> cycle:int -> unit
 
 (** Snapshot blocks written through this handle. *)
@@ -113,14 +119,17 @@ val checkpoints_written : t -> int
 
     A replication session taps the primary's journal writer with
     {!set_sink} and applies the streamed records on the standby side with
-    {!append_raw}; {!state_hash} + hash-stamped checkpoints
+    {!append_raw}, rebuilding each checkpoint block locally with
+    {!append_checkpoint}; {!state_hash} + hash-stamped checkpoints
     ({!set_hash_checkpoints}) give both ends a cheap divergence witness,
     and ['E'] epoch records ({!log_epoch}) fence stale-primary writes. *)
 
-(** [set_sink t f] installs a replication tap: [f lsn payload] fires for
-    every record written through [t], where [lsn] is the record's 1-based
-    line number in the file. *)
-val set_sink : t -> (int -> string -> unit) -> unit
+(** [set_sink t f] installs a replication tap: [f payload] fires for every
+    record of the log written through [t] — every record except a
+    checkpoint block's [c …] entries and its [C END], which a standby
+    writes from its own mirror. The caller numbers the records it is
+    handed; the numbers are not file line numbers. *)
+val set_sink : t -> (string -> unit) -> unit
 
 (** Enables the ['H cycle hash'] record after each checkpoint block: the
     CRC32 of the writer mirror's canonical serialization. Off by default so
@@ -139,6 +148,14 @@ val state_hash : t -> int
     @raise Failure on a malformed record or a fenced stale epoch. *)
 val append_raw : t -> string -> unit
 
+(** [append_checkpoint t ~cycle begin_] is the standby side of a streamed
+    checkpoint: [begin_] is the primary's [C BEGIN cycle lines] record.
+    Writes this journal's own checkpoint block at [cycle] from its replayed
+    mirror (as {!checkpoint}) and tells whether the [C BEGIN] record it
+    wrote equals [begin_]. It does not when the two files' line counts
+    differ, i.e. the standby file is no longer a prefix of the primary's. *)
+val append_checkpoint : t -> cycle:int -> string -> bool
+
 (** [log_epoch t e] stamps promotion epoch [e] (an ['E'] record). Replay
     fences: an ['E'] record with a lower epoch than the replay state already
     carries raises [Failure] — a stale primary from a fenced old epoch
@@ -147,6 +164,9 @@ val log_epoch : t -> int -> unit
 
 (** The writer mirror's current promotion epoch. *)
 val writer_epoch : t -> int
+
+(** CRC32 (IEEE 802.3) of a string — the checksum in every record frame. *)
+val crc32 : string -> int
 
 (** Flushes buffered entries to the OS (called by the scheduler at the end of
     every cycle); fsyncs too when the journal was opened with [~sync:true]. *)

@@ -1,8 +1,35 @@
 open Ds_model
 
-type phase_times = { drain_insert : float; query : float; move : float }
+type phase_times = {
+  drain_insert : float;
+  query : float;
+  move : float;
+  history : float;
+  journal : float;
+  checkpoint : float;
+}
+
+let zero_times =
+  {
+    drain_insert = 0.;
+    query = 0.;
+    move = 0.;
+    history = 0.;
+    journal = 0.;
+    checkpoint = 0.;
+  }
 
 let total_time t = t.drain_insert +. t.query +. t.move
+
+let add_times a b =
+  {
+    drain_insert = a.drain_insert +. b.drain_insert;
+    query = a.query +. b.query;
+    move = a.move +. b.move;
+    history = a.history +. b.history;
+    journal = a.journal +. b.journal;
+    checkpoint = a.checkpoint +. b.checkpoint;
+  }
 
 type cycle_stats = {
   drained : int;
@@ -55,7 +82,7 @@ let create ?(extended = false) ?(prune_history_each_cycle = true) ?journal
     terminated = Hashtbl.create 16;
     abort_seq = 0;
     cycles = 0;
-    cum = { drain_insert = 0.; query = 0.; move = 0. };
+    cum = zero_times;
   }
 
 let relations t = t.rels
@@ -139,13 +166,13 @@ let drain t =
 
 (* End-of-cycle snapshot: every [checkpoint_every] cycles the journal writes
    its logical state as a checkpoint block, so recovery replays only the
-   suffix written since. The snapshot is also a trace event — checkpointing
-   is observable like every other decision. *)
+   suffix written since. It goes out with the cycle's records, under the
+   cycle's one flush. The snapshot is also a trace event — checkpointing is
+   observable like every other decision. *)
 let maybe_checkpoint t j =
   match t.checkpoint_every with
   | Some n when t.cycles mod n = 0 ->
     Journal.checkpoint j ~cycle:t.cycles;
-    Journal.flush j;
     Ds_obs.Trace.emit t.trace Ds_obs.Trace.Checkpoint ~ta:(-1) ~seq:(-1)
       ~arg:t.cycles ()
   | _ -> ()
@@ -174,8 +201,8 @@ let cycle ?(passthrough = false) t =
     Option.iter
       (fun j ->
         journal_qualified j ~stamped reqs;
-        Journal.flush j;
-        maybe_checkpoint t j)
+        maybe_checkpoint t j;
+        Journal.flush j)
       t.journal;
     let stats =
       {
@@ -183,7 +210,7 @@ let cycle ?(passthrough = false) t =
         pending_before = Relations.pending_count t.rels;
         history_before = Relations.history_count t.rels;
         qualified = List.length reqs;
-        times = { drain_insert = 0.; query = 0.; move = 0. };
+        times = zero_times;
         index_time = 0.;
       }
     in
@@ -219,22 +246,36 @@ let cycle ?(passthrough = false) t =
             Ds_obs.Trace.Sched_defer r)
         (Relations.pending t.rels)
     end;
+    let t3 = now () in
     let stamped = stamp_batch t qualified in
-    Option.iter
-      (fun j ->
+    (* Consecutive timestamps split the journal work around the checkpoint:
+       records, then the block, then the one flush. *)
+    let t4, t5 =
+      match t.journal with
+      | None -> (t3, t3)
+      | Some j ->
         journal_qualified j ~stamped qualified;
         if t.prune then Journal.log_prune j;
+        let t4 = now () in
+        maybe_checkpoint t j;
+        let t5 = now () in
         Journal.flush j;
-        maybe_checkpoint t j)
-      t.journal;
-    let t3 = now () in
-    let times = { drain_insert = t1 -. t0; query = query_dt; move = t3 -. t2 } in
-    t.cum <-
+        (t4, t5)
+    in
+    let t6 = now () in
+    let history = t3 -. t2 and checkpoint = t5 -. t4 in
+    let journal = t4 -. t3 +. (t6 -. t5) in
+    let times =
       {
-        drain_insert = t.cum.drain_insert +. times.drain_insert;
-        query = t.cum.query +. times.query;
-        move = t.cum.move +. times.move;
-      };
+        drain_insert = t1 -. t0;
+        query = query_dt;
+        move = history +. journal +. checkpoint;
+        history;
+        journal;
+        checkpoint;
+      }
+    in
+    t.cum <- add_times t.cum times;
     let stats =
       {
         drained = List.length incoming;

@@ -15,9 +15,21 @@ open Ds_model
 type phase_times = {
   drain_insert : float;  (** queue -> pending table *)
   query : float;  (** protocol evaluation *)
-  move : float;  (** delete from pending, insert into history/rte *)
+  move : float;
+      (** everything after the query: exactly
+          [history +. journal +. checkpoint] *)
+  history : float;
+      (** part of [move]: delete from pending, insert into history/rte,
+          prune the relations, trace admits and deferrals *)
+  journal : float;
+      (** part of [move]: append the cycle's records to the journal, then
+          flush (and fsync) it *)
+  checkpoint : float;
+      (** part of [move]: the checkpoint block, its state hash and its
+          trace event *)
 }
 
+(** [drain_insert +. query +. move]; [move]'s parts are not added again. *)
 val total_time : phase_times -> float
 
 type cycle_stats = {

@@ -108,7 +108,7 @@ let apply_inject inject ~rte ~merged =
         arr.(j) <- tmp);
       (Array.to_list arr, merged))
 
-(* Client acks strictly before the promotion, each with its journal LSN;
+(* Client acks strictly before the promotion, each with its stream LSN;
    survival is a ['Q'] record in the promoted journal's continuous log. *)
 let failover_report session ~trace_events =
   let failover_at =

@@ -26,7 +26,7 @@ val ok : outcome -> bool
 
 (** The failover durability audit of a promoted replication session: every
     transaction a client saw committed strictly before the [Failover] trace
-    event, with its journal LSN, looked up as an executed ([Q]) record in
+    event, with its stream LSN, looked up as an executed ([Q]) record in
     the promoted standby journal ({!Ds_core.Journal.qualified_tas}) and
     classified against the final watermark by
     {!Ds_check.Equivalence.check_failover}. *)

@@ -52,7 +52,7 @@ val pp_plan : Format.formatter -> plan -> unit
 
 type message = {
   m_epoch : int;  (** sender's promotion epoch at send time *)
-  m_lsn : int;  (** journal line number of the replicated record *)
+  m_lsn : int;  (** the replicated record's LSN (its number in the stream) *)
   m_payload : string;  (** the journal record, unframed *)
   m_sent_at : float;
 }

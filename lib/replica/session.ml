@@ -29,7 +29,10 @@ type t = {
   mutable clock : unit -> float;
   trace : Ds_obs.Trace.t option;
   mutable epoch : int;  (* current promotion epoch; 0 until a failover *)
-  mutable primary_lsn : int;  (* last record streamed off the primary *)
+  mutable primary_lsn : int;
+      (* last record streamed off the primary. The session numbers streamed
+         records itself: checkpoint entries never travel, so LSNs are not
+         journal line numbers *)
   mutable watermark : int;  (* highest contiguous LSN applied + acked *)
   outbox : (int, string * float ref) Hashtbl.t;
       (* primary-side retention of unacked records: lsn -> payload, last
@@ -120,10 +123,11 @@ let note_record t lsn payload =
       | None -> ())
     | _ -> ()
 
-let on_record t lsn payload =
+let on_record t payload =
   if not t.promoted then begin
     let now = t.clock () in
-    t.primary_lsn <- max t.primary_lsn lsn;
+    let lsn = t.primary_lsn + 1 in
+    t.primary_lsn <- lsn;
     Hashtbl.replace t.outbox lsn (payload, ref now);
     note_record t lsn payload;
     Link.send t.link ~now ~epoch:t.epoch ~lsn ~payload
@@ -131,11 +135,27 @@ let on_record t lsn payload =
 
 let attach t journal =
   Journal.set_hash_checkpoints journal true;
-  Journal.set_sink journal (fun lsn payload -> on_record t lsn payload)
+  Journal.set_sink journal (on_record t)
 
-(* Apply the contiguous prefix sitting in the reorder buffer.  'H' records
-   carry the primary's state hash for the checkpoint just written; comparing
-   it against the standby mirror's own hash is the divergence detector. *)
+let diverged t ~cycle =
+  t.n_divergences <- t.n_divergences + 1;
+  Ds_obs.Trace.emit t.trace Ds_obs.Trace.Repl_divergence ~ta:(-1) ~seq:(-1)
+    ~arg:cycle ()
+
+(* The cycle of a streamed "C BEGIN cycle lines" record. *)
+let checkpoint_cycle payload =
+  if String.length payload > 8 && payload.[0] = 'C' then
+    match String.split_on_char ' ' payload with
+    | [ "C"; "BEGIN"; cycle; _ ] -> int_of_string_opt cycle
+    | _ -> None
+  else None
+
+(* Apply the contiguous prefix sitting in the reorder buffer.  A checkpoint
+   travels as its C BEGIN record alone: the standby writes its own block
+   from its replayed mirror and checks that its BEGIN line is the streamed
+   one.  'H' records carry the primary's state hash for the checkpoint just
+   written; comparing it against the standby mirror's own hash is the
+   divergence detector. *)
 let drain t =
   match t.standby with
   | None -> ()
@@ -146,7 +166,11 @@ let drain t =
       | None -> continue_ := false
       | Some payload ->
         Hashtbl.remove t.reorder (t.watermark + 1);
-        Journal.append_raw j payload;
+        (match checkpoint_cycle payload with
+        | Some cycle ->
+          if not (Journal.append_checkpoint j ~cycle payload) then
+            diverged t ~cycle
+        | None -> Journal.append_raw j payload);
         t.watermark <- t.watermark + 1;
         Hashtbl.remove t.outbox t.watermark;
         if String.length payload >= 2 && payload.[0] = 'H' then begin
@@ -157,11 +181,7 @@ let drain t =
             with
             | Some cycle, Some h ->
               t.n_hash_checks <- t.n_hash_checks + 1;
-              if Journal.state_hash j <> h then begin
-                t.n_divergences <- t.n_divergences + 1;
-                Ds_obs.Trace.emit t.trace Ds_obs.Trace.Repl_divergence
-                  ~ta:(-1) ~seq:(-1) ~arg:cycle ()
-              end
+              if Journal.state_hash j <> h then diverged t ~cycle
             | _ -> ())
           | _ -> ()
         end

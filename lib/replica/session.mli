@@ -7,10 +7,14 @@
     records strictly in LSN order (out-of-order arrivals wait in a reorder
     buffer), the {e watermark} is the highest contiguous LSN applied, and
     the primary retransmits unacked records past an RTO — so drops,
-    duplicates and reorderings are all absorbed. Each checkpoint the primary
-    writes is followed by an ['H'] record carrying its state-mirror hash;
-    the standby compares it against its own mirror ({e divergence
-    detection}).
+    duplicates and reorderings are all absorbed. LSNs number the streamed
+    records contiguously; a checkpoint block's entries and [C END] are not
+    streamed. A checkpoint travels as its [C BEGIN] record: the standby
+    writes its own block from its replayed mirror
+    ({!Ds_core.Journal.append_checkpoint}) and checks that its [C BEGIN]
+    equals the streamed one. The ['H'] record after it carries the
+    primary's state-mirror hash, which the standby compares against its own
+    mirror ({e divergence detection}).
 
     {!promote} turns the standby into the new primary: its journal is
     recovered (torn tail repaired), stamped with a fresh monotonic
@@ -104,7 +108,12 @@ val standby_path_of : string -> string
 
 val mode : t -> mode
 val epoch : t -> int
+
+(** LSN of the last record streamed off the primary: the number of records
+    streamed so far. That is the primary journal's record count minus its
+    checkpoint entries and [C END] records, which never travel. *)
 val primary_lsn : t -> int
+
 val watermark : t -> int
 
 (** [primary_lsn - watermark]: records the standby has not yet acked — the
@@ -114,7 +123,9 @@ val lag : t -> int
 (** Stale-epoch records refused after a promotion. *)
 val fenced : t -> int
 
-(** Checkpoint-hash mismatches between primary and standby mirrors. *)
+(** Checkpoint mismatches between primary and standby: a state hash that
+    differs, or a [C BEGIN] record the standby wrote that differs from the
+    streamed one. *)
 val divergences : t -> int
 
 val retransmits : t -> int

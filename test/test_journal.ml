@@ -7,9 +7,9 @@ let with_journal_file f =
   let path = Filename.temp_file "ds_journal" ".log" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-(* One journal record line, ["!crc32 payload"], with the CRC32 computed
-   bit by bit here rather than through the journal's table. *)
-let frame payload =
+(* CRC32 computed bit by bit here rather than through the journal's
+   table. *)
+let crc_bitwise s =
   let crc = ref 0xFFFFFFFF in
   String.iter
     (fun ch ->
@@ -18,8 +18,11 @@ let frame payload =
         crc :=
           if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
       done)
-    payload;
-  Printf.sprintf "!%08x %s\n" (!crc lxor 0xFFFFFFFF) payload
+    s;
+  !crc lxor 0xFFFFFFFF
+
+(* One journal record line, ["!crc32 payload"]. *)
+let frame payload = Printf.sprintf "!%08x %s\n" (crc_bitwise payload) payload
 
 let sorted_pending rels =
   Helpers.sorted_keys (List.map Request.key (Relations.pending rels))
@@ -615,6 +618,347 @@ let test_abort_drops_live_requests () =
         [ "c P " ^ Ds_workload.Trace.line_of_request kept ]
         (List.filter (fun p -> String.starts_with ~prefix:"c P " p) (payloads path)))
 
+(* --- the serializer against a reference ----------------------------- *)
+
+(* A reference journal writer: the mirror as plain in-order lists, pruned by
+   filtering the whole history, and every checkpoint entry and state hash
+   formatted from its request with [Trace.line_of_request] at the moment it
+   is written. The test keeps two: the writer's, which prunes, and the state
+   recovery rebuilds, which keeps history whole. *)
+type ref_state = {
+  mutable live : ((int * int) * (int * Request.t)) list;  (* key -> seq, request *)
+  mutable subs : int;
+  mutable hist : Request.t list;
+  mutable stamps : ((int * int) * int) list;
+  mutable aborts : int list;
+  mutable dead : Request.t list;
+  mutable epoch : int;
+}
+
+let ref_fresh () =
+  { live = []; subs = 0; hist = []; stamps = []; aborts = []; dead = []; epoch = 0 }
+
+let ref_line = Ds_workload.Trace.line_of_request
+
+let ref_submit st r =
+  let key = Request.key r in
+  match List.assoc_opt key st.live with
+  | Some (seq, _) ->
+    st.live <- List.map (fun (k, v) -> if k = key then (k, (seq, r)) else (k, v)) st.live
+  | None ->
+    st.subs <- st.subs + 1;
+    st.live <- st.live @ [ (key, (st.subs, r)) ]
+
+let ref_qualify st ?gseq key =
+  let _, r = List.assoc key st.live in
+  st.live <- List.remove_assoc key st.live;
+  st.hist <- st.hist @ [ r ];
+  Option.iter
+    (fun g -> st.stamps <- (key, g) :: List.remove_assoc key st.stamps)
+    gseq
+
+let ref_abort st ta =
+  st.live <- List.filter (fun (_, (_, (r : Request.t))) -> r.Request.ta <> ta) st.live;
+  st.aborts <- st.aborts @ [ ta ]
+
+let ref_dead st r =
+  st.live <- List.remove_assoc (Request.key r) st.live;
+  st.dead <- st.dead @ [ r ]
+
+let ref_prune st =
+  let finished =
+    List.filter_map
+      (fun (r : Request.t) ->
+        if Op.is_terminal r.Request.op then Some r.Request.ta else None)
+      st.hist
+    @ st.aborts
+  in
+  st.hist <- List.filter (fun (r : Request.t) -> not (List.mem r.Request.ta finished)) st.hist;
+  st.aborts <- []
+
+let ref_pending st =
+  List.sort (fun (_, (a, _)) (_, (b, _)) -> Int.compare a b) st.live
+  |> List.map (fun (_, (_, r)) -> r)
+
+let ref_stamp st r = List.assoc_opt (Request.key r) st.stamps
+
+let ref_hash st =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (Printf.sprintf "E%d\n" st.epoch);
+  List.iter (fun r -> Buffer.add_string buf ("P " ^ ref_line r ^ "\n")) (ref_pending st);
+  List.iter
+    (fun r ->
+      let stamp = match ref_stamp st r with Some g -> string_of_int g | None -> "-" in
+      Buffer.add_string buf (Printf.sprintf "H %s %s\n" stamp (ref_line r)))
+    st.hist;
+  List.iter (fun ta -> Buffer.add_string buf (Printf.sprintf "A %d\n" ta)) st.aborts;
+  List.iter (fun r -> Buffer.add_string buf ("D " ^ ref_line r ^ "\n")) st.dead;
+  crc_bitwise (Buffer.contents buf)
+
+(* The checkpoint block (and its 'H' record) the reference writes after
+   [lines] journal lines. *)
+let ref_block st ~cycle ~lines =
+  let entries =
+    (if st.epoch > 0 then [ Printf.sprintf "c E %d" st.epoch ] else [])
+    @ List.map (fun r -> "c P " ^ ref_line r) (ref_pending st)
+    @ List.map
+        (fun r ->
+          match ref_stamp st r with
+          | Some g -> Printf.sprintf "c G %d %s" g (ref_line r)
+          | None -> "c H " ^ ref_line r)
+        st.hist
+    @ List.map (Printf.sprintf "c A %d") st.aborts
+    @ List.map (fun r -> "c D " ^ ref_line r) st.dead
+  in
+  (Printf.sprintf "C BEGIN %d %d" cycle lines :: entries)
+  @ [
+      Printf.sprintf "C END %d" (List.length entries);
+      Printf.sprintf "H %d %08x" cycle (ref_hash st);
+    ]
+
+(* What recovery hands back for the reference's replay state. *)
+let ref_recovered st =
+  ( List.map ref_line (ref_pending st),
+    List.map (fun r -> (ref_line r, ref_stamp st r)) st.hist,
+    st.aborts,
+    List.map ref_line st.dead,
+    st.epoch )
+
+let observe_recovered (r : Journal.recovered) =
+  ( List.map ref_line r.Journal.pending,
+    List.map (fun (q, g) -> (ref_line q, g)) r.Journal.history_stamped,
+    r.Journal.aborted,
+    List.map ref_line r.Journal.dead,
+    r.Journal.epoch )
+
+type jop =
+  | J_submit of int * int * int * int  (* ta, intrata, op choice, arrival *)
+  | J_resubmit of int * int  (* pick among live keys, arrival *)
+  | J_qualify of int list * bool  (* picks among live keys, stamped *)
+  | J_abort of int
+  | J_dead of int  (* pick among live keys; a fresh request when none *)
+  | J_prune
+  | J_epoch
+  | J_checkpoint
+
+let jop_to_string = function
+  | J_submit (ta, i, o, a) -> Printf.sprintf "submit(%d,%d,%d,%d)" ta i o a
+  | J_resubmit (p, a) -> Printf.sprintf "resubmit(%d,%d)" p a
+  | J_qualify (ps, st) ->
+    Printf.sprintf "qualify([%s],%b)" (String.concat ";" (List.map string_of_int ps)) st
+  | J_abort ta -> Printf.sprintf "abort(%d)" ta
+  | J_dead p -> Printf.sprintf "dead(%d)" p
+  | J_prune -> "prune"
+  | J_epoch -> "epoch"
+  | J_checkpoint -> "checkpoint"
+
+let jop_gen =
+  let open QCheck2.Gen in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun ta intrata (op, arrival) -> J_submit (ta, intrata, op, arrival))
+          (int_range 1 5) (int_range 1 3)
+          (pair (int_bound 3) (int_bound 1_000_000)) );
+      (2, map2 (fun p a -> J_resubmit (p, a)) nat (int_bound 1_000_000));
+      (4, map2 (fun ps st -> J_qualify (ps, st)) (list_size (int_range 1 3) nat) bool);
+      (1, map (fun ta -> J_abort ta) (int_range 1 5));
+      (1, map (fun p -> J_dead p) nat);
+      (2, pure J_prune);
+      (1, pure J_epoch);
+      (2, pure J_checkpoint);
+    ]
+
+(* Drives a journal and the reference through the same operations, then
+   compares the file byte for byte with the reference's framed records, the
+   state hash, recovery, a checkpoint written after reopening from the
+   recovered state, and a standby built from the streamed records alone. *)
+let serializer_matches_reference =
+  QCheck2.Test.make ~name:"serializer matches the line_of_request reference"
+    ~count:200 ~print:(fun ops -> String.concat " " (List.map jop_to_string ops))
+    QCheck2.Gen.(list_size (int_range 0 60) jop_gen)
+    (fun ops ->
+      with_journal_file (fun path ->
+          with_journal_file (fun standby_path ->
+              let j = Journal.open_ path in
+              Journal.set_hash_checkpoints j true;
+              let streamed = ref [] in
+              Journal.set_sink j (fun p -> streamed := p :: !streamed);
+              let w = ref_fresh () and replay = ref (ref_fresh ()) in
+              let expected = ref [] in
+              let emit p = expected := p :: !expected in
+              let both f = f w; f !replay in
+              let next_id = ref 0 and gseq = ref 0 and cycle = ref 0 in
+              let request ~ta ~intrata ~op ~arrival =
+                incr next_id;
+                let op = List.nth [ Op.Read; Op.Write; Op.Commit; Op.Abort ] op in
+                let sla = List.nth [ Sla.premium; Sla.standard; Sla.free ] (arrival mod 3) in
+                Request.make ~sla ~arrival:(float_of_int arrival /. 7.) ~id:!next_id ~ta
+                  ~intrata ~op
+                  ?obj:(if Op.is_data op then Some ((ta * 7) + intrata) else None)
+                  ()
+              in
+              let pick p = List.nth_opt w.live (p mod max 1 (List.length w.live)) in
+              let submit r =
+                Journal.log_submit j r;
+                both (fun st -> ref_submit st r);
+                emit ("S " ^ ref_line r)
+              in
+              List.iter
+                (function
+                  | J_submit (ta, intrata, op, arrival) ->
+                    submit (request ~ta ~intrata ~op ~arrival)
+                  | J_resubmit (p, arrival) -> (
+                    match pick p with
+                    | Some ((ta, intrata), (_, (r : Request.t))) ->
+                      let op =
+                        match r.Request.op with
+                        | Op.Read -> 0 | Op.Write -> 1 | Op.Commit -> 2 | Op.Abort -> 3
+                      in
+                      submit (request ~ta ~intrata ~op ~arrival)
+                    | None -> ())
+                  | J_qualify (ps, stamped) ->
+                    let keys =
+                      List.fold_left
+                        (fun acc p ->
+                          match pick p with
+                          | Some (k, _) when not (List.mem k acc) -> acc @ [ k ]
+                          | _ -> acc)
+                        [] ps
+                    in
+                    if stamped then begin
+                      let entries =
+                        List.map
+                          (fun k ->
+                            incr gseq;
+                            (k, !gseq))
+                          keys
+                      in
+                      Journal.log_qualified_stamped j entries;
+                      List.iter
+                        (fun (((ta, intrata) as k), g) ->
+                          both (fun st -> ref_qualify st ~gseq:g k);
+                          emit (Printf.sprintf "Q %d %d %d" ta intrata g))
+                        entries
+                    end
+                    else begin
+                      Journal.log_qualified j keys;
+                      List.iter
+                        (fun ((ta, intrata) as k) ->
+                          both (fun st -> ref_qualify st k);
+                          emit (Printf.sprintf "Q %d %d" ta intrata))
+                        keys
+                    end
+                  | J_abort ta ->
+                    Journal.log_abort j ta;
+                    both (fun st -> ref_abort st ta);
+                    emit (Printf.sprintf "A %d" ta)
+                  | J_dead p ->
+                    let r =
+                      match pick p with
+                      | Some (_, (_, r)) -> r
+                      | None -> request ~ta:9 ~intrata:1 ~op:0 ~arrival:p
+                    in
+                    Journal.log_dead j r;
+                    both (fun st -> ref_dead st r);
+                    emit ("D " ^ ref_line r)
+                  | J_prune ->
+                    Journal.log_prune j;
+                    ref_prune w;
+                    emit "P"
+                  | J_epoch ->
+                    let e = w.epoch + 1 in
+                    Journal.log_epoch j e;
+                    both (fun st -> st.epoch <- e);
+                    emit (Printf.sprintf "E %d" e)
+                  | J_checkpoint ->
+                    incr cycle;
+                    Journal.checkpoint j ~cycle:!cycle;
+                    List.iter emit
+                      (ref_block w ~cycle:!cycle ~lines:(List.length !expected));
+                    (* recovery starts from this block: its state, with the
+                       stamps of the history entries only *)
+                    replay :=
+                      {
+                        w with
+                        stamps =
+                          List.filter_map
+                            (fun r -> Option.map (fun g -> (Request.key r, g)) (ref_stamp w r))
+                            w.hist;
+                      })
+                ops;
+              let hash = Journal.state_hash j in
+              Journal.close j;
+              let expected = List.rev !expected in
+              let file = In_channel.with_open_bin path In_channel.input_all in
+              if file <> String.concat "" (List.map frame expected) then
+                QCheck2.Test.fail_reportf "journal differs from the reference:@.%s"
+                  (String.concat "\n" expected);
+              if hash <> ref_hash w then QCheck2.Test.fail_report "state hash differs";
+              let recovered = Journal.recover path in
+              if observe_recovered recovered <> ref_recovered !replay then
+                QCheck2.Test.fail_report "recovery differs from the reference";
+              (* Reopened from recovery, the writer formats each request once
+                 and checkpoints the replay state. *)
+              let reopened = Journal.open_ ~state:recovered path in
+              Journal.set_hash_checkpoints reopened true;
+              Journal.checkpoint reopened ~cycle:1000;
+              Journal.close reopened;
+              let tail =
+                List.filteri (fun i _ -> i >= List.length expected) (payloads path)
+              in
+              if tail <> ref_block !replay ~cycle:1000 ~lines:(List.length expected)
+              then QCheck2.Test.fail_report "reopened checkpoint differs";
+              (* A standby fed only the streamed records writes the same
+                 file. *)
+              Sys.remove standby_path;
+              let sb = Journal.open_ standby_path in
+              List.iter
+                (fun p ->
+                  match String.split_on_char ' ' p with
+                  | [ "C"; "BEGIN"; c; _ ] ->
+                    if not (Journal.append_checkpoint sb ~cycle:(int_of_string c) p)
+                    then QCheck2.Test.fail_report "standby C BEGIN differs"
+                  | _ -> Journal.append_raw sb p)
+                (List.rev !streamed);
+              let sb_hash = Journal.state_hash sb in
+              Journal.close sb;
+              let sb_file = In_channel.with_open_bin standby_path In_channel.input_all in
+              if sb_file <> file then QCheck2.Test.fail_report "standby file differs";
+              if sb_hash <> hash then QCheck2.Test.fail_report "standby state hash differs";
+              let local p =
+                String.starts_with ~prefix:"c " p || String.starts_with ~prefix:"C END" p
+              in
+              List.length !streamed
+              = List.length (List.filter (fun p -> not (local p)) expected))))
+
+(* The move phase splits into history, journal and checkpoint parts taken
+   from consecutive timestamps, so on a journaled, checkpointed run they add
+   up to it exactly, cycle by cycle. *)
+let test_move_phase_split () =
+  with_journal_file (fun path ->
+      let journal = Journal.open_ path in
+      let sched =
+        Scheduler.create ~journal ~checkpoint_every:3 Builtin.ss2pl_ocaml
+      in
+      for ta = 1 to 12 do
+        Scheduler.submit sched (Request.v ta 1 Op.Write (ta mod 5));
+        Scheduler.submit sched (Request.terminal ta 2 Op.Commit);
+        let _, stats = Scheduler.cycle sched in
+        let t = stats.Scheduler.times in
+        Alcotest.(check (float 0.)) "history + journal + checkpoint = move"
+          t.Scheduler.move
+          (t.Scheduler.history +. t.Scheduler.journal +. t.Scheduler.checkpoint)
+      done;
+      Alcotest.(check int) "checkpoints written" 4
+        (Journal.checkpoints_written journal);
+      Journal.close journal)
+
+let test_crc32_check_value () =
+  Alcotest.(check int) "CRC-32 check value" 0xcbf43926 (Journal.crc32 "123456789");
+  Alcotest.(check int) "empty string" 0 (Journal.crc32 "")
+
 let tests =
   [
     Alcotest.test_case "journal roundtrip + recovery decision" `Quick
@@ -653,4 +997,7 @@ let tests =
       test_resubmitted_key_keeps_position;
     Alcotest.test_case "abort drops the transaction's live requests" `Quick
       test_abort_drops_live_requests;
+    QCheck_alcotest.to_alcotest serializer_matches_reference;
+    Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+    Alcotest.test_case "move phase splits exactly" `Quick test_move_phase_split;
   ]

@@ -51,7 +51,7 @@ let with_session_run ?faults ~mode ~plan f =
       in
       let stats = Middleware.run config in
       Session.close session;
-      f ~stats ~session ~dir)
+      f ~stats ~session ~dir ~journal)
 
 (* --- link ----------------------------------------------------------------- *)
 
@@ -106,9 +106,34 @@ let test_link_partition_holds () =
 
 (* --- session -------------------------------------------------------------- *)
 
+let read_file p = In_channel.with_open_bin p In_channel.input_all
+
+(* Only the log travels: a standby at zero lag has written every checkpoint
+   block itself, byte for byte the primary's, and the session's LSNs count
+   exactly the records that are not checkpoint entries or C END. *)
+let check_standby_copy ~session ~journal =
+  let primary = read_file journal in
+  Alcotest.(check bool) "standby file equals the primary's" true
+    (String.equal primary (read_file (Session.standby_path session)));
+  let payloads =
+    String.split_on_char '\n' primary
+    |> List.filter_map (fun l ->
+           if String.length l > 10 then Some (String.sub l 10 (String.length l - 10))
+           else None)
+  in
+  let starts p = List.exists (fun x -> String.starts_with ~prefix:p x) payloads in
+  Alcotest.(check bool) "a checkpoint block was written" true
+    (starts "C BEGIN " && starts "c " && starts "C END ");
+  let local p =
+    String.starts_with ~prefix:"c " p || String.starts_with ~prefix:"C END " p
+  in
+  Alcotest.(check int) "LSNs count the streamed records"
+    (List.length (List.filter (fun p -> not (local p)) payloads))
+    (Session.primary_lsn session)
+
 let test_session_converges () =
   with_session_run ~mode:Session.Async ~plan:lossy
-    (fun ~stats ~session ~dir:_ ->
+    (fun ~stats ~session ~dir:_ ~journal ->
       Alcotest.(check bool) "work committed" true
         (stats.Middleware.committed_txns > 0);
       Alcotest.(check bool) "journal streamed" true
@@ -129,12 +154,26 @@ let test_session_converges () =
       let r = Journal.recover (Session.standby_path session) in
       Alcotest.(check int) "standby replays clean" 0
         r.Journal.corrupt_dropped;
-      Alcotest.(check int) "standby still at epoch 0" 0 r.Journal.epoch)
+      Alcotest.(check int) "standby still at epoch 0" 0 r.Journal.epoch;
+      check_standby_copy ~session ~journal)
+
+let test_session_sync_converges () =
+  with_session_run ~mode:Session.Sync ~plan:lossy
+    (fun ~stats ~session ~dir:_ ~journal ->
+      Alcotest.(check bool) "work committed" true
+        (stats.Middleware.committed_txns > 0);
+      Alcotest.(check int) "zero lag at close" 0 (Session.lag session);
+      Alcotest.(check bool) "losses actually exercised retransmission" true
+        (Session.retransmits session > 0);
+      Alcotest.(check bool) "checkpoint hashes compared" true
+        (Session.hash_checks session > 0);
+      Alcotest.(check int) "no divergence" 0 (Session.divergences session);
+      check_standby_copy ~session ~journal)
 
 let test_session_pcrash_fails_over () =
   with_session_run ~mode:Session.Async ~plan:lossy
     ~faults:{ Faults.none with Faults.pcrash_at_cycle = Some 8 }
-    (fun ~stats ~session ~dir:_ ->
+    (fun ~stats ~session ~dir:_ ~journal:_ ->
       Alcotest.(check int) "exactly one failover" 1 stats.Middleware.failovers;
       Alcotest.(check int) "promoted to epoch 1" 1 stats.Middleware.repl_epoch;
       Alcotest.(check bool) "session knows it was promoted" true
@@ -149,7 +188,7 @@ let test_session_pcrash_fails_over () =
 
 let test_offline_promotion_monotonic_epoch () =
   with_session_run ~mode:Session.Sync ~plan:Link.none
-    (fun ~stats:_ ~session:_ ~dir ->
+    (fun ~stats:_ ~session:_ ~dir ~journal:_ ->
       Alcotest.(check bool) "session dir is recognizable" true
         (Session.is_repl_dir dir);
       Alcotest.(check bool) "manifest records the mode" true
@@ -230,4 +269,6 @@ let tests =
       test_check_failover_classification;
     Alcotest.test_case "check_failover: async window vs sync zero-loss" `Quick
       test_check_failover_async_window;
+    Alcotest.test_case "session: sync lossy link, standby copies byte for byte"
+      `Quick test_session_sync_converges;
   ]
