@@ -60,10 +60,23 @@ let outcome (s : Middleware.stats) =
 let check_outcome name expected s =
   Alcotest.(check (list (pair string int))) name expected (outcome s)
 
+(* The merged cross-lane delivery order restarts at every crash or failover,
+   so its length and checksum pin both the order itself and where each
+   incarnation begins. *)
+let check_order name ~length ~crc (h : Middleware.handle) =
+  let order = h.Middleware.merged_execution_order in
+  Alcotest.(check int) (name ^ ": order length") length (List.length order);
+  Alcotest.(check int)
+    (name ^ ": order crc")
+    crc
+    (Journal.crc32
+       (String.concat ";"
+          (List.map (fun (ta, i) -> Printf.sprintf "%d,%d" ta i) order)))
+
 let test_crash_single_lane () =
   let path = temp_name ".journal" in
   Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
-  let s, _ =
+  let s, h =
     Middleware.run_sharded
       {
         (cfg ~faults:"crash=40,wcrash=0.1") with
@@ -85,12 +98,13 @@ let test_crash_single_lane () =
       ("repl_epoch", 0);
       ("repl_fenced", 0);
     ]
-    s
+    s;
+  check_order "S=1 crash" ~length:2602 ~crc:0x6601cbb1 h
 
 let test_crash_sharded () =
   let path = temp_name ".journal.d" in
   Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
-  let s, _ =
+  let s, h =
     Middleware.run_sharded
       {
         (cfg ~faults:"crash=40") with
@@ -111,7 +125,8 @@ let test_crash_sharded () =
       ("repl_epoch", 0);
       ("repl_fenced", 0);
     ]
-    s
+    s;
+  check_order "S=4 crash" ~length:2614 ~crc:0x6af3878a h
 
 let test_failover_sync_standby () =
   let journal = temp_name ".journal" in
@@ -137,7 +152,7 @@ let test_failover_sync_standby () =
     Ds_replica.Session.create ~mode:Ds_replica.Session.Sync ~plan ~seed:7 ~dir
       ()
   in
-  let s, _ =
+  let s, h =
     Middleware.run_sharded
       {
         (cfg ~faults:"pcrash=40") with
@@ -165,7 +180,8 @@ let test_failover_sync_standby () =
       ("repl_epoch", 1);
       ("repl_fenced", 63);
     ]
-    s
+    s;
+  check_order "S=1 pcrash" ~length:2607 ~crc:0xdfea9048 h
 
 let tests =
   [
