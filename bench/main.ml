@@ -310,71 +310,6 @@ let table2 () =
     (Format.asprintf "%a" Ds_relal.Schema.pp (Relations.schema ~extended:true))
 
 (* ------------------------------------------------------------------ *)
-(* E6/A2 — Listing 1 microbenchmark via Bechamel                       *)
-(* ------------------------------------------------------------------ *)
-
-let listing1_micro ~clients () =
-  section
-    (Printf.sprintf
-       "Listing 1 evaluation cost at %d clients (Bechamel; optimizer ablation \
-        A2)"
-       clients);
-  (* Time the protocol query on a standard probe fill: 20 history rows per
-     active transaction, one pending request each. *)
-  let make_test level name =
-    let rels = Relations.create () in
-    let rng = Ds_sim.Rng.create 42 in
-    let gen = Generator.create Spec.paper_default rng in
-    for c = 1 to clients do
-      let txn = Generator.next_txn gen ~ta:c in
-      List.iteri
-        (fun i (r : Ds_model.Request.t) ->
-          if i < 20 then
-            Ds_relal.Table.insert rels.Relations.history
-              (Relations.row_of_request ~extended:false r)
-          else if i = 20 then
-            Ds_relal.Table.insert rels.Relations.requests
-              (Relations.row_of_request ~extended:false r))
-        txn.Ds_model.Txn.requests
-    done;
-    let plan =
-      Ds_sql.Exec.prepare ~optimize:level rels.Relations.catalog Queries.ss2pl
-    in
-    Bechamel.Test.make ~name
-      (Bechamel.Staged.stage (fun () -> ignore (Ds_sql.Exec.run_plan plan)))
-  in
-  let tests =
-    [
-      make_test `None "ss2pl-noopt";
-      make_test `Basic "ss2pl-basic";
-      make_test `Full "ss2pl-full";
-    ]
-  in
-  let benchmark test =
-    let open Bechamel in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-    Benchmark.all cfg instances test
-  in
-  let open Bechamel in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> note "%-14s %10.3f ms/run" name (est /. 1e6)
-          | _ -> note "%-14s (no estimate)" name)
-        ols)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* A1 — trigger policies                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -815,15 +750,12 @@ let faults_sweep ~duration ~json () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Index maintenance scaling: incremental vs rebuild                  *)
+(* Index maintenance scaling                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-cycle protocol-query + move cost as history grows, with
-   [Table.incremental_maintenance] on vs off. The rebuild baseline pays an
-   O(|history|) index rebuild on every probed index every cycle (any
-   mutation invalidates); the incremental path pays O(batch log)
-   maintenance. Both modes must admit the same requests in the same order —
-   checked per point.
+(* Per-cycle protocol-query + move cost as history grows. Indexes are
+   maintained in place, so a cycle should pay O(batch log) maintenance, not
+   O(|history|): the curve over history size should stay flat.
 
    Two regimes, both seeded with [history_size] rows of still-active
    transactions that pin the history size:
@@ -831,22 +763,16 @@ let faults_sweep ~duration ~json () =
    - [`Churn] (write-path bound): each arrival is a write+commit pair on a
      fresh object, and pruning runs every cycle. The query itself is cheap
      ([fcfs]), so the measurement isolates the scheduler write path —
-     move_to_history + prune — where the baseline rebuilds the TA hash
-     index from all of history each cycle and the incremental path does
-     O(batch) posting updates. This is where the big ratio lives.
+     move_to_history + prune — which does O(batch) posting updates.
 
    - [`Scan] (query bound): SS2PL's Listing 1, whose history-side lock
      tables are incrementally maintained views (DESIGN.md 9): a cycle
-     updates them from its own moves, so both modes stay nearly flat in
-     the history size and the 'index' column, which includes the view
-     upkeep, is most of the cycle. *)
+     updates them from its own moves, and the 'index' column, which
+     includes the view upkeep, is most of the cycle. *)
 let index_scaling ~json ~history_sizes ~cycles ~batch () =
   section
-    "Index maintenance: per-cycle protocol-query + move time vs history size \
-     (incremental vs invalidate-and-rebuild)";
-  let run_mode ~regime ~incremental ~history_size =
-    let saved = !Ds_relal.Table.incremental_maintenance in
-    Ds_relal.Table.incremental_maintenance := incremental;
+    "Index maintenance: per-cycle protocol-query + move time vs history size";
+  let run ~regime ~history_size =
     let protocol, prune =
       match regime with
       | `Churn -> (Builtin.fcfs, true)
@@ -866,7 +792,6 @@ let index_scaling ~json ~history_sizes ~cycles ~batch () =
       Ds_relal.Table.insert rels.Relations.history
         (Relations.row_of_request ~extended:false r)
     done;
-    let qualified = ref [] in
     let time = ref 0. and index_time = ref 0. in
     let next_ta = ref (history_size + 1) in
     let one_cycle ~measure =
@@ -885,9 +810,7 @@ let index_scaling ~json ~history_sizes ~cycles ~batch () =
                ~op:Ds_model.Op.Commit ())
         | `Scan -> ()
       done;
-      let reqs, stats = Scheduler.cycle sched in
-      qualified :=
-        List.rev_append (List.map Ds_model.Request.key reqs) !qualified;
+      let _, stats = Scheduler.cycle sched in
       if measure then begin
         time :=
           !time
@@ -896,31 +819,23 @@ let index_scaling ~json ~history_sizes ~cycles ~batch () =
         index_time := !index_time +. stats.Scheduler.index_time
       end
     in
-    (* Two warmup cycles let the incremental mode pay its one-time lazy
-       builds outside the window; the rebuild mode rebuilds every cycle, so
-       warmup does not flatter it. *)
+    (* Two warmup cycles pay the one-time lazy index builds outside the
+       window. *)
     one_cycle ~measure:false;
     one_cycle ~measure:false;
     for _c = 1 to cycles do
       one_cycle ~measure:true
     done;
-    Ds_relal.Table.incremental_maintenance := saved;
     let per_cycle x = x /. float_of_int cycles in
-    (per_cycle !time, per_cycle !index_time, List.rev !qualified)
+    (per_cycle !time, per_cycle !index_time)
   in
   let rows =
     List.concat_map
       (fun (regime, regime_name) ->
         List.map
           (fun history_size ->
-            let rebuild_t, _, rebuild_q =
-              run_mode ~regime ~incremental:false ~history_size
-            in
-            let incr_t, incr_ix, incr_q =
-              run_mode ~regime ~incremental:true ~history_size
-            in
-            ( regime_name, history_size, rebuild_t, incr_t, incr_ix,
-              rebuild_q = incr_q ))
+            let t, ix = run ~regime ~history_size in
+            (regime_name, history_size, t, ix))
           history_sizes)
       [ (`Churn, "churn (fcfs+prune)"); (`Scan, "scan (ss2pl-sql)") ]
   in
@@ -934,24 +849,17 @@ let index_scaling ~json ~history_sizes ~cycles ~batch () =
          ])
     ~after:
       (Printf.sprintf
-         "%d measured cycles, %d fresh transactions per cycle; 'identical' = \
-          both modes admitted the same (TA, INTRATA) sequence; 'index' = \
-          incremental mode's per-cycle maintenance time. The churn regime \
-          isolates the scheduler write path (move + prune), where the \
-          rebuild baseline pays O(|history|) per cycle; in the scan regime \
-          Listing 1's lock tables are views updated from each cycle's moves, \
-          and their upkeep is part of 'index'."
+         "%d measured cycles, %d fresh transactions per cycle; 'index' = \
+          per-cycle maintenance time. The churn regime isolates the \
+          scheduler write path (move + prune); in the scan regime Listing \
+          1's lock tables are views updated from each cycle's moves, and \
+          their upkeep is part of 'index'."
          cycles batch)
     [
-      text_col ~key:"regime" "regime" (fun (r, _, _, _, _, _) -> r);
-      int_col ~key:"history" "history" (fun (_, h, _, _, _, _) -> h);
-      ms "rebuild_s" "rebuild (ms)" (fun (_, _, t, _, _, _) -> t);
-      ms "incremental_s" "incremental (ms)" (fun (_, _, _, t, _, _) -> t);
-      ms "index_s" "index (ms)" (fun (_, _, _, _, ix, _) -> ix);
-      float_col ~key:"speedup" "%.1fx" "speedup" (fun (_, _, r, i, _, _) ->
-          r /. Float.max 1e-9 i);
-      bool_col ~key:"identical" ("true", "false") "identical"
-        (fun (_, _, _, _, _, same) -> same);
+      text_col ~key:"regime" "regime" (fun (r, _, _, _) -> r);
+      int_col ~key:"history" "history" (fun (_, h, _, _) -> h);
+      ms "incremental_s" "incremental (ms)" (fun (_, _, t, _) -> t);
+      ms "index_s" "index (ms)" (fun (_, _, _, ix) -> ix);
     ]
     rows
 
@@ -1057,7 +965,7 @@ let parallel_scaling ~duration ~json () =
        batch run as overlapping spans, so makespan approaches the largest \
        class instead of the batch total. 'checker' validates the rte log \
        (serializability battery), 'conflict-equivalent' compares the merged \
-       delivery order (assignment relation) against the admitted rte order."
+       delivery order against the admitted rte order."
     ([
        int_col ~key:"workers" "workers" (fun r -> r.k);
        int_col ~key:"seed" "" (fun _ -> Middleware.default_config.Middleware.seed);
@@ -1118,7 +1026,8 @@ let shards_scaling ~duration ~json () =
     let rels = Scheduler.relations single.Middleware.lane_schedulers.(0) in
     List.map Ds_model.Request.to_string (Relations.rte_requests rels)
     = List.map Ds_model.Request.to_string h.Middleware.merged_rte
-    && Relations.execution_order rels = h.Middleware.merged_execution_order
+    && single.Middleware.merged_execution_order
+       = h.Middleware.merged_execution_order
   in
   note "S=1 bit-identical to the unsharded scheduler: %b" s1_identical;
   let runs =
@@ -1235,9 +1144,9 @@ let recovery_bench ~duration ~json () =
                 (* median-ish of 3: recover is fast, wall time is noisy *)
                 let times =
                   List.init 3 (fun _ ->
-                      let t0 = Unix.gettimeofday () in
+                      let t0 = Ds_relal.Profile.now () in
                       ignore (Journal.recover path);
-                      Unix.gettimeofday () -. t0)
+                      Ds_relal.Profile.now () -. t0)
                 in
                 let recover_s = List.nth (List.sort compare times) 1 in
                 ( events,
@@ -1338,9 +1247,9 @@ let recovery_bench ~duration ~json () =
    are deterministic in (n, seed); only the timing is wall-clock. *)
 let swarm_bench ~n ~seed ~json () =
   section "Swarm: deterministic-simulation scenarios through the full stack";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ds_relal.Profile.now () in
   let report = Ds_dst.Swarm.run ~shrink:true ~n ~seed () in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Ds_relal.Profile.now () -. t0 in
   let failed = List.length (Ds_dst.Swarm.failed report) in
   let cols =
     [
@@ -1556,7 +1465,7 @@ let () =
   in
   let experiment =
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT"
-           ~doc:"One of: all, table1, table2, figure2, native-overhead, declarative-overhead, crossover, listing1-micro, succinctness, datalog-vs-sql, optimizer, index, triggers, relaxed, batch-sweep, open-loop, mpl, deadlock-policy, pruning, faults, parallel, shards, recovery, failover, swarm, list.")
+           ~doc:"One of: all, table1, table2, figure2, native-overhead, declarative-overhead, crossover, succinctness, datalog-vs-sql, optimizer, index, triggers, relaxed, batch-sweep, open-loop, mpl, deadlock-policy, pruning, faults, parallel, shards, recovery, failover, swarm, list.")
   in
   let main experiment window runs duration cycle_scale json history_sizes
       cycles batch swarm_n swarm_seed =
@@ -1568,7 +1477,6 @@ let () =
     | "native-overhead" -> native_overhead ~window ~runs ()
     | "declarative-overhead" -> declarative_overhead ~runs ()
     | "crossover" -> crossover ~window ~runs ~cycle_scale ()
-    | "listing1-micro" -> listing1_micro ~clients:300 ()
     | "succinctness" -> succinctness ()
     | "datalog-vs-sql" -> datalog_vs_sql ~runs ()
     | "optimizer" -> optimizer_ablation ~runs ()
@@ -1589,7 +1497,7 @@ let () =
     | "list" ->
       print_endline
         "all table1 table2 figure2 native-overhead declarative-overhead \
-         crossover listing1-micro succinctness datalog-vs-sql optimizer \
+         crossover succinctness datalog-vs-sql optimizer \
          index triggers relaxed batch-sweep open-loop mpl deadlock-policy \
          pruning faults parallel shards recovery failover swarm"
     | other ->

@@ -32,7 +32,7 @@ let table1_cmd =
 let sql_cmd =
   let doc =
     "Run SQL statements against a fresh scheduler database (tables: requests, \
-     history, rte, dead, workers, assignment)."
+     history, rte, dead)."
   in
   let stmt =
     Arg.(
@@ -154,9 +154,10 @@ let run_cmd =
       & info [ "workers" ] ~docv:"K"
           ~doc:
             "Simulated worker backends. With $(docv) > 1 each admitted batch \
-             is split into conflict classes executed as overlapping spans; \
-             the placement is queryable in the workers/assignment relations \
-             ('dsched sql').")
+             is split into conflict classes executed as overlapping spans. \
+             Each exec_start trace event carries its worker id in $(b,arg): \
+             with $(b,--trace) F, $(b,dsched trace) F $(b,--sql) queries the \
+             placement.")
   in
   let shards =
     Arg.(
@@ -238,10 +239,11 @@ let run_cmd =
           ~doc:
             "Replication-link fault plan, e.g. \
              $(b,drop=0.05,dup=0.02,reorder=0.1,delay=0.05,partition=1.5,flap=0.8). \
-             Keys: drop/dup/reorder/delay (per-record rates), base/spike \
-             (latency seconds), partition (one-shot outage at that virtual \
-             second, + partition-dur), flap (periodic outage every that many \
-             seconds, + flap-down). Records caught in an outage are held \
+             Keys: drop/dup/reorder/delay (per-record rates), spike (extra \
+             seconds of a delayed record over the fixed 2 ms latency floor), \
+             partition (one-shot outage at that virtual second, + \
+             partition-dur), flap (periodic outage every that many seconds, \
+             + flap-down). Records caught in an outage are held \
              and delivered at heal time — after a failover they arrive with \
              a stale epoch and are fenced.")
   in

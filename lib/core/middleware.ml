@@ -210,8 +210,9 @@ type sim = {
   mutable cycles_done : int;
   mutable ta_counter : int;
   mutable req_counter : int;
-  mutable deliveries : int;
-      (** run-global delivery counter — the [pos] column of [assignment] *)
+  delivered : (int * int) Ds_util.Vec.t;
+      (** keys in cross-lane delivery order since start-up or the last
+          crash or failover *)
   mutable committed_txns : int;
   mutable committed_stmts : int;
   mutable aborted_txns : int;
@@ -251,8 +252,6 @@ let lane_sched cfg ~stamp ?journal ?recovered () =
   in
   let rels = Scheduler.relations sched in
   Option.iter (fun r -> Journal.restore ~rte:true r rels) recovered;
-  Relations.register_workers rels ~workers:cfg.workers
-    ~cores:Ds_server.Cost_model.default.Ds_server.Cost_model.n_cores;
   sched
 
 let fresh_ta sim client =
@@ -544,13 +543,12 @@ and run_cycle sim lane =
       sim.clients;
     let dispatch_delay = if sim.cfg.charge_scheduler_time then dt else 0. in
     let epoch = sim.epoch in
-    let cycle = sim.cycles_done in
     ignore
       (Engine.schedule sim.engine ~after:dispatch_delay (fun () ->
-           if sim.epoch = epoch then dispatch sim lane ~epoch ~cycle qualified))
+           if sim.epoch = epoch then dispatch sim lane ~epoch qualified))
   end
 
-and dispatch sim lane ~epoch ~cycle requests =
+and dispatch sim lane ~epoch requests =
   if requests <> [] then begin
     List.iter
       (fun r -> Ds_obs.Trace.emit_req sim.cfg.trace Ds_obs.Trace.Dispatched r)
@@ -568,11 +566,11 @@ and dispatch sim lane ~epoch ~cycle requests =
                  match att.undelivered with
                  | [] -> ()
                  | r :: _ ->
-                   handle_failure sim lane ~epoch ~cycle r att.undelivered
+                   handle_failure sim lane ~epoch r att.undelivered
                end)))
       sim.cfg.batch_timeout;
     Ds_server.Worker_pool.execute lane.pool requests
-      ~on_each:(fun ~worker ~cls ~pos:_ r ->
+      ~on_each:(fun ~worker:_ ~cls:_ ~pos:_ r ->
         if live () then begin
           (* Parallel workers complete out of batch order, so drop the
              delivered request by key rather than by head match. *)
@@ -580,11 +578,7 @@ and dispatch sim lane ~epoch ~cycle requests =
           att.undelivered <-
             List.filter (fun q -> Request.key q <> key) att.undelivered;
           Hashtbl.remove sim.fail_streaks key;
-          let pos = sim.deliveries in
-          sim.deliveries <- sim.deliveries + 1;
-          Relations.record_assignment
-            (Scheduler.relations lane.sched)
-            ~cycle ~cls ~worker ~pos r;
+          Ds_util.Vec.push sim.delivered key;
           deliver sim r
         end)
       (fun result ->
@@ -592,11 +586,11 @@ and dispatch sim lane ~epoch ~cycle requests =
           att.closed <- true;
           match result with
           | `Completed -> ()
-          | `Failed r -> handle_failure sim lane ~epoch ~cycle r att.undelivered
+          | `Failed r -> handle_failure sim lane ~epoch r att.undelivered
         end)
   end
 
-and handle_failure sim lane ~epoch ~cycle failed undelivered =
+and handle_failure sim lane ~epoch failed undelivered =
   let key = Request.key failed in
   let streak =
     1 + Option.value ~default:0 (Hashtbl.find_opt sim.fail_streaks key)
@@ -618,7 +612,7 @@ and handle_failure sim lane ~epoch ~cycle failed undelivered =
       restart_client ~redo:true sim c
     | None -> ());
     let rest = List.filter (fun q -> Request.key q <> key) undelivered in
-    dispatch sim lane ~epoch ~cycle rest
+    dispatch sim lane ~epoch rest
   end
   else begin
     sim.retries <- sim.retries + 1;
@@ -629,7 +623,7 @@ and handle_failure sim lane ~epoch ~cycle failed undelivered =
     in
     ignore
       (Engine.schedule sim.engine ~after:backoff (fun () ->
-           if sim.epoch = epoch then dispatch sim lane ~epoch ~cycle undelivered))
+           if sim.epoch = epoch then dispatch sim lane ~epoch undelivered))
   end
 
 and deliver sim (req : Request.t) =
@@ -743,10 +737,10 @@ and failover_promote sim h =
    decided by the recovered state. *)
 and recover_lanes ?(on_rebuilt = ignore) sim recover =
   sim.epoch <- sim.epoch + 1;
-  (* Wall-clock timed end to end (read + replay + restore): with
+  (* Host-timed end to end (read + replay + restore): with
      checkpointing on, this is the number the recovery bench shows staying
      sublinear in journal length. *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ds_relal.Profile.now () in
   let recovered_by_lane =
     Array.map
       (fun lane ->
@@ -767,7 +761,7 @@ and recover_lanes ?(on_rebuilt = ignore) sim recover =
         recovered)
       sim.lanes
   in
-  sim.recovery_time <- sim.recovery_time +. (Unix.gettimeofday () -. t0);
+  sim.recovery_time <- sim.recovery_time +. (Ds_relal.Profile.now () -. t0);
   (* The admission-order clock survives the crash: reseed the stamp table
      from the recovered segments and continue the gseq sequence past the
      largest stamp any segment persisted. *)
@@ -785,8 +779,10 @@ and recover_lanes ?(on_rebuilt = ignore) sim recover =
           r.Journal.history_stamped)
       recovered_by_lane
   end;
-  (* In-flight retry bookkeeping died with the process. *)
+  (* In-flight retry bookkeeping died with the process, and the delivery
+     order restarts with the rebuilt lanes. *)
   Hashtbl.reset sim.fail_streaks;
+  Ds_util.Vec.clear sim.delivered;
   reconcile_clients sim recovered_by_lane;
   (* Rebuild the barrier accounting from surviving state: [active] from the
      clients still connected to a live transaction, [holding] from the
@@ -1032,7 +1028,7 @@ let run_sim (cfg : config) =
       cycles_done = 0;
       ta_counter = 0;
       req_counter = 0;
-      deliveries = 0;
+      delivered = Ds_util.Vec.create ();
       committed_txns = 0;
       committed_stmts = 0;
       aborted_txns = 0;
@@ -1275,32 +1271,7 @@ let run_sharded (cfg : config) =
       |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
       |> List.map snd
   in
-  let merged_execution_order =
-    if Array.length sim.lanes = 1 then
-      Relations.execution_order (Scheduler.relations sim.lanes.(0).sched)
-    else
-      (* Delivery positions come from the run-global [sim.deliveries]
-         counter, so sorting the union of per-lane assignment rows by [pos]
-         is the actual cross-lane delivery order. *)
-      Array.to_list sim.lanes
-      |> List.concat_map (fun l ->
-             List.filter_map
-               (fun row ->
-                 match row with
-                 | [|
-                     _;
-                     _;
-                     _;
-                     Ds_relal.Value.Int ta;
-                     Ds_relal.Value.Int intrata;
-                     Ds_relal.Value.Int pos;
-                   |] ->
-                   Some (pos, (ta, intrata))
-                 | _ -> None)
-               (Relations.table_facts (Scheduler.relations l.sched) "assignment"))
-      |> List.sort compare
-      |> List.map snd
-  in
+  let merged_execution_order = Ds_util.Vec.to_list sim.delivered in
   (stats, { lane_schedulers; shard_of; merged_rte; merged_execution_order })
 
 let pp_stats ppf (s : stats) =

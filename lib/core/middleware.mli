@@ -123,8 +123,8 @@ type config = {
   workers : int;
       (** simulated worker backends; with [workers > 1] each admitted batch
           is split into conflict classes and executed as overlapping
-          per-worker spans (see {!Ds_server.Worker_pool}), the placement
-          being logged in the [workers]/[assignment] relations. [1]
+          per-worker spans (see {!Ds_server.Worker_pool}); each [exec_start]
+          trace event carries its worker id in [arg]. [1]
           (default) is the paper's single sequential server, bit-identical
           to the pre-pool behavior. *)
   shards : int;
@@ -250,8 +250,8 @@ type handle = {
           exactly the one lane's [rte]. *)
   merged_execution_order : (int * int) list;
       (** [(ta, intrata)] per delivered request in cross-lane delivery
-          order (the union of per-lane [assignment] rows sorted by the
-          run-global position column) *)
+          order, as the middleware recorded it. The order restarts at every
+          crash or failover: it covers the last incarnation only. *)
 }
 
 (** {!run}, also returning the lanes and the merged cross-shard artifacts for

@@ -7,8 +7,6 @@ type t = {
   history : Table.t;
   rte : Table.t;
   dead : Table.t;
-  workers : Table.t;
-  assignment : Table.t;
   extended : bool;
 }
 
@@ -31,25 +29,6 @@ let extended_columns =
 let schema ~extended =
   Schema.of_list (if extended then base_columns @ extended_columns else base_columns)
 
-(* The parallel backend's placement state, kept relational so "the queue is a
-   database" extends to the execution layer: [workers] describes the pool,
-   [assignment] logs which worker ran each admitted request and at which
-   merged-schedule position. *)
-let workers_schema =
-  Schema.of_list
-    [ Schema.column "worker" Schema.Tint; Schema.column "cores" Schema.Tint ]
-
-let assignment_schema =
-  Schema.of_list
-    [
-      Schema.column "cycle" Schema.Tint;
-      Schema.column "cls" Schema.Tint;
-      Schema.column "worker" Schema.Tint;
-      Schema.column "ta" Schema.Tint;
-      Schema.column "intrata" Schema.Tint;
-      Schema.column "pos" Schema.Tint;
-    ]
-
 let create ?(extended = false) () =
   let s = schema ~extended in
   let requests = Table.create ~name:"requests" s in
@@ -68,14 +47,9 @@ let create ?(extended = false) () =
     [ requests; history ];
   (* operation: lets prune find terminal rows by probe instead of scan *)
   Table.create_index history [ 3 ];
-  let workers = Table.create ~name:"workers" workers_schema in
-  let assignment = Table.create ~name:"assignment" assignment_schema in
-  Table.create_index assignment [ 2 ];
-  (* worker: per-worker sub-schedule probes *)
   let catalog = Ds_sql.Catalog.create () in
-  List.iter (Ds_sql.Catalog.register catalog)
-    [ requests; history; rte; dead; workers; assignment ];
-  { catalog; requests; history; rte; dead; workers; assignment; extended }
+  List.iter (Ds_sql.Catalog.register catalog) [ requests; history; rte; dead ];
+  { catalog; requests; history; rte; dead; extended }
 
 let row_of_request ~extended (r : Request.t) =
   let obj = match r.Request.obj with Some o -> Value.Int o | None -> Value.Null in
@@ -234,36 +208,13 @@ let blocker_lookup t =
           else None)
         (Table.probe t.history [ 4 ] [ Value.Int o ])
 
+(* Terminal rows come straight off the operation index, and each finished
+   transaction is deleted through the ta index: O(batch), no full scan. *)
 let prune_history t =
-  if !Table.incremental_maintenance then begin
-    (* Warm indexes make pruning O(batch): terminal rows come straight off
-       the operation index, and each finished transaction is deleted through
-       the ta index. No full scan anywhere. *)
-    let finished = finished_tas t in
-    Hashtbl.fold
-      (fun ta () removed ->
-        removed
-        + Table.delete_by_key t.history [ 1 ] [ Value.Int ta ] (fun _ -> true))
-      finished 0
-  end
-  else begin
-    (* Invalidate-on-mutation baseline: probing would rebuild an index per
-       call, so keep the original two-scan formulation. *)
-    let finished = Hashtbl.create 64 in
-    Table.iter
-      (fun row ->
-        match row.(3) with
-        | Value.Str ("a" | "c") -> (
-          match row.(1) with
-          | Value.Int ta -> Hashtbl.replace finished ta ()
-          | _ -> ())
-        | _ -> ())
-      t.history;
-    Table.delete_where t.history (fun row ->
-        match row.(1) with
-        | Value.Int ta -> Hashtbl.mem finished ta
-        | _ -> false)
-  end
+  Hashtbl.fold
+    (fun ta () removed ->
+      removed + Table.delete_by_key t.history [ 1 ] [ Value.Int ta ] (fun _ -> true))
+    (finished_tas t) 0
 
 let rte_requests t =
   List.map (request_of_row ~extended:t.extended) (Table.rows t.rte)
@@ -278,58 +229,8 @@ let dead_requests t =
 
 let dead_count t = Table.row_count t.dead
 
-let register_workers t ~workers ~cores =
-  Table.clear t.workers;
-  Table.insert_many t.workers
-    (List.init workers (fun w -> [| Value.Int w; Value.Int cores |]))
-
-let worker_count t = Table.row_count t.workers
-
-let record_assignment t ~cycle ~cls ~worker ~pos (r : Request.t) =
-  Table.insert t.assignment
-    [|
-      Value.Int cycle;
-      Value.Int cls;
-      Value.Int worker;
-      Value.Int r.Request.ta;
-      Value.Int r.Request.intrata;
-      Value.Int pos;
-    |]
-
-let assignment_count t = Table.row_count t.assignment
-
-(* The merged parallel schedule: assignment rows by delivery position. The
-   checker compares this against [rte] order for conflict equivalence. *)
-let execution_order t =
-  let rows =
-    List.sort
-      (fun a b ->
-        match (a.(5), b.(5)) with
-        | Value.Int pa, Value.Int pb -> compare pa pb
-        | _ -> 0)
-      (Table.rows t.assignment)
-  in
-  List.filter_map
-    (fun row ->
-      match (row.(3), row.(4)) with
-      | Value.Int ta, Value.Int intrata -> Some (ta, intrata)
-      | _ -> None)
-    rows
-
-let table_facts t name =
-  match name with
-  | "requests" -> Table.rows t.requests
-  | "history" -> Table.rows t.history
-  | "rte" -> Table.rows t.rte
-  | "dead" -> Table.rows t.dead
-  | "workers" -> Table.rows t.workers
-  | "assignment" -> Table.rows t.assignment
-  | _ -> invalid_arg ("Relations.table_facts: unknown table " ^ name)
-
 let clear t =
   Table.clear t.requests;
   Table.clear t.history;
   Table.clear t.rte;
-  Table.clear t.dead;
-  Table.clear t.workers;
-  Table.clear t.assignment
+  Table.clear t.dead

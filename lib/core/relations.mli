@@ -9,11 +9,10 @@
     protocols; the paper columns keep their exact names and positions either
     way.
 
-    Besides those and [dead], the catalog holds only the parallel backend's
-    [workers] and [assignment] (the merged delivery order is read from
-    [assignment]). Run decisions that nothing queries (worker supervision,
-    shard routing, checkpoints, failovers) are recorded once, as
-    {!Ds_obs.Trace} events. *)
+    Besides those the catalog holds only [dead]. Run decisions that no
+    protocol reads (worker placement and supervision, shard routing,
+    checkpoints, failovers) are recorded once, as {!Ds_obs.Trace} events;
+    the cross-lane delivery order is kept by {!Middleware}. *)
 
 open Ds_model
 open Ds_relal
@@ -26,13 +25,6 @@ type t = {
   dead : Table.t;
       (** dead-letter relation: poison requests the middleware gave up on
           after exhausting retries (queryable like the others) *)
-  workers : Table.t;
-      (** parallel backend pool: [worker | cores], one row per worker *)
-  assignment : Table.t;
-      (** execution placement log:
-          [cycle | cls | worker | ta | intrata | pos] — which conflict class
-          and worker ran each admitted request, and its position in the
-          merged (delivery-order) schedule *)
   extended : bool;
 }
 
@@ -67,10 +59,9 @@ val move_to_history : t -> (int * int) list -> Request.t list
 (** Removes from [history] all rows of transactions that have a terminal
     operation there. Under SS2PL their locks are gone, so the rows no longer
     influence scheduling; pruning bounds history growth (measured by the
-    [history_pruning] ablation). Returns rows removed. With incremental
-    index maintenance on, finished transactions are found through the
-    operation index and deleted through the TA index — O(batch) per cycle
-    instead of two full history scans. *)
+    [history_pruning] ablation). Returns rows removed. Finished
+    transactions are found through the operation index and deleted through
+    the TA index — O(batch) per cycle, no history scan. *)
 val prune_history : t -> int
 
 (** [blocker_lookup t] snapshots which transactions in [history] are
@@ -95,28 +86,5 @@ val insert_dead : t -> Request.t -> unit
 
 val dead_requests : t -> Request.t list
 val dead_count : t -> int
-
-(** [register_workers t ~workers ~cores] (re)populates the [workers] table:
-    rows [(0, cores) .. (workers-1, cores)]. *)
-val register_workers : t -> workers:int -> cores:int -> unit
-
-val worker_count : t -> int
-
-(** Logs one row into [assignment] at the request's delivery time. *)
-val record_assignment :
-  t -> cycle:int -> cls:int -> worker:int -> pos:int -> Request.t -> unit
-
-val assignment_count : t -> int
-
-(** The merged parallel schedule as [(ta, intrata)] keys, sorted by the
-    [pos] column — the delivery order across all workers, which the checker
-    compares against [rte] order for conflict equivalence. *)
-val execution_order : t -> (int * int) list
-
-(** Raw rows of a relation by its public name ([requests], [history], [rte],
-    [dead], [workers], [assignment]) — the bridge for loading
-    scheduler state into a datalog engine via [Dl_engine.load_rows].
-    @raise Invalid_argument on an unknown name. *)
-val table_facts : t -> string -> Value.t array list
 
 val clear : t -> unit

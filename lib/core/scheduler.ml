@@ -155,7 +155,7 @@ let dead_letter t r =
 
 let pending_count t = Relations.pending_count t.rels
 
-let now () = Unix.gettimeofday ()
+let now = Ds_relal.Profile.now
 
 let drain t =
   let drained = ref [] in

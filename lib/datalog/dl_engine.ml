@@ -199,8 +199,6 @@ let add_fact_row t pred row =
 
 let add_fact t pred values = add_fact_row t pred (Array.of_list values)
 
-let load_rows t pred rows = List.iter (add_fact_row t pred) rows
-
 let clear_facts ?pred t =
   (match pred with
   | Some p -> Hashtbl.remove t.edb p

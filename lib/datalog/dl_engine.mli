@@ -15,9 +15,6 @@ val create : Dl_ast.program -> t
 val add_fact : t -> string -> Value.t list -> unit
 val add_fact_row : t -> string -> Value.t array -> unit
 
-(** Bulk load (e.g. from [Ds_relal.Table.rows]). *)
-val load_rows : t -> string -> Value.t array list -> unit
-
 (** Removes all facts of one predicate (or all with [None]). *)
 val clear_facts : ?pred:string -> t -> unit
 

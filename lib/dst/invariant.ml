@@ -29,8 +29,8 @@ let check_serializability ctx =
   else
     Error (Format.asprintf "%a" Ds_check.Serializability.pp_report report)
 
-(* A crash replaces the scheduler: pre-crash assignment rows (the merged
-   delivery order) are discarded with it, and recovered work is re-delivered
+(* A crash restarts the merged delivery order with the rebuilt lanes, and
+   recovered work is re-delivered
    as if newly admitted. Conflicting pairs that span the crash can therefore
    legitimately reorder against the surviving rte log, so for crash scenarios
    the ordering clause is checked per incarnation only (vacuously here) while

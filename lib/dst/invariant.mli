@@ -37,7 +37,9 @@ type ctx = {
   scenario : Scenario.t;
   stats : Ds_core.Middleware.stats;
   rte : Request.t list;  (** the continuous execution log, qualification order *)
-  merged : Request.t list;  (** delivery order across workers ([assignment].pos) *)
+  merged : Request.t list;
+      (** cross-lane delivery order since the last crash or failover
+          ({!Ds_core.Middleware.handle.merged_execution_order}) *)
   trace_events : Ds_obs.Trace.event list;
   recovered : Ds_core.Journal.recovered;  (** post-run journal replay *)
   pending_live : Request.t list;

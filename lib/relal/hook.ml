@@ -9,3 +9,5 @@ let set obs = observer := obs
 let enabled () = !observer <> None
 
 let note label dt = match !observer with Some f -> f label dt | None -> ()
+
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9

@@ -10,3 +10,7 @@ val enabled : unit -> bool
     took [dt] seconds. No-op (and allocation-free) when no observer is
     installed. *)
 val note : string -> float -> unit
+
+(** Monotonic host clock, in seconds from an arbitrary origin; re-exported
+    as {!Profile.now}. *)
+val now : unit -> float

@@ -28,7 +28,7 @@ let label_of = function
   | Limit (n, _) -> Printf.sprintf "Limit(%d)" n
   | Group _ -> "Group"
 
-let now () = Unix.gettimeofday ()
+let now = Hook.now
 
 let set_section_observer obs = Hook.set obs
 

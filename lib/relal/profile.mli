@@ -22,7 +22,12 @@ val run : Ra.plan -> Value.t array list * node_stats
 (** Multi-line tree rendering with per-node rows and milliseconds. *)
 val render : node_stats -> string
 
-(** [timed label f] runs [f ()], wall-clock timing it, and returns the result
+(** The one host clock every timing section in the code base reads:
+    monotonic, in seconds from an arbitrary origin, so only differences are
+    meaningful. *)
+val now : unit -> float
+
+(** [timed label f] runs [f ()], timing it on {!now}, and returns the result
     with the elapsed seconds. The scheduler routes its protocol-query phase
     through this so external observers (metrics, tests) can watch query-eval
     time without touching the scheduler. *)

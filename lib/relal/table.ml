@@ -42,11 +42,6 @@ type t = {
   mutable subscribers : (added:Value.t array list -> removed:Value.t array list -> unit) list;
 }
 
-(* Global switch between incremental maintenance (default) and the
-   invalidate-and-rebuild behaviour it replaced; the rebuild path is kept as
-   the benchmark baseline and as the differential-testing oracle. *)
-let incremental_maintenance = ref true
-
 (* ------------------------------------------------------------------ *)
 (* maintenance accounting                                             *)
 (* ------------------------------------------------------------------ *)
@@ -60,17 +55,17 @@ let maintenance_time () = !maintenance_clock
    not be counted a second time. *)
 let maintenance_depth = ref 0
 
-(* Wall-clock the index work of one mutation/build. Callers only wrap the
+(* Time the index work of one mutation/build. Callers only wrap the
    index-maintenance part, never the base row work, so the counter isolates
    what incremental maintenance is supposed to shrink. Only the outermost
    section is timed. *)
 let timed_maintenance f =
   if !maintenance_depth > 0 then f ()
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Hook.now () in
     incr maintenance_depth;
     let r = Fun.protect ~finally:(fun () -> decr maintenance_depth) f in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Hook.now () -. t0 in
     maintenance_clock := !maintenance_clock +. dt;
     Hook.note "index-maintenance" dt;
     r
@@ -190,21 +185,13 @@ let check_arity t row =
 let insert t row =
   check_arity t row;
   let pos = push_row t row in
-  if not !incremental_maintenance then invalidate t
-  else if has_built_index t then
+  if has_built_index t then
     timed_maintenance (fun () -> index_insert t pos row);
   if has_subscribers t then notify t ~added:[ row ] ~removed:[]
 
 let insert_many t rows =
   (match rows with
   | [] -> ()
-  | _ when not !incremental_maintenance ->
-    List.iter
-      (fun row ->
-        check_arity t row;
-        ignore (push_row t row))
-      rows;
-    invalidate t
   | _ ->
     let first = ref (-1) in
     List.iter
@@ -287,25 +274,21 @@ let compact t =
   Bytes.fill t.live 0 (Bytes.length t.live) '\000';
   Bytes.fill t.live 0 !w '\001';
   t.n_dead <- 0;
-  if !incremental_maintenance then begin
-    List.iter
-      (fun ix ->
-        match ix.map with
-        | None -> ()
-        | Some map ->
-          Key_tbl.filter_map_inplace
-            (fun _key posting ->
-              ignore
-                (Vec.filter_map_in_place
-                   (fun pos ->
-                     if remap.(pos) >= 0 then Some remap.(pos) else None)
-                   posting);
-              if Vec.is_empty posting then None else Some posting)
-            map)
-      t.indexes;
-    List.iter (compact_ordered t remap) t.ordered
-  end
-  else invalidate t
+  List.iter
+    (fun ix ->
+      match ix.map with
+      | None -> ()
+      | Some map ->
+        Key_tbl.filter_map_inplace
+          (fun _key posting ->
+            ignore
+              (Vec.filter_map_in_place
+                 (fun pos -> if remap.(pos) >= 0 then Some remap.(pos) else None)
+                 posting);
+            if Vec.is_empty posting then None else Some posting)
+          map)
+    t.indexes;
+  List.iter (compact_ordered t remap) t.ordered
 
 let maybe_compact t =
   if t.n_dead > 64 && 2 * t.n_dead > Vec.length t.rows then
@@ -324,7 +307,6 @@ let kill t gone pos =
 let finish_delete t gone removed =
   if removed > 0 then begin
     t.n_dead <- t.n_dead + removed;
-    if not !incremental_maintenance then invalidate t;
     maybe_compact t;
     if has_subscribers t then notify t ~added:[] ~removed:(List.rev gone)
   end;
@@ -392,7 +374,7 @@ let reindex_ordered t pos old_vals row =
    before the update as removed, and the updated row as added. *)
 let update_where t p f =
   let touched = ref 0 in
-  let incr_mode = !incremental_maintenance && has_built_index t in
+  let reindex = has_built_index t in
   let feed = has_subscribers t in
   let before = ref [] and after = ref [] in
   for pos = 0 to Vec.length t.rows - 1 do
@@ -403,7 +385,7 @@ let update_where t p f =
           before := Array.copy row :: !before;
           after := row :: !after
         end;
-        if incr_mode then begin
+        if reindex then begin
           let old_keys =
             List.map (fun ix -> key_of_row ix.cols row) t.indexes
           in
@@ -418,7 +400,6 @@ let update_where t p f =
       end
     end
   done;
-  if !touched > 0 && not !incremental_maintenance then invalidate t;
   if feed then notify t ~added:(List.rev !after) ~removed:(List.rev !before);
   !touched
 

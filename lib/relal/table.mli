@@ -6,10 +6,8 @@
     least half the slots are dead. Hash indexes keep per-key posting lists of
     slots updated on every insert/update; ordered indexes keep a large sorted
     main run plus a small overflow run that absorbs new entries and is
-    compacted into the main run on probe. Setting {!incremental_maintenance}
-    to [false] restores the previous behaviour — any mutation invalidates all
-    indexes, which are rebuilt from scratch on the next probe — and is kept
-    as the benchmark baseline and differential-testing oracle. *)
+    compacted into the main run on probe. An index is built from scratch
+    only on its first probe and after {!clear}. *)
 
 type t
 
@@ -19,12 +17,6 @@ val schema : t -> Schema.t
 
 (** Number of live rows. *)
 val row_count : t -> int
-
-(** When [true] (the default), indexes are maintained in place across
-    mutations; when [false], any mutation invalidates all indexes and probes
-    rebuild them from scratch. Flipping the switch mid-stream is safe: it
-    only changes how the *next* mutation treats the indexes. *)
-val incremental_maintenance : bool ref
 
 (** Cumulative wall-clock seconds spent on index maintenance (incremental
     updates, lazy builds, overflow merges, compaction, change-feed

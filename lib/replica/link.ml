@@ -5,7 +5,6 @@ type plan = {
   dup_rate : float;
   reorder_rate : float;
   delay_rate : float;
-  base_delay : float;
   spike_delay : float;
   partition_at : float option;
   partition_for : float;
@@ -13,13 +12,15 @@ type plan = {
   flap_down : float;
 }
 
+(* One-way latency floor of every record, in virtual seconds. *)
+let base_delay = 0.002
+
 let none =
   {
     drop_rate = 0.;
     dup_rate = 0.;
     reorder_rate = 0.;
     delay_rate = 0.;
-    base_delay = 0.002;
     spike_delay = 0.05;
     partition_at = None;
     partition_for = 0.5;
@@ -47,8 +48,7 @@ let validate p =
   >>= fun () ->
   rate "delay_rate" p.delay_rate
   >>= fun () ->
-  if p.base_delay < 0. then Error "base_delay must be non-negative"
-  else if p.spike_delay < 0. then Error "spike_delay must be non-negative"
+  if p.spike_delay < 0. then Error "spike_delay must be non-negative"
   else if p.partition_for < 0. then Error "partition_for must be non-negative"
   else if p.flap_down < 0. then Error "flap_down must be non-negative"
   else
@@ -76,7 +76,6 @@ let plan_of_string s =
       | "dup" -> Result.map (fun f -> { plan with dup_rate = f }) (fl ())
       | "reorder" -> Result.map (fun f -> { plan with reorder_rate = f }) (fl ())
       | "delay" -> Result.map (fun f -> { plan with delay_rate = f }) (fl ())
-      | "base" -> Result.map (fun f -> { plan with base_delay = f }) (fl ())
       | "spike" -> Result.map (fun f -> { plan with spike_delay = f }) (fl ())
       | "partition" ->
         Result.map (fun f -> { plan with partition_at = Some f }) (fl ())
@@ -184,8 +183,8 @@ let heal_time t ~now =
 
 let enqueue_copy t ~now msg =
   let p = t.plan in
-  let jitter = p.base_delay *. Rng.float t.rng in
-  let delay = p.base_delay +. jitter in
+  let jitter = base_delay *. Rng.float t.rng in
+  let delay = base_delay +. jitter in
   let delay =
     if p.delay_rate > 0. && Rng.float t.rng < p.delay_rate then
       delay +. p.spike_delay
@@ -195,7 +194,7 @@ let enqueue_copy t ~now msg =
     (* reordering: an extra delay long enough to land behind records sent
        several base-delays later *)
     if p.reorder_rate > 0. && Rng.float t.rng < p.reorder_rate then
-      delay +. (3. *. p.base_delay *. (1. +. Rng.float t.rng))
+      delay +. (3. *. base_delay *. (1. +. Rng.float t.rng))
     else delay
   in
   let base = if down t ~now then (t.n_held <- t.n_held + 1; heal_time t ~now) else now in

@@ -21,7 +21,6 @@ type plan = {
   reorder_rate : float;
       (** per record: extra delay long enough to overtake later records *)
   delay_rate : float;  (** per record: latency spike of [spike_delay] *)
-  base_delay : float;  (** one-way latency floor, in virtual seconds *)
   spike_delay : float;  (** extra delay of a spiked record *)
   partition_at : float option;
       (** one-shot partition onset (virtual seconds); in-flight and
@@ -33,7 +32,8 @@ type plan = {
   flap_down : float;  (** down slice per flap period *)
 }
 
-(** The zero plan: lossless ordered-ish delivery at [base_delay]. *)
+(** The zero plan: lossless ordered-ish delivery. Every plan delivers each
+    record after a one-way latency floor of 2 ms (virtual), plus jitter. *)
 val none : plan
 
 val is_none : plan -> bool
@@ -43,8 +43,8 @@ val validate : plan -> (unit, string) result
 
 (** Parses a compact spec like
     ["drop=0.1,dup=0.05,reorder=0.2,delay=0.1,spike=0.05,partition=1.5,partition-dur=0.5,flap=0.4,flap-down=0.05"].
-    Every key is optional ([base=S] sets the latency floor); unknown keys are
-    errors; [""] and ["none"] parse to {!none}. *)
+    Every key is optional; unknown keys are errors; [""] and ["none"] parse
+    to {!none}. *)
 val plan_of_string : string -> (plan, string) result
 
 val plan_to_string : plan -> string

@@ -110,7 +110,7 @@ end
 let env_workers = Config.workers
 
 (* A single-lane middleware run with its scheduler, for inspecting the
-   relations (rte, assignment, dead) afterwards. *)
+   relations (rte, dead) afterwards. *)
 let run_single cfg =
   let stats, h = Ds_core.Middleware.run_sharded cfg in
   (stats, h.Ds_core.Middleware.lane_schedulers.(0))

@@ -15,7 +15,7 @@ let test_table2_schema () =
     names;
   let rels = Relations.create () in
   Alcotest.(check (list string)) "all scheduler tables registered"
-    [ "assignment"; "dead"; "history"; "requests"; "rte"; "workers" ]
+    [ "dead"; "history"; "requests"; "rte" ]
     (Ds_sql.Catalog.names rels.Relations.catalog)
 
 let test_request_roundtrip () =

@@ -1,7 +1,7 @@
 (* Tests for the conflict-class parallel backend: partition properties,
-   worker-pool execution semantics, the declarative workers/assignment
-   relations, conflict equivalence of merged schedules, and the per-worker
-   metrics report. *)
+   worker-pool execution semantics, placement through the traces relation,
+   conflict equivalence of merged schedules, and the per-worker metrics
+   report. *)
 
 open Ds_model
 open Ds_server
@@ -244,8 +244,8 @@ let test_pool_k1_matches_backend () =
 
 (* --- middleware end-to-end with workers=4 ------------------------- *)
 
-let middleware_run ?(workers = 4) ?metrics () =
-  Helpers.run_single
+let middleware_run ?(workers = 4) ?metrics ?trace () =
+  Middleware.run_sharded
     {
       Middleware.default_config with
       Middleware.n_clients = 15;
@@ -255,25 +255,25 @@ let middleware_run ?(workers = 4) ?metrics () =
       spec =
         { Ds_workload.Spec.paper_default with Ds_workload.Spec.n_objects = 2000 };
       metrics;
+      trace;
     }
 
-let merged_schedule sched =
-  let rels = Scheduler.relations sched in
-  let rte = Relations.rte_requests rels in
+let merged_schedule (h : Middleware.handle) =
+  let rte = h.Middleware.merged_rte in
   let by_key = Hashtbl.create (2 * List.length rte) in
   List.iter (fun r -> Hashtbl.replace by_key (Request.key r) r) rte;
   ( rte,
     List.filter_map
       (fun key -> Hashtbl.find_opt by_key key)
-      (Relations.execution_order rels) )
+      h.Middleware.merged_execution_order )
 
 let test_middleware_parallel_clean () =
-  let s, sched = middleware_run () in
+  let s, h = middleware_run () in
   Alcotest.(check bool) "made progress" true (s.Middleware.committed_txns > 0);
   Alcotest.(check int) "ran with 4 workers" 4 s.Middleware.workers;
   Alcotest.(check bool) "batches drained" true
     (s.Middleware.batches_dispatched > 0);
-  let rte, merged = merged_schedule sched in
+  let rte, merged = merged_schedule h in
   let report =
     Ds_check.Serializability.check_committed
       (Ds_check.Conflict_graph.events_of_requests rte)
@@ -287,41 +287,48 @@ let test_middleware_parallel_clean () =
     true
     (Ds_check.Equivalence.is_equivalent eq)
 
-let test_assignment_relations_sql () =
-  let _, sched = middleware_run () in
-  let rels = Scheduler.relations sched in
-  Alcotest.(check int) "workers relation has 4 rows" 4
-    (Relations.worker_count rels);
-  Alcotest.(check bool) "assignment rows logged" true
-    (Relations.assignment_count rels > 0);
-  (* Declarative access: the placement is queryable like requests/history. *)
-  (match
-     Ds_sql.Exec.exec_script rels.Relations.catalog
-       "SELECT worker, COUNT(*) FROM assignment GROUP BY worker"
-   with
-  | Ds_sql.Exec.Rows (_, rows) ->
-    Alcotest.(check bool) "every worker ran work" true (List.length rows >= 2)
-  | _ -> Alcotest.fail "expected rows from assignment");
+let traced_middleware_run () =
+  let trace = Ds_obs.Trace.create () in
+  let _, h = middleware_run ~trace () in
+  (h, Ds_obs.Trace.events trace)
+
+(* Placement is recorded once, as the worker id in each [exec_start] event,
+   and is queryable through the [traces] relation. *)
+let test_placement_via_trace_sql () =
+  let _, events = traced_middleware_run () in
+  let catalog = Ds_sql.Catalog.create () in
+  Ds_sql.Catalog.register catalog (Ds_obs.Export.to_table events);
   match
-    Ds_sql.Exec.exec_script rels.Relations.catalog "SELECT * FROM workers"
+    Ds_sql.Exec.exec_script catalog
+      "SELECT DISTINCT arg FROM traces WHERE kind = 'exec_start'"
   with
   | Ds_sql.Exec.Rows (_, rows) ->
-    Alcotest.(check int) "workers rows via SQL" 4 (List.length rows)
-  | _ -> Alcotest.fail "expected rows from workers"
+    let workers =
+      List.sort compare
+        (List.map
+           (function
+             | [| Ds_relal.Value.Int w |] -> w
+             | _ -> Alcotest.fail "expected one INT column")
+           rows)
+    in
+    Alcotest.(check (list int)) "every worker ran work" [ 0; 1; 2; 3 ] workers
+  | _ -> Alcotest.fail "expected rows from traces"
 
-let test_assignment_relations_datalog () =
-  let _, sched = middleware_run () in
-  let rels = Scheduler.relations sched in
-  let program =
-    Ds_datalog.Dl_parser.parse_program
-      "busy(W) :- assignment(_, _, W, _, _, _)."
-  in
-  let engine = Ds_datalog.Dl_engine.create program in
-  Ds_datalog.Dl_engine.load_rows engine "assignment"
-    (Relations.table_facts rels "assignment");
-  let busy = Ds_datalog.Dl_engine.query engine "busy" in
-  Alcotest.(check bool) "datalog sees busy workers" true
-    (List.length busy >= 2 && List.length busy <= 4)
+let test_deliveries_traced () =
+  let h, events = traced_middleware_run () in
+  let started = Hashtbl.create 1024 in
+  List.iter
+    (fun (e : Ds_obs.Trace.event) ->
+      if e.Ds_obs.Trace.kind = Ds_obs.Trace.Exec_start then
+        Hashtbl.replace started (e.Ds_obs.Trace.ta, e.Ds_obs.Trace.seq) ())
+    events;
+  let order = h.Middleware.merged_execution_order in
+  Alcotest.(check bool) "deliveries recorded" true (order <> []);
+  List.iter
+    (fun (ta, intrata) ->
+      if not (Hashtbl.mem started (ta, intrata)) then
+        Alcotest.failf "delivered (%d, %d) has no exec_start event" ta intrata)
+    order
 
 let test_metrics_report_per_worker () =
   let m = Ds_obs.Metrics.create () in
@@ -508,8 +515,8 @@ let test_middleware_worker_faults_clean () =
      checker-clean and conflict-equivalent, and the trace must carry every
      supervisor decision, its cause in [op]. *)
   let trace = Ds_obs.Trace.create () in
-  let s, sched =
-    Helpers.run_single
+  let s, h =
+    Middleware.run_sharded
       {
         Middleware.default_config with
         Middleware.n_clients = 15;
@@ -537,7 +544,7 @@ let test_middleware_worker_faults_clean () =
   Alcotest.(check bool) "crashes injected" true (s.Middleware.worker_crashes > 0);
   Alcotest.(check bool) "classes reassigned" true
     (s.Middleware.reassigned_classes > 0);
-  let rte, merged = merged_schedule sched in
+  let rte, merged = merged_schedule h in
   let report =
     Ds_check.Serializability.check_committed
       (Ds_check.Conflict_graph.events_of_requests rte)
@@ -591,10 +598,10 @@ let tests =
       test_pool_k1_matches_backend;
     Alcotest.test_case "middleware @4 workers checker-clean" `Quick
       test_middleware_parallel_clean;
-    Alcotest.test_case "workers/assignment via SQL" `Quick
-      test_assignment_relations_sql;
-    Alcotest.test_case "assignment via datalog" `Quick
-      test_assignment_relations_datalog;
+    Alcotest.test_case "placement via the traces relation" `Quick
+      test_placement_via_trace_sql;
+    Alcotest.test_case "every delivery has an exec_start event" `Quick
+      test_deliveries_traced;
     Alcotest.test_case "metrics report per-worker rows" `Quick
       test_metrics_report_per_worker;
     Alcotest.test_case "K=1 output unchanged" `Quick

@@ -410,95 +410,84 @@ let test_sum_domains () =
 let index_consistency_prop =
   (* Under random interleavings of every mutation the table supports, a hash
      probe must equal the predicate scan (in insertion order) and a range
-     probe must equal the scan sorted by value — in both maintenance modes,
-     with identical contents across modes. *)
+     probe must equal the scan sorted by value. *)
   QCheck2.Test.make
     ~name:"probe/range_probe = full scan under random mutations" ~count:60
     QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 5 40))
     (fun (seed, nops) ->
-      let run_mode incremental =
-        let saved = !Table.incremental_maintenance in
-        Table.incremental_maintenance := incremental;
-        Fun.protect
-          ~finally:(fun () -> Table.incremental_maintenance := saved)
-          (fun () ->
-            let t =
-              Table.create ~name:"p"
-                (Schema.of_list
-                   [
-                     Schema.column "k" Schema.Tint; Schema.column "v" Schema.Tint;
-                   ])
-            in
-            Table.create_index t [ 0 ];
-            Table.create_ordered_index t 1;
-            let rng = Ds_sim.Rng.create seed in
-            let mk_row () =
-              [| v_int (Ds_sim.Rng.int rng 8); v_int (Ds_sim.Rng.int rng 40) |]
-            in
-            let dumps = ref [] in
-            let check_probes () =
-              for k = 0 to 7 do
-                let via_index =
-                  List.map Array.to_list (Table.probe t [ 0 ] [ v_int k ])
-                and via_scan =
-                  List.filter_map
-                    (fun row ->
-                      if Value.equal row.(0) (v_int k) then
-                        Some (Array.to_list row)
-                      else None)
-                    (Table.rows t)
-                in
-                if via_index <> via_scan then failwith "hash probe <> scan"
-              done;
-              let lo = Ds_sim.Rng.int rng 40 in
-              let hi = lo + Ds_sim.Rng.int rng 15 in
-              let via_index =
-                List.map Array.to_list
-                  (Table.range_probe t 1
-                     ~lo:(Some (v_int lo, true))
-                     ~hi:(Some (v_int hi, true)))
-              and via_scan =
-                List.map Array.to_list
-                  (List.stable_sort
-                     (fun a b -> Value.compare a.(1) b.(1))
-                     (List.filter
-                        (fun row ->
-                          Value.compare row.(1) (v_int lo) >= 0
-                          && Value.compare row.(1) (v_int hi) <= 0)
-                        (Table.rows t)))
-              in
-              if via_index <> via_scan then failwith "range probe <> scan";
-              dumps := List.map Array.to_list (Table.rows t) :: !dumps
-            in
-            for _ = 1 to nops do
-              (match Ds_sim.Rng.int rng 12 with
-              | 0 | 1 | 2 | 3 -> Table.insert t (mk_row ())
-              | 4 | 5 ->
-                Table.insert_many t
-                  (List.init (1 + Ds_sim.Rng.int rng 6) (fun _ -> mk_row ()))
-              | 6 | 7 ->
-                let k = v_int (Ds_sim.Rng.int rng 8) in
-                ignore
-                  (Table.delete_where t (fun row -> Value.equal row.(0) k))
-              | 8 | 9 ->
-                let k = v_int (Ds_sim.Rng.int rng 8) in
-                let v = v_int (Ds_sim.Rng.int rng 40) in
-                ignore
-                  (Table.update_where t
-                     (fun row -> Value.equal row.(0) k)
-                     (fun row -> row.(1) <- v))
-              | 10 ->
-                (* Bulk churn to cross the compaction threshold. *)
-                Table.insert_many t (List.init 80 (fun _ -> mk_row ()));
-                ignore
-                  (Table.delete_where t (fun row ->
-                       Value.compare row.(1) (v_int 20) < 0))
-              | _ -> if Ds_sim.Rng.int rng 4 = 0 then Table.clear t);
-              check_probes ()
-            done;
-            List.rev !dumps)
+      let t =
+        Table.create ~name:"p"
+          (Schema.of_list
+             [
+               Schema.column "k" Schema.Tint; Schema.column "v" Schema.Tint;
+             ])
       in
-      run_mode true = run_mode false)
+      Table.create_index t [ 0 ];
+      Table.create_ordered_index t 1;
+      let rng = Ds_sim.Rng.create seed in
+      let mk_row () =
+        [| v_int (Ds_sim.Rng.int rng 8); v_int (Ds_sim.Rng.int rng 40) |]
+      in
+      let check_probes () =
+        for k = 0 to 7 do
+          let via_index =
+            List.map Array.to_list (Table.probe t [ 0 ] [ v_int k ])
+          and via_scan =
+            List.filter_map
+              (fun row ->
+                if Value.equal row.(0) (v_int k) then
+                  Some (Array.to_list row)
+                else None)
+              (Table.rows t)
+          in
+          if via_index <> via_scan then failwith "hash probe <> scan"
+        done;
+        let lo = Ds_sim.Rng.int rng 40 in
+        let hi = lo + Ds_sim.Rng.int rng 15 in
+        let via_index =
+          List.map Array.to_list
+            (Table.range_probe t 1
+               ~lo:(Some (v_int lo, true))
+               ~hi:(Some (v_int hi, true)))
+        and via_scan =
+          List.map Array.to_list
+            (List.stable_sort
+               (fun a b -> Value.compare a.(1) b.(1))
+               (List.filter
+                  (fun row ->
+                    Value.compare row.(1) (v_int lo) >= 0
+                    && Value.compare row.(1) (v_int hi) <= 0)
+                  (Table.rows t)))
+        in
+        if via_index <> via_scan then failwith "range probe <> scan"
+      in
+      for _ = 1 to nops do
+        (match Ds_sim.Rng.int rng 12 with
+        | 0 | 1 | 2 | 3 -> Table.insert t (mk_row ())
+        | 4 | 5 ->
+          Table.insert_many t
+            (List.init (1 + Ds_sim.Rng.int rng 6) (fun _ -> mk_row ()))
+        | 6 | 7 ->
+          let k = v_int (Ds_sim.Rng.int rng 8) in
+          ignore
+            (Table.delete_where t (fun row -> Value.equal row.(0) k))
+        | 8 | 9 ->
+          let k = v_int (Ds_sim.Rng.int rng 8) in
+          let v = v_int (Ds_sim.Rng.int rng 40) in
+          ignore
+            (Table.update_where t
+               (fun row -> Value.equal row.(0) k)
+               (fun row -> row.(1) <- v))
+        | 10 ->
+          (* Bulk churn to cross the compaction threshold. *)
+          Table.insert_many t (List.init 80 (fun _ -> mk_row ()));
+          ignore
+            (Table.delete_where t (fun row ->
+                 Value.compare row.(1) (v_int 20) < 0))
+        | _ -> if Ds_sim.Rng.int rng 4 = 0 then Table.clear t);
+        check_probes ()
+      done;
+      true)
 
 let optimizer_preserves_filter_semantics =
   (* Random conjunctive/disjunctive filters over a cross product evaluate the

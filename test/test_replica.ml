@@ -104,6 +104,25 @@ let test_link_partition_holds () =
   Alcotest.(check (list int)) "released after the heal" [ 1 ]
     (List.map (fun m -> m.Link.m_lsn) (Link.deliver link ~now:2.5))
 
+(* Every key [plan_to_string] writes parses back to the same plan, so a
+   swarm scenario or replay file carries the whole link plan; the latency
+   floor is fixed and is not a key. *)
+let test_link_spec_roundtrip () =
+  let spec =
+    "drop=0.1,dup=0.05,reorder=0.2,delay=0.1,spike=0.03,partition=1.5,\
+     partition-dur=0.25,flap=0.4,flap-down=0.02"
+  in
+  let plan =
+    match Link.plan_of_string spec with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "spec rejected: %s" e
+  in
+  Alcotest.(check string) "spec round-trips" spec (Link.plan_to_string plan);
+  Alcotest.(check bool) "printed plan parses back to itself" true
+    (Link.plan_of_string (Link.plan_to_string plan) = Ok plan);
+  Alcotest.(check bool) "the latency floor is not a key" true
+    (Result.is_error (Link.plan_of_string "base=0.01"))
+
 (* --- session -------------------------------------------------------------- *)
 
 let read_file p = In_channel.with_open_bin p In_channel.input_all
@@ -259,6 +278,8 @@ let tests =
       test_link_deterministic;
     Alcotest.test_case "link: partition holds then releases" `Quick
       test_link_partition_holds;
+    Alcotest.test_case "link: fault spec round-trips" `Quick
+      test_link_spec_roundtrip;
     Alcotest.test_case "session: lossy link converges to zero lag" `Quick
       test_session_converges;
     Alcotest.test_case "session: pcrash promotes under a fresh epoch" `Quick

@@ -68,8 +68,8 @@ let check_serializable rte =
       Ds_check.Serializability.pp_report report
 
 (* shards=1 must be the single-scheduler middleware, bit for bit: same
-   deterministic counters, and the merged artifacts are exactly the one
-   lane's rte sequence and delivery order. *)
+   deterministic counters, and the merged rte is exactly the one lane's rte
+   sequence. *)
 let test_s1_identity () =
   let stats_a = Middleware.run (cfg ()) in
   let stats_b, h = Middleware.run_sharded (cfg ()) in
@@ -90,11 +90,7 @@ let test_s1_identity () =
   Alcotest.(check (list (pair int int)))
     "identical rte"
     (keys (Relations.rte_requests rels))
-    (keys h.Middleware.merged_rte);
-  Alcotest.(check (list (pair int int)))
-    "identical delivery order"
-    (Relations.execution_order rels)
-    h.Middleware.merged_execution_order
+    (keys h.Middleware.merged_rte)
 
 (* A perfectly partitioned workload (groups = shards, no escapes) routes
    every transaction to its home shard lane; the global lane stays idle. *)
