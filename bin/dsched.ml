@@ -317,8 +317,10 @@ let run_cmd =
       & opt (some string) None
       & info [ "journal" ] ~docv:"FILE"
           ~doc:
-            "Write-ahead journal (inspect with 'dsched recover FILE'). A \
-             crash fault without one uses a temp file.")
+            "Write-ahead journal (inspect with 'dsched recover FILE'). Each \
+             run starts it afresh, overwriting a journal (or, with \
+             $(b,--shards) > 1, the segments of a directory) already at \
+             FILE. A crash fault without one uses a temp file.")
   in
   let trace_out =
     Arg.(

@@ -382,7 +382,7 @@ let run_one ?(config = default_config) ?(subjects = default_subjects ())
                 | [] -> ()
                 | batch :: rest ->
                   Ds_server.Worker_pool.execute pool batch
-                    ~on_each:(fun ~worker:_ ~cls:_ ~pos:_ r ->
+                    ~on_each:(fun r ->
                       merged := r :: !merged)
                     (fun _ -> replay rest)
               in

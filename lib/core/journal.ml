@@ -391,6 +391,7 @@ type recovered = {
   skipped : int;
   corrupt_dropped : int;
   valid_bytes : int;
+  valid_lines : int;
   epoch : int;
 }
 
@@ -692,6 +693,14 @@ let recover ?(repair = false) path =
      done
    with Exit -> ());
   if repair && !valid_bytes < file_len then Unix.truncate path !valid_bytes;
+  (* Newline-terminated lines of the trusted prefix: those the view omits
+     plus every view line whose newline lies before [valid_bytes]. *)
+  let valid_lines =
+    Array.fold_left
+      (fun acc (off, s) ->
+        if off + String.length s < !valid_bytes then acc + 1 else acc)
+      pre_lines lines
+  in
   let history = List.map (fun e -> e.req) (hist_of_state st) in
   {
     pending = List.map fst (pending_of_state st);
@@ -704,6 +713,7 @@ let recover ?(repair = false) path =
     skipped;
     corrupt_dropped = !corrupt_dropped;
     valid_bytes = !valid_bytes;
+    valid_lines;
     epoch = st.epoch;
   }
   in
@@ -808,31 +818,12 @@ let recover ?(repair = false) path =
     replay_view (split_lines (pread ~pos:0 ~len:file_len)) ~pre_lines:0
       ~strict:false
 
-(* Newline count of an existing file, read in chunks (the journal can be
-   much larger than memory pressure should be). *)
-let count_file_lines path =
-  match open_in_bin path with
-  | exception Sys_error _ -> 0
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let buf = Bytes.create 65536 in
-        let n = ref 0 in
-        let rec loop () =
-          let read = input ic buf 0 (Bytes.length buf) in
-          if read > 0 then begin
-            for i = 0 to read - 1 do
-              if Bytes.get buf i = '\n' then incr n
-            done;
-            loop ()
-          end
-        in
-        loop ();
-        !n)
-
 let open_ ?(sync = false) ?state path =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+  let oc =
+    match state with
+    | None -> open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path
+    | Some _ -> open_out_gen [ Open_append; Open_creat ] 0o644 path
+  in
   let st = fresh_state () in
   (match state with
   | None -> ()
@@ -857,7 +848,7 @@ let open_ ?(sync = false) ?state path =
     state = st;
     frame = Bytes.of_string "!00000000 ";
     n_checkpoints = 0;
-    n_lines = count_file_lines path;
+    n_lines = (match state with None -> 0 | Some r -> r.valid_lines);
     sink = None;
     hash_checkpoints = false;
   }
@@ -939,6 +930,7 @@ let empty_recovered =
     skipped = 0;
     corrupt_dropped = 0;
     valid_bytes = 0;
+    valid_lines = 0;
     epoch = 0;
   }
 
@@ -992,6 +984,7 @@ let recover_dir ?(repair = false) dir =
     skipped = sum (fun s -> s.skipped);
     corrupt_dropped = sum (fun s -> s.corrupt_dropped);
     valid_bytes = sum (fun s -> s.valid_bytes);
+    valid_lines = sum (fun s -> s.valid_lines);
     epoch = List.fold_left (fun acc s -> max acc s.epoch) 0 segs;
   }
 

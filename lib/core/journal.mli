@@ -61,19 +61,24 @@ type recovered = {
   skipped : int;  (** journal lines before the checkpoint, not replayed *)
   corrupt_dropped : int;  (** torn/corrupt tail lines dropped *)
   valid_bytes : int;  (** length of the trusted prefix, in bytes *)
+  valid_lines : int;
+      (** newline-terminated lines in the trusted prefix; {!open_} with
+          [~state] resumes its line count from here *)
   epoch : int;
       (** highest promotion epoch replayed (['E'] records); [0] for a
           journal that never went through a failover *)
 }
 
-(** [open_ path] appends to [path] (created if missing). With [~sync:true],
-    every {!flush} additionally calls [Unix.fsync], so a process kill cannot
-    lose a cycle the scheduler already acknowledged.
+(** [open_ path] starts a fresh journal at [path]: an existing file is
+    overwritten, so a new run never inherits a previous run's records. With
+    [~sync:true], every {!flush} additionally calls [Unix.fsync], so a
+    process kill cannot lose a cycle the scheduler already acknowledged.
 
     The writer mirrors the journal's logical state so {!checkpoint} can
-    snapshot it. When reopening an existing journal after a recovery, pass
-    the {!recover} result as [~state] to seed that mirror — a checkpoint
-    written after a blind reopen would otherwise snapshot an empty state. *)
+    snapshot it. [open_ ~state path] instead appends to the journal that
+    [state] was recovered from, seeding the mirror (and the line count that
+    checkpoint blocks record) from it. Recover with [~repair:true] first, so
+    the file ends at the trusted prefix the state describes. *)
 val open_ : ?sync:bool -> ?state:recovered -> string -> t
 
 val close : t -> unit

@@ -570,7 +570,7 @@ and dispatch sim lane ~epoch requests =
                end)))
       sim.cfg.batch_timeout;
     Ds_server.Worker_pool.execute lane.pool requests
-      ~on_each:(fun ~worker:_ ~cls:_ ~pos:_ r ->
+      ~on_each:(fun r ->
         if live () then begin
           (* Parallel workers complete out of batch order, so drop the
              delivered request by key rather than by head match. *)

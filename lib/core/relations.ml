@@ -35,15 +35,14 @@ let create ?(extended = false) () =
   let history = Table.create ~name:"history" s in
   let rte = Table.create ~name:"rte" s in
   let dead = Table.create ~name:"dead" s in
-  (* The protocol queries join on ta and probe objects; declare the indexes
-     the optimizer ablation toggles. *)
+  (* The protocol queries join on ta and on object; declare the hash indexes
+     the optimizer ablation toggles. Range predicates (rationing's
+     [object < T]) filter a scan or a view and need no index. *)
   List.iter
     (fun t ->
       Table.create_index t [ 1 ];
       (* ta *)
-      Table.create_index t [ 4 ];
-      (* object, point lookups *)
-      Table.create_ordered_index t 4 (* object, range predicates (rationing) *))
+      Table.create_index t [ 4 ] (* object *))
     [ requests; history ];
   (* operation: lets prune find terminal rows by probe instead of scan *)
   Table.create_index history [ 3 ];

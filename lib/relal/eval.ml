@@ -83,14 +83,13 @@ end
 module Row_tbl = Hashtbl.Make (Row_key)
 
 (* Filter-over-scan: the rows the predicate has to be tested on. A
-   [col = const] conjunct on a hash-indexed column probes that index; else a
-   range predicate on an ordered-indexed column narrows the scan with a range
-   probe; else every row. The full predicate is still applied afterwards, so
-   a probe only needs to return a superset. Both probes return rows in slot
-   order, the order of a full scan. *)
+   [col = const] conjunct on a hash-indexed column probes that index; else
+   every row. The full predicate is still applied afterwards, so a probe only
+   needs to return a superset. A probe returns rows in slot order, the order
+   of a full scan. *)
 let index_candidates pred p =
   match p with
-  | Scan (t, _) when !use_table_indexes -> (
+  | Scan (t, _) when !use_table_indexes ->
     let rec conjuncts = function
       | And (a, b) -> conjuncts a @ conjuncts b
       | e -> [ e ]
@@ -108,70 +107,9 @@ let index_candidates pred p =
         | _ -> None)
       | _ -> None
     in
-    match List.find_map point (conjuncts pred) with
-    | Some (i, v) -> Some (Table.probe t [ i ] [ v ])
-    | None ->
-      (* (column, lo bound, hi bound) of one conjunct, if range-shaped. *)
-      let bound_of = function
-        | Cmp (op, Col i, rhs) when const_of rhs <> None -> (
-          let v = Option.get (const_of rhs) in
-          if Value.is_null v then None
-          else
-            match op with
-            | Lt -> Some (i, None, Some (v, false))
-            | Leq -> Some (i, None, Some (v, true))
-            | Gt -> Some (i, Some (v, false), None)
-            | Geq -> Some (i, Some (v, true), None)
-            | Eq -> Some (i, Some (v, true), Some (v, true))
-            | Neq -> None)
-        | Cmp (op, lhs, Col i) when const_of lhs <> None -> (
-          let v = Option.get (const_of lhs) in
-          if Value.is_null v then None
-          else
-            match op with
-            | Lt -> Some (i, Some (v, false), None)
-            | Leq -> Some (i, Some (v, true), None)
-            | Gt -> Some (i, None, Some (v, false))
-            | Geq -> Some (i, None, Some (v, true))
-            | Eq -> Some (i, Some (v, true), Some (v, true))
-            | Neq -> None)
-        | _ -> None
-      in
-      let tighter_lo a b =
-        match (a, b) with
-        | None, x | x, None -> x
-        | Some (va, ia), Some (vb, ib) ->
-          let c = Value.compare va vb in
-          if c > 0 then Some (va, ia)
-          else if c < 0 then Some (vb, ib)
-          else Some (va, ia && ib)
-      in
-      let tighter_hi a b =
-        match (a, b) with
-        | None, x | x, None -> x
-        | Some (va, ia), Some (vb, ib) ->
-          let c = Value.compare va vb in
-          if c < 0 then Some (va, ia)
-          else if c > 0 then Some (vb, ib)
-          else Some (va, ia && ib)
-      in
-      let bounds =
-        List.fold_left
-          (fun acc conjunct ->
-            match bound_of conjunct with
-            | Some (col, lo, hi) when Table.has_ordered_index t col -> (
-              match acc with
-              | None -> Some (col, lo, hi)
-              | Some (col0, lo0, hi0) when col0 = col ->
-                Some (col0, tighter_lo lo0 lo, tighter_hi hi0 hi)
-              | Some _ -> acc)
-            | _ -> acc)
-          None (conjuncts pred)
-      in
-      match bounds with
-      | Some (col, lo, hi) when lo <> None || hi <> None ->
-        Some (Table.range_probe t col ~lo ~hi)
-      | _ -> None)
+    Option.map
+      (fun (i, v) -> Table.probe t [ i ] [ v ])
+      (List.find_map point (conjuncts pred))
   | _ -> None
 
 let rec eval_expr ?(env = []) ~row e =

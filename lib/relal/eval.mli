@@ -17,8 +17,8 @@ val run : ?env:Value.t array list -> Ra.plan -> Value.t array list
 
 (** [candidates ?env pred p] — the rows a [Filter (pred, p)] tests [pred]
     on, in [p]'s order. Over a base-table scan, a [col = const] conjunct on a
-    hash-indexed column probes that index, else a range conjunct on an
-    ordered-indexed column probes the ordered index; otherwise all of [p]. *)
+    hash-indexed column probes that index; otherwise all of [p]. Range
+    predicates always test every row of [p]. *)
 val candidates : ?env:Value.t array list -> Ra.expr -> Ra.plan -> Value.t array list
 
 (** [eval_expr ?env ~row e] evaluates a scalar expression against [row]. *)
@@ -30,7 +30,7 @@ val truthy : Value.t -> bool
 (** When true (the default), a hash join whose right side is a base-table
     scan with a declared index on exactly the join columns probes that index
     instead of building an ephemeral hash table, and a filter over a
-    base-table scan probes a hash or ordered index (see {!candidates}). The
+    base-table scan probes a hash index (see {!candidates}). The
     persistent index is shared by every probe of the table within a query
     (Listing 1 reads [history]'s operation index four times), and across
     queries until the table changes. Toggled off by the optimizer/index

@@ -16,21 +16,6 @@ module Key_tbl = Hashtbl.Make (Key)
    swept out when the table compacts. *)
 type index = { cols : int list; mutable map : int Vec.t Key_tbl.t option }
 
-(* Ordered index: (value, slot) entries sorted by (value, slot), NULLs
-   excluded. [main] is the big sorted run; inserts and updates append to the
-   small [overflow] run, which is sorted lazily on probe and merged into
-   [main] once it outgrows the merge threshold. Entries self-invalidate: an
-   entry is live iff its slot is live and still holds that value, so deletes
-   and updates never have to find old entries — stale ones are skipped on
-   probe and dropped at the next merge/compaction. *)
-type ordered_index = {
-  ocol : int;
-  mutable main : (Value.t * int) array;
-  mutable overflow : (Value.t * int) Vec.t;
-  mutable overflow_sorted : bool;
-  mutable built : bool;
-}
-
 type t = {
   name : string;
   schema : Schema.t;
@@ -38,7 +23,6 @@ type t = {
   mutable live : Bytes.t;  (* parallel to [rows]: '\001' live, '\000' dead *)
   mutable n_dead : int;
   mutable indexes : index list;
-  mutable ordered : ordered_index list;
   mutable subscribers : (added:Value.t array list -> removed:Value.t array list -> unit) list;
 }
 
@@ -83,7 +67,6 @@ let create ~name schema =
     live = Bytes.create 0;
     n_dead = 0;
     indexes = [];
-    ordered = [];
     subscribers = [];
   }
 
@@ -110,25 +93,11 @@ let notify t ~added ~removed =
     timed_maintenance (fun () ->
         List.iter (fun f -> f ~added ~removed) t.subscribers)
 
-let invalidate t =
-  List.iter (fun ix -> ix.map <- None) t.indexes;
-  List.iter
-    (fun ox ->
-      ox.main <- [||];
-      Vec.clear ox.overflow;
-      ox.overflow_sorted <- true;
-      ox.built <- false)
-    t.ordered
+let invalidate t = List.iter (fun ix -> ix.map <- None) t.indexes
 
-let has_built_index t =
-  List.exists (fun ix -> ix.map <> None) t.indexes
-  || List.exists (fun ox -> ox.built) t.ordered
+let has_built_index t = List.exists (fun ix -> ix.map <> None) t.indexes
 
 let key_of_row cols row = List.map (fun c -> row.(c)) cols
-
-(* Compare ordered-index entries by (value, slot): the global probe order. *)
-let entry_compare (va, pa) (vb, pb) =
-  match Value.compare va vb with 0 -> Int.compare pa pb | c -> c
 
 let ensure_live_capacity t =
   let len = Vec.length t.rows in
@@ -157,17 +126,7 @@ let index_insert t pos row =
           let posting = Vec.create () in
           Vec.push posting pos;
           Key_tbl.replace map key posting))
-    t.indexes;
-  List.iter
-    (fun ox ->
-      if ox.built then begin
-        let v = row.(ox.ocol) in
-        if not (Value.is_null v) then begin
-          Vec.push ox.overflow (v, pos);
-          ox.overflow_sorted <- false
-        end
-      end)
-    t.ordered
+    t.indexes
 
 let push_row t row =
   let pos = Vec.length t.rows in
@@ -211,54 +170,11 @@ let insert_many t rows =
 (* compaction                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Rewrite one ordered index against [remap] (old slot -> new slot, -1 =
-   gone): sort the overflow run, merge it with the main run and keep only
-   entries that still validate. Single linear pass; the result is a clean
-   [main] and an empty overflow. Must run after the rows vector has been
-   compacted (validation reads rows at their *new* slots). *)
-let compact_ordered t remap ox =
-  if ox.built then begin
-    if not ox.overflow_sorted then begin
-      Vec.sort entry_compare ox.overflow;
-      ox.overflow_sorted <- true
-    end;
-    let ov = Vec.to_array ox.overflow in
-    let merged = Vec.create () in
-    let keep (v, old_pos) =
-      let pos = remap.(old_pos) in
-      if pos >= 0 && Value.equal (Vec.get t.rows pos).(ox.ocol) v then begin
-        let entry = (v, pos) in
-        if
-          Vec.is_empty merged
-          || entry_compare (Vec.last merged) entry <> 0 (* drop exact dups *)
-        then Vec.push merged entry
-      end
-    in
-    let n_main = Array.length ox.main and n_ov = Array.length ov in
-    let i = ref 0 and j = ref 0 in
-    while !i < n_main || !j < n_ov do
-      if
-        !j >= n_ov
-        || (!i < n_main && entry_compare ox.main.(!i) ov.(!j) <= 0)
-      then begin
-        keep ox.main.(!i);
-        incr i
-      end
-      else begin
-        keep ov.(!j);
-        incr j
-      end
-    done;
-    ox.main <- Vec.to_array merged;
-    Vec.clear ox.overflow;
-    ox.overflow_sorted <- true
-  end
-
 (* Squeeze dead slots out of the rows vector in place (single write-pointer
    pass) and patch every built index through the slot remap instead of
-   rebuilding it: postings are filtered/rewritten in place, ordered runs are
-   merged/validated. Triggered when at least half the slots are dead, so the
-   cost amortizes to O(1) per deleted row. *)
+   rebuilding it: postings are filtered/rewritten in place. Triggered when at
+   least half the slots are dead, so the cost amortizes to O(1) per deleted
+   row. *)
 let compact t =
   let n = Vec.length t.rows in
   let remap = Array.make n (-1) in
@@ -287,8 +203,7 @@ let compact t =
                  posting);
             if Vec.is_empty posting then None else Some posting)
           map)
-    t.indexes;
-  List.iter (compact_ordered t remap) t.ordered
+    t.indexes
 
 let maybe_compact t =
   if t.n_dead > 64 && 2 * t.n_dead > Vec.length t.rows then
@@ -356,20 +271,6 @@ let reindex_hash t pos old_keys row =
         end)
     t.indexes old_keys
 
-let reindex_ordered t pos old_vals row =
-  List.iter2
-    (fun ox old_v ->
-      if ox.built then begin
-        let v = row.(ox.ocol) in
-        if (not (Value.equal old_v v)) && not (Value.is_null v) then begin
-          (* The stale (old_v, pos) entry self-invalidates on probe; only the
-             new value needs an entry. *)
-          Vec.push ox.overflow (v, pos);
-          ox.overflow_sorted <- false
-        end
-      end)
-    t.ordered old_vals
-
 (* Rows change in place, so the feed reports a copy of each row as it was
    before the update as removed, and the updated row as added. *)
 let update_where t p f =
@@ -389,11 +290,8 @@ let update_where t p f =
           let old_keys =
             List.map (fun ix -> key_of_row ix.cols row) t.indexes
           in
-          let old_vals = List.map (fun ox -> row.(ox.ocol)) t.ordered in
           f row;
-          timed_maintenance (fun () ->
-              reindex_hash t pos old_keys row;
-              reindex_ordered t pos old_vals row)
+          timed_maintenance (fun () -> reindex_hash t pos old_keys row)
         end
         else f row;
         incr touched
@@ -483,139 +381,6 @@ let probe t cols key =
         if is_live t pos then out := Vec.get t.rows pos :: !out
       done;
       !out)
-
-(* ------------------------------------------------------------------ *)
-(* ordered indexes                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let create_ordered_index t col =
-  if col < 0 || col >= Schema.arity t.schema then
-    invalid_arg "Table.create_ordered_index: column out of range";
-  if not (List.exists (fun ox -> ox.ocol = col) t.ordered) then
-    t.ordered <-
-      {
-        ocol = col;
-        main = [||];
-        overflow = Vec.create ();
-        overflow_sorted = true;
-        built = false;
-      }
-      :: t.ordered
-
-let has_ordered_index t col = List.exists (fun ox -> ox.ocol = col) t.ordered
-
-let build_ordered ox t =
-  timed_maintenance (fun () ->
-      let cells = Vec.create () in
-      for pos = 0 to Vec.length t.rows - 1 do
-        if is_live t pos then begin
-          let v = (Vec.get t.rows pos).(ox.ocol) in
-          if not (Value.is_null v) then Vec.push cells (v, pos)
-        end
-      done;
-      (* Slots are visited ascending, so this is already (value, slot)
-         sorted within equal values after a stable value sort. *)
-      let arr = Vec.to_array cells in
-      Array.stable_sort entry_compare arr;
-      ox.main <- arr;
-      Vec.clear ox.overflow;
-      ox.overflow_sorted <- true;
-      ox.built <- true)
-
-(* Sort the overflow run if dirty, and merge it into the main run once it
-   outgrows the threshold (the "compacted on probe" step). Identity remap:
-   slots are untouched, only runs move. *)
-let settle_overflow ox t =
-  let n_ov = Vec.length ox.overflow in
-  if n_ov > 0 then
-    if n_ov > max 64 (Array.length ox.main / 8) then
-      timed_maintenance (fun () ->
-          let remap =
-            Array.init (Vec.length t.rows) (fun i ->
-                if is_live t i then i else -1)
-          in
-          compact_ordered t remap ox)
-    else if not ox.overflow_sorted then
-      timed_maintenance (fun () ->
-          Vec.sort entry_compare ox.overflow;
-          ox.overflow_sorted <- true)
-
-(* First index in [get 0..n) whose entry value satisfies [bound] (for [lo])
-   or violates it (for [hi]). *)
-let bisect ~n ~get ~crosses =
-  let rec go l r =
-    if l >= r then l
-    else begin
-      let m = (l + r) / 2 in
-      if crosses (fst (get m)) then go l m else go (m + 1) r
-    end
-  in
-  go 0 n
-
-let lo_crosses lo v =
-  match lo with
-  | None -> true
-  | Some (b, inclusive) ->
-    let c = Value.compare v b in
-    c > 0 || (c = 0 && inclusive)
-
-let hi_crosses hi v =
-  match hi with
-  | None -> false
-  | Some (b, inclusive) ->
-    let c = Value.compare v b in
-    c > 0 || (c = 0 && not inclusive)
-
-let range_probe t col ~lo ~hi =
-  match List.find_opt (fun ox -> ox.ocol = col) t.ordered with
-  | None ->
-    invalid_arg (Printf.sprintf "Table.range_probe(%s): no ordered index" t.name)
-  | Some ox ->
-    if not ox.built then build_ordered ox t;
-    settle_overflow ox t;
-    let main = ox.main and ov = ox.overflow in
-    let m_start =
-      bisect ~n:(Array.length main) ~get:(Array.get main)
-        ~crosses:(lo_crosses lo)
-    and m_stop =
-      bisect ~n:(Array.length main) ~get:(Array.get main)
-        ~crosses:(hi_crosses hi)
-    and o_start =
-      bisect ~n:(Vec.length ov) ~get:(Vec.get ov) ~crosses:(lo_crosses lo)
-    and o_stop =
-      bisect ~n:(Vec.length ov) ~get:(Vec.get ov) ~crosses:(hi_crosses hi)
-    in
-    (* Merge the two in-range runs by (value, slot); entries validate against
-       the current row (alive and value unchanged), and exact duplicates
-       (possible after value flip-flops via update) collapse. *)
-    let out = ref [] in
-    let last = ref None in
-    let emit ((v, pos) as entry) =
-      if
-        (match !last with Some prev -> entry_compare prev entry <> 0 | None -> true)
-        && is_live t pos
-        && Value.equal (Vec.get t.rows pos).(col) v
-      then begin
-        out := Vec.get t.rows pos :: !out;
-        last := Some entry
-      end
-      else last := Some entry
-    in
-    let i = ref m_start and j = ref o_start in
-    while !i < m_stop || !j < o_stop do
-      if
-        !j >= o_stop
-        || (!i < m_stop && entry_compare main.(!i) (Vec.get ov !j) <= 0)
-      then begin
-        emit main.(!i);
-        incr i
-      end
-      else begin
-        emit (Vec.get ov !j);
-        incr j
-      end
-    done;
-    List.rev !out
 
 (* Probe the hash index on [cols] for [key] and tombstone every matching live
    row satisfying [p]; returns how many were removed. The batched delete used

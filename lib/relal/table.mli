@@ -3,11 +3,10 @@
     Rows are value arrays matching the table schema, stored in slots that are
     never reused: [delete_where] tombstones the slot, and the table compacts
     itself in place (remapping index entries rather than rebuilding) once at
-    least half the slots are dead. Hash indexes keep per-key posting lists of
-    slots updated on every insert/update; ordered indexes keep a large sorted
-    main run plus a small overflow run that absorbs new entries and is
-    compacted into the main run on probe. An index is built from scratch
-    only on its first probe and after {!clear}. *)
+    least half the slots are dead. The one index kind is a hash index: a
+    per-key posting list of slots, updated in place on every insert/update.
+    An index is built from scratch only on its first probe and after
+    {!clear}. *)
 
 type t
 
@@ -19,7 +18,7 @@ val schema : t -> Schema.t
 val row_count : t -> int
 
 (** Cumulative wall-clock seconds spent on index maintenance (incremental
-    updates, lazy builds, overflow merges, compaction, change-feed
+    updates, lazy builds, compaction, change-feed
     subscribers such as {!View} upkeep) across all tables since start-up;
     nested sections count once. Also reported per section through
     {!Profile.set_section_observer} under the label ["index-maintenance"]. *)
@@ -48,8 +47,7 @@ val delete_by_key :
 
 (** [update_where t p f] applies the in-place mutation [f] to each row
     satisfying [p]; returns how many rows were touched. Hash-index postings
-    are moved between keys exactly; ordered indexes get the new value pushed
-    to their overflow run, the stale entry self-invalidating on probe. *)
+    are moved between keys exactly. *)
 val update_where : t -> (Value.t array -> bool) -> (Value.t array -> unit) -> int
 
 (** Removes every row; the change feed reports each of them as removed. *)
@@ -82,22 +80,3 @@ val has_index : t -> int list -> bool
     insertion order, using the index (built on demand).
     @raise Invalid_argument if no such index was declared. *)
 val probe : t -> int list -> Value.t list -> Value.t array list
-
-(** [create_ordered_index t col] declares an ordered index on one column,
-    enabling {!range_probe}. Duplicate declarations are no-ops. *)
-val create_ordered_index : t -> int -> unit
-
-val has_ordered_index : t -> int -> bool
-
-(** [range_probe t col ~lo ~hi] returns the rows whose [col] value lies in
-    the given range; each bound is [(value, inclusive)], [None] = unbounded.
-    Rows with NULL in [col] are never returned (SQL comparison semantics).
-    Results preserve insertion order within equal keys but are ordered by
-    key, not by insertion.
-    @raise Invalid_argument if no ordered index was declared on [col]. *)
-val range_probe :
-  t ->
-  int ->
-  lo:(Value.t * bool) option ->
-  hi:(Value.t * bool) option ->
-  Value.t array list

@@ -84,10 +84,9 @@ let create ~mode ~plan ~seed ?trace ~dir () =
   output_string oc
     (Printf.sprintf "%s\nmode %s\n" manifest_magic (mode_to_string mode));
   close_out oc;
+  (* [Journal.open_] starts the standby file afresh: a stale one from a
+     previous session would not be a prefix of this primary's stream *)
   let standby_path = standby_path_of dir in
-  (* a stale standby file from a previous session would not be a prefix of
-     this primary's stream *)
-  if Sys.file_exists standby_path then Sys.remove standby_path;
   {
     mode;
     link = Link.create plan (Ds_sim.Rng.create seed);

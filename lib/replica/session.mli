@@ -49,7 +49,7 @@ type t
 (** [create ~mode ~plan ~seed ~dir ()] starts a session journalling the
     standby mirror into [dir/standby.journal] ([dir] is created, gets a
     [REPL] manifest recording the mode, and a stale standby file is
-    removed). [seed] drives the link's fault draws. *)
+    overwritten). [seed] drives the link's fault draws. *)
 val create :
   mode:mode ->
   plan:Link.plan ->

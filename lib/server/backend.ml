@@ -33,25 +33,6 @@ let set_fault_hook t hook = t.fault_hook <- hook
 
 let set_trace t trace = t.trace <- trace
 
-let execute_batch t requests k =
-  let work =
-    List.fold_left
-      (fun acc (r : Request.t) ->
-        match r.Request.op with
-        | Op.Read | Op.Write -> acc +. Cost_model.stmt_cost t.cost ~locking:false
-        | Op.Commit | Op.Abort -> acc +. t.cost.Cost_model.commit_service)
-      0. requests
-  in
-  let data =
-    List.length (List.filter (fun r -> Request.is_data r) requests)
-  in
-  if requests = [] then
-    ignore (Engine.schedule t.engine ~after:0. k)
-  else
-    Cpu.submit t.cpu_ ~work (fun () ->
-        t.executed <- t.executed + data;
-        k ())
-
 let request_work t (r : Request.t) =
   match r.Request.op with
   | Op.Read | Op.Write -> Cost_model.stmt_cost t.cost ~locking:false

@@ -17,11 +17,6 @@ val create : ?worker:int -> Engine.t -> Cost_model.t -> t
 (** The pool worker id this backend was created with, if any. *)
 val worker : t -> int option
 
-(** [execute_batch t requests k] charges the CPU for every data statement
-    (without the lock path) and every terminal operation in [requests], then
-    calls [k] at batch completion time. *)
-val execute_batch : t -> Request.t list -> (unit -> unit) -> unit
-
 (** [execute_seq t requests ~on_each k] executes the batch in order, calling
     [on_each req] at each request's own completion time and [k] at the end.
     This preserves the schedule's intra-batch ordering, which is what makes

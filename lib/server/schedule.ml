@@ -15,80 +15,3 @@ let entries t = Vec.to_list t
 
 let filter t p =
   Vec.fold_left (fun acc e -> if p e.ta then e :: acc else acc) [] t |> List.rev
-
-let to_ops entries =
-  List.map
-    (fun e -> (e.ta, e.op, if Op.is_data e.op then Some e.obj else None))
-    entries
-
-(* Conflict graph: edge ta1 -> ta2 when an operation of ta1 precedes a
-   conflicting operation of ta2 in the log. Cycle detection by DFS. *)
-let conflict_graph_acyclic entries =
-  let edges : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  let add_edge a b =
-    if a <> b then begin
-      let succ =
-        match Hashtbl.find_opt edges a with
-        | Some s -> s
-        | None ->
-          let s = Hashtbl.create 4 in
-          Hashtbl.add edges a s;
-          s
-      in
-      Hashtbl.replace succ b ()
-    end
-  in
-  (* last readers/writer per object seen so far *)
-  let writers : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let readers : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      match e.op with
-      | Op.Read ->
-        (match Hashtbl.find_opt writers e.obj with
-        | Some w -> add_edge w e.ta
-        | None -> ());
-        let rs =
-          match Hashtbl.find_opt readers e.obj with
-          | Some rs -> rs
-          | None ->
-            let rs = Hashtbl.create 4 in
-            Hashtbl.add readers e.obj rs;
-            rs
-        in
-        Hashtbl.replace rs e.ta ()
-      | Op.Write ->
-        (match Hashtbl.find_opt writers e.obj with
-        | Some w -> add_edge w e.ta
-        | None -> ());
-        (match Hashtbl.find_opt readers e.obj with
-        | Some rs -> Hashtbl.iter (fun r () -> add_edge r e.ta) rs
-        | None -> ());
-        Hashtbl.replace writers e.obj e.ta
-      | Op.Abort | Op.Commit -> ())
-    entries;
-  (* DFS cycle check. *)
-  let color = Hashtbl.create 64 in
-  (* 1 = in progress, 2 = done *)
-  let offender = ref None in
-  let rec dfs v =
-    match Hashtbl.find_opt color v with
-    | Some 2 -> ()
-    | Some _ -> ()
-    | None ->
-      Hashtbl.add color v 1;
-      (match Hashtbl.find_opt edges v with
-      | Some succ ->
-        Hashtbl.iter
-          (fun w () ->
-            if !offender = None then
-              match Hashtbl.find_opt color w with
-              | Some 1 -> offender := Some (v, w)
-              | Some _ -> ()
-              | None -> dfs w)
-          succ
-      | None -> ());
-      Hashtbl.replace color v 2
-  in
-  Hashtbl.iter (fun v _ -> if !offender = None then dfs v) edges;
-  match !offender with None -> Ok () | Some pair -> Error pair

@@ -22,15 +22,3 @@ val entries : t -> entry list
 (** Keep only entries whose [ta] satisfies the predicate (used to restrict a
     log to committed transactions). *)
 val filter : t -> (int -> bool) -> entry list
-
-(** Normalized (ta, op, object) view of a log, in execution order; terminal
-    entries (whose [obj] is a placeholder) come out with [None]. This is the
-    event shape the [ds_check] conflict-graph tooling consumes. *)
-val to_ops : entry list -> (int * Op.t * int option) list
-
-(** Sanity check used in tests: under SS2PL the log must be
-    conflict-serializable in commit order — no entry of a transaction may
-    follow a conflicting entry of a transaction that committed after it
-    started... (we check the simpler invariant that the log's conflict graph
-    is acyclic). Returns [Ok ()] or the first offending transaction pair. *)
-val conflict_graph_acyclic : entry list -> (unit, int * int) result

@@ -3,7 +3,7 @@ open Ds_sim
 
 type batch = {
   requests : Request.t list;
-  on_each : worker:int -> cls:int -> pos:int -> Request.t -> unit;
+  on_each : Request.t -> unit;
   k : [ `Completed | `Failed of Request.t ] -> unit;
 }
 
@@ -152,7 +152,6 @@ type ctx = {
       (* batch already reported drained; a hedged class's late primary copy
          completing afterwards must not finish (and dequeue) a second time *)
   mutable failed : bool;
-  mutable pos : int;
   queues : Partition.cls Queue.t array;
   running : int array;
   crashed : bool array;
@@ -204,7 +203,6 @@ let rec run_batch t batch =
       delivered = Hashtbl.create 64;
       finished = false;
       failed = false;
-      pos = 0;
       queues = Array.init n_workers (fun _ -> Queue.create ());
       running = Array.make n_workers (-1);
       crashed = Array.make n_workers false;
@@ -226,16 +224,14 @@ let rec run_batch t batch =
   if classes = [] then
     ignore (Engine.schedule t.engine ~after:0. finish)
   else begin
-    let deliver w cls r =
+    let deliver r =
       if not ctx.failed then begin
         let key = Request.key r in
         (* First delivery wins: a hedged copy of a straggler's class may
            re-execute requests the primary already delivered. *)
         if not (Hashtbl.mem ctx.delivered key) then begin
           Hashtbl.add ctx.delivered key ();
-          let p = ctx.pos in
-          ctx.pos <- p + 1;
-          batch.on_each ~worker:w ~cls:cls.Partition.id ~pos:p r
+          batch.on_each r
         end
       end
     in
@@ -287,7 +283,7 @@ let rec run_batch t batch =
     and run_class w cls ~primary =
       ctx.outstanding <- ctx.outstanding + 1;
       Backend.execute_seq_result t.backends.(w) cls.Partition.requests
-        ~on_each:(fun r -> deliver w cls r)
+        ~on_each:deliver
         (fun result ->
           ctx.outstanding <- ctx.outstanding - 1;
           (match result with
@@ -367,15 +363,7 @@ let execute t requests ~on_each k =
        Worker faults are not applied at K=1 (there is no survivor to fail
        over to). *)
     let started = Engine.now t.engine in
-    let classes = lazy (Partition.partition requests) in
-    let cls_of = lazy (Partition.class_of (Lazy.force classes)) in
-    let pos = ref 0 in
-    Backend.execute_seq_result t.backends.(0) requests
-      ~on_each:(fun r ->
-        let cls = Option.value ~default:(-1) (Lazy.force cls_of r) in
-        let p = !pos in
-        incr pos;
-        on_each ~worker:0 ~cls ~pos:p r)
+    Backend.execute_seq_result t.backends.(0) requests ~on_each
       (fun result -> finish_batch t started k result)
   end
   else begin

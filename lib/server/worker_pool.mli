@@ -53,9 +53,8 @@ val backends : t -> Backend.t array
 val backend : t -> int -> Backend.t
 
 (** [execute t requests ~on_each k] runs the batch across the pool.
-    [on_each] fires at each request's completion time with the worker that
-    ran it, its conflict class, and its pool-wide delivery position within
-    the batch. [k (`Failed r)] fires at the {e failed request's} completion
+    [on_each] fires at each request's completion time, once per request
+    (which worker ran it is on the trace's [exec_start] events). [k (`Failed r)] fires at the {e failed request's} completion
     time (other workers keep draining; their remaining deliveries are
     suppressed and left to the caller to retry — same wasted-work semantics
     as a sequential early-exit); [k `Completed] fires when every worker has
@@ -63,7 +62,7 @@ val backend : t -> int -> Backend.t
 val execute :
   t ->
   Request.t list ->
-  on_each:(worker:int -> cls:int -> pos:int -> Request.t -> unit) ->
+  on_each:(Request.t -> unit) ->
   ([ `Completed | `Failed of Request.t ] -> unit) ->
   unit
 

@@ -80,7 +80,7 @@ type stmt =
   | Delete of { table : string; where : expr option }
   | Update of { table : string; sets : (string * expr) list; where : expr option }
   | Create_table of { name : string; cols : column_def list }
-  | Create_index of { table : string; cols : string list; ordered : bool }
+  | Create_index of { table : string; cols : string list }
   | Drop_table of string
 
 val pp_expr : Format.formatter -> expr -> unit

@@ -116,7 +116,7 @@ let exec_stmt ~optimize catalog (stmt : Ast.stmt) =
     in
     Catalog.register catalog (Table.create ~name schema);
     Done
-  | Ast.Create_index { table; cols; ordered } ->
+  | Ast.Create_index { table; cols } ->
     let t = Catalog.find catalog table in
     let positions =
       List.map
@@ -127,10 +127,7 @@ let exec_stmt ~optimize catalog (stmt : Ast.stmt) =
           | Error `Ambiguous -> fail "CREATE INDEX: ambiguous column %s" c)
         cols
     in
-    (match (ordered, positions) with
-    | false, _ -> Table.create_index t positions
-    | true, [ col ] -> Table.create_ordered_index t col
-    | true, _ -> fail "ORDERED INDEX takes exactly one column");
+    Table.create_index t positions;
     Done
   | Ast.Drop_table name ->
     if Catalog.find_opt catalog name = None then fail "unknown table %s" name;

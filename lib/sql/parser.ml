@@ -543,15 +543,6 @@ let parse_statement st =
   | Token.Kw "CREATE" -> (
     advance st;
     match peek st with
-    | Token.Kw "ORDERED" ->
-      advance st;
-      eat_kw st "INDEX";
-      eat_kw st "ON";
-      let table = ident st in
-      eat_sym st "(";
-      let col = ident st in
-      eat_sym st ")";
-      Ast.Create_index { table; cols = [ col ]; ordered = true }
     | Token.Kw "TABLE" ->
       advance st;
       let name = ident st in
@@ -576,7 +567,7 @@ let parse_statement st =
       in
       let cols = cols [] in
       eat_sym st ")";
-      Ast.Create_index { table; cols; ordered = false }
+      Ast.Create_index { table; cols }
     | t -> err st (Printf.sprintf "expected TABLE or INDEX, found %s" (Token.to_string t)))
   | Token.Kw "DROP" ->
     advance st;

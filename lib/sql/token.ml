@@ -14,7 +14,7 @@ let keywords =
     "AND"; "OR"; "NOT"; "IS"; "NULL"; "TRUE"; "FALSE"; "EXISTS"; "IN"; "BETWEEN";
     "JOIN"; "LEFT"; "INNER"; "OUTER"; "ON"; "CROSS";
     "INSERT"; "INTO"; "VALUES"; "DELETE"; "UPDATE"; "SET";
-    "CREATE"; "DROP"; "TABLE"; "INDEX"; "ORDERED"; "EXPLAIN"; "ANALYZE";
+    "CREATE"; "DROP"; "TABLE"; "INDEX"; "EXPLAIN"; "ANALYZE";
     "COUNT"; "SUM"; "MIN"; "MAX"; "AVG";
     "CASE"; "WHEN"; "THEN"; "ELSE"; "END";
     "INT"; "INTEGER"; "FLOAT"; "REAL"; "TEXT"; "VARCHAR"; "BOOL"; "BOOLEAN";

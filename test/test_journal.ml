@@ -24,6 +24,13 @@ let crc_bitwise s =
 (* One journal record line, ["!crc32 payload"]. *)
 let frame payload = Printf.sprintf "!%08x %s\n" (crc_bitwise payload) payload
 
+(* Newlines in the file: the line count a reopened writer must resume. *)
+let file_lines path =
+  String.fold_left
+    (fun n c -> if c = '\n' then n + 1 else n)
+    0
+    (In_channel.with_open_bin path In_channel.input_all)
+
 let sorted_pending rels =
   Helpers.sorted_keys (List.map Request.key (Relations.pending rels))
 
@@ -287,6 +294,8 @@ let test_crc_repair_truncates () =
       Alcotest.(check int) "file physically truncated to the trusted prefix"
         r.Journal.valid_bytes
         (Unix.stat path).Unix.st_size;
+      Alcotest.(check int) "line count of the trusted prefix"
+        (file_lines path) r.Journal.valid_lines;
       Alcotest.(check (list (pair int int)))
         "recovered state = last valid prefix" (pending_keys clean)
         (pending_keys r);
@@ -309,6 +318,8 @@ let test_kill_mid_record_with_checkpoints () =
       Alcotest.(check int) "torn record dropped" 1 r.Journal.corrupt_dropped;
       Alcotest.(check bool) "still recovered from a checkpoint" true
         (r.Journal.checkpoint_cycle <> None);
+      Alcotest.(check int) "line count of the trusted prefix"
+        (file_lines path) r.Journal.valid_lines;
       let again = Journal.recover path in
       Alcotest.(check int) "clean after repair" 0 again.Journal.corrupt_dropped;
       Alcotest.(check int) "one fewer record than the full journal"

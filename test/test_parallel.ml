@@ -115,16 +115,30 @@ let test_partition_examples () =
 
 (* --- worker pool -------------------------------------------------- *)
 
+(* Pairs each delivered request with the worker that ran it, read from the
+   request's [exec_start] event (the pool records placement only there). *)
+let placed trace deliveries =
+  let worker = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Ds_obs.Trace.event) ->
+      if e.Ds_obs.Trace.kind = Ds_obs.Trace.Exec_start then
+        Hashtbl.replace worker (e.Ds_obs.Trace.ta, e.Ds_obs.Trace.seq)
+          e.Ds_obs.Trace.arg)
+    (Ds_obs.Trace.events trace);
+  List.map (fun r -> (Hashtbl.find worker (Request.key r), r)) deliveries
+
 let run_pool ~workers batch =
   let engine = Ds_sim.Engine.create () in
   let pool = Worker_pool.create engine Cost_model.default ~workers in
+  let trace = Ds_obs.Trace.create () in
+  Worker_pool.set_trace pool (Some trace);
   let deliveries = ref [] in
   let result = ref None in
   Worker_pool.execute pool batch
-    ~on_each:(fun ~worker ~cls ~pos r -> deliveries := (worker, cls, pos, r) :: !deliveries)
+    ~on_each:(fun r -> deliveries := r :: !deliveries)
     (fun res -> result := Some res);
   Ds_sim.Engine.run engine;
-  (pool, Ds_sim.Engine.now engine, List.rev !deliveries, !result)
+  (pool, Ds_sim.Engine.now engine, placed trace (List.rev !deliveries), !result)
 
 let independent_batch n =
   List.init n (fun i -> req (i + 1) (i + 1) 1 Op.Write (100 + i))
@@ -150,11 +164,11 @@ let test_pool_conflicts_serialize () =
   let _, t1, _, _ = run_pool ~workers:1 batch in
   let _, t4, d4, _ = run_pool ~workers:4 batch in
   Alcotest.(check (float 1e-9)) "conflicting batch gains nothing" t1 t4;
-  let workers = List.sort_uniq compare (List.map (fun (w, _, _, _) -> w) d4) in
+  let workers = List.sort_uniq compare (List.map fst d4) in
   Alcotest.(check int) "single worker used" 1 (List.length workers);
   Alcotest.(check (list (pair int int))) "batch order preserved"
     (List.map Request.key batch)
-    (List.map (fun (_, _, _, r) -> Request.key r) d4)
+    (List.map (fun (_, r) -> Request.key r) d4)
 
 let test_pool_batch_barrier () =
   (* Batch 2 conflicts with batch 1 on object 5; with the barrier, every
@@ -168,10 +182,10 @@ let test_pool_batch_barrier () =
   let order = ref [] in
   let record r = order := Request.key r :: !order in
   Worker_pool.execute pool batch1
-    ~on_each:(fun ~worker:_ ~cls:_ ~pos:_ r -> record r)
+    ~on_each:(fun r -> record r)
     (fun _ -> ());
   Worker_pool.execute pool batch2
-    ~on_each:(fun ~worker:_ ~cls:_ ~pos:_ r -> record r)
+    ~on_each:(fun r -> record r)
     (fun _ -> ());
   Ds_sim.Engine.run engine;
   let order = List.rev !order in
@@ -207,7 +221,7 @@ let test_pool_failure () =
   let delivered = ref [] in
   let result = ref None in
   Worker_pool.execute pool batch
-    ~on_each:(fun ~worker:_ ~cls:_ ~pos:_ r -> delivered := Request.key r :: !delivered)
+    ~on_each:(fun r -> delivered := Request.key r :: !delivered)
     (fun res -> result := Some res);
   Ds_sim.Engine.run engine;
   (match !result with
@@ -237,10 +251,8 @@ let test_pool_k1_matches_backend () =
     (Ds_sim.Engine.now engine_b) t_pool;
   Alcotest.(check (list (pair int int))) "batch order delivery"
     (List.map Request.key batch)
-    (List.map (fun (_, _, _, r) -> Request.key r) deliveries);
-  List.iter
-    (fun (w, _, _, _) -> Alcotest.(check int) "worker 0" 0 w)
-    deliveries
+    (List.map (fun (_, r) -> Request.key r) deliveries);
+  List.iter (fun (w, _) -> Alcotest.(check int) "worker 0" 0 w) deliveries
 
 (* --- middleware end-to-end with workers=4 ------------------------- *)
 
@@ -385,18 +397,22 @@ let test_pool_crash_reassigns () =
   let delivered = ref [] in
   let result = ref None in
   Worker_pool.execute pool batch
-    ~on_each:(fun ~worker ~cls:_ ~pos:_ r ->
-      delivered := (worker, Request.key r) :: !delivered)
+    ~on_each:(fun r -> delivered := r :: !delivered)
     (fun res -> result := Some res);
   Ds_sim.Engine.run engine;
+  let ran_on =
+    List.map
+      (fun (w, r) -> (w, Request.key r))
+      (placed trace (List.rev !delivered))
+  in
   Alcotest.(check bool) "completed" true (!result = Some `Completed);
-  Alcotest.(check int) "all delivered" 12 (List.length !delivered);
-  keys_once "crash" (List.map snd !delivered);
+  Alcotest.(check int) "all delivered" 12 (List.length ran_on);
+  keys_once "crash" (List.map snd ran_on);
   Alcotest.(check int) "one crash counted" 1 (Worker_pool.worker_crashes pool);
   Alcotest.(check bool) "classes reassigned" true
     (Worker_pool.reassigned_classes pool > 0);
   Alcotest.(check bool) "nothing ran on the crashed worker" true
-    (List.for_all (fun (w, _) -> w <> 0) !delivered);
+    (List.for_all (fun (w, _) -> w <> 0) ran_on);
   Alcotest.(check (list int)) "crash of worker 0 traced" [ 0 ]
     (List.map
        (fun (e : Ds_obs.Trace.event) -> e.Ds_obs.Trace.arg)
@@ -414,25 +430,31 @@ let test_pool_death_is_permanent () =
   let pool = Worker_pool.create engine Cost_model.default ~workers:3 in
   Worker_pool.set_worker_fault_hook pool
     (Some (fun ~alive -> if List.mem 1 alive then [ Worker_pool.Die { worker = 1 } ] else []));
+  let trace = Ds_obs.Trace.create () in
+  Worker_pool.set_trace pool (Some trace);
   let delivered = ref [] in
   let run_batch batch =
     Worker_pool.execute pool batch
-      ~on_each:(fun ~worker ~cls:_ ~pos:_ r ->
-        delivered := (worker, Request.key r) :: !delivered)
+      ~on_each:(fun r -> delivered := r :: !delivered)
       (fun _ -> ());
     Ds_sim.Engine.run engine
   in
   run_batch (independent_batch 6);
   run_batch
     (List.init 6 (fun i -> req (100 + i) (100 + i) 1 Op.Write (500 + i)));
+  let ran_on =
+    List.map
+      (fun (w, r) -> (w, Request.key r))
+      (placed trace (List.rev !delivered))
+  in
   Alcotest.(check int) "one death" 1 (Worker_pool.worker_deaths pool);
   Alcotest.(check (list int)) "worker 1 stays dead" [ 1 ]
     (Worker_pool.dead_workers pool);
   Alcotest.(check int) "both batches fully delivered" 12
-    (List.length !delivered);
-  keys_once "death" (List.map snd !delivered);
+    (List.length ran_on);
+  keys_once "death" (List.map snd ran_on);
   Alcotest.(check bool) "dead worker never delivers" true
-    (List.for_all (fun (w, _) -> w <> 1) !delivered)
+    (List.for_all (fun (w, _) -> w <> 1) ran_on)
 
 let test_pool_stall_hedged_exactly_once () =
   (* Worker 0 turns straggler; the deadline declares it stuck and hedging
@@ -447,7 +469,7 @@ let test_pool_stall_hedged_exactly_once () =
   let delivered = ref [] in
   let result = ref None in
   Worker_pool.execute pool (independent_batch 8)
-    ~on_each:(fun ~worker:_ ~cls:_ ~pos:_ r ->
+    ~on_each:(fun r ->
       delivered := Request.key r :: !delivered)
     (fun res -> result := Some res);
   Ds_sim.Engine.run engine;
@@ -471,11 +493,11 @@ let test_pool_hedge_single_finish () =
     (Some (fun ~alive:_ -> [ Worker_pool.Slow { worker = 0; delay = 2.0 } ]));
   let finishes = ref 0 in
   Worker_pool.execute pool (independent_batch 6)
-    ~on_each:(fun ~worker:_ ~cls:_ ~pos:_ _ -> ())
+    ~on_each:(fun _ -> ())
     (fun _ -> incr finishes);
   Worker_pool.execute pool
     (List.init 4 (fun i -> req (50 + i) (50 + i) 1 Op.Write (300 + i)))
-    ~on_each:(fun ~worker:_ ~cls:_ ~pos:_ _ -> ())
+    ~on_each:(fun _ -> ())
     (fun _ -> incr finishes);
   Ds_sim.Engine.run engine;
   Alcotest.(check int) "each batch finishes exactly once" 2 !finishes;
@@ -500,7 +522,7 @@ let test_pool_conflict_order_survives_crash () =
   in
   let delivered = ref [] in
   Worker_pool.execute pool batch
-    ~on_each:(fun ~worker:_ ~cls:_ ~pos:_ r -> delivered := r :: !delivered)
+    ~on_each:(fun r -> delivered := r :: !delivered)
     (fun _ -> ());
   Ds_sim.Engine.run engine;
   let order = List.rev !delivered in

@@ -183,6 +183,31 @@ let test_failover_sync_standby () =
     s;
   check_order "S=1 pcrash" ~length:2607 ~crc:0xdfea9048 h
 
+(* A run that reuses a journal path must not recover the previous run's
+   records: the second run crashes and recovers from the same path, and its
+   merged rte must still be serializable and its journal recoverable. *)
+let test_journal_reuse ~shards () =
+  let path = temp_name (if shards > 1 then ".journal.d" else ".journal") in
+  Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
+  let run faults =
+    Middleware.run_sharded
+      { (cfg ~faults) with Middleware.shards; journal_path = Some path }
+  in
+  ignore (run "");
+  let s, h = run "crash=40" in
+  Alcotest.(check int) "crashed once" 1 s.Middleware.crashes;
+  let report =
+    Ds_check.Serializability.check
+      (Ds_check.Conflict_graph.events_of_requests h.Middleware.merged_rte)
+  in
+  if not (Ds_check.Serializability.is_clean report) then
+    Alcotest.failf "rte after journal reuse: %a"
+      Ds_check.Serializability.pp_report report;
+  let r =
+    if shards > 1 then Journal.recover_dir path else Journal.recover path
+  in
+  Alcotest.(check int) "no corrupt records" 0 r.Journal.corrupt_dropped
+
 let tests =
   [
     Alcotest.test_case "crash at S=1 with worker faults and checkpoints" `Quick
@@ -191,4 +216,8 @@ let tests =
       test_crash_sharded;
     Alcotest.test_case "pcrash fails over to a sync standby" `Quick
       test_failover_sync_standby;
+    Alcotest.test_case "a reused journal path at S=1 starts afresh" `Quick
+      (test_journal_reuse ~shards:1);
+    Alcotest.test_case "a reused segment directory at S=2 starts afresh"
+      `Quick (test_journal_reuse ~shards:2);
   ]

@@ -317,26 +317,6 @@ let test_cpu_two_cores () =
 
 let entry ta op obj = { Schedule.ta; op; obj; value = ta }
 
-let test_schedule_acyclic () =
-  let ok =
-    [ entry 1 Op.Write 5; entry 1 Op.Commit (-1); entry 2 Op.Write 5 ]
-  in
-  Alcotest.(check bool) "serial is acyclic" true
-    (Schedule.conflict_graph_acyclic ok = Ok ());
-  let bad =
-    [
-      entry 1 Op.Write 5;
-      entry 2 Op.Write 5;
-      (* 1 -> 2 *)
-      entry 2 Op.Write 6;
-      entry 1 Op.Write 6;
-      (* 2 -> 1: cycle *)
-    ]
-  in
-  match Schedule.conflict_graph_acyclic bad with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "cycle must be detected"
-
 let test_schedule_filter () =
   let log = Schedule.create () in
   List.iter (Schedule.append log)
@@ -355,6 +335,16 @@ let small_cfg n =
     spec = { Ds_workload.Spec.paper_default with Ds_workload.Spec.n_objects = 5000 };
     log_schedule = true;
   }
+
+(* The committed projection of an SS2PL schedule passes the whole
+   serializability battery of [dsched check]. *)
+let check_schedule schedule =
+  let report =
+    Ds_check.Serializability.check_committed
+      (Ds_check.Conflict_graph.events_of_schedule schedule)
+  in
+  if not (Ds_check.Serializability.is_clean report) then
+    Alcotest.failf "schedule: %a" Ds_check.Serializability.pp_report report
 
 let test_native_single_client () =
   let s = Native_sim.run (small_cfg 1) in
@@ -391,9 +381,7 @@ let test_native_schedule_serializable () =
   in
   let s = Native_sim.run cfg in
   Alcotest.(check bool) "had contention" true (s.Native_sim.lock_waits > 0);
-  match Schedule.conflict_graph_acyclic s.Native_sim.schedule with
-  | Ok () -> ()
-  | Error (a, b) -> Alcotest.failf "conflict cycle between %d and %d" a b
+  check_schedule s.Native_sim.schedule
 
 let test_native_contention_grows () =
   let t1 = Native_sim.run (small_cfg 1) in
@@ -439,9 +427,7 @@ let test_wound_wait () =
     (s.Native_sim.committed_txns > 0);
   (* Wound-wait preserves SS2PL: the committed schedule stays conflict-
      serializable. *)
-  match Schedule.conflict_graph_acyclic s.Native_sim.schedule with
-  | Ok () -> ()
-  | Error (a, b) -> Alcotest.failf "conflict cycle between %d and %d" a b
+  check_schedule s.Native_sim.schedule
 
 let test_replay_agreement () =
   let s = Native_sim.run (small_cfg 10) in
@@ -529,28 +515,6 @@ let test_row_store_unit () =
   Alcotest.check_raises "bounds" (Invalid_argument "Row_store: row out of range")
     (fun () -> ignore (Row_store.read st 10))
 
-let test_backend_batch () =
-  let e = Ds_sim.Engine.create () in
-  let b = Backend.create e Cost_model.default in
-  let reqs =
-    [
-      Request.v 1 1 Op.Read 5;
-      Request.v 1 2 Op.Write 6;
-      Request.terminal 1 3 Op.Commit;
-    ]
-  in
-  let finished = ref 0. in
-  Backend.execute_batch b reqs (fun () -> finished := Ds_sim.Engine.now e);
-  Ds_sim.Engine.run e;
-  let expect = (2. *. 0.000353) +. 0.0005 in
-  Alcotest.(check (float 1e-9)) "batch cost" expect !finished;
-  Alcotest.(check int) "stmt count" 2 (Backend.executed_stmts b);
-  (* Empty batch still calls back. *)
-  let called = ref false in
-  Backend.execute_batch b [] (fun () -> called := true);
-  Ds_sim.Engine.run e;
-  Alcotest.(check bool) "empty batch callback" true !called
-
 let tests =
   [
     Alcotest.test_case "lock basic" `Quick test_lock_basic;
@@ -566,7 +530,6 @@ let tests =
     Alcotest.test_case "deadlock via locks" `Quick test_deadlock_via_locks;
     Alcotest.test_case "cpu fcfs" `Quick test_cpu_fcfs;
     Alcotest.test_case "cpu two cores" `Quick test_cpu_two_cores;
-    Alcotest.test_case "schedule acyclicity check" `Quick test_schedule_acyclic;
     Alcotest.test_case "schedule filter" `Quick test_schedule_filter;
     Alcotest.test_case "native single client" `Quick test_native_single_client;
     Alcotest.test_case "native determinism" `Quick test_native_determinism;
@@ -580,5 +543,4 @@ let tests =
     Alcotest.test_case "store faithfulness (MU = replay)" `Slow
       test_store_faithfulness;
     QCheck_alcotest.to_alcotest store_replay_prop;
-    Alcotest.test_case "backend batch" `Quick test_backend_batch;
   ]

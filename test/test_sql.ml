@@ -71,7 +71,9 @@ let test_parser_errors () =
   expect_fail "SELECT * FROM t WHERE";
   expect_fail "SELECT (SELECT a FROM t) FROM t";
   expect_fail "SELECT * FROM t LIMIT x";
-  expect_fail "WITH x AS SELECT 1 SELECT 2"
+  expect_fail "WITH x AS SELECT 1 SELECT 2";
+  (* One index kind: CREATE INDEX declares a hash index. *)
+  expect_fail "CREATE ORDERED INDEX ON t (a)"
 
 let test_basic_select () =
   let cat = fresh_db () in
@@ -358,19 +360,6 @@ let test_case_expressions () =
   | exception Parser.Parse_error _ -> ()
   | _ -> Alcotest.fail "CASE without WHEN must fail"
 
-let test_ordered_index_sql () =
-  let cat = fresh_db () in
-  (match Exec.exec cat "CREATE ORDERED INDEX ON emp (salary)" with
-  | Exec.Done -> ()
-  | _ -> Alcotest.fail "create ordered index");
-  let r = rows cat "SELECT name FROM emp WHERE salary >= 150 AND salary < 300 ORDER BY name" in
-  Alcotest.(check int) "range via index" 1 (List.length r);
-  Alcotest.(check bool) "multi-column rejected" true
-    (try
-       ignore (Exec.exec cat "CREATE ORDERED INDEX ON emp (salary, dept)");
-       false
-     with Parser.Parse_error _ | Exec.Exec_error _ -> true)
-
 let test_prepared_params () =
   let cat = fresh_db () in
   let p =
@@ -485,7 +474,6 @@ let test_profile_filter_probe () =
     Table.insert t [| Value.Int (i mod 10); Value.Int i |]
   done;
   Table.create_index t [ 0 ];
-  Table.create_ordered_index t 1;
   let check name pred ~candidates =
     let plan = Ra.Filter (pred, Ra.Scan (t, None)) in
     let rows, stats = Profile.run plan in
@@ -498,7 +486,6 @@ let test_profile_filter_probe () =
   check "point probe"
     (Ra.And (Ra.Cmp (Ra.Eq, Ra.Col 0, int 3), Ra.Cmp (Ra.Gt, Ra.Col 1, int 50)))
     ~candidates:10;
-  check "range probe" (Ra.Cmp (Ra.Geq, Ra.Col 1, int 90)) ~candidates:10;
   check "no usable index" (Ra.Cmp (Ra.Neq, Ra.Col 0, int 3)) ~candidates:100
 
 let tests =
@@ -526,7 +513,6 @@ let tests =
     Alcotest.test_case "operator precedence" `Quick test_precedence;
     Alcotest.test_case "between" `Quick test_between;
     Alcotest.test_case "case expressions" `Quick test_case_expressions;
-    Alcotest.test_case "ordered index (sql)" `Quick test_ordered_index_sql;
     Alcotest.test_case "prepared parameters" `Quick test_prepared_params;
     Alcotest.test_case "explain" `Quick test_explain;
     Alcotest.test_case "explain analyze" `Quick test_explain_analyze;

@@ -29,12 +29,10 @@ let build_db rng =
       in
       Table.insert t [| cell (); cell (); s () |]
     done;
-    (* Declare indexes so both probe paths (hash join, range scan) get
+    (* Declare indexes so the hash probe paths (join, point filter) get
        exercised. *)
     Table.create_index t [ 0 ];
-    Table.create_index t [ 1 ];
-    Table.create_ordered_index t 0;
-    Table.create_ordered_index t 1
+    Table.create_index t [ 1 ]
   in
   mk "s" (Ds_sim.Rng.int rng 8);
   mk "t" (1 + Ds_sim.Rng.int rng 8);
