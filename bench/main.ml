@@ -303,11 +303,8 @@ let table2 () =
       ("Operation", "Operation type (read/write/abort/commit)");
       ("Object", "Object number");
     ];
-  let s = Relations.schema ~extended:false in
   note "Implemented schema: %s"
-    (Format.asprintf "%a" Ds_relal.Schema.pp s);
-  note "Extended (QoS) schema: %s"
-    (Format.asprintf "%a" Ds_relal.Schema.pp (Relations.schema ~extended:true))
+    (Format.asprintf "%a" Ds_relal.Schema.pp Relations.schema)
 
 (* ------------------------------------------------------------------ *)
 (* A1 — trigger policies                                              *)
@@ -702,8 +699,7 @@ let faults_sweep ~duration ~json () =
             (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
                ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
             with
-            Middleware.extended_relations = true;
-            faults = plan;
+            Middleware.faults = plan;
             max_retries = 4;
             batch_timeout = Some 0.2;
             queue_capacity = Some 40;
@@ -785,12 +781,9 @@ let index_scaling ~json ~history_sizes ~cycles ~batch () =
        are invisible to the fresh arrivals below, which touch disjoint
        objects. *)
     for i = 1 to history_size do
-      let r =
-        Ds_model.Request.make ~id:i ~ta:i ~intrata:1 ~op:Ds_model.Op.Read
-          ~obj:i ()
-      in
-      Ds_relal.Table.insert rels.Relations.history
-        (Relations.row_of_request ~extended:false r)
+      Relations.insert_history rels
+        (Ds_model.Request.make ~id:i ~ta:i ~intrata:1 ~op:Ds_model.Op.Read
+           ~obj:i ())
     done;
     let time = ref 0. and index_time = ref 0. in
     let next_ta = ref (history_size + 1) in

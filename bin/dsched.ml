@@ -32,7 +32,8 @@ let table1_cmd =
 let sql_cmd =
   let doc =
     "Run SQL statements against a fresh scheduler database (tables: requests, \
-     history, rte, dead)."
+     history, rte, dead; each with the columns id, ta, intrata, operation, \
+     object, sla, weight, arrival)."
   in
   let stmt =
     Arg.(
@@ -40,11 +41,8 @@ let sql_cmd =
       & opt (some string) None
       & info [ "e"; "execute" ] ~docv:"SQL" ~doc:"Statement(s), ';'-separated.")
   in
-  let extended =
-    Arg.(value & flag & info [ "extended" ] ~doc:"Use the extended (QoS) schema.")
-  in
-  let run extended stmt =
-    let rels = Relations.create ~extended () in
+  let run stmt =
+    let rels = Relations.create () in
     match Ds_sql.Exec.exec_script rels.Relations.catalog stmt with
     | Ds_sql.Exec.Rows (schema, rows) ->
       print_string (Ds_sql.Exec.render schema rows)
@@ -56,7 +54,7 @@ let sql_cmd =
     | exception Ds_sql.Parser.Parse_error (m, pos) ->
       Printf.eprintf "parse error at %d: %s\n" pos m
   in
-  Cmd.v (Cmd.info "sql" ~doc) Term.(const run $ extended $ stmt)
+  Cmd.v (Cmd.info "sql" ~doc) Term.(const run $ stmt)
 
 let demo_cmd =
   let doc = "Walk through one scheduler cycle on a small conflicting batch." in
@@ -502,7 +500,7 @@ let rules_cmd =
     match Rule_lang.compile src with
     | proto ->
       Format.printf "compiled: %a@." Protocol.pp proto;
-      let sched = Scheduler.create ~extended:true proto in
+      let sched = Scheduler.create proto in
       let mk sla ta obj =
         Request.make ~sla ~arrival:(float_of_int ta) ~id:ta ~ta ~intrata:1
           ~op:Op.Read ~obj ()
@@ -563,7 +561,7 @@ let qualify_cmd =
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the summary.") in
   let run protocol trace batch quiet =
     let requests = Ds_workload.Trace.load trace in
-    let sched = Scheduler.create ~extended:true protocol in
+    let sched = Scheduler.create protocol in
     let remaining = ref requests in
     let order = ref 0 in
     let cycles = ref 0 in

@@ -36,7 +36,6 @@ let run name protocol =
       duration = 8.;
       spec;
       protocol;
-      extended_relations = true;
       trigger = Trigger.Hybrid (0.01, 80);
       charge_scheduler_time = true;
     }

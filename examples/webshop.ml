@@ -61,11 +61,7 @@ let () =
     (Format.asprintf "%a" Protocol.pp shop_protocol);
   let load_history sched =
     let rels = Scheduler.relations sched in
-    List.iter
-      (fun r ->
-        Ds_relal.Table.insert rels.Relations.history
-          (Relations.row_of_request ~extended:false r))
-      admin_history
+    List.iter (Relations.insert_history rels) admin_history
   in
   let sched = Scheduler.create shop_protocol in
   load_history sched;

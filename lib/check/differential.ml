@@ -62,9 +62,8 @@ let clean o = o.failures = []
 
 let default_subjects () =
   [
-    ("ss2pl-sql", false, Builtin.ss2pl_sql);
-    ("ss2pl-sql-extended", true, Builtin.ss2pl_sql);
-    ("ss2pl-datalog", false, Builtin.ss2pl_datalog);
+    ("ss2pl-sql", Builtin.ss2pl_sql);
+    ("ss2pl-datalog", Builtin.ss2pl_datalog);
   ]
 
 (* A closed-loop client: one transaction, at most one outstanding request. *)
@@ -109,8 +108,7 @@ let run_one ?(config = default_config) ?(subjects = default_subjects ())
   let schedulers =
     ("ss2pl-ocaml", reference)
     :: List.map
-         (fun (name, extended, proto) ->
-           (name, Scheduler.create ~extended proto))
+         (fun (name, proto) -> (name, Scheduler.create proto))
          subjects
   in
   let failures = ref [] in

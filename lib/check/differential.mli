@@ -4,8 +4,7 @@
     it, cycle by cycle and in lockstep, through the hand-coded
     [ss2pl-ocaml] protocol (the reference; the [core] tests hold it to
     {!Ds_core.Oracle}) and every subject formulation — by default SS2PL through
-    the SQL engine on base relations, on extended relations, and through the
-    Datalog engine. Each transaction behaves like a middleware client: it has
+    the SQL engine and through the Datalog engine. Each transaction behaves like a middleware client: it has
     at most one outstanding request, and submits its next one only after the
     previous qualified. Starved transactions (SS2PL's incremental lock
     acquisition can deadlock) are aborted deterministically in every
@@ -91,15 +90,15 @@ type outcome = {
 
 val clean : outcome -> bool
 
-(** (name, extended relations, protocol). *)
-val default_subjects : unit -> (string * bool * Protocol.t) list
+(** (name, protocol). *)
+val default_subjects : unit -> (string * Protocol.t) list
 
 (** One differential iteration. [subjects] overrides the formulations under
     test (the reference is always the OCaml oracle) — used by the harness's
     own self-test, which checks that a wrong protocol is actually caught. *)
 val run_one :
   ?config:config ->
-  ?subjects:(string * bool * Protocol.t) list ->
+  ?subjects:(string * Protocol.t) list ->
   seed:int ->
   unit ->
   outcome
@@ -114,7 +113,7 @@ type summary = {
 (** [run ~seeds ()] executes one iteration per seed. *)
 val run :
   ?config:config ->
-  ?subjects:(string * bool * Protocol.t) list ->
+  ?subjects:(string * Protocol.t) list ->
   seeds:int list ->
   unit ->
   summary

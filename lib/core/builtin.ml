@@ -8,7 +8,7 @@ let ss2pl_sql_at level =
       | `Full -> "ss2pl-sql"
       | `Basic -> "ss2pl-sql-basic"
       | `None -> "ss2pl-sql-noopt")
-    ~guarantee:Protocol.Serializable ~ordered:false Queries.ss2pl
+    ~guarantee:Protocol.Serializable Queries.ss2pl
 
 let ss2pl_sql = ss2pl_sql_at `Full
 
@@ -52,7 +52,7 @@ let ss2pl_ocaml =
 
 let ss2pl_ordered_sql =
   Protocol.of_sql ~description:"SS2PL + intra-transaction ordering"
-    ~name:"ss2pl-ordered-sql" ~guarantee:Protocol.Serializable ~ordered:false
+    ~name:"ss2pl-ordered-sql" ~guarantee:Protocol.Serializable
     Queries.ss2pl_ordered
 
 let ss2pl_ordered_datalog =
@@ -62,7 +62,7 @@ let ss2pl_ordered_datalog =
 
 let read_committed_sql =
   Protocol.of_sql ~description:"Relaxed consistency: no read locks"
-    ~name:"read-committed-sql" ~guarantee:Protocol.Read_committed ~ordered:false
+    ~name:"read-committed-sql" ~guarantee:Protocol.Read_committed
     Queries.read_committed
 
 let read_committed_datalog =
@@ -76,7 +76,7 @@ let rationing ~threshold =
       (Printf.sprintf
          "Consistency rationing: SS2PL below object %d, relaxed above" threshold)
     ~name:(Printf.sprintf "rationing-%d" threshold)
-    ~guarantee:(Protocol.Custom "rationed") ~ordered:false
+    ~guarantee:(Protocol.Custom "rationed")
     (Queries.rationing ~threshold)
 
 let rationing_dynamic ~initial_threshold () =
@@ -84,7 +84,6 @@ let rationing_dynamic ~initial_threshold () =
     Protocol.of_sql_dynamic
       ~description:"Consistency rationing with a runtime-tunable boundary"
       ~name:"rationing-dynamic" ~guarantee:(Protocol.Custom "rationed")
-      ~ordered:false
       ~initial:(Ds_relal.Value.Int initial_threshold)
       Queries.rationing_parameterized
   in
@@ -93,22 +92,22 @@ let rationing_dynamic ~initial_threshold () =
 let c2pl =
   Protocol.of_sql
     ~description:"Conservative 2PL: a transaction runs only when all its locks are free"
-    ~name:"c2pl" ~guarantee:Protocol.Serializable ~ordered:false Queries.c2pl
+    ~name:"c2pl" ~guarantee:Protocol.Serializable Queries.c2pl
 
 let reader_offload =
   Protocol.of_sql
     ~description:"Reads as if from a snapshot replica; writes w-w ordered"
     ~name:"reader-offload" ~guarantee:(Protocol.Custom "reader-offload")
-    ~ordered:false Queries.reader_offload
+    Queries.reader_offload
 
 let sla_ordered =
   Protocol.of_sql ~description:"SS2PL ordered by SLA weight, then arrival"
-    ~name:"sla-ordered" ~guarantee:Protocol.Serializable ~ordered:true
+    ~name:"sla-ordered" ~guarantee:Protocol.Serializable
     Queries.sla_ordered
 
 let fcfs =
   Protocol.of_sql ~description:"First come, first served (no isolation)"
-    ~name:"fcfs" ~guarantee:Protocol.Fifo_only ~ordered:true Queries.fcfs
+    ~name:"fcfs" ~guarantee:Protocol.Fifo_only Queries.fcfs
 
 let all =
   [

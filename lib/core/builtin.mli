@@ -40,7 +40,8 @@ val c2pl : Protocol.t
     write-write ordered. *)
 val reader_offload : Protocol.t
 
-(** SS2PL with SLA-weight ordering (needs extended relations). *)
+(** SS2PL with SLA-weight ordering: the query's [ORDER BY] over the [weight]
+    and [arrival] columns is the execution order. *)
 val sla_ordered : Protocol.t
 
 (** FCFS passthrough ordering (no isolation). *)

@@ -990,19 +990,14 @@ let recover_dir ?(repair = false) dir =
 
 let restore ?(rte = false) recovered rels =
   Relations.clear rels;
-  List.iter
-    (fun r ->
-      Ds_relal.Table.insert rels.Relations.history
-        (Relations.row_of_request ~extended:rels.Relations.extended r))
-    recovered.history;
+  List.iter (Relations.insert_history rels) recovered.history;
   (* Abort markers release the logical locks of middleware-aborted txns. The
      seq offset keeps restored markers distinct from the ones a scheduler
      mints afterwards (its abort_seq restarts at 1). *)
   List.iteri
     (fun i ta ->
-      let marker = Request.abort_marker ~ta ~seq:(1_000_000_000 + i) () in
-      Ds_relal.Table.insert rels.Relations.history
-        (Relations.row_of_request ~extended:rels.Relations.extended marker))
+      Relations.insert_history rels
+        (Request.abort_marker ~ta ~seq:(1_000_000_000 + i) ()))
     recovered.aborted;
   if rte then Relations.insert_rte rels recovered.history;
   List.iter (Relations.insert_dead rels) recovered.dead;

@@ -39,7 +39,6 @@ type config = {
   seed : int;
   protocol : Protocol.t;
   trigger : Trigger.t;
-  extended_relations : bool;
   charge_scheduler_time : bool;
   prune_history : bool;
   starvation_cycles : int;
@@ -68,7 +67,6 @@ let default_config =
     seed = 42;
     protocol = Builtin.ss2pl_ocaml;
     trigger = Trigger.Hybrid (0.01, 50);
-    extended_relations = false;
     charge_scheduler_time = true;
     prune_history = true;
     starvation_cycles = 50;
@@ -245,8 +243,7 @@ type sim = {
    the rebuild, so the whole run still check-validates as one schedule. *)
 let lane_sched cfg ~stamp ?journal ?recovered () =
   let sched =
-    Scheduler.create ~extended:cfg.extended_relations
-      ~prune_history_each_cycle:cfg.prune_history ?journal
+    Scheduler.create ~prune_history_each_cycle:cfg.prune_history ?journal
       ?checkpoint_every:cfg.checkpoint_interval ?trace:cfg.trace ?stamp
       cfg.protocol
   in

@@ -135,7 +135,6 @@ type config = {
   seed : int;
   protocol : Protocol.t;
   trigger : Trigger.t;
-  extended_relations : bool;
   charge_scheduler_time : bool;
   prune_history : bool;
   starvation_cycles : int;

@@ -37,8 +37,7 @@ let fill setup sched run_idx =
       | [] -> ()
       | (r : Request.t) :: rest ->
         if i < prefix_len then begin
-          Ds_relal.Table.insert rels.Relations.history
-            (Relations.row_of_request ~extended:rels.Relations.extended r);
+          Relations.insert_history rels r;
           walk (i + 1) rest
         end
         else Scheduler.submit sched r

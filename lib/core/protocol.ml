@@ -18,12 +18,14 @@ let find_col schema name =
   | Error _ ->
     invalid_arg (Printf.sprintf "Protocol: query output lacks column %s" name)
 
-(* Turns a plan into a per-cycle thunk yielding ordered (TA, INTRATA) keys:
-   shared by the static and dynamic SQL constructors. *)
-let key_runner ~ordered plan =
+(* Turns a plan into a per-cycle thunk yielding (TA, INTRATA) keys, shared
+   by the static and dynamic SQL constructors: in the query's own order when
+   it has a top-level ORDER BY, otherwise by request id. *)
+let key_runner sql plan =
   let schema = Ra.schema_of plan in
   let ta_col = find_col schema "ta" in
   let intrata_col = find_col schema "intrata" in
+  let ordered = (Ds_sql.Parser.parse_query sql).Ds_sql.Ast.order_by <> [] in
   let id_col = if ordered then -1 else find_col schema "id" in
   fun () ->
     let rows = Eval.run plan in
@@ -48,9 +50,9 @@ let key_runner ~ordered plan =
 let standing ~optimize plan =
   if optimize = `Full then View.materialize plan else plan
 
-let of_sql ?(optimize = `Full) ?(description = "") ~name ~guarantee ~ordered sql =
+let of_sql ?(optimize = `Full) ?(description = "") ~name ~guarantee sql =
   let prepare (rels : Relations.t) =
-    key_runner ~ordered
+    key_runner sql
       (standing ~optimize (Ds_sql.Exec.prepare ~optimize rels.Relations.catalog sql))
   in
   {
@@ -63,7 +65,7 @@ let of_sql ?(optimize = `Full) ?(description = "") ~name ~guarantee ~ordered sql
   }
 
 let of_sql_dynamic ?(optimize = `Full) ?(description = "") ~name ~guarantee
-    ~ordered ~initial sql =
+    ~initial sql =
   (* Every preparation registers its placeholder cells here so the setter
      reaches all schedulers using this protocol. *)
   let current = ref initial in
@@ -88,7 +90,7 @@ let of_sql_dynamic ?(optimize = `Full) ?(description = "") ~name ~guarantee
     all_binders := bind :: !all_binders;
     (* Subplans reading a placeholder are never views, so a new binding
        takes effect on the next cycle. *)
-    key_runner ~ordered (standing ~optimize plan)
+    key_runner sql (standing ~optimize plan)
   in
   let set v =
     current := v;

@@ -24,10 +24,11 @@ type t = {
           order *)
 }
 
-(** [of_sql ~name ~guarantee ~ordered sql] builds a protocol from a query
-    over [requests]/[history] returning (at least) [ta] and [intrata]
-    columns. When [ordered] is false the result is sorted by request id
-    (column [id] must be in the output). [optimize] selects the plan
+(** [of_sql ~name ~guarantee sql] builds a protocol from a query over
+    [requests]/[history] returning (at least) [ta] and [intrata] columns.
+    The query decides the execution order: a top-level [ORDER BY] stands as
+    written; without one the result is sorted by request id (column [id]
+    must then be in the output). [optimize] selects the plan
     rewriting level (ablation A2); at [`Full] (the default) each prepared
     plan also keeps its stateful subplans over the scheduler relations as
     incrementally maintained views ({!Ds_relal.View}). *)
@@ -36,7 +37,6 @@ val of_sql :
   ?description:string ->
   name:string ->
   guarantee:guarantee ->
-  ordered:bool ->
   string ->
   t
 
@@ -51,7 +51,6 @@ val of_sql_dynamic :
   ?description:string ->
   name:string ->
   guarantee:guarantee ->
-  ordered:bool ->
   initial:Ds_relal.Value.t ->
   string ->
   t * (Ds_relal.Value.t -> unit)

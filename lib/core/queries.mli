@@ -46,7 +46,8 @@ val c2pl : string
 val reader_offload : string
 
 (** SS2PL with SLA ordering: qualified requests ordered by descending SLA
-    weight, then arrival, then id. Requires extended relations. *)
+    weight, then arrival, then id. Its top-level [ORDER BY] is the
+    execution order. *)
 val sla_ordered : string
 
 (** FCFS: everything qualifies, in arrival (id) order. *)

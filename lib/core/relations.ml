@@ -7,34 +7,26 @@ type t = {
   history : Table.t;
   rte : Table.t;
   dead : Table.t;
-  extended : bool;
 }
 
-let base_columns =
-  [
-    Schema.column "id" Schema.Tint;
-    Schema.column "ta" Schema.Tint;
-    Schema.column "intrata" Schema.Tint;
-    Schema.column "operation" Schema.Tstr;
-    Schema.column "object" Schema.Tint;
-  ]
+let schema =
+  Schema.of_list
+    [
+      Schema.column "id" Schema.Tint;
+      Schema.column "ta" Schema.Tint;
+      Schema.column "intrata" Schema.Tint;
+      Schema.column "operation" Schema.Tstr;
+      Schema.column "object" Schema.Tint;
+      Schema.column "sla" Schema.Tstr;
+      Schema.column "weight" Schema.Tint;
+      Schema.column "arrival" Schema.Tfloat;
+    ]
 
-let extended_columns =
-  [
-    Schema.column "sla" Schema.Tstr;
-    Schema.column "weight" Schema.Tint;
-    Schema.column "arrival" Schema.Tfloat;
-  ]
-
-let schema ~extended =
-  Schema.of_list (if extended then base_columns @ extended_columns else base_columns)
-
-let create ?(extended = false) () =
-  let s = schema ~extended in
-  let requests = Table.create ~name:"requests" s in
-  let history = Table.create ~name:"history" s in
-  let rte = Table.create ~name:"rte" s in
-  let dead = Table.create ~name:"dead" s in
+let create () =
+  let requests = Table.create ~name:"requests" schema in
+  let history = Table.create ~name:"history" schema in
+  let rte = Table.create ~name:"rte" schema in
+  let dead = Table.create ~name:"dead" schema in
   (* The protocol queries join on ta and on object; declare the hash indexes
      the optimizer ablation toggles. Range predicates (rationing's
      [object < T]) filter a scan or a view and need no index. *)
@@ -48,29 +40,39 @@ let create ?(extended = false) () =
   Table.create_index history [ 3 ];
   let catalog = Ds_sql.Catalog.create () in
   List.iter (Ds_sql.Catalog.register catalog) [ requests; history; rte; dead ];
-  { catalog; requests; history; rte; dead; extended }
+  { catalog; requests; history; rte; dead }
 
-let row_of_request ~extended (r : Request.t) =
-  let obj = match r.Request.obj with Some o -> Value.Int o | None -> Value.Null in
-  let base =
-    [|
-      Value.Int r.Request.id;
-      Value.Int r.Request.ta;
-      Value.Int r.Request.intrata;
-      Value.Str (String.make 1 (Op.to_char r.Request.op));
-      obj;
-    |]
-  in
-  if not extended then base
-  else
-    Array.append base
-      [|
-        Value.Str (Sla.tier_to_string r.Request.sla.Sla.tier);
-        Value.Int r.Request.sla.Sla.weight;
-        Value.Float r.Request.arrival;
-      |]
+(* Rows share their operation, tier and small-integer values: values are
+   immutable, so a row allocates only its id, ta, object and arrival
+   (intrata and the tiers' weights stay below [small_ints]). *)
+let small_ints = Array.init 256 (fun n -> Value.Int n)
 
-let request_of_row ~extended row =
+let int_value n =
+  if n >= 0 && n < Array.length small_ints then small_ints.(n) else Value.Int n
+
+let op_value =
+  let v op = Value.Str (String.make 1 (Op.to_char op)) in
+  let r = v Op.Read and w = v Op.Write and a = v Op.Abort and c = v Op.Commit in
+  function Op.Read -> r | Op.Write -> w | Op.Abort -> a | Op.Commit -> c
+
+let tier_value =
+  let v tier = Value.Str (Sla.tier_to_string tier) in
+  let p = v Sla.Premium and s = v Sla.Standard and f = v Sla.Free in
+  function Sla.Premium -> p | Sla.Standard -> s | Sla.Free -> f
+
+let row_of_request (r : Request.t) =
+  [|
+    int_value r.Request.id;
+    int_value r.Request.ta;
+    int_value r.Request.intrata;
+    op_value r.Request.op;
+    (match r.Request.obj with Some o -> int_value o | None -> Value.Null);
+    tier_value r.Request.sla.Sla.tier;
+    int_value r.Request.sla.Sla.weight;
+    Value.Float r.Request.arrival;
+  |]
+
+let request_of_row row =
   let fail msg = invalid_arg ("Relations.request_of_row: " ^ msg) in
   let int_at i =
     match row.(i) with Value.Int n -> n | _ -> fail "expected INT"
@@ -87,36 +89,24 @@ let request_of_row ~extended row =
     | Value.Int o -> Some o
     | _ -> fail "expected object INT or NULL"
   in
-  let sla, arrival =
-    if extended && Array.length row >= 8 then begin
-      let tier =
-        match row.(5) with
-        | Value.Str s -> (
-          match Sla.tier_of_string s with
-          | Some t -> t
-          | None -> fail "bad sla tier")
-        | _ -> fail "expected sla TEXT"
-      in
-      let base_sla =
-        match tier with
-        | Sla.Premium -> Sla.premium
-        | Sla.Standard -> Sla.standard
-        | Sla.Free -> Sla.free
-      in
-      let sla =
-        match row.(6) with
-        | Value.Int w -> { base_sla with Sla.weight = w }
-        | _ -> fail "expected weight INT"
-      in
-      let arrival =
-        match row.(7) with
-        | Value.Float f -> f
-        | Value.Int i -> float_of_int i
-        | _ -> fail "expected arrival FLOAT"
-      in
-      (sla, arrival)
-    end
-    else (Sla.standard, 0.)
+  let sla =
+    let default =
+      match row.(5) with
+      | Value.Str s -> (
+        match Sla.tier_of_string s with
+        | Some tier -> Sla.of_tier tier
+        | None -> fail "bad sla tier")
+      | _ -> fail "expected sla TEXT"
+    in
+    let weight = int_at 6 in
+    if weight = default.Sla.weight then default
+    else { default with Sla.weight }
+  in
+  let arrival =
+    match row.(7) with
+    | Value.Float f -> f
+    | Value.Int i -> float_of_int i
+    | _ -> fail "expected arrival FLOAT"
   in
   let intrata = int_at 2 in
   if intrata < 0 then begin
@@ -134,18 +124,15 @@ let check_not_marker r =
 
 let insert_pending t r =
   check_not_marker r;
-  Table.insert t.requests (row_of_request ~extended:t.extended r)
+  Table.insert t.requests (row_of_request r)
 
 let insert_pending_batch t rs =
   List.iter check_not_marker rs;
-  Table.insert_many t.requests
-    (List.map (row_of_request ~extended:t.extended) rs)
+  Table.insert_many t.requests (List.map row_of_request rs)
 
-let pending t =
-  List.map (request_of_row ~extended:t.extended) (Table.rows t.requests)
+let pending t = List.map request_of_row (Table.rows t.requests)
 
-let history_requests t =
-  List.map (request_of_row ~extended:t.extended) (Table.rows t.history)
+let history_requests t = List.map request_of_row (Table.rows t.history)
 
 let pending_count t = Table.row_count t.requests
 
@@ -175,7 +162,7 @@ let move_to_history t keys =
   in
   Table.insert_many t.history rows;
   Table.insert_many t.rte rows;
-  List.map (request_of_row ~extended:t.extended) rows
+  List.map request_of_row rows
 
 (* Transactions with a terminal row in history, off the operation index
    (catching every insertion path — scheduler, journal restore, direct test
@@ -201,7 +188,7 @@ let blocker_lookup t =
     | Some o ->
       List.find_map
         (fun row ->
-          let h = request_of_row ~extended:t.extended row in
+          let h = request_of_row row in
           if Request.conflicts r h && not (Hashtbl.mem finished h.Request.ta)
           then Some h.Request.ta
           else None)
@@ -215,16 +202,16 @@ let prune_history t =
       removed + Table.delete_by_key t.history [ 1 ] [ Value.Int ta ] (fun _ -> true))
     (finished_tas t) 0
 
-let rte_requests t =
-  List.map (request_of_row ~extended:t.extended) (Table.rows t.rte)
+let rte_requests t = List.map request_of_row (Table.rows t.rte)
+
+let insert_history t r = Table.insert t.history (row_of_request r)
 
 let insert_rte t rs =
-  Table.insert_many t.rte (List.map (row_of_request ~extended:t.extended) rs)
+  Table.insert_many t.rte (List.map row_of_request rs)
 
-let insert_dead t r = Table.insert t.dead (row_of_request ~extended:t.extended r)
+let insert_dead t r = Table.insert t.dead (row_of_request r)
 
-let dead_requests t =
-  List.map (request_of_row ~extended:t.extended) (Table.rows t.dead)
+let dead_requests t = List.map request_of_row (Table.rows t.dead)
 
 let dead_count t = Table.row_count t.dead
 

@@ -1,13 +1,13 @@
 (** The scheduler's database (paper §3.3 and Table 2): a [requests] table of
     pending requests, a [history] table of relevant prior executed requests
-    and an [rte] (ready-to-execute) table, all with attributes
+    and an [rte] (ready-to-execute) table, all with one schema: the paper's
+    attributes in their places, then the request's SLA class and arrival
 
-    {v ID | TA | INTRATA | Operation | Object v}
+    {v ID | TA | INTRATA | Operation | Object | sla | weight | arrival v}
 
-    In [extended] mode three more columns — [sla] (class name), [weight]
-    (scheduling weight) and [arrival] (seconds) — are appended for the QoS
-    protocols; the paper columns keep their exact names and positions either
-    way.
+    so a row keeps everything a protocol may schedule by (tier name,
+    scheduling weight, arrival in seconds), and {!request_of_row} gives back
+    exactly the request {!row_of_request} was given.
 
     Besides those the catalog holds only [dead]. Run decisions that no
     protocol reads (worker placement and supervision, shard routing,
@@ -25,19 +25,21 @@ type t = {
   dead : Table.t;
       (** dead-letter relation: poison requests the middleware gave up on
           after exhausting retries (queryable like the others) *)
-  extended : bool;
 }
 
-val create : ?extended:bool -> unit -> t
+val create : unit -> t
 
-(** The Table 2 schema (5 columns), or 8 in extended mode. *)
-val schema : extended:bool -> Schema.t
+(** The Table 2 columns, then [sla], [weight] and [arrival]. *)
+val schema : Schema.t
 
-val row_of_request : extended:bool -> Request.t -> Value.t array
+(** Rows share their operation, tier and small-integer values. *)
+val row_of_request : Request.t -> Value.t array
 
-(** @raise Invalid_argument on a malformed row. Rows with negative INTRATA
+(** Inverse of {!row_of_request}: the result is {!Request.equal} to the
+    request the row was built from.
+    @raise Invalid_argument on a malformed row. Rows with negative INTRATA
     decode back to {!Request.abort_marker}s (they live in [history] only). *)
-val request_of_row : extended:bool -> Value.t array -> Request.t
+val request_of_row : Value.t array -> Request.t
 
 (** @raise Invalid_argument if given an abort marker — markers belong in
     [history], never in [requests]. *)
@@ -76,6 +78,11 @@ val blocker_lookup : t -> Request.t -> int option
     the schedule the declarative scheduler produced, as consumed by the
     [ds_check] correctness tooling. *)
 val rte_requests : t -> Request.t list
+
+(** Appends one row to [history]: a request the protocol must see as
+    executed, or an {!Request.abort_marker} releasing a transaction's
+    locks. *)
+val insert_history : t -> Request.t -> unit
 
 (** Appends rows to [rte] without touching [requests] (used by tests). *)
 val insert_rte : t -> Request.t list -> unit

@@ -62,13 +62,13 @@ type t = {
   mutable cum : phase_times;
 }
 
-let create ?(extended = false) ?(prune_history_each_cycle = true) ?journal
+let create ?(prune_history_each_cycle = true) ?journal
     ?checkpoint_every ?trace ?stamp proto =
   (match checkpoint_every with
   | Some n when n <= 0 ->
     invalid_arg "Scheduler.create: checkpoint_every must be positive"
   | _ -> ());
-  let rels = Relations.create ~extended () in
+  let rels = Relations.create () in
   {
     rels;
     proto;
@@ -310,8 +310,7 @@ let abort_txn t ta =
   t.abort_seq <- t.abort_seq + 1;
   let marker = Request.abort_marker ~ta ~seq:t.abort_seq () in
   assert (Request.is_abort_marker marker);
-  Ds_relal.Table.insert t.rels.Relations.history
-    (Relations.row_of_request ~extended:t.rels.Relations.extended marker);
+  Relations.insert_history t.rels marker;
   dropped
 
 let cycles_run t = t.cycles

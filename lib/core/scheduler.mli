@@ -67,7 +67,6 @@ type t
     are drawn even without a journal so the merged order exists either
     way. *)
 val create :
-  ?extended:bool ->
   ?prune_history_each_cycle:bool ->
   ?journal:Journal.t ->
   ?checkpoint_every:int ->

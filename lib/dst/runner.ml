@@ -40,7 +40,6 @@ let config_of (s : Scenario.t) ~journal_path ~trace =
     shards = s.Scenario.shards;
     seed = s.Scenario.seed;
     protocol;
-    extended_relations = true;
     (* Wall-clock cycle charging would make the simulation depend on the
        host; scenario runs must reproduce exactly from the seed. *)
     charge_scheduler_time = false;

@@ -1,8 +1,8 @@
 (** Scheduler requests.
 
-    This is exactly the record of the paper's Table 2 — ID, TA, INTRATA,
-    Operation, Object — extended with the SLA class and arrival time needed
-    by the QoS protocols and the simulator. *)
+    The record of the paper's Table 2 — ID, TA, INTRATA, Operation, Object —
+    plus the SLA class and arrival time that protocols schedule by. Every
+    scheduler relation stores all seven. *)
 
 type t = {
   id : int;  (** consecutive request number, unique per run *)

@@ -1,27 +1,21 @@
 type tier = Premium | Standard | Free
 
-type t = { tier : tier; weight : int; deadline_ms : float option }
+type t = { tier : tier; weight : int }
 
-let premium = { tier = Premium; weight = 100; deadline_ms = Some 200. }
+let premium = { tier = Premium; weight = 100 }
 
-let standard = { tier = Standard; weight = 10; deadline_ms = Some 1000. }
+let standard = { tier = Standard; weight = 10 }
 
-let free = { tier = Free; weight = 1; deadline_ms = None }
+let free = { tier = Free; weight = 1 }
+
+let of_tier = function
+  | Premium -> premium
+  | Standard -> standard
+  | Free -> free
 
 let tier_rank = function Premium -> 0 | Standard -> 1 | Free -> 2
 
-let equal a b =
-  tier_rank a.tier = tier_rank b.tier
-  && a.weight = b.weight
-  && Option.equal Float.equal a.deadline_ms b.deadline_ms
-
-let compare a b =
-  let c = Int.compare (tier_rank a.tier) (tier_rank b.tier) in
-  if c <> 0 then c
-  else
-    let c = Int.compare b.weight a.weight in
-    if c <> 0 then c
-    else Option.compare Float.compare a.deadline_ms b.deadline_ms
+let equal a b = a.tier = b.tier && a.weight = b.weight
 
 let compare_urgency a b = Int.compare (tier_rank a.tier) (tier_rank b.tier)
 
@@ -35,12 +29,5 @@ let tier_of_string = function
   | "standard" -> Some Standard
   | "free" -> Some Free
   | _ -> None
-
-let pp ppf t =
-  Format.fprintf ppf "%s(w=%d%a)" (tier_to_string t.tier) t.weight
-    (fun ppf -> function
-      | None -> ()
-      | Some d -> Format.fprintf ppf ", d=%.0fms" d)
-    t.deadline_ms
 
 let all_tiers = [ Premium; Standard; Free ]

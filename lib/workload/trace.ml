@@ -37,9 +37,8 @@ let request_of_line ~lineno line =
     in
     let sla =
       match Sla.tier_of_string (String.trim sla) with
-      | Some Sla.Premium -> Sla.premium
-      | Some Sla.Free -> Sla.free
-      | Some Sla.Standard | None -> Sla.standard
+      | Some tier -> Sla.of_tier tier
+      | None -> Sla.standard
     in
     let arrival =
       match float_of_string_opt arrival with

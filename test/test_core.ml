@@ -8,15 +8,37 @@ open Ds_relal
 (* --- relations (Table 2) ------------------------------------------- *)
 
 let test_table2_schema () =
-  let s = Relations.schema ~extended:false in
-  let names = Array.to_list (Array.map (fun (c : Schema.column) -> c.Schema.name) s) in
-  Alcotest.(check (list string)) "exactly the paper's attributes"
+  let names =
+    Array.to_list
+      (Array.map (fun (c : Schema.column) -> c.Schema.name) Relations.schema)
+  in
+  Alcotest.(check (list string)) "the paper's attributes in their places"
     [ "id"; "ta"; "intrata"; "operation"; "object" ]
-    names;
+    (List.filteri (fun i _ -> i < 5) names);
+  Alcotest.(check (list string)) "then the SLA class and arrival"
+    [ "sla"; "weight"; "arrival" ]
+    (List.filteri (fun i _ -> i >= 5) names);
   let rels = Relations.create () in
   Alcotest.(check (list string)) "all scheduler tables registered"
     [ "dead"; "history"; "requests"; "rte" ]
     (Ds_sql.Catalog.names rels.Relations.catalog)
+
+(* The free/premium pair of the SLA example: the free request arrives first. *)
+let free_then_premium () =
+  [
+    Request.make ~sla:Sla.free ~arrival:0.5 ~id:1 ~ta:1 ~intrata:1 ~op:Op.Read
+      ~obj:10 ();
+    Request.make ~sla:Sla.premium ~arrival:1.5 ~id:2 ~ta:2 ~intrata:1
+      ~op:Op.Read ~obj:20 ();
+  ]
+
+let request =
+  Alcotest.testable
+    (fun ppf (r : Request.t) ->
+      Format.fprintf ppf "%a(%s,w=%d,arr=%g)" Request.pp r
+        (Sla.tier_to_string r.Request.sla.Sla.tier)
+        r.Request.sla.Sla.weight r.Request.arrival)
+    Request.equal
 
 let test_request_roundtrip () =
   let reqs =
@@ -24,30 +46,67 @@ let test_request_roundtrip () =
       Request.v 3 1 Op.Read 42;
       Request.v 3 2 Op.Write 17;
       Request.terminal 3 3 Op.Commit;
+      Request.make ~sla:{ Sla.premium with Sla.weight = 7 } ~arrival:2.25
+        ~id:9 ~ta:1 ~intrata:1 ~op:Op.Write ~obj:3 ();
+      Request.abort_marker ~arrival:4. ~ta:5 ~seq:2 ();
     ]
+    @ free_then_premium ()
   in
   List.iter
     (fun r ->
-      let row = Relations.row_of_request ~extended:false r in
-      let r' = Relations.request_of_row ~extended:false row in
-      Alcotest.(check bool) "roundtrip" true
-        (Request.key r = Request.key r'
-        && Op.equal r.Request.op r'.Request.op
-        && r.Request.obj = r'.Request.obj))
+      Alcotest.check request "roundtrip" r
+        (Relations.request_of_row (Relations.row_of_request r)))
     reqs;
-  (* Extended columns preserve SLA weight and arrival. *)
-  let r =
-    Request.make ~sla:Sla.premium ~arrival:1.5 ~id:9 ~ta:1 ~intrata:1
-      ~op:Op.Read ~obj:3 ()
+  (* Admission hands back the submitted requests, SLA and arrival intact. *)
+  let submitted = free_then_premium () in
+  let sched = Scheduler.create Builtin.ss2pl_sql in
+  List.iter (Scheduler.submit sched) submitted;
+  let admitted, _ = Scheduler.cycle sched in
+  Alcotest.(check (list request)) "admitted as submitted" submitted admitted;
+  (* So the trace records every request under its own tier after admission
+     too. *)
+  let tr = Ds_obs.Trace.create () in
+  let _ =
+    Middleware.run
+      {
+        Middleware.default_config with
+        Middleware.n_clients = 20;
+        duration = 1.;
+        spec =
+          {
+            Ds_workload.Spec.paper_default with
+            Ds_workload.Spec.n_objects = 5000;
+            sla_mix = [ (Sla.premium, 0.2); (Sla.standard, 0.3); (Sla.free, 0.5) ];
+          };
+        charge_scheduler_time = false;
+        trace = Some tr;
+      }
   in
-  let r' =
-    Relations.request_of_row ~extended:true
-      (Relations.row_of_request ~extended:true r)
+  let events = Ds_obs.Trace.events tr in
+  let enqueued = Hashtbl.create 1024 in
+  List.iter
+    (fun (e : Ds_obs.Trace.event) ->
+      if e.Ds_obs.Trace.kind = Ds_obs.Trace.Enqueued then
+        Hashtbl.replace enqueued (e.Ds_obs.Trace.ta, e.Ds_obs.Trace.seq)
+          e.Ds_obs.Trace.tier)
+    events;
+  let admitted =
+    List.filter
+      (fun (e : Ds_obs.Trace.event) -> e.Ds_obs.Trace.kind = Ds_obs.Trace.Sched_admit)
+      events
   in
-  Alcotest.(check bool) "sla roundtrip" true
-    (r'.Request.sla.Sla.tier = Sla.Premium
-    && r'.Request.sla.Sla.weight = Sla.premium.Sla.weight
-    && r'.Request.arrival = 1.5)
+  Alcotest.(check (list string)) "every tier admitted"
+    [ "free"; "premium"; "standard" ]
+    (List.sort_uniq String.compare
+       (List.map (fun (e : Ds_obs.Trace.event) -> e.Ds_obs.Trace.tier) admitted));
+  List.iter
+    (fun (e : Ds_obs.Trace.event) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "T%d.%d admitted at its enqueued tier" e.Ds_obs.Trace.ta
+           e.Ds_obs.Trace.seq)
+        (Hashtbl.find_opt enqueued (e.Ds_obs.Trace.ta, e.Ds_obs.Trace.seq))
+        (Some e.Ds_obs.Trace.tier))
+    admitted
 
 let test_move_to_history () =
   let rels = Relations.create () in
@@ -67,9 +126,7 @@ let test_move_to_history () =
 
 let test_prune_history () =
   let rels = Relations.create () in
-  let rows r = Relations.row_of_request ~extended:false r in
-  List.iter
-    (fun r -> Table.insert rels.Relations.history (rows r))
+  List.iter (Relations.insert_history rels)
     [
       Request.v 1 1 Op.Read 10;
       Request.terminal 1 2 Op.Commit;
@@ -83,11 +140,7 @@ let test_prune_history () =
 
 let load_case rels ~pending ~history =
   Relations.clear rels;
-  List.iter
-    (fun r ->
-      Table.insert rels.Relations.history
-        (Relations.row_of_request ~extended:false r))
-    history;
+  List.iter (Relations.insert_history rels) history;
   Relations.insert_pending_batch rels pending
 
 let qualify proto ~pending ~history =
@@ -273,8 +326,7 @@ let test_rationing_dynamic () =
   let rels = Scheduler.relations sched in
   let situation () =
     Relations.clear rels;
-    Table.insert rels.Relations.history
-      (Relations.row_of_request ~extended:false (Request.v 1 1 Op.Read 50));
+    Relations.insert_history rels (Request.v 1 1 Op.Read 50);
     Scheduler.submit sched (Request.v 2 1 Op.Write 50)
   in
   situation ();
@@ -292,7 +344,7 @@ let test_rationing_dynamic () =
   Alcotest.(check int) "strict again" 0 (List.length q)
 
 let test_fcfs_and_sla_ordering () =
-  let sched = Scheduler.create ~extended:true Builtin.sla_ordered in
+  let sched = Scheduler.create Builtin.sla_ordered in
   let mk sla ta obj =
     Request.make ~sla ~arrival:(float_of_int ta) ~id:ta ~ta ~intrata:1
       ~op:Op.Read ~obj ()
@@ -304,7 +356,7 @@ let test_fcfs_and_sla_ordering () =
     [ 2; 3; 1 ]
     (List.map (fun (r : Request.t) -> r.Request.ta) qualified);
   (* FCFS keeps id order regardless of class. *)
-  let sched = Scheduler.create ~extended:true Builtin.fcfs in
+  let sched = Scheduler.create Builtin.fcfs in
   List.iter (Scheduler.submit sched)
     [ mk Sla.free 1 10; mk Sla.premium 2 20 ];
   let qualified, _ = Scheduler.cycle sched in
@@ -509,7 +561,7 @@ rules ss2pl
 order by weight desc
 limit 2|}
   in
-  let sched = Scheduler.create ~extended:true proto in
+  let sched = Scheduler.create proto in
   let mk sla ta =
     Request.make ~sla ~id:ta ~ta ~intrata:1 ~op:Op.Read ~obj:(100 + ta) ()
   in
@@ -517,7 +569,21 @@ limit 2|}
     [ mk Sla.free 1; mk Sla.premium 2; mk Sla.standard 3 ];
   let q, _ = Scheduler.cycle sched in
   Alcotest.(check (list int)) "weighted, limited" [ 2; 3 ]
-    (List.map (fun (r : Request.t) -> r.Request.ta) q)
+    (List.map (fun (r : Request.t) -> r.Request.ta) q);
+  (* The SLA example's rule: premium overtakes the earlier free request. *)
+  let proto =
+    Rule_lang.compile
+      {|protocol premium-first
+guarantee serializable
+rules ss2pl
+order by weight desc, arrival asc|}
+  in
+  let sched = Scheduler.create proto in
+  let submitted = free_then_premium () in
+  List.iter (Scheduler.submit sched) submitted;
+  let q, _ = Scheduler.cycle sched in
+  Alcotest.(check (list request)) "premium first, requests intact"
+    (List.rev submitted) q
 
 let test_rule_lang_inline_datalog () =
   let proto =
@@ -663,8 +729,7 @@ let test_adaptive_switching () =
   (* Low load: one conflicting pair; strict semantics visible (writer blocked
      by a read lock in history). *)
   let rels = Scheduler.relations sched in
-  Table.insert rels.Relations.history
-    (Relations.row_of_request ~extended:false (Request.v 1 1 Op.Read 10));
+  Relations.insert_history rels (Request.v 1 1 Op.Read 10);
   Scheduler.submit sched (Request.v 2 1 Op.Write 10);
   let q, _ = Scheduler.cycle sched in
   Alcotest.(check int) "strict blocks writer" 0 (List.length q);

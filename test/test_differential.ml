@@ -1,5 +1,5 @@
 (* Differential fuzzing of the scheduler formulations (Ds_check.Differential):
-   the SQL (base + extended schema) and Datalog SS2PL formulations must agree
+   the SQL and Datalog SS2PL formulations must agree
    with the hand-coded OCaml oracle cycle by cycle, and every produced
    schedule must pass the serializability battery. *)
 
@@ -69,7 +69,7 @@ let test_catches_read_committed () =
      caught — either it diverges from the SS2PL oracle or its schedule fails
      the rigor battery. If the harness passes a weaker protocol across all
      these contended seeds, it cannot be trusted to validate SS2PL. *)
-  let subjects = [ ("read-committed", false, Builtin.read_committed_sql) ] in
+  let subjects = [ ("read-committed", Builtin.read_committed_sql) ] in
   let caught = ref false in
   let seed = ref 1 in
   while (not !caught) && !seed <= 20 do
@@ -82,7 +82,7 @@ let test_catches_read_committed () =
 let test_catches_reordering () =
   (* A protocol that ignores conflicts entirely (fcfs qualifies everything in
      arrival order) must diverge from the SS2PL oracle on a contended seed. *)
-  let subjects = [ ("fcfs", false, Builtin.fcfs) ] in
+  let subjects = [ ("fcfs", Builtin.fcfs) ] in
   let caught = ref false in
   let seed = ref 1 in
   while (not !caught) && !seed <= 20 do
@@ -98,8 +98,8 @@ let test_parallel_oracle_lockstep () =
   (* The lockstep mode replays the oracle's admitted batches through the
      conflict-class worker pool at several widths and demands exact conflict
      equivalence, a clean serializability battery, and identical final table
-     state.  All subject formulations (SQL base, SQL extended, Datalog) stay
-     in the run, so one seed covers 3+ protocols x 3 pool widths. *)
+     state.  All subject formulations (SQL, Datalog) stay in the run, so
+     one seed covers 3 protocols x 3 pool widths. *)
   let config =
     { quick_config with Differential.parallel_workers = [ 2; 4; 8 ] }
   in

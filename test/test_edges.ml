@@ -100,10 +100,10 @@ let test_aggregate_null_handling () =
     (one (agg (Ra.Avg (Ra.Col 0))) = Value.Float 2.)
 
 let test_schema_pp () =
-  let s = Ds_core.Relations.schema ~extended:false in
   Alcotest.(check string) "schema rendering"
-    "(id INT, ta INT, intrata INT, operation TEXT, object INT)"
-    (Format.asprintf "%a" Schema.pp s)
+    "(id INT, ta INT, intrata INT, operation TEXT, object INT, sla TEXT, \
+     weight INT, arrival FLOAT)"
+    (Format.asprintf "%a" Schema.pp Ds_core.Relations.schema)
 
 (* --- datalog ---------------------------------------------------------- *)
 
@@ -172,7 +172,26 @@ let test_protocol_registry () =
   in
   Alcotest.(check int) "names unique"
     (List.length names)
-    (List.length (List.sort_uniq String.compare names))
+    (List.length (List.sort_uniq String.compare names));
+  (* Every registered protocol runs through the middleware at its defaults;
+     the serializable ones get work done. *)
+  List.iter
+    (fun (p : Ds_core.Protocol.t) ->
+      let s =
+        Ds_core.Middleware.run
+          {
+            Ds_core.Middleware.default_config with
+            Ds_core.Middleware.n_clients = 5;
+            duration = 0.5;
+            protocol = p;
+          }
+      in
+      if p.Ds_core.Protocol.guarantee = Ds_core.Protocol.Serializable then
+        Alcotest.(check bool)
+          (p.Ds_core.Protocol.name ^ " commits")
+          true
+          (s.Ds_core.Middleware.committed_txns > 0))
+    Ds_core.Builtin.all
 
 let test_spec_loc () =
   Alcotest.(check int) "counts non-empty lines" 2

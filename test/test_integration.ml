@@ -47,9 +47,7 @@ let test_middleware_serializable_execution () =
   let rels = Scheduler.relations sched in
   let events =
     Ds_check.Conflict_graph.events_of_requests
-      (List.map
-         (Relations.request_of_row ~extended:false)
-         (Table.rows rels.Relations.rte))
+      (List.map Relations.request_of_row (Table.rows rels.Relations.rte))
   in
   Alcotest.(check bool) "schedule non-trivial" true (List.length events > 100);
   (match
@@ -117,7 +115,6 @@ let test_middleware_sla_tiers () =
       (cfg ~n_clients:20 ~duration:3. ()) with
       Middleware.spec;
       protocol = Builtin.sla_ordered;
-      extended_relations = true;
     }
   in
   let s = Middleware.run config in

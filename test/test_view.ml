@@ -149,7 +149,7 @@ let test_rationing_dynamic () =
   let dynamic ?(change = true) optimize =
     let proto, set =
       Protocol.of_sql_dynamic ~optimize ~name:"rationing-dynamic"
-        ~guarantee:(Protocol.Custom "rationed") ~ordered:false
+        ~guarantee:(Protocol.Custom "rationed")
         ~initial:(Value.Int 2_000) Queries.rationing_parameterized
     in
     let prepare rels =
