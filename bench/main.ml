@@ -144,9 +144,7 @@ let measure_mu ~window ~runs clients =
   }
 
 let probe ~runs clients protocol =
-  Overhead_probe.measure ~runs
-    { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
-    protocol
+  Overhead_probe.measure ~runs ~n_clients:clients protocol
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Figure 2                                                      *)
@@ -573,7 +571,6 @@ let open_loop ~duration () =
               proto.Protocol.name,
               Batch_sim.run
                 {
-                  Batch_sim.default_config with
                   Batch_sim.arrival_rate = rate;
                   duration;
                   spec;
@@ -700,10 +697,7 @@ let faults_sweep ~duration ~json () =
                ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
             with
             Middleware.faults = plan;
-            max_retries = 4;
-            batch_timeout = Some 0.2;
             queue_capacity = Some 40;
-            client_redo = true;
             (* fault runs must be reproducible from the seed *)
             charge_scheduler_time = false;
           }
@@ -1322,7 +1316,6 @@ let failover_bench ~duration ~json () =
           (* late enough that a meaningful set of transactions has been
              acked to clients before the primary dies *)
           faults = { Faults.none with Faults.pcrash_at_cycle = Some 150 };
-          client_redo = true;
           repl = Some (Session.hooks session);
           trace = Some trace;
           charge_scheduler_time = false;

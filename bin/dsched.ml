@@ -83,35 +83,18 @@ let demo_cmd =
   in
   Cmd.v (Cmd.info "demo" ~doc) Term.(const run $ const ())
 
-(* Strict numeric converters: [--workers 0], [--workers -2] or
+(* Strict positive-integer converter: [--workers 0], [--workers -2] or
    [--workers four] all die at parse time with a message naming the flag,
-   instead of whatever int_of_string + downstream code would do mid-run.
-   [int_conv] takes the smallest accepted value (default 1). *)
-let int_conv ?(min = 1) what =
-  let bound =
-    match min with
-    | 0 -> "non-negative"
-    | 1 -> "positive"
-    | n -> Printf.sprintf "at least %d" n
-  in
+   instead of whatever int_of_string + downstream code would do mid-run. *)
+let int_conv what =
   let parse s =
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= min -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%s must be %s, got %d" what bound n))
+    | Some n when n >= 1 -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%s must be positive, got %d" what n))
     | None ->
-      Error (`Msg (Printf.sprintf "%s must be a %s integer, got '%s'" what bound s))
+      Error (`Msg (Printf.sprintf "%s must be a positive integer, got '%s'" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
-
-let pos_float_conv what =
-  let parse s =
-    match float_of_string_opt (String.trim s) with
-    | Some x when x > 0. && Float.is_finite x -> Ok x
-    | Some x -> Error (`Msg (Printf.sprintf "%s must be positive, got %g" what x))
-    | None ->
-      Error (`Msg (Printf.sprintf "%s must be a positive number, got '%s'" what s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
 
 let protocol_arg =
   let conv_protocol =
@@ -141,9 +124,6 @@ let run_cmd =
       value
       & opt (int_conv "--objects") 20_000
       & info [ "objects" ] ~doc:"Database objects.")
-  in
-  let passthrough =
-    Arg.(value & flag & info [ "passthrough" ] ~doc:"Non-scheduling mode (3.3).")
   in
   let workers =
     Arg.(
@@ -203,8 +183,12 @@ let run_cmd =
              crash / permanent death / stall rates, needs --workers > 1; \
              wstall-dur seconds), pcrash (permanent primary crash at that \
              cycle — fails over to the hot standby, needs --standby). \
-             Implies deterministic scheduling (scheduler wall-time not \
-             charged).")
+             A non-empty plan sets the client contract: clients redo \
+             aborted transactions, a batch attempt times out after 0.25 \
+             s, and a request is dead-lettered after 3 retries. It also \
+             implies deterministic scheduling (scheduler wall-time not \
+             charged). For the paper's non-scheduling mode use \
+             $(b,--protocol fcfs).")
   in
   let standby =
     Arg.(
@@ -285,13 +269,6 @@ let run_cmd =
             "Race a duplicate of an overdue conflict class on a surviving \
              worker (deliveries deduplicated first-wins).")
   in
-  let max_retries =
-    Arg.(
-      value
-      & opt (int_conv ~min:0 "--max-retries") 3
-      & info [ "max-retries" ]
-          ~doc:"Transient failures tolerated per request before dead-letter.")
-  in
   let queue_cap =
     Arg.(
       value
@@ -300,14 +277,6 @@ let run_cmd =
           ~doc:
             "Bound the incoming queue: shed the least urgent request for a \
              more urgent arrival, push back otherwise.")
-  in
-  let batch_timeout =
-    Arg.(
-      value
-      & opt (some (pos_float_conv "--batch-timeout")) None
-      & info [ "batch-timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-batch-attempt timeout (default 0.25 when faults are active).")
   in
   let journal =
     Arg.(
@@ -338,9 +307,9 @@ let run_cmd =
             "Print per-SLA-tier latency quantiles (p50/p95/p99) and \
              per-cycle scheduler metrics after the run.")
   in
-  let run protocol clients duration objects passthrough workers shards seed
-      log_rte faults max_retries queue_cap batch_timeout journal checkpoint
-      hedge trace_out metrics standby repl_faults repl_mode =
+  let run protocol clients duration objects workers shards seed log_rte faults
+      queue_cap journal checkpoint hedge trace_out metrics standby repl_faults
+      repl_mode =
     let faulty = not (Faults.is_none faults) in
     let sink = Option.map (fun _ -> Ds_obs.Trace.create ()) trace_out in
     let mets = if metrics then Some (Ds_obs.Metrics.create ()) else None in
@@ -370,20 +339,13 @@ let run_cmd =
         shards;
         seed;
         protocol;
-        passthrough;
         spec =
           { Ds_workload.Spec.paper_default with Ds_workload.Spec.n_objects = objects };
         faults;
-        max_retries;
         queue_capacity = queue_cap;
-        batch_timeout =
-          (match batch_timeout with
-          | Some _ as t -> t
-          | None -> if faulty then Some 0.25 else None);
         journal_path = journal;
         checkpoint_interval = checkpoint;
         hedging = hedge;
-        client_redo = faulty;
         repl = Option.map Ds_replica.Session.hooks session;
         trace = sink;
         metrics = mets;
@@ -454,10 +416,9 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ protocol_arg $ clients $ duration $ objects $ passthrough
-      $ workers $ shards $ seed $ log_rte $ faults $ max_retries $ queue_cap
-      $ batch_timeout $ journal $ checkpoint $ hedge $ trace_out $ metrics
-      $ standby $ repl_faults $ repl_mode)
+      const run $ protocol_arg $ clients $ duration $ objects $ workers
+      $ shards $ seed $ log_rte $ faults $ queue_cap $ journal $ checkpoint
+      $ hedge $ trace_out $ metrics $ standby $ repl_faults $ repl_mode)
 
 let native_cmd =
   let doc = "Run the native (lock-based) scheduler experiment (4.2)." in

@@ -6,14 +6,8 @@ type config = {
   selects_per_txn : int;
   updates_per_txn : int;
   n_objects : int;
-  abort_fraction : float;
-  stall_abort_after : int;
   include_native : bool;
-  native_clients : int;
-  native_duration : float;
-  check_trace : bool;
   parallel_workers : int list;
-  parallel_worker_faults : bool;
 }
 
 let default_config =
@@ -22,15 +16,17 @@ let default_config =
     selects_per_txn = 3;
     updates_per_txn = 3;
     n_objects = 12;
-    abort_fraction = 0.15;
-    stall_abort_after = 2;
     include_native = true;
-    native_clients = 6;
-    native_duration = 0.3;
-    check_trace = true;
     parallel_workers = [ 2; 4 ];
-    parallel_worker_faults = true;
   }
+
+(* Fixed parameters of every iteration: the share of transactions that end
+   in an intrinsic abort, the stalled cycles before the youngest stalled
+   transaction is aborted everywhere, and the native run's size. *)
+let abort_fraction = 0.15
+let stall_abort_after = 2
+let native_clients = 6
+let native_duration = 0.3
 
 type failure =
   | Divergence of {
@@ -82,7 +78,7 @@ let spec_of config =
     Ds_workload.Spec.n_objects = config.n_objects;
     selects_per_txn = config.selects_per_txn;
     updates_per_txn = config.updates_per_txn;
-    abort_fraction = config.abort_fraction;
+    abort_fraction;
   }
 
 let run_one ?(config = default_config) ?(subjects = default_subjects ())
@@ -101,10 +97,8 @@ let run_one ?(config = default_config) ?(subjects = default_subjects ())
         })
       txns
   in
-  let trace =
-    if config.check_trace then Some (Ds_obs.Trace.create ()) else None
-  in
-  let reference = Scheduler.create ?trace Builtin.ss2pl_ocaml in
+  let trace = Ds_obs.Trace.create () in
+  let reference = Scheduler.create ~trace Builtin.ss2pl_ocaml in
   let schedulers =
     ("ss2pl-ocaml", reference)
     :: List.map
@@ -126,7 +120,7 @@ let run_one ?(config = default_config) ?(subjects = default_subjects ())
     List.fold_left (fun acc (t : Txn.t) -> acc + Txn.length t) 0 txns
   in
   let max_cycles =
-    (total_requests * (config.stall_abort_after + 2)) + 100
+    (total_requests * (stall_abort_after + 2)) + 100
   in
   (try
      while List.exists (fun c -> not c.aborted && c.remaining <> []) clients
@@ -192,7 +186,7 @@ let run_one ?(config = default_config) ?(subjects = default_subjects ())
           abort the youngest stalled transaction in every scheduler. *)
        if reference_keys = [] && !submitted = 0 then begin
          incr stall;
-         if !stall >= config.stall_abort_after then begin
+         if !stall >= stall_abort_after then begin
            stall := 0;
            let victim =
              List.fold_left
@@ -241,41 +235,38 @@ let run_one ?(config = default_config) ?(subjects = default_subjects ())
      execution log. The scheduler admits a commit request exactly when rte
      executes it, so the commit-op TA sequence derived from [Sched_admit]
      events must equal the one read off the log. *)
-  (match trace with
-  | None -> ()
-  | Some tr ->
-    let events = Ds_obs.Trace.events tr in
-    (match Ds_obs.Span.validate events with
-    | Error detail ->
-      failures :=
-        Trace_mismatch
-          { formulation = "ss2pl-ocaml"; detail; expected = []; got = [] }
-        :: !failures
-    | Ok () -> ());
-    let got =
-      List.filter_map
-        (fun (e : Ds_obs.Trace.event) ->
-          if e.Ds_obs.Trace.kind = Ds_obs.Trace.Sched_admit && e.op = 'c' then
-            Some e.Ds_obs.Trace.ta
-          else None)
-        events
-    in
-    let expected =
-      List.filter_map
-        (fun (r : Request.t) ->
-          if Op.equal r.Request.op Op.Commit then Some r.Request.ta else None)
-        (Relations.rte_requests (Scheduler.relations reference))
-    in
-    if got <> expected then
-      failures :=
-        Trace_mismatch
-          {
-            formulation = "ss2pl-ocaml";
-            detail = "trace commit order <> rte commit order";
-            expected;
-            got;
-          }
-        :: !failures);
+  let events = Ds_obs.Trace.events trace in
+  (match Ds_obs.Span.validate events with
+  | Error detail ->
+    failures :=
+      Trace_mismatch
+        { formulation = "ss2pl-ocaml"; detail; expected = []; got = [] }
+      :: !failures
+  | Ok () -> ());
+  let got =
+    List.filter_map
+      (fun (e : Ds_obs.Trace.event) ->
+        if e.Ds_obs.Trace.kind = Ds_obs.Trace.Sched_admit && e.op = 'c' then
+          Some e.Ds_obs.Trace.ta
+        else None)
+      events
+  in
+  let expected =
+    List.filter_map
+      (fun (r : Request.t) ->
+        if Op.equal r.Request.op Op.Commit then Some r.Request.ta else None)
+      (Relations.rte_requests (Scheduler.relations reference))
+  in
+  if got <> expected then
+    failures :=
+      Trace_mismatch
+        {
+          formulation = "ss2pl-ocaml";
+          detail = "trace commit order <> rte commit order";
+          expected;
+          got;
+        }
+      :: !failures;
   (* The native lock-based server from the same seed: its committed schedule
      (including commit points) must pass the same battery un-projected. *)
   if config.include_native then begin
@@ -283,8 +274,8 @@ let run_one ?(config = default_config) ?(subjects = default_subjects ())
       Ds_server.Native_sim.run
         {
           Ds_server.Native_sim.default_config with
-          Ds_server.Native_sim.n_clients = config.native_clients;
-          duration = config.native_duration;
+          Ds_server.Native_sim.n_clients = native_clients;
+          duration = native_duration;
           seed;
           log_schedule = true;
           spec = spec_of config;
@@ -319,11 +310,7 @@ let run_one ?(config = default_config) ?(subjects = default_subjects ())
     in
     List.iter
       (fun workers ->
-        let modes =
-          if workers > 1 && config.parallel_worker_faults then
-            [ false; true ]
-          else [ false ]
-        in
+        let modes = if workers > 1 then [ false; true ] else [ false ] in
         List.iter
           (fun faulty ->
             if workers >= 1 && !failures = [] then begin

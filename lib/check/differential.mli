@@ -15,16 +15,19 @@
       oracle's, cycle by cycle;
     - every formulation's [rte] execution log passes the full
       {!Serializability} battery on its committed projection;
+    - the reference scheduler's {!Ds_obs.Trace} is well-formed, and its
+      derived commit order (admitted requests with a commit op) equals the
+      [rte] log's;
     - (optionally) a native strict-2PL server run from the same seed
       produces a checker-clean committed schedule;
     - (with [parallel_workers]) the exact admitted batches replayed through
       a K-worker {!Ds_server.Worker_pool} yield a merged schedule that is
       conflict-equivalent to the sequential admitted order
       ({!Equivalence.check} with [~complete:true]), checker-clean, and
-      leaves the same final table state — once fault-free and (with
-      [parallel_worker_faults]) once more under injected worker crashes,
-      permanent deaths and stalls with the pool supervisor reassigning and
-      hedging classes.
+      leaves the same final table state — once fault-free and, for K > 1,
+      once more under a deterministic worker-fault script (crashes,
+      permanent deaths and stalls drawn from the iteration seed) with the
+      pool supervisor reassigning and hedging classes.
 
     Failures carry the seed, so any report reproduces by rerunning
     [run_one ~seed]. No shrinking: workloads are small enough to read. *)
@@ -36,26 +39,12 @@ type config = {
   selects_per_txn : int;
   updates_per_txn : int;
   n_objects : int;  (** small = contended; must be >= statements per txn *)
-  abort_fraction : float;
-  stall_abort_after : int;
-      (** cycles with no qualification and nothing submittable before the
-          youngest stalled transaction is aborted everywhere *)
   include_native : bool;
-  native_clients : int;
-  native_duration : float;  (** virtual seconds *)
-  check_trace : bool;
-      (** attach a {!Ds_obs.Trace} sink to the reference scheduler and check
-          that the trace is well-formed and that its derived commit order
-          (admitted requests with a commit op) equals the [rte] log's *)
+      (** also run the native strict-2PL server (6 clients, 0.3 virtual
+          seconds) from the iteration seed *)
   parallel_workers : int list;
       (** pool sizes for the parallel-vs-sequential oracle replay (default
           [[2; 4]]; [[]] disables the mode) *)
-  parallel_worker_faults : bool;
-      (** additionally replay each pool size under a deterministic
-          worker-fault script (crashes, permanent deaths, stalls — drawn
-          from the iteration seed) with supervision deadlines and hedging
-          armed; the merged schedule must pass the exact same checks
-          (default [true]) *)
 }
 
 val default_config : config

@@ -6,11 +6,7 @@ type config = {
   arrival_rate : float;
   duration : float;
   spec : Spec.t;
-  cost : Ds_server.Cost_model.t;
-  seed : int;
   protocol : Protocol.t;
-  cycle_period : float;
-  charge_scheduler_time : bool;
 }
 
 let default_config =
@@ -18,12 +14,11 @@ let default_config =
     arrival_rate = 20.;
     duration = 10.;
     spec = Spec.paper_default;
-    cost = Ds_server.Cost_model.default;
-    seed = 42;
     protocol = Builtin.ss2pl_ocaml;
-    cycle_period = 0.01;
-    charge_scheduler_time = true;
   }
+
+(* The scheduler fires every 10 ms of virtual time. *)
+let cycle_period = 0.01
 
 type stats = {
   offered_txns : int;
@@ -45,11 +40,11 @@ let run (cfg : config) =
   | Ok () -> ()
   | Error m -> invalid_arg ("Batch_sim.run: " ^ m));
   let engine = Engine.create () in
-  let master = Rng.create cfg.seed in
+  let master = Rng.create 42 in
   let arrival_rng = Rng.split master in
   let gen = Generator.create cfg.spec (Rng.split master) in
   let sched = Scheduler.create cfg.protocol in
-  let backend = Ds_server.Backend.create engine cfg.cost in
+  let backend = Ds_server.Backend.create engine Ds_server.Cost_model.default in
   let in_flight : (int, open_txn) Hashtbl.t = Hashtbl.create 256 in
   let latencies = Ds_stats.Histogram.create () in
   let cycle_times = Ds_stats.Summary.create () in
@@ -106,17 +101,16 @@ let run (cfg : config) =
       peak_backlog :=
         max !peak_backlog
           (stats.Scheduler.pending_before + stats.Scheduler.drained);
-      let dispatch_delay = if cfg.charge_scheduler_time then dt else 0. in
       ignore
-        (Engine.schedule engine ~after:dispatch_delay (fun () ->
+        (Engine.schedule engine ~after:dt (fun () ->
              Ds_server.Backend.execute_seq backend qualified ~on_each:deliver
                (fun () -> ())))
     end;
     if Engine.now engine < cfg.duration then
-      ignore (Engine.schedule engine ~after:cfg.cycle_period tick)
+      ignore (Engine.schedule engine ~after:cycle_period tick)
   in
   ignore (Engine.schedule engine ~after:0. arrive);
-  ignore (Engine.schedule engine ~after:cfg.cycle_period tick);
+  ignore (Engine.schedule engine ~after:cycle_period tick);
   Engine.run_until engine ~until:cfg.duration;
   {
     offered_txns = !offered;

@@ -3,7 +3,9 @@
     stream, every request of an arriving transaction enters the incoming
     queue at once, and a periodic scheduler cycle moves the qualified subset
     to the server. A transaction completes when its last request has
-    executed.
+    executed. The cycle fires every 10 ms of virtual time on the default
+    {!Ds_server.Cost_model}, and each cycle's measured wall-clock time delays
+    its batch's dispatch. Runs are seeded with 42.
 
     Contrast with {!Middleware}, the closed-loop mode where each client holds
     one outstanding request. Open loop exposes saturation: beyond the
@@ -15,11 +17,7 @@ type config = {
   arrival_rate : float;  (** transactions per second (Poisson arrivals) *)
   duration : float;  (** virtual seconds *)
   spec : Spec.t;
-  cost : Ds_server.Cost_model.t;
-  seed : int;
   protocol : Protocol.t;
-  cycle_period : float;
-  charge_scheduler_time : bool;
 }
 
 val default_config : config

@@ -44,7 +44,9 @@ val reader_offload : Protocol.t
     and [arrival] columns is the execution order. *)
 val sla_ordered : Protocol.t
 
-(** FCFS passthrough ordering (no isolation). *)
+(** First come, first served: every pending request qualifies, in request-id
+    order, with no isolation. This is the paper's non-scheduling mode
+    (§3.3), where the server schedules itself. *)
 val fcfs : Protocol.t
 
 (** All fixed protocols, for the registry/CLI. *)

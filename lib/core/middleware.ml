@@ -42,20 +42,24 @@ type config = {
   charge_scheduler_time : bool;
   prune_history : bool;
   starvation_cycles : int;
-  passthrough : bool;
   faults : Faults.plan;
-  max_retries : int;
-  batch_timeout : float option;
   queue_capacity : int option;
   journal_path : string option;
   sync_journal : bool;
   checkpoint_interval : int option;
   hedging : bool;
-  client_redo : bool;
   repl : repl_hooks option;
   trace : Ds_obs.Trace.t option;
   metrics : Ds_obs.Metrics.t option;
 }
+
+(* The client contract under a non-empty fault plan: aborted transactions
+   are redone, a batch attempt is abandoned after [attempt_timeout] virtual
+   seconds, and a request is dead-lettered once it has failed more than
+   [retry_budget] times in a row. A fault-free run has no timeout and no
+   redo. *)
+let attempt_timeout = 0.25
+let retry_budget = 3
 
 let default_config =
   {
@@ -70,16 +74,12 @@ let default_config =
     charge_scheduler_time = true;
     prune_history = true;
     starvation_cycles = 50;
-    passthrough = false;
     faults = Faults.none;
-    max_retries = 3;
-    batch_timeout = None;
     queue_capacity = None;
     journal_path = None;
     sync_journal = false;
     checkpoint_interval = None;
     hedging = false;
-    client_redo = false;
     repl = None;
     trace = None;
     metrics = None;
@@ -143,7 +143,7 @@ type client = {
   mutable disconnect_after : int option;
       (** injected fault: client disconnects after this many data stmts *)
   mutable redo : Txn.t option;
-      (** with [client_redo], the txn to re-run after a middleware abort *)
+      (** under faults, the txn to re-run after a middleware abort *)
   mutable lane : int;  (** scheduler lane the current txn is routed to *)
   mutable entered : bool;
       (** the current txn has submitted at least one request to its lane
@@ -390,7 +390,7 @@ and begin_txn sim client =
   end
 
 and restart_client ?(redo = false) sim client =
-  if redo && sim.cfg.client_redo then client.redo <- Some client.txn;
+  if redo && Option.is_some sim.faults then client.redo <- Some client.txn;
   let backoff = 0.001 *. (1. +. Rng.float sim.rng) in
   ignore (Engine.schedule sim.engine ~after:backoff (fun () -> start_txn sim client))
 
@@ -483,9 +483,7 @@ and run_cycle sim lane =
     Scheduler.queue_length lane.sched > 0
     || Scheduler.pending_count lane.sched > 0
   then begin
-    let qualified, stats =
-      Scheduler.cycle ~passthrough:sim.cfg.passthrough lane.sched
-    in
+    let qualified, stats = Scheduler.cycle lane.sched in
     sim.cycles_done <- sim.cycles_done + 1;
     if sim.cfg.shards > 1 then
       (* lock-holder accounting for the barrier: a transaction holds locks
@@ -546,6 +544,12 @@ and run_cycle sim lane =
   end
 
 and dispatch sim lane ~epoch requests =
+  (* A request whose transaction ended meanwhile (starved, shed,
+     dead-lettered, disconnected) was rolled back with it: it must not
+     execute on a later attempt. *)
+  let requests =
+    List.filter (fun (r : Request.t) -> Hashtbl.mem sim.by_ta r.Request.ta) requests
+  in
   if requests <> [] then begin
     List.iter
       (fun r -> Ds_obs.Trace.emit_req sim.cfg.trace Ds_obs.Trace.Dispatched r)
@@ -553,19 +557,16 @@ and dispatch sim lane ~epoch requests =
     Option.iter (fun f -> Faults.begin_attempt f requests) sim.faults;
     let att = { closed = false; undelivered = requests } in
     let live () = (not att.closed) && sim.epoch = epoch in
-    Option.iter
-      (fun d ->
-        ignore
-          (Engine.schedule sim.engine ~after:d (fun () ->
-               if live () then begin
-                 att.closed <- true;
-                 sim.timeouts <- sim.timeouts + 1;
-                 match att.undelivered with
-                 | [] -> ()
-                 | r :: _ ->
-                   handle_failure sim lane ~epoch r att.undelivered
-               end)))
-      sim.cfg.batch_timeout;
+    if Option.is_some sim.faults then
+      ignore
+        (Engine.schedule sim.engine ~after:attempt_timeout (fun () ->
+             if live () then begin
+               att.closed <- true;
+               sim.timeouts <- sim.timeouts + 1;
+               match att.undelivered with
+               | [] -> ()
+               | r :: _ -> handle_failure sim lane ~epoch r att.undelivered
+             end));
     Ds_server.Worker_pool.execute lane.pool requests
       ~on_each:(fun r ->
         if live () then begin
@@ -575,8 +576,12 @@ and dispatch sim lane ~epoch requests =
           att.undelivered <-
             List.filter (fun q -> Request.key q <> key) att.undelivered;
           Hashtbl.remove sim.fail_streaks key;
-          Ds_util.Vec.push sim.delivered key;
-          deliver sim r
+          (* A completion for an ended transaction is wasted work, as on an
+             abandoned attempt, not a delivery. *)
+          if Hashtbl.mem sim.by_ta r.Request.ta then begin
+            Ds_util.Vec.push sim.delivered key;
+            deliver sim r
+          end
         end)
       (fun result ->
         if live () then begin
@@ -593,7 +598,7 @@ and handle_failure sim lane ~epoch failed undelivered =
     1 + Option.value ~default:0 (Hashtbl.find_opt sim.fail_streaks key)
   in
   Hashtbl.replace sim.fail_streaks key streak;
-  if streak > sim.cfg.max_retries then begin
+  if streak > retry_budget then begin
     (* Poison: the same request failed every attempt. Dead-letter it, abort
        its transaction and keep the rest of the batch moving. *)
     Hashtbl.remove sim.fail_streaks key;
@@ -891,15 +896,11 @@ let run_sim (cfg : config) =
   | Error m -> invalid_arg ("Middleware.run: faults: " ^ m));
   let require ok msg = if not ok then invalid_arg ("Middleware.run: " ^ msg) in
   let positive = Option.fold ~none:true ~some:(fun x -> x > 0) in
-  require (cfg.max_retries >= 0) "max_retries must be non-negative";
   require (cfg.workers >= 1) "workers must be >= 1";
   require (cfg.shards >= 1) "shards must be >= 1";
   require (positive cfg.checkpoint_interval)
     "checkpoint_interval must be positive";
   require (positive cfg.queue_capacity) "queue_capacity must be positive";
-  require
-    (Option.fold ~none:true ~some:(fun t -> t > 0.) cfg.batch_timeout)
-    "batch_timeout must be positive";
   (match cfg.repl with
   | Some _ ->
     if cfg.shards > 1 then

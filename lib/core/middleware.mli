@@ -20,16 +20,25 @@
     A nonzero {!Faults.plan} threads deterministic failures through the loop:
     server batches fail or stall mid-batch, poison requests fail every
     attempt, clients disconnect mid-transaction, and the middleware itself
-    can crash at a chosen cycle and recover live from its journal. The
-    middleware degrades gracefully rather than wedging:
+    can crash at a chosen cycle and recover live from its journal.
+
+    The plan also sets the client contract. With a non-empty plan, clients
+    redo every transaction the middleware aborts (under a fresh TA), and
+    each batch attempt times out after 0.25 virtual seconds; a fault-free
+    run has neither. The middleware degrades gracefully rather than
+    wedging:
 
     - a failed batch retries its unexecuted suffix after capped exponential
-      backoff with jitter, charged to the simulated clock;
-    - an optional per-batch timeout ([batch_timeout]) abandons a stalled
-      attempt and goes through the same retry path;
-    - a request that keeps failing ([max_retries] exceeded) is dead-lettered
+      backoff (10 ms, doubling, capped at 0.5 s) with jitter, charged to the
+      simulated clock;
+    - the per-batch timeout abandons a stalled attempt and goes through the
+      same retry path;
+    - a request that fails 4 attempts in a row (3 retries) is dead-lettered
       into the [dead] relation (journalled, so recovery preserves it) and
       its transaction is aborted;
+    - a request whose transaction has ended (starved, shed, dead-lettered
+      or disconnected) is dropped from every later attempt, and a late
+      completion of one is wasted work, not a delivery;
     - with [queue_capacity] set, the incoming queue is bounded: a full queue
       sheds its least urgent request for a strictly-more-urgent arrival
       (SLA-tier-aware load shedding) or pushes back on the client
@@ -138,13 +147,9 @@ type config = {
   charge_scheduler_time : bool;
   prune_history : bool;
   starvation_cycles : int;
-  passthrough : bool;  (** non-scheduling mode (§3.3) *)
-  faults : Faults.plan;  (** fault plan ({!Faults.none} = fault-free) *)
-  max_retries : int;
-      (** per-request transient-failure budget before dead-letter; retries
-          back off exponentially from 10 ms, capped at 0.5 s (virtual) *)
-  batch_timeout : float option;
-      (** per-batch-attempt timeout, positive ([None] = off) *)
+  faults : Faults.plan;
+      (** fault plan ({!Faults.none} = fault-free); a non-empty plan also
+          turns on the client contract above *)
   queue_capacity : int option;
       (** incoming-queue bound, positive ([None] = unbounded) *)
   journal_path : string option;
@@ -157,10 +162,6 @@ type config = {
   hedging : bool;
       (** race a duplicate of an overdue class on a surviving worker;
           deliveries are deduplicated first-wins (off by default) *)
-  client_redo : bool;
-      (** clients re-run a middleware-aborted transaction (fresh TA) instead
-          of moving on to new work — the realistic client contract under
-          faults; off by default to preserve historical fault-free behavior *)
   repl : repl_hooks option;
       (** hot-standby replication session (see above). Requires
           [shards = 1] and a journal; incompatible with [crash_at_cycle]

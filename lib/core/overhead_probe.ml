@@ -1,11 +1,6 @@
 open Ds_model
 open Ds_workload
 
-type setup = { n_clients : int; spec : Spec.t; seed : int; mean_progress : float }
-
-let default_setup =
-  { n_clients = 300; spec = Spec.paper_default; seed = 42; mean_progress = 0.5 }
-
 type measurement = {
   n_clients : int;
   pending : int;
@@ -16,19 +11,18 @@ type measurement = {
   maintain_time : float;
 }
 
-(* One active transaction per client: a random executed prefix (uniform in
-   [0, 2 * mean_progress * length], so the mean matches) goes to history;
-   the first unexecuted request is the client's pending request. *)
-let fill setup sched run_idx =
-  let rng = Ds_sim.Rng.create (setup.seed + (1000 * run_idx)) in
-  let gen = Generator.create setup.spec rng in
+(* One active transaction per client on the paper's default workload: a
+   random executed prefix (uniform in [0, length], so the mean is half the
+   requests) goes to history; the first unexecuted request is the client's
+   pending request. *)
+let fill ~n_clients sched run_idx =
+  let rng = Ds_sim.Rng.create (42 + (1000 * run_idx)) in
+  let spec = Spec.paper_default in
+  let gen = Generator.create spec rng in
   let rels = Scheduler.relations sched in
   Relations.clear rels;
-  let n_stmts = Spec.statements_per_txn setup.spec - 1 in
-  let max_prefix =
-    min n_stmts (int_of_float (2. *. setup.mean_progress *. float_of_int n_stmts))
-  in
-  for c = 1 to setup.n_clients do
+  let max_prefix = Spec.statements_per_txn spec - 1 in
+  for c = 1 to n_clients do
     let txn = Generator.next_txn gen ~ta:c in
     let prefix_len = Ds_sim.Rng.int rng (max_prefix + 1) in
     (* The executed prefix is history; the first unexecuted request is the
@@ -45,7 +39,7 @@ let fill setup sched run_idx =
     walk 0 txn.Txn.requests
   done
 
-let measure ?(runs = 5) setup protocol =
+let measure ?(runs = 5) ~n_clients protocol =
   if runs <= 0 then invalid_arg "Overhead_probe.measure: runs <= 0";
   let sched = Scheduler.create ~prune_history_each_cycle:false protocol in
   let acc_cycle = ref 0. and acc_query = ref 0. and acc_maintain = ref 0. in
@@ -55,7 +49,7 @@ let measure ?(runs = 5) setup protocol =
        catch up here, outside the timed cycle, so that upkeep is reported
        on its own. *)
     let m0 = Ds_relal.Table.maintenance_time () in
-    fill setup sched run_idx;
+    fill ~n_clients sched run_idx;
     acc_maintain := !acc_maintain +. (Ds_relal.Table.maintenance_time () -. m0);
     let pending_queue = Scheduler.queue_length sched in
     let history = Relations.history_count (Scheduler.relations sched) in
@@ -68,7 +62,7 @@ let measure ?(runs = 5) setup protocol =
   done;
   let f = float_of_int runs in
   {
-    n_clients = setup.n_clients;
+    n_clients;
     pending = !acc_pending / runs;
     history = !acc_history / runs;
     qualified = !acc_qualified / runs;

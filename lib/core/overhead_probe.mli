@@ -3,20 +3,11 @@
     in-flight request per concurrently active client, the [history] table
     with the uncommitted prefixes of those transactions ("filled with half of
     the requests of the corresponding workload, without requests of committed
-    transactions"), and one full scheduler cycle is timed. *)
+    transactions"), and one full scheduler cycle is timed.
 
-open Ds_workload
-
-type setup = {
-  n_clients : int;
-  spec : Spec.t;
-  seed : int;
-  (* Each active transaction has executed a random prefix; the mean prefix
-     fraction is 0.5 to match the paper's "half of the requests". *)
-  mean_progress : float;
-}
-
-val default_setup : setup
+    The workload is {!Ds_workload.Spec.paper_default}. Each active
+    transaction has executed a random prefix whose mean is half its
+    requests, to match the paper's "half of the requests". *)
 
 type measurement = {
   n_clients : int;
@@ -31,9 +22,10 @@ type measurement = {
           views pay for rows that arrive outside a cycle *)
 }
 
-(** [measure ?runs setup protocol] fills the tables per [setup] and times
-    [runs] full cycles on fresh table fills, returning the mean. *)
-val measure : ?runs:int -> setup -> Protocol.t -> measurement
+(** [measure ?runs ~n_clients protocol] fills the tables for [n_clients]
+    active clients and times [runs] full cycles on fresh table fills,
+    returning the mean. *)
+val measure : ?runs:int -> n_clients:int -> Protocol.t -> measurement
 
 (** Amortized total scheduling overhead for a workload of [total_stmts]
     statements, as computed in §4.3.2: the scheduler must run

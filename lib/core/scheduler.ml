@@ -187,107 +187,78 @@ let journal_qualified j ~stamped reqs =
   | Some entries -> Journal.log_qualified_stamped j entries
   | None -> Journal.log_qualified j (List.map Request.key reqs)
 
-let cycle ?(passthrough = false) t =
+let cycle t =
   t.cycles <- t.cycles + 1;
-  if passthrough then begin
-    (* Non-scheduling mode: forward without consulting the relations. *)
-    let reqs = drain t in
+  let pending_before = Relations.pending_count t.rels in
+  let history_before = Relations.history_count t.rels in
+  let maint0 = Ds_relal.Table.maintenance_time () in
+  let t0 = now () in
+  let incoming = drain t in
+  List.iter
+    (fun r -> Ds_obs.Trace.emit_req t.trace Ds_obs.Trace.Drained r)
+    incoming;
+  Relations.insert_pending_batch t.rels incoming;
+  let t1 = now () in
+  let keys, query_dt =
+    Ds_relal.Profile.timed "protocol-query" t.qualify
+  in
+  let t2 = now () in
+  let qualified = Relations.move_to_history t.rels keys in
+  if t.prune then ignore (Relations.prune_history t.rels);
+  List.iter
+    (fun r -> Ds_obs.Trace.emit_req t.trace Ds_obs.Trace.Sched_admit r)
+    qualified;
+  if Ds_obs.Trace.is_on t.trace then begin
+    (* Deferrals, with the blocking conflict: anything still pending lost
+       to some conflicting request of an active transaction in history. *)
+    let blocker = Relations.blocker_lookup t.rels in
     List.iter
       (fun r ->
-        Ds_obs.Trace.emit_req t.trace Ds_obs.Trace.Drained r;
-        Ds_obs.Trace.emit_req t.trace Ds_obs.Trace.Sched_admit r)
-      reqs;
-    let stamped = stamp_batch t reqs in
-    Option.iter
-      (fun j ->
-        journal_qualified j ~stamped reqs;
-        maybe_checkpoint t j;
-        Journal.flush j)
-      t.journal;
-    let stats =
-      {
-        drained = List.length reqs;
-        pending_before = Relations.pending_count t.rels;
-        history_before = Relations.history_count t.rels;
-        qualified = List.length reqs;
-        times = zero_times;
-        index_time = 0.;
-      }
-    in
-    (reqs, stats)
-  end
-  else begin
-    let pending_before = Relations.pending_count t.rels in
-    let history_before = Relations.history_count t.rels in
-    let maint0 = Ds_relal.Table.maintenance_time () in
-    let t0 = now () in
-    let incoming = drain t in
-    List.iter
-      (fun r -> Ds_obs.Trace.emit_req t.trace Ds_obs.Trace.Drained r)
-      incoming;
-    Relations.insert_pending_batch t.rels incoming;
-    let t1 = now () in
-    let keys, query_dt =
-      Ds_relal.Profile.timed "protocol-query" t.qualify
-    in
-    let t2 = now () in
-    let qualified = Relations.move_to_history t.rels keys in
-    if t.prune then ignore (Relations.prune_history t.rels);
-    List.iter
-      (fun r -> Ds_obs.Trace.emit_req t.trace Ds_obs.Trace.Sched_admit r)
-      qualified;
-    if Ds_obs.Trace.is_on t.trace then begin
-      (* Deferrals, with the blocking conflict: anything still pending lost
-         to some conflicting request of an active transaction in history. *)
-      let blocker = Relations.blocker_lookup t.rels in
-      List.iter
-        (fun r ->
-          Ds_obs.Trace.emit_req t.trace ?arg:(blocker r)
-            Ds_obs.Trace.Sched_defer r)
-        (Relations.pending t.rels)
-    end;
-    let t3 = now () in
-    let stamped = stamp_batch t qualified in
-    (* Consecutive timestamps split the journal work around the checkpoint:
-       records, then the block, then the one flush. *)
-    let t4, t5 =
-      match t.journal with
-      | None -> (t3, t3)
-      | Some j ->
-        journal_qualified j ~stamped qualified;
-        if t.prune then Journal.log_prune j;
-        let t4 = now () in
-        maybe_checkpoint t j;
-        let t5 = now () in
-        Journal.flush j;
-        (t4, t5)
-    in
-    let t6 = now () in
-    let history = t3 -. t2 and checkpoint = t5 -. t4 in
-    let journal = t4 -. t3 +. (t6 -. t5) in
-    let times =
-      {
-        drain_insert = t1 -. t0;
-        query = query_dt;
-        move = history +. journal +. checkpoint;
-        history;
-        journal;
-        checkpoint;
-      }
-    in
-    t.cum <- add_times t.cum times;
-    let stats =
-      {
-        drained = List.length incoming;
-        pending_before;
-        history_before;
-        qualified = List.length qualified;
-        times;
-        index_time = Ds_relal.Table.maintenance_time () -. maint0;
-      }
-    in
-    (qualified, stats)
-  end
+        Ds_obs.Trace.emit_req t.trace ?arg:(blocker r)
+          Ds_obs.Trace.Sched_defer r)
+      (Relations.pending t.rels)
+  end;
+  let t3 = now () in
+  let stamped = stamp_batch t qualified in
+  (* Consecutive timestamps split the journal work around the checkpoint:
+     records, then the block, then the one flush. *)
+  let t4, t5 =
+    match t.journal with
+    | None -> (t3, t3)
+    | Some j ->
+      journal_qualified j ~stamped qualified;
+      if t.prune then Journal.log_prune j;
+      let t4 = now () in
+      maybe_checkpoint t j;
+      let t5 = now () in
+      Journal.flush j;
+      (t4, t5)
+  in
+  let t6 = now () in
+  let history = t3 -. t2 and checkpoint = t5 -. t4 in
+  let journal = t4 -. t3 +. (t6 -. t5) in
+  let times =
+    {
+      drain_insert = t1 -. t0;
+      query = query_dt;
+      move = history +. journal +. checkpoint;
+      history;
+      journal;
+      checkpoint;
+    }
+  in
+  t.cum <- add_times t.cum times;
+  let stats =
+    {
+      drained = List.length incoming;
+      pending_before;
+      history_before;
+      qualified = List.length qualified;
+      times;
+      index_time = Ds_relal.Table.maintenance_time () -. maint0;
+    }
+  in
+  (qualified, stats)
 
 let abort_txn t ta =
   Option.iter

@@ -103,10 +103,10 @@ val queue_length : t -> int
 (** Pending requests in the scheduler database (not the incoming queue). *)
 val pending_count : t -> int
 
-(** Runs one scheduler cycle. In [passthrough] mode (the paper's
-    non-scheduling mode, §3.3) the queue is drained and returned untouched —
-    the server must schedule itself. *)
-val cycle : ?passthrough:bool -> t -> Request.t list * cycle_stats
+(** Runs one scheduler cycle. The paper's non-scheduling mode (§3.3) is the
+    {!Builtin.fcfs} protocol: every pending request qualifies, in arrival
+    order. *)
+val cycle : t -> Request.t list * cycle_stats
 
 (** [abort_txn t ta] removes the transaction's pending requests and records
     an {!Request.abort_marker} in [history], releasing its logical locks.

@@ -30,7 +30,6 @@ let config_of (s : Scenario.t) ~journal_path ~trace =
     | Some p -> p
     | None -> invalid_arg ("Runner: unknown protocol " ^ s.Scenario.protocol)
   in
-  let faulty = not (Faults.is_none s.Scenario.faults) in
   {
     Middleware.default_config with
     Middleware.n_clients = s.Scenario.clients;
@@ -44,12 +43,10 @@ let config_of (s : Scenario.t) ~journal_path ~trace =
        host; scenario runs must reproduce exactly from the seed. *)
     charge_scheduler_time = false;
     faults = s.Scenario.faults;
-    batch_timeout = (if faulty then Some 0.25 else None);
     queue_capacity = s.Scenario.queue_cap;
     journal_path = Some journal_path;
     checkpoint_interval = s.Scenario.checkpoint;
     hedging = s.Scenario.hedging;
-    client_redo = faulty;
     trace = Some trace;
   }
 

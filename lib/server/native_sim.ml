@@ -2,11 +2,13 @@ open Ds_model
 open Ds_sim
 open Ds_workload
 
+(* Every run prices its work with the paper's server model. *)
+let cost = Cost_model.default
+
 type config = {
   n_clients : int;
   duration : float;
   spec : Spec.t;
-  cost : Cost_model.t;
   seed : int;
   log_schedule : bool;
   mpl : int option;
@@ -19,7 +21,6 @@ let default_config =
     n_clients = 1;
     duration = 240.;
     spec = Spec.paper_default;
-    cost = Cost_model.default;
     seed = 42;
     log_schedule = false;
     mpl = None;
@@ -166,7 +167,7 @@ and acquire_and_exec sim client req =
     sim.lock_waits <- sim.lock_waits + 1;
     client.wait_start <- Engine.now sim.engine;
     (* The contention check itself costs server CPU. *)
-    Cpu.submit sim.cpu ~work:sim.cfg.cost.Cost_model.deadlock_check_cost
+    Cpu.submit sim.cpu ~work:cost.Cost_model.deadlock_check_cost
       (fun () -> ());
     (match sim.cfg.deadlock_policy with
     | `Detection -> check_deadlock sim client
@@ -220,13 +221,13 @@ and abort_attempt sim victim ~restart =
   let newly = Lock_manager.release_all sim.locks ~txn:victim.attempt in
   let undo =
     float_of_int (List.length victim.executed)
-    *. sim.cfg.cost.Cost_model.abort_cost_per_stmt
+    *. cost.Cost_model.abort_cost_per_stmt
   in
   sim.wasted_stmts <- sim.wasted_stmts + List.length victim.executed;
   victim.executed <- [];
   victim.remaining <- [];
   let delay =
-    sim.cfg.cost.Cost_model.restart_delay *. (0.5 +. Rng.float sim.rng)
+    cost.Cost_model.restart_delay *. (0.5 +. Rng.float sim.rng)
   in
   Cpu.submit sim.cpu ~work:undo (fun () ->
       if not restart then leave_and_admit sim;
@@ -254,7 +255,7 @@ and resume_after_grant sim client obj =
   | _ -> assert false
 
 and exec_stmt sim client req =
-  let work = Cost_model.stmt_cost sim.cfg.cost ~locking:true in
+  let work = Cost_model.stmt_cost cost ~locking:true in
   let attempt0 = client.attempt in
   emit_ev sim client Ds_obs.Trace.Exec_start req;
   Cpu.submit sim.cpu ~work (fun () ->
@@ -285,7 +286,7 @@ and exec_stmt sim client req =
 
 and do_commit sim client =
   let attempt0 = client.attempt in
-  Cpu.submit sim.cpu ~work:sim.cfg.cost.Cost_model.commit_service (fun () ->
+  Cpu.submit sim.cpu ~work:cost.Cost_model.commit_service (fun () ->
       if client.attempt <> attempt0 || client.aborting then
         () (* wounded before commit *)
       else begin
@@ -306,7 +307,7 @@ and do_commit sim client =
       let newly = Lock_manager.release_all sim.locks ~txn:client.attempt in
       wake_granted sim newly;
       leave_and_admit sim;
-      let think = Dist.sample sim.cfg.cost.Cost_model.think_time sim.rng in
+      let think = Dist.sample cost.Cost_model.think_time sim.rng in
       (if think <= 0. then start_txn sim client ~retry:false
       else
         ignore
@@ -329,7 +330,7 @@ let run (cfg : config) =
     {
       cfg;
       engine;
-      cpu = Cpu.create engine ~n_cores:cfg.cost.Cost_model.n_cores;
+      cpu = Cpu.create engine ~n_cores:cost.Cost_model.n_cores;
       locks = Lock_manager.create ();
       store = Row_store.create ~n_rows:cfg.spec.Spec.n_objects;
       clients = [||];

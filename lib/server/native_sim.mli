@@ -6,7 +6,7 @@
 
     Lock waiting consumes no CPU, so rising contention starves the server —
     reproducing the throughput collapse the paper reports between 300 and
-    500 clients. *)
+    500 clients. Work is priced by {!Cost_model.default}. *)
 
 open Ds_workload
 
@@ -14,7 +14,6 @@ type config = {
   n_clients : int;
   duration : float;  (** measurement window in virtual seconds (paper: 240) *)
   spec : Spec.t;
-  cost : Cost_model.t;
   seed : int;
   log_schedule : bool;  (** record the committed schedule for replay *)
   mpl : int option;

@@ -60,8 +60,7 @@ let test_repl_flag_preconditions () =
     "run --duration 0.1 --journal /tmp/x.journal --repl-faults drop=0.1"
 
 (* Out-of-range numbers are refused by the flag's converter before the
-   run starts, instead of raising from inside the engine mid-run (or, for
-   a zero batch timeout, silently dead-lettering every request). *)
+   run starts, instead of raising from inside the engine mid-run. *)
 let rejects flag ~needle values () =
   List.iter
     (fun v ->
@@ -84,12 +83,6 @@ let tests =
     Alcotest.test_case "--queue-cap rejects non-positive values" `Quick
       (rejects "--queue-cap" ~needle:"--queue-cap must be positive"
          [ " 0"; "=-3" ]);
-    Alcotest.test_case "--max-retries rejects negative values" `Quick
-      (rejects "--max-retries" ~needle:"--max-retries must be non-negative"
-         [ "=-1" ]);
-    Alcotest.test_case "--batch-timeout rejects non-positive values" `Quick
-      (rejects "--batch-timeout" ~needle:"--batch-timeout must be positive"
-         [ "=-1"; " 0" ]);
     Alcotest.test_case "--clients rejects non-positive values" `Quick
       (rejects "--clients" ~needle:"--clients must be positive" [ "=-5"; " 0" ]);
     Alcotest.test_case "--objects rejects non-positive values" `Quick

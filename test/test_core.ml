@@ -388,52 +388,39 @@ let test_cycle_stats_and_requeue () =
     (List.map Request.key q4);
   Alcotest.(check int) "cycles counted" 4 (Scheduler.cycles_run sched)
 
-let test_passthrough_mode () =
-  let sched = Scheduler.create Builtin.ss2pl_sql in
-  List.iter (Scheduler.submit sched)
-    [ Request.v 1 1 Op.Write 5; Request.v 2 1 Op.Write 5 ];
-  let q, s = Scheduler.cycle ~passthrough:true sched in
+(* The paper's non-scheduling mode (§3.3) is the fcfs protocol: the server
+   gets every request, conflicts and all, in submission order. *)
+let fcfs_batch n =
+  List.init n (fun i ->
+      Request.make ~id:(i + 1) ~ta:(i + 1) ~intrata:1
+        ~op:(if i mod 3 = 2 then Op.Read else Op.Write)
+        ~obj:5 ())
+
+let test_fcfs_mode () =
+  let sched = Scheduler.create Builtin.fcfs in
+  List.iter (Scheduler.submit sched) (fcfs_batch 2);
+  let q, s = Scheduler.cycle sched in
   Alcotest.(check int) "everything forwarded" 2 (List.length q);
-  Alcotest.(check (float 0.)) "no query time" 0. s.Scheduler.times.Scheduler.query;
+  Alcotest.(check int) "everything qualified" 2 s.Scheduler.qualified;
   Alcotest.(check int) "nothing retained" 0 (Scheduler.pending_count sched)
 
-let test_passthrough_preserves_tables () =
-  (* Passthrough must be a pure FIFO drain: pre-existing scheduler-database
-     state (a history row from an earlier qualified request, a pending row
-     from a blocked one) stays exactly as it was, and the batch comes back in
-     submission order even when it is full of conflicts. *)
-  let sched = Scheduler.create Builtin.ss2pl_sql in
-  Scheduler.submit sched (Request.v 7 1 Op.Write 99);
-  ignore (Scheduler.cycle sched);
-  (* T7 holds 99 in history *)
-  Scheduler.submit sched (Request.v 8 1 Op.Write 99);
-  ignore (Scheduler.cycle sched);
-  (* T8 blocked, stays pending *)
-  let rels = Scheduler.relations sched in
-  let pending_before = Relations.pending_count rels in
-  let history_before = Relations.history_count rels in
-  Alcotest.(check int) "setup: one pending" 1 pending_before;
+let test_fcfs_logs_rte () =
+  (* Unlike a bypass of the relations, non-scheduling mode leaves a
+     checkable record: a batch full of conflicts comes back in submission
+     order, and every forwarded request is in the rte execution log. *)
+  let sched = Scheduler.create Builtin.fcfs in
+  let batch = fcfs_batch 4 @ [ Request.terminal 1 2 Op.Commit ] in
   let batch =
-    [
-      Request.v 1 1 Op.Write 5;
-      Request.v 2 1 Op.Write 5;
-      Request.v 3 1 Op.Read 5;
-      Request.terminal 1 2 Op.Commit;
-    ]
+    List.mapi (fun i (r : Request.t) -> { r with Request.id = i + 1 }) batch
   in
   List.iter (Scheduler.submit sched) batch;
-  let q, _ = Scheduler.cycle ~passthrough:true sched in
-  Alcotest.(check (list (pair int int))) "fifo submission order"
-    (List.map Request.key batch) (List.map Request.key q);
-  Alcotest.(check int) "queue drained" 0 (Scheduler.queue_length sched);
-  Alcotest.(check int) "pending untouched" pending_before
-    (Relations.pending_count rels);
-  Alcotest.(check int) "history untouched" history_before
-    (Relations.history_count rels);
-  (* Back in scheduling mode, the pre-existing blocked request is still
-     there and still blocked by T7's write lock. *)
   let q, _ = Scheduler.cycle sched in
-  Alcotest.(check int) "t8 still blocked" 0 (List.length q)
+  let keys = List.map Request.key in
+  Alcotest.(check (list (pair int int))) "fifo submission order" (keys batch)
+    (keys q);
+  Alcotest.(check int) "queue drained" 0 (Scheduler.queue_length sched);
+  Alcotest.(check (list (pair int int))) "rte logs every request" (keys batch)
+    (keys (Relations.rte_requests (Scheduler.relations sched)))
 
 let test_abort_txn_releases () =
   let sched = Scheduler.create Builtin.ss2pl_sql in
@@ -810,10 +797,7 @@ let test_adaptive_validation () =
 (* --- overhead probe ------------------------------------------------------ *)
 
 let test_overhead_probe () =
-  let setup =
-    { Overhead_probe.default_setup with Overhead_probe.n_clients = 40 }
-  in
-  let m = Overhead_probe.measure ~runs:2 setup Builtin.ss2pl_ocaml in
+  let m = Overhead_probe.measure ~runs:2 ~n_clients:40 Builtin.ss2pl_ocaml in
   Alcotest.(check int) "one pending per client" 40 m.Overhead_probe.pending;
   Alcotest.(check bool) "history populated" true (m.Overhead_probe.history > 100);
   Alcotest.(check bool) "most qualify at low contention" true
@@ -901,9 +885,9 @@ let tests =
     Alcotest.test_case "reader offload" `Quick test_reader_offload;
     Alcotest.test_case "fcfs and sla ordering" `Quick test_fcfs_and_sla_ordering;
     Alcotest.test_case "cycle stats and requeue" `Quick test_cycle_stats_and_requeue;
-    Alcotest.test_case "passthrough mode" `Quick test_passthrough_mode;
-    Alcotest.test_case "passthrough preserves tables" `Quick
-      test_passthrough_preserves_tables;
+    Alcotest.test_case "fcfs is the non-scheduling mode" `Quick test_fcfs_mode;
+    Alcotest.test_case "fcfs logs every request in rte" `Quick
+      test_fcfs_logs_rte;
     Alcotest.test_case "abort releases locks" `Quick test_abort_txn_releases;
     Alcotest.test_case "abort drops pending + unblocks" `Quick
       test_abort_txn_drops_pending;

@@ -41,27 +41,6 @@ let test_progress_accounting () =
   Alcotest.(check int) "every txn accounted" quick_config.Differential.n_txns
     (o.Differential.committed_txns + o.Differential.aborted_txns)
 
-let test_trace_check_is_observation_only () =
-  (* The trace cross-check (trace commit order vs rte commit order) is on by
-     default; disabling it must not change any outcome field — tracing is
-     pure observation. *)
-  Alcotest.(check bool) "on by default" true
-    Differential.default_config.Differential.check_trace;
-  let with_trace = Differential.run_one ~config:quick_config ~seed:7 () in
-  let without =
-    Differential.run_one
-      ~config:{ quick_config with Differential.check_trace = false }
-      ~seed:7 ()
-  in
-  Alcotest.(check bool) "both clean" true
-    (Differential.clean with_trace && Differential.clean without);
-  Alcotest.(check int) "same cycles" with_trace.Differential.cycles
-    without.Differential.cycles;
-  Alcotest.(check int) "same executed" with_trace.Differential.executed
-    without.Differential.executed;
-  Alcotest.(check int) "same commits" with_trace.Differential.committed_txns
-    without.Differential.committed_txns
-
 (* --- the harness catches wrong protocols -------------------------------- *)
 
 let test_catches_read_committed () =
@@ -160,8 +139,6 @@ let tests =
     Alcotest.test_case "fuzz 100 iterations clean" `Slow test_fuzz_100;
     Alcotest.test_case "outcome reproducible" `Quick test_outcome_reproducible;
     Alcotest.test_case "progress accounting" `Quick test_progress_accounting;
-    Alcotest.test_case "trace check is observation-only" `Quick
-      test_trace_check_is_observation_only;
     Alcotest.test_case "catches read-committed" `Quick test_catches_read_committed;
     Alcotest.test_case "catches fcfs" `Quick test_catches_reordering;
     Alcotest.test_case "parallel-vs-sequential lockstep" `Quick

@@ -70,14 +70,17 @@ let test_middleware_determinism () =
     b.Middleware.committed_txns;
   Alcotest.(check int) "same cycles" a.Middleware.cycles b.Middleware.cycles
 
-let test_middleware_passthrough_faster () =
+let test_middleware_fcfs_faster () =
+  (* Non-scheduling mode is the fcfs protocol: nothing waits on a lock, and
+     the run still leaves a full rte execution log. *)
   let strict = Middleware.run (cfg ~protocol:Builtin.ss2pl_ocaml ()) in
-  let pass =
-    Middleware.run { (cfg ()) with Middleware.passthrough = true }
-  in
-  Alcotest.(check bool) "passthrough at least as fast" true
+  let pass, sched = Helpers.run_single (cfg ~protocol:Builtin.fcfs ()) in
+  Alcotest.(check bool) "fcfs at least as fast" true
     (pass.Middleware.committed_txns >= strict.Middleware.committed_txns);
-  Alcotest.(check int) "passthrough never aborts" 0 pass.Middleware.aborted_txns
+  Alcotest.(check int) "fcfs never aborts" 0 pass.Middleware.aborted_txns;
+  Alcotest.(check bool) "rte logs the run" true
+    (List.length (Relations.rte_requests (Scheduler.relations sched))
+    >= pass.Middleware.committed_stmts)
 
 let test_middleware_relaxed_beats_strict_under_contention () =
   let contended =
@@ -231,9 +234,7 @@ let test_native_vs_declarative_experiment_shape () =
   in
   Alcotest.(check bool) "MU/SU ratio >= 1" true (2. /. su >= 1.);
   let probe =
-    Overhead_probe.measure ~runs:2
-      { Overhead_probe.default_setup with Overhead_probe.n_clients = 50 }
-      Builtin.ss2pl_sql
+    Overhead_probe.measure ~runs:2 ~n_clients:50 Builtin.ss2pl_sql
   in
   let amortized =
     Overhead_probe.amortized_overhead probe
@@ -248,7 +249,7 @@ let tests =
     Alcotest.test_case "middleware serializable execution" `Slow
       test_middleware_serializable_execution;
     Alcotest.test_case "middleware determinism" `Quick test_middleware_determinism;
-    Alcotest.test_case "passthrough faster" `Quick test_middleware_passthrough_faster;
+    Alcotest.test_case "fcfs faster" `Quick test_middleware_fcfs_faster;
     Alcotest.test_case "relaxed beats strict under contention" `Slow
       test_middleware_relaxed_beats_strict_under_contention;
     Alcotest.test_case "sla tiers" `Slow test_middleware_sla_tiers;

@@ -23,8 +23,6 @@ let cfg ~faults =
     spec;
     charge_scheduler_time = false;
     faults = plan_exn faults;
-    client_redo = true;
-    batch_timeout = Some 0.25;
   }
 
 let temp_name suffix =

@@ -19,8 +19,6 @@ let cfg ?(n_clients = 12) ?(duration = 3.) ?(faults = Faults.none)
     spec = small_spec;
     charge_scheduler_time = false;
     faults;
-    client_redo = true;
-    batch_timeout = Some 0.25;
     journal_path = Some journal_path;
     checkpoint_interval = Some 10;
   }

@@ -214,7 +214,6 @@ let test_sharded_crash_recovery () =
       (cfg ~shards:2 ~duration:3. ~spec:sp ()) with
       Middleware.faults =
         { Ds_core.Faults.none with Ds_core.Faults.crash_at_cycle = Some 8 };
-      client_redo = true;
     }
   in
   let stats, h = Middleware.run_sharded config in

@@ -388,6 +388,32 @@ let test_committed_repro_still_fails () =
       "fails conflict-equivalence and nothing else"
       [ "conflict-equivalence" ] failed
 
+(* Shrunk repros of one bug, one per fault mix: a request of a transaction
+   the middleware had already aborted (starved while its batch retried,
+   stalled or lost a worker) still executed and was recorded as delivered,
+   reversing a conflicting pair relative to rte. Every invariant must hold
+   on each of them. *)
+let aborted_repros =
+  [
+    "data/aborted_stall_k1.json";
+    "data/aborted_stall_poison_disconnect_k1.json";
+    "data/aborted_batch_k1.json";
+    "data/aborted_worker_faults_k2.json";
+  ]
+
+let test_aborted_requests_never_execute () =
+  List.iter
+    (fun path ->
+      let text = In_channel.with_open_text path In_channel.input_all in
+      match Scenario.of_json (Ds_obs.Json.of_string text) with
+      | Error m -> Alcotest.failf "%s did not decode: %s" path m
+      | Ok scenario ->
+        Alcotest.(check (list string))
+          (path ^ ": no invariant fails")
+          []
+          (List.map fst (Runner.failures (Runner.run scenario))))
+    aborted_repros
+
 let tests =
   [
     QCheck_alcotest.to_alcotest scenario_roundtrip;
@@ -404,6 +430,8 @@ let tests =
       test_swarm_report_deterministic;
     Alcotest.test_case "swarm: replay bit-identical" `Quick
       test_replay_bit_identical;
+    Alcotest.test_case "aborted transactions' requests never execute" `Quick
+      test_aborted_requests_never_execute;
     Alcotest.test_case "inject: duplicate delivery caught" `Quick
       test_inject_dup_delivery_fails;
     Alcotest.test_case "inject: dropped rte entry caught" `Quick
