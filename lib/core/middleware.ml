@@ -156,8 +156,14 @@ type client = {
    suffix, but those completions are wasted work, not deliveries. *)
 type attempt = {
   mutable closed : bool;
-  mutable undelivered : Request.t list;
+  batch : Request.t list;
+  delivered : (int * int, unit) Hashtbl.t;  (** keys delivered so far *)
 }
+
+(* The batch suffix still owed, in batch order. Only a timeout or a failure
+   needs it, so deliveries just record their key. *)
+let undelivered att =
+  List.filter (fun q -> not (Hashtbl.mem att.delivered (Request.key q))) att.batch
 
 (* One scheduler lane. At S=1 there is exactly one lane holding today's
    single scheduler; at S>1 there are S shard lanes (lane [i] owns object
@@ -225,6 +231,9 @@ type sim = {
   mutable crashes : int;
   mutable global_lane_txns : int;
   mutable shard_deferrals : int;
+  parked : client Queue.t;
+      (** new shard-lane transactions waiting, FIFO, for the global lane to
+          go idle (S>1 only) *)
   mutable checkpoints_acc : int;
       (** checkpoints written by journals already crashed and replaced *)
   mutable recovery_replayed : int;
@@ -295,6 +304,12 @@ let lane_busy lane =
   || Scheduler.queue_length lane.sched > 0
   || Scheduler.pending_count lane.sched > 0
 
+(* Parked shard-lane clients with nothing left to wait for: the global lane
+   is idle. Never true at S=1, where nothing parks. *)
+let wake_due sim =
+  (not (Queue.is_empty sim.parked))
+  && not (lane_busy sim.lanes.(sim.cfg.shards))
+
 (* SS2PL across lanes: the global lane admits work only when every shard
    lane is fully drained (its conflicts may span any pair of shards), and
    shard lanes admit work only while no global transaction holds locks.
@@ -316,14 +331,15 @@ let barrier_clear sim lane =
    system (terminal delivered, starved, shed, dead-lettered, disconnected,
    reconciled away after a crash) goes through here so the lane [active] /
    [holding] counts the barrier relies on stay consistent. *)
-let end_txn sim ta =
+let rec end_txn sim ta =
   (match Hashtbl.find_opt sim.by_ta ta with
   | Some c ->
     Hashtbl.remove sim.by_ta ta;
     if c.entered then begin
       c.entered <- false;
       let l = lane_of sim ta in
-      l.active <- l.active - 1
+      l.active <- l.active - 1;
+      if l.lane_id = sim.cfg.shards then wake_parked sim
     end
   | None -> ());
   if Hashtbl.mem sim.holding_tas ta then begin
@@ -332,7 +348,7 @@ let end_txn sim ta =
     l.holding <- l.holding - 1
   end
 
-let rec start_txn sim client =
+and start_txn sim client =
   let ta = fresh_ta sim client in
   (match client.redo with
   | Some txn ->
@@ -370,17 +386,16 @@ let rec start_txn sim client =
   end;
   begin_txn sim client
 
-(* Lane admission control: a NEW shard-lane transaction holds off (timer
-   retry) while the global lane has outstanding work, so the shard lanes
-   drain toward the barrier instead of starving the global lane forever.
+(* Lane admission control: a NEW shard-lane transaction parks on the wait
+   list while the global lane has outstanding work, so the shard lanes drain
+   toward the barrier instead of starving the global lane forever.
    Global-lane transactions enqueue immediately — they wait at the barrier
-   inside their own lane. Never defers at S=1. *)
+   inside their own lane. Never parks at S=1. *)
 and begin_txn sim client =
   let s = sim.cfg.shards in
   if s > 1 && client.lane < s && lane_busy sim.lanes.(s) then begin
     sim.shard_deferrals <- sim.shard_deferrals + 1;
-    ignore
-      (Engine.schedule sim.engine ~after:0.001 (fun () -> begin_txn sim client))
+    Queue.push client sim.parked
   end
   else begin
     client.entered <- true;
@@ -388,6 +403,23 @@ and begin_txn sim client =
     l.active <- l.active + 1;
     submit_next sim client
   end
+
+(* Release the wait list once the global lane is idle. It can only go idle
+   where [end_txn] lowers its [active], where its [run_cycle] empties its
+   queue and pending table, and where [recover_lanes] rebuilds the counts;
+   those are the only callers. One zero-delay event releases every parked
+   client in FIFO order. A global transaction that entered at the same
+   instant (a global client starting its next transaction) keeps them all
+   parked, and the lane's next drain wakes them again. *)
+and wake_parked sim =
+  if wake_due sim then
+    ignore
+      (Engine.schedule sim.engine ~after:0. (fun () ->
+           if wake_due sim then begin
+             let released = Queue.create () in
+             Queue.transfer sim.parked released;
+             Queue.iter (begin_txn sim) released
+           end))
 
 and restart_client ?(redo = false) sim client =
   if redo && Option.is_some sim.faults then client.redo <- Some client.txn;
@@ -496,6 +528,7 @@ and run_cycle sim lane =
             lane.holding <- lane.holding + 1
           end)
         qualified;
+    if lane.lane_id = sim.cfg.shards then wake_parked sim;
     let dt = Scheduler.total_time stats.Scheduler.times in
     Ds_stats.Summary.add sim.cycle_times dt;
     Ds_stats.Histogram.add sim.cycle_times_hist dt;
@@ -555,7 +588,13 @@ and dispatch sim lane ~epoch requests =
       (fun r -> Ds_obs.Trace.emit_req sim.cfg.trace Ds_obs.Trace.Dispatched r)
       requests;
     Option.iter (fun f -> Faults.begin_attempt f requests) sim.faults;
-    let att = { closed = false; undelivered = requests } in
+    let att =
+      {
+        closed = false;
+        batch = requests;
+        delivered = Hashtbl.create (List.length requests);
+      }
+    in
     let live () = (not att.closed) && sim.epoch = epoch in
     if Option.is_some sim.faults then
       ignore
@@ -563,18 +602,17 @@ and dispatch sim lane ~epoch requests =
              if live () then begin
                att.closed <- true;
                sim.timeouts <- sim.timeouts + 1;
-               match att.undelivered with
+               match undelivered att with
                | [] -> ()
-               | r :: _ -> handle_failure sim lane ~epoch r att.undelivered
+               | r :: _ as rest -> handle_failure sim lane ~epoch r rest
              end));
     Ds_server.Worker_pool.execute lane.pool requests
       ~on_each:(fun r ->
         if live () then begin
-          (* Parallel workers complete out of batch order, so drop the
+          (* Parallel workers complete out of batch order, so record the
              delivered request by key rather than by head match. *)
           let key = Request.key r in
-          att.undelivered <-
-            List.filter (fun q -> Request.key q <> key) att.undelivered;
+          Hashtbl.replace att.delivered key ();
           Hashtbl.remove sim.fail_streaks key;
           (* A completion for an ended transaction is wasted work, as on an
              abandoned attempt, not a delivery. *)
@@ -588,7 +626,7 @@ and dispatch sim lane ~epoch requests =
           att.closed <- true;
           match result with
           | `Completed -> ()
-          | `Failed r -> handle_failure sim lane ~epoch r att.undelivered
+          | `Failed r -> handle_failure sim lane ~epoch r (undelivered att)
         end)
   end
 
@@ -817,7 +855,8 @@ and recover_lanes ?(on_rebuilt = ignore) sim recover =
               l.holding <- l.holding + 1
             end)
           (Relations.history_requests (Scheduler.relations l.sched)))
-      sim.lanes
+      sim.lanes;
+    wake_parked sim
   end;
   Array.iter (fun l -> maybe_fire sim l) sim.lanes
 
@@ -1040,6 +1079,7 @@ let run_sim (cfg : config) =
       crashes = 0;
       global_lane_txns = 0;
       shard_deferrals = 0;
+      parked = Queue.create ();
       checkpoints_acc = 0;
       recovery_replayed = 0;
       recovery_skipped = 0;
@@ -1134,6 +1174,14 @@ let run_sim (cfg : config) =
     (fun c -> ignore (Engine.schedule engine ~after:0. (fun () -> start_txn sim c)))
     sim.clients;
   Engine.run_until engine ~until:cfg.duration;
+  (* A client parked behind an idle global lane can only come from a missed
+     wake point: it would have waited out the run for nothing. *)
+  if wake_due sim then
+    failwith
+      (Printf.sprintf
+         "Middleware.run: lost wake-up: %d clients parked behind an idle \
+          global lane"
+         (Queue.length sim.parked));
   (* Bounded post-run settle: keep pumping past the end of the run so
      end-of-run lag reflects genuine loss, not records still on the wire
      (a partition that outlives the run heals inside this window; after a

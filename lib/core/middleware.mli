@@ -71,12 +71,12 @@
     [shard_route] trace event; {!handle.shard_of} answers it after the run.
     Cross-shard SS2PL is kept by a drain barrier: the global lane admits
     work only when every shard lane is idle, and shard lanes admit work only
-    while no global transaction holds locks; newly arriving shard
-    transactions defer (counted in
-    [shard_deferrals]) while the global lane has outstanding work. Every
-    qualification draws a run-global admission stamp that is journalled with
-    the Q record, so the per-lane execution logs merge into one totally
-    ordered schedule — {!run_sharded} returns it, and
+    while no global transaction holds locks; a newly arriving shard
+    transaction that finds the global lane with outstanding work parks on a
+    wait list until the global lane drains (counted in [shard_deferrals]).
+    Every qualification draws a run-global admission stamp that is
+    journalled with the Q record, so the per-lane execution logs merge into
+    one totally ordered schedule — {!run_sharded} returns it, and
     {!Ds_check.Equivalence.check_sharded} verifies it, including that no
     conflicting pair was ever split across two shard lanes.
 
@@ -221,8 +221,8 @@ type stats = {
   global_lane_txns : int;
       (** transactions routed to the global lane (0 when [shards = 1]) *)
   shard_deferrals : int;
-      (** shard-lane transaction starts held back by the cross-shard
-          barrier (0 when [shards = 1]) *)
+      (** parks of new shard-lane transactions on the cross-shard barrier's
+          wait list (0 when [shards = 1]) *)
   failovers : int;  (** standby promotions survived (0 or 1) *)
   repl_epoch : int;  (** final promotion epoch (0 = never failed over) *)
   repl_watermark : int;  (** final acked replication watermark *)

@@ -169,6 +169,15 @@ let test_sharded_determinism () =
     (keys ha.Middleware.merged_rte)
     (keys hb.Middleware.merged_rte)
 
+(* (ta, lane, virtual time) of every [shard_route] event. *)
+let shard_routes trace =
+  List.filter_map
+    (fun (e : Ds_obs.Trace.event) ->
+      if e.Ds_obs.Trace.kind = Ds_obs.Trace.Shard_route then
+        Some (e.Ds_obs.Trace.ta, e.Ds_obs.Trace.arg, e.Ds_obs.Trace.at)
+      else None)
+    (Ds_obs.Trace.events trace)
+
 (* Routing is recorded once, in the trace: one [shard_route] event per
    transaction the router saw (TAs are drawn 1, 2, ... and every one is
    routed), naming the lane the run's [shard_of] view reports. *)
@@ -179,14 +188,7 @@ let test_shard_route_traced () =
     Middleware.run_sharded
       { (cfg ~shards:2 ~spec:sp ()) with Middleware.trace = Some trace }
   in
-  let routes =
-    List.filter_map
-      (fun (e : Ds_obs.Trace.event) ->
-        if e.Ds_obs.Trace.kind = Ds_obs.Trace.Shard_route then
-          Some (e.Ds_obs.Trace.ta, e.Ds_obs.Trace.arg)
-        else None)
-      (Ds_obs.Trace.events trace)
-  in
+  let routes = List.map (fun (ta, lane, _) -> (ta, lane)) (shard_routes trace) in
   let n = List.length routes in
   Alcotest.(check bool) "transactions routed" true (n > 0);
   Alcotest.(check (list int)) "one event per transaction"
@@ -204,22 +206,88 @@ let test_shard_route_traced () =
     s.Middleware.global_lane_txns
     (List.length (List.filter (fun (_, lane) -> lane = 2) routes))
 
+(* A new shard-lane transaction that finds the global lane busy parks once
+   and waits until the global lane drains. So parks stay within a small
+   multiple of the shard-lane transactions, where polling every virtual
+   millisecond made hundreds per transaction. *)
+let test_parks_bounded () =
+  let sp = spec ~access:(Ds_workload.Spec.Partitioned (2, 0.3)) () in
+  let trace = Ds_obs.Trace.create () in
+  let s, _ =
+    Middleware.run_sharded
+      { (cfg ~shards:2 ~spec:sp ()) with Middleware.trace = Some trace }
+  in
+  let shard_txns =
+    List.length (List.filter (fun (_, lane, _) -> lane < 2) (shard_routes trace))
+  in
+  Alcotest.(check bool) "shard-lane transactions parked" true
+    (s.Middleware.shard_deferrals > 0);
+  if s.Middleware.shard_deferrals > 2 * shard_txns then
+    Alcotest.failf "%d parks for %d shard-lane transactions"
+      s.Middleware.shard_deferrals shard_txns
+
 (* Crash mid-run with S=2: every lane's journal segment recovers, the
    admission clock survives, and the whole run still checks out (set-level;
-   conflicting pairs may legitimately reorder across the crash). *)
+   conflicting pairs may legitimately reorder across the crash). The crash
+   lands while shard-lane transactions are parked behind the global lane;
+   recovery must release them, and they commit afterwards. *)
 let test_sharded_crash_recovery () =
   let sp = spec ~access:(Ds_workload.Spec.Partitioned (2, 0.3)) () in
+  let trace = Ds_obs.Trace.create () in
+  (* Every lane prepares its protocol at start-up and again when recovery
+     rebuilds it, so the last preparation marks the crash instant. *)
+  let prepared_at = ref [] in
+  let base = Middleware.default_config.Middleware.protocol in
+  let protocol =
+    {
+      base with
+      Protocol.prepare =
+        (fun rels ->
+          prepared_at := Ds_obs.Trace.now trace :: !prepared_at;
+          base.Protocol.prepare rels);
+    }
+  in
   let config =
     {
       (cfg ~shards:2 ~duration:3. ~spec:sp ()) with
       Middleware.faults =
         { Ds_core.Faults.none with Ds_core.Faults.crash_at_cycle = Some 8 };
+      protocol;
+      trace = Some trace;
     }
   in
   let stats, h = Middleware.run_sharded config in
   Alcotest.(check int) "crashed once" 1 stats.Middleware.crashes;
+  Alcotest.(check int) "three lanes prepared twice" 6 (List.length !prepared_at);
+  let crash_at = List.hd !prepared_at in
+  let events = Ds_obs.Trace.events trace in
+  let first_enqueue = Hashtbl.create 64 in
+  let committed = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Ds_obs.Trace.event) ->
+      match e.Ds_obs.Trace.kind with
+      | Ds_obs.Trace.Enqueued ->
+        if not (Hashtbl.mem first_enqueue e.Ds_obs.Trace.ta) then
+          Hashtbl.replace first_enqueue e.Ds_obs.Trace.ta e.Ds_obs.Trace.at
+      | Ds_obs.Trace.Commit ->
+        Hashtbl.replace committed e.Ds_obs.Trace.ta e.Ds_obs.Trace.at
+      | _ -> ())
+    events;
+  (* routed before the crash, first statement submitted after it *)
+  let parked_across =
+    List.filter_map
+      (fun (ta, lane, at) ->
+        match Hashtbl.find_opt first_enqueue ta with
+        | Some e when lane < 2 && at < crash_at && e > crash_at -> Some ta
+        | _ -> None)
+      (shard_routes trace)
+  in
+  Alcotest.(check bool) "clients parked across the crash" true
+    (parked_across <> []);
+  Alcotest.(check bool) "parked clients commit after recovery" true
+    (List.exists (fun ta -> Hashtbl.mem committed ta) parked_across);
   Alcotest.(check bool) "commits after recovery" true
-    (stats.Middleware.committed_txns > 0);
+    (Hashtbl.fold (fun _ at acc -> acc || at > crash_at) committed false);
   Alcotest.(check bool) "replayed journal lines" true
     (stats.Middleware.recovery_replayed > 0);
   check_clean ~allow_reorder:true ~shards:2 h;
@@ -295,6 +363,8 @@ let tests =
       test_sharded_determinism;
     Alcotest.test_case "shard_route traced per transaction" `Quick
       test_shard_route_traced;
+    Alcotest.test_case "shard-lane parks bounded by transactions" `Quick
+      test_parks_bounded;
     Alcotest.test_case "crash recovery across segments" `Quick
       test_sharded_crash_recovery;
     Alcotest.test_case "journal segment directory" `Quick
