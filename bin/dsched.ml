@@ -257,9 +257,11 @@ let run_cmd =
       & opt (some (int_conv "--checkpoint")) None
       & info [ "checkpoint" ] ~docv:"N"
           ~doc:
-            "Write a journal checkpoint every $(docv) cycles; recovery then \
-             replays only the suffix since the last snapshot (needs \
-             --journal or a crash fault).")
+            "Checkpoint the journal at most every $(docv) cycles: on a \
+             multiple of $(docv), once the records written since the last \
+             checkpoint add up to its size; recovery then replays only the \
+             suffix since the last snapshot (needs --journal or a crash \
+             fault).")
   in
   let hedge =
     Arg.(

@@ -231,6 +231,10 @@ type t = {
   mutable hash_checkpoints : bool;
       (* when set, every checkpoint block is followed by an 'H' record
          carrying the writer-mirror state hash (divergence detection) *)
+  mutable block_due : int;
+      (* channel position from which the next checkpoint block is due: the
+         end of the last block (its 'H' record included) plus that block's
+         size; 0 until this handle writes one *)
 }
 
 let hex_digits = "0123456789abcdef"
@@ -311,6 +315,7 @@ let writer_epoch t = t.state.epoch
    tap: a standby rebuilds the entries and the END record from its own
    mirror ([append_checkpoint]). *)
 let write_checkpoint t ~cycle =
+  let start = pos_out t.oc in
   let st = t.state in
   let pending = pending_of_state st in
   let hist = hist_of_state st in
@@ -347,8 +352,15 @@ let write_checkpoint t ~cycle =
   if t.hash_checkpoints then
     write_line t
       (Printf.sprintf "H %d %08x" cycle (state_hash_parts st ~pending ~hist));
+  let end_ = pos_out t.oc in
+  t.block_due <- end_ + (end_ - start);
   t.n_checkpoints <- t.n_checkpoints + 1;
   begin_
+
+(* A block is due once the records written since the last one are at least
+   its size: checkpoint bytes never outgrow record bytes by more than one
+   block, and the suffix a recovery replays stays about one block long. *)
+let checkpoint_due t = pos_out t.oc >= t.block_due
 
 let checkpoint t ~cycle = ignore (write_checkpoint t ~cycle)
 
@@ -851,6 +863,7 @@ let open_ ?(sync = false) ?state path =
     n_lines = (match state with None -> 0 | Some r -> r.valid_lines);
     sink = None;
     hash_checkpoints = false;
+    block_due = 0;
   }
 
 (* ------------------------------------------------------------------ *)

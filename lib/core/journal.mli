@@ -117,6 +117,13 @@ val log_prune : t -> unit
     standby writes the entries and [C END] itself ({!append_checkpoint}). *)
 val checkpoint : t -> cycle:int -> unit
 
+(** True when no block was written through this handle yet, or when the
+    bytes written since the last block have reached that block's size.
+    Checkpointing only when due keeps the bytes spent on blocks at or below
+    the record bytes plus one block, and a recovery's suffix about one block
+    long. *)
+val checkpoint_due : t -> bool
+
 (** Snapshot blocks written through this handle. *)
 val checkpoints_written : t -> int
 

@@ -156,9 +156,11 @@ type config = {
       (** write-ahead journal; a crash fault without one gets a temp file *)
   sync_journal : bool;  (** fsync the journal at every cycle flush *)
   checkpoint_interval : int option;
-      (** write a journal checkpoint block every N cycles (requires a
-          journal to have any effect); recovery then replays only the suffix
-          since the last snapshot. [None] (default) = never checkpoint. *)
+      (** minimum spacing, in cycles, of journal checkpoint blocks
+          (requires a journal to have any effect): a block is written on a
+          multiple of N once the records since the last block add up to its
+          size; recovery then replays only the suffix since the last
+          snapshot. [None] (default) = never checkpoint. *)
   hedging : bool;
       (** race a duplicate of an overdue class on a surviving worker;
           deliveries are deduplicated first-wins (off by default) *)

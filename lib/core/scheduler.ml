@@ -164,14 +164,15 @@ let drain t =
   done;
   List.rev !drained
 
-(* End-of-cycle snapshot: every [checkpoint_every] cycles the journal writes
-   its logical state as a checkpoint block, so recovery replays only the
-   suffix written since. It goes out with the cycle's records, under the
+(* End-of-cycle snapshot: on a [checkpoint_every] boundary, once the records
+   written since the last block add up to that block's size, the journal
+   writes its logical state as a checkpoint block, so recovery replays only
+   the suffix written since. It goes out with the cycle's records, under the
    cycle's one flush. The snapshot is also a trace event — checkpointing is
    observable like every other decision. *)
 let maybe_checkpoint t j =
   match t.checkpoint_every with
-  | Some n when t.cycles mod n = 0 ->
+  | Some n when t.cycles mod n = 0 && Journal.checkpoint_due j ->
     Journal.checkpoint j ~cycle:t.cycles;
     Ds_obs.Trace.emit t.trace Ds_obs.Trace.Checkpoint ~ta:(-1) ~seq:(-1)
       ~arg:t.cycles ()

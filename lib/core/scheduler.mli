@@ -49,10 +49,12 @@ type t
 (** [journal] (optional) records every submit, qualification, abort and
     prune, flushed at the end of each cycle; see {!Journal}.
 
-    [checkpoint_every] (optional, requires [journal]) writes a journal
-    checkpoint block every N cycles at end-of-cycle and emits a
-    [checkpoint] trace event; recovery then replays only the journal suffix
-    written since the last snapshot.
+    [checkpoint_every] (optional, requires [journal]) is the minimum
+    spacing of journal checkpoint blocks: at the end of a cycle that is a
+    multiple of N, a block is written (with a [checkpoint] trace event)
+    when {!Journal.checkpoint_due} holds — the records written since the
+    last block have reached its size. Recovery then replays only the
+    journal suffix written since the last snapshot.
     @raise Invalid_argument if non-positive.
 
     [trace] (optional) receives lifecycle events ([enqueued], [drained],

@@ -15,9 +15,9 @@ type promotion = {
   p_epoch : int;
 }
 
-(* Retransmission timeout: an unacked record older than this is re-sent on
-   the next pump.  Well above the link's default base delay, well below a
-   scheduler cycle's worth of traffic. *)
+(* Retransmission timeout: a record the standby lacks is re-sent on the next
+   pump once its last send is older than this.  Well above the link's
+   default base delay, well below a scheduler cycle's worth of traffic. *)
 let rto = 0.02
 
 type t = {
@@ -34,9 +34,12 @@ type t = {
          records itself: checkpoint entries never travel, so LSNs are not
          journal line numbers *)
   mutable watermark : int;  (* highest contiguous LSN applied + acked *)
-  outbox : (int, string * float ref) Hashtbl.t;
-      (* primary-side retention of unacked records: lsn -> payload, last
-         send time (retransmission source for dropped records) *)
+  outbox : (int, string) Hashtbl.t;
+      (* primary-side retention of unacked records: lsn -> payload (the
+         retransmission source for dropped records) *)
+  sends : (int * float) Queue.t;
+      (* (lsn, last send time) of outbox records in send order, so the
+         oldest send is at the front; acked entries are dropped lazily *)
   reorder : (int, string) Hashtbl.t;
       (* standby-side buffer of records that arrived ahead of a gap *)
   ta_lsn : (int, int) Hashtbl.t;
@@ -99,6 +102,7 @@ let create ~mode ~plan ~seed ?trace ~dir () =
     primary_lsn = 0;
     watermark = 0;
     outbox = Hashtbl.create 256;
+    sends = Queue.create ();
     reorder = Hashtbl.create 64;
     ta_lsn = Hashtbl.create 256;
     promoted = false;
@@ -127,7 +131,8 @@ let on_record t payload =
     let now = t.clock () in
     let lsn = t.primary_lsn + 1 in
     t.primary_lsn <- lsn;
-    Hashtbl.replace t.outbox lsn (payload, ref now);
+    Hashtbl.replace t.outbox lsn payload;
+    Queue.push (lsn, now) t.sends;
     note_record t lsn payload;
     Link.send t.link ~now ~epoch:t.epoch ~lsn ~payload
   end
@@ -200,17 +205,27 @@ let pump t ~now =
       else Hashtbl.replace t.reorder m.Link.m_lsn m.Link.m_payload)
     (Link.deliver t.link ~now);
   drain t;
-  (* Retransmit unacked records the link lost (or is still holding past the
-     RTO); duplicates are harmless — the watermark filter ignores them. *)
-  if not t.promoted then
-    Hashtbl.iter
-      (fun lsn (payload, sent_at) ->
-        if lsn > t.watermark && now -. !sent_at > rto then begin
-          sent_at := now;
-          t.n_retransmits <- t.n_retransmits + 1;
-          Link.send t.link ~now ~epoch:t.epoch ~lsn ~payload
-        end)
-      t.outbox
+  (* Selective retransmission: resend, past the RTO, only the records the
+     standby lacks — neither at or below its watermark (cumulative ack) nor
+     held in its reorder buffer (selective ack). The send queue is in send
+     order, so the walk stops at the first record sent within the RTO;
+     acked entries met on the way are dropped, and a resent record goes to
+     the back. Duplicates stay harmless: the watermark filter ignores
+     them. *)
+  let continue_ = ref (not t.promoted) in
+  while !continue_ && not (Queue.is_empty t.sends) do
+    let lsn, sent_at = Queue.peek t.sends in
+    if lsn <= t.watermark || Hashtbl.mem t.reorder lsn then
+      ignore (Queue.pop t.sends)
+    else if now -. sent_at > rto then begin
+      ignore (Queue.pop t.sends);
+      Queue.push (lsn, now) t.sends;
+      t.n_retransmits <- t.n_retransmits + 1;
+      Link.send t.link ~now ~epoch:t.epoch ~lsn
+        ~payload:(Hashtbl.find t.outbox lsn)
+    end
+    else continue_ := false
+  done
 
 let synced t ~ta =
   match Hashtbl.find_opt t.ta_lsn ta with
@@ -229,6 +244,7 @@ let promote t =
   (* Everything above the watermark is gone with the primary; retransmission
      state is meaningless now. *)
   Hashtbl.reset t.outbox;
+  Queue.clear t.sends;
   Hashtbl.reset t.reorder;
   let recovered = Journal.recover ~repair:true t.standby_path in
   let epoch = max t.epoch recovered.Journal.epoch + 1 in

@@ -6,10 +6,14 @@
     The protocol is a cumulative-ack sliding window: the standby applies
     records strictly in LSN order (out-of-order arrivals wait in a reorder
     buffer), the {e watermark} is the highest contiguous LSN applied, and
-    the primary retransmits unacked records past an RTO — so drops,
-    duplicates and reorderings are all absorbed. LSNs number the streamed
-    records contiguously; a checkpoint block's entries and [C END] are not
-    streamed. A checkpoint travels as its [C BEGIN] record: the standby
+    the primary retransmits past an RTO only the records the standby lacks:
+    neither at or below the watermark (cumulative ack) nor held in its
+    reorder buffer (selective ack). Sends are kept in a queue in send
+    order, so a pump looks only at records whose RTO has run out — drops,
+    duplicates and reorderings are all absorbed, and retransmissions track
+    the records lost rather than the records outstanding. LSNs number the
+    streamed records contiguously; a checkpoint block's entries and
+    [C END] are not streamed. A checkpoint travels as its [C BEGIN] record: the standby
     writes its own block from its replayed mirror
     ({!Ds_core.Journal.append_checkpoint}) and checks that its [C BEGIN]
     equals the streamed one. The ['H'] record after it carries the

@@ -966,6 +966,62 @@ let test_move_phase_split () =
         (Journal.checkpoints_written journal);
       Journal.close journal)
 
+(* Blocks are written by size, so the journal grows with the records, not
+   with one snapshot of the live state per interval: checkpoint entries stay
+   a minority of the lines, the bytes spent on blocks stay at or below the
+   record bytes plus the last block, and recovery reads that last block and
+   the lines written after it. *)
+let test_checkpoint_growth_bounded () =
+  with_journal_file (fun path ->
+      ignore
+        (Middleware.run
+           {
+             Middleware.default_config with
+             Middleware.n_clients = 50;
+             duration = 3.;
+             protocol = Builtin.ss2pl_ocaml;
+             charge_scheduler_time = false;
+             journal_path = Some path;
+             checkpoint_interval = Some 10;
+           });
+      let lines = Array.of_list (payloads path) in
+      let n = Array.length lines in
+      let is_entry p =
+        String.starts_with ~prefix:"c " p || String.starts_with ~prefix:"C END " p
+      in
+      let entries = Array.fold_left (fun k p -> if is_entry p then k + 1 else k) 0 lines in
+      if 2 * entries > n then
+        Alcotest.failf "%d of %d journal lines are checkpoint entries" entries n;
+      (* Bytes per line as framed on disk; a block runs from its C BEGIN to
+         its C END. *)
+      let bytes p = String.length p + 11 in
+      let block_bytes = ref 0 and record_bytes = ref 0 and last_block = ref 0 in
+      let last_begin = ref (-1) and last_end = ref (-1) in
+      Array.iteri
+        (fun i p ->
+          if String.starts_with ~prefix:"C BEGIN " p then begin
+            last_begin := i;
+            last_block := 0
+          end;
+          if String.starts_with ~prefix:"C BEGIN " p || is_entry p then begin
+            block_bytes := !block_bytes + bytes p;
+            last_block := !last_block + bytes p
+          end
+          else record_bytes := !record_bytes + bytes p;
+          if String.starts_with ~prefix:"C END " p then last_end := i)
+        lines;
+      Alcotest.(check bool) "blocks written" true (!last_end > 0);
+      if !block_bytes > !record_bytes + !last_block then
+        Alcotest.failf "%d block bytes for %d record bytes (last block %d)"
+          !block_bytes !record_bytes !last_block;
+      let r = Journal.recover path in
+      Alcotest.(check int) "lines before the last block skipped" !last_begin
+        r.Journal.skipped;
+      let suffix = n - 1 - !last_end in
+      if r.Journal.replayed > suffix then
+        Alcotest.failf "replayed %d entries, %d written after the last block"
+          r.Journal.replayed suffix)
+
 let test_crc32_check_value () =
   Alcotest.(check int) "CRC-32 check value" 0xcbf43926 (Journal.crc32 "123456789");
   Alcotest.(check int) "empty string" 0 (Journal.crc32 "")
@@ -1011,4 +1067,6 @@ let tests =
     QCheck_alcotest.to_alcotest serializer_matches_reference;
     Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
     Alcotest.test_case "move phase splits exactly" `Quick test_move_phase_split;
+    Alcotest.test_case "checkpoint bytes bounded by record bytes" `Quick
+      test_checkpoint_growth_bounded;
   ]

@@ -83,13 +83,18 @@ let test_crash_single_lane () =
         checkpoint_interval = Some 10;
       }
   in
+  (* A block is written on a 10-cycle boundary only once the records since
+     the last block add up to its size, so fewer blocks are written and the
+     recovery starts from an older one: it skips fewer lines and replays
+     more. Checkpoints are snapshots, not decisions: the client outcome and
+     the delivery order are those of a run checkpointed every 10 cycles. *)
   check_outcome "S=1 crash, 4 workers, checkpointed"
     [
       ("committed", 70);
       ("aborted", 0);
-      ("recovery_replayed", 211);
-      ("recovery_skipped", 1114);
-      ("checkpoints", 28);
+      ("recovery_replayed", 461);
+      ("recovery_skipped", 622);
+      ("checkpoints", 13);
       ("dead_lettered", 0);
       ("crashes", 1);
       ("failovers", 0);
@@ -164,22 +169,27 @@ let test_failover_sync_standby () =
      blocks), so fewer records are in flight on the lossy link when the
      primary dies: the standby holds more of the suffix when it is promoted
      (recovery_replayed) and fewer stale records arrive to be fenced
-     afterwards (repl_fenced). *)
+     afterwards (repl_fenced). Blocks are written by size, not every 10
+     cycles, and only records the standby lacks are retransmitted: the
+     promoted standby's last block is older (more replayed, fewer skipped),
+     even fewer stale records are in flight to be fenced, and since fewer
+     records cross the link its seeded draws fall on different records,
+     which moves the delivery order; the commit count does not move. *)
   check_outcome "S=1 pcrash, sync standby over a lossy link"
     [
       ("committed", 70);
       ("aborted", 0);
-      ("recovery_replayed", 115);
-      ("recovery_skipped", 1116);
-      ("checkpoints", 28);
+      ("recovery_replayed", 390);
+      ("recovery_skipped", 623);
+      ("checkpoints", 13);
       ("dead_lettered", 0);
       ("crashes", 0);
       ("failovers", 1);
       ("repl_epoch", 1);
-      ("repl_fenced", 63);
+      ("repl_fenced", 31);
     ]
     s;
-  check_order "S=1 pcrash" ~length:2607 ~crc:0xdfea9048 h
+  check_order "S=1 pcrash" ~length:2605 ~crc:0x9c4d19dd h
 
 (* A run that reuses a journal path must not recover the previous run's
    records: the second run crashes and recovers from the same path, and its

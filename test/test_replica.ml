@@ -182,6 +182,13 @@ let test_session_sync_converges () =
       Alcotest.(check int) "zero lag at close" 0 (Session.lag session);
       Alcotest.(check bool) "losses actually exercised retransmission" true
         (Session.retransmits session > 0);
+      (* Selective retransmission: only records the standby lacks are
+         resent, so retransmits track the link's drops, not the records
+         outstanding at each RTO. *)
+      let dropped = Link.dropped (Session.link session) in
+      if Session.retransmits session > 2 * dropped then
+        Alcotest.failf "%d retransmits for %d drops (more than 2x)"
+          (Session.retransmits session) dropped;
       Alcotest.(check bool) "checkpoint hashes compared" true
         (Session.hash_checks session > 0);
       Alcotest.(check int) "no divergence" 0 (Session.divergences session);
