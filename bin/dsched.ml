@@ -927,7 +927,7 @@ let recover_cmd =
                 sr.Journal.valid_bytes
             else Printf.printf "  %s: replayed %d, clean\n" name sr.Journal.replayed)
           segs;
-        Journal.recover_dir file
+        Journal.merge_segments (List.map snd segs)
       end
       else Journal.recover ~repair file
     in

@@ -180,7 +180,3 @@ let pp_event ppf (e : event) =
   | Some o ->
     Format.fprintf ppf "%c%d[x%d]@@%d" (Op.to_char e.op) e.ta o e.pos
   | None -> Format.fprintf ppf "%c%d@@%d" (Op.to_char e.op) e.ta e.pos
-
-let pp_edge ppf e =
-  Format.fprintf ppf "T%d -%s[x%d]-> T%d (pos %d<%d)" e.src
-    (conflict_to_string e.kind) e.obj e.dst e.src_pos e.dst_pos

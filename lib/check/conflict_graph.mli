@@ -66,4 +66,3 @@ val find_cycle : t -> int list option
 
 val conflict_to_string : conflict -> string
 val pp_event : Format.formatter -> event -> unit
-val pp_edge : Format.formatter -> edge -> unit

@@ -537,10 +537,17 @@ let qualified_tas path =
          | Empty | Corrupt -> None)
   |> List.sort_uniq compare
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
+(* Recovery loads the last checkpoint block that validates and replays the
+   records after it. The block is located by a backward chunked byte scan
+   for its markers, and only the file from its BEGIN line on is read: the
+   prefix is never read, parsed or checksummed, so recovery cost tracks live
+   state plus the suffix, not journal length. The BEGIN record embeds how
+   many lines precede it, which becomes [skipped]. A block that fails to
+   load (torn or corrupt) sends the scan back to the bytes before its BEGIN
+   line; when no block loads, the whole file replays from its first line.
+   The markers are anchored on their uppercase 'C': kind characters are the
+   only place the journal grammar produces one, and a false positive just
+   fails to load. *)
 let recover ?(repair = false) path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
@@ -549,196 +556,6 @@ let recover ?(repair = false) path =
     seek_in ic pos;
     really_input_string ic len
   in
-  (* [replay_view lines] runs recovery over a line view of the file.
-     [pre_lines] is how many lines the view omits (they precede the
-     checkpoint candidate the view starts at); [strict] makes the absence
-     of a valid checkpoint an error instead of a full replay, so a fast
-     tail view whose candidate block turns out torn falls back to the
-     whole file. *)
-  let replay_view lines ~pre_lines ~strict =
-  let n = Array.length lines in
-  let cls = Array.make n None in
-  let classify_at i =
-    match cls.(i) with
-    | Some c -> c
-    | None ->
-      let c = classify (snd lines.(i)) in
-      cls.(i) <- Some c;
-      c
-  in
-  (* Fast path: scan backwards for the last complete, checksum-valid
-     checkpoint block.  Lines before it are superseded by the snapshot and
-     are neither parsed nor checksummed — recovery work is proportional to
-     the checkpoint plus the suffix, not the journal length. *)
-  let load_block i_begin i_end =
-    let st = fresh_state () in
-    let cycle =
-      match classify_at i_begin with
-      | Framed p -> (
-        (* "C BEGIN cycle lines-before"; the count is for the tail-reading
-           fast path and ignored here *)
-        match String.split_on_char ' ' p with
-        | [ "C"; "BEGIN"; c; _ ] -> int_of_string c
-        | _ -> failwith "bad C BEGIN")
-      | _ -> failwith "bad C BEGIN"
-    in
-    let entries = ref 0 in
-    for i = i_begin + 1 to i_end - 1 do
-      match classify_at i with
-      | Framed p when String.length p >= 4 && p.[0] = 'c' ->
-        incr entries;
-        let rest = String.sub p 4 (String.length p - 4) in
-        let request = Ds_workload.Trace.request_of_line ~lineno:(i + 1) in
-        (match p.[2] with
-        | 'P' -> st_submit st (request rest) rest
-        | 'H' -> st_add_hist st (request rest) rest
-        | 'G' -> (
-          (* stamped history entry: "c G gseq request-line" *)
-          match String.index_opt rest ' ' with
-          | None -> failwith "bad checkpoint entry"
-          | Some sp ->
-            let gseq = int_of_string (String.sub rest 0 sp) in
-            let line = String.sub rest (sp + 1) (String.length rest - sp - 1) in
-            let r = request line in
-            Hashtbl.replace st.stamps (Request.key r) gseq;
-            st_add_hist st r line)
-        | 'A' -> st.aborts <- int_of_string (String.trim rest) :: st.aborts
-        | 'D' -> st.dead_ <- (request rest, rest) :: st.dead_
-        | 'E' -> st.epoch <- int_of_string (String.trim rest)
-        | _ -> failwith "bad checkpoint entry")
-      | Empty -> ()
-      | _ -> failwith "bad checkpoint entry"
-    done;
-    (match classify_at i_end with
-    | Framed p -> (
-      match String.split_on_char ' ' p with
-      | [ "C"; "END"; c ] when int_of_string c = !entries -> ()
-      | _ -> failwith "checkpoint entry count mismatch")
-    | _ -> failwith "bad C END");
-    (st, cycle)
-  in
-  let find_checkpoint () =
-    let rec from_end i =
-      if i < 0 then None
-      else
-        match classify_at i with
-        | Framed p when starts_with "C END" p -> (
-          (* Walk up to the matching BEGIN; any invalid line voids the
-             candidate and we keep looking further back. *)
-          let rec find_begin j =
-            if j < 0 then None
-            else
-              match classify_at j with
-              | Framed p when starts_with "C BEGIN" p -> Some j
-              | Framed p when String.length p >= 1 && p.[0] = 'c' ->
-                find_begin (j - 1)
-              | Empty -> find_begin (j - 1)
-              | _ -> None
-          in
-          match find_begin (i - 1) with
-          | Some b -> (
-            match load_block b i with
-            | st, cycle -> Some (st, cycle, b, i)
-            | exception _ -> from_end (i - 1))
-          | None -> from_end (i - 1))
-        | _ -> from_end (i - 1)
-    in
-    from_end (n - 1)
-  in
-  let st, checkpoint_cycle, skipped, start =
-    match find_checkpoint () with
-    | Some (st, cycle, b, e) -> (st, Some cycle, pre_lines + b, e + 1)
-    | None ->
-      if strict then raise Not_found;
-      (fresh_state (), None, 0, 0)
-  in
-  let replayed = ref 0 in
-  let corrupt_dropped = ref 0 in
-  let valid_bytes = ref file_len in
-  let count_nonempty_from i =
-    let c = ref 0 in
-    for j = i to n - 1 do
-      if String.trim (snd lines.(j)) <> "" then incr c
-    done;
-    !c
-  in
-  let any_framed_after i =
-    let found = ref false in
-    for j = i + 1 to n - 1 do
-      if not !found then
-        match classify_at j with Framed _ -> found := true | _ -> ()
-    done;
-    !found
-  in
-  let corruption_message e i =
-    match e with
-    | Failure m -> m
-    | Ds_workload.Trace.Malformed (m, l) -> Printf.sprintf "line %d: %s" l m
-    | _ -> Printf.sprintf "journal line %d: corruption" (i + 1)
-  in
-  (try
-     for i = start to n - 1 do
-       match classify_at i with
-       | Empty -> ()
-       | Framed payload ->
-         (* Checksum matched, so the payload is byte-exact; a parse failure
-            here is structural corruption, torn or not. *)
-         (match apply st (i + 1) payload with
-         | () -> incr replayed
-         | exception ((Failure _ | Ds_workload.Trace.Malformed _) as e) ->
-           failwith (corruption_message e i))
-       | Corrupt ->
-         (* A bad frame followed only by more garbage is a torn tail:
-            truncate to the last valid prefix.  A bad frame with valid
-            records after it means the middle of the file rotted — refuse
-            to load a journal with a hole in it. *)
-         if any_framed_after i then
-           failwith
-             (Printf.sprintf
-                "journal line %d: checksum mismatch before valid records"
-                (i + 1))
-         else begin
-           valid_bytes := fst lines.(i);
-           corrupt_dropped := count_nonempty_from i;
-           raise Exit
-         end
-     done
-   with Exit -> ());
-  if repair && !valid_bytes < file_len then Unix.truncate path !valid_bytes;
-  (* Newline-terminated lines of the trusted prefix: those the view omits
-     plus every view line whose newline lies before [valid_bytes]. *)
-  let valid_lines =
-    Array.fold_left
-      (fun acc (off, s) ->
-        if off + String.length s < !valid_bytes then acc + 1 else acc)
-      pre_lines lines
-  in
-  let history = List.map (fun e -> e.req) (hist_of_state st) in
-  {
-    pending = List.map fst (pending_of_state st);
-    history;
-    history_stamped = List.map (fun r -> (r, stamp_of st r)) history;
-    aborted = List.rev st.aborts;
-    dead = List.rev_map fst st.dead_;
-    replayed = !replayed;
-    checkpoint_cycle;
-    skipped;
-    corrupt_dropped = !corrupt_dropped;
-    valid_bytes = !valid_bytes;
-    valid_lines;
-    epoch = st.epoch;
-  }
-  in
-  (* Fast path: locate the last checkpoint block by a backward chunked byte
-     scan and read only the file from its BEGIN line on — the prefix is
-     never read, parsed or checksummed, so recovery cost tracks live state
-     plus the suffix, not journal length.  The BEGIN record embeds how many
-     lines precede it, which becomes [skipped].  Any doubt about the
-     candidate block (torn or corrupt) falls back to the full
-     view, whose backward scan finds an earlier intact block or replays
-     from scratch.  The markers are anchored on their uppercase 'C': kind
-     characters are the only place the journal grammar produces one, and a
-     false positive just fails validation and falls back. *)
   let chunk = 65536 in
   (* absolute start offset of the last occurrence of [pat] beginning
      strictly before byte [before] *)
@@ -790,45 +607,152 @@ let recover ?(repair = false) path =
       | None -> if lo = 0 then 0 else line_start lo
     end
   in
-  let fast =
-    if file_len = 0 then None
-    else
-      match find_last " C END " ~before:file_len with
-      | None -> None
-      | Some end_pos -> (
-        match find_last " C BEGIN " ~before:end_pos with
-        | None -> None
-        | Some begin_pos -> (
-          let begin_bol = line_start begin_pos in
-          let tail = pread ~pos:begin_bol ~len:(file_len - begin_bol) in
-          let pre_lines =
-            let first_line =
-              match String.index_opt tail '\n' with
-              | Some i -> String.sub tail 0 i
-              | None -> tail
-            in
-            match classify first_line with
-            | Framed p -> (
-              match String.split_on_char ' ' p with
-              | [ "C"; "BEGIN"; _; k ] -> int_of_string_opt k
-              | _ -> None)
-            | _ -> None
-          in
-          match pre_lines with
-          | None -> None
-          | Some pre_lines -> (
-            match
-              replay_view (split_lines ~base:begin_bol tail) ~pre_lines
-                ~strict:true
-            with
-            | r -> Some r
-            | exception Not_found -> None)))
+  (* Loads the checkpoint block starting at [lines.(0)], forward from its
+     BEGIN through its entries to an END whose count matches. Returns the
+     snapshot, the block's cycle, the line count its BEGIN records and the
+     index of its END line.
+     @raise Failure or [Trace.Malformed] when the block does not load. *)
+  let load_block lines =
+    let bad () = failwith "bad checkpoint block" in
+    let cycle, pre_lines =
+      match classify (snd lines.(0)) with
+      | Framed p -> (
+        match String.split_on_char ' ' p with
+        | [ "C"; "BEGIN"; c; k ] -> (int_of_string c, int_of_string k)
+        | _ -> bad ())
+      | _ -> bad ()
+    in
+    let st = fresh_state () in
+    let entry i p =
+      let rest = String.sub p 4 (String.length p - 4) in
+      let request = Ds_workload.Trace.request_of_line ~lineno:(i + 1) in
+      match p.[2] with
+      | 'P' -> st_submit st (request rest) rest
+      | 'H' -> st_add_hist st (request rest) rest
+      | 'G' -> (
+        (* stamped history entry: "c G gseq request-line" *)
+        match String.index_opt rest ' ' with
+        | None -> bad ()
+        | Some sp ->
+          let gseq = int_of_string (String.sub rest 0 sp) in
+          let line = String.sub rest (sp + 1) (String.length rest - sp - 1) in
+          let r = request line in
+          Hashtbl.replace st.stamps (Request.key r) gseq;
+          st_add_hist st r line)
+      | 'A' -> st.aborts <- int_of_string (String.trim rest) :: st.aborts
+      | 'D' -> st.dead_ <- (request rest, rest) :: st.dead_
+      | 'E' -> st.epoch <- int_of_string (String.trim rest)
+      | _ -> bad ()
+    in
+    let rec scan i entries =
+      if i >= Array.length lines then bad ();
+      match classify (snd lines.(i)) with
+      | Empty -> scan (i + 1) entries
+      | Framed p when String.length p >= 4 && p.[0] = 'c' ->
+        entry i p;
+        scan (i + 1) (entries + 1)
+      | Framed p -> (
+        match String.split_on_char ' ' p with
+        | [ "C"; "END"; c ] when int_of_string_opt c = Some entries -> i
+        | _ -> bad ())
+      | Corrupt -> bad ()
+    in
+    let end_ = scan 1 0 in
+    (st, cycle, pre_lines, end_)
   in
-  match fast with
-  | Some r -> r
-  | None ->
-    replay_view (split_lines (pread ~pos:0 ~len:file_len)) ~pre_lines:0
-      ~strict:false
+  let rec locate before =
+    match find_last " C END " ~before with
+    | None -> None
+    | Some end_pos -> (
+      match find_last " C BEGIN " ~before:end_pos with
+      | None -> None
+      | Some begin_pos -> (
+        let bol = line_start begin_pos in
+        let lines =
+          split_lines ~base:bol (pread ~pos:bol ~len:(file_len - bol))
+        in
+        match load_block lines with
+        | block -> Some (lines, block)
+        | exception (Failure _ | Ds_workload.Trace.Malformed _) -> locate bol))
+  in
+  let lines, st, checkpoint_cycle, pre_lines, start =
+    match locate file_len with
+    | Some (lines, (st, cycle, pre_lines, end_)) ->
+      (lines, st, Some cycle, pre_lines, end_ + 1)
+    | None ->
+      (split_lines (pread ~pos:0 ~len:file_len), fresh_state (), None, 0, 0)
+  in
+  let n = Array.length lines in
+  let replayed = ref 0 in
+  let corrupt_dropped = ref 0 in
+  let valid_bytes = ref file_len in
+  let count_nonempty_from i =
+    let c = ref 0 in
+    for j = i to n - 1 do
+      if String.trim (snd lines.(j)) <> "" then incr c
+    done;
+    !c
+  in
+  let any_framed_after i =
+    let found = ref false in
+    for j = i + 1 to n - 1 do
+      if not !found then
+        match classify (snd lines.(j)) with Framed _ -> found := true | _ -> ()
+    done;
+    !found
+  in
+  (try
+     for i = start to n - 1 do
+       match classify (snd lines.(i)) with
+       | Empty -> ()
+       | Framed payload ->
+         (* Checksum matched, so the payload is byte-exact; a parse failure
+            here is structural corruption, torn or not. *)
+         (match apply st (i + 1) payload with
+         | () -> incr replayed
+         | exception Ds_workload.Trace.Malformed (m, l) ->
+           failwith (Printf.sprintf "line %d: %s" l m))
+       | Corrupt ->
+         (* A bad frame followed only by more garbage is a torn tail:
+            truncate to the last valid prefix.  A bad frame with valid
+            records after it means the middle of the file rotted — refuse
+            to load a journal with a hole in it. *)
+         if any_framed_after i then
+           failwith
+             (Printf.sprintf
+                "journal line %d: checksum mismatch before valid records"
+                (i + 1))
+         else begin
+           valid_bytes := fst lines.(i);
+           corrupt_dropped := count_nonempty_from i;
+           raise Exit
+         end
+     done
+   with Exit -> ());
+  if repair && !valid_bytes < file_len then Unix.truncate path !valid_bytes;
+  (* Newline-terminated lines of the trusted prefix: those before the view
+     plus every view line whose newline lies before [valid_bytes]. *)
+  let valid_lines =
+    Array.fold_left
+      (fun acc (off, s) ->
+        if off + String.length s < !valid_bytes then acc + 1 else acc)
+      pre_lines lines
+  in
+  let history = List.map (fun e -> e.req) (hist_of_state st) in
+  {
+    pending = List.map fst (pending_of_state st);
+    history;
+    history_stamped = List.map (fun r -> (r, stamp_of st r)) history;
+    aborted = List.rev st.aborts;
+    dead = List.rev_map fst st.dead_;
+    replayed = !replayed;
+    checkpoint_cycle;
+    skipped = pre_lines;
+    corrupt_dropped = !corrupt_dropped;
+    valid_bytes = !valid_bytes;
+    valid_lines;
+    epoch = st.epoch;
+  }
 
 let open_ ?(sync = false) ?state path =
   let oc =
@@ -865,6 +789,16 @@ let open_ ?(sync = false) ?state path =
     hash_checkpoints = false;
     block_due = 0;
   }
+
+let resume ?sync path =
+  let recovered = recover ~repair:true path in
+  (recovered, open_ ?sync ~state:recovered path)
+
+let promote ~after path =
+  let recovered, t = resume path in
+  log_epoch t (max after recovered.epoch + 1);
+  flush t;
+  (recovered, t)
 
 (* ------------------------------------------------------------------ *)
 (* Segment directories (sharded journals)                              *)
@@ -964,8 +898,7 @@ let recover_segments ?(repair = false) dir =
       (name, r))
     paths
 
-let recover_dir ?(repair = false) dir =
-  let segs = List.map snd (recover_segments ~repair dir) in
+let merge_segments segs =
   (* Merge: histories interleave by gseq (the admission order each segment
      persisted); everything else concatenates in lane order.  Entries
      without a stamp (legacy records in a segment) sort after all stamped
@@ -1000,6 +933,9 @@ let recover_dir ?(repair = false) dir =
     valid_lines = sum (fun s -> s.valid_lines);
     epoch = List.fold_left (fun acc s -> max acc s.epoch) 0 segs;
   }
+
+let recover_dir ?repair dir =
+  merge_segments (List.map snd (recover_segments ?repair dir))
 
 let restore ?(rte = false) recovered rels =
   Relations.clear rels;

@@ -30,10 +30,10 @@
     of framed lines ([C BEGIN cycle lines] / [c P|H|G|A|D entry]* /
     [C END n] — [c G gseq request] is a history entry carrying its admission
     stamp), where [lines] counts the journal lines preceding the block.
-    Recovery seeks backwards for the last complete, checksum-valid block, reads
-    {e only} the tail from that point, loads the snapshot directly and
-    replays the suffix — recovery work is proportional to live state plus
-    the tail written since the last checkpoint, not to journal length.
+    Recovery locates the last block by a backward byte scan, reads {e only}
+    the tail from that point, loads the snapshot and replays the suffix —
+    recovery work is proportional to live state plus the tail written since
+    the last checkpoint, not to journal length.
 
     Recovery replays a journal — possibly truncated mid-write by a crash —
     into a fresh relation set: submitted-but-unqualified requests are pending
@@ -78,8 +78,23 @@ type recovered = {
     snapshot it. [open_ ~state path] instead appends to the journal that
     [state] was recovered from, seeding the mirror (and the line count that
     checkpoint blocks record) from it. Recover with [~repair:true] first, so
-    the file ends at the trusted prefix the state describes. *)
+    the file ends at the trusted prefix the state describes: {!resume} does
+    both. *)
 val open_ : ?sync:bool -> ?state:recovered -> string -> t
+
+(** [resume path] continues the journal at [path] after a crash: it
+    recovers the file with [~repair:true], so a torn tail is cut off, and
+    reopens it with [~state] to append after the trusted prefix. Returns
+    what was recovered and the reopened journal. [~sync] is as for
+    {!open_}. *)
+val resume : ?sync:bool -> string -> recovered * t
+
+(** [promote ~after path] turns the journal at [path] into a new primary's:
+    it {!resume}s it, then writes and flushes the promotion epoch
+    [max after replayed + 1], where [replayed] is the highest epoch the
+    recovery found and [after] the highest the caller has seen. The
+    reopened journal does not fsync. *)
+val promote : after:int -> string -> recovered * t
 
 val close : t -> unit
 val log_submit : t -> Request.t -> unit
@@ -191,11 +206,19 @@ val size : t -> int
 (** Simulates a middleware crash: closes the channel and truncates the file
     back to the last flushed position, discarding entries a real crash would
     have lost from the channel buffer. The journal is unusable afterwards;
-    recover with {!recover}/{!restore} and a fresh {!open_}. *)
+    continue with {!resume} and {!restore}. *)
 val crash : t -> unit
 
-(** Replays a journal file, starting from the last complete checkpoint when
-    one exists. A tail of unframed or checksum-invalid lines is dropped and
+(** Replays a journal file, starting from the last checkpoint block that
+    loads. One locator finds the blocks: a backward byte scan for the last
+    [C END] and the [C BEGIN] before it. The block is loaded forward from
+    its [C BEGIN] and must end in a [C END] whose count matches; then the
+    records after it replay, and [skipped] is the line count its [C BEGIN]
+    records. A block that does not load (torn or corrupt) sends the scan to
+    the bytes before its [C BEGIN], so an earlier block is tried; when no
+    block loads, the whole file replays from its first line.
+
+    A tail of unframed or checksum-invalid lines is dropped and
     reported in [corrupt_dropped]/[valid_bytes]; with [~repair:true] the
     file is also truncated to the trusted prefix so a subsequent append
     cannot bury garbage between valid records. Corruption in the {e middle}
@@ -237,21 +260,22 @@ val is_segment_dir : string -> bool
     @raise Failure on a missing or malformed manifest. *)
 val segment_paths : string -> string list
 
-(** Recovers every segment in the directory and merges the results into one
-    logical journal: histories interleave by gseq (stable — unstamped
-    legacy entries sort last in lane order), pending/aborted/dead
-    concatenate in lane order, counters sum, and [checkpoint_cycle] is the
-    max across segments. Missing segment files recover as empty (a lane
-    that never journaled anything). [~repair] is applied per segment, so a
-    torn tail in one segment never blocks recovery of its siblings; a
-    mid-file corruption [Failure] is prefixed with the segment basename. *)
-val recover_dir : ?repair:bool -> string -> recovered
-
 (** Per-segment recovery results in lane order, keyed by segment basename
-    ([shard-<i>.journal], [global.journal]) — the per-segment truncation
-    counts behind [recover --repair] reporting. Corruption failures are
-    prefixed with the segment basename. *)
+    ([shard-<i>.journal], [global.journal]). Missing segment files recover
+    as empty (a lane that never journaled anything). [~repair] is applied
+    per segment, so a torn tail in one segment never blocks recovery of its
+    siblings; a mid-file corruption [Failure] is prefixed with the segment
+    basename. *)
 val recover_segments : ?repair:bool -> string -> (string * recovered) list
+
+(** Merges per-segment results into one logical journal: histories
+    interleave by gseq (stable — unstamped legacy entries sort last in lane
+    order), pending/aborted/dead concatenate in lane order, counters sum,
+    and [checkpoint_cycle] and [epoch] are the max across segments. *)
+val merge_segments : recovered list -> recovered
+
+(** [recover_dir dir] is {!merge_segments} over {!recover_segments}. *)
+val recover_dir : ?repair:bool -> string -> recovered
 
 (** Deletes a journal: a flat file, or a segment directory's segments,
     manifest and the directory itself. Missing pieces are ignored. *)

@@ -181,9 +181,6 @@ type lane = {
   mutable last_cycle_at : float;
   mutable active : int;
       (** entered, unfinished transactions routed to this lane *)
-  mutable holding : int;
-      (** transactions with admitted (= lock-holding, under SS2PL)
-          requests in this lane; only maintained at S>1 *)
 }
 
 type sim = {
@@ -197,7 +194,8 @@ type sim = {
       (** ta -> lane id, for the whole run (never pruned: the checker's
           shard_of view) *)
   holding_tas : (int, unit) Hashtbl.t;
-      (** transactions currently counted in some lane's [holding] *)
+      (** global-lane transactions with admitted (= lock-holding, under
+          SS2PL) requests that have not ended; only maintained at S>1 *)
   stamps : (int * int, int) Hashtbl.t;
       (** qualified key -> global admission sequence (S>1 only) *)
   gseq : int ref;  (** next global admission sequence number *)
@@ -325,12 +323,13 @@ let barrier_clear sim lane =
     done;
     !clear
   end
-  else sim.lanes.(s).holding = 0
+  else Hashtbl.length sim.holding_tas = 0
 
 (* Centralized transaction teardown: every way a transaction leaves the
    system (terminal delivered, starved, shed, dead-lettered, disconnected,
-   reconciled away after a crash) goes through here so the lane [active] /
-   [holding] counts the barrier relies on stay consistent. *)
+   reconciled away after a crash) goes through here so the lane [active]
+   counts and the global lane's lock holders, which the barrier relies on,
+   stay consistent. *)
 let rec end_txn sim ta =
   (match Hashtbl.find_opt sim.by_ta ta with
   | Some c ->
@@ -342,11 +341,7 @@ let rec end_txn sim ta =
       if l.lane_id = sim.cfg.shards then wake_parked sim
     end
   | None -> ());
-  if Hashtbl.mem sim.holding_tas ta then begin
-    Hashtbl.remove sim.holding_tas ta;
-    let l = lane_of sim ta in
-    l.holding <- l.holding - 1
-  end
+  Hashtbl.remove sim.holding_tas ta
 
 and start_txn sim client =
   let ta = fresh_ta sim client in
@@ -517,18 +512,14 @@ and run_cycle sim lane =
   then begin
     let qualified, stats = Scheduler.cycle lane.sched in
     sim.cycles_done <- sim.cycles_done + 1;
-    if sim.cfg.shards > 1 then
-      (* lock-holder accounting for the barrier: a transaction holds locks
-         from its first admitted request until it ends *)
+    if lane.lane_id = sim.cfg.shards then begin
+      (* lock-holder accounting for the barrier: a global transaction holds
+         locks from its first admitted request until it ends *)
       List.iter
-        (fun (r : Request.t) ->
-          let ta = r.Request.ta in
-          if not (Hashtbl.mem sim.holding_tas ta) then begin
-            Hashtbl.replace sim.holding_tas ta ();
-            lane.holding <- lane.holding + 1
-          end)
+        (fun (r : Request.t) -> Hashtbl.replace sim.holding_tas r.Request.ta ())
         qualified;
-    if lane.lane_id = sim.cfg.shards then wake_parked sim;
+      wake_parked sim
+    end;
     let dt = Scheduler.total_time stats.Scheduler.times in
     Ds_stats.Summary.add sim.cycle_times dt;
     Ds_stats.Histogram.add sim.cycle_times_hist dt;
@@ -741,17 +732,14 @@ and deliver sim (req : Request.t) =
       end
     | Some _ | None -> ())
 
-(* Middleware crash: every lane recovers its own journal (segment). ~repair
-   truncates any torn tail so the reopened journal appends after the trusted
-   prefix; ~state seeds the new journal's state mirror, since a checkpoint
-   written after a blind reopen would snapshot an empty state. A crash fault
-   always has a journal: [run_sim] provides a temp file when none is set. *)
+(* Middleware crash: every lane resumes its own journal (segment), which
+   truncates any torn tail and seeds the reopened journal's state mirror from
+   the recovered state. A crash fault always has a journal: [run_sim]
+   provides a temp file when none is set. *)
 and crash_and_recover sim =
   sim.crashes <- sim.crashes + 1;
   recover_lanes sim (fun lane ->
-      let path = Option.get lane.journal_path in
-      let recovered = Journal.recover ~repair:true path in
-      (recovered, Journal.open_ ~sync:sim.cfg.sync_journal ~state:recovered path))
+      Journal.resume ~sync:sim.cfg.sync_journal (Option.get lane.journal_path))
 
 (* Hot-standby failover: the primary dies permanently (its disk is never
    consulted) and the replication session promotes the warm standby under
@@ -825,15 +813,11 @@ and recover_lanes ?(on_rebuilt = ignore) sim recover =
   Ds_util.Vec.clear sim.delivered;
   reconcile_clients sim recovered_by_lane;
   (* Rebuild the barrier accounting from surviving state: [active] from the
-     clients still connected to a live transaction, [holding] from the
-     restored (lock-holding) histories. *)
+     clients still connected to a live transaction, the lock holders from
+     the global lane's restored history. *)
   if sim.cfg.shards > 1 then begin
     Hashtbl.reset sim.holding_tas;
-    Array.iter
-      (fun l ->
-        l.active <- 0;
-        l.holding <- 0)
-      sim.lanes;
+    Array.iter (fun l -> l.active <- 0) sim.lanes;
     Array.iter
       (fun c ->
         if c.entered then begin
@@ -841,21 +825,13 @@ and recover_lanes ?(on_rebuilt = ignore) sim recover =
           l.active <- l.active + 1
         end)
       sim.clients;
-    Array.iter
-      (fun l ->
-        List.iter
-          (fun (r : Request.t) ->
-            let ta = r.Request.ta in
-            if
-              (not (Request.is_abort_marker r))
-              && Hashtbl.mem sim.by_ta ta
-              && not (Hashtbl.mem sim.holding_tas ta)
-            then begin
-              Hashtbl.replace sim.holding_tas ta ();
-              l.holding <- l.holding + 1
-            end)
-          (Relations.history_requests (Scheduler.relations l.sched)))
-      sim.lanes;
+    List.iter
+      (fun (r : Request.t) ->
+        let ta = r.Request.ta in
+        if (not (Request.is_abort_marker r)) && Hashtbl.mem sim.by_ta ta then
+          Hashtbl.replace sim.holding_tas ta ())
+      (Relations.history_requests
+         (Scheduler.relations sim.lanes.(sim.cfg.shards).sched));
     wake_parked sim
   end;
   Array.iter (fun l -> maybe_fire sim l) sim.lanes
@@ -1021,7 +997,6 @@ let run_sim (cfg : config) =
           fire_pending = false;
           last_cycle_at = 0.;
           active = 0;
-          holding = 0;
         })
   in
   let sim =
@@ -1140,23 +1115,17 @@ let run_sim (cfg : config) =
       in
       ignore (Engine.schedule engine ~after:0.005 rtick))
     cfg.repl;
-  (* Periodic timer for time-based triggers; it re-checks pending work even
-     when no client is submitting. *)
-  (match Trigger.period cfg.trigger with
-  | Some dt ->
-    let rec tick () =
-      Array.iter (fun l -> maybe_fire sim l) sim.lanes;
-      if Engine.now engine < cfg.duration then
-        ignore (Engine.schedule engine ~after:dt tick)
-    in
-    ignore (Engine.schedule engine ~after:dt tick)
-  | None ->
-    (* Pure fill triggers can stall when every client is blocked with
-       queue_len < k; a slow fallback timer keeps firing as long as work is
-       sitting in an incoming queue or a pending table. *)
-    let rec tick () =
-      Array.iter
-        (fun l ->
+  (* One periodic timer re-checks every lane even when no client is
+     submitting. A time-based trigger fires on its own period. Pure fill
+     triggers can stall when every client is blocked with queue_len < k, so
+     a slow fallback tick fires any lane with work sitting in its incoming
+     queue or pending table. *)
+  let period, tick_lane =
+    match Trigger.period cfg.trigger with
+    | Some dt -> (dt, maybe_fire sim)
+    | None ->
+      ( 0.05,
+        fun l ->
           if
             (Scheduler.queue_length l.sched > 0
             || Scheduler.pending_count l.sched > 0)
@@ -1164,12 +1133,14 @@ let run_sim (cfg : config) =
           then begin
             l.fire_pending <- true;
             ignore (Engine.schedule engine ~after:0. (fun () -> run_cycle sim l))
-          end)
-        sim.lanes;
-      if Engine.now engine < cfg.duration then
-        ignore (Engine.schedule engine ~after:0.05 tick)
-    in
-    ignore (Engine.schedule engine ~after:0.05 tick));
+          end )
+  in
+  let rec tick () =
+    Array.iter tick_lane sim.lanes;
+    if Engine.now engine < cfg.duration then
+      ignore (Engine.schedule engine ~after:period tick)
+  in
+  ignore (Engine.schedule engine ~after:period tick);
   Array.iter
     (fun c -> ignore (Engine.schedule engine ~after:0. (fun () -> start_txn sim c)))
     sim.clients;

@@ -61,9 +61,3 @@ let as_float = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
   | Null | Str _ | Bool _ -> None
-
-let as_bool = function Bool b -> Some b | Null | Int _ | Float _ | Str _ -> None
-
-let as_string = function
-  | Str s -> Some s
-  | Null | Int _ | Float _ | Bool _ -> None

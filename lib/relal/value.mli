@@ -35,5 +35,3 @@ val pp : Format.formatter -> t -> unit
 val as_int : t -> int option
 
 val as_float : t -> float option
-val as_bool : t -> bool option
-val as_string : t -> string option

@@ -15,10 +15,7 @@ let promote dir =
   let path = Session.standby_path_of dir in
   if not (Sys.file_exists path) then
     failwith (Printf.sprintf "%s: no standby journal" dir);
-  let recovered = Journal.recover ~repair:true path in
-  let epoch = recovered.Journal.epoch + 1 in
-  let j = Journal.open_ ~state:recovered path in
-  Journal.log_epoch j epoch;
-  Journal.flush j;
+  let recovered, j = Journal.promote ~after:0 path in
+  let epoch = Journal.writer_epoch j in
   Journal.close j;
   { mode; epoch; recovered }

@@ -1,11 +1,11 @@
 (** Offline standby promotion — the [dsched failover <dir>] path.
 
     Works on a session directory written by {!Session} after the primary is
-    gone: recovers the standby journal (repairing any torn tail), stamps the
-    next promotion epoch into it and returns what was recovered. The
-    directory's journal is then a valid primary journal for a new run
-    ([--journal dir/standby.journal]) and any late write from the fenced old
-    epoch is refused at replay. *)
+    gone: {!Ds_core.Journal.promote}s the standby journal — recovery with
+    any torn tail repaired, then the next promotion epoch stamped — and
+    returns what was recovered. The directory's journal is then a valid
+    primary journal for a new run ([--journal dir/standby.journal]) and any
+    late write from the fenced old epoch is refused at replay. *)
 
 open Ds_core
 

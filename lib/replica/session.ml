@@ -9,12 +9,6 @@ let mode_of_string = function
   | "sync" -> Some Sync
   | _ -> None
 
-type promotion = {
-  p_recovered : Journal.recovered;
-  p_journal : Journal.t;
-  p_epoch : int;
-}
-
 (* Retransmission timeout: a record the standby lacks is re-sent on the next
    pump once its last send is older than this.  Well above the link's
    default base delay, well below a scheduler cycle's worth of traffic. *)
@@ -246,13 +240,9 @@ let promote t =
   Hashtbl.reset t.outbox;
   Queue.clear t.sends;
   Hashtbl.reset t.reorder;
-  let recovered = Journal.recover ~repair:true t.standby_path in
-  let epoch = max t.epoch recovered.Journal.epoch + 1 in
-  let j = Journal.open_ ~state:recovered t.standby_path in
-  Journal.log_epoch j epoch;
-  Journal.flush j;
-  t.epoch <- epoch;
-  { p_recovered = recovered; p_journal = j; p_epoch = epoch }
+  let recovered, j = Journal.promote ~after:t.epoch t.standby_path in
+  t.epoch <- Journal.writer_epoch j;
+  { Middleware.rp_recovered = recovered; rp_journal = j }
 
 let finish t =
   match t.standby with
@@ -294,13 +284,7 @@ let hooks t : Middleware.repl_hooks =
     repl_set_clock = set_clock t;
     repl_pump = (fun ~now -> pump t ~now);
     repl_synced = (fun ~ta -> synced t ~ta);
-    repl_promote =
-      (fun () ->
-        let p = promote t in
-        {
-          Middleware.rp_recovered = p.p_recovered;
-          rp_journal = p.p_journal;
-        });
+    repl_promote = (fun () -> promote t);
     repl_status =
       (fun () ->
         {

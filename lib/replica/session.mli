@@ -21,9 +21,9 @@
     mirror ({e divergence detection}).
 
     {!promote} turns the standby into the new primary: its journal is
-    recovered (torn tail repaired), stamped with a fresh monotonic
-    {e promotion epoch} ['E' record], and handed to the middleware to
-    continue the run. From that instant every late arrival from the old
+    resumed (torn tail repaired), stamped with a fresh monotonic
+    {e promotion epoch} ['E' record] by {!Ds_core.Journal.promote}, and
+    handed to the middleware to continue the run. From that instant every late arrival from the old
     primary — typically records held across a partition that outlived it —
     is {e fenced} by its stale epoch and refused.
 
@@ -39,14 +39,6 @@ type mode = Async | Sync
 
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
-
-(** What {!promote} hands the middleware: the recovered standby state, the
-    reopened journal (epoch already stamped) and the new epoch. *)
-type promotion = {
-  p_recovered : Journal.recovered;
-  p_journal : Journal.t;
-  p_epoch : int;
-}
 
 type t
 
@@ -79,9 +71,13 @@ val pump : t -> now:float -> unit
     [ta] is at or below the standby's watermark. *)
 val synced : t -> ta:int -> bool
 
-(** Promote the standby to primary (see module doc).
+(** Promote the standby to primary (see module doc): closes the standby
+    journal, drops the retransmission state and promotes the file past
+    both the session's epoch and the highest one it replays. Returns the
+    recovered standby state and the reopened journal, its new epoch
+    already stamped and flushed; {!epoch} reads that epoch.
     @raise Invalid_argument if already promoted. *)
-val promote : t -> promotion
+val promote : t -> Middleware.repl_promotion
 
 (** Flush the standby mirror (end of a run that never failed over, so
     [dsched failover] can promote the directory offline later). *)

@@ -610,11 +610,3 @@ let parse_query src =
   let q = parse_full_query st in
   finish st "query";
   q
-
-let parse_expr src =
-  let st = { toks = Lexer.tokenize src; n_params = 0 } in
-  let e = parse_or st in
-  (match peek st with
-  | Token.Eof -> ()
-  | t -> err st (Printf.sprintf "trailing input after expression: %s" (Token.to_string t)));
-  e

@@ -17,6 +17,3 @@ val parse_script : string -> Ast.stmt list
 
 (** Convenience: parse a query (SELECT / WITH...) only. *)
 val parse_query : string -> Ast.full_query
-
-(** Parse a standalone scalar/boolean expression (used by the rule DSL). *)
-val parse_expr : string -> Ast.expr

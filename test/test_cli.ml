@@ -1,7 +1,8 @@
 (* CLI argument validation: the strict numeric converters behind
    --checkpoint, --shards and the other numeric run flags, and the
-   replication flag preconditions. These run the real dsched
-   binary — the tests execute from _build/default/test, next to bin/. *)
+   replication flag preconditions; and what [recover --repair] reports on a
+   segment directory. These run the real dsched binary — the tests execute
+   from _build/default/test, next to bin/. *)
 
 let dsched_exe = Filename.concat ".." (Filename.concat "bin" "dsched.exe")
 
@@ -68,6 +69,40 @@ let rejects flag ~needle values () =
         (Printf.sprintf "run --duration 0.1 %s%s" flag v))
     values
 
+(* [recover --repair] on a segment directory: the merged summary comes from
+   the same pass as the per-segment report, so the torn tail it truncated
+   shows in both. *)
+let test_recover_repair_segment_dir () =
+  let dir = Filename.temp_file "dsched_cli" ".seg.d" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> Ds_core.Journal.remove dir)
+    (fun () ->
+      let code, text =
+        dsched
+          (Printf.sprintf "run --shards 2 --duration 0.2 --journal %s"
+             (Filename.quote dir))
+      in
+      Alcotest.(check int) (Printf.sprintf "run exits 0 (got: %s)" text) 0 code;
+      Out_channel.with_open_gen [ Open_append ] 0o644
+        (Filename.concat dir "shard-1.journal") (fun oc ->
+          Out_channel.output_string oc
+            "!deadbeef S 99,99,1,w,5,standard,0.0\n!00");
+      let code, text =
+        dsched (Printf.sprintf "recover --repair %s" (Filename.quote dir))
+      in
+      Alcotest.(check int) "recover exits 0" 0 code;
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "output has %S (got: %s)" needle text)
+            true (contains ~needle text))
+        [
+          "shard-1.journal: replayed 0, dropped 2 corrupt tail line(s) \
+           (truncated)";
+          "dropped 2 corrupt tail line(s) (file truncated)";
+        ])
+
 let tests =
   [
     Alcotest.test_case "--checkpoint rejects non-positive values" `Quick
@@ -87,4 +122,6 @@ let tests =
       (rejects "--clients" ~needle:"--clients must be positive" [ "=-5"; " 0" ]);
     Alcotest.test_case "--objects rejects non-positive values" `Quick
       (rejects "--objects" ~needle:"--objects must be positive" [ " 0" ]);
+    Alcotest.test_case "recover --repair reports a torn segment once, merged"
+      `Quick test_recover_repair_segment_dir;
   ]

@@ -233,49 +233,83 @@ let test_checkpoint_suffix_recovery () =
         (List.length r.Journal.pending > 0);
       Alcotest.(check int) "no corruption" 0 r.Journal.corrupt_dropped)
 
-let last_index_of hay needle =
-  let nn = String.length needle in
-  let rec go i =
-    if i < 0 then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i - 1)
-  in
-  go (String.length hay - nn)
-
 let test_torn_checkpoint_previous_block () =
-  (* The journal ends in a checkpoint block (cycles divisible by the
-     interval).  Tearing that block's END must send recovery back to the
-     previous complete block — and since the torn snapshot was redundant
-     (its state is already in the log), the recovered state is unchanged. *)
+  (* Tearing the last [k] checkpoint blocks must send recovery back to the
+     block before them, or to a whole-file replay when none is left. Each
+     torn block keeps its C END marker, so the locator finds it and has to
+     step back past it: the last block's C END is cut one byte short, as a
+     crash mid-write would leave it; an earlier block's C END is rewritten,
+     validly framed, with a wrong entry count. The torn snapshots were
+     redundant (their state is in the log), so the recovered pending set is
+     unchanged. *)
   with_journal_file (fun path ->
       drive_blocked path ~cycles:18 ~checkpoint_every:(Some 3);
-      let r_full = Journal.recover path in
-      let full_cycle =
-        match r_full.Journal.checkpoint_cycle with
-        | Some c -> c
-        | None -> Alcotest.fail "no checkpoint in full journal"
+      let intact = Journal.recover path in
+      let lines =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
       in
-      let contents = In_channel.with_open_bin path In_channel.input_all in
-      let cut =
-        match last_index_of contents " C END " with
-        | Some i -> (
-          match String.rindex_from_opt contents i '\n' with
-          | Some j -> j + 1
-          | None -> 0)
-        | None -> Alcotest.fail "no C END in journal"
+      let payload l = String.sub l 10 (String.length l - 10) in
+      let ends =
+        List.concat
+          (List.mapi
+             (fun i l ->
+               if String.starts_with ~prefix:"C END" (payload l) then [ i ]
+               else [])
+             lines)
       in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (String.sub contents 0 cut));
-      let r = Journal.recover path in
-      (match r.Journal.checkpoint_cycle with
-      | Some c ->
-        Alcotest.(check bool)
-          (Printf.sprintf "fell back to an earlier block (%d < %d)" c
-             full_cycle)
-          true (c < full_cycle)
-      | None -> Alcotest.fail "torn block did not fall back to a checkpoint");
-      Alcotest.(check (list (pair int int))) "pending unchanged"
-        (pending_keys r_full) (pending_keys r))
+      let blocks = List.length ends in
+      if blocks < 3 then Alcotest.failf "only %d checkpoint blocks" blocks;
+      let cut = List.nth ends (blocks - 1) in
+      (* the line count the C BEGIN of the block at [cycle] records *)
+      let begin_count cycle =
+        List.find_map
+          (fun l ->
+            match String.split_on_char ' ' (payload l) with
+            | [ "C"; "BEGIN"; c; k ] when int_of_string c = cycle ->
+              Some (int_of_string k)
+            | _ -> None)
+          lines
+        |> Option.get
+      in
+      let previous = ref (Option.get intact.Journal.checkpoint_cycle) in
+      List.iter
+        (fun k ->
+          let torn = List.filteri (fun i _ -> i >= blocks - k) ends in
+          Out_channel.with_open_bin path (fun oc ->
+              List.iteri
+                (fun i l ->
+                  let out = Out_channel.output_string oc in
+                  if i = cut then out (String.sub l 0 (String.length l - 1))
+                  else if i > cut then ()
+                  else if List.mem i torn then
+                    match String.split_on_char ' ' (payload l) with
+                    | [ "C"; "END"; n ] ->
+                      out (frame (Printf.sprintf "C END %d" (int_of_string n + 1)))
+                    | _ -> assert false
+                  else out (l ^ "\n"))
+                lines);
+          let r = Journal.recover path in
+          (match r.Journal.checkpoint_cycle with
+          | Some c when k < blocks ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%d torn: fell back to an earlier block (%d < %d)"
+                 k c !previous)
+              true (c < !previous);
+            previous := c;
+            Alcotest.(check int)
+              (Printf.sprintf "%d torn: skipped the lines before the block" k)
+              (begin_count c) r.Journal.skipped
+          | None when k = blocks ->
+            Alcotest.(check int) "every block torn: nothing skipped" 0
+              r.Journal.skipped
+          | Some c -> Alcotest.failf "every block torn, yet loaded cycle %d" c
+          | None -> Alcotest.failf "%d torn: no block loaded" k);
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%d torn: pending unchanged" k)
+            (pending_keys intact) (pending_keys r))
+        [ 1; 2; blocks ])
 
 let test_crc_repair_truncates () =
   with_journal_file (fun path ->
