@@ -37,7 +37,11 @@ let fill ~n_clients sched run_idx =
         else Scheduler.submit sched r
     in
     walk 0 txn.Txn.requests
-  done
+  done;
+  (* [Relations.clear] dropped the tables' hash indexes. A running scheduler
+     keeps them built; build them here, or the first probe in the timed
+     cycle would. *)
+  List.iter Ds_relal.Table.build_indexes [ rels.Relations.requests; rels.Relations.history ]
 
 let measure ?(runs = 5) ~n_clients protocol =
   if runs <= 0 then invalid_arg "Overhead_probe.measure: runs <= 0";
@@ -51,6 +55,9 @@ let measure ?(runs = 5) ~n_clients protocol =
     let m0 = Ds_relal.Table.maintenance_time () in
     fill ~n_clients sched run_idx;
     acc_maintain := !acc_maintain +. (Ds_relal.Table.maintenance_time () -. m0);
+    (* The fill allocates far more than one cycle does; settle the garbage
+       collector's debt for it here, or the timed cycle pays it. *)
+    Gc.full_major ();
     let pending_queue = Scheduler.queue_length sched in
     let history = Relations.history_count (Scheduler.relations sched) in
     let _, stats = Scheduler.cycle sched in

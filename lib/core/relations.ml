@@ -194,13 +194,14 @@ let blocker_lookup t =
           else None)
         (Table.probe t.history [ 4 ] [ Value.Int o ])
 
-(* Terminal rows come straight off the operation index, and each finished
-   transaction is deleted through the ta index: O(batch), no full scan. *)
+(* Terminal rows come straight off the operation index, and every finished
+   transaction is deleted through the ta index in one batch: O(batch), no
+   full scan, and one change notification for the views over history. *)
 let prune_history t =
-  Hashtbl.fold
-    (fun ta () removed ->
-      removed + Table.delete_by_key t.history [ 1 ] [ Value.Int ta ] (fun _ -> true))
-    (finished_tas t) 0
+  Table.delete_by_keys t.history [ 1 ]
+    (Hashtbl.fold
+       (fun ta () keys -> ([ Value.Int ta ], fun _ -> true) :: keys)
+       (finished_tas t) [])
 
 let rte_requests t = List.map request_of_row (Table.rows t.rte)
 

@@ -145,12 +145,14 @@ let dead_letter t r =
      delete covers dead-lettering straight out of pending. *)
   let ta, intrata = Request.key r in
   ignore
-    (Ds_relal.Table.delete_by_key t.rels.Relations.requests [ 1 ]
-       [ Ds_relal.Value.Int ta ]
-       (fun row ->
-         match row.(2) with
-         | Ds_relal.Value.Int intrata' -> intrata' = intrata
-         | _ -> false));
+    (Ds_relal.Table.delete_by_keys t.rels.Relations.requests [ 1 ]
+       [
+         ( [ Ds_relal.Value.Int ta ],
+           fun row ->
+             match row.(2) with
+             | Ds_relal.Value.Int intrata' -> intrata' = intrata
+             | _ -> false );
+       ]);
   Relations.insert_dead t.rels r
 
 let pending_count t = Relations.pending_count t.rels
@@ -272,9 +274,8 @@ let abort_txn t ta =
     Ds_obs.Trace.emit_txn t.trace Ds_obs.Trace.Abort ~ta
   end;
   let dropped =
-    Ds_relal.Table.delete_by_key t.rels.Relations.requests [ 1 ]
-      [ Ds_relal.Value.Int ta ]
-      (fun _ -> true)
+    Ds_relal.Table.delete_by_keys t.rels.Relations.requests [ 1 ]
+      [ ([ Ds_relal.Value.Int ta ], fun _ -> true) ]
   in
   (* Record the abort so the protocol sees the transaction's locks as
      released. The marker's reserved sentinel (negative INTRATA/id) cannot

@@ -219,6 +219,7 @@ let kill t gone pos =
   Bytes.unsafe_set t.live pos '\000';
   if has_subscribers t then gone := Vec.get t.rows pos :: !gone
 
+(* [gone] holds the removed rows newest slot first. *)
 let finish_delete t gone removed =
   if removed > 0 then begin
     t.n_dead <- t.n_dead + removed;
@@ -237,16 +238,16 @@ let delete_where t p =
   done;
   finish_delete t !gone !removed
 
-(* Move slot [pos] from its old hash-index postings to the new ones after an
-   in-place row update. Postings must stay ascending so probes return rows in
-   insertion order; the slot is re-inserted at its sorted position. *)
-let reindex_hash t pos old_keys row =
-  List.iter2
-    (fun ix old_key ->
+(* Move slot [pos] from the hash-index postings of its [old] row to those of
+   [row]. Postings must stay ascending so probes return rows in insertion
+   order; the slot is re-inserted at its sorted position. *)
+let reindex_hash t pos ~old row =
+  List.iter
+    (fun ix ->
       match ix.map with
       | None -> ()
       | Some map ->
-        let new_key = key_of_row ix.cols row in
+        let old_key = key_of_row ix.cols old and new_key = key_of_row ix.cols row in
         if not (Key.equal old_key new_key) then begin
           (match Key_tbl.find_opt map old_key with
           | Some posting ->
@@ -269,36 +270,32 @@ let reindex_hash t pos old_keys row =
             Vec.push posting pos;
             Key_tbl.replace map new_key posting
         end)
-    t.indexes old_keys
+    t.indexes
 
-(* Rows change in place, so the feed reports a copy of each row as it was
-   before the update as removed, and the updated row as added. *)
+(* A row never changes once it is in the table: [f] updates a copy, which
+   takes the row's slot. The feed reports the old row as removed and the
+   copy as added, so a subscriber may keep the rows it is handed. *)
 let update_where t p f =
   let touched = ref 0 in
-  let reindex = has_built_index t in
-  let feed = has_subscribers t in
   let before = ref [] and after = ref [] in
   for pos = 0 to Vec.length t.rows - 1 do
     if is_live t pos then begin
       let row = Vec.get t.rows pos in
       if p row then begin
-        if feed then begin
-          before := Array.copy row :: !before;
-          after := row :: !after
+        let updated = Array.copy row in
+        f updated;
+        Vec.set t.rows pos updated;
+        if has_built_index t then
+          timed_maintenance (fun () -> reindex_hash t pos ~old:row updated);
+        if has_subscribers t then begin
+          before := row :: !before;
+          after := updated :: !after
         end;
-        if reindex then begin
-          let old_keys =
-            List.map (fun ix -> key_of_row ix.cols row) t.indexes
-          in
-          f row;
-          timed_maintenance (fun () -> reindex_hash t pos old_keys row)
-        end
-        else f row;
         incr touched
       end
     end
   done;
-  if feed then notify t ~added:(List.rev !after) ~removed:(List.rev !before);
+  if has_subscribers t then notify t ~added:(List.rev !after) ~removed:(List.rev !before);
   !touched
 
 (* ------------------------------------------------------------------ *)
@@ -365,6 +362,9 @@ let build ix t =
       ix.map <- Some map;
       map)
 
+let build_indexes t =
+  List.iter (fun ix -> if ix.map = None then ignore (build ix t)) t.indexes
+
 let probe t cols key =
   match List.find_opt (fun ix -> same_cols ix.cols cols) t.indexes with
   | None -> invalid_arg (Printf.sprintf "Table.probe(%s): no such index" t.name)
@@ -382,24 +382,34 @@ let probe t cols key =
       done;
       !out)
 
-(* Probe the hash index on [cols] for [key] and tombstone every matching live
-   row satisfying [p]; returns how many were removed. The batched delete used
-   by the scheduler's history pruning: O(posting) instead of a full scan. *)
-let delete_by_key t cols key p =
+(* Probe the hash index on [cols] for each key and tombstone every matching
+   live row its test accepts; returns how many were removed. The batched
+   delete of the scheduler's history pruning and of view upkeep: O(postings)
+   instead of a full scan, and one change notification, in slot order, for
+   the whole batch. *)
+let delete_by_keys t cols keys =
   match List.find_opt (fun ix -> same_cols ix.cols cols) t.indexes with
   | None ->
-    invalid_arg (Printf.sprintf "Table.delete_by_key(%s): no such index" t.name)
+    invalid_arg (Printf.sprintf "Table.delete_by_keys(%s): no such index" t.name)
   | Some ix ->
     let map = match ix.map with Some m -> m | None -> build ix t in
-    let removed = ref 0 and gone = ref [] in
-    (match Key_tbl.find_opt map key with
-    | None -> ()
-    | Some posting ->
-      Vec.iter
-        (fun pos ->
-          if is_live t pos && p (Vec.get t.rows pos) then begin
-            kill t gone pos;
-            incr removed
-          end)
-        posting);
-    finish_delete t !gone !removed
+    let killed = ref [] in
+    List.iter
+      (fun (key, p) ->
+        match Key_tbl.find_opt map key with
+        | None -> ()
+        | Some posting ->
+          Vec.iter
+            (fun pos ->
+              if is_live t pos && p (Vec.get t.rows pos) then begin
+                Bytes.unsafe_set t.live pos '\000';
+                killed := pos :: !killed
+              end)
+            posting)
+      keys;
+    let gone =
+      if has_subscribers t then
+        List.rev_map (Vec.get t.rows) (List.sort Int.compare !killed)
+      else []
+    in
+    finish_delete t gone (List.length !killed)

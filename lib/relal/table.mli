@@ -37,17 +37,20 @@ val insert_many : t -> Value.t array list -> unit
     than 64) are dead. *)
 val delete_where : t -> (Value.t array -> bool) -> int
 
-(** [delete_by_key t cols key p] deletes the rows matching [key] on the hash
-    index over [cols] that also satisfy [p]; returns how many. Equivalent to
-    [delete_where] with a conjunctive key test, but costs O(posting) instead
-    of a full scan.
+(** [delete_by_keys t cols keys] deletes, for each [(key, p)] of [keys] in
+    turn, the rows matching [key] on the hash index over [cols] that [p]
+    accepts ([p] sees each such live row once, in insertion order, and may
+    keep state); returns how many. Equivalent to [delete_where] with a
+    conjunctive key test, but costs O(postings) instead of a full scan, and
+    the change feed reports the whole batch once.
     @raise Invalid_argument if no such index was declared. *)
-val delete_by_key :
-  t -> int list -> Value.t list -> (Value.t array -> bool) -> int
+val delete_by_keys :
+  t -> int list -> (Value.t list * (Value.t array -> bool)) list -> int
 
-(** [update_where t p f] applies the in-place mutation [f] to each row
-    satisfying [p]; returns how many rows were touched. Hash-index postings
-    are moved between keys exactly. *)
+(** [update_where t p f] replaces each row satisfying [p] by a copy that the
+    mutation [f] has updated; returns how many rows were touched. A row
+    array, once in the table, never changes. Hash-index postings are moved
+    between keys exactly. *)
 val update_where : t -> (Value.t array -> bool) -> (Value.t array -> unit) -> int
 
 (** Removes every row; the change feed reports each of them as removed. *)
@@ -55,10 +58,9 @@ val clear : t -> unit
 
 (** [subscribe t f] adds [f] to [t]'s change feed: after every mutation that
     changed rows, [f ~added ~removed] receives the rows it inserted and the
-    rows it took out, in slot order. [update_where] reports a copy of each
-    row as it was before the update as removed and the updated row itself as
-    added. The rows are the table's own arrays: a subscriber that keeps one
-    must copy it, since [update_where] changes rows in place. Subscribers run
+    rows it took out, in slot order. [update_where] reports each old row as
+    removed and its updated copy as added. The rows are the table's own
+    arrays, which never change, so a subscriber may keep them. Subscribers run
     inside the mutation's ["index-maintenance"] section. A table without
     subscribers pays one check per mutation. *)
 val subscribe :
@@ -75,6 +77,10 @@ val fold : ('acc -> Value.t array -> 'acc) -> 'acc -> t -> 'acc
 val create_index : t -> int list -> unit
 
 val has_index : t -> int list -> bool
+
+(** Builds every declared index that is not built yet: after {!clear},
+    say, where the first probe would otherwise pay for it. *)
+val build_indexes : t -> unit
 
 (** [probe t cols key] returns all rows whose [cols] values equal [key], in
     insertion order, using the index (built on demand).

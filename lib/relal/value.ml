@@ -36,12 +36,30 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash = function
-  | Null -> 0
-  | Int i -> Hashtbl.hash (float_of_int i)
-  | Float f -> Hashtbl.hash f
-  | Str s -> Hashtbl.hash s
-  | Bool b -> if b then 3 else 5
+(* Below 2^53 in magnitude every int is exactly a float, so there [equal]
+   on numbers is integer equality: an integral float equals exactly one such
+   int, and no number outside the range equals one inside it. *)
+let exact_int = function
+  | Int i when i > -(1 lsl 53) && i < 1 lsl 53 -> i
+  | Float f when Float.is_integer f && Float.abs f < 0x1p53 -> int_of_float f
+  | Null | Int _ | Float _ | Str _ | Bool _ -> min_int
+
+let hash_int i =
+  let h = i * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+(* Equal values hash alike: numbers in [exact_int]'s range by that int, any
+   other number through its float value. *)
+let hash v =
+  let i = exact_int v in
+  if i <> min_int then hash_int i
+  else
+    match v with
+    | Null -> 0
+    | Int n -> Hashtbl.hash (float_of_int n)
+    | Float f -> Hashtbl.hash f
+    | Str s -> Hashtbl.hash s
+    | Bool b -> if b then 3 else 5
 
 let to_string = function
   | Null -> "NULL"

@@ -23,7 +23,19 @@ val is_null : t -> bool
 val compare : t -> t -> int
 
 val equal : t -> t -> bool
+
+(** Consistent with {!equal}. *)
 val hash : t -> int
+
+(** [exact_int v] is the int that [v] equals when [v] is a number below
+    2^53 in magnitude with no fractional part ([Int 1] and [Float 1.] both
+    give 1); [min_int] for any other value. In that range {!equal} on
+    numbers is equality of these ints. *)
+val exact_int : t -> int
+
+(** The hash {!hash} gives [Int i] for [i] in {!exact_int}'s range; defined
+    on every int. *)
+val hash_int : int -> int
 
 (** SQL-ish rendering: NULL, 42, 4.2, 'text', TRUE. *)
 val to_string : t -> string

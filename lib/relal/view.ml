@@ -1,7 +1,5 @@
 open Ra
 
-module Row_tbl = Eval.Row_tbl
-
 let row_equal = Eval.Row_key.equal
 
 (* ------------------------------------------------------------------ *)
@@ -49,52 +47,233 @@ let rec stateful = function
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
+(* Compiled expressions                                               *)
+(* ------------------------------------------------------------------ *)
+
+type row = Value.t array
+
+(* Columns and constants are read directly; any other expression goes
+   through [Eval.eval_expr], the reference evaluator. *)
+let compile = function
+  | Col i -> fun row -> row.(i)
+  | Const v -> fun _ -> v
+  | e -> fun row -> Eval.eval_expr ~row e
+
+(* A filter as a row test. Operands of AND and OR are predicates, so they
+   yield only booleans and NULL, and the conjunction (disjunction) is TRUE
+   exactly when both (either) are. A column equal to a constant reads the
+   column and compares, nothing more. *)
+let rec test = function
+  | (Cmp (Eq, Col i, Const c) | Cmp (Eq, Const c, Col i)) when not (Value.is_null c) -> (
+    match c with
+    | Value.Str s ->
+      fun row -> (match row.(i) with Value.Str x -> String.equal x s | _ -> false)
+    | c -> fun row -> Value.equal row.(i) c)
+  | And (a, b) ->
+    let a = test a and b = test b in
+    fun row -> a row && b row
+  | Or (a, b) ->
+    let a = test a and b = test b in
+    fun row -> a row || b row
+  | e ->
+    let e = compile e in
+    fun row -> Eval.truthy (e row)
+
+(* ------------------------------------------------------------------ *)
+(* Keys                                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Row_tbl = Eval.Row_tbl
+
+module Ints = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Value.hash_int
+end)
+
+(* A join key as one int: one int-valued column, or two that fit 31 bits
+   each, packed. Int-valued is {!Value.exact_int}'s sense, so [Float 1.]
+   keys as [Int 1], which it equals. [no_key] stands for a key with a NULL,
+   which never joins; [by_value] for any other key, which is looked up by
+   its values. *)
+let no_key = min_int
+
+let by_value = min_int + 1
+
+let half = 1 lsl 30
+
+let key_of exprs =
+  match Array.of_list (List.map compile exprs) with
+  | [| a |] ->
+    fun row -> (
+      match a row with
+      | Value.Null -> no_key
+      | va ->
+        let i = Value.exact_int va in
+        if i = min_int then by_value else i)
+  | [| a; b |] ->
+    fun row ->
+      let va = a row and vb = b row in
+      if Value.is_null va || Value.is_null vb then no_key
+      else
+        let i = Value.exact_int va and j = Value.exact_int vb in
+        if i >= -half && i < half && j >= -half && j < half then
+          (i lsl 31) lor (j + half)
+        else by_value
+  | get ->
+    fun row ->
+      if Array.exists (fun f -> Value.is_null (f row)) get then no_key else by_value
+
+let values_of exprs =
+  let get = Array.of_list (List.map compile exprs) in
+  fun row -> Array.map (fun f -> f row) get
+
+(* ------------------------------------------------------------------ *)
 (* Maintained operators                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* A change to one operator's output, as a bag: the rows in [dels] leave
    it, then the rows in [adds] enter it. Every row of [dels] is in the
    output before the change. *)
-type delta = { dels : Value.t array list; adds : Value.t array list }
+type delta = { dels : row list; adds : row list }
 
 let no_change = { dels = []; adds = [] }
 
+(* One join key's state: its right rows' count, and its left rows in
+   [rows.(first)] (the oldest) to [rows.(first + len - 1)]. Appending is
+   amortised O(1), and so is removing the oldest row (prune removes rows
+   oldest first); any other row is found by a scan, and the rows after it
+   slide down. *)
+type entry = {
+  key : int;
+  values : row;  (** the key's values when [key = by_value], else empty *)
+  mutable matches : int;
+  mutable touched : bool;  (** by the right side of the change under way *)
+  mutable had : bool;  (** [matches > 0] before that change *)
+  mutable rows : row array;
+  mutable first : int;
+  mutable len : int;
+}
+
+let new_entry key values =
+  { key; values; matches = 0; touched = false; had = false; rows = [||]; first = 0; len = 0 }
+
+let push e row =
+  let cap = Array.length e.rows in
+  if e.first + e.len = cap then
+    if 2 * e.len <= cap && cap > 0 then begin
+      (* At least half the slots were freed at the front: slide down. *)
+      Array.blit e.rows e.first e.rows 0 e.len;
+      Array.fill e.rows e.len (cap - e.len) [||];
+      e.first <- 0
+    end
+    else begin
+      let grown = Array.make (max 1 (2 * cap)) [||] in
+      Array.blit e.rows e.first grown 0 e.len;
+      e.rows <- grown;
+      e.first <- 0
+    end;
+  e.rows.(e.first + e.len) <- row;
+  e.len <- e.len + 1
+
+(* Remove the oldest row equal to [row]. *)
+let remove e row =
+  let rec find i =
+    if i = e.len then i
+    else
+      let r = e.rows.(e.first + i) in
+      if r == row || row_equal r row then i else find (i + 1)
+  in
+  let i = find 0 in
+  if i < e.len then begin
+    if i = 0 then begin
+      e.rows.(e.first) <- [||];
+      e.first <- e.first + 1
+    end
+    else begin
+      Array.blit e.rows (e.first + i + 1) e.rows (e.first + i) (e.len - i - 1);
+      e.rows.(e.first + e.len - 1) <- [||]
+    end;
+    e.len <- e.len - 1;
+    if e.len = 0 then e.first <- 0
+  end
+
+let iter_rows f e =
+  for i = e.first to e.first + e.len - 1 do
+    f e.rows.(i)
+  done
+
 type node =
   | Leaf of Table.t
-  | Select of expr * node
-  | Map of expr array * node
+  | Select of (row -> bool) * node
+  | Map of (row -> Value.t) array * node
   | Dedup of int ref Row_tbl.t * node  (** live copies per row *)
   | Concat of node * node
   | Match of match_state
 
 and match_state = {
   semi : bool;  (** keep left rows with a right match (else without) *)
-  lkeys : expr array;
-  rkeys : expr array;
+  lkey : row -> int;
+  lvalues : row -> row;
+  rkey : row -> int;
+  rvalues : row -> row;
   left : node;
   right : node;
-  matches : int ref Row_tbl.t;  (** right rows per key *)
-  buckets : Value.t array list ref Row_tbl.t;  (** left rows per key, oldest first *)
+  ints : entry Ints.t;  (** keys with a right or a left row, by int key *)
+  others : entry Row_tbl.t;  (** the other such keys, by their values *)
 }
 
 let rec node_of = function
   | Scan (t, _) -> Leaf t
-  | Filter (e, p) -> Select (e, node_of p)
-  | Project (cols, p) -> Map (Array.of_list (List.map fst cols), node_of p)
+  | Filter (e, p) -> Select (test e, node_of p)
+  | Project (cols, p) ->
+    (* A projection that only renames passes the rows on as they are. *)
+    if List.map fst cols = List.mapi (fun i _ -> Col i) cols
+       && List.length cols = Schema.arity (schema_of p)
+    then node_of p
+    else Map (Array.of_list (List.map (fun (e, _) -> compile e) cols), node_of p)
   | Distinct p -> Dedup (Row_tbl.create 64, node_of p)
   | Union_all (l, r) -> Concat (node_of l, node_of r)
+  | Join { kind = Anti; lkeys; _ } as plan -> (
+    (* Stacked anti-joins on the same left key keep a left row while no
+       right side matches it: one anti-join against all the right sides'
+       keys, which buckets each left row once instead of once per level. *)
+    let rec stack = function
+      | Join { kind = Anti; lkeys = k; rkeys; left; right; _ } when k = lkeys ->
+        let base, rights = stack left in
+        (base, (rkeys, right) :: rights)
+      | p -> (p, [])
+    in
+    match stack plan with
+    | left, [ (rkeys, right) ] -> matcher ~semi:false lkeys left rkeys (node_of right)
+    | left, rights ->
+      let keyed (rkeys, right) =
+        Map (Array.of_list (List.map compile rkeys), node_of right)
+      in
+      let right =
+        List.fold_left
+          (fun acc r -> Concat (acc, keyed r))
+          (keyed (List.hd rights)) (List.tl rights)
+      in
+      matcher ~semi:false lkeys left (List.mapi (fun i _ -> Col i) lkeys) right)
   | Join { kind; lkeys; rkeys; left; right; _ } ->
-    Match
-      {
-        semi = kind = Semi;
-        lkeys = Array.of_list lkeys;
-        rkeys = Array.of_list rkeys;
-        left = node_of left;
-        right = node_of right;
-        matches = Row_tbl.create 64;
-        buckets = Row_tbl.create 64;
-      }
+    matcher ~semi:(kind = Semi) lkeys left rkeys (node_of right)
   | _ -> invalid_arg "View: operator cannot be maintained"
+
+and matcher ~semi lkeys left rkeys right =
+  Match
+    {
+      semi;
+      lkey = key_of lkeys;
+      lvalues = values_of lkeys;
+      rkey = key_of rkeys;
+      rvalues = values_of rkeys;
+      left = node_of left;
+      right;
+      ints = Ints.create 64;
+      others = Row_tbl.create 8;
+    }
 
 let rec tables = function
   | Leaf t -> [ t ]
@@ -102,84 +281,86 @@ let rec tables = function
   | Concat (l, r) -> tables l @ tables r
   | Match m -> tables m.left @ tables m.right
 
-let map_delta f d = { dels = List.filter_map f d.dels; adds = List.filter_map f d.adds }
+(* The entry of [row]'s [key]; [values] gives the key's values. *)
+let find m values key row =
+  if key = by_value then Row_tbl.find_opt m.others (values row)
+  else Ints.find_opt m.ints key
 
-(* NULL keys never join. *)
-let key_of keys row =
-  let key = Array.map (fun e -> Eval.eval_expr ~row e) keys in
-  if Array.exists Value.is_null key then None else Some key
+let find_or_add m values key row =
+  match find m values key row with
+  | Some e -> e
+  | None ->
+    if key = by_value then begin
+      let e = new_entry key (values row) in
+      Row_tbl.add m.others e.values e;
+      e
+    end
+    else begin
+      let e = new_entry key [||] in
+      Ints.add m.ints key e;
+      e
+    end
 
-let count tbl key = match Row_tbl.find_opt tbl key with Some n -> !n | None -> 0
+let drop_if_empty m e =
+  if e.len = 0 && e.matches = 0 then
+    if e.key = by_value then Row_tbl.remove m.others e.values
+    else Ints.remove m.ints e.key
 
-(* Remove one row equal to [row] from [rows]. *)
-let rec remove_one row = function
-  | [] -> []
-  | r :: rest -> if row_equal r row then rest else r :: remove_one row rest
-
-(* Semi/anti join by counting: the right side keeps a match count per key,
-   the left side its rows bucketed by key. The change applies in three steps,
-   each against the state the previous one left: left rows leave (visible
-   under the old counts), right rows come and go (a key whose count crosses
-   zero moves its whole bucket in or out of the output), left rows arrive
-   (visible under the new counts). A pruned transaction therefore costs no
-   output churn: its left rows leave before its terminal row does. *)
+(* Semi/anti join by counting: each key keeps its right rows' count and its
+   left rows. The change applies in three steps, each against the state the
+   previous one left: left rows leave (visible under the old counts), right
+   rows come and go (a key whose count crosses zero moves its whole bucket
+   in or out of the output, oldest first), left rows arrive (visible under
+   the new counts). A pruned transaction therefore costs no output churn:
+   its left rows leave before its terminal row does. *)
 let match_delta m ~left:dl ~right:dr =
-  let visible key = (count m.matches key > 0) = m.semi in
+  let visible e = (e.matches > 0) = m.semi in
   let dels = ref [] and adds = ref [] in
   List.iter
     (fun row ->
-      match key_of m.lkeys row with
+      let key = m.lkey row in
+      let entry = if key = no_key then None else find m m.lvalues key row in
+      match entry with
       | None -> if not m.semi then dels := row :: !dels
-      | Some key ->
-        Option.iter
-          (fun bucket ->
-            bucket := remove_one row !bucket;
-            if !bucket = [] then Row_tbl.remove m.buckets key)
-          (Row_tbl.find_opt m.buckets key);
-        if visible key then dels := row :: !dels)
+      | Some e ->
+        remove e row;
+        if visible e then dels := row :: !dels;
+        drop_if_empty m e)
     dl.dels;
-  (* Keys the right side touched, in first-touch order, with whether they
-     had a match before. *)
-  let touched = ref [] and seen = Row_tbl.create 8 in
+  (* Keys the right side touched, in first-touch order; their entries stay
+     in the tables until all counts are in. *)
+  let touched = ref [] in
   let bump by row =
-    match key_of m.rkeys row with
-    | None -> ()
-    | Some key ->
-      let n =
-        match Row_tbl.find_opt m.matches key with
-        | Some n -> n
-        | None ->
-          let n = ref 0 in
-          Row_tbl.add m.matches key n;
-          n
-      in
-      if not (Row_tbl.mem seen key) then begin
-        Row_tbl.add seen key ();
-        touched := (key, !n > 0) :: !touched
+    let key = m.rkey row in
+    if key <> no_key then begin
+      let e = find_or_add m m.rvalues key row in
+      if not e.touched then begin
+        e.touched <- true;
+        e.had <- e.matches > 0;
+        touched := e :: !touched
       end;
-      n := !n + by;
-      if !n = 0 then Row_tbl.remove m.matches key
+      e.matches <- e.matches + by
+    end
   in
   List.iter (bump (-1)) dr.dels;
   List.iter (bump 1) dr.adds;
   List.iter
-    (fun (key, had) ->
-      if (count m.matches key > 0) <> had then
-        match Row_tbl.find_opt m.buckets key with
-        | None -> ()
-        | Some bucket ->
-          if visible key then adds := List.rev_append !bucket !adds
-          else dels := List.rev_append !bucket !dels)
+    (fun e ->
+      e.touched <- false;
+      if (e.matches > 0) <> e.had then
+        if visible e then iter_rows (fun row -> adds := row :: !adds) e
+        else iter_rows (fun row -> dels := row :: !dels) e;
+      drop_if_empty m e)
     (List.rev !touched);
   List.iter
     (fun row ->
-      match key_of m.lkeys row with
-      | None -> if not m.semi then adds := row :: !adds
-      | Some key ->
-        (match Row_tbl.find_opt m.buckets key with
-        | Some bucket -> bucket := !bucket @ [ row ]
-        | None -> Row_tbl.add m.buckets key (ref [ row ]));
-        if visible key then adds := row :: !adds)
+      let key = m.lkey row in
+      if key = no_key then (if not m.semi then adds := row :: !adds)
+      else begin
+        let e = find_or_add m m.lvalues key row in
+        push e row;
+        if visible e then adds := row :: !adds
+      end)
     dl.adds;
   { dels = List.rev !dels; adds = List.rev !adds }
 
@@ -187,14 +368,13 @@ let match_delta m ~left:dl ~right:dr =
 let rec propagate node table base =
   match node with
   | Leaf t -> if t == table then base else no_change
-  | Select (e, n) ->
-    map_delta
-      (fun row -> if Eval.truthy (Eval.eval_expr ~row e) then Some row else None)
-      (propagate n table base)
+  | Select (keep, n) ->
+    let d = propagate n table base in
+    { dels = List.filter keep d.dels; adds = List.filter keep d.adds }
   | Map (cols, n) ->
-    map_delta
-      (fun row -> Some (Array.map (fun e -> Eval.eval_expr ~row e) cols))
-      (propagate n table base)
+    let d = propagate n table base in
+    let f row = Array.map (fun col -> col row) cols in
+    { dels = List.map f d.dels; adds = List.map f d.adds }
   | Concat (l, r) ->
     let dl = propagate l table base and dr = propagate r table base in
     { dels = dl.dels @ dr.dels; adds = dl.adds @ dr.adds }
@@ -241,26 +421,30 @@ type t = {
           join's key when there is one, else every column *)
 }
 
-(* The change to the view's rows when [base] changed. Base rows are copied
-   on entry: node state and the view's table keep them, and
-   [Table.update_where] would otherwise change them underneath. Removed
-   rows are only compared, never kept. *)
-let update v base ~added ~removed =
-  propagate v.root base { dels = removed; adds = List.map Array.copy added }
+let set_del_cols v cols =
+  Table.create_index v.table cols;
+  v.del_cols <- cols
 
+(* The change to the view's rows when [base] changed. Node state and the
+   view's table keep the base table's own rows, which never change. *)
+let update v base ~added ~removed = propagate v.root base { dels = removed; adds = added }
+
+(* The table is a bag: each row of [d.dels] removes one copy, the oldest,
+   all in one [Table.delete_by_keys] call. *)
 let apply v d =
-  List.iter
-    (fun row ->
-      (* The table is a bag: remove one copy. *)
-      let first = ref true in
-      ignore
-        (Table.delete_by_key v.table v.del_cols
-           (List.map (fun c -> row.(c)) v.del_cols)
-           (fun r ->
-             let hit = !first && row_equal r row in
-             if hit then first := false;
-             hit)))
-    d.dels;
+  if d.dels <> [] then
+    ignore
+      (Table.delete_by_keys v.table v.del_cols
+         (List.map
+            (fun row ->
+              let pending = ref true in
+              let take r =
+                let hit = !pending && row_equal r row in
+                if hit then pending := false;
+                hit
+              in
+              (List.map (fun c -> row.(c)) v.del_cols, take))
+            d.dels));
   Table.insert_many v.table d.adds
 
 (* Node state is filled one base table at a time; the table itself once,
@@ -271,7 +455,7 @@ let create plan =
   let name = "view(" ^ String.concat "," (List.map Table.name bases) ^ ")" in
   let v = { root; table = Table.create ~name (schema_of plan); del_cols = [] } in
   List.iter (fun base -> ignore (update v base ~added:(Table.rows base) ~removed:[])) bases;
-  Table.insert_many v.table (List.map Array.copy (Eval.run plan));
+  Table.insert_many v.table (Eval.run plan);
   List.iter
     (fun base ->
       Table.subscribe base (fun ~added ~removed -> apply v (update v base ~added ~removed)))
@@ -299,10 +483,7 @@ let materialize plan =
         (match (right, !views) with
         | Scan (table, _), v :: _ when v.table == table && right != j.right ->
           let cols = List.filter_map (function Col i -> Some i | _ -> None) j.rkeys in
-          if cols <> [] && List.length cols = List.length j.rkeys then begin
-            Table.create_index table cols;
-            v.del_cols <- cols
-          end
+          if cols <> [] && List.length cols = List.length j.rkeys then set_del_cols v cols
         | _ -> ());
         Join { j with left = go j.left; right }
       | Union_all (l, r) -> Union_all (go l, go r)
@@ -317,9 +498,7 @@ let materialize plan =
   let plan = go plan in
   List.iter
     (fun v ->
-      if v.del_cols = [] then begin
-        v.del_cols <- List.init (Schema.arity (Table.schema v.table)) Fun.id;
-        Table.create_index v.table v.del_cols
-      end)
+      if v.del_cols = [] then
+        set_del_cols v (List.init (Schema.arity (Table.schema v.table)) Fun.id))
     !views;
   plan

@@ -12,12 +12,22 @@
 
     by a [Scan] over an internal table holding that subplan's result as a
     bag. The table follows every insert, delete, update and clear of the
-    base tables through counting delta rules: semi/anti joins keep a match
-    count per right key and their left rows bucketed by key, [Distinct]
-    keeps a count per row, [Filter] and [Project] map each change through.
-    A view on the right of a join gets a hash index on the join key, which
-    {!Eval}'s indexed-probe path then uses. Upkeep runs inside the base
-    mutation's ["index-maintenance"] section (see
+    base tables through counting delta rules: semi/anti joins keep, per key,
+    a match count and their left rows oldest first, [Distinct] keeps a count
+    per row, [Filter] and [Project] map each change through. Stacked
+    anti-joins on the same left key are maintained as one.
+
+    Projected columns, join keys and filters are turned into closures once,
+    when the view is built: a column is read by index, a column equal to a
+    constant (and AND/OR of such tests) is tested directly, and any other
+    expression is handed to {!Eval.eval_expr}. A key of one or two
+    int-valued columns is a single int (an integral float keys as the equal
+    int, as {!Value.equal} has it); other keys are looked up by value. A
+    key's left rows append and leave oldest-first in amortised O(1). Rows
+    leaving the view's table go in one {!Table.delete_by_keys} call per
+    change. A view on the right of a join gets a hash index on the join key,
+    which {!Eval}'s indexed-probe path then uses. Upkeep runs inside the
+    base mutation's ["index-maintenance"] section (see
     {!Table.maintenance_time}).
 
     The rewritten plan returns the same rows as the original as a bag; rows

@@ -17,11 +17,22 @@ let test_value_compare () =
   Alcotest.(check bool) "str order" true
     (Value.compare (v_str "a") (v_str "b") < 0)
 
+(* Ints meet floats near each other, and around 2^53, where the hash
+   switches from the int to the float. *)
 let value_hash_consistent =
   QCheck2.Test.make ~name:"Value: equal implies same hash" ~count:300
-    QCheck2.Gen.(pair int int)
-    (fun (a, b) ->
-      let va = v_int a and vb = Value.Float (float_of_int b) in
+    QCheck2.Gen.(
+      pair
+        (oneof
+           [
+             int;
+             int_range (-1000) 1000;
+             map (fun d -> (1 lsl 53) + d) (int_range (-3) 3);
+             map (fun d -> -(1 lsl 53) + d) (int_range (-3) 3);
+           ])
+        (int_range (-2) 2))
+    (fun (a, d) ->
+      let va = v_int a and vb = Value.Float (float_of_int (a + d)) in
       (not (Value.equal va vb)) || Value.hash va = Value.hash vb)
 
 let test_schema_find () =
@@ -498,12 +509,14 @@ let test_change_feed () =
   let row k v = [| v_int k; v_str v |] in
   Table.insert t (row 3 "c");
   expect "insert" ~added:[ row 3 "c" ] ~removed:[];
-  Table.insert_many t [ row 4 "d"; row 5 "e" ];
-  expect "insert_many" ~added:[ row 4 "d"; row 5 "e" ] ~removed:[];
+  Table.insert_many t [ row 4 "d"; row 5 "e"; row 6 "f" ];
+  expect "insert_many" ~added:[ row 4 "d"; row 5 "e"; row 6 "f" ] ~removed:[];
   ignore (Table.delete_where t (fun r -> r.(0) = v_int 2 || r.(0) = v_int 4));
   expect "delete_where" ~added:[] ~removed:[ row 2 "b"; row 4 "d" ];
-  ignore (Table.delete_by_key t [ 0 ] [ v_int 5 ] (fun _ -> true));
-  expect "delete_by_key" ~added:[] ~removed:[ row 5 "e" ];
+  (* Several keys, one notification, rows in slot order. *)
+  ignore
+    (Table.delete_by_keys t [ 0 ] [ ([ v_int 6 ], fun _ -> true); ([ v_int 5 ], fun _ -> true) ]);
+  expect "delete_by_keys" ~added:[] ~removed:[ row 5 "e"; row 6 "f" ];
   ignore (Table.update_where t (fun r -> r.(0) = v_int 3) (fun r -> r.(1) <- v_str "z"));
   expect "update_where" ~added:[ row 3 "z" ] ~removed:[ row 3 "c" ];
   (* Mutations that change nothing stay silent. *)
