@@ -10,13 +10,13 @@ build:
 test:
 	dune runtest
 
-# Everything CI runs: build, the full test suite, and a differential fuzz
-# smoke (100 seeds through oracle + SQL + Datalog + native 2PL, with the
-# serializability battery on every schedule).
+# Everything CI runs: build, the full test suite, and a 200-scenario swarm
+# sweep (the full invariant battery, formulation equivalence included, on
+# every scenario). The summary goes to stderr; the JSON report is dropped.
 check:
 	dune build @all
 	dune runtest
-	dune exec bin/dsched.exe -- check --fuzz 100
+	dune exec bin/dsched.exe -- swarm -n 200 --seed 1 --out /dev/null
 
 # Quick-scale run of every paper table/figure + ablations.
 bench:

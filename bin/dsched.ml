@@ -565,67 +565,25 @@ let qualify_cmd =
 let check_cmd =
   let doc =
     "Validate a logged schedule (serializability, strictness, rigor, commit \
-     order) or differentially fuzz the scheduler formulations."
+     order)."
   in
   let trace =
     Arg.(
-      value
+      required
       & pos 0 (some file) None
       & info [] ~docv:"TRACE"
           ~doc:
             "Execution log to validate (CSV in request-trace format; produce \
              one with 'dsched run --log-rte FILE').")
   in
-  let fuzz =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuzz" ] ~docv:"N"
-          ~doc:"Run $(docv) differential fuzz iterations instead.")
+  let run file =
+    let log = Ds_workload.Trace.load file in
+    let events = Ds_check.Conflict_graph.events_of_requests log in
+    let report = Ds_check.Serializability.check_committed events in
+    Format.printf "%s: %a@." file Ds_check.Serializability.pp_report report;
+    if not (Ds_check.Serializability.is_clean report) then exit 1
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"First seed.") in
-  let no_native =
-    Arg.(
-      value & flag
-      & info [ "no-native" ]
-          ~doc:"Skip the native 2PL server in fuzz iterations.")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every outcome.")
-  in
-  let run trace fuzz seed no_native verbose =
-    match (trace, fuzz) with
-    | Some file, _ ->
-      let log = Ds_workload.Trace.load file in
-      let events = Ds_check.Conflict_graph.events_of_requests log in
-      let report = Ds_check.Serializability.check_committed events in
-      Format.printf "%s: %a@." file Ds_check.Serializability.pp_report report;
-      if not (Ds_check.Serializability.is_clean report) then exit 1
-    | None, Some n ->
-      let config =
-        {
-          Ds_check.Differential.default_config with
-          Ds_check.Differential.include_native = not no_native;
-        }
-      in
-      let seeds = List.init n (fun i -> seed + i) in
-      if verbose then
-        List.iter
-          (fun s ->
-            let o = Ds_check.Differential.run_one ~config ~seed:s () in
-            Format.printf "%a@." Ds_check.Differential.pp_outcome o)
-          seeds
-      else begin
-        let s = Ds_check.Differential.run ~config ~seeds () in
-        Format.printf "%a@." Ds_check.Differential.pp_summary s;
-        if s.Ds_check.Differential.failed <> [] then exit 1
-      end
-    | None, None ->
-      prerr_endline "check: need a TRACE to validate or --fuzz N";
-      exit 2
-  in
-  Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ trace $ fuzz $ seed $ no_native $ verbose)
+  Cmd.v (Cmd.info "check" ~doc) Term.(const run $ trace)
 
 let trace_view_cmd =
   let doc =

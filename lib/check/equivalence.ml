@@ -3,7 +3,6 @@ open Ds_model
 type violation =
   | Unknown_request of { ta : int; intrata : int }
   | Duplicate_delivery of { ta : int; intrata : int }
-  | Missing_request of { ta : int; intrata : int }
   | Conflict_reordered of {
       obj : int;
       first : int * int;
@@ -35,9 +34,6 @@ let pp_violation ppf = function
   | Duplicate_delivery { ta; intrata } ->
     Format.fprintf ppf "candidate delivered %a more than once" pp_key
       (ta, intrata)
-  | Missing_request { ta; intrata } ->
-    Format.fprintf ppf "candidate is missing %a from the reference" pp_key
-      (ta, intrata)
   | Conflict_reordered { obj; first; second } ->
     Format.fprintf ppf
       "conflicting pair on object %d reordered: reference runs %a before %a, \
@@ -68,12 +64,12 @@ let executed rs = List.filter (fun r -> not (Request.is_abort_marker r)) rs
    shard lanes} (neither being the global lane [s_count]) is a router
    soundness failure — per-lane SS2PL cannot order a conflict it never
    sees, so such pairs must have been escalated to the global lane. *)
-let check_gen ?shard ?(complete = false) ~reference ~candidate () =
+let check_gen ?shard ~reference ~candidate () =
   let reference = executed reference and candidate = executed candidate in
   let violations = ref [] in
   let add v = violations := v :: !violations in
   (* Membership discipline: candidate keys are unique and drawn from the
-     reference; with [complete] the multisets must coincide exactly. *)
+     reference. *)
   let ref_keys = Hashtbl.create (2 * List.length reference) in
   List.iter (fun r -> Hashtbl.replace ref_keys (Request.key r) ()) reference;
   let seen = Hashtbl.create (2 * List.length candidate) in
@@ -85,13 +81,6 @@ let check_gen ?shard ?(complete = false) ~reference ~candidate () =
       if not (Hashtbl.mem ref_keys (ta, intrata)) then
         add (Unknown_request { ta; intrata }))
     candidate;
-  if complete then
-    List.iter
-      (fun r ->
-        let ta, intrata = Request.key r in
-        if not (Hashtbl.mem seen (ta, intrata)) then
-          add (Missing_request { ta; intrata }))
-      reference;
   (* Order discipline: for every pair of conflicting requests present in
      both schedules, the candidate keeps the reference's relative order.
      Group by object; read-only prefixes commute so only pairs with at least
@@ -161,13 +150,12 @@ let check_gen ?shard ?(complete = false) ~reference ~candidate () =
     violations = List.rev !violations;
   }
 
-let check ?complete ~reference ~candidate () =
-  check_gen ?complete ~reference ~candidate ()
+let check ~reference ~candidate () = check_gen ~reference ~candidate ()
 
-let check_sharded ?complete ~shards ~shard_of ~reference ~candidate () =
+let check_sharded ~shards ~shard_of ~reference ~candidate () =
   if shards < 2 then
     invalid_arg "Equivalence.check_sharded: needs at least 2 shards";
-  check_gen ~shard:(shards, shard_of) ?complete ~reference ~candidate ()
+  check_gen ~shard:(shards, shard_of) ~reference ~candidate ()
 
 (* ------------------------------------------------------------------ *)
 (* failover durability                                                *)

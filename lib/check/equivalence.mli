@@ -10,9 +10,7 @@
     The candidate is allowed to be a {e prefix-like subset} of the reference
     (requests admitted but not yet executed when a run's duration elapsed,
     or re-delivered from recovered history after a crash, are simply
-    absent); pass [~complete:true] to additionally require the two request
-    sets to coincide, the right mode for offline replay where both schedules
-    are fully drained. *)
+    absent). *)
 
 open Ds_model
 
@@ -21,8 +19,6 @@ type violation =
       (** candidate ran a request the reference never admitted *)
   | Duplicate_delivery of { ta : int; intrata : int }
       (** candidate ran the same request twice *)
-  | Missing_request of { ta : int; intrata : int }
-      (** only with [~complete:true]: reference request absent from candidate *)
   | Conflict_reordered of {
       obj : int;
       first : int * int;  (** earlier in the reference, [(ta, intrata)] *)
@@ -50,7 +46,6 @@ type report = {
 (** [check ~reference ~candidate ()] compares the candidate schedule against
     the reference. Abort markers are dropped from both sides first. *)
 val check :
-  ?complete:bool ->
   reference:Request.t list ->
   candidate:Request.t list ->
   unit ->
@@ -66,7 +61,6 @@ val check :
     the merged per-shard rte against the admitted order.
     @raise Invalid_argument for [shards < 2]. *)
 val check_sharded :
-  ?complete:bool ->
   shards:int ->
   shard_of:(int -> int option) ->
   reference:Request.t list ->

@@ -1291,6 +1291,15 @@ let run_sharded (cfg : config) =
   let merged_execution_order = Ds_util.Vec.to_list sim.delivered in
   (stats, { lane_schedulers; shard_of; merged_rte; merged_execution_order })
 
+let without_host_time s =
+  {
+    s with
+    mean_cycle_time = 0.;
+    p95_cycle_time = 0.;
+    scheduler_time = 0.;
+    recovery_time = 0.;
+  }
+
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf
     "committed=%d stmts=%d aborted=%d cycles=%d cycle(mean=%.2fms p95=%.2fms) \

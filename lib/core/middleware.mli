@@ -261,4 +261,10 @@ type handle = {
     [shards = 1]). *)
 val run_sharded : config -> stats * handle
 
+(** [s] with its host-time measurements (cycle times, scheduler and
+    recovery time) zeroed. With [charge_scheduler_time = false] what is left
+    is a function of the configuration alone, so two runs that decide alike
+    give equal values. *)
+val without_host_time : stats -> stats
+
 val pp_stats : Format.formatter -> stats -> unit

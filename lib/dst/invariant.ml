@@ -1,5 +1,12 @@
 open Ds_model
 
+type formulation_run = {
+  protocol : string;
+  stats : Ds_core.Middleware.stats;
+  rte : Request.t list;
+  order : (int * int) list;
+}
+
 type ctx = {
   scenario : Scenario.t;
   stats : Ds_core.Middleware.stats;
@@ -15,6 +22,7 @@ type ctx = {
   repl_promoted : bool;
   repl_divergences : int;
   repl_failover : Ds_check.Equivalence.failover_report option;
+  formulations : (formulation_run * formulation_run) option;
 }
 
 let sorted_keys rs =
@@ -28,6 +36,13 @@ let check_serializability ctx =
   if Ds_check.Serializability.is_clean report then Ok ()
   else
     Error (Format.asprintf "%a" Ds_check.Serializability.pp_report report)
+
+(* A failover replaces the scheduler exactly like a crash does (the
+   standby's recovered work is re-delivered), so promoted runs get the same
+   relaxations as crashed ones. *)
+let restarted ctx =
+  ctx.scenario.Scenario.faults.Ds_core.Faults.crash_at_cycle <> None
+  || ctx.stats.Ds_core.Middleware.failovers > 0
 
 (* A crash restarts the merged delivery order with the rebuilt lanes, and
    recovered work is re-delivered
@@ -43,13 +58,7 @@ let check_equivalence ctx =
         ~shard_of:ctx.shard_of ~reference:ctx.rte ~candidate:ctx.merged ()
     else Ds_check.Equivalence.check ~reference:ctx.rte ~candidate:ctx.merged ()
   in
-  (* A failover replaces the scheduler exactly like a crash does (the
-     standby's recovered work is re-delivered), so promoted runs get the same
-     per-incarnation relaxation of the ordering clause. *)
-  let crashed =
-    ctx.scenario.Scenario.faults.Ds_core.Faults.crash_at_cycle <> None
-    || ctx.stats.Ds_core.Middleware.failovers > 0
-  in
+  let crashed = restarted ctx in
   let fatal =
     List.filter
       (fun v ->
@@ -57,7 +66,6 @@ let check_equivalence ctx =
         | Ds_check.Equivalence.Conflict_reordered _ -> not crashed
         | Ds_check.Equivalence.Unknown_request _
         | Ds_check.Equivalence.Duplicate_delivery _
-        | Ds_check.Equivalence.Missing_request _
         (* router soundness never relaxes: a conflict split across shard
            lanes is a bug whether or not the run crashed *)
         | Ds_check.Equivalence.Cross_shard_conflict _ -> true)
@@ -69,7 +77,58 @@ let check_equivalence ctx =
       (Format.asprintf "%a" Ds_check.Equivalence.pp_report
          { report with Ds_check.Equivalence.violations = fatal })
 
-let check_trace ctx = Ds_obs.Span.validate ctx.trace_events
+(* Index and rendering of the first position where two lists differ. *)
+let first_difference show xs ys =
+  let rec go i = function
+    | x :: xs, y :: ys when x = y -> go (i + 1) (xs, ys)
+    | x :: _, y :: _ -> Printf.sprintf "entry %d: %s vs %s" i (show x) (show y)
+    | x :: _, [] -> Printf.sprintf "entry %d: %s vs end" i (show x)
+    | [], y :: _ -> Printf.sprintf "entry %d: end vs %s" i (show y)
+    | [], [] -> "equal"
+  in
+  go 0 (xs, ys)
+
+let rec is_subsequence xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs', y :: ys' ->
+    if x = y then is_subsequence xs' ys' else is_subsequence xs ys'
+
+(* The scheduler admits a commit request exactly when rte executes it, so
+   the commit-op TAs of the [Sched_admit] events are the rte log's. A crash
+   or failover loses unflushed admissions from the log and re-admits
+   recovered work, so there the log need only be a subsequence. *)
+let check_trace ctx =
+  match Ds_obs.Span.validate ctx.trace_events with
+  | Error _ as e -> e
+  | Ok () ->
+    let traced =
+      List.filter_map
+        (fun (e : Ds_obs.Trace.event) ->
+          if e.Ds_obs.Trace.kind = Ds_obs.Trace.Sched_admit && e.op = 'c' then
+            Some e.Ds_obs.Trace.ta
+          else None)
+        ctx.trace_events
+    in
+    let logged =
+      List.filter_map
+        (fun (r : Request.t) ->
+          if Op.equal r.Request.op Op.Commit then Some r.Request.ta else None)
+        ctx.rte
+    in
+    if restarted ctx then
+      if is_subsequence logged traced then Ok ()
+      else
+        Error
+          (Printf.sprintf
+             "rte's %d commits are not a subsequence of the trace's %d"
+             (List.length logged) (List.length traced))
+    else if logged = traced then Ok ()
+    else
+      Error
+        ("rte commit order differs from the trace's at "
+        ^ first_difference string_of_int logged traced)
 
 (* The journal must replay into exactly the state the scheduler is left
    holding. Dead letters are durable facts (never pruned), so the sets must
@@ -166,6 +225,35 @@ let check_failover ctx =
       else
         Error (Format.asprintf "%a" Ds_check.Equivalence.pp_failover_report r)
 
+let same_formulation (a : formulation_run) (b : formulation_run) =
+  let differ what detail =
+    Error
+      (Printf.sprintf "%s and %s: %s differ%s" a.protocol b.protocol what
+         detail)
+  in
+  let open Ds_core.Middleware in
+  let sa = without_host_time a.stats and sb = without_host_time b.stats in
+  (* [compare], not [=]: a run that commits nothing has NaN latencies *)
+  if compare sa sb <> 0 then
+    differ "stats"
+      (Printf.sprintf " (committed %d vs %d, aborted %d vs %d, cycles %d vs %d)"
+         sa.committed_txns sb.committed_txns sa.aborted_txns sb.aborted_txns
+         sa.cycles sb.cycles)
+  else if a.rte <> b.rte then
+    differ "rte logs" (" at " ^ first_difference Request.to_string a.rte b.rte)
+  else if a.order <> b.order then
+    differ "delivery orders"
+      (" at "
+      ^ first_difference
+          (fun (ta, i) -> Printf.sprintf "(%d,%d)" ta i)
+          a.order b.order)
+  else Ok ()
+
+let check_formulation ctx =
+  match ctx.formulations with
+  | None -> Ok ()
+  | Some (a, b) -> same_formulation a b
+
 let battery =
   [
     ("serializability", check_serializability);
@@ -175,6 +263,7 @@ let battery =
     ("dead-letter", check_dead_letter);
     ("failover", check_failover);
     ("progress", check_progress);
+    ("formulation-equivalence", check_formulation);
   ]
 
 let names = List.map fst battery

@@ -13,7 +13,9 @@
       pair ({!Ds_check.Equivalence});
     - {b trace-wellformed}: the lifecycle trace passes the span battery —
       per-transaction time monotonicity, exactly one terminal per terminated
-      transaction, no execution without admission ({!Ds_obs.Span.validate});
+      transaction, no execution without admission ({!Ds_obs.Span.validate})
+      — and its commit admissions agree with the [rte] log: the same TA
+      sequence, or with a crash or failover a supersequence of the log's;
     - {b recovery-identity}: replaying the run's journal reproduces the live
       scheduler state — equal dead set, live pending/history contained in
       the replay, no corrupt records after a clean close;
@@ -26,9 +28,24 @@
       lost (and in sync mode, none at all —
       {!Ds_check.Equivalence.check_failover});
     - {b progress}: the run committed at least one transaction (scenario
-      ranges are sized so a live system always can). *)
+      ranges are sized so a live system always can);
+    - {b formulation-equivalence}: a protocol written more than one way
+      (SQL at three optimizer levels, Datalog, hand-coded) decides alike in
+      every formulation: the run and its rerun under a sibling formulation
+      ({!Runner.formulation_diff}) give the same stats, [rte] log and
+      delivery order. *)
 
 open Ds_model
+
+(** What two formulations of one protocol must agree on, read from a run
+    before any {!Scenario.inject}. *)
+type formulation_run = {
+  protocol : string;
+  stats : Ds_core.Middleware.stats;
+  rte : Request.t list;  (** {!Ds_core.Middleware.handle.merged_rte} *)
+  order : (int * int) list;
+      (** {!Ds_core.Middleware.handle.merged_execution_order} *)
+}
 
 (** Everything a completed scenario run leaves behind. [rte] and [merged]
     are the {e observed} schedules — a test-only {!Scenario.inject} has
@@ -58,7 +75,16 @@ type ctx = {
       (** durability audit of a promoted run ([None] when no failover
           happened): client-acked transactions vs the promoted journal,
           classified against the replication watermark *)
+  formulations : (formulation_run * formulation_run) option;
+      (** the run and its rerun under a sibling formulation; [None] when
+          the protocol has no sibling *)
 }
+
+(** [Ok ()] when the two runs have equal stats (host-time fields aside,
+    {!Ds_core.Middleware.without_host_time}), [rte] logs and delivery
+    orders; else where they first differ. *)
+val same_formulation :
+  formulation_run -> formulation_run -> (unit, string) result
 
 (** The battery, in reporting order. Names are stable — they key the swarm
     report and the shrinker's failure-preservation test. *)

@@ -24,12 +24,31 @@ let spec_of (s : Scenario.t) =
        else Ds_workload.Spec.paper_default.Ds_workload.Spec.sla_mix);
   }
 
-let config_of (s : Scenario.t) ~journal_path ~trace =
-  let protocol =
-    match Builtin.find s.Scenario.protocol with
-    | Some p -> p
-    | None -> invalid_arg ("Runner: unknown protocol " ^ s.Scenario.protocol)
-  in
+let protocol_of name =
+  match Builtin.find name with
+  | Some p -> p
+  | None -> invalid_arg ("Runner: unknown protocol " ^ name)
+
+(* Formulations of one protocol: the same decisions written as SQL (at
+   three optimizer levels), as Datalog and by hand. *)
+let families =
+  [
+    [ "ss2pl-sql"; "ss2pl-sql-basic"; "ss2pl-sql-noopt"; "ss2pl-datalog";
+      "ss2pl-ocaml" ];
+    [ "ss2pl-ordered-sql"; "ss2pl-ordered-datalog" ];
+  ]
+
+(* The formulation a run is compared with, from the scenario seed alone:
+   drawing it from the generator would change every generated scenario. *)
+let sibling (s : Scenario.t) =
+  let name = s.Scenario.protocol in
+  match List.find_opt (List.mem name) families with
+  | None -> None
+  | Some family ->
+    let others = List.filter (fun p -> p <> name) family in
+    Some (List.nth others (abs (s.Scenario.seed mod List.length others)))
+
+let config_of (s : Scenario.t) ~protocol ~journal_path ~trace =
   {
     Middleware.default_config with
     Middleware.n_clients = s.Scenario.clients;
@@ -139,10 +158,10 @@ let failover_report session ~trace_events =
     ~survived:(fun ta -> List.mem ta present)
     ()
 
-let run (s : Scenario.t) =
-  (match Scenario.validate s with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Runner.run: " ^ m));
+(* One run of [s] under [protocol] through the real stack, with a fresh
+   journal (and standby directory) that [k] may read before they are
+   removed. *)
+let execute (s : Scenario.t) protocol k =
   let sharded = s.Scenario.shards > 1 in
   let journal_path =
     if sharded then begin
@@ -188,12 +207,39 @@ let run (s : Scenario.t) =
       in
       let cfg =
         {
-          (config_of s ~journal_path ~trace) with
+          (config_of s ~protocol ~journal_path ~trace) with
           Middleware.repl = Option.map Ds_replica.Session.hooks session;
         }
       in
       let stats, h = Middleware.run_sharded cfg in
       Option.iter Ds_replica.Session.close session;
+      k ~journal_path ~trace ~session stats h)
+
+(* What the formulation-equivalence invariant compares, read before any
+   injection touches the schedules. *)
+let observe protocol stats (h : Middleware.handle) =
+  {
+    Invariant.protocol = protocol.Protocol.name;
+    stats;
+    rte = h.Middleware.merged_rte;
+    order = h.Middleware.merged_execution_order;
+  }
+
+let rerun s protocol =
+  execute s protocol (fun ~journal_path:_ ~trace:_ ~session:_ stats h ->
+      observe protocol stats h)
+
+let formulation_diff s protocol =
+  Invariant.same_formulation
+    (rerun s (protocol_of s.Scenario.protocol))
+    (rerun s protocol)
+
+let run (s : Scenario.t) =
+  (match Scenario.validate s with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Runner.run: " ^ m));
+  let protocol = protocol_of s.Scenario.protocol in
+  execute s protocol (fun ~journal_path ~trace ~session stats h ->
       (* At S=1 these are exactly the single lane's rte and delivery order;
          at S>1 the stamp-merged cross-lane equivalents. *)
       let rte = h.Middleware.merged_rte in
@@ -217,7 +263,7 @@ let run (s : Scenario.t) =
         if promoted then
           Journal.recover
             (Ds_replica.Session.standby_path (Option.get session))
-        else if sharded then Journal.recover_dir journal_path
+        else if s.Scenario.shards > 1 then Journal.recover_dir journal_path
         else Journal.recover journal_path
       in
       let lane_rels =
@@ -248,6 +294,11 @@ let run (s : Scenario.t) =
               Some
                 (failover_report sess ~trace_events:(Ds_obs.Trace.events trace))
             | _ -> None);
+          formulations =
+            Option.map
+              (fun name ->
+                (observe protocol stats h, rerun s (protocol_of name)))
+              (sibling s);
         }
       in
       { scenario = s; stats; invariants = Invariant.apply ctx })

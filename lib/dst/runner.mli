@@ -19,6 +19,18 @@ type outcome = {
 (** @raise Invalid_argument when the scenario fails {!Scenario.validate}. *)
 val run : Scenario.t -> outcome
 
+(** [formulation_diff s p] runs [s] as given and again with [p] in place of
+    its protocol, and compares the two runs as the formulation-equivalence
+    invariant does ({!Invariant.same_formulation}). {!run} compares with a
+    sibling formulation of the scenario's protocol — another of
+    [ss2pl-sql], [ss2pl-sql-basic], [ss2pl-sql-noopt], [ss2pl-datalog] and
+    [ss2pl-ocaml], or the other of [ss2pl-ordered-sql] and
+    [ss2pl-ordered-datalog] — picked from {!Scenario.t.seed} alone; a
+    protocol that decides differently must give [Error]. Any
+    {!Scenario.inject} is ignored. *)
+val formulation_diff :
+  Scenario.t -> Ds_core.Protocol.t -> (unit, string) result
+
 (** Failed invariants as [(name, detail)], battery order. *)
 val failures : outcome -> (string * string) list
 

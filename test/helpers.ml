@@ -147,14 +147,7 @@ let whole_run ?(tweak = Fun.id) protocol =
        })
 
 (* Host-time fields are measurements, everything else must match. *)
-let deterministic (s : Ds_core.Middleware.stats) =
-  {
-    s with
-    Ds_core.Middleware.mean_cycle_time = 0.;
-    p95_cycle_time = 0.;
-    scheduler_time = 0.;
-    recovery_time = 0.;
-  }
+let deterministic = Ds_core.Middleware.without_host_time
 
 let same_run name (sa, (ha : Ds_core.Middleware.handle)) (sb, (hb : Ds_core.Middleware.handle)) =
   Alcotest.(check bool) (name ^ ": committed something") true

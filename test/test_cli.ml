@@ -1,8 +1,9 @@
 (* CLI argument validation: the strict numeric converters behind
    --checkpoint, --shards and the other numeric run flags, and the
-   replication flag preconditions; and what [recover --repair] reports on a
-   segment directory. These run the real dsched binary — the tests execute
-   from _build/default/test, next to bin/. *)
+   replication flag preconditions; what [recover --repair] reports on a
+   segment directory; and that [check] only validates a logged schedule.
+   These run the real dsched binary — the tests execute from
+   _build/default/test, next to bin/. *)
 
 let dsched_exe = Filename.concat ".." (Filename.concat "bin" "dsched.exe")
 
@@ -103,6 +104,17 @@ let test_recover_repair_segment_dir () =
           "dropped 2 corrupt tail line(s) (file truncated)";
         ])
 
+(* [check] validates a logged schedule and nothing else: the lockstep
+   fuzzing flags are gone, and cmdliner refuses unknown options with 124. *)
+let test_check_refuses_fuzz_flags () =
+  List.iter
+    (fun flag ->
+      let code, text = dsched ("check " ^ flag) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: exit 124 (got: %s)" flag text)
+        124 code)
+    [ "--fuzz 1"; "--no-native"; "--seed 1"; "--verbose" ]
+
 let tests =
   [
     Alcotest.test_case "--checkpoint rejects non-positive values" `Quick
@@ -124,4 +136,6 @@ let tests =
       (rejects "--objects" ~needle:"--objects must be positive" [ " 0" ]);
     Alcotest.test_case "recover --repair reports a torn segment once, merged"
       `Quick test_recover_repair_segment_dir;
+    Alcotest.test_case "check refuses the removed fuzzing flags" `Quick
+      test_check_refuses_fuzz_flags;
   ]
