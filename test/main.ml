@@ -20,6 +20,7 @@ let () =
       ("cli", Test_cli.tests);
       ("parallel", Test_parallel.tests);
       ("check", Test_check.tests);
+      ("differential", Test_differential.tests);
       ("obs", Test_obs.tests);
       ("integration", Test_integration.tests);
       ("sharding", Test_sharding.tests);

@@ -207,31 +207,6 @@ let test_inject_swap_rte_fails () =
     true
     (Runner.failures outcome <> [])
 
-(* --- formulation equivalence ----------------------------------------- *)
-
-let test_formulation_check_catches_other_protocols () =
-  (* The comparison behind formulation-equivalence must tell SS2PL from a
-     protocol that decides differently: read-committed (write locks only)
-     and fcfs (no isolation at all) each differ from ss2pl-sql on each of
-     these contended scenarios, while a true sibling formulation does not. *)
-  List.iter
-    (fun seed ->
-      let s =
-        { base_bad with Scenario.seed; n_objects = 20; inject = None }
-      in
-      (match Runner.formulation_diff s Ds_core.Builtin.ss2pl_datalog with
-      | Ok () -> ()
-      | Error d -> Alcotest.failf "seed %d: sibling reported: %s" seed d);
-      List.iter
-        (fun (p : Ds_core.Protocol.t) ->
-          match Runner.formulation_diff s p with
-          | Error _ -> ()
-          | Ok () ->
-            Alcotest.failf "seed %d: %s not told apart from ss2pl-sql" seed
-              p.Ds_core.Protocol.name)
-        [ Ds_core.Builtin.read_committed_sql; Ds_core.Builtin.fcfs ])
-    [ 1; 2; 3 ]
-
 (* --- sharded scenarios ---------------------------------------------- *)
 
 let test_sharded_scenario_battery () =
@@ -470,8 +445,6 @@ let tests =
       test_inject_drop_rte_fails;
     Alcotest.test_case "inject: swapped rte entries caught" `Quick
       test_inject_swap_rte_fails;
-    Alcotest.test_case "formulation check catches other protocols" `Quick
-      test_formulation_check_catches_other_protocols;
     Alcotest.test_case "sharded scenario passes the battery" `Quick
       test_sharded_scenario_battery;
     Alcotest.test_case "replicated scenario passes the battery" `Quick
