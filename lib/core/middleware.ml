@@ -139,6 +139,8 @@ type client = {
   mutable txn_start : float;
   mutable outstanding : Request.t option;
   mutable stall_cycles : int;
+  mutable admitted_in : int;
+      (** the cycle ([sim.cycles_done]) that admitted [outstanding] *)
   mutable data_stmts : int;  (** executed data statements of current txn *)
   mutable disconnect_after : int option;
       (** injected fault: client disconnects after this many data stmts *)
@@ -538,17 +540,21 @@ and run_cycle sim lane =
        request is still pending after this cycle. (A request can only ever
        qualify in its own lane's cycles, so other lanes' clients are not
        stalled by this one.) At S=1 every client is on lane 0, which is the
-       historical behavior. *)
-    let qualified_keys = Hashtbl.create 64 in
+       historical behavior. Each admitted request marks its client, found by
+       TA, with this cycle's number; the walk then needs no lookup. *)
+    let cycle = sim.cycles_done in
     List.iter
-      (fun r -> Hashtbl.replace qualified_keys (Request.key r) ())
+      (fun (r : Request.t) ->
+        match Hashtbl.find_opt sim.by_ta r.Request.ta with
+        | Some ({ outstanding = Some o; _ } as c)
+          when o.Request.ta = r.Request.ta && o.Request.intrata = r.Request.intrata ->
+          c.admitted_in <- cycle
+        | _ -> ())
       qualified;
     Array.iter
       (fun c ->
         match c.outstanding with
-        | Some o
-          when c.lane = lane.lane_id
-               && not (Hashtbl.mem qualified_keys (Request.key o)) ->
+        | Some o when c.lane = lane.lane_id && c.admitted_in <> cycle ->
           c.stall_cycles <- c.stall_cycles + 1;
           if c.stall_cycles >= sim.cfg.starvation_cycles then begin
             let ta = o.Request.ta in
@@ -1014,6 +1020,7 @@ let run_sim (cfg : config) =
               txn_start = 0.;
               outstanding = None;
               stall_cycles = 0;
+              admitted_in = 0;
               data_stmts = 0;
               disconnect_after = None;
               redo = None;

@@ -20,15 +20,21 @@ let find_col schema name =
 
 (* Turns a plan into a per-cycle thunk yielding (TA, INTRATA) keys, shared
    by the static and dynamic SQL constructors: in the query's own order when
-   it has a top-level ORDER BY, otherwise by request id. *)
-let key_runner sql plan =
+   it has a top-level ORDER BY, otherwise by request id. A protocol plan
+   lives as long as its scheduler, so at [`Full] it runs as a standing plan:
+   its stateful subplans over the relations (Listing 1's lock tables) become
+   views kept up to date from the tables' change feeds, and the rest is
+   compiled once ({!View.standing}). The lower levels run in [Eval] and stay
+   the references. *)
+let key_runner ~optimize sql plan =
   let schema = Ra.schema_of plan in
   let ta_col = find_col schema "ta" in
   let intrata_col = find_col schema "intrata" in
   let ordered = (Ds_sql.Parser.parse_query sql).Ds_sql.Ast.order_by <> [] in
   let id_col = if ordered then -1 else find_col schema "id" in
+  let run = if optimize = `Full then View.standing plan else fun () -> Eval.run plan in
   fun () ->
-    let rows = Eval.run plan in
+    let rows = run () in
     let rows =
       if ordered then rows
       else
@@ -43,17 +49,9 @@ let key_runner sql plan =
         | _ -> invalid_arg "Protocol: non-integer ta/intrata in query result")
       rows
 
-(* A protocol plan lives as long as its scheduler, so at [`Full] its
-   stateful subplans over the relations (Listing 1's lock tables) become
-   views kept up to date from the tables' change feeds; the lower levels
-   stay as the references. *)
-let standing ~optimize plan =
-  if optimize = `Full then View.materialize plan else plan
-
 let of_sql ?(optimize = `Full) ?(description = "") ~name ~guarantee sql =
   let prepare (rels : Relations.t) =
-    key_runner sql
-      (standing ~optimize (Ds_sql.Exec.prepare ~optimize rels.Relations.catalog sql))
+    key_runner ~optimize sql (Ds_sql.Exec.prepare ~optimize rels.Relations.catalog sql)
   in
   {
     name;
@@ -90,7 +88,7 @@ let of_sql_dynamic ?(optimize = `Full) ?(description = "") ~name ~guarantee
     all_binders := bind :: !all_binders;
     (* Subplans reading a placeholder are never views, so a new binding
        takes effect on the next cycle. *)
-    key_runner sql (standing ~optimize plan)
+    key_runner ~optimize sql plan
   in
   let set v =
     current := v;

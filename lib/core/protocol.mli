@@ -21,7 +21,9 @@ type t = {
   prepare : Relations.t -> unit -> (int * int) list;
       (** compile once against a relation set; the returned thunk is the
           per-cycle qualifier, yielding (TA, INTRATA) keys in execution
-          order *)
+          order. A key listed more than once (a query whose result holds a
+          request twice) is admitted once, at its first position
+          ({!Relations.move_to_history}). *)
 }
 
 (** [of_sql ~name ~guarantee sql] builds a protocol from a query over
@@ -29,9 +31,12 @@ type t = {
     The query decides the execution order: a top-level [ORDER BY] stands as
     written; without one the result is sorted by request id (column [id]
     must then be in the output). [optimize] selects the plan
-    rewriting level (ablation A2); at [`Full] (the default) each prepared
-    plan also keeps its stateful subplans over the scheduler relations as
-    incrementally maintained views ({!Ds_relal.View}). *)
+    rewriting level (ablation A2). At [`Full] (the default) each prepared
+    plan is a standing plan ({!Ds_relal.View.standing}): its stateful
+    subplans over the scheduler relations become incrementally maintained
+    views, and the rest is compiled once into the per-cycle runner. The
+    lower levels evaluate the plan with {!Ds_relal.Eval} every cycle and
+    are its references. *)
 val of_sql :
   ?optimize:Ds_relal.Optimizer.level ->
   ?description:string ->

@@ -138,28 +138,26 @@ let pending_count t = Table.row_count t.requests
 
 let history_count t = Table.row_count t.history
 
-let key_of_row row =
-  match (row.(1), row.(2)) with
-  | Value.Int ta, Value.Int intrata -> (ta, intrata)
-  | _ -> invalid_arg "Relations.key_of_row"
-
+(* Each key deletes its pending row through the ta index; a key listed
+   again finds the row gone, so every request moves once, at its first
+   position — the execution order the protocol decided on. *)
 let move_to_history t keys =
-  let key_set = Hashtbl.create (2 * List.length keys) in
-  List.iter (fun k -> Hashtbl.replace key_set k ()) keys;
-  let moved = Hashtbl.create (List.length keys) in
+  let moved = ref [] in
   ignore
-    (Table.delete_where t.requests (fun row ->
-         let k = key_of_row row in
-         if Hashtbl.mem key_set k then begin
-           Hashtbl.replace moved k row;
-           true
-         end
-         else false));
-  (* Preserve the order of [keys] — it is the execution order the protocol
-     decided on. *)
-  let rows =
-    List.filter_map (fun k -> Hashtbl.find_opt moved k) keys
-  in
+    (Table.delete_by_keys t.requests [ 1 ]
+       (List.map
+          (fun (ta, intrata) ->
+            let first = ref true in
+            ( [ int_value ta ],
+              fun row ->
+                match row.(2) with
+                | Value.Int i when i = intrata ->
+                  if !first then moved := row :: !moved;
+                  first := false;
+                  true
+                | _ -> false ))
+          keys));
+  let rows = List.rev !moved in
   Table.insert_many t.history rows;
   Table.insert_many t.rte rows;
   List.map request_of_row rows

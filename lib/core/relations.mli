@@ -55,7 +55,10 @@ val history_count : t -> int
 
 (** [move_to_history t keys] deletes the pending requests with the given
     (TA, INTRATA) keys and inserts them into [history] (and [rte]); returns
-    them in the order given. Keys not pending are ignored. *)
+    them in the order given. Each request moves at most once, at the first
+    position of its key: a key listed again, or not pending, is ignored.
+    Rows are found through the [ta] index, so the cost follows the keys,
+    not the pending table's size. *)
 val move_to_history : t -> (int * int) list -> Request.t list
 
 (** Removes from [history] all rows of transactions that have a terminal

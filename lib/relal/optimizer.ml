@@ -435,6 +435,36 @@ let tests_null_key j c =
     List.exists (function Col i -> i + la = k | _ -> false) j.rkeys
   | _ -> false
 
+(* Can [e] tell two equal values apart, such as [Int 3] and [Float 3.]?
+   Arithmetic can (3 / 2 is 1, 3. / 2 is 1.5); a subquery may hold some. *)
+let rec distinguishes = function
+  | Arith _ | Exists _ -> true
+  | e -> List.exists distinguishes (expr_children e)
+
+(* [as_set p] drops each DISTINCT of [p] that no consumer can tell from its
+   absence, for a consumer of [p] that ignores duplicates (EXCEPT's right
+   input, a semi or anti join's right side): the set of rows a Project, a
+   Filter, a UNION ALL or an inner join yields depends only on the sets of
+   rows it reads, as long as its expressions treat equal values alike (see
+   [distinguishes]); else the copy a DISTINCT keeps would matter. *)
+let exprs_ok es = not (List.exists distinguishes es)
+
+let join_ok j = exprs_ok (j.lkeys @ j.rkeys @ Option.to_list j.residual)
+
+let rec as_set plan =
+  match plan with
+  | Distinct p -> as_set p
+  | Project (cols, p) when exprs_ok (List.map fst cols) -> Project (cols, as_set p)
+  | Filter (e, p) when exprs_ok [ e ] -> Filter (e, as_set p)
+  | Union_all (l, r) -> Union_all (as_set l, as_set r)
+  | Join ({ kind = Inner; _ } as j) when join_ok j ->
+    Join { j with left = as_set j.left; right = as_set j.right }
+  | p -> p
+
+(* A semi or anti join reads its right side as a set, unless its keys or
+   residual could tell the copies apart. *)
+let semi_join j = Join (if join_ok j then { j with right = as_set j.right } else j)
+
 let rec rewrite ~level plan =
   match plan with
   | Scan _ | Values _ -> plan
@@ -442,10 +472,13 @@ let rec rewrite ~level plan =
   | Project (cols, p) ->
     project ~level (List.map (fun (e, c) -> (fold_expr e, c)) cols) (rewrite ~level p)
   | Cross (l, r) -> Cross (rewrite ~level l, rewrite ~level r)
+  | Join ({ kind = Semi | Anti; _ } as j) when level = `Full ->
+    semi_join { j with left = rewrite ~level j.left; right = rewrite ~level j.right }
   | Join j ->
     Join { j with left = rewrite ~level j.left; right = rewrite ~level j.right }
   | Union_all (l, r) -> Union_all (rewrite ~level l, rewrite ~level r)
   | Union (l, r) -> Union (rewrite ~level l, rewrite ~level r)
+  | Except (l, r) when level = `Full -> Except (rewrite ~level l, as_set (rewrite ~level r))
   | Except (l, r) -> Except (rewrite ~level l, rewrite ~level r)
   | Intersect (l, r) -> Intersect (rewrite ~level l, rewrite ~level r)
   | Distinct (Distinct p) -> rewrite ~level (Distinct p)
@@ -469,7 +502,7 @@ and rewrite_filter ~level pred p =
               let residual =
                 match d.d_residual with [] -> None | rs -> Some (conjoin rs)
               in
-              Join
+              semi_join
                 {
                   kind;
                   lkeys = List.rev d.d_lkeys;

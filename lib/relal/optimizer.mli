@@ -16,7 +16,13 @@
       keyed anti join per disjunct (Listing 1's RLockedObjects becomes three
       anti joins: on (TA, object) against writes, on TA against aborts and
       commits); [LEFT JOIN … WHERE <right key> IS NULL] as an anti join under
-      a NULL-padding projection; and fusing Project over Project. *)
+      a NULL-padding projection; fusing Project over Project; and dropping
+      each DISTINCT whose consumer ignores duplicates: under EXCEPT's right
+      input or a semi/anti join's right side, and from there down through
+      Project, Filter, UNION ALL and inner joins whose expressions hold no
+      arithmetic or subquery (those can tell [Int 3] from the equal
+      [Float 3.], so the copy a DISTINCT keeps would matter). Listing 1's
+      WLockedObjects loses its DISTINCT. *)
 
 type level = [ `None | `Basic | `Full ]
 

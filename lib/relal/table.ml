@@ -10,11 +10,24 @@ end
 
 module Key_tbl = Hashtbl.Make (Key)
 
-(* Hash index: key -> posting list of row slots, ascending. Postings are kept
-   exact under insert/update (slots move between postings); deletions are
-   lazy — dead slots stay in the posting and are filtered on probe, and get
-   swept out when the table compacts. *)
-type index = { cols : int list; mutable map : int Vec.t Key_tbl.t option }
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Value.hash_int
+end)
+
+(* Hash index: key -> posting list of row slots, ascending. A key that packs
+   into an int (Value.pack_pair's rule: one int-valued column, or two that
+   fit 31 bits) is filed under that int in [ints]; any other key (a NULL, a
+   text, a wide or non-integral number, three or more columns) under its
+   values in [others]. Postings are kept exact under insert/update (slots
+   move between postings); deletions are lazy — dead slots stay in the
+   posting and are filtered on probe, and get swept out when the table
+   compacts. *)
+type postings = { ints : int Vec.t Int_tbl.t; others : int Vec.t Key_tbl.t }
+
+type index = { cols : int list; pack : Value.t array -> int; mutable map : postings option }
 
 type t = {
   name : string;
@@ -99,6 +112,45 @@ let has_built_index t = List.exists (fun ix -> ix.map <> None) t.indexes
 
 let key_of_row cols row = List.map (fun c -> row.(c)) cols
 
+(* A key's int under the packing rule, [min_int] when it does not pack. *)
+let packer = function
+  | [ c ] -> fun row -> Value.exact_int row.(c)
+  | [ c; d ] -> fun row -> Value.pack_pair row.(c) row.(d)
+  | _ -> fun _ -> min_int
+
+let pack_key = function
+  | [ v ] -> Value.exact_int v
+  | [ a; b ] -> Value.pack_pair a b
+  | _ -> min_int
+
+(* The posting of [row]'s key in [ix], if any. *)
+let posting_of ix map row =
+  let k = ix.pack row in
+  if k <> min_int then Int_tbl.find_opt map.ints k
+  else Key_tbl.find_opt map.others (key_of_row ix.cols row)
+
+let posting_of_key map key =
+  let k = pack_key key in
+  if k <> min_int then Int_tbl.find_opt map.ints k else Key_tbl.find_opt map.others key
+
+(* Append slot [pos] to the posting of [row]'s key, creating it if needed. *)
+let file ix map pos row =
+  let k = ix.pack row in
+  if k <> min_int then
+    match Int_tbl.find_opt map.ints k with
+    | Some posting -> Vec.push posting pos
+    | None -> Int_tbl.add map.ints k (Vec.make 1 pos)
+  else
+    let key = key_of_row ix.cols row in
+    match Key_tbl.find_opt map.others key with
+    | Some posting -> Vec.push posting pos
+    | None -> Key_tbl.add map.others key (Vec.make 1 pos)
+
+let unfile ix map row =
+  let k = ix.pack row in
+  if k <> min_int then Int_tbl.remove map.ints k
+  else Key_tbl.remove map.others (key_of_row ix.cols row)
+
 let ensure_live_capacity t =
   let len = Vec.length t.rows in
   if Bytes.length t.live < len then begin
@@ -114,19 +166,7 @@ let ensure_live_capacity t =
 (* Add slot [pos] holding [row] to every *built* index; unbuilt indexes are
    populated wholesale on their next probe. O(#indexes · log) per row. *)
 let index_insert t pos row =
-  List.iter
-    (fun ix ->
-      match ix.map with
-      | None -> ()
-      | Some map -> (
-        let key = key_of_row ix.cols row in
-        match Key_tbl.find_opt map key with
-        | Some posting -> Vec.push posting pos
-        | None ->
-          let posting = Vec.create () in
-          Vec.push posting pos;
-          Key_tbl.replace map key posting))
-    t.indexes
+  List.iter (fun ix -> match ix.map with None -> () | Some map -> file ix map pos row) t.indexes
 
 let push_row t row =
   let pos = Vec.length t.rows in
@@ -195,14 +235,15 @@ let compact t =
       match ix.map with
       | None -> ()
       | Some map ->
-        Key_tbl.filter_map_inplace
-          (fun _key posting ->
-            ignore
-              (Vec.filter_map_in_place
-                 (fun pos -> if remap.(pos) >= 0 then Some remap.(pos) else None)
-                 posting);
-            if Vec.is_empty posting then None else Some posting)
-          map)
+        let patch _key posting =
+          ignore
+            (Vec.filter_map_in_place
+               (fun pos -> if remap.(pos) >= 0 then Some remap.(pos) else None)
+               posting);
+          if Vec.is_empty posting then None else Some posting
+        in
+        Int_tbl.filter_map_inplace patch map.ints;
+        Key_tbl.filter_map_inplace patch map.others)
     t.indexes
 
 let maybe_compact t =
@@ -247,14 +288,18 @@ let reindex_hash t pos ~old row =
       match ix.map with
       | None -> ()
       | Some map ->
-        let old_key = key_of_row ix.cols old and new_key = key_of_row ix.cols row in
-        if not (Key.equal old_key new_key) then begin
-          (match Key_tbl.find_opt map old_key with
+        let same =
+          let k = ix.pack old in
+          if k <> min_int then k = ix.pack row
+          else Key.equal (key_of_row ix.cols old) (key_of_row ix.cols row)
+        in
+        if not same then begin
+          (match posting_of ix map old with
           | Some posting ->
             ignore (Vec.filter_in_place (fun p -> p <> pos) posting);
-            if Vec.is_empty posting then Key_tbl.remove map old_key
+            if Vec.is_empty posting then unfile ix map old
           | None -> ());
-          match Key_tbl.find_opt map new_key with
+          match posting_of ix map row with
           | Some posting ->
             (* Sorted insert: usually appends (pos is the newest slot with
                this key); bounded by the posting length otherwise. *)
@@ -265,10 +310,7 @@ let reindex_hash t pos ~old row =
               decr i
             done;
             Vec.set posting !i pos
-          | None ->
-            let posting = Vec.create () in
-            Vec.push posting pos;
-            Key_tbl.replace map new_key posting
+          | None -> file ix map pos row
         end)
     t.indexes
 
@@ -341,23 +383,16 @@ let create_index t cols =
         invalid_arg "Table.create_index: column out of range")
     cols;
   if not (List.exists (fun ix -> same_cols ix.cols cols) t.indexes) then
-    t.indexes <- { cols; map = None } :: t.indexes
+    t.indexes <- { cols; pack = packer cols; map = None } :: t.indexes
 
 let has_index t cols = List.exists (fun ix -> same_cols ix.cols cols) t.indexes
 
 let build ix t =
   timed_maintenance (fun () ->
-      let map = Key_tbl.create (max 16 (row_count t)) in
+      let n = max 16 (row_count t) in
+      let map = { ints = Int_tbl.create n; others = Key_tbl.create 16 } in
       for pos = 0 to Vec.length t.rows - 1 do
-        if is_live t pos then begin
-          let key = key_of_row ix.cols (Vec.get t.rows pos) in
-          match Key_tbl.find_opt map key with
-          | Some posting -> Vec.push posting pos
-          | None ->
-            let posting = Vec.create () in
-            Vec.push posting pos;
-            Key_tbl.replace map key posting
-        end
+        if is_live t pos then file ix map pos (Vec.get t.rows pos)
       done;
       ix.map <- Some map;
       map)
@@ -365,22 +400,26 @@ let build ix t =
 let build_indexes t =
   List.iter (fun ix -> if ix.map = None then ignore (build ix t)) t.indexes
 
-let probe t cols key =
+let index_map t cols what =
   match List.find_opt (fun ix -> same_cols ix.cols cols) t.indexes with
-  | None -> invalid_arg (Printf.sprintf "Table.probe(%s): no such index" t.name)
-  | Some ix ->
-    let map = match ix.map with Some m -> m | None -> build ix t in
-    (match Key_tbl.find_opt map key with
-    | None -> []
-    | Some posting ->
-      (* Postings are ascending slots = insertion order; dead slots are
-         skipped here and swept out by compaction. *)
-      let out = ref [] in
-      for i = Vec.length posting - 1 downto 0 do
-        let pos = Vec.get posting i in
-        if is_live t pos then out := Vec.get t.rows pos :: !out
-      done;
-      !out)
+  | None -> invalid_arg (Printf.sprintf "Table.%s(%s): no such index" what t.name)
+  | Some ix -> ( match ix.map with Some m -> m | None -> build ix t)
+
+(* Postings are ascending slots = insertion order; dead slots are skipped
+   here and swept out by compaction. *)
+let live_rows t = function
+  | None -> []
+  | Some posting ->
+    let out = ref [] in
+    for i = Vec.length posting - 1 downto 0 do
+      let pos = Vec.get posting i in
+      if is_live t pos then out := Vec.get t.rows pos :: !out
+    done;
+    !out
+
+let probe t cols key = live_rows t (posting_of_key (index_map t cols "probe") key)
+
+let probe_int t cols k = live_rows t (Int_tbl.find_opt (index_map t cols "probe_int").ints k)
 
 (* Probe the hash index on [cols] for each key and tombstone every matching
    live row its test accepts; returns how many were removed. The batched
@@ -388,28 +427,23 @@ let probe t cols key =
    instead of a full scan, and one change notification, in slot order, for
    the whole batch. *)
 let delete_by_keys t cols keys =
-  match List.find_opt (fun ix -> same_cols ix.cols cols) t.indexes with
-  | None ->
-    invalid_arg (Printf.sprintf "Table.delete_by_keys(%s): no such index" t.name)
-  | Some ix ->
-    let map = match ix.map with Some m -> m | None -> build ix t in
-    let killed = ref [] in
-    List.iter
-      (fun (key, p) ->
-        match Key_tbl.find_opt map key with
-        | None -> ()
-        | Some posting ->
-          Vec.iter
-            (fun pos ->
-              if is_live t pos && p (Vec.get t.rows pos) then begin
-                Bytes.unsafe_set t.live pos '\000';
-                killed := pos :: !killed
-              end)
-            posting)
-      keys;
-    let gone =
-      if has_subscribers t then
-        List.rev_map (Vec.get t.rows) (List.sort Int.compare !killed)
-      else []
-    in
-    finish_delete t gone (List.length !killed)
+  let map = index_map t cols "delete_by_keys" in
+  let killed = ref [] in
+  List.iter
+    (fun (key, p) ->
+      match posting_of_key map key with
+      | None -> ()
+      | Some posting ->
+        Vec.iter
+          (fun pos ->
+            if is_live t pos && p (Vec.get t.rows pos) then begin
+              Bytes.unsafe_set t.live pos '\000';
+              killed := pos :: !killed
+            end)
+          posting)
+    keys;
+  let gone =
+    if has_subscribers t then List.rev_map (Vec.get t.rows) (List.sort Int.compare !killed)
+    else []
+  in
+  finish_delete t gone (List.length !killed)

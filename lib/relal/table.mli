@@ -5,8 +5,12 @@
     itself in place (remapping index entries rather than rebuilding) once at
     least half the slots are dead. The one index kind is a hash index: a
     per-key posting list of slots, updated in place on every insert/update.
-    An index is built from scratch only on its first probe and after
-    {!clear}. *)
+    A key that packs into an int under {!Value.pack_pair}'s rule (one
+    int-valued column, or two that fit 31 bits) is filed in an int-keyed
+    table and can be probed by that int ({!probe_int}); any other key (a
+    NULL, a text, a wide or non-integral number, three or more columns) is
+    filed by its values. An index is built from scratch only on its first
+    probe and after {!clear}. *)
 
 type t
 
@@ -86,3 +90,10 @@ val build_indexes : t -> unit
     insertion order, using the index (built on demand).
     @raise Invalid_argument if no such index was declared. *)
 val probe : t -> int list -> Value.t list -> Value.t array list
+
+(** [probe_int t cols k] is [probe t cols key] for the key that packs to
+    [k]: {!Value.exact_int} of its value for one column,
+    {!Value.pack_pair} of its values for two. [k] must be such an int, not
+    [min_int].
+    @raise Invalid_argument if no such index was declared. *)
+val probe_int : t -> int list -> int -> Value.t array list

@@ -23,13 +23,21 @@ let rank = function
   | Int _ | Float _ -> 2
   | Str _ -> 3
 
+(* An int against a float, exactly: [float_of_int] rounds past 2^53, which
+   would make [Int (2^53 + 1)] equal [Float 2^53] and that equal
+   [Int 2^53], so equality would not be transitive. *)
+let compare_int_float x y =
+  if Float.is_integer y && y >= -0x1p62 && y < 0x1p62 then Int.compare x (int_of_float y)
+  else if Float.is_integer y then if y > 0. then -1 else 1
+  else Float.compare (float_of_int x) y
+
 let compare a b =
   match (a, b) with
   | Null, Null -> 0
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | Str x, Str y -> String.compare x y
   | Bool x, Bool y -> Bool.compare x y
   | (Null | Int _ | Float _ | Str _ | Bool _), _ -> Int.compare (rank a) (rank b)
@@ -43,6 +51,13 @@ let exact_int = function
   | Int i when i > -(1 lsl 53) && i < 1 lsl 53 -> i
   | Float f when Float.is_integer f && Float.abs f < 0x1p53 -> int_of_float f
   | Null | Int _ | Float _ | Str _ | Bool _ -> min_int
+
+let half = 1 lsl 30
+
+let pack_pair a b =
+  let i = exact_int a and j = exact_int b in
+  if i >= -half && i < half && j >= -half && j < half then (i lsl 31) lor (j + half)
+  else min_int
 
 let hash_int i =
   let h = i * 0x2545F4914F6CDD1D in

@@ -59,25 +59,59 @@ let compile = function
   | Const v -> fun _ -> v
   | e -> fun row -> Eval.eval_expr ~row e
 
-(* A filter as a row test. Operands of AND and OR are predicates, so they
-   yield only booleans and NULL, and the conjunction (disjunction) is TRUE
-   exactly when both (either) are. A column equal to a constant reads the
-   column and compares, nothing more. *)
-let rec test = function
-  | (Cmp (Eq, Col i, Const c) | Cmp (Eq, Const c, Col i)) when not (Value.is_null c) -> (
+(* [compile] over a join's left and right rows side by side: [Col i] reads
+   the left row below the left arity [la], the right row from there on, so
+   nothing builds the combined row unless the reference evaluator needs it.
+   [la = max_int] compiles over one row, passed as the left. *)
+let compile2 la = function
+  | Col i when i < la -> fun l _ -> l.(i)
+  | Col i ->
+    let j = i - la in
+    fun _ r -> r.(j)
+  | Const v -> fun _ _ -> v
+  | e when la = max_int -> fun l _ -> Eval.eval_expr ~row:l e
+  | e -> fun l r -> Eval.eval_expr ~row:(Array.append l r) e
+
+let holds c a b =
+  if Value.is_null a || Value.is_null b then false
+  else
+    let d = Value.compare a b in
     match c with
-    | Value.Str s ->
-      fun row -> (match row.(i) with Value.Str x -> String.equal x s | _ -> false)
-    | c -> fun row -> Value.equal row.(i) c)
+    | Eq -> d = 0
+    | Neq -> d <> 0
+    | Lt -> d < 0
+    | Leq -> d <= 0
+    | Gt -> d > 0
+    | Geq -> d >= 0
+
+(* A filter as a test over a pair of rows (see [compile2]). Operands of AND
+   and OR are predicates, so they yield only booleans and NULL, and the
+   conjunction (disjunction) is TRUE exactly when both (either) are. A
+   comparison is TRUE when neither side is NULL and the values compare so;
+   a column equal to a text reads the column and compares, nothing more.
+   Only for expressions [value] accepts: elsewhere AND and OR may meet a
+   non-boolean, which the reference evaluator rejects. *)
+let rec test2 la = function
+  | Cmp (Eq, (Col _ as col), Const (Value.Str s))
+  | Cmp (Eq, Const (Value.Str s), (Col _ as col)) -> (
+    let get = compile2 la col in
+    fun l r -> match get l r with Value.Str x -> String.equal x s | _ -> false)
+  | Cmp (c, a, b) ->
+    let a = compile2 la a and b = compile2 la b in
+    fun l r -> holds c (a l r) (b l r)
   | And (a, b) ->
-    let a = test a and b = test b in
-    fun row -> a row && b row
+    let a = test2 la a and b = test2 la b in
+    fun l r -> a l r && b l r
   | Or (a, b) ->
-    let a = test a and b = test b in
-    fun row -> a row || b row
+    let a = test2 la a and b = test2 la b in
+    fun l r -> a l r || b l r
   | e ->
-    let e = compile e in
-    fun row -> Eval.truthy (e row)
+    let e = compile2 la e in
+    fun l r -> Eval.truthy (e l r)
+
+let test e =
+  let t = test2 max_int e in
+  fun row -> t row row
 
 (* ------------------------------------------------------------------ *)
 (* Keys                                                               *)
@@ -92,16 +126,14 @@ module Ints = Hashtbl.Make (struct
   let hash = Value.hash_int
 end)
 
-(* A join key as one int: one int-valued column, or two that fit 31 bits
-   each, packed. Int-valued is {!Value.exact_int}'s sense, so [Float 1.]
-   keys as [Int 1], which it equals. [no_key] stands for a key with a NULL,
-   which never joins; [by_value] for any other key, which is looked up by
-   its values. *)
+(* A join key as one int, by the rule {!Table}'s indexes file keys by: one
+   int-valued column ({!Value.exact_int}, so [Float 1.] keys as [Int 1],
+   which it equals), or two packed by {!Value.pack_pair}. [no_key] stands
+   for a key with a NULL, which never joins; [by_value] for any other key,
+   which is looked up by its values. *)
 let no_key = min_int
 
 let by_value = min_int + 1
-
-let half = 1 lsl 30
 
 let key_of exprs =
   match Array.of_list (List.map compile exprs) with
@@ -117,10 +149,8 @@ let key_of exprs =
       let va = a row and vb = b row in
       if Value.is_null va || Value.is_null vb then no_key
       else
-        let i = Value.exact_int va and j = Value.exact_int vb in
-        if i >= -half && i < half && j >= -half && j < half then
-          (i lsl 31) lor (j + half)
-        else by_value
+        let k = Value.pack_pair va vb in
+        if k = min_int then by_value else k
   | get ->
     fun row ->
       if Array.exists (fun f -> Value.is_null (f row)) get then no_key else by_value
@@ -502,3 +532,177 @@ let materialize plan =
         set_del_cols v (List.init (Schema.arity (Table.schema v.table)) Fun.id))
     !views;
   plan
+
+(* ------------------------------------------------------------------ *)
+(* Standing plans                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A set of rows for DISTINCT and EXCEPT: a row of one or two columns that
+   pack ({!Value.pack_pair}'s rule) is kept as its int, any other by its
+   values. *)
+type row_set = { packed : unit Ints.t; rows : unit Row_tbl.t }
+
+let row_set () = { packed = Ints.create 64; rows = Row_tbl.create 8 }
+
+let pack_row = function
+  | [| v |] -> Value.exact_int v
+  | [| a; b |] -> Value.pack_pair a b
+  | _ -> min_int
+
+let mem s row =
+  let k = pack_row row in
+  if k <> min_int then Ints.mem s.packed k else Row_tbl.mem s.rows row
+
+(* Adds [row]; false when an equal row was in already. *)
+let add_new s row =
+  let k = pack_row row in
+  if k <> min_int then
+    if Ints.mem s.packed k then false
+    else begin
+      Ints.add s.packed k ();
+      true
+    end
+  else if Row_tbl.mem s.rows row then false
+  else begin
+    Row_tbl.add s.rows row ();
+    true
+  end
+
+(* A compiled subplan pushes its rows, in [Eval.run]'s order, to the
+   consumer it is given; an inner join pushes each matching pair of rows
+   instead, and its consumer decides what to build from them. *)
+type source = (row -> unit) -> unit
+
+let arity p = Schema.arity (schema_of p)
+
+(* Does the projection [cols] yield the first [n] columns, in place? *)
+let is_cols n cols =
+  List.length cols = n
+  && List.for_all2
+       (fun (e, _) i -> match e with Col j -> j = i | _ -> false)
+       cols (List.init n Fun.id)
+
+(* A filter or residual test: compiled where [value] allows, else the
+   reference evaluator's verdict. *)
+let residual la = function
+  | None -> fun _ _ -> true
+  | Some e when value e -> test2 la e
+  | Some e ->
+    let e = compile2 la e in
+    fun l r -> Eval.truthy (e l r)
+
+let rec source plan : source =
+  match plan with
+  | Scan (t, _) -> fun k -> Table.iter k t
+  | Filter (e, (Scan _ as p)) ->
+    (* A [col = const] conjunct on an indexed column still probes. *)
+    let keep = residual max_int (Some e) in
+    fun k -> List.iter (fun row -> if keep row row then k row) (Eval.candidates e p)
+  | Filter (e, p) ->
+    let keep = residual max_int (Some e) and src = source p in
+    fun k -> src (fun row -> if keep row row then k row)
+  | Project (cols, p) when is_cols (arity p) cols -> source p
+  | Project (cols, Join ({ kind = Inner; lkeys = _ :: _; _ } as j)) ->
+    let la = arity j.left in
+    let pairs = inner j in
+    if is_cols la cols then fun k -> pairs (fun l _ -> k l)
+    else
+      let get = Array.of_list (List.map (fun (e, _) -> compile2 la e) cols) in
+      fun k -> pairs (fun l r -> k (Array.map (fun f -> f l r) get))
+  | Project (cols, p) ->
+    let get = Array.of_list (List.map (fun (e, _) -> compile e) cols) and src = source p in
+    fun k -> src (fun row -> k (Array.map (fun f -> f row) get))
+  | Join ({ kind = Inner; lkeys = _ :: _; _ } as j) ->
+    let pairs = inner j in
+    fun k -> pairs (fun l r -> k (Array.append l r))
+  | Join ({ kind = (Semi | Anti) as kind; lkeys = _ :: _; _ } as j) ->
+    let la = arity j.left in
+    let ok = residual la j.residual and src = source j.left and lookup = right_side j in
+    let semi = kind = Semi in
+    fun k ->
+      let bucket, _ = lookup () in
+      src (fun l -> if List.exists (ok l) (bucket l) = semi then k l)
+  | Union_all (l, r) ->
+    let l = source l and r = source r in
+    fun k ->
+      l k;
+      r k
+  | Except (l, r) ->
+    let l = source l and r = source r in
+    fun k ->
+      let right = row_set () and seen = row_set () in
+      r (fun row -> ignore (add_new right row));
+      l (fun row -> if (not (mem right row)) && add_new seen row then k row)
+  | Distinct p ->
+    let src = source p in
+    fun k ->
+      let seen = row_set () in
+      src (fun row -> if add_new seen row then k row)
+  | Sort (keys, p) ->
+    let src = source p and schema = schema_of p in
+    fun k -> List.iter k (Eval.run (Sort (keys, Values (schema, collect src))))
+  | _ -> fun k -> List.iter k (Eval.run plan)
+
+and collect src =
+  let out = ref [] in
+  src (fun row -> out := row :: !out);
+  List.rev !out
+
+(* A keyed inner join, pushing each left row with each of its key's right
+   rows that passes the residual: left rows in order, each one's right rows
+   in the right side's order. *)
+and inner j : (row -> row -> unit) -> unit =
+  let la = arity j.left in
+  let ok = residual la j.residual and src = source j.left and lookup = right_side j in
+  fun k ->
+    let _, probe = lookup () in
+    src (fun l -> List.iter (fun r -> if ok l r then k l r) (probe l))
+
+(* Per run, a left row's right rows as [Eval.eval_join] has them: [bucket]
+   in the order it tests a semi/anti join's residual, [probe] in the right
+   side's order. A right side that scans a table with a hash index on
+   exactly the join columns is probed by int key (or by value); any other is
+   run and bucketed by int key afresh. A left key with a NULL finds
+   nothing. *)
+and right_side j =
+  let lkey = key_of j.lkeys and lvalues = values_of j.lkeys in
+  let cols = List.filter_map (function Col i -> Some i | _ -> None) j.rkeys in
+  let indexed =
+    match j.right with
+    | Scan (t, _) when List.length cols = List.length j.rkeys && Table.has_index t cols -> Some t
+    | _ -> None
+  in
+  let rkey = key_of j.rkeys and rvalues = values_of j.rkeys and src = source j.right in
+  fun () ->
+    match indexed with
+    | Some t when !Eval.use_table_indexes ->
+      let probe l =
+        let key = lkey l in
+        if key = no_key then []
+        else if key = by_value then Table.probe t cols (Array.to_list (lvalues l))
+        else Table.probe_int t cols key
+      in
+      (probe, probe)
+    | _ ->
+      (* Buckets hold their rows newest first. *)
+      let ints = Ints.create 64 and others = Row_tbl.create 8 in
+      src (fun r ->
+          let key = rkey r in
+          if key = by_value then begin
+            let vs = rvalues r in
+            Row_tbl.replace others vs (r :: Option.value ~default:[] (Row_tbl.find_opt others vs))
+          end
+          else if key <> no_key then
+            Ints.replace ints key (r :: Option.value ~default:[] (Ints.find_opt ints key)));
+      let bucket l =
+        let key = lkey l in
+        if key = no_key then []
+        else
+          Option.value ~default:[]
+            (if key = by_value then Row_tbl.find_opt others (lvalues l) else Ints.find_opt ints key)
+      in
+      (bucket, fun l -> List.rev (bucket l))
+
+let standing plan =
+  let src = source (materialize plan) in
+  fun () -> collect src

@@ -22,11 +22,13 @@
     constant (and AND/OR of such tests) is tested directly, and any other
     expression is handed to {!Eval.eval_expr}. A key of one or two
     int-valued columns is a single int (an integral float keys as the equal
-    int, as {!Value.equal} has it); other keys are looked up by value. A
+    int, as {!Value.equal} has it), under the packing rule {!Table}'s
+    indexes use ({!Value.pack_pair}); other keys are looked up by value. A
     key's left rows append and leave oldest-first in amortised O(1). Rows
     leaving the view's table go in one {!Table.delete_by_keys} call per
     change. A view on the right of a join gets a hash index on the join key,
-    which {!Eval}'s indexed-probe path then uses. Upkeep runs inside the
+    which the join then probes ({!standing}'s int probe, or {!Eval}'s
+    indexed-probe path). Upkeep runs inside the
     base mutation's ["index-maintenance"] section (see
     {!Table.maintenance_time}).
 
@@ -38,3 +40,18 @@
 (** [materialize plan] is [plan] with its maintainable subplans replaced by
     views, filled from the base tables' current rows. *)
 val materialize : Ra.plan -> Ra.plan
+
+(** [standing plan] materializes [plan] (see {!materialize}) and compiles
+    the result once into a runner that returns, on each call, the rows
+    {!Eval.run} of the materialized plan would, in the same order. Keyed
+    inner, semi and anti joins probe by one int key (see {!Value.pack_pair};
+    a right side that scans an indexed table probes its int postings, any
+    other right side is bucketed per run); a projection or a residual over
+    a join reads the left and right rows without building the combined
+    row; EXCEPT and DISTINCT keep int-packed row sets; filters, keys and
+    projections are the closures views use. Any other node, a keyless join
+    included, and any expression with a subquery or a parameter run in
+    {!Eval}, the reference, which also stays the evaluator of one-off
+    queries. Meant for plans that run many times against changing tables,
+    such as a scheduler's protocol query. *)
+val standing : Ra.plan -> unit -> Value.t array list

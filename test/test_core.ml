@@ -124,6 +124,29 @@ let test_move_to_history () =
   Alcotest.(check int) "unknown ignored" 0
     (List.length (Relations.move_to_history rels [ (9, 9) ]))
 
+(* A protocol whose result lists a pending request twice: each request is
+   still admitted, logged and handed back once, at its first position. *)
+let test_duplicate_keys_admitted_once () =
+  let rels = Relations.create () in
+  Relations.insert_pending_batch rels [ Request.v 1 1 Op.Read 10; Request.v 2 1 Op.Read 12 ];
+  let moved = Relations.move_to_history rels [ (2, 1); (1, 1); (2, 1); (1, 1) ] in
+  Alcotest.(check (list (pair int int))) "each key once, at its first position"
+    [ (2, 1); (1, 1) ] (List.map Request.key moved);
+  Alcotest.(check int) "history" 2 (Relations.history_count rels);
+  Alcotest.(check int) "rte" 2 (Table.row_count rels.Relations.rte);
+  let proto =
+    Protocol.of_sql ~name:"cross" ~guarantee:Protocol.Fifo_only
+      "SELECT r.* FROM requests r, requests r2"
+  in
+  let sched = Scheduler.create proto in
+  List.iter (Scheduler.submit sched) [ Request.v 1 1 Op.Read 10; Request.v 2 1 Op.Read 12 ];
+  let qualified, stats = Scheduler.cycle sched in
+  Alcotest.(check (list (pair int int))) "admitted once each" [ (1, 1); (2, 1) ]
+    (List.map Request.key qualified);
+  Alcotest.(check int) "stats count admissions" 2 stats.Scheduler.qualified;
+  Alcotest.(check int) "rte holds each once" 2
+    (List.length (Relations.rte_requests (Scheduler.relations sched)))
+
 let test_prune_history () =
   let rels = Relations.create () in
   List.iter (Relations.insert_history rels)
@@ -872,6 +895,8 @@ let tests =
     Alcotest.test_case "table 2 schema" `Quick test_table2_schema;
     Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
     Alcotest.test_case "move to history" `Quick test_move_to_history;
+    Alcotest.test_case "a request listed twice is admitted once" `Quick
+      test_duplicate_keys_admitted_once;
     Alcotest.test_case "prune history" `Quick test_prune_history;
     QCheck_alcotest.to_alcotest ss2pl_equivalence;
     Alcotest.test_case "ss2pl blocks on locks" `Quick test_ss2pl_blocks_locked;

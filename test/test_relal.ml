@@ -371,43 +371,64 @@ let test_sum_domains () =
   Alcotest.check value "all-null is NULL" Value.Null
     (sum_over Schema.Tint [ Value.Null ])
 
+(* Keys from both sides of the int/by-value split of the index postings:
+   small ints and the integral floats equal to them, both edges of the
+   31-bit range two-column keys pack in, ints at and past 2^53 with the
+   float they are closest to, and keys that never pack (NULL, text,
+   non-integral floats, booleans). *)
+let key_pool =
+  let half = 1 lsl 30 and big = 1 lsl 53 in
+  [|
+    Value.Null; v_str "p"; v_str "q"; Value.Bool true; Value.Float 2.5;
+    v_int 0; v_int 1; v_int 2; Value.Float 1.; Value.Float 2.;
+    v_int (half - 1); v_int half; v_int (-half); v_int (-half - 1); Value.Float (float_of_int half);
+    v_int (big - 1); v_int big; v_int (big + 1); Value.Float 0x1p53;
+  |]
+
 let index_consistency_prop =
   (* Under random interleavings of every mutation the table supports, a hash
-     probe must equal the predicate scan, in insertion order. Updates rewrite
-     column [v], so the index on it sees postings move between keys. *)
-  QCheck2.Test.make ~name:"probe = full scan under random mutations" ~count:60
+     probe — by value, and by int for a key that packs — must equal the
+     predicate scan, in insertion order, on one-column and two-column
+     indexes. Updates rewrite column [b], so the indexes on it see postings
+     move between keys, and between the int and the by-value side. *)
+  QCheck2.Test.make ~name:"probe = full scan under random mutations"
+    ~count:(Helpers.Config.qcheck_count 60)
     QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 5 40))
     (fun (seed, nops) ->
       let t =
         Table.create ~name:"p"
           (Schema.of_list
              [
-               Schema.column "k" Schema.Tint; Schema.column "v" Schema.Tint;
+               Schema.column "a" Schema.Tint;
+               Schema.column "b" Schema.Tint;
+               Schema.column "n" Schema.Tint;
              ])
       in
-      Table.create_index t [ 0 ];
-      Table.create_index t [ 1 ];
+      List.iter (Table.create_index t) [ [ 0 ]; [ 1 ]; [ 0; 1 ] ];
       let rng = Ds_sim.Rng.create seed in
+      let key () = Ds_sim.Rng.pick rng key_pool in
+      let serial = ref 0 in
       let mk_row () =
-        [| v_int (Ds_sim.Rng.int rng 8); v_int (Ds_sim.Rng.int rng 40) |]
+        incr serial;
+        [| key (); key (); v_int !serial |]
+      in
+      let same cols key row = List.for_all2 (fun c v -> Value.equal row.(c) v) cols key in
+      let check cols key =
+        let via_scan = List.filter (same cols key) (Table.rows t) in
+        if Table.probe t cols key <> via_scan then failwith "probe <> scan";
+        let packed =
+          match key with [ v ] -> Value.exact_int v | [ a; b ] -> Value.pack_pair a b | _ -> min_int
+        in
+        if packed <> min_int && Table.probe_int t cols packed <> via_scan then
+          failwith "probe_int <> scan"
       in
       let check_probes () =
-        List.iter
-          (fun (col, n) ->
-            for k = 0 to n - 1 do
-              let via_index =
-                List.map Array.to_list (Table.probe t [ col ] [ v_int k ])
-              and via_scan =
-                List.filter_map
-                  (fun row ->
-                    if Value.equal row.(col) (v_int k) then
-                      Some (Array.to_list row)
-                    else None)
-                  (Table.rows t)
-              in
-              if via_index <> via_scan then failwith "probe <> scan"
-            done)
-          [ (0, 8); (1, 40) ]
+        Array.iter
+          (fun u ->
+            check [ 0 ] [ u ];
+            check [ 1 ] [ u ];
+            Array.iter (fun v -> check [ 0; 1 ] [ u; v ]) key_pool)
+          key_pool
       in
       for _ = 1 to nops do
         (match Ds_sim.Rng.int rng 12 with
@@ -415,13 +436,14 @@ let index_consistency_prop =
         | 4 | 5 ->
           Table.insert_many t
             (List.init (1 + Ds_sim.Rng.int rng 6) (fun _ -> mk_row ()))
-        | 6 | 7 ->
-          let k = v_int (Ds_sim.Rng.int rng 8) in
-          ignore
-            (Table.delete_where t (fun row -> Value.equal row.(0) k))
+        | 6 ->
+          let k = key () in
+          ignore (Table.delete_where t (fun row -> Value.equal row.(0) k))
+        | 7 ->
+          let k = [ key (); key () ] in
+          ignore (Table.delete_by_keys t [ 0; 1 ] [ (k, fun _ -> Ds_sim.Rng.bool rng) ])
         | 8 | 9 ->
-          let k = v_int (Ds_sim.Rng.int rng 8) in
-          let v = v_int (Ds_sim.Rng.int rng 40) in
+          let k = key () and v = key () in
           ignore
             (Table.update_where t
                (fun row -> Value.equal row.(0) k)
@@ -429,9 +451,8 @@ let index_consistency_prop =
         | 10 ->
           (* Bulk churn to cross the compaction threshold. *)
           Table.insert_many t (List.init 80 (fun _ -> mk_row ()));
-          ignore
-            (Table.delete_where t (fun row ->
-                 Value.compare row.(1) (v_int 20) < 0))
+          let old = v_int (!serial - 40) in
+          ignore (Table.delete_where t (fun row -> Value.compare row.(2) old < 0))
         | _ -> if Ds_sim.Rng.int rng 4 = 0 then Table.clear t);
         check_probes ()
       done;

@@ -488,6 +488,31 @@ let test_profile_filter_probe () =
     ~candidates:10;
   check "no usable index" (Ra.Cmp (Ra.Neq, Ra.Col 0, int 3)) ~candidates:100
 
+(* The optimizer drops a DISTINCT whose consumer ignores duplicates, but
+   not below arithmetic: [3] and [3.0] are one value to DISTINCT, yet
+   [3 / 2] is 1 and [3.0 / 2] is 1.5, so which copy DISTINCT keeps shows. *)
+let test_distinct_kept_under_arithmetic () =
+  let cat = Catalog.create () in
+  ignore
+    (Exec.exec_script cat
+       {|
+CREATE TABLE s (a INT, b INT);
+CREATE TABLE t (a INT, b INT);
+INSERT INTO s VALUES (1, 1.5), (1.5, 1);
+INSERT INTO t VALUES (3, 0), (3.0, 0);
+|});
+  List.iter
+    (fun sql ->
+      let at level = List.map Array.to_list (snd (Exec.query ~optimize:level cat sql)) in
+      Alcotest.(check (list (list (of_pp Value.pp)))) sql (at `None) (at `Full))
+    [
+      "SELECT x.a FROM s x WHERE EXISTS (SELECT * FROM (SELECT DISTINCT a FROM t) d \
+       WHERE d.a / 2 = x.b)";
+      "SELECT x.a FROM s x WHERE NOT EXISTS (SELECT * FROM (SELECT DISTINCT a FROM t) d \
+       WHERE d.a / 2 = x.b)";
+      "(SELECT a FROM s) EXCEPT (SELECT d.a / 2 FROM (SELECT DISTINCT a FROM t) d)";
+    ]
+
 let tests =
   [
     Alcotest.test_case "lexer" `Quick test_lexer;
@@ -515,6 +540,8 @@ let tests =
     Alcotest.test_case "case expressions" `Quick test_case_expressions;
     Alcotest.test_case "prepared parameters" `Quick test_prepared_params;
     Alcotest.test_case "explain" `Quick test_explain;
+    Alcotest.test_case "distinct kept under arithmetic" `Quick
+      test_distinct_kept_under_arithmetic;
     Alcotest.test_case "explain analyze" `Quick test_explain_analyze;
     Alcotest.test_case "profile agrees with eval" `Quick test_profile_agrees_with_eval;
     Alcotest.test_case "render" `Quick test_render;

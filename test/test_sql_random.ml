@@ -107,8 +107,43 @@ let disjunctive_exists rng =
     (if Ds_sim.Rng.bool rng then "NOT " else "")
     (outer ()) (String.concat " OR " ds)
 
+(* DISTINCT where its consumer ignores duplicates — EXCEPT's right input,
+   an IN or a NOT EXISTS subquery, reached through a join, a projection, a
+   filter or a UNION ALL — which the optimizer drops, and at the top, where
+   the duplicates show and it must stay. *)
+let distinct_query rng =
+  let pairs () =
+    match Ds_sim.Rng.int rng 3 with
+    | 0 -> Printf.sprintf "(SELECT DISTINCT a, b FROM t WHERE %s)" (rand_pred rng [ "t" ] 1)
+    | 1 ->
+      Printf.sprintf "(SELECT u.a, u.b FROM (SELECT DISTINCT a, b, c FROM t) u WHERE %s)"
+        (rand_pred rng [ "u" ] 1)
+    | _ -> "((SELECT DISTINCT a, b FROM t) UNION ALL (SELECT DISTINCT b, a FROM s))"
+  in
+  let col () = Ds_sim.Rng.pick rng [| "a"; "b" |] in
+  match Ds_sim.Rng.int rng 5 with
+  | 0 ->
+    Printf.sprintf "(SELECT a, b FROM s WHERE %s) EXCEPT (SELECT d.a, d.b FROM %s d) ORDER BY 1, 2"
+      (rand_pred rng [ "s" ] 1) (pairs ())
+  | 1 ->
+    Printf.sprintf
+      "(SELECT a, b FROM s) EXCEPT (SELECT d.a, e.%s FROM %s d, s e WHERE d.%s = e.%s) ORDER BY \
+       1, 2"
+      (col ()) (pairs ()) (col ()) (col ())
+  | 2 ->
+    Printf.sprintf "SELECT * FROM s x WHERE x.%s %sIN (SELECT d.%s FROM %s d) ORDER BY 1, 2, 3"
+      (col ())
+      (if Ds_sim.Rng.bool rng then "NOT " else "")
+      (col ()) (pairs ())
+  | 3 ->
+    Printf.sprintf
+      "SELECT * FROM s x WHERE NOT EXISTS (SELECT * FROM %s d WHERE d.%s = x.%s) ORDER BY 1, 2, 3"
+      (pairs ()) (col ()) (col ())
+  | _ -> Printf.sprintf "SELECT DISTINCT d.%s FROM %s d ORDER BY 1" (col ()) (pairs ())
+
 let rand_query rng =
-  match Ds_sim.Rng.int rng 8 with
+  match Ds_sim.Rng.int rng 10 with
+  | 8 | 9 -> distinct_query rng
   | 4 | 5 ->
     Printf.sprintf "SELECT * FROM s x WHERE %s AND %s ORDER BY 1, 2, 3"
       (disjunctive_exists rng) (rand_pred rng [ "x" ] 1)
