@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check bench examples clean doc
+.PHONY: all build test check golden bench examples clean doc
 
 all: build
 
@@ -17,6 +17,16 @@ check:
 	dune build @all
 	dune runtest
 	dune exec bin/dsched.exe -- swarm -n 200 --seed 1 --out /dev/null
+
+# Regenerate the golden swarm report that `dune runtest` and CI compare
+# against (test/data/golden_swarm_n30_seed8.json). The stamp names the
+# commit, so it is pinned and then removed. Run it only when a change is
+# meant to alter what the middleware decides, and commit the diff with it.
+golden:
+	dune build bin/dsched.exe
+	DS_GIT_COMMIT=golden dune exec bin/dsched.exe -- swarm -n 30 --seed 8 \
+	  --out _build/golden_swarm.json
+	jq 'del(.stamp)' _build/golden_swarm.json > test/data/golden_swarm_n30_seed8.json
 
 # Quick-scale run of every paper table/figure + ablations.
 bench:

@@ -79,6 +79,8 @@ let counters_json (s : Ds_core.Middleware.stats) =
       i "repl_epoch" s.Ds_core.Middleware.repl_epoch;
       i "repl_fenced" s.Ds_core.Middleware.repl_fenced;
       i "repl_divergences" s.Ds_core.Middleware.repl_divergences;
+      i "global_lane_txns" s.Ds_core.Middleware.global_lane_txns;
+      i "shard_deferrals" s.Ds_core.Middleware.shard_deferrals;
     ]
 
 let invariants_json invariants =

@@ -421,6 +421,41 @@ let test_aborted_requests_never_execute () =
           (List.map fst (Runner.failures (Runner.run scenario))))
     aborted_repros
 
+(* --- golden report ---------------------------------------------------- *)
+
+(* The report of one small sweep is committed with its stamp removed; `make
+   golden` regenerates it. Its scenarios reach every way the middleware
+   aborts a transaction (queue shed, starvation, dead letter, disconnect,
+   crash), failover, hedging and sharded runs with parked transactions, so
+   a change to any decision the middleware makes shows up as a diff of this
+   file. A change made on purpose regenerates the file in the same commit. *)
+let golden_path = "data/golden_swarm_n30_seed8.json"
+
+let test_golden_report () =
+  let open Ds_obs.Json in
+  let golden =
+    of_string (In_channel.with_open_text golden_path In_channel.input_all)
+  in
+  let fresh =
+    match Swarm.report_json (Swarm.run ~n:30 ~seed:8 ()) with
+    | Obj members -> Obj (List.remove_assoc "stamp" members)
+    | other -> other
+  in
+  (* Name the first scenario that differs, then compare the whole report
+     in the compact form the CLI writes. *)
+  let results j =
+    match mem "results" j with Some (List rs) -> rs | _ -> []
+  in
+  (try
+     List.iteri
+       (fun i (g, f) ->
+         Alcotest.(check string)
+           (Printf.sprintf "%s: result %d" golden_path i)
+           (to_string g) (to_string f))
+       (List.combine (results golden) (results fresh))
+   with Invalid_argument _ -> Alcotest.fail "result counts differ");
+  Alcotest.(check string) golden_path (to_string golden) (to_string fresh)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest scenario_roundtrip;
@@ -463,4 +498,5 @@ let tests =
       test_shrinker_rejects_passing_scenario;
     Alcotest.test_case "committed shrunk repro still fails" `Quick
       test_committed_repro_still_fails;
+    Alcotest.test_case "golden report unchanged" `Quick test_golden_report;
   ]
