@@ -243,11 +243,6 @@ let injected_failures t = t.n_failures
 
 let injected_stalls t = t.n_stalls
 
-type worker_fault =
-  | Worker_crash of { worker : int; after : int }
-  | Worker_death of { worker : int }
-  | Worker_stall of { worker : int; delay : float }
-
 (* Every draw is gated on [rate > 0.] so plans without worker faults consume
    the exact same RNG stream as before this channel existed — seeded no-fault
    runs stay bit-identical. A fault that would leave no survivor is never
@@ -260,14 +255,18 @@ let draw_worker_faults t ~alive =
     if
       t.plan.worker_crash_rate > 0. && n > 1
       && Rng.float t.rng < t.plan.worker_crash_rate
-    then [ Worker_crash { worker = pick (); after = Rng.int t.rng 3 } ]
+    then
+      [
+        Ds_server.Worker_pool.Crash
+          { worker = pick (); after = Rng.int t.rng 3 };
+      ]
     else []
   in
   let death =
     if
       t.plan.worker_death_rate > 0. && n > 1
       && Rng.float t.rng < t.plan.worker_death_rate
-    then [ Worker_death { worker = pick () } ]
+    then [ Ds_server.Worker_pool.Die { worker = pick () } ]
     else []
   in
   let stall =
@@ -276,7 +275,7 @@ let draw_worker_faults t ~alive =
       && Rng.float t.rng < t.plan.worker_stall_rate
     then begin
       let delay = t.plan.worker_stall_duration *. (0.5 +. Rng.float t.rng) in
-      [ Worker_stall { worker = pick (); delay } ]
+      [ Ds_server.Worker_pool.Slow { worker = pick (); delay } ]
     end
     else []
   in

@@ -109,21 +109,11 @@ val injected_failures : t -> int
 
 val injected_stalls : t -> int
 
-(** A worker-scoped fault drawn for one dispatched batch. [Worker_crash]
-    fires {e between} conflict classes — the victim completes [after] more
-    classes, then its remaining unstarted classes are reassigned (safe
-    because classes are disjoint) and the worker rejoins at the next batch.
-    [Worker_death] removes the worker for the rest of the run.
-    [Worker_stall] slows every class the victim runs by [delay], making it a
-    straggler that the pool's hedging can race. *)
-type worker_fault =
-  | Worker_crash of { worker : int; after : int }
-  | Worker_death of { worker : int }
-  | Worker_stall of { worker : int; delay : float }
-
 (** [draw_worker_faults t ~alive] — draw this batch's worker fates among the
-    currently-alive worker ids. At most one fault per channel per batch;
-    crash/death need at least two alive workers (never kill the last
-    survivor). Draws are gated on nonzero rates so zero-rate plans consume
-    no randomness from this channel. *)
-val draw_worker_faults : t -> alive:int list -> worker_fault list
+    currently-alive worker ids, in the form the worker pool's fault hook
+    takes (see {!Ds_server.Worker_pool.worker_fault}). At most one fault
+    per channel per batch; crash/death need at least two alive workers
+    (never kill the last survivor). Draws are gated on nonzero rates so
+    zero-rate plans consume no randomness from this channel. *)
+val draw_worker_faults :
+  t -> alive:int list -> Ds_server.Worker_pool.worker_fault list

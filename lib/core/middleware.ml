@@ -132,7 +132,6 @@ type stats = {
 }
 
 type client = {
-  cid : int;
   gen : Generator.t;
   mutable txn : Txn.t;
   mutable remaining : Request.t list;
@@ -207,10 +206,10 @@ type sim = {
   mutable epoch : int;  (** bumped at crash; stale server callbacks check it *)
   mutable crash_done : bool;
   mutable pcrash_done : bool;
-  mutable failed_over : bool;
-      (** the standby was promoted; sync-mode ack gating is off from here *)
+  mutable ack_gate : (ta:int -> bool) option;
+      (** under sync replication, until a failover: whether [ta]'s journal
+          records have reached the standby; its commit ack waits until then *)
   mutable failovers : int;
-  repl_sync : bool;  (** replication session present and in sync mode *)
   mutable cycles_done : int;
   mutable ta_counter : int;
   mutable req_counter : int;
@@ -244,7 +243,7 @@ type sim = {
   batch_sizes : Ds_stats.Summary.t;
   pending_sizes : Ds_stats.Summary.t;
   latencies : Ds_stats.Histogram.t;
-  tier_latencies : (Sla.tier, Ds_stats.Histogram.t * int ref) Hashtbl.t;
+  tier_latencies : (Sla.tier, Ds_stats.Histogram.t) Hashtbl.t;
 }
 
 (* A lane's scheduler, fresh at start-up or rebuilt from [recovered] state
@@ -259,11 +258,6 @@ let lane_sched cfg ~stamp ?journal ?recovered () =
   let rels = Scheduler.relations sched in
   Option.iter (fun r -> Journal.restore ~rte:true r rels) recovered;
   sched
-
-let fresh_ta sim client =
-  sim.ta_counter <- sim.ta_counter + 1;
-  Hashtbl.replace sim.by_ta sim.ta_counter client;
-  sim.ta_counter
 
 let renumber sim (r : Request.t) =
   sim.req_counter <- sim.req_counter + 1;
@@ -290,10 +284,8 @@ let route sim (txn : Txn.t) ~ta =
     | _ -> s
   end
 
-let lane_of sim ta =
-  match Hashtbl.find_opt sim.route_of ta with
-  | Some l -> sim.lanes.(l)
-  | None -> sim.lanes.(0)
+(* The lane a transaction was routed to; every TA is routed when it starts. *)
+let lane_of sim ta = sim.lanes.(Hashtbl.find sim.route_of ta)
 
 (* A lane with queued, pending or in-flight transactions. "In-flight"
    ([active]) matters because a transaction between statements — last
@@ -305,7 +297,8 @@ let lane_busy lane =
   || Scheduler.pending_count lane.sched > 0
 
 (* Parked shard-lane clients with nothing left to wait for: the global lane
-   is idle. Never true at S=1, where nothing parks. *)
+   (lane [S]) is idle. Only asked at S>1, the only layout with a global
+   lane and the only one where anything parks. *)
 let wake_due sim =
   (not (Queue.is_empty sim.parked))
   && not (lane_busy sim.lanes.(sim.cfg.shards))
@@ -317,21 +310,17 @@ let wake_due sim =
    shard lanes must keep cycling to drain toward the barrier. *)
 let barrier_clear sim lane =
   let s = sim.cfg.shards in
-  if s <= 1 then true
-  else if lane.lane_id = s then begin
-    let clear = ref true in
-    for i = 0 to s - 1 do
-      if lane_busy sim.lanes.(i) then clear := false
-    done;
-    !clear
-  end
+  if lane.lane_id = s then
+    let rec drained i =
+      i = s || ((not (lane_busy sim.lanes.(i))) && drained (i + 1))
+    in
+    drained 0
   else Hashtbl.length sim.holding_tas = 0
 
 (* Centralized transaction teardown: every way a transaction leaves the
-   system (terminal delivered, starved, shed, dead-lettered, disconnected,
-   reconciled away after a crash) goes through here so the lane [active]
-   counts and the global lane's lock holders, which the barrier relies on,
-   stay consistent. *)
+   system (terminal delivered, aborted, reconciled away after a crash) goes
+   through here so the lane [active] counts and the global lane's lock
+   holders, which the barrier relies on, stay consistent. *)
 let rec end_txn sim ta =
   (match Hashtbl.find_opt sim.by_ta ta with
   | Some c ->
@@ -346,7 +335,9 @@ let rec end_txn sim ta =
   Hashtbl.remove sim.holding_tas ta
 
 and start_txn sim client =
-  let ta = fresh_ta sim client in
+  sim.ta_counter <- sim.ta_counter + 1;
+  let ta = sim.ta_counter in
+  Hashtbl.replace sim.by_ta ta client;
   (match client.redo with
   | Some txn ->
     (* Client-side transaction retry: re-run the aborted transaction's
@@ -363,17 +354,13 @@ and start_txn sim client =
   client.txn_start <- Engine.now sim.engine;
   client.data_stmts <- 0;
   client.stall_cycles <- 0;
-  (client.disconnect_after <-
-     (match sim.faults with
-     | Some f ->
-       let data =
-         List.length (List.filter Request.is_data client.txn.Txn.requests)
-       in
-       Faults.draw_disconnect_after f ~data_stmts:data
-     | None -> None));
+  client.disconnect_after <-
+    Option.bind sim.faults (fun f ->
+        Faults.draw_disconnect_after f
+          ~data_stmts:
+            (List.length (List.filter Request.is_data client.txn.Txn.requests)));
   let lane_id = route sim client.txn ~ta in
   client.lane <- lane_id;
-  client.entered <- false;
   Hashtbl.replace sim.route_of ta lane_id;
   if sim.cfg.shards > 1 then begin
     if lane_id = sim.cfg.shards then
@@ -404,8 +391,13 @@ and begin_txn sim client =
 (* Release the wait list once the global lane is idle. It can only go idle
    where [end_txn] lowers its [active], where its [run_cycle] empties its
    queue and pending table, and where [recover_lanes] rebuilds the counts;
-   those are the only callers. One zero-delay event releases every parked
-   client in FIFO order. A global transaction that entered at the same
+   those are the only callers. A request waits in a lane's queue or pending
+   table only while its transaction is entered there (an abort drops the
+   transaction's pending requests before it ends it, and recovery restores
+   only live transactions' requests), so today only the first of the three
+   finds the lane idle; the other two keep the wait list safe should that
+   change. One zero-delay event releases every parked client in FIFO
+   order. A global transaction that entered at the same
    instant (a global client starting its next transaction) keeps them all
    parked, and the lane's next drain wakes them again. *)
 and wake_parked sim =
@@ -418,10 +410,18 @@ and wake_parked sim =
              Queue.iter (begin_txn sim) released
            end))
 
-and restart_client ?(redo = false) sim client =
-  if redo && Option.is_some sim.faults then client.redo <- Some client.txn;
-  let backoff = 0.001 *. (1. +. Rng.float sim.rng) in
-  ignore (Engine.schedule sim.engine ~after:backoff (fun () -> start_txn sim client))
+(* Transaction [ta] ends without committing. Its client, if still
+   connected to it, starts its next transaction after a short backoff: under
+   faults, with [redo], the same operations again. *)
+and restart ~redo sim ta =
+  match Hashtbl.find_opt sim.by_ta ta with
+  | Some c ->
+    end_txn sim ta;
+    c.outstanding <- None;
+    if redo && Option.is_some sim.faults then c.redo <- Some c.txn;
+    let backoff = 0.001 *. (1. +. Rng.float sim.rng) in
+    ignore (Engine.schedule sim.engine ~after:backoff (fun () -> start_txn sim c))
+  | None -> ()
 
 and submit_next sim client =
   match client.remaining with
@@ -451,15 +451,7 @@ and submit_next sim client =
            lands in the right history. *)
         accept ();
         sim.shed_txns <- sim.shed_txns + 1;
-        sim.aborted_txns <- sim.aborted_txns + 1;
-        let vta = victim.Request.ta in
-        ignore (Scheduler.abort_txn lane.sched vta);
-        (match Hashtbl.find_opt sim.by_ta vta with
-        | Some vc ->
-          end_txn sim vta;
-          vc.outstanding <- None;
-          restart_client ~redo:true sim vc
-        | None -> ());
+        abort sim lane victim.Request.ta;
         maybe_fire sim lane
       | `Rejected ->
         (* Backpressure: nothing queued, nothing journalled — hold the
@@ -470,17 +462,30 @@ and submit_next sim client =
           (Engine.schedule sim.engine ~after:wait (fun () ->
                submit_next sim client))))
 
+(* The one abort path: the middleware gives up on transaction [ta] of
+   [lane] (queue shed, starvation, dead letter, client disconnect, poison
+   found after a crash). The abort marker goes to the lane's scheduler and
+   the client restarts. Callers count their own cause. *)
+and abort ?(redo = true) sim lane ta =
+  ignore (Scheduler.abort_txn lane.sched ta);
+  sim.aborted_txns <- sim.aborted_txns + 1;
+  restart ~redo sim ta
+
+(* The one fire path: schedule [lane]'s next cycle [after] seconds from now
+   unless one is already scheduled. *)
+and fire ?(after = 0.) sim lane =
+  if not lane.fire_pending then begin
+    lane.fire_pending <- true;
+    ignore (Engine.schedule sim.engine ~after (fun () -> run_cycle sim lane))
+  end
+
 and maybe_fire sim lane =
   let elapsed = Engine.now sim.engine -. lane.last_cycle_at in
   if
-    (not lane.fire_pending)
-    && Trigger.due sim.cfg.trigger
-         ~queue_len:(Scheduler.queue_length lane.sched)
-         ~elapsed
-  then begin
-    lane.fire_pending <- true;
-    ignore (Engine.schedule sim.engine ~after:0. (fun () -> run_cycle sim lane))
-  end
+    Trigger.due sim.cfg.trigger
+      ~queue_len:(Scheduler.queue_length lane.sched)
+      ~elapsed
+  then fire sim lane
 
 and run_cycle sim lane =
   lane.fire_pending <- false;
@@ -500,14 +505,11 @@ and run_cycle sim lane =
     (* validated: pcrash requires a replication session *)
     failover_promote sim (Option.get sim.cfg.repl)
   end
-  else if not (barrier_clear sim lane) then begin
+  else if not (barrier_clear sim lane) then
     (* Cross-shard barrier: this lane may not admit work right now. Hold
        the fire and retry shortly — deliveries on the other lanes are what
        eventually clear it. Never taken at S=1. *)
-    lane.fire_pending <- true;
-    ignore
-      (Engine.schedule sim.engine ~after:0.001 (fun () -> run_cycle sim lane))
-  end
+    fire ~after:0.001 sim lane
   else if
     Scheduler.queue_length lane.sched > 0
     || Scheduler.pending_count lane.sched > 0
@@ -556,14 +558,8 @@ and run_cycle sim lane =
         match c.outstanding with
         | Some o when c.lane = lane.lane_id && c.admitted_in <> cycle ->
           c.stall_cycles <- c.stall_cycles + 1;
-          if c.stall_cycles >= sim.cfg.starvation_cycles then begin
-            let ta = o.Request.ta in
-            ignore (Scheduler.abort_txn lane.sched ta);
-            end_txn sim ta;
-            sim.aborted_txns <- sim.aborted_txns + 1;
-            c.outstanding <- None;
-            restart_client ~redo:true sim c
-          end
+          if c.stall_cycles >= sim.cfg.starvation_cycles then
+            abort sim lane o.Request.ta
         | _ -> ())
       sim.clients;
     let dispatch_delay = if sim.cfg.charge_scheduler_time then dt else 0. in
@@ -638,16 +634,8 @@ and handle_failure sim lane ~epoch failed undelivered =
        its transaction and keep the rest of the batch moving. *)
     Hashtbl.remove sim.fail_streaks key;
     sim.dead_lettered <- sim.dead_lettered + 1;
-    sim.aborted_txns <- sim.aborted_txns + 1;
     Scheduler.dead_letter lane.sched failed;
-    let ta = failed.Request.ta in
-    ignore (Scheduler.abort_txn lane.sched ta);
-    (match Hashtbl.find_opt sim.by_ta ta with
-    | Some c ->
-      end_txn sim ta;
-      c.outstanding <- None;
-      restart_client ~redo:true sim c
-    | None -> ());
+    abort sim lane failed.Request.ta;
     let rest = List.filter (fun q -> Request.key q <> key) undelivered in
     dispatch sim lane ~epoch rest
   end
@@ -671,12 +659,9 @@ and deliver sim (req : Request.t) =
     | Some o
       when Request.key o = Request.key req
            && (not (Request.is_data req))
-           && sim.repl_sync
-           && (not sim.failed_over)
-           && not
-                (match sim.cfg.repl with
-                | Some h -> h.repl_synced ~ta:req.Request.ta
-                | None -> true) ->
+           && (match sim.ack_gate with
+              | Some synced -> not (synced ~ta:req.Request.ta)
+              | None -> false) ->
       (* Sync replication gates the commit ack: the response stays with the
          middleware until the transaction's journal records are at or below
          the standby's watermark. The epoch capture kills a held ack if the
@@ -695,19 +680,15 @@ and deliver sim (req : Request.t) =
           (* Injected fault: the client vanishes mid-transaction; the
              middleware aborts the orphan and the client reconnects. *)
           sim.disconnects <- sim.disconnects + 1;
-          sim.aborted_txns <- sim.aborted_txns + 1;
-          let ta = req.Request.ta in
-          ignore (Scheduler.abort_txn (lane_of sim ta).sched ta);
-          end_txn sim ta;
-          restart_client sim client
+          abort ~redo:false sim (lane_of sim req.Request.ta) req.Request.ta
         | _ -> submit_next sim client
       end
       else begin
         (* Terminal executed: transaction complete. *)
         let now = Engine.now sim.engine in
+        let tier = client.txn.Txn.sla.Sla.tier in
         end_txn sim req.Request.ta;
-        Ds_obs.Trace.emit_txn sim.cfg.trace
-          ~tier:(Sla.tier_to_string client.txn.Txn.sla.Sla.tier)
+        Ds_obs.Trace.emit_txn sim.cfg.trace ~tier:(Sla.tier_to_string tier)
           (if Op.equal req.Request.op Op.Commit then Ds_obs.Trace.Commit
            else Ds_obs.Trace.Abort)
           ~ta:req.Request.ta;
@@ -718,21 +699,18 @@ and deliver sim (req : Request.t) =
           Ds_stats.Histogram.add sim.latencies latency;
           Option.iter
             (fun m ->
-              Ds_obs.Metrics.observe_latency m
-                ~tier:(Sla.tier_to_string client.txn.Txn.sla.Sla.tier)
+              Ds_obs.Metrics.observe_latency m ~tier:(Sla.tier_to_string tier)
                 latency)
             sim.cfg.metrics;
-          let tier = client.txn.Txn.sla.Sla.tier in
-          let hist, count =
+          let hist =
             match Hashtbl.find_opt sim.tier_latencies tier with
-            | Some entry -> entry
+            | Some hist -> hist
             | None ->
-              let entry = (Ds_stats.Histogram.create (), ref 0) in
-              Hashtbl.add sim.tier_latencies tier entry;
-              entry
+              let hist = Ds_stats.Histogram.create () in
+              Hashtbl.add sim.tier_latencies tier hist;
+              hist
           in
-          Ds_stats.Histogram.add hist latency;
-          incr count
+          Ds_stats.Histogram.add hist latency
         end;
         start_txn sim client
       end
@@ -754,14 +732,11 @@ and crash_and_recover sim =
    Replication requires shards = 1, so lane 0 is the only lane. *)
 and failover_promote sim h =
   sim.failovers <- sim.failovers + 1;
-  sim.failed_over <- true;
-  recover_lanes sim
-    ~on_rebuilt:(fun lane ->
-      Ds_obs.Trace.emit sim.cfg.trace Ds_obs.Trace.Failover ~ta:(-1) ~seq:(-1)
-        ~arg:(Journal.writer_epoch (Option.get lane.journal))
-        ())
-    (fun _ ->
+  sim.ack_gate <- None;
+  recover_lanes sim (fun _ ->
       let p = h.repl_promote () in
+      Ds_obs.Trace.emit sim.cfg.trace Ds_obs.Trace.Failover ~ta:(-1) ~seq:(-1)
+        ~arg:(Journal.writer_epoch p.rp_journal) ();
       (p.rp_recovered, p.rp_journal))
 
 (* Lane lifecycle: the one path that rebuilds lanes mid-run. [recover lane]
@@ -769,7 +744,7 @@ and failover_promote sim h =
    on. The epoch bump orphans every in-flight server callback and every held
    sync-mode ack: whatever the dead process still owed its clients is now
    decided by the recovered state. *)
-and recover_lanes ?(on_rebuilt = ignore) sim recover =
+and recover_lanes sim recover =
   sim.epoch <- sim.epoch + 1;
   (* Host-timed end to end (read + replay + restore): with
      checkpointing on, this is the number the recovery bench shows staying
@@ -791,7 +766,6 @@ and recover_lanes ?(on_rebuilt = ignore) sim recover =
         sim.recovery_replayed <-
           sim.recovery_replayed + recovered.Journal.replayed;
         sim.recovery_skipped <- sim.recovery_skipped + recovered.Journal.skipped;
-        on_rebuilt lane;
         recovered)
       sim.lanes
   in
@@ -847,22 +821,18 @@ and recover_lanes ?(on_rebuilt = ignore) sim recover =
    by live crash recovery and hot-standby failover — the client contract is
    the same either way. *)
 and reconcile_clients sim recovered_by_lane =
-  let mem_keys rs =
-    let tbl = Hashtbl.create (2 * List.length rs) in
-    List.iter (fun r -> Hashtbl.replace tbl (Request.key r) ()) rs;
-    fun key -> Hashtbl.mem tbl key
+  let set_of key xs =
+    let tbl = Hashtbl.create (2 * List.length xs) in
+    List.iter (fun x -> Hashtbl.replace tbl (key x) ()) xs;
+    Hashtbl.mem tbl
   in
   let views =
     Array.map
       (fun (r : Journal.recovered) ->
-        let aborted = Hashtbl.create 16 in
-        List.iter
-          (fun ta -> Hashtbl.replace aborted ta ())
-          r.Journal.aborted;
-        ( mem_keys r.Journal.history,
-          mem_keys r.Journal.dead,
-          mem_keys r.Journal.pending,
-          aborted ))
+        ( set_of Request.key r.Journal.history,
+          set_of Request.key r.Journal.dead,
+          set_of Request.key r.Journal.pending,
+          set_of Fun.id r.Journal.aborted ))
       recovered_by_lane
   in
   Array.iter
@@ -874,24 +844,17 @@ and reconcile_clients sim recovered_by_lane =
         let lane = sim.lanes.(c.lane) in
         let key = Request.key req in
         let ta = req.Request.ta in
-        if Hashtbl.mem aborted ta || in_dead key then begin
+        if aborted ta || in_dead key then
           (* The middleware had already given up on this transaction. *)
-          end_txn sim ta;
-          c.outstanding <- None;
-          restart_client ~redo:true sim c
-        end
+          restart ~redo:true sim ta
         else if in_history key then begin
           match sim.faults with
           | Some f when Faults.is_poison f req ->
             (* Qualified before the crash but can never execute; dead-letter
                it now instead of re-delivering. *)
             sim.dead_lettered <- sim.dead_lettered + 1;
-            sim.aborted_txns <- sim.aborted_txns + 1;
             Scheduler.dead_letter lane.sched req;
-            ignore (Scheduler.abort_txn lane.sched ta);
-            end_txn sim ta;
-            c.outstanding <- None;
-            restart_client ~redo:true sim c
+            abort sim lane ta
           | _ ->
             (* Qualified (= logically executed) but the response was lost in
                the crash: re-deliver it. *)
@@ -908,44 +871,40 @@ and reconcile_clients sim recovered_by_lane =
           Scheduler.submit lane.sched req)
     sim.clients
 
-let run_sim (cfg : config) =
-  (match Spec.validate cfg.spec with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Middleware.run: " ^ m));
-  (match Faults.validate cfg.faults with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Middleware.run: faults: " ^ m));
+let validate (cfg : config) =
   let require ok msg = if not ok then invalid_arg ("Middleware.run: " ^ msg) in
+  let valid what = Result.iter_error (fun m -> require false (what ^ m)) in
+  valid "" (Spec.validate cfg.spec);
+  valid "faults: " (Faults.validate cfg.faults);
   let positive = Option.fold ~none:true ~some:(fun x -> x > 0) in
   require (cfg.workers >= 1) "workers must be >= 1";
   require (cfg.shards >= 1) "shards must be >= 1";
   require (positive cfg.checkpoint_interval)
     "checkpoint_interval must be positive";
   require (positive cfg.queue_capacity) "queue_capacity must be positive";
-  (match cfg.repl with
+  match cfg.repl with
   | Some _ ->
-    if cfg.shards > 1 then
-      invalid_arg "Middleware.run: replication requires shards = 1";
-    if cfg.journal_path = None then
-      invalid_arg "Middleware.run: replication requires a journal";
-    if cfg.faults.Faults.crash_at_cycle <> None then
-      invalid_arg
-        "Middleware.run: crash fault is incompatible with replication (use \
-         pcrash)"
+    require (cfg.shards = 1) "replication requires shards = 1";
+    require (cfg.journal_path <> None) "replication requires a journal";
+    require
+      (cfg.faults.Faults.crash_at_cycle = None)
+      "crash fault is incompatible with replication (use pcrash)"
   | None ->
-    if cfg.faults.Faults.pcrash_at_cycle <> None then
-      invalid_arg "Middleware.run: pcrash fault requires a replication session");
-  let engine = Engine.create () in
-  Option.iter
-    (fun tr -> Ds_obs.Trace.set_clock tr (fun () -> Engine.now engine))
-    cfg.trace;
-  let master = Rng.create cfg.seed in
-  (* S shard lanes + 1 global lane; at S=1 a single lane, the historical
-     single-scheduler layout. *)
+    require
+      (cfg.faults.Faults.pcrash_at_cycle = None)
+      "pcrash fault requires a replication session"
+
+(* S shard lanes + 1 global lane; at S=1 a single lane, the historical
+   single-scheduler layout. Each lane journals to its own segment of
+   [cfg.journal_path] (the file itself at S=1). A crash fault needs a
+   journal to recover from, so without a path the run journals to a temp
+   file or directory, returned as the second component for removal after
+   the run. *)
+let open_lanes (cfg : config) engine ~stamp =
   let n_lanes = if cfg.shards > 1 then cfg.shards + 1 else 1 in
   let journal_path, auto_journal =
     match (cfg.journal_path, cfg.faults.Faults.crash_at_cycle) with
-    | Some p, _ -> (Some p, false)
+    | Some p, _ -> (Some p, None)
     | None, Some _ ->
       let p =
         if cfg.shards > 1 then begin
@@ -957,8 +916,8 @@ let run_sim (cfg : config) =
         end
         else Filename.temp_file "dsched" ".journal"
       in
-      (Some p, true)
-    | None, None -> (None, false)
+      (Some p, Some p)
+    | None, None -> (None, None)
   in
   let lane_paths =
     match journal_path with
@@ -969,6 +928,38 @@ let run_sim (cfg : config) =
           (List.map Option.some (Journal.init_segment_dir p ~shards:cfg.shards))
       else [| Some p |]
   in
+  let lanes =
+    Array.mapi
+      (fun i path ->
+        let journal =
+          Option.map (fun p -> Journal.open_ ~sync:cfg.sync_journal p) path
+        in
+        let sched = lane_sched cfg ~stamp ?journal () in
+        {
+          lane_id = i;
+          pool =
+            Ds_server.Worker_pool.create engine Ds_server.Cost_model.default
+              ~workers:cfg.workers;
+          sched;
+          journal;
+          journal_path = path;
+          fire_pending = false;
+          last_cycle_at = 0.;
+          active = 0;
+        })
+      lane_paths
+  in
+  (lanes, auto_journal)
+
+(* The run's state, with its lanes open and its clients not yet started.
+   Returns the master RNG, from which the fault stream splits later, and
+   the temp journal to remove after the run. *)
+let create_sim (cfg : config) =
+  let engine = Engine.create () in
+  Option.iter
+    (fun tr -> Ds_obs.Trace.set_clock tr (fun () -> Engine.now engine))
+    cfg.trace;
+  let master = Rng.create cfg.seed in
   (* The global admission clock (S>1 only): every qualification, in every
      lane, draws the next gseq through this hook. The scheduler journals the
      stamp with the Q record, so the merged order is recoverable. *)
@@ -984,36 +975,15 @@ let run_sim (cfg : config) =
           g)
     else None
   in
-  let lanes =
-    Array.init n_lanes (fun i ->
-        let journal =
-          Option.map
-            (fun p -> Journal.open_ ~sync:cfg.sync_journal p)
-            lane_paths.(i)
-        in
-        let sched = lane_sched cfg ~stamp:stamp_hook ?journal () in
-        {
-          lane_id = i;
-          pool =
-            Ds_server.Worker_pool.create engine Ds_server.Cost_model.default
-              ~workers:cfg.workers;
-          sched;
-          journal;
-          journal_path = lane_paths.(i);
-          fire_pending = false;
-          last_cycle_at = 0.;
-          active = 0;
-        })
-  in
+  let lanes, auto_journal = open_lanes cfg engine ~stamp:stamp_hook in
   let sim =
     {
       cfg;
       engine;
       lanes;
       clients =
-        Array.init cfg.n_clients (fun i ->
+        Array.init cfg.n_clients (fun _ ->
             {
-              cid = i;
               gen = Generator.create cfg.spec (Rng.split master);
               txn = Txn.make ~ta:0 [ (Op.Commit, None) ];
               remaining = [];
@@ -1038,12 +1008,11 @@ let run_sim (cfg : config) =
       epoch = 0;
       crash_done = false;
       pcrash_done = false;
-      failed_over = false;
       failovers = 0;
-      repl_sync =
+      ack_gate =
         (match cfg.repl with
-        | Some h -> (h.repl_status ()).rs_sync
-        | None -> false);
+        | Some h when (h.repl_status ()).rs_sync -> Some h.repl_synced
+        | _ -> None);
       cycles_done = 0;
       ta_counter = 0;
       req_counter = 0;
@@ -1074,14 +1043,20 @@ let run_sim (cfg : config) =
       tier_latencies = Hashtbl.create 4;
     }
   in
-  (* Split the fault stream after clients and sim.rng so no-fault runs keep
-     the exact RNG draws (and behavior) they had before faults existed. *)
+  (sim, master, auto_journal)
+
+(* Arm every lane's worker pool, then draw the fault plan. Supervision
+   deadlines are armed only when the plan injects worker faults, so
+   fault-free runs keep their exact event timing. The fault stream splits
+   from [master] after the clients and [sim.rng], so no-fault runs keep the
+   exact RNG draws (and behavior) they had before faults existed. *)
+let wire_faults sim master =
+  let cfg = sim.cfg in
+  let worker_faults = Faults.has_worker_faults cfg.faults in
   Array.iter
     (fun lane ->
       Ds_server.Worker_pool.set_trace lane.pool cfg.trace;
-      (* Supervision deadlines are armed only when the plan injects worker
-         faults, so fault-free runs keep their exact event timing. *)
-      if Faults.has_worker_faults cfg.faults then
+      if worker_faults then
         Ds_server.Worker_pool.set_deadline_factor lane.pool (Some 4.0);
       if cfg.hedging then Ds_server.Worker_pool.set_hedging lane.pool true)
     sim.lanes;
@@ -1091,103 +1066,94 @@ let run_sim (cfg : config) =
     Array.iter
       (fun lane ->
         Ds_server.Worker_pool.set_fault_hook lane.pool (Faults.request_outcome f);
-        if Faults.has_worker_faults cfg.faults then
+        if worker_faults then
           Ds_server.Worker_pool.set_worker_fault_hook lane.pool
-            (Some
-               (fun ~alive ->
-                 List.map
-                   (function
-                     | Faults.Worker_crash { worker; after } ->
-                       Ds_server.Worker_pool.Crash { worker; after }
-                     | Faults.Worker_death { worker } ->
-                       Ds_server.Worker_pool.Die { worker }
-                     | Faults.Worker_stall { worker; delay } ->
-                       Ds_server.Worker_pool.Slow { worker; delay })
-                   (Faults.draw_worker_faults f ~alive))))
+            (Some (Faults.draw_worker_faults f)))
       sim.lanes
-  end;
-  (* Replication wiring: tap the primary's journal, drive the session's
-     virtual clock off the engine, and pump the link on a short periodic
-     timer (delivery, watermark advance, retransmission). *)
+  end
+
+(* Call [f] every [period] virtual seconds, the first time one period from
+   now, until the run's end. *)
+let every sim period f =
+  let rec tick () =
+    f ();
+    if Engine.now sim.engine < sim.cfg.duration then
+      ignore (Engine.schedule sim.engine ~after:period tick)
+  in
+  ignore (Engine.schedule sim.engine ~after:period tick)
+
+(* Replication wiring: tap the primary's journal, drive the session's
+   virtual clock off the engine, and pump the link on a short periodic
+   timer (delivery, watermark advance, retransmission). *)
+let wire_replication sim =
   Option.iter
     (fun h ->
-      h.repl_set_clock (fun () -> Engine.now engine);
+      h.repl_set_clock (fun () -> Engine.now sim.engine);
       (match sim.lanes.(0).journal with
       | Some j -> h.repl_attach j
       | None -> assert false (* validated: repl requires a journal *));
-      let rec rtick () =
-        h.repl_pump ~now:(Engine.now engine);
-        if Engine.now engine < cfg.duration then
-          ignore (Engine.schedule engine ~after:0.005 rtick)
-      in
-      ignore (Engine.schedule engine ~after:0.005 rtick))
-    cfg.repl;
-  (* One periodic timer re-checks every lane even when no client is
-     submitting. A time-based trigger fires on its own period. Pure fill
-     triggers can stall when every client is blocked with queue_len < k, so
-     a slow fallback tick fires any lane with work sitting in its incoming
-     queue or pending table. *)
+      every sim 0.005 (fun () -> h.repl_pump ~now:(Engine.now sim.engine)))
+    sim.cfg.repl
+
+(* Start every client and run the engine to the end of the run. One
+   periodic timer re-checks every lane even when no client is submitting.
+   A time-based trigger fires on its own period. Pure fill triggers can
+   stall when every client is blocked with queue_len < k, so a slow
+   fallback tick fires any lane with work sitting in its incoming queue or
+   pending table. *)
+let run_clients sim =
   let period, tick_lane =
-    match Trigger.period cfg.trigger with
+    match Trigger.period sim.cfg.trigger with
     | Some dt -> (dt, maybe_fire sim)
     | None ->
       ( 0.05,
         fun l ->
           if
-            (Scheduler.queue_length l.sched > 0
-            || Scheduler.pending_count l.sched > 0)
-            && not l.fire_pending
-          then begin
-            l.fire_pending <- true;
-            ignore (Engine.schedule engine ~after:0. (fun () -> run_cycle sim l))
-          end )
+            Scheduler.queue_length l.sched > 0
+            || Scheduler.pending_count l.sched > 0
+          then fire sim l )
   in
-  let rec tick () =
-    Array.iter tick_lane sim.lanes;
-    if Engine.now engine < cfg.duration then
-      ignore (Engine.schedule engine ~after:period tick)
-  in
-  ignore (Engine.schedule engine ~after:period tick);
+  every sim period (fun () -> Array.iter tick_lane sim.lanes);
   Array.iter
-    (fun c -> ignore (Engine.schedule engine ~after:0. (fun () -> start_txn sim c)))
+    (fun c ->
+      ignore (Engine.schedule sim.engine ~after:0. (fun () -> start_txn sim c)))
     sim.clients;
-  Engine.run_until engine ~until:cfg.duration;
+  Engine.run_until sim.engine ~until:sim.cfg.duration;
   (* A client parked behind an idle global lane can only come from a missed
      wake point: it would have waited out the run for nothing. *)
-  if wake_due sim then
+  if sim.cfg.shards > 1 && wake_due sim then
     failwith
       (Printf.sprintf
          "Middleware.run: lost wake-up: %d clients parked behind an idle \
           global lane"
-         (Queue.length sim.parked));
-  (* Bounded post-run settle: keep pumping past the end of the run so
-     end-of-run lag reflects genuine loss, not records still on the wire
-     (a partition that outlives the run heals inside this window; after a
-     failover the same pumps surface — and fence — the old primary's
-     stragglers). *)
+         (Queue.length sim.parked))
+
+(* Bounded post-run settle: keep pumping past the end of the run so
+   end-of-run lag reflects genuine loss, not records still on the wire (a
+   partition that outlives the run heals inside this window; after a
+   failover the same pumps surface — and fence — the old primary's
+   stragglers). *)
+let settle sim =
   Option.iter
     (fun h ->
       let i = ref 0 in
       while !i < 120 && ((h.repl_status ()).rs_lag > 0 || !i < 20) do
         incr i;
-        h.repl_pump ~now:(cfg.duration +. (0.025 *. float_of_int !i))
+        h.repl_pump ~now:(sim.cfg.duration +. (0.025 *. float_of_int !i))
       done)
-    cfg.repl;
+    sim.cfg.repl
+
+let collect_stats sim =
+  let cfg = sim.cfg in
   let repl_final = Option.map (fun h -> h.repl_status ()) cfg.repl in
   let repl f = Option.fold ~none:0 ~some:f repl_final in
   let sum_pools f = Array.fold_left (fun acc l -> acc + f l.pool) 0 sim.lanes in
-  let makespans =
-    if n_lanes = 1 then Ds_server.Worker_pool.makespans sim.lanes.(0).pool
-    else begin
-      let merged = Ds_stats.Histogram.create () in
-      Array.iter
-        (fun l ->
-          Ds_stats.Histogram.merge_into ~dst:merged
-            (Ds_server.Worker_pool.makespans l.pool))
-        sim.lanes;
-      merged
-    end
-  in
+  let makespans = Ds_stats.Histogram.create () in
+  Array.iter
+    (fun l ->
+      Ds_stats.Histogram.merge_into ~dst:makespans
+        (Ds_server.Worker_pool.makespans l.pool))
+    sim.lanes;
   Option.iter
     (fun m ->
       Ds_obs.Metrics.set_workers m
@@ -1205,64 +1171,74 @@ let run_sim (cfg : config) =
         acc + Option.fold ~none:0 ~some:Journal.checkpoints_written l.journal)
       sim.checkpoints_acc sim.lanes
   in
-  Array.iter (fun l -> Option.iter Journal.close l.journal) sim.lanes;
-  if auto_journal then Option.iter Journal.remove journal_path;
   let tiers =
     Hashtbl.fold
-      (fun tier (hist, count) acc ->
-        (tier, Ds_stats.Histogram.mean hist, Ds_stats.Histogram.p95 hist, !count)
-        :: acc)
+      (fun tier hist acc ->
+        Ds_stats.Histogram.(tier, mean hist, p95 hist, count hist) :: acc)
       sim.tier_latencies []
-    |> List.sort (fun (a, _, _, _) (b, _, _, _) -> Sla.compare_urgency { Sla.premium with tier = a } { Sla.premium with tier = b })
+    |> List.sort (fun (a, _, _, _) (b, _, _, _) ->
+           Sla.compare_urgency
+             { Sla.premium with tier = a }
+             { Sla.premium with tier = b })
   in
-  ( {
-      committed_txns = sim.committed_txns;
-      committed_stmts = sim.committed_stmts;
-      aborted_txns = sim.aborted_txns;
-      cycles = sim.cycles_done;
-      mean_cycle_time = Ds_stats.Summary.mean sim.cycle_times;
-      p95_cycle_time = Ds_stats.Histogram.p95 sim.cycle_times_hist;
-      mean_batch = Ds_stats.Summary.mean sim.batch_sizes;
-      mean_pending = Ds_stats.Summary.mean sim.pending_sizes;
-      scheduler_time = Ds_stats.Summary.sum sim.cycle_times;
-      mean_txn_latency = Ds_stats.Histogram.mean sim.latencies;
-      p95_txn_latency = Ds_stats.Histogram.p95 sim.latencies;
-      latency_by_tier = tiers;
-      retries = sim.retries;
-      timeouts = sim.timeouts;
-      injected_failures =
-        (match sim.faults with Some f -> Faults.injected_failures f | None -> 0);
-      injected_stalls =
-        (match sim.faults with Some f -> Faults.injected_stalls f | None -> 0);
-      shed_txns = sim.shed_txns;
-      backpressure_waits = sim.backpressure_waits;
-      dead_lettered = sim.dead_lettered;
-      disconnects = sim.disconnects;
-      crashes = sim.crashes;
-      workers = cfg.workers;
-      batches_dispatched = sum_pools Ds_server.Worker_pool.batch_count;
-      mean_batch_makespan = Ds_stats.Histogram.mean makespans;
-      p95_batch_makespan = Ds_stats.Histogram.p95 makespans;
-      worker_crashes = sum_pools Ds_server.Worker_pool.worker_crashes;
-      worker_deaths = sum_pools Ds_server.Worker_pool.worker_deaths;
-      worker_stalls = sum_pools Ds_server.Worker_pool.worker_stalls_detected;
-      reassigned_classes = sum_pools Ds_server.Worker_pool.reassigned_classes;
-      hedged_classes = sum_pools Ds_server.Worker_pool.hedged_classes;
-      checkpoints;
-      recovery_replayed = sim.recovery_replayed;
-      recovery_skipped = sim.recovery_skipped;
-      recovery_time = sim.recovery_time;
-      shards = cfg.shards;
-      global_lane_txns = sim.global_lane_txns;
-      shard_deferrals = sim.shard_deferrals;
-      failovers = sim.failovers;
-      repl_epoch = repl (fun s -> s.rs_epoch);
-      repl_watermark = repl (fun s -> s.rs_watermark);
-      repl_lag = repl (fun s -> s.rs_lag);
-      repl_fenced = repl (fun s -> s.rs_fenced);
-      repl_divergences = repl (fun s -> s.rs_divergences);
-    },
-    sim )
+  let faults f = Option.fold ~none:0 ~some:f sim.faults in
+  {
+    committed_txns = sim.committed_txns;
+    committed_stmts = sim.committed_stmts;
+    aborted_txns = sim.aborted_txns;
+    cycles = sim.cycles_done;
+    mean_cycle_time = Ds_stats.Summary.mean sim.cycle_times;
+    p95_cycle_time = Ds_stats.Histogram.p95 sim.cycle_times_hist;
+    mean_batch = Ds_stats.Summary.mean sim.batch_sizes;
+    mean_pending = Ds_stats.Summary.mean sim.pending_sizes;
+    scheduler_time = Ds_stats.Summary.sum sim.cycle_times;
+    mean_txn_latency = Ds_stats.Histogram.mean sim.latencies;
+    p95_txn_latency = Ds_stats.Histogram.p95 sim.latencies;
+    latency_by_tier = tiers;
+    retries = sim.retries;
+    timeouts = sim.timeouts;
+    injected_failures = faults Faults.injected_failures;
+    injected_stalls = faults Faults.injected_stalls;
+    shed_txns = sim.shed_txns;
+    backpressure_waits = sim.backpressure_waits;
+    dead_lettered = sim.dead_lettered;
+    disconnects = sim.disconnects;
+    crashes = sim.crashes;
+    workers = cfg.workers;
+    batches_dispatched = sum_pools Ds_server.Worker_pool.batch_count;
+    mean_batch_makespan = Ds_stats.Histogram.mean makespans;
+    p95_batch_makespan = Ds_stats.Histogram.p95 makespans;
+    worker_crashes = sum_pools Ds_server.Worker_pool.worker_crashes;
+    worker_deaths = sum_pools Ds_server.Worker_pool.worker_deaths;
+    worker_stalls = sum_pools Ds_server.Worker_pool.worker_stalls_detected;
+    reassigned_classes = sum_pools Ds_server.Worker_pool.reassigned_classes;
+    hedged_classes = sum_pools Ds_server.Worker_pool.hedged_classes;
+    checkpoints;
+    recovery_replayed = sim.recovery_replayed;
+    recovery_skipped = sim.recovery_skipped;
+    recovery_time = sim.recovery_time;
+    shards = cfg.shards;
+    global_lane_txns = sim.global_lane_txns;
+    shard_deferrals = sim.shard_deferrals;
+    failovers = sim.failovers;
+    repl_epoch = repl (fun s -> s.rs_epoch);
+    repl_watermark = repl (fun s -> s.rs_watermark);
+    repl_lag = repl (fun s -> s.rs_lag);
+    repl_fenced = repl (fun s -> s.rs_fenced);
+    repl_divergences = repl (fun s -> s.rs_divergences);
+  }
+
+let run_sim cfg =
+  validate cfg;
+  let sim, master, auto_journal = create_sim cfg in
+  wire_faults sim master;
+  wire_replication sim;
+  run_clients sim;
+  settle sim;
+  let stats = collect_stats sim in
+  Array.iter (fun l -> Option.iter Journal.close l.journal) sim.lanes;
+  Option.iter Journal.remove auto_journal;
+  (stats, sim)
 
 let run cfg = fst (run_sim cfg)
 

@@ -86,11 +86,3 @@ let partition requests =
   List.rev_map
     (fun id -> { id; requests = List.rev !(Hashtbl.find acc id) })
     !order
-
-let class_of classes =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun c ->
-      List.iter (fun r -> Hashtbl.replace tbl (Request.key r) c.id) c.requests)
-    classes;
-  fun r -> Hashtbl.find_opt tbl (Request.key r)

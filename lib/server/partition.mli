@@ -25,7 +25,3 @@ val size : cls -> int
     within a class, batch order is preserved. Deterministic in the batch
     order alone (no randomness, no clocks). *)
 val partition : Request.t list -> cls list
-
-(** [class_of classes] — a lookup function from a request (by its
-    [(ta, intrata)] key) to its class id. *)
-val class_of : cls list -> Request.t -> int option

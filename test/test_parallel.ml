@@ -10,6 +10,17 @@ open Ds_core
 let req id ta intrata op obj = Request.make ~id ~ta ~intrata ~op ~obj ()
 let terminal id ta intrata op = Request.make ~id ~ta ~intrata ~op ()
 
+(* The class id of each request of [classes], looked up by request key. *)
+let class_of classes =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun r -> Hashtbl.replace tbl (Request.key r) c.Partition.id)
+        c.Partition.requests)
+    classes;
+  fun r -> Hashtbl.find_opt tbl (Request.key r)
+
 (* --- partition: qcheck property ----------------------------------- *)
 
 let partition_is_true_partition =
@@ -27,7 +38,7 @@ let partition_is_true_partition =
       if multiset scattered <> multiset batch then
         QCheck2.Test.fail_report "not a partition of the batch";
       (* No two requests in different classes conflict or share a TA. *)
-      let cls_of = Partition.class_of classes in
+      let cls_of = class_of classes in
       List.iteri
         (fun i a ->
           List.iteri
@@ -105,7 +116,7 @@ let test_partition_examples () =
   in
   let classes = Partition.partition batch in
   Alcotest.(check int) "4 classes" 4 (List.length classes);
-  let cls_of = Partition.class_of classes in
+  let cls_of = class_of classes in
   Alcotest.(check bool) "w-w same class" true
     (cls_of (List.nth batch 0) = cls_of (List.nth batch 2));
   Alcotest.(check bool) "r-r different classes" true
