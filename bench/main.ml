@@ -113,12 +113,14 @@ let native_run ~clients ~window ~seed ~log =
       log_schedule = log;
     }
 
-(* Averaged MU statistics + SU replay time for one client count. *)
+(* Averaged MU statistics + SU replay time for one client count. A point
+   whose runs committed no statement has no SU time: replaying an empty
+   schedule would cost only the final commit's service time. *)
 type mu_point = {
   clients : int;
   committed_stmts : float;
-  su_time : float;
-  ratio_pct : float;  (** MU window / SU replay of the committed schedule *)
+  su_time : float option;
+  ratio_pct : float option;  (** MU window / SU replay of the committed schedule *)
   deadlocks : float;
   cpu_util : float;
 }
@@ -128,20 +130,26 @@ let measure_mu ~window ~runs clients =
   for r = 1 to runs do
     let s = native_run ~clients ~window ~seed:(41 + r) ~log:true in
     stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
-    su := !su +. Replay.single_user_time Cost_model.default s.Native_sim.schedule;
+    if s.Native_sim.committed_stmts > 0 then
+      su := !su +. Replay.single_user_time Cost_model.default s.Native_sim.schedule;
     dl := !dl +. float_of_int s.Native_sim.deadlocks;
     cpu := !cpu +. s.Native_sim.cpu_utilization
   done;
   let f = float_of_int runs in
-  let su_time = !su /. f in
+  let su_time = if !stmts > 0. then Some (!su /. f) else None in
   {
     clients;
     committed_stmts = !stmts /. f;
     su_time;
-    ratio_pct = 100. *. window /. su_time;
+    ratio_pct = Option.map (fun su -> 100. *. window /. su) su_time;
     deadlocks = !dl /. f;
     cpu_util = !cpu /. f;
   }
+
+(* A float cell that prints "-" where the point has no value. *)
+let opt_col fmt head f =
+  col head (fun r ->
+      match f r with Some x -> Printf.sprintf fmt x | None -> "-")
 
 let probe ~runs clients protocol =
   Overhead_probe.measure ~runs ~n_clients:clients protocol
@@ -164,8 +172,8 @@ let figure2 ~window ~runs () =
     [
       int_col "clients" (fun (p : mu_point) -> p.clients);
       float_col "%.0f" "MU stmts" (fun p -> p.committed_stmts);
-      float_col "%.1f" "SU time (s)" (fun p -> p.su_time);
-      float_col "%.0f" "MU/SU (%)" (fun p -> p.ratio_pct);
+      opt_col "%.1f" "SU time (s)" (fun p -> p.su_time);
+      opt_col "%.0f" "MU/SU (%)" (fun p -> p.ratio_pct);
       float_col "%.0f" "deadlocks" (fun p -> p.deadlocks);
     ]
     rows;
@@ -174,8 +182,11 @@ let figure2 ~window ~runs () =
   note "log10(MU/SU %%) vs clients  (paper: ~100%% at 1 client, knee before 500)";
   List.iter
     (fun p ->
-      let stars = int_of_float ((log10 (Float.max 100. p.ratio_pct) -. 1.9) *. 25.) in
-      note "%5d | %s %.0f%%" p.clients (String.make (max 1 stars) '#') p.ratio_pct)
+      Option.iter
+        (fun ratio ->
+          let stars = int_of_float ((log10 (Float.max 100. ratio) -. 1.9) *. 25.) in
+          note "%5d | %s %.0f%%" p.clients (String.make (max 1 stars) '#') ratio)
+        p.ratio_pct)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -193,8 +204,9 @@ let native_overhead ~window ~runs () =
     [
       int_col "clients" (fun (p : mu_point) -> p.clients);
       float_col "%.0f" "MU stmts" (fun p -> p.committed_stmts);
-      float_col "%.1f" "SU time (s)" (fun p -> p.su_time);
-      float_col "%.1f" "overhead (s)" (fun p -> window -. p.su_time);
+      opt_col "%.1f" "SU time (s)" (fun p -> p.su_time);
+      opt_col "%.1f" "overhead (s)" (fun p ->
+          Option.map (fun su -> window -. su) p.su_time);
       float_col ~scale:100. "%.0f" "CPU util (%)" (fun p -> p.cpu_util);
     ]
     (List.map (measure_mu ~window ~runs) [ 300; 500 ]);
@@ -252,7 +264,7 @@ let crossover ~window ~runs ~cycle_scale () =
       (fun clients ->
         let p = measure_mu ~window ~runs clients in
         let m = probe ~runs clients Builtin.ss2pl_sql in
-        let native_ovh = window -. p.su_time in
+        let native_ovh = window -. Option.value p.su_time ~default:0. in
         let decl_ovh =
           cycle_scale
           *. Overhead_probe.amortized_overhead m
