@@ -277,6 +277,72 @@ let test_check_failover_async_window () =
   Alcotest.(check bool) "full survival passes sync" true
     (Ds_check.Equivalence.failover_ok clean)
 
+(* --- durability across a failover, end to end ----------------------------- *)
+
+(* A middleware run killed by a permanent primary crash at cycle 150 and
+   failed over to its hot standby, on a link whose partition opens at 0.9 s
+   for 0.8 s: transactions admitted during the outage and acked before the
+   crash (~1.5 s) are unreplicated when the primary dies. Returns the
+   durability report over every commit a client saw before the failover,
+   and the records the promoted standby fenced by stale epoch. *)
+let failover_point mode =
+  let plan =
+    {
+      Link.none with
+      Link.drop_rate = 0.02;
+      partition_at = Some 0.9;
+      partition_for = 0.8;
+    }
+  in
+  let journal = temp_name ".journal" in
+  let dir = temp_name ".repl.d" in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_f journal;
+      rm_f (Session.standby_path_of dir);
+      rm_f (Filename.concat dir "REPL");
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () ->
+      let trace = Ds_obs.Trace.create () in
+      let session = Session.create ~mode ~plan ~seed:42 ~trace ~dir () in
+      let stats =
+        Middleware.run
+          {
+            (cfg ~n_clients:30 ~duration:2.
+               ~faults:{ Faults.none with Faults.pcrash_at_cycle = Some 150 }
+               ~journal_path:journal ())
+            with
+            Middleware.spec =
+              { small_spec with Ds_workload.Spec.n_objects = 20_000 };
+            protocol = Builtin.ss2pl_ocaml;
+            trigger = Trigger.Hybrid (0.01, 50);
+            repl = Some (Session.hooks session);
+            trace = Some trace;
+          }
+      in
+      Session.close session;
+      Alcotest.(check int) "exactly one failover" 1 stats.Middleware.failovers;
+      ( Ds_dst.Runner.failover_report session
+          ~trace_events:(Ds_obs.Trace.events trace),
+        Session.fenced session ))
+
+let test_failover_durability () =
+  let sync, sync_fenced = failover_point Session.Sync in
+  let async, async_fenced = failover_point Session.Async in
+  let lost r =
+    List.length r.Ds_check.Equivalence.lost_below_watermark
+    + List.length r.Ds_check.Equivalence.lost_above_watermark
+  in
+  Alcotest.(check bool) "acked commits checked" true
+    (sync.Ds_check.Equivalence.acked > 0 && async.Ds_check.Equivalence.acked > 0);
+  Alcotest.(check int) "sync loses no acknowledged commit" 0 (lost sync);
+  Alcotest.(check bool) "async loses commits in the lag window" true
+    (async.Ds_check.Equivalence.lost_above_watermark <> []);
+  Alcotest.(check int) "async loses nothing at or below the watermark" 0
+    (List.length async.Ds_check.Equivalence.lost_below_watermark);
+  Alcotest.(check bool) "a stale-epoch record is fenced" true
+    (sync_fenced + async_fenced > 0)
+
 let tests =
   [
     Alcotest.test_case "link: seeded faults are deterministic" `Quick
@@ -297,4 +363,6 @@ let tests =
       test_check_failover_async_window;
     Alcotest.test_case "session: sync lossy link, standby copies byte for byte"
       `Quick test_session_sync_converges;
+    Alcotest.test_case "failover: sync loses nothing, async only its lag"
+      `Quick test_failover_durability;
   ]

@@ -90,7 +90,11 @@ let test_s1_identity () =
   Alcotest.(check (list (pair int int)))
     "identical rte"
     (keys (Relations.rte_requests rels))
-    (keys h.Middleware.merged_rte)
+    (keys h.Middleware.merged_rte);
+  let _, h' = Middleware.run_sharded (cfg ()) in
+  Alcotest.(check (list (pair int int)))
+    "identical delivery order" h.Middleware.merged_execution_order
+    h'.Middleware.merged_execution_order
 
 (* A perfectly partitioned workload (groups = shards, no escapes) routes
    every transaction to its home shard lane; the global lane stays idle. *)
