@@ -37,7 +37,7 @@ golden:
 	dune exec bench/main.exe -- native-overhead --window 8 --runs 1 \
 	  > test/data/golden_bench_native_overhead.txt
 
-# Quick-scale run of every paper table/figure + ablations.
+# Quick-scale run of every paper table and figure.
 bench:
 	dune exec bench/main.exe
 

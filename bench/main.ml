@@ -1,5 +1,6 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation plus the ablations listed in DESIGN.md.
+(* Benchmark harness: regenerates the tables and figures of the paper's
+   evaluation (Figure 2, 4.2.2, 4.3.2, Tables 1 and 2) and the protocol
+   formulation comparisons.
 
      dune exec bench/main.exe                 -- all experiments, quick scale
      dune exec bench/main.exe -- figure2 --window 240 --runs 3
@@ -10,9 +11,7 @@
 
 open Ds_core
 open Ds_server
-open Ds_workload
 module Tablefmt = Ds_util.Tablefmt
-module Json = Ds_obs.Json
 
 let section title =
   Printf.printf "\n==============================================================\n";
@@ -22,45 +21,27 @@ let section title =
 let note fmt = Printf.printf (fmt ^^ "\n%!")
 
 (* ------------------------------------------------------------------ *)
-(* Reporting: one table and one stamped JSON record per experiment     *)
+(* Tables                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One column of an experiment's result rows: [head] is its table header
-   ("" = JSON only), [key] its member in the row's JSON point ("" = table
-   only). *)
-type 'r col = {
-  head : string;
-  align : Tablefmt.align;
-  key : string;
-  cell : 'r -> string;
-  json : 'r -> Json.t;
-}
+(* One column of an experiment's result rows. *)
+type 'r col = { head : string; align : Tablefmt.align; cell : 'r -> string }
 
-let col ?(align = Tablefmt.Right) ?(key = "") ?(json = fun _ -> Json.Null) head
-    cell =
-  { head; align; key; cell; json }
+let col ?(align = Tablefmt.Right) head cell = { head; align; cell }
+let int_col head f = col head (fun r -> string_of_int (f r))
 
-let int_col ?key head f =
-  col ?key head
-    (fun r -> string_of_int (f r))
-    ~json:(fun r -> Json.Num (float_of_int (f r)))
+(* The table shows [scale *. f r] through [fmt]. *)
+let float_col ?(scale = 1.) fmt head f =
+  col head (fun r -> Printf.sprintf fmt (scale *. f r))
 
-(* The table shows [scale *. f r] through [fmt]; the JSON keeps [f r]. *)
-let float_col ?key ?(scale = 1.) fmt head f =
-  col ?key head
-    (fun r -> Printf.sprintf fmt (scale *. f r))
-    ~json:(fun r -> Json.Num (f r))
+(* A float cell that prints "-" where the point has no value. *)
+let opt_col fmt head f =
+  col head (fun r ->
+      match f r with Some x -> Printf.sprintf fmt x | None -> "-")
 
-let text_col ?key head f =
-  col ~align:Tablefmt.Left ?key head f ~json:(fun r -> Json.Str (f r))
-
-let bool_col ?key (yes, no) head f =
-  col ~align:Tablefmt.Left ?key head
-    (fun r -> if f r then yes else no)
-    ~json:(fun r -> Json.Bool (f r))
+let text_col head f = col ~align:Tablefmt.Left head f
 
 let table cols rows =
-  let cols = List.filter (fun c -> c.head <> "") cols in
   let t =
     Tablefmt.create
       ~aligns:(List.map (fun c -> c.align) cols)
@@ -69,49 +50,9 @@ let table cols rows =
   List.iter (fun r -> Tablefmt.add_row t (List.map (fun c -> c.cell r) cols)) rows;
   Tablefmt.print t
 
-let fields cols r =
-  List.filter_map
-    (fun c -> if c.key = "" then None else Some (c.key, c.json r))
-    cols
-
-let points cols rows = List.map (fun r -> Json.Obj (fields cols r)) rows
-
-(* Writes one experiment's record, [Ds_dst.Stamp]ed with [seed] and
-   [config], to the --json file if one was given. *)
-let emit json ~seed ~config members =
-  Option.iter
-    (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            (Json.to_string (Ds_dst.Stamp.add ~seed ~config (Json.Obj members)));
-          output_char oc '\n');
-      note "wrote %s" path)
-    json
-
-(* The common shape: print the table, then the [after] note, then emit
-   [config], [summary] and the rows as JSON [points]. *)
-let report ?json ?(seed = Middleware.default_config.Middleware.seed) ~config
-    ?(summary = []) ~after cols rows =
-  table cols rows;
-  note "%s" after;
-  emit json ~seed ~config
-    (config @ summary @ [ ("points", Json.List (points cols rows)) ])
-
-let experiment name params = ("experiment", Json.Str name) :: params
-
 (* ------------------------------------------------------------------ *)
 (* Shared measurement machinery                                       *)
 (* ------------------------------------------------------------------ *)
-
-let native_run ~clients ~window ~seed ~log =
-  Native_sim.run
-    {
-      Native_sim.default_config with
-      Native_sim.n_clients = clients;
-      duration = window;
-      seed;
-      log_schedule = log;
-    }
 
 (* Averaged MU statistics + SU replay time for one client count. A point
    whose runs committed no statement has no SU time: replaying an empty
@@ -128,7 +69,16 @@ type mu_point = {
 let measure_mu ~window ~runs clients =
   let stmts = ref 0. and su = ref 0. and dl = ref 0. and cpu = ref 0. in
   for r = 1 to runs do
-    let s = native_run ~clients ~window ~seed:(41 + r) ~log:true in
+    let s =
+      Native_sim.run
+        {
+          Native_sim.default_config with
+          Native_sim.n_clients = clients;
+          duration = window;
+          seed = 41 + r;
+          log_schedule = true;
+        }
+    in
     stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
     if s.Native_sim.committed_stmts > 0 then
       su := !su +. Replay.single_user_time Cost_model.default s.Native_sim.schedule;
@@ -145,11 +95,6 @@ let measure_mu ~window ~runs clients =
     deadlocks = !dl /. f;
     cpu_util = !cpu /. f;
   }
-
-(* A float cell that prints "-" where the point has no value. *)
-let opt_col fmt head f =
-  col head (fun r ->
-      match f r with Some x -> Printf.sprintf fmt x | None -> "-")
 
 let probe ~runs clients protocol =
   Overhead_probe.measure ~runs ~n_clients:clients protocol
@@ -195,11 +140,9 @@ let figure2 ~window ~runs () =
 
 let native_overhead ~window ~runs () =
   section
-    (Printf.sprintf
-       "Native scheduler overhead (paper 4.2.2; paper at 240 s: 300 clients \
-        -> 550055 stmts, SU 194 s, overhead 46 s; 500 clients -> 48267 \
-        stmts, SU 15 s, overhead 225 s)"
-       );
+    "Native scheduler overhead (paper 4.2.2; paper at 240 s: 300 clients -> \
+     550055 stmts, SU 194 s, overhead 46 s; 500 clients -> 48267 stmts, SU 15 \
+     s, overhead 225 s)";
   table
     [
       int_col "clients" (fun (p : mu_point) -> p.clients);
@@ -317,59 +260,6 @@ let table2 () =
     (Format.asprintf "%a" Ds_relal.Schema.pp Relations.schema)
 
 (* ------------------------------------------------------------------ *)
-(* A1 — trigger policies                                              *)
-(* ------------------------------------------------------------------ *)
-
-let middleware_cfg ~protocol ~trigger ~clients ~duration ~spec =
-  {
-    Middleware.default_config with
-    Middleware.n_clients = clients;
-    duration;
-    spec;
-    protocol;
-    trigger;
-    charge_scheduler_time = true;
-  }
-
-(* Columns over [(label, stats)] rows of middleware runs. *)
-let committed_col () = int_col "committed txns" (fun (_, s) -> s.Middleware.committed_txns)
-
-let p95_latency_col () =
-  float_col "%.3f" "p95 latency (s)" (fun (_, s) -> s.Middleware.p95_txn_latency)
-
-let mean_cycle_col () =
-  float_col ~scale:1000. "%.3f" "mean cycle (ms)" (fun (_, s) ->
-      s.Middleware.mean_cycle_time)
-
-let trigger_policies ~duration () =
-  section
-    "Ablation A1: trigger policy (paper 3.3: 'the best condition has to be \
-     evaluated experimentally')";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  table
-    [
-      text_col "trigger" (fun (t, _) -> Trigger.to_string t);
-      committed_col ();
-      int_col "cycles" (fun (_, s) -> s.Middleware.cycles);
-      float_col "%.1f" "mean batch" (fun (_, s) -> s.Middleware.mean_batch);
-      p95_latency_col ();
-    ]
-    (List.map
-       (fun trigger ->
-         ( trigger,
-           Middleware.run
-             (middleware_cfg ~protocol:Builtin.ss2pl_ocaml ~trigger ~clients:100
-                ~duration ~spec) ))
-       [
-         Trigger.Time_lapse 0.002;
-         Trigger.Time_lapse 0.01;
-         Trigger.Time_lapse 0.05;
-         Trigger.Fill_level 25;
-         Trigger.Fill_level 100;
-         Trigger.Hybrid (0.01, 100);
-       ])
-
-(* ------------------------------------------------------------------ *)
 (* A3 — SQL vs Datalog vs hand-coded                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -417,1019 +307,21 @@ let datalog_vs_sql ~runs () =
        [ 50; 150; 300; 500 ])
 
 (* ------------------------------------------------------------------ *)
-(* A2 — optimizer ablation (table form)                               *)
-(* ------------------------------------------------------------------ *)
-
-let optimizer_ablation ~runs () =
-  section
-    "Ablation A2: optimizer level for Listing 1 (same declarative spec, \
-     different plans)";
-  let measure ?(indexes = true) level clients =
-    let saved = !Ds_relal.Eval.use_table_indexes in
-    Ds_relal.Eval.use_table_indexes := indexes;
-    let m = probe ~runs clients (Builtin.ss2pl_sql_at level) in
-    Ds_relal.Eval.use_table_indexes := saved;
-    m
-  in
-  let query m = 1000. *. m.Overhead_probe.query_time in
-  table
-    [
-      int_col "clients" (fun (c, _, _, _, _) -> c);
-      float_col "%.2f" "no-opt (ms)" (fun (_, n, _, _, _) -> query n);
-      float_col "%.2f" "basic (ms)" (fun (_, _, b, _, _) -> query b);
-      float_col "%.2f" "full (ms)" (fun (_, _, _, f, _) -> query f);
-      float_col ~scale:1000. "%.2f" "full fill upkeep (ms)" (fun (_, _, _, f, _) ->
-          f.Overhead_probe.maintain_time);
-      float_col "%.2f" "full, no index (ms)" (fun (_, _, _, _, x) -> query x);
-    ]
-    (List.map
-       (fun clients ->
-         ( clients,
-           measure `None clients,
-           measure `Basic clients,
-           measure `Full clients,
-           measure ~indexes:false `Full clients ))
-       [ 50; 150; 300 ]);
-  note
-    "The specification is identical in all three columns; only plan \
-     rewriting differs (the paper's 1 'optimization without affecting the \
-     scheduler specification'). At full, the history-side lock tables are \
-     views; their upkeep for the table fill is the fill-upkeep column, \
-     outside the query time."
-
-(* ------------------------------------------------------------------ *)
-(* A4 — relaxed consistency under load                                *)
-(* ------------------------------------------------------------------ *)
-
-let relaxed_consistency ~duration () =
-  section
-    "Ablation A4: relaxed consistency under contention (paper 1: 'reduced \
-     consistency criteria may be used during times of high load')";
-  let runs spec protocols =
-    List.map
-      (fun (proto : Protocol.t) ->
-        ( proto.Protocol.name,
-          Middleware.run
-            (middleware_cfg ~protocol:proto ~trigger:(Trigger.Hybrid (0.01, 60))
-               ~clients:60 ~duration ~spec) ))
-      protocols
-  in
-  let spec = { Spec.paper_default with Spec.n_objects = 3_000 } in
-  let protocol_col = text_col "protocol" fst in
-  table
-    [
-      protocol_col;
-      committed_col ();
-      int_col "starvation aborts" (fun (_, s) -> s.Middleware.aborted_txns);
-      p95_latency_col ();
-    ]
-    (runs spec
-       [
-         Builtin.ss2pl_sql;
-         Builtin.read_committed_sql;
-         Builtin.rationing ~threshold:300;
-         Adaptive.protocol
-           (Adaptive.ss2pl_with_relief ~high_watermark:40 ~low_watermark:10);
-         Builtin.fcfs;
-       ]);
-  (* Read-mostly variant (80% read-only transactions): the regime where the
-     Ganymed-style reader offload (paper 2) pays off. *)
-  note "";
-  note "Read-mostly variant (80%% read-only transactions):";
-  let spec =
-    { spec with Spec.read_only_fraction = 0.8; updates_per_txn = 6; selects_per_txn = 14 }
-  in
-  table
-    [ protocol_col; committed_col (); p95_latency_col () ]
-    (runs spec
-       [ Builtin.ss2pl_sql; Builtin.read_committed_sql; Builtin.reader_offload ])
-
-(* ------------------------------------------------------------------ *)
-(* A5 — batch size sweep                                              *)
-(* ------------------------------------------------------------------ *)
-
-let batch_sweep ~duration () =
-  section "Ablation A5: fill-level (batch size) sweep";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  table
-    [ int_col "fill level" fst; committed_col (); mean_cycle_col (); p95_latency_col () ]
-    (List.map
-       (fun k ->
-         ( k,
-           Middleware.run
-             (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-                ~trigger:(Trigger.Hybrid (0.1, k)) ~clients:120 ~duration ~spec)
-         ))
-       [ 10; 30; 60; 120; 240 ])
-
-(* ------------------------------------------------------------------ *)
-(* MPL ablation: external admission control on the native scheduler    *)
-(* ------------------------------------------------------------------ *)
-
-let mpl_ablation ~window ~runs () =
-  section
-    "Ablation: multiprogramming limit at 500 clients (the EQMS-style MPL \
-     tuning of Schroeder et al., paper 2) - admission control avoids the \
-     thrashing the declarative scheduler also avoids";
-  let rows =
-    List.map
-      (fun mpl ->
-        let stmts = ref 0. and dl = ref 0. and cpu = ref 0. in
-        for r = 1 to runs do
-          let s =
-            Native_sim.run
-              {
-                Native_sim.default_config with
-                Native_sim.n_clients = 500;
-                duration = window;
-                seed = 60 + r;
-                mpl;
-              }
-          in
-          stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
-          dl := !dl +. float_of_int s.Native_sim.deadlocks;
-          cpu := !cpu +. s.Native_sim.cpu_utilization
-        done;
-        let f = float_of_int runs in
-        (mpl, !stmts /. f, !dl /. f, !cpu /. f))
-      [ None; Some 300; Some 150; Some 75; Some 25 ]
-  in
-  table
-    [
-      text_col "MPL" (fun (mpl, _, _, _) ->
-          match mpl with None -> "unlimited" | Some k -> string_of_int k);
-      float_col "%.0f" "MU stmts" (fun (_, s, _, _) -> s);
-      float_col "%.0f" "deadlocks" (fun (_, _, d, _) -> d);
-      float_col ~scale:100. "%.0f" "CPU util (%)" (fun (_, _, _, c) -> c);
-    ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Open-loop saturation sweep (the paper's 4.3 operating mode)          *)
-(* ------------------------------------------------------------------ *)
-
-let open_loop ~duration () =
-  section
-    "Open-loop batch scheduling: whole transactions arrive as a Poisson \
-     stream (the paper's pre-scheduled workloads); saturation sweep over the \
-     arrival rate (server capacity ~ 69 txns/s at 41 ops per txn)";
-  let spec = { Spec.paper_default with Spec.n_objects = 50_000 } in
-  let rows =
-    List.concat_map
-      (fun rate ->
-        List.map
-          (fun (proto : Protocol.t) ->
-            ( rate,
-              proto.Protocol.name,
-              Batch_sim.run
-                {
-                  Batch_sim.arrival_rate = rate;
-                  duration;
-                  spec;
-                  protocol = proto;
-                } ))
-          [ Builtin.ss2pl_ocaml; Builtin.c2pl; Builtin.fcfs ])
-      [ 20.; 40.; 60.; 80. ]
-  in
-  table
-    [
-      float_col "%.0f" "txns/s" (fun (rate, _, _) -> rate);
-      text_col "protocol" (fun (_, name, _) -> name);
-      int_col "completed" (fun (_, _, s) -> s.Batch_sim.completed_txns);
-      float_col "%.3f" "p95 latency (s)" (fun (_, _, s) -> s.Batch_sim.p95_latency);
-      int_col "peak backlog" (fun (_, _, s) -> s.Batch_sim.peak_backlog);
-      int_col "residual" (fun (_, _, s) -> s.Batch_sim.residual_pending);
-    ]
-    rows;
-  note
-    "Beyond saturation (~69 txns/s) completions cap at server capacity and \
-     latency explodes: the excess queues in front of the server, while the \
-     scheduler-side backlog stays bounded at this (low) contention level. \
-     The protocols coincide here because conflicts are rare; the closed-loop \
-     'relaxed' experiment covers the contended regime."
-
-(* ------------------------------------------------------------------ *)
-(* Deadlock policy ablation                                             *)
-(* ------------------------------------------------------------------ *)
-
-let deadlock_policy_ablation ~window ~runs () =
-  section
-    "Ablation: deadlock handling in the native scheduler (detection vs \
-     wound-wait), 300 clients on a contended store";
-  let rows =
-    List.map
-      (fun (name, policy) ->
-        let stmts = ref 0. and dl = ref 0. and wo = ref 0. and wasted = ref 0. in
-        for r = 1 to runs do
-          let s =
-            Native_sim.run
-              {
-                Native_sim.default_config with
-                Native_sim.n_clients = 300;
-                duration = window;
-                seed = 70 + r;
-                spec = { Spec.paper_default with Spec.n_objects = 20_000 };
-                deadlock_policy = policy;
-              }
-          in
-          stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
-          dl := !dl +. float_of_int s.Native_sim.deadlocks;
-          wo := !wo +. float_of_int s.Native_sim.wounds;
-          wasted := !wasted +. float_of_int s.Native_sim.wasted_stmts
-        done;
-        let f = float_of_int runs in
-        (name, [ !stmts /. f; !dl /. f; !wo /. f; !wasted /. f ]))
-      [ ("detection", `Detection); ("wound-wait", `Wound_wait) ]
-  in
-  table
-    (text_col "policy" fst
-    :: List.mapi
-         (fun i head -> float_col "%.0f" head (fun (_, avgs) -> List.nth avgs i))
-         [ "MU stmts"; "deadlocks"; "wounds"; "wasted stmts" ])
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* History pruning ablation                                            *)
-(* ------------------------------------------------------------------ *)
-
-let history_pruning ~duration () =
-  section "Ablation: history pruning on/off";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  table
-    [
-      text_col "pruning" (fun (prune, _) -> if prune then "every cycle" else "never");
-      committed_col ();
-      mean_cycle_col ();
-    ]
-    (List.map
-       (fun prune ->
-         ( prune,
-           Middleware.run
-             {
-               (middleware_cfg ~protocol:Builtin.ss2pl_sql
-                  ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
-               with
-               Middleware.prune_history = prune;
-             } ))
-       [ true; false ])
-
-(* ------------------------------------------------------------------ *)
-(* Chaos sweep: throughput and per-tier latency vs fault rate          *)
-(* ------------------------------------------------------------------ *)
-
-let faults_sweep ~duration ~json () =
-  section
-    "Chaos sweep: fault injection vs graceful degradation (bounded queue, \
-     retries with backoff, dead-lettering). 'rate' scales every fault \
-     channel; per-tier p95 shows that shedding protects premium traffic.";
-  let spec =
-    {
-      Spec.paper_default with
-      Spec.n_objects = 20_000;
-      sla_mix =
-        [ (Ds_model.Sla.premium, 0.2); (Ds_model.Sla.standard, 0.5); (Ds_model.Sla.free, 0.3) ];
-    }
-  in
-  let rows =
-    List.map
-      (fun rate ->
-        let plan =
-          {
-            Faults.none with
-            Faults.batch_fail_rate = rate;
-            stall_rate = rate /. 2.;
-            stall_duration = 0.05;
-            poison_rate = rate /. 20.;
-            disconnect_rate = rate /. 10.;
-          }
-        in
-        let cfg =
-          {
-            (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-               ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
-            with
-            Middleware.faults = plan;
-            queue_capacity = Some 40;
-            (* fault runs must be reproducible from the seed *)
-            charge_scheduler_time = false;
-          }
-        in
-        (rate, cfg, Middleware.run cfg))
-      [ 0.; 0.02; 0.05; 0.1; 0.2 ]
-  in
-  let p95 short tier =
-    col (Printf.sprintf "p95 %s (s)" short)
-      (fun (_, _, (s : Middleware.stats)) ->
-        match
-          List.find_opt (fun (t', _, _, _) -> t' = tier) s.Middleware.latency_by_tier
-        with
-        | Some (_, _, p, _) -> Printf.sprintf "%.3f" p
-        | None -> "-")
-  in
-  let stat key head f = int_col ~key head (fun (_, _, s) -> f s) in
-  report ?json
-    ~config:(experiment "faults" [ ("duration", Json.Num duration) ])
-    ~after:
-      "Same seed, same plan => identical counters (deterministic chaos). At \
-       high rates the retry ladder trades latency for completed \
-       transactions; poison requests end in the dead-letter relation \
-       instead of wedging the loop."
-    [
-      (* every record carries the knobs that reproduce it *)
-      float_col ~key:"fault_rate" "%.2f" "fault rate" (fun (rate, _, _) -> rate);
-      int_col ~key:"workers" "" (fun (_, (cfg : Middleware.config), _) ->
-          cfg.Middleware.workers);
-      int_col ~key:"seed" "" (fun (_, cfg, _) -> cfg.Middleware.seed);
-      stat "committed" "committed" (fun s -> s.Middleware.committed_txns);
-      stat "retries" "retries" (fun s -> s.Middleware.retries);
-      stat "shed" "shed" (fun s -> s.Middleware.shed_txns);
-      stat "dead" "dead" (fun s -> s.Middleware.dead_lettered);
-      stat "injected" "" (fun s -> s.Middleware.injected_failures);
-      p95 "prem" Ds_model.Sla.Premium;
-      p95 "std" Ds_model.Sla.Standard;
-      p95 "free" Ds_model.Sla.Free;
-    ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Index maintenance scaling                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-cycle protocol-query + move cost as history grows. Indexes are
-   maintained in place, so a cycle should pay O(batch log) maintenance, not
-   O(|history|): the curve over history size should stay flat.
-
-   Two regimes, both seeded with [history_size] rows of still-active
-   transactions that pin the history size:
-
-   - [`Churn] (write-path bound): each arrival is a write+commit pair on a
-     fresh object, and pruning runs every cycle. The query itself is cheap
-     ([fcfs]), so the measurement isolates the scheduler write path —
-     move_to_history + prune — which does O(batch) posting updates.
-
-   - [`Scan] (query bound): SS2PL's Listing 1, whose history-side lock
-     tables are incrementally maintained views (DESIGN.md 9): a cycle
-     updates them from its own moves, and the 'index' column, which
-     includes the view upkeep, is most of the cycle. *)
-let index_scaling ~json ~history_sizes ~cycles ~batch () =
-  section
-    "Index maintenance: per-cycle protocol-query + move time vs history size";
-  let run ~regime ~history_size =
-    let protocol, prune =
-      match regime with
-      | `Churn -> (Builtin.fcfs, true)
-      | `Scan -> (Builtin.ss2pl_sql, false)
-    in
-    let sched = Scheduler.create ~prune_history_each_cycle:prune protocol in
-    let rels = Scheduler.relations sched in
-    (* Active transactions (no terminal op, so pruning never removes them)
-       holding read locks on distinct objects: they pin the history size and
-       are invisible to the fresh arrivals below, which touch disjoint
-       objects. *)
-    for i = 1 to history_size do
-      Relations.insert_history rels
-        (Ds_model.Request.make ~id:i ~ta:i ~intrata:1 ~op:Ds_model.Op.Read
-           ~obj:i ())
-    done;
-    let time = ref 0. and index_time = ref 0. in
-    let next_ta = ref (history_size + 1) in
-    let one_cycle ~measure =
-      for _k = 1 to batch do
-        let ta = !next_ta in
-        incr next_ta;
-        Scheduler.submit sched
-          (Ds_model.Request.make ~id:(10 * ta) ~ta ~intrata:1
-             ~op:Ds_model.Op.Write ~obj:ta ());
-        match regime with
-        | `Churn ->
-          (* The transaction finishes immediately: its history rows carry a
-             terminal op, so the per-cycle prune has real work to do. *)
-          Scheduler.submit sched
-            (Ds_model.Request.make ~id:((10 * ta) + 1) ~ta ~intrata:2
-               ~op:Ds_model.Op.Commit ())
-        | `Scan -> ()
-      done;
-      let _, stats = Scheduler.cycle sched in
-      if measure then begin
-        time :=
-          !time
-          +. stats.Scheduler.times.Scheduler.query
-          +. stats.Scheduler.times.Scheduler.move;
-        index_time := !index_time +. stats.Scheduler.index_time
-      end
-    in
-    (* Two warmup cycles pay the one-time lazy index builds outside the
-       window. *)
-    one_cycle ~measure:false;
-    one_cycle ~measure:false;
-    for _c = 1 to cycles do
-      one_cycle ~measure:true
-    done;
-    let per_cycle x = x /. float_of_int cycles in
-    (per_cycle !time, per_cycle !index_time)
-  in
-  let rows =
-    List.concat_map
-      (fun (regime, regime_name) ->
-        List.map
-          (fun history_size ->
-            let t, ix = run ~regime ~history_size in
-            (regime_name, history_size, t, ix))
-          history_sizes)
-      [ (`Churn, "churn (fcfs+prune)"); (`Scan, "scan (ss2pl-sql)") ]
-  in
-  let ms key head f = float_col ~key ~scale:1000. "%.3f" head f in
-  report ?json ~seed:0
-    ~config:
-      (experiment "index"
-         [
-           ("cycles", Json.Num (float_of_int cycles));
-           ("batch", Json.Num (float_of_int batch));
-         ])
-    ~after:
-      (Printf.sprintf
-         "%d measured cycles, %d fresh transactions per cycle; 'index' = \
-          per-cycle maintenance time. The churn regime isolates the \
-          scheduler write path (move + prune); in the scan regime Listing \
-          1's lock tables are views updated from each cycle's moves, and \
-          their upkeep is part of 'index'."
-         cycles batch)
-    [
-      text_col ~key:"regime" "regime" (fun (r, _, _, _) -> r);
-      int_col ~key:"history" "history" (fun (_, h, _, _) -> h);
-      ms "incremental_s" "incremental (ms)" (fun (_, _, t, _) -> t);
-      ms "index_s" "index (ms)" (fun (_, _, _, ix) -> ix);
-    ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Checker verdicts shared by the parallel and sharded experiments    *)
-(* ------------------------------------------------------------------ *)
-
-(* The serializability battery on a run's (merged) rte, and conflict
-   equivalence of its delivery order to that rte — at S > 1 including
-   router soundness: no conflicting pair split across shard lanes. *)
-let verdicts ~shards (h : Middleware.handle) =
-  let rte = h.Middleware.merged_rte in
-  let by_key = Hashtbl.create (2 * List.length rte) in
-  List.iter (fun r -> Hashtbl.replace by_key (Ds_model.Request.key r) r) rte;
-  let merged =
-    List.filter_map (Hashtbl.find_opt by_key) h.Middleware.merged_execution_order
-  in
-  let report =
-    Ds_check.Serializability.check_committed
-      (Ds_check.Conflict_graph.events_of_requests rte)
-  in
-  let equiv =
-    if shards > 1 then
-      Ds_check.Equivalence.check_sharded ~shards ~shard_of:h.Middleware.shard_of
-        ~reference:rte ~candidate:merged ()
-    else Ds_check.Equivalence.check ~reference:rte ~candidate:merged ()
-  in
-  ( Ds_check.Serializability.is_clean report,
-    Ds_check.Equivalence.is_equivalent equiv )
-
-let verdict_cols clean equivalent =
-  [
-    bool_col ~key:"checker_clean" ("clean", "DIRTY") "checker" clean;
-    bool_col ~key:"conflict_equivalent" ("yes", "NO") "conflict-equivalent"
-      equivalent;
-  ]
-
-(* [base /. x] against the first row's [x] (the K=1 / S=1 point). *)
-let speedups xs =
-  let base = List.hd xs in
-  List.map (fun x -> if x > 0. then base /. x else 1.) xs
-
-(* ------------------------------------------------------------------ *)
-(* Parallel backend scaling                                           *)
-(* ------------------------------------------------------------------ *)
-
-type scaling_row = {
-  k : int;
-  stats : Middleware.stats;
-  speedup : float;
-  util : float;
-  clean : bool;
-  equivalent : bool;
-}
-
-let parallel_scaling ~duration ~json () =
-  section
-    "Parallel backend: conflict-class execution across K workers \
-     (low-conflict workload; every schedule checker-validated)";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let runs =
-    List.map
-      (fun workers ->
-        let m = Ds_obs.Metrics.create () in
-        let s, h =
-          Middleware.run_sharded
-            {
-              (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-                 ~trigger:(Trigger.Hybrid (0.01, 50))
-                 ~clients:80 ~duration ~spec)
-              with
-              Middleware.workers;
-              metrics = Some m;
-              (* identical virtual-time behavior at every K: don't charge
-                 wall-clock scheduler time *)
-              charge_scheduler_time = false;
-            }
-        in
-        let util =
-          match Ds_obs.Metrics.workers m with
-          | [] -> 0.
-          | rows ->
-            List.fold_left
-              (fun acc (w : Ds_obs.Metrics.worker_row) ->
-                acc +. w.Ds_obs.Metrics.utilization)
-              0. rows
-            /. float_of_int (List.length rows)
-        in
-        let clean, equivalent = verdicts ~shards:1 h in
-        { k = workers; stats = s; speedup = 1.; util; clean; equivalent })
-      [ 1; 2; 4; 8 ]
-  in
-  let rows =
-    List.map2
-      (fun r speedup -> { r with speedup })
-      runs
-      (speedups (List.map (fun r -> r.stats.Middleware.mean_batch_makespan) runs))
-  in
-  report ?json
-    ~config:(experiment "parallel" [ ("duration", Json.Num duration) ])
-    ~after:
-      "speedup = mean batch makespan at K=1 / at K; conflict classes of one \
-       batch run as overlapping spans, so makespan approaches the largest \
-       class instead of the batch total. 'checker' validates the rte log \
-       (serializability battery), 'conflict-equivalent' compares the merged \
-       delivery order against the admitted rte order."
-    ([
-       int_col ~key:"workers" "workers" (fun r -> r.k);
-       int_col ~key:"seed" "" (fun _ -> Middleware.default_config.Middleware.seed);
-       int_col ~key:"committed" "committed" (fun r -> r.stats.Middleware.committed_txns);
-       float_col ~key:"makespan_s" ~scale:1000. "%.3f" "makespan mean (ms)"
-         (fun r -> r.stats.Middleware.mean_batch_makespan);
-       float_col ~scale:1000. "%.3f" "p95 (ms)" (fun r ->
-           r.stats.Middleware.p95_batch_makespan);
-       float_col ~key:"speedup" "%.2fx" "speedup" (fun r -> r.speedup);
-       float_col ~key:"mean_utilization" "%.3f" "mean util" (fun r -> r.util);
-     ]
-    @ verdict_cols (fun r -> r.clean) (fun r -> r.equivalent))
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Sharded scheduler scaling                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The router sends a transaction to shard [obj mod S] when its footprint
-   touches a single object group. Partitioned(8, esc) gives every
-   transaction a home group out of 8, and 8 is divisible by every sweep
-   point, so the identical workload stays single-group at S in {1,2,4,8};
-   the [esc] fraction of statements escape to a uniform object, keeping the
-   barrier-fenced global lane honest (escape is per statement: at 40
-   statements/txn, esc = 0.005 leaves ~0.995^40 = 82%% of transactions
-   shard-local). Scheduler cycle cost is superlinear
-   in the live relation sizes (protocol queries join requests x history),
-   so S lanes each holding ~1/S of the transactions do less total query
-   work — that is the speedup being measured, not parallel hardware. *)
-let shards_scaling ~duration ~json () =
-  section
-    "Sharded scheduler: S lanes + barrier-fenced global lane \
-     (partitioned workload; every point checker-validated)";
-  let spec =
-    {
-      Spec.paper_default with
-      Spec.n_objects = 20_000;
-      Spec.access = Spec.Partitioned (8, 0.005);
-    }
-  in
-  let cfg shards =
-    {
-      (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-         ~trigger:(Trigger.Hybrid (0.01, 50))
-         ~clients:80 ~duration ~spec)
-      with
-      Middleware.shards;
-      (* identical virtual-time behavior at every S: don't charge
-         wall-clock scheduler time *)
-      charge_scheduler_time = false;
-    }
-  in
-  (* S=1 must be the single-scheduler code path bit for bit: one run's lane
-     rte and delivery order equal another run's merged artifacts. *)
-  let s1_identical =
-    let _, single = Middleware.run_sharded (cfg 1) in
-    let _, h = Middleware.run_sharded (cfg 1) in
-    let rels = Scheduler.relations single.Middleware.lane_schedulers.(0) in
-    List.map Ds_model.Request.to_string (Relations.rte_requests rels)
-    = List.map Ds_model.Request.to_string h.Middleware.merged_rte
-    && single.Middleware.merged_execution_order
-       = h.Middleware.merged_execution_order
-  in
-  note "S=1 bit-identical to the unsharded scheduler: %b" s1_identical;
-  let runs =
-    List.map
-      (fun shards ->
-        let s, h = Middleware.run_sharded (cfg shards) in
-        let clean, equivalent = verdicts ~shards h in
-        { k = shards; stats = s; speedup = 1.; util = 0.; clean; equivalent })
-      [ 1; 2; 4; 8 ]
-  in
-  let rows =
-    List.map2
-      (fun r speedup -> { r with speedup })
-      runs
-      (speedups (List.map (fun r -> r.stats.Middleware.scheduler_time) runs))
-  in
-  let stat key head f = int_col ~key head (fun r -> f r.stats) in
-  report ?json
-    ~config:(experiment "shards" [ ("duration", Json.Num duration) ])
-    ~summary:[ ("s1_bit_identical", Json.Bool s1_identical) ]
-    ~after:
-      "speedup = total scheduler wall time at S=1 / at S (virtual-time \
-       behavior held fixed). 'global txns' crossed shard boundaries and ran \
-       on the barrier-fenced global lane; 'deferrals' are admissions parked \
-       while the barrier drained. 'checker' validates the stamp-merged rte \
-       (serializability battery); 'conflict-equivalent' additionally checks \
-       router soundness — no conflicting pair split across shard lanes."
-    ([
-       int_col ~key:"shards" "shards" (fun r -> r.k);
-       int_col ~key:"seed" "" (fun _ -> Middleware.default_config.Middleware.seed);
-       stat "committed" "committed" (fun s -> s.Middleware.committed_txns);
-       stat "cycles" "cycles" (fun s -> s.Middleware.cycles);
-       stat "global_lane_txns" "global txns" (fun s -> s.Middleware.global_lane_txns);
-       stat "shard_deferrals" "deferrals" (fun s -> s.Middleware.shard_deferrals);
-       float_col ~key:"scheduler_time_s" "%.3f" "sched time (s)" (fun r ->
-           r.stats.Middleware.scheduler_time);
-       float_col ~key:"speedup" "%.2fx" "speedup" (fun r -> r.speedup);
-     ]
-    @ verdict_cols (fun r -> r.clean) (fun r -> r.equivalent))
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Recovery: checkpointed replay vs journal length                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Two sweeps.
-
-   The synthetic sweep isolates [Journal.recover]: a scheduler drives a
-   churn workload (write+commit pairs, pruned every cycle) through a
-   journal at several lengths and checkpoint intervals, then recovery of
-   the resulting file is timed. Checkpoints snapshot the pruned live state,
-   so with any fixed interval the recover time is governed by the snapshot
-   plus the suffix — it stays flat as the journal grows, while the
-   no-checkpoint baseline replays every line and grows linearly.
-
-   The middleware sweep measures the same effect end to end: a run that
-   crashes mid-flight (with worker faults keeping the supervisor busy)
-   recovers from its journal, and the stats report how many lines the
-   checkpoint let recovery skip and how long the recovery took. *)
-let recovery_bench ~duration ~json () =
-  section
-    "Recovery: checkpointed replay vs journal length (synthetic journals + \
-     a crashing middleware run)";
-  let with_temp_journal f =
-    let path = Filename.temp_file "ds_bench" ".journal" in
-    Fun.protect ~finally:(fun () -> Journal.remove path) (fun () -> f path)
-  in
-  let mode name workers seed =
-    [
-      text_col ~key:"mode" "" (fun _ -> name);
-      int_col ~key:"workers" "" workers;
-      int_col ~key:"seed" "" (fun _ -> seed);
-    ]
-  in
-  let ckpt_col f =
-    col ~key:"checkpoint_interval" "ckpt every"
-      (fun r -> match f r with 0 -> "-" | i -> string_of_int i)
-      ~json:(fun r -> Json.Num (float_of_int (f r)))
-  in
-  let synthetic =
-    List.concat_map
-      (fun events ->
-        List.map
-          (fun checkpoint_every ->
-            with_temp_journal (fun path ->
-                let journal = Journal.open_ path in
-                let sched =
-                  Scheduler.create ~journal ?checkpoint_every Builtin.fcfs
-                in
-                let id = ref 0 and ta = ref 0 in
-                while !id < events do
-                  for _ = 1 to 8 do
-                    incr ta;
-                    incr id;
-                    Scheduler.submit sched
-                      (Ds_model.Request.make ~id:!id ~ta:!ta ~intrata:1
-                         ~op:Ds_model.Op.Write ~obj:(!ta mod 512) ());
-                    incr id;
-                    Scheduler.submit sched
-                      (Ds_model.Request.make ~id:!id ~ta:!ta ~intrata:2
-                         ~op:Ds_model.Op.Commit ())
-                  done;
-                  ignore (Scheduler.cycle sched)
-                done;
-                Journal.close journal;
-                let lines =
-                  In_channel.with_open_bin path (fun ic ->
-                      let n = ref 0 in
-                      String.iter
-                        (fun c -> if c = '\n' then incr n)
-                        (In_channel.input_all ic);
-                      !n)
-                in
-                (* median-ish of 3: recover is fast, wall time is noisy *)
-                let times =
-                  List.init 3 (fun _ ->
-                      let t0 = Ds_relal.Profile.now () in
-                      ignore (Journal.recover path);
-                      Ds_relal.Profile.now () -. t0)
-                in
-                let recover_s = List.nth (List.sort compare times) 1 in
-                ( events,
-                  Option.value ~default:0 checkpoint_every,
-                  lines,
-                  recover_s,
-                  Journal.recover path )))
-          [ None; Some 100 ])
-      [ 2_000; 8_000; 32_000 ]
-  in
-  let synthetic_cols =
-    mode "synthetic" (fun _ -> 1) 0
-    @ [
-        int_col ~key:"events" "events" (fun (e, _, _, _, _) -> e);
-        ckpt_col (fun (_, i, _, _, _) -> i);
-        int_col ~key:"journal_lines" "journal lines" (fun (_, _, l, _, _) -> l);
-        float_col ~key:"recover_ms" "%.3f" "recover (ms)" (fun (_, _, _, t, _) ->
-            1000. *. t);
-        int_col ~key:"replayed" "replayed" (fun (_, _, _, _, r) ->
-            r.Journal.replayed);
-        int_col ~key:"skipped" "skipped" (fun (_, _, _, _, r) -> r.Journal.skipped);
-      ]
-  in
-  table synthetic_cols synthetic;
-  note
-    "Churn workload, history pruned every cycle, so checkpoints snapshot \
-     only live transactions: with the interval fixed, recover time and \
-     'replayed' stay flat while the journal grows — the no-checkpoint rows \
-     replay everything and scale with journal length.";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let middleware =
-    List.map
-      (fun (wcrash, checkpoint_interval) ->
-        with_temp_journal (fun path ->
-            let cfg =
-              {
-                (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-                   ~trigger:(Trigger.Hybrid (0.01, 50))
-                   ~clients:60 ~duration ~spec)
-                with
-                Middleware.workers = 4;
-                journal_path = Some path;
-                checkpoint_interval;
-                faults =
-                  {
-                    Faults.none with
-                    Faults.crash_at_cycle = Some 40;
-                    worker_crash_rate = wcrash;
-                    worker_stall_rate = wcrash /. 2.;
-                    worker_stall_duration = 0.02;
-                  };
-                charge_scheduler_time = false;
-              }
-            in
-            (cfg, wcrash, Middleware.run cfg)))
-      [ (0., None); (0., Some 10); (0.2, None); (0.2, Some 10) ]
-  in
-  let stat key head f = int_col ~key head (fun (_, _, s) -> f s) in
-  let middleware_cols =
-    mode "middleware"
-      (fun ((cfg : Middleware.config), _, _) -> cfg.Middleware.workers)
-      Middleware.default_config.Middleware.seed
-    @ [
-        float_col ~key:"wcrash" "%.2f" "wcrash" (fun (_, w, _) -> w);
-        ckpt_col (fun (cfg, _, _) ->
-            Option.value ~default:0 cfg.Middleware.checkpoint_interval);
-        stat "committed" "committed" (fun s -> s.Middleware.committed_txns);
-        float_col ~key:"recovery_ms" "%.3f" "recovery (ms)" (fun (_, _, s) ->
-            1000. *. s.Middleware.recovery_time);
-        stat "replayed" "replayed" (fun s -> s.Middleware.recovery_replayed);
-        stat "skipped" "skipped" (fun s -> s.Middleware.recovery_skipped);
-        stat "reassigned" "reassigned" (fun s -> s.Middleware.reassigned_classes);
-        stat "checkpoints" "" (fun s -> s.Middleware.checkpoints);
-      ]
-  in
-  table middleware_cols middleware;
-  note
-    "Same seed and fault plan per pair of rows; the checkpointed run \
-     replays only the journal suffix after the crash at cycle 40 while the \
-     supervisor keeps reassigning classes from crashed workers.";
-  let config = experiment "recovery" [ ("duration", Json.Num duration) ] in
-  emit json ~seed:Middleware.default_config.Middleware.seed ~config
-    (config
-    @ [
-        ( "points",
-          Json.List
-            (points synthetic_cols synthetic @ points middleware_cols middleware)
-        );
-      ])
-
-(* ------------------------------------------------------------------ *)
-(* Swarm: simulation-testing throughput                               *)
-(* ------------------------------------------------------------------ *)
-
-(* How fast the DST harness burns through scenarios: N generated scenarios
-   through the full middleware + journal + invariant battery, reported as
-   scenarios/second and invariant verdict counts. The verdicts themselves
-   are deterministic in (n, seed); only the timing is wall-clock. *)
-let swarm_bench ~n ~seed ~json () =
-  section "Swarm: deterministic-simulation scenarios through the full stack";
-  let t0 = Ds_relal.Profile.now () in
-  let report = Ds_dst.Swarm.run ~shrink:true ~n ~seed () in
-  let elapsed = Ds_relal.Profile.now () -. t0 in
-  let failed = List.length (Ds_dst.Swarm.failed report) in
-  let cols =
-    [
-      int_col ~key:"scenarios" "scenarios" (fun () -> n);
-      int_col ~key:"failed" "failed" (fun () -> failed);
-      int_col ~key:"invariant_checks" "invariant checks" (fun () ->
-          n * List.length Ds_dst.Invariant.names);
-      float_col ~key:"elapsed_s" "%.2f" "elapsed (s)" (fun () -> elapsed);
-      float_col ~key:"scenarios_per_s" "%.1f" "scen/s" (fun () ->
-          float_of_int n /. elapsed);
-    ]
-  in
-  table cols [ () ];
-  note
-    "Every scenario runs the real middleware/scheduler/worker-pool/journal \
-     stack and the complete battery (%s); failures would be shrunk to \
-     minimal repros. Verdicts are a pure function of (n, seed)."
-    (String.concat ", " Ds_dst.Invariant.names);
-  emit json ~seed
-    ~config:(experiment "swarm" [ ("n", Json.Num (float_of_int n)) ])
-    (experiment "swarm" (fields cols ()))
-
-(* ------------------------------------------------------------------ *)
-(* Failover: hot-standby replication under link faults                *)
-(* ------------------------------------------------------------------ *)
-
-(* {async, sync} x {clean, lossy, partition} link, each run killed by a
-   permanent primary crash (pcrash) mid-flight and failed over to the hot
-   standby. The durability verdict per point comes from
-   [Ds_dst.Runner.failover_report]: every transaction a client saw
-   committed before the failover is looked up in the promoted standby
-   journal — sync mode must lose none, async mode may lose only records
-   above the standby's watermark (the lag window). 'fenced' counts the old
-   primary's stragglers the promoted standby refused by stale epoch. *)
-let failover_bench ~duration ~json () =
-  section
-    "Failover: hot-standby promotion under replication-link faults \
-     (pcrash at cycle 150; durability checked per point)";
-  let module Link = Ds_replica.Link in
-  let module Session = Ds_replica.Session in
-  let links =
-    [
-      ("clean", Link.none);
-      ( "lossy",
-        { Link.none with Link.drop_rate = 0.05; dup_rate = 0.02; reorder_rate = 0.1 } );
-      (* the outage must open at least one txn-latency (~0.5 s) before the
-         crash (cycle 150 at ~1.5 s virtual): a transaction's records are
-         streamed at admission, so only txns admitted during the outage and
-         acked before the crash are unreplicated when the primary dies —
-         async mode loses exactly those, sync mode holds their acks *)
-      ( "partition",
-        { Link.none with Link.drop_rate = 0.02; partition_at = Some 0.9; partition_for = 0.8 } );
-    ]
-  in
-  let run mode (link_name, plan) =
-    let dir = Filename.temp_file "ds_bench_repl" "" in
-    Sys.remove dir;
-    let journal = Filename.temp_file "ds_bench" ".journal" in
-    Fun.protect ~finally:(fun () ->
-        List.iter
-          (fun p -> try Sys.remove p with Sys_error _ -> ())
-          [ journal; Session.standby_path_of dir; Filename.concat dir "REPL" ];
-        try Sys.rmdir dir with Sys_error _ -> ())
-    @@ fun () ->
-    let trace = Ds_obs.Trace.create () in
-    let session = Session.create ~mode ~plan ~seed:42 ~trace ~dir () in
-    let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-    let s =
-      Middleware.run
-        {
-          (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-             ~trigger:(Trigger.Hybrid (0.01, 50))
-             ~clients:30 ~duration ~spec)
-          with
-          Middleware.journal_path = Some journal;
-          checkpoint_interval = Some 10;
-          (* late enough that a meaningful set of transactions has been
-             acked to clients before the primary dies *)
-          faults = { Faults.none with Faults.pcrash_at_cycle = Some 150 };
-          repl = Some (Session.hooks session);
-          trace = Some trace;
-          charge_scheduler_time = false;
-        }
-    in
-    Session.close session;
-    let r =
-      Ds_dst.Runner.failover_report session
-        ~trace_events:(Ds_obs.Trace.events trace)
-    in
-    (mode, link_name, s, session, r, Ds_check.Equivalence.failover_ok r)
-  in
-  let rows =
-    List.concat_map
-      (fun mode -> List.map (run mode) links)
-      [ Session.Async; Session.Sync ]
-  in
-  let sync_zero_loss =
-    List.for_all
-      (fun (mode, _, _, _, (r : Ds_check.Equivalence.failover_report), ok) ->
-        mode = Session.Async
-        || (ok && r.Ds_check.Equivalence.lost_above_watermark = []))
-      rows
-  in
-  let async_loss_bounded =
-    List.for_all
-      (fun (mode, _, _, _, (r : Ds_check.Equivalence.failover_report), _) ->
-        mode = Session.Sync || r.Ds_check.Equivalence.lost_below_watermark = [])
-      rows
-  in
-  let fenced_witnessed =
-    List.exists (fun (_, _, _, session, _, _) -> Session.fenced session > 0) rows
-  in
-  let session_col ?key head f = int_col ?key head (fun (_, _, _, x, _, _) -> f x) in
-  let report_col key head f = int_col ~key head (fun (_, _, _, _, r, _) -> f r) in
-  report ?json ~seed:42
-    ~config:(experiment "failover" [ ("duration", Json.Num duration) ])
-    ~summary:
-      [
-        ("sync_zero_loss", Json.Bool sync_zero_loss);
-        ("async_loss_bounded", Json.Bool async_loss_bounded);
-        ("fenced_witnessed", Json.Bool fenced_witnessed);
-      ]
-    ~after:
-      (Printf.sprintf
-         "sync zero-loss: %b; async loss bounded by watermark: %b; \
-          stale-epoch fencing witnessed: %b; every run failed over exactly \
-          once (epoch 0 -> 1)."
-         sync_zero_loss async_loss_bounded fenced_witnessed)
-    [
-      text_col ~key:"mode" "mode" (fun (m, _, _, _, _, _) -> Session.mode_to_string m);
-      text_col ~key:"link" "link" (fun (_, l, _, _, _, _) -> l);
-      int_col ~key:"seed" "" (fun _ -> 42);
-      int_col ~key:"committed" "committed" (fun (_, _, s, _, _, _) ->
-          s.Middleware.committed_txns);
-      int_col ~key:"failovers" "" (fun (_, _, s, _, _, _) -> s.Middleware.failovers);
-      session_col ~key:"epoch" "" Session.epoch;
-      session_col ~key:"watermark" "" Session.watermark;
-      report_col "acked_at_crash" "acked@crash" (fun r -> r.Ds_check.Equivalence.acked);
-      report_col "lost_below_watermark" "lost<=wm" (fun r ->
-          List.length r.Ds_check.Equivalence.lost_below_watermark);
-      report_col "lost_above_watermark" "lost>wm" (fun r ->
-          List.length r.Ds_check.Equivalence.lost_above_watermark);
-      session_col "watermark" Session.watermark;
-      session_col ~key:"fenced" "fenced" Session.fenced;
-      session_col ~key:"divergences" "diverg" Session.divergences;
-      bool_col ~key:"durability_ok" ("ok", "VIOLATION") "durability"
-        (fun (_, _, _, _, _, ok) -> ok);
-    ]
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let default_history_sizes = [ 1_000; 5_000; 10_000; 20_000 ]
-
-let all_experiments ~window ~runs ~duration ~cycle_scale ~json () =
-  table1 ();
-  table2 ();
-  figure2 ~window ~runs ();
-  native_overhead ~window ~runs ();
-  declarative_overhead ~runs ();
-  crossover ~window ~runs ~cycle_scale ();
-  succinctness ();
-  datalog_vs_sql ~runs ();
-  optimizer_ablation ~runs ();
-  index_scaling ~json ~history_sizes:default_history_sizes ~cycles:30
-    ~batch:30 ();
-  trigger_policies ~duration ();
-  relaxed_consistency ~duration ();
-  batch_sweep ~duration ();
-  open_loop ~duration ();
-  mpl_ablation ~window ~runs ();
-  deadlock_policy_ablation ~window ~runs ();
-  history_pruning ~duration ();
-  faults_sweep ~duration ~json:None ();
-  parallel_scaling ~duration ~json:None ();
-  shards_scaling ~duration ~json:None ();
-  recovery_bench ~duration ~json:None ();
-  failover_bench ~duration ~json:None ();
-  swarm_bench ~n:25 ~seed:42 ~json:None ()
+(* Every experiment, in the order [all] runs them. *)
+let experiments ~window ~runs ~cycle_scale =
+  [
+    ("table1", table1);
+    ("table2", table2);
+    ("figure2", figure2 ~window ~runs);
+    ("native-overhead", native_overhead ~window ~runs);
+    ("declarative-overhead", declarative_overhead ~runs);
+    ("crossover", crossover ~window ~runs ~cycle_scale);
+    ("succinctness", succinctness);
+    ("datalog-vs-sql", datalog_vs_sql ~runs);
+  ]
 
 let () =
   let open Cmdliner in
@@ -1437,78 +329,25 @@ let () =
     Arg.(value & opt float 24. & info [ "window" ] ~doc:"MU measurement window (virtual s); the paper uses 240.")
   in
   let runs = Arg.(value & opt int 2 & info [ "runs" ] ~doc:"Runs per point (averaged).") in
-  let duration =
-    Arg.(value & opt float 5. & info [ "duration" ] ~doc:"Middleware experiment duration (virtual s).")
-  in
   let cycle_scale =
     Arg.(value & opt float 1. & info [ "cycle-scale" ] ~doc:"Scale factor on declarative cycle times (emulates the paper's slower scheduler DBMS; try 100).")
   in
-  let json =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the experiment's results as JSON to $(docv) (index, faults, parallel, shards, recovery, failover and swarm).")
-  in
-  let history_sizes =
-    Arg.(value & opt (list int) default_history_sizes & info [ "history-sizes" ] ~doc:"History sizes for the index experiment (comma-separated).")
-  in
-  let cycles =
-    Arg.(value & opt int 30 & info [ "cycles" ] ~doc:"Measured scheduler cycles per index-experiment point.")
-  in
-  let batch =
-    Arg.(value & opt int 30 & info [ "batch" ] ~doc:"Fresh requests submitted per cycle in the index experiment.")
-  in
-  let swarm_n =
-    Arg.(value & opt int 100 & info [ "swarm-n" ] ~doc:"Scenarios for the swarm experiment.")
-  in
-  let swarm_seed =
-    Arg.(value & opt int 42 & info [ "swarm-seed" ] ~doc:"Sweep base seed for the swarm experiment.")
-  in
   let experiment =
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT"
-           ~doc:"One of: all, table1, table2, figure2, native-overhead, declarative-overhead, crossover, succinctness, datalog-vs-sql, optimizer, index, triggers, relaxed, batch-sweep, open-loop, mpl, deadlock-policy, pruning, faults, parallel, shards, recovery, failover, swarm, list.")
+           ~doc:"One of: all, table1, table2, figure2, native-overhead, declarative-overhead, crossover, succinctness, datalog-vs-sql, list.")
   in
-  let main experiment window runs duration cycle_scale json history_sizes
-      cycles batch swarm_n swarm_seed =
+  let main experiment window runs cycle_scale =
+    let experiments = experiments ~window ~runs ~cycle_scale in
     match experiment with
-    | "all" -> all_experiments ~window ~runs ~duration ~cycle_scale ~json ()
-    | "table1" -> table1 ()
-    | "table2" -> table2 ()
-    | "figure2" -> figure2 ~window ~runs ()
-    | "native-overhead" -> native_overhead ~window ~runs ()
-    | "declarative-overhead" -> declarative_overhead ~runs ()
-    | "crossover" -> crossover ~window ~runs ~cycle_scale ()
-    | "succinctness" -> succinctness ()
-    | "datalog-vs-sql" -> datalog_vs_sql ~runs ()
-    | "optimizer" -> optimizer_ablation ~runs ()
-    | "index" -> index_scaling ~json ~history_sizes ~cycles ~batch ()
-    | "triggers" -> trigger_policies ~duration ()
-    | "relaxed" -> relaxed_consistency ~duration ()
-    | "batch-sweep" -> batch_sweep ~duration ()
-    | "open-loop" -> open_loop ~duration ()
-    | "mpl" -> mpl_ablation ~window ~runs ()
-    | "deadlock-policy" -> deadlock_policy_ablation ~window ~runs ()
-    | "pruning" -> history_pruning ~duration ()
-    | "faults" -> faults_sweep ~duration ~json ()
-    | "parallel" -> parallel_scaling ~duration ~json ()
-    | "shards" -> shards_scaling ~duration ~json ()
-    | "recovery" -> recovery_bench ~duration ~json ()
-    | "failover" -> failover_bench ~duration ~json ()
-    | "swarm" -> swarm_bench ~n:swarm_n ~seed:swarm_seed ~json ()
-    | "list" ->
-      print_endline
-        "all table1 table2 figure2 native-overhead declarative-overhead \
-         crossover succinctness datalog-vs-sql optimizer \
-         index triggers relaxed batch-sweep open-loop mpl deadlock-policy \
-         pruning faults parallel shards recovery failover swarm"
-    | other ->
-      Printf.eprintf "unknown experiment %s (try 'list')\n" other;
-      exit 2
+    | "all" -> List.iter (fun (_, run) -> run ()) experiments
+    | "list" -> print_endline (String.concat " " ("all" :: List.map fst experiments))
+    | name -> (
+      match List.assoc_opt name experiments with
+      | Some run -> run ()
+      | None ->
+        Printf.eprintf "unknown experiment %s (try 'list')\n" name;
+        exit 2)
   in
-  let term =
-    Term.(
-      const main $ experiment $ window $ runs $ duration $ cycle_scale $ json
-      $ history_sizes $ cycles $ batch $ swarm_n $ swarm_seed)
-  in
-  let info =
-    Cmd.info "bench"
-      ~doc:"Regenerate the paper's tables and figures plus DESIGN.md ablations"
-  in
+  let term = Term.(const main $ experiment $ window $ runs $ cycle_scale) in
+  let info = Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures" in
   exit (Cmd.eval (Cmd.v info term))
