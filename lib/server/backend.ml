@@ -67,9 +67,6 @@ let execute_seq_result t requests ~on_each k =
   if requests = [] then ignore (Engine.schedule t.engine ~after:0. (fun () -> k `Completed))
   else step requests
 
-let execute_seq t requests ~on_each k =
-  execute_seq_result t requests ~on_each (fun _ -> k ())
-
 let executed_stmts t = t.executed
 
 let cpu t = t.cpu_

@@ -17,16 +17,11 @@ val create : ?worker:int -> Engine.t -> Cost_model.t -> t
 (** The pool worker id this backend was created with, if any. *)
 val worker : t -> int option
 
-(** [execute_seq t requests ~on_each k] executes the batch in order, calling
-    [on_each req] at each request's own completion time and [k] at the end.
-    This preserves the schedule's intra-batch ordering, which is what makes
-    SLA-priority ordering observable in response times. Failures injected by
-    the fault hook are swallowed ([k] still runs at the point of failure);
-    use {!execute_seq_result} to observe them. *)
-val execute_seq :
-  t -> Request.t list -> on_each:(Request.t -> unit) -> (unit -> unit) -> unit
-
-(** Like {!execute_seq}, but consults the fault hook before each request.
+(** [execute_seq_result t requests ~on_each k] executes the batch in order,
+    calling [on_each req] at each request's own completion time and
+    [k `Completed] at the end. This preserves the schedule's intra-batch
+    ordering, which is what makes SLA-priority ordering observable in
+    response times. The fault hook is consulted before each request:
     [`Stall d] delays that request [d] seconds (an IO hang — the cores stay
     free) and then executes it normally; [`Fail] charges the attempt's
     service time and finishes the batch early with [`Failed r], {e without}

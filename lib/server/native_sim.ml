@@ -11,8 +11,6 @@ type config = {
   spec : Spec.t;
   seed : int;
   log_schedule : bool;
-  mpl : int option;
-  deadlock_policy : [ `Detection | `Wound_wait ];
   trace : Ds_obs.Trace.t option;
 }
 
@@ -23,8 +21,6 @@ let default_config =
     spec = Spec.paper_default;
     seed = 42;
     log_schedule = false;
-    mpl = None;
-    deadlock_policy = `Detection;
     trace = None;
   }
 
@@ -35,7 +31,6 @@ type stats = {
   committed_stmts : int;
   wasted_stmts : int;
   deadlocks : int;
-  wounds : int;
   intrinsic_aborts : int;
   lock_waits : int;
   total_wait_time : float;
@@ -57,7 +52,6 @@ type client = {
   mutable txn_start : float;
   mutable wait_start : float;
   mutable next_ta : int;
-  mutable aborting : bool;
   mutable undo : (int * int) list;  (** (row, before-image), newest first *)
 }
 
@@ -69,8 +63,6 @@ type sim = {
   store : Row_store.t;
   clients : client array;
   by_attempt : (int, client) Hashtbl.t;
-  admission : client Queue.t;
-  mutable active : int;
   mutable attempt_counter : int;
   log : Schedule.t;
   committed : (int, unit) Hashtbl.t;  (** committed attempt ids *)
@@ -79,15 +71,14 @@ type sim = {
   mutable committed_stmts : int;
   mutable wasted_stmts : int;
   mutable deadlocks : int;
-  mutable wounds : int;
   mutable intrinsic_aborts : int;
   mutable lock_waits : int;
   mutable total_wait_time : float;
   rng : Rng.t;
 }
 
-(* Trace events use the lock-table attempt id as the TA: each deadlock /
-   wound retry is a fresh attempt with its own span tree and (at most one)
+(* Trace events use the lock-table attempt id as the TA: each deadlock
+   retry is a fresh attempt with its own span tree and (at most one)
    terminal, even though the logical transaction is re-run. *)
 let emit_ev sim client ?(arg = -1) kind (req : Request.t) =
   Ds_obs.Trace.emit sim.cfg.trace kind ~ta:client.attempt
@@ -108,39 +99,18 @@ let fresh_attempt sim client =
   client.attempt <- sim.attempt_counter;
   Hashtbl.replace sim.by_attempt client.attempt client
 
-(* Begin (or retry) a transaction for [client]. A retry (deadlock victim)
-   keeps its admission slot; a fresh transaction must pass admission control
-   when an MPL is configured. *)
+(* Begin (or, for a deadlock victim, retry) a transaction for [client]. *)
 let rec start_txn sim client ~retry =
-  if retry then begin_attempt sim client
-  else begin
+  if not retry then begin
     client.txn <- Generator.next_txn client.gen ~ta:client.next_ta;
-    client.next_ta <- client.next_ta + sim.cfg.n_clients;
-    match sim.cfg.mpl with
-    | Some limit when sim.active >= limit -> Queue.push client sim.admission
-    | Some _ | None ->
-      sim.active <- sim.active + 1;
-      begin_attempt sim client
-  end
-
-and begin_attempt sim client =
+    client.next_ta <- client.next_ta + sim.cfg.n_clients
+  end;
   fresh_attempt sim client;
-  client.aborting <- false;
   client.undo <- [];
   client.remaining <- client.txn.Txn.requests;
   client.executed <- [];
   client.txn_start <- Engine.now sim.engine;
   next_stmt sim client
-
-(* Called when a transaction leaves the system (commit or intrinsic abort):
-   frees the admission slot and admits the next waiting client. *)
-and leave_and_admit sim =
-  sim.active <- sim.active - 1;
-  match Queue.take_opt sim.admission with
-  | None -> ()
-  | Some next ->
-    sim.active <- sim.active + 1;
-    begin_attempt sim next
 
 and next_stmt sim client =
   match client.remaining with
@@ -169,9 +139,7 @@ and acquire_and_exec sim client req =
     (* The contention check itself costs server CPU. *)
     Cpu.submit sim.cpu ~work:cost.Cost_model.deadlock_check_cost
       (fun () -> ());
-    (match sim.cfg.deadlock_policy with
-    | `Detection -> check_deadlock sim client
-    | `Wound_wait -> wound_wait sim client)
+    check_deadlock sim client
 
 and check_deadlock sim client =
   let successors txn = Lock_manager.blockers sim.locks ~txn in
@@ -193,27 +161,10 @@ and check_deadlock sim client =
   in
   resolve ()
 
-(* Wound-wait (Rosenkrantz et al.): an older requester (smaller attempt id)
-   wounds every younger transaction blocking it; a younger requester simply
-   waits. Deadlock-free because waiting always goes from younger to older. *)
-and wound_wait sim requester =
-  let blockers = Lock_manager.blockers sim.locks ~txn:requester.attempt in
-  List.iter
-    (fun attempt ->
-      if attempt > requester.attempt then
-        match Hashtbl.find_opt sim.by_attempt attempt with
-        | Some victim when not victim.aborting ->
-          sim.wounds <- sim.wounds + 1;
-          abort_attempt sim victim ~restart:true
-        | Some _ | None -> ())
-    blockers
-
 (* Roll back the victim's work and (optionally) retry the same transaction
-   after a backoff. Under detection, victims are always blocked; under
-   wound-wait a victim may be mid-statement on the CPU, so the in-flight
-   callbacks below are guarded by the attempt id. *)
+   after a backoff. A deadlock victim is blocked and an intrinsic abort is
+   its transaction's next step, so no statement of the victim is in flight. *)
 and abort_attempt sim victim ~restart =
-  victim.aborting <- true;
   emit_terminal sim victim Ds_obs.Trace.Abort;
   (* Roll the data back while the X locks are still held. *)
   List.iter (fun (row, before) -> Row_store.write sim.store row before) victim.undo;
@@ -230,11 +181,9 @@ and abort_attempt sim victim ~restart =
     cost.Cost_model.restart_delay *. (0.5 +. Rng.float sim.rng)
   in
   Cpu.submit sim.cpu ~work:undo (fun () ->
-      if not restart then leave_and_admit sim;
       ignore
         (Engine.schedule sim.engine ~after:delay (fun () ->
-             if restart then start_txn sim victim ~retry:true
-             else start_txn sim victim ~retry:false)));
+             start_txn sim victim ~retry:restart)));
   wake_granted sim newly
 
 and wake_granted sim newly =
@@ -256,12 +205,8 @@ and resume_after_grant sim client obj =
 
 and exec_stmt sim client req =
   let work = Cost_model.stmt_cost cost ~locking:true in
-  let attempt0 = client.attempt in
   emit_ev sim client Ds_obs.Trace.Exec_start req;
   Cpu.submit sim.cpu ~work (fun () ->
-      if client.attempt <> attempt0 || client.aborting then
-        () (* wounded mid-statement *)
-      else begin
       let obj = Option.get req.Request.obj in
       let value =
         match req.Request.op with
@@ -281,15 +226,10 @@ and exec_stmt sim client req =
         Schedule.append sim.log
           { Schedule.ta = client.attempt; op = req.Request.op; obj; value };
       client.remaining <- List.tl client.remaining;
-      next_stmt sim client
-      end)
+      next_stmt sim client)
 
 and do_commit sim client =
-  let attempt0 = client.attempt in
   Cpu.submit sim.cpu ~work:cost.Cost_model.commit_service (fun () ->
-      if client.attempt <> attempt0 || client.aborting then
-        () (* wounded before commit *)
-      else begin
       (* Log the commit point itself: the correctness checker needs terminal
          positions to decide strictness and commit ordering. *)
       if sim.cfg.log_schedule then
@@ -306,14 +246,12 @@ and do_commit sim client =
       client.undo <- [];
       let newly = Lock_manager.release_all sim.locks ~txn:client.attempt in
       wake_granted sim newly;
-      leave_and_admit sim;
       let think = Dist.sample cost.Cost_model.think_time sim.rng in
       (if think <= 0. then start_txn sim client ~retry:false
       else
         ignore
           (Engine.schedule sim.engine ~after:think (fun () ->
-               start_txn sim client ~retry:false)))
-      end)
+               start_txn sim client ~retry:false))))
 
 and do_intrinsic_abort sim client =
   sim.intrinsic_aborts <- sim.intrinsic_aborts + 1;
@@ -335,8 +273,6 @@ let run (cfg : config) =
       store = Row_store.create ~n_rows:cfg.spec.Spec.n_objects;
       clients = [||];
       by_attempt = Hashtbl.create (4 * cfg.n_clients);
-      admission = Queue.create ();
-      active = 0;
       attempt_counter = 0;
       log = Schedule.create ();
       committed = Hashtbl.create 1024;
@@ -345,7 +281,6 @@ let run (cfg : config) =
       committed_stmts = 0;
       wasted_stmts = 0;
       deadlocks = 0;
-      wounds = 0;
       intrinsic_aborts = 0;
       lock_waits = 0;
       total_wait_time = 0.;
@@ -364,7 +299,6 @@ let run (cfg : config) =
           txn_start = 0.;
           wait_start = 0.;
           next_ta = i + 1;
-          aborting = false;
           undo = [];
         })
   in
@@ -417,7 +351,6 @@ let run (cfg : config) =
     committed_stmts = sim.committed_stmts;
     wasted_stmts = sim.wasted_stmts;
     deadlocks = sim.deadlocks;
-    wounds = sim.wounds;
     intrinsic_aborts = sim.intrinsic_aborts;
     lock_waits = sim.lock_waits;
     total_wait_time = sim.total_wait_time;
@@ -435,8 +368,8 @@ let run (cfg : config) =
 let pp_stats ppf s =
   Format.fprintf ppf
     "clients=%d window=%.0fs committed_txns=%d committed_stmts=%d deadlocks=%d \
-     wounds=%d wasted=%d waits=%d wait_time=%.1fs cpu=%.0f%% \
+     wasted=%d waits=%d wait_time=%.1fs cpu=%.0f%% \
      latency(mean=%.3fs p95=%.3fs)"
     s.n_clients s.duration s.committed_txns s.committed_stmts s.deadlocks
-    s.wounds s.wasted_stmts s.lock_waits s.total_wait_time
+    s.wasted_stmts s.lock_waits s.total_wait_time
     (100. *. s.cpu_utilization) s.mean_txn_latency s.p95_txn_latency

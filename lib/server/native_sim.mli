@@ -16,16 +16,6 @@ type config = {
   spec : Spec.t;
   seed : int;
   log_schedule : bool;  (** record the committed schedule for replay *)
-  mpl : int option;
-      (** multiprogramming limit: at most this many transactions execute
-          concurrently, the rest queue for admission — the external MPL
-          tuning of Schroeder et al. (EQMS) discussed in the paper's 2.
-          [None] = unlimited (the paper's own setup). *)
-  deadlock_policy : [ `Detection | `Wound_wait ];
-      (** [`Detection] (default): waits-for cycle search on every block,
-          youngest on the cycle aborts. [`Wound_wait]: an older requester
-          aborts younger conflicting holders outright; deadlock-free but
-          more aggressive under contention. *)
   trace : Ds_obs.Trace.t option;
       (** lifecycle event sink. Events are keyed by the lock-table attempt
           id (each deadlock retry is its own span tree); lock waits and
@@ -42,7 +32,6 @@ type stats = {
   committed_stmts : int;  (** data statements of committed transactions *)
   wasted_stmts : int;  (** executed, then rolled back *)
   deadlocks : int;
-  wounds : int;  (** transactions aborted by the wound-wait policy *)
   intrinsic_aborts : int;
   lock_waits : int;
   total_wait_time : float;

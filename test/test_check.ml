@@ -212,28 +212,26 @@ let test_pp_report_mentions_cycle () =
 
 (* --- real schedules: native server ------------------------------------- *)
 
-let native_cfg ~seed ~policy =
+let native_cfg ~seed =
   {
     Ds_server.Native_sim.default_config with
     Ds_server.Native_sim.n_clients = 12;
     duration = 0.5;
     seed;
     log_schedule = true;
-    deadlock_policy = policy;
     spec =
       { Ds_workload.Spec.paper_default with Ds_workload.Spec.n_objects = 200 };
   }
 
 (* A tiny, heavily contended shape: 6 clients over 12 objects for 0.3
    virtual seconds, 15 % of transactions ending in an intrinsic abort. *)
-let contended_native_cfg ~seed ~policy =
+let contended_native_cfg ~seed =
   {
     Ds_server.Native_sim.default_config with
     Ds_server.Native_sim.n_clients = 6;
     duration = 0.3;
     seed;
     log_schedule = true;
-    deadlock_policy = policy;
     spec =
       {
         Ds_workload.Spec.small with
@@ -245,28 +243,23 @@ let contended_native_cfg ~seed ~policy =
 let test_native_schedules_clean () =
   (* The native SS2PL server's committed schedule (now including commit
      points) must pass the full battery — serializable, strict, rigorous,
-     commit-ordered — across 50 seeds, both deadlock policies and both
-     workload shapes. *)
+     commit-ordered — across 50 seeds and both workload shapes. *)
   for seed = 1 to 50 do
-    let policy = if seed mod 2 = 0 then `Detection else `Wound_wait in
     List.iter
       (fun (shape, cfg) ->
-        let s = Ds_server.Native_sim.run (cfg ~seed ~policy) in
+        let s = Ds_server.Native_sim.run (cfg ~seed) in
         let report =
           Serializability.check
             (Conflict_graph.events_of_schedule s.Ds_server.Native_sim.schedule)
         in
         if not (Serializability.is_clean report) then
-          Alcotest.failf "%s seed %d (%s): %a" shape seed
-            (match policy with
-            | `Detection -> "detection"
-            | `Wound_wait -> "wound-wait")
+          Alcotest.failf "%s seed %d: %a" shape seed
             Serializability.pp_report report)
       [ ("default", native_cfg); ("contended", contended_native_cfg) ]
   done
 
 let test_native_commit_points_logged () =
-  let s = Ds_server.Native_sim.run (native_cfg ~seed:7 ~policy:`Detection) in
+  let s = Ds_server.Native_sim.run (native_cfg ~seed:7) in
   let commits =
     List.length
       (List.filter

@@ -700,123 +700,6 @@ let test_c2pl_all_or_nothing () =
   Alcotest.(check int) "blocked by history lock" 0
     (List.length (qualify Builtin.c2pl ~pending ~history))
 
-let test_batch_sim_progress () =
-  let s =
-    Batch_sim.run
-      {
-        Batch_sim.default_config with
-        Batch_sim.arrival_rate = 10.;
-        duration = 3.;
-        spec = { Ds_workload.Spec.small with Ds_workload.Spec.n_objects = 100 };
-      }
-  in
-  Alcotest.(check bool) "offered txns" true (s.Batch_sim.offered_txns > 10);
-  Alcotest.(check bool) "completions happen" true (s.Batch_sim.completed_txns > 0);
-  Alcotest.(check bool) "completions bounded by offers" true
-    (s.Batch_sim.completed_txns <= s.Batch_sim.offered_txns);
-  (* Determinism. *)
-  let s2 =
-    Batch_sim.run
-      {
-        Batch_sim.default_config with
-        Batch_sim.arrival_rate = 10.;
-        duration = 3.;
-        spec = { Ds_workload.Spec.small with Ds_workload.Spec.n_objects = 100 };
-      }
-  in
-  Alcotest.(check int) "deterministic" s.Batch_sim.completed_txns
-    s2.Batch_sim.completed_txns
-
-(* --- adaptive consistency ------------------------------------------------ *)
-
-let test_adaptive_switching () =
-  let adaptive =
-    Adaptive.make ~strict:Builtin.ss2pl_ocaml ~relaxed:Builtin.read_committed_sql
-      ~high_watermark:5 ~low_watermark:1 ()
-  in
-  let sched = Scheduler.create (Adaptive.protocol adaptive) in
-  Alcotest.(check bool) "starts strict" true (Adaptive.mode adaptive = `Strict);
-  (* Low load: one conflicting pair; strict semantics visible (writer blocked
-     by a read lock in history). *)
-  let rels = Scheduler.relations sched in
-  Relations.insert_history rels (Request.v 1 1 Op.Read 10);
-  Scheduler.submit sched (Request.v 2 1 Op.Write 10);
-  let q, _ = Scheduler.cycle sched in
-  Alcotest.(check int) "strict blocks writer" 0 (List.length q);
-  (* The blocked request stays pending; pile more on until the backlog
-     crosses the watermark -> relaxed mode lets the writer through. *)
-  for ta = 3 to 8 do
-    Scheduler.submit sched (Request.v ta 1 Op.Read (100 + ta))
-  done;
-  let q, stats = Scheduler.cycle sched in
-  Alcotest.(check bool) "watermark crossed" true
-    (stats.Scheduler.pending_before + stats.Scheduler.drained >= 5);
-  Alcotest.(check bool) "switched to relaxed" true
-    (Adaptive.mode adaptive = `Relaxed);
-  Alcotest.(check bool) "writer released under relaxed rules" true
-    (List.exists (fun r -> Request.key r = (2, 1)) q);
-  (* Backlog drained: next cycle falls back to strict. *)
-  let _, _ = Scheduler.cycle sched in
-  Alcotest.(check bool) "recovered to strict" true
-    (Adaptive.mode adaptive = `Strict);
-  Alcotest.(check int) "two switches" 2 (Adaptive.switches adaptive)
-
-let test_adaptive_hysteresis () =
-  (* A bursty load whose backlog oscillates INSIDE the hysteresis band must
-     not flap the protocol: switches happen only when the load genuinely
-     crosses a watermark, and the scheduler settles back to strict once the
-     burst drains. *)
-  let adaptive =
-    Adaptive.make ~strict:Builtin.ss2pl_ocaml ~relaxed:Builtin.read_committed_sql
-      ~high_watermark:8 ~low_watermark:2 ()
-  in
-  let sched = Scheduler.create (Adaptive.protocol adaptive) in
-  let next_ta = ref 0 in
-  (* [load n] runs one cycle with n independent reads in the queue; they all
-     qualify, so the backlog seen by the adaptive protocol is exactly n. *)
-  let load n =
-    for _ = 1 to n do
-      incr next_ta;
-      Scheduler.submit sched (Request.v !next_ta 1 Op.Read (1000 + !next_ta))
-    done;
-    ignore (Scheduler.cycle sched)
-  in
-  let burst () =
-    load 12;
-    (* cross the high watermark *)
-    Alcotest.(check bool) "burst switches to relaxed" true
-      (Adaptive.mode adaptive = `Relaxed);
-    (* mid-band load (between low=2 and high=8): mode must hold *)
-    for _ = 1 to 10 do
-      load 5;
-      Alcotest.(check bool) "mid-band holds relaxed" true
-        (Adaptive.mode adaptive = `Relaxed)
-    done;
-    load 0;
-    (* drain below the low watermark *)
-    Alcotest.(check bool) "drain recovers strict" true
-      (Adaptive.mode adaptive = `Strict);
-    for _ = 1 to 10 do
-      load 5;
-      Alcotest.(check bool) "mid-band holds strict" true
-        (Adaptive.mode adaptive = `Strict)
-    done
-  in
-  burst ();
-  burst ();
-  (* 44 cycles, 40 of them inside the band: exactly two switches per burst *)
-  Alcotest.(check int) "no flapping: two switches per burst" 4
-    (Adaptive.switches adaptive);
-  Alcotest.(check bool) "ends strict" true (Adaptive.mode adaptive = `Strict)
-
-let test_adaptive_validation () =
-  match
-    Adaptive.make ~strict:Builtin.ss2pl_sql ~relaxed:Builtin.read_committed_sql
-      ~high_watermark:1 ~low_watermark:5 ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected watermark validation error"
-
 (* --- overhead probe ------------------------------------------------------ *)
 
 let test_overhead_probe () =
@@ -928,10 +811,6 @@ let tests =
     Alcotest.test_case "oracle loc honest" `Quick test_oracle_loc_honest;
     QCheck_alcotest.to_alcotest protocol_monotonicity;
     Alcotest.test_case "c2pl all-or-nothing" `Quick test_c2pl_all_or_nothing;
-    Alcotest.test_case "batch sim progress" `Quick test_batch_sim_progress;
-    Alcotest.test_case "adaptive switching" `Quick test_adaptive_switching;
-    Alcotest.test_case "adaptive hysteresis" `Quick test_adaptive_hysteresis;
-    Alcotest.test_case "adaptive validation" `Quick test_adaptive_validation;
     Alcotest.test_case "overhead probe" `Quick test_overhead_probe;
     Alcotest.test_case "deferral names a lock holder" `Quick
       test_defer_blocker_holds_lock;

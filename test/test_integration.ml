@@ -186,35 +186,6 @@ let test_middleware_intrinsic_aborts () =
   in
   Alcotest.(check bool) "aborts executed" true (List.length abort_rows > 0)
 
-let test_middleware_adaptive_under_load () =
-  (* End-to-end: the adaptive protocol must commit at least as much as plain
-     SS2PL on a contended workload, and must actually switch modes. *)
-  let contended = { small_spec with Ds_workload.Spec.n_objects = 300 } in
-  let base =
-    {
-      (cfg ~n_clients:20 ~duration:2.5 ()) with
-      Middleware.spec = contended;
-      starvation_cycles = 25;
-    }
-  in
-  let strict =
-    Middleware.run { base with Middleware.protocol = Builtin.ss2pl_ocaml }
-  in
-  let adaptive =
-    Adaptive.make ~strict:Builtin.ss2pl_ocaml
-      ~relaxed:Builtin.read_committed_sql ~high_watermark:10 ~low_watermark:3 ()
-  in
-  let s =
-    Middleware.run { base with Middleware.protocol = Adaptive.protocol adaptive }
-  in
-  Alcotest.(check bool) "switched at least once" true
-    (Adaptive.switches adaptive > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "adaptive (%d) >= strict (%d)" s.Middleware.committed_txns
-       strict.Middleware.committed_txns)
-    true
-    (s.Middleware.committed_txns >= strict.Middleware.committed_txns)
-
 let test_native_vs_declarative_experiment_shape () =
   (* A miniature of the paper's experiment: both measurement harnesses
      produce sane, comparable numbers. *)
@@ -259,8 +230,6 @@ let tests =
       test_fill_trigger_never_wedges;
     Alcotest.test_case "intrinsic aborts flow through" `Quick
       test_middleware_intrinsic_aborts;
-    Alcotest.test_case "adaptive under load" `Slow
-      test_middleware_adaptive_under_load;
     Alcotest.test_case "experiment harness shape" `Slow
       test_native_vs_declarative_experiment_shape;
   ]

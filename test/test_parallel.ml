@@ -255,7 +255,7 @@ let test_pool_k1_matches_backend () =
   in
   let engine_b = Ds_sim.Engine.create () in
   let backend = Backend.create engine_b Cost_model.default in
-  Backend.execute_seq backend batch ~on_each:(fun _ -> ()) (fun () -> ());
+  Backend.execute_seq_result backend batch ~on_each:(fun _ -> ()) (fun _ -> ());
   Ds_sim.Engine.run engine_b;
   let _, t_pool, deliveries, _ = run_pool ~workers:1 batch in
   Alcotest.(check (float 1e-12)) "identical completion time"

@@ -396,39 +396,6 @@ let contended_cfg n =
       { Ds_workload.Spec.paper_default with Ds_workload.Spec.n_objects = 250 };
   }
 
-let test_mpl_admission () =
-  let unlimited = Native_sim.run (contended_cfg 60) in
-  let limited =
-    Native_sim.run { (contended_cfg 60) with Native_sim.mpl = Some 5 }
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "MPL avoids thrashing (%d vs %d stmts)"
-       limited.Native_sim.committed_stmts unlimited.Native_sim.committed_stmts)
-    true
-    (limited.Native_sim.committed_stmts > unlimited.Native_sim.committed_stmts);
-  (* Deadlock *rate* per committed transaction drops; absolute counts can
-     rise simply because far more transactions get through. *)
-  let rate (s : Native_sim.stats) =
-    float_of_int s.Native_sim.deadlocks
-    /. float_of_int (max 1 s.Native_sim.committed_txns)
-  in
-  Alcotest.(check bool) "lower deadlock rate under MPL" true
-    (rate limited < rate unlimited)
-
-let test_wound_wait () =
-  let cfg =
-    { (contended_cfg 40) with Native_sim.deadlock_policy = `Wound_wait }
-  in
-  let s = Native_sim.run cfg in
-  Alcotest.(check int) "no detection-based aborts" 0 s.Native_sim.deadlocks;
-  Alcotest.(check bool) "wounds happen under contention" true
-    (s.Native_sim.wounds > 0);
-  Alcotest.(check bool) "still makes progress" true
-    (s.Native_sim.committed_txns > 0);
-  (* Wound-wait preserves SS2PL: the committed schedule stays conflict-
-     serializable. *)
-  check_schedule s.Native_sim.schedule
-
 let test_replay_agreement () =
   let s = Native_sim.run (small_cfg 10) in
   let arithmetic = Replay.single_user_time Cost_model.default s.Native_sim.schedule in
@@ -444,41 +411,29 @@ let test_store_faithfulness () =
      run's final data must equal a sequential replay of its committed
      schedule on a fresh store. Any locking bug (conflicting grants, lost
      rollback, schedule-log gap) breaks this. Contended setup so aborts,
-     restarts and wound/rollback paths all fire. *)
-  List.iter
-    (fun policy ->
-      let cfg =
-        {
-          (contended_cfg 30) with
-          Native_sim.deadlock_policy = policy;
-          duration = 2.0;
-        }
-      in
-      let s = Native_sim.run cfg in
-      let fresh =
-        Row_store.create ~n_rows:(Row_store.n_rows s.Native_sim.final_store)
-      in
-      Replay.apply_to_store fresh s.Native_sim.schedule;
-      let differing = Row_store.diff fresh s.Native_sim.final_store in
-      if differing <> [] then
-        Alcotest.failf "store mismatch on %d rows (first: %d) under %s"
-          (List.length differing) (List.hd differing)
-          (match policy with `Detection -> "detection" | `Wound_wait -> "wound-wait");
-      Alcotest.(check bool) "writes happened" true
-        (Row_store.writes s.Native_sim.final_store > 0))
-    [ `Detection; `Wound_wait ]
+     restarts and rollback paths all fire. *)
+  let s = Native_sim.run { (contended_cfg 30) with Native_sim.duration = 2.0 } in
+  let fresh =
+    Row_store.create ~n_rows:(Row_store.n_rows s.Native_sim.final_store)
+  in
+  Replay.apply_to_store fresh s.Native_sim.schedule;
+  let differing = Row_store.diff fresh s.Native_sim.final_store in
+  if differing <> [] then
+    Alcotest.failf "store mismatch on %d rows (first: %d)"
+      (List.length differing) (List.hd differing);
+  Alcotest.(check bool) "writes happened" true
+    (Row_store.writes s.Native_sim.final_store > 0)
 
 (* Randomized generalisation of test_store_faithfulness: across random
-   seeds, client counts, contention levels and both deadlock policies, the
-   multi-user run's final store equals a sequential replay of its committed
-   schedule on a fresh store. *)
+   seeds, client counts and contention levels, the multi-user run's final
+   store equals a sequential replay of its committed schedule on a fresh
+   store. *)
 let store_replay_prop =
   QCheck2.Test.make ~name:"final store equals schedule replay (random cfgs)"
     ~count:15
     QCheck2.Gen.(
-      triple (int_range 1 10_000) (int_range 2 25)
-        (pair (int_range 100 2_000) bool))
-    (fun (seed, n_clients, (n_objects, wound)) ->
+      triple (int_range 1 10_000) (int_range 2 25) (int_range 100 2_000))
+    (fun (seed, n_clients, n_objects) ->
       let cfg =
         {
           Native_sim.default_config with
@@ -486,7 +441,6 @@ let store_replay_prop =
           duration = 0.5;
           seed;
           log_schedule = true;
-          deadlock_policy = (if wound then `Wound_wait else `Detection);
           spec =
             {
               Ds_workload.Spec.paper_default with
@@ -536,8 +490,6 @@ let tests =
     Alcotest.test_case "native schedule serializable" `Slow
       test_native_schedule_serializable;
     Alcotest.test_case "native contention grows" `Quick test_native_contention_grows;
-    Alcotest.test_case "mpl admission control" `Slow test_mpl_admission;
-    Alcotest.test_case "wound-wait policy" `Slow test_wound_wait;
     Alcotest.test_case "replay agreement" `Quick test_replay_agreement;
     Alcotest.test_case "row store unit" `Quick test_row_store_unit;
     Alcotest.test_case "store faithfulness (MU = replay)" `Slow
