@@ -747,8 +747,7 @@ and failover_promote sim h =
 and recover_lanes sim recover =
   sim.epoch <- sim.epoch + 1;
   (* Host-timed end to end (read + replay + restore): with
-     checkpointing on, this is the number the recovery bench shows staying
-     sublinear in journal length. *)
+     checkpointing on, it stays sublinear in journal length. *)
   let t0 = Ds_relal.Profile.now () in
   let recovered_by_lane =
     Array.map

@@ -1,5 +1,5 @@
-(** Artifact stamping: every bench/swarm JSON artifact carries the git
-    commit, the seed and the configuration that produced it, so result
+(** Artifact stamping: every swarm and benchmark JSON artifact carries
+    the git commit, the seed and the configuration that produced it, so result
     trajectories are comparable across PRs without guessing which build a
     file came from.
 

@@ -33,6 +33,6 @@ val truthy : Value.t -> bool
     base-table scan probes a hash index (see {!candidates}). The
     persistent index is shared by every probe of the table within a query
     (Listing 1 reads [history]'s operation index four times), and across
-    queries until the table changes. Toggled off by the optimizer/index
-    ablation bench. *)
+    queries until the table changes. Tests toggle it off to compare with
+    plain scans. *)
 val use_table_indexes : bool ref

@@ -1,8 +1,8 @@
 (** Rule-based plan rewriting. The point of the paper's architecture is that
     "optimization techniques from declarative query processing can be used to
     improve scheduler performance without affecting the scheduler
-    specification" (§1) — this module is that lever, and the
-    [optimizer_ablation] bench measures it.
+    specification" (§1) — this module is that lever; the tests compare
+    every level's rows with the unoptimized plan's.
 
     Levels:
     - [`None]: plan untouched (evaluates correlated subqueries by nested
