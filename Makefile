@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check golden bench examples clean doc
+.PHONY: all build test check golden sweeps bench examples clean doc
 
 all: build
 
@@ -36,6 +36,19 @@ golden:
 	  > test/data/golden_bench_figure2.txt
 	dune exec bench/main.exe -- native-overhead --window 8 --runs 1 \
 	  > test/data/golden_bench_native_overhead.txt
+
+# The 200-scenario swarm reports for seeds 1, 2 and 3, written to DIR with
+# the commit pinned and the stamp removed. A change meant to keep behaviour
+# runs it on the parent and on itself: `diff -r` of the two DIRs is empty.
+sweeps:
+	@test -n "$(DIR)" || { echo "usage: make sweeps DIR=<path>" >&2; exit 2; }
+	dune build bin/dsched.exe
+	mkdir -p $(DIR)
+	for s in 1 2 3; do \
+	  DS_GIT_COMMIT=sweep dune exec bin/dsched.exe -- swarm -n 200 --seed $$s \
+	    --out $(DIR)/raw.json; \
+	  jq 'del(.stamp)' $(DIR)/raw.json > $(DIR)/swarm_n200_seed$$s.json || exit 1; \
+	done; rm -f $(DIR)/raw.json
 
 # Quick-scale run of every paper table and figure.
 bench:

@@ -111,6 +111,17 @@ let protocol_arg =
     & opt conv_protocol Builtin.ss2pl_sql
     & info [ "protocol" ] ~docv:"NAME" ~doc:"Scheduling protocol (see 'dsched protocols').")
 
+(* A [key=value,...] plan option, parsed, printed and listed in the help
+   from the plan's table. *)
+let plan_arg codec name doc =
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Ds_util.Kv.of_string codec s)
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Ds_util.Kv.pp codec)) codec.Ds_util.Kv.none
+    & info [ name ] ~docv:"SPEC" ~doc:(doc ^ " " ^ Ds_util.Kv.help codec))
+
 let run_cmd =
   let doc = "Run the end-to-end middleware simulation (Figure 1)." in
   let clients =
@@ -161,34 +172,13 @@ let run_cmd =
              'dsched check FILE').")
   in
   let faults =
-    let conv_plan =
-      let parse s =
-        match Faults.plan_of_string s with
-        | Ok p -> Ok p
-        | Error m -> Error (`Msg m)
-      in
-      Arg.conv (parse, Faults.pp_plan)
-    in
-    Arg.(
-      value
-      & opt conv_plan Faults.none
-      & info [ "faults" ] ~docv:"SPEC"
-          ~doc:
-            "Fault plan, e.g. \
-             $(b,batch=0.1,stall=0.05,stall-dur=0.05,poison=0.01,disconnect=0.02,crash=40). \
-             Keys: batch (transient batch-failure rate), stall (+ stall-dur \
-             seconds), poison (always-failing requests), disconnect (client \
-             vanishes mid-txn), crash (middleware crash at that cycle, with \
-             live journal recovery), wcrash/wdeath/wstall (per-batch worker \
-             crash / permanent death / stall rates, needs --workers > 1; \
-             wstall-dur seconds), pcrash (permanent primary crash at that \
-             cycle — fails over to the hot standby, needs --standby). \
-             A non-empty plan sets the client contract: clients redo \
-             aborted transactions, a batch attempt times out after 0.25 \
-             s, and a request is dead-lettered after 3 retries. It also \
-             implies deterministic scheduling (scheduler wall-time not \
-             charged). For the paper's non-scheduling mode use \
-             $(b,--protocol fcfs).")
+    plan_arg Faults.codec "faults"
+      "Fault plan: comma-separated $(i,key)=$(i,value) pairs, or $(b,none). \
+       A non-empty plan sets the client contract: clients redo aborted \
+       transactions, a batch attempt times out after 0.25 s, and a request \
+       is dead-lettered after 3 retries. It also implies deterministic \
+       scheduling (scheduler wall-time not charged). For the paper's \
+       non-scheduling mode use $(b,--protocol fcfs)."
   in
   let standby =
     Arg.(
@@ -202,32 +192,16 @@ let run_cmd =
              do not travel: the standby writes its own from its replayed \
              state and checks the block's first line and state hash against \
              the primary's, so its file stays a byte-prefix of the \
-             primary's. A $(b,pcrash=N) fault fails over to it mid-run; \
-             otherwise promote it later with 'dsched failover $(docv)'.")
+             primary's. A primary crash in $(b,--faults) fails over to it \
+             mid-run; otherwise promote it later with 'dsched failover \
+             $(docv)'.")
   in
   let repl_faults =
-    let conv_plan =
-      let parse s =
-        match Ds_replica.Link.plan_of_string s with
-        | Ok p -> Ok p
-        | Error m -> Error (`Msg m)
-      in
-      Arg.conv (parse, Ds_replica.Link.pp_plan)
-    in
-    Arg.(
-      value
-      & opt conv_plan Ds_replica.Link.none
-      & info [ "repl-faults" ] ~docv:"SPEC"
-          ~doc:
-            "Replication-link fault plan, e.g. \
-             $(b,drop=0.05,dup=0.02,reorder=0.1,delay=0.05,partition=1.5,flap=0.8). \
-             Keys: drop/dup/reorder/delay (per-record rates), spike (extra \
-             seconds of a delayed record over the fixed 2 ms latency floor), \
-             partition (one-shot outage at that virtual second, + \
-             partition-dur), flap (periodic outage every that many seconds, \
-             + flap-down). Records caught in an outage are held \
-             and delivered at heal time — after a failover they arrive with \
-             a stale epoch and are fenced.")
+    plan_arg Ds_replica.Link.codec "repl-faults"
+      "Replication-link fault plan: comma-separated $(i,key)=$(i,value) \
+       pairs, or $(b,none). Records caught in an outage are held and \
+       delivered at heal time — after a failover they arrive with a stale \
+       epoch and are fenced."
   in
   let repl_mode =
     let conv_mode =
@@ -866,29 +840,26 @@ let recover_cmd =
              checksum-valid prefix.")
   in
   let run repair file =
-    let r =
-      if Journal.is_segment_dir file then begin
-        Printf.printf "segment directory: merging %d lane journal(s)\n"
-          (List.length (Journal.segment_paths file));
-        (* Per-segment recovery first, so --repair reports which lane had
-           the torn tail (repair is per segment; a torn tail in one lane
-           never blocks its siblings). *)
-        let segs = Journal.recover_segments ~repair file in
-        List.iter
-          (fun (name, (sr : Journal.recovered)) ->
-            if sr.Journal.corrupt_dropped > 0 then
-              Printf.printf
-                "  %s: replayed %d, dropped %d corrupt tail line(s)%s; \
-                 trusted prefix %d bytes\n"
-                name sr.Journal.replayed sr.Journal.corrupt_dropped
-                (if repair then " (truncated)" else "")
-                sr.Journal.valid_bytes
-            else Printf.printf "  %s: replayed %d, clean\n" name sr.Journal.replayed)
-          segs;
-        Journal.merge_segments (List.map snd segs)
-      end
-      else Journal.recover ~repair file
-    in
+    (* Per segment, so --repair reports which lane had the torn tail (repair
+       is per segment; a torn tail in one lane never blocks its siblings). A
+       journal file is one segment; a segment directory has at least three. *)
+    let segs, r = Journal.recover_segments ~repair file in
+    if List.length segs > 1 then begin
+      Printf.printf "segment directory: merging %d lane journal(s)\n"
+        (List.length segs);
+      List.iter
+        (fun (name, (sr : Journal.recovered)) ->
+          if sr.Journal.corrupt_dropped > 0 then
+            Printf.printf
+              "  %s: replayed %d, dropped %d corrupt tail line(s)%s; \
+               trusted prefix %d bytes\n"
+              name sr.Journal.replayed sr.Journal.corrupt_dropped
+              (if repair then " (truncated)" else "")
+              sr.Journal.valid_bytes
+          else
+            Printf.printf "  %s: replayed %d, clean\n" name sr.Journal.replayed)
+        segs
+    end;
     (match r.Journal.checkpoint_cycle with
     | Some c ->
       Printf.printf

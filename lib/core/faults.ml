@@ -30,135 +30,69 @@ let none =
     pcrash_at_cycle = None;
   }
 
-let is_none p =
-  p.batch_fail_rate = 0. && p.stall_rate = 0. && p.poison_rate = 0.
-  && p.disconnect_rate = 0.
-  && p.crash_at_cycle = None
-  && p.worker_crash_rate = 0. && p.worker_death_rate = 0.
-  && p.worker_stall_rate = 0.
-  && p.pcrash_at_cycle = None
+let codec =
+  let open Ds_util.Kv in
+  let stall =
+    row Rate "stall" "one request of a batch attempt stalls"
+      (fun p -> p.stall_rate)
+      (fun p v -> { p with stall_rate = v })
+  in
+  let wstall =
+    row Rate "wstall" "a pool worker turns straggler for a batch"
+      (fun p -> p.worker_stall_rate)
+      (fun p v -> { p with worker_stall_rate = v })
+  in
+  {
+    what = "fault";
+    none;
+    rows =
+      [
+        row Rate "batch" "a batch attempt fails transiently"
+          (fun p -> p.batch_fail_rate)
+          (fun p v -> { p with batch_fail_rate = v });
+        stall;
+        row ~gate:stall Seconds "stall-dur" "how long a stalled request hangs"
+          (fun p -> p.stall_duration)
+          (fun p v -> { p with stall_duration = v });
+        row Rate "poison" "a data request fails on every attempt"
+          (fun p -> p.poison_rate)
+          (fun p v -> { p with poison_rate = v });
+        row Rate "disconnect" "a client vanishes mid-transaction"
+          (fun p -> p.disconnect_rate)
+          (fun p v -> { p with disconnect_rate = v });
+        row Cycle "crash"
+          "the middleware crashes at that cycle and recovers from its journal"
+          (fun p -> p.crash_at_cycle)
+          (fun p v -> { p with crash_at_cycle = v });
+        row Rate "wcrash"
+          "a pool worker crashes for a batch (needs more than one worker)"
+          (fun p -> p.worker_crash_rate)
+          (fun p v -> { p with worker_crash_rate = v });
+        row Rate "wdeath" "a pool worker dies for the rest of the run"
+          (fun p -> p.worker_death_rate)
+          (fun p v -> { p with worker_death_rate = v });
+        wstall;
+        row ~gate:wstall Seconds "wstall-dur" "the straggler slowdown scale"
+          (fun p -> p.worker_stall_duration)
+          (fun p v -> { p with worker_stall_duration = v });
+        row Cycle "pcrash"
+          "the primary dies for good at that cycle and the hot standby takes \
+           over (needs a standby)"
+          (fun p -> p.pcrash_at_cycle)
+          (fun p v -> { p with pcrash_at_cycle = v });
+      ];
+  }
+
+let is_none = Ds_util.Kv.is_none codec
 
 let has_worker_faults p =
   p.worker_crash_rate > 0. || p.worker_death_rate > 0.
   || p.worker_stall_rate > 0.
 
-let validate p =
-  let rate name v =
-    if v < 0. || v > 1. then Error (Printf.sprintf "%s must be in [0,1]" name)
-    else Ok ()
-  in
-  let ( >>= ) r f = Result.bind r (fun () -> f ()) in
-  rate "batch_fail_rate" p.batch_fail_rate
-  >>= fun () ->
-  rate "stall_rate" p.stall_rate
-  >>= fun () ->
-  rate "poison_rate" p.poison_rate
-  >>= fun () ->
-  rate "disconnect_rate" p.disconnect_rate
-  >>= fun () ->
-  rate "worker_crash_rate" p.worker_crash_rate
-  >>= fun () ->
-  rate "worker_death_rate" p.worker_death_rate
-  >>= fun () ->
-  rate "worker_stall_rate" p.worker_stall_rate
-  >>= fun () ->
-  if p.stall_duration < 0. then Error "stall_duration must be non-negative"
-  else if p.worker_stall_duration < 0. then
-    Error "worker_stall_duration must be non-negative"
-  else
-    match p.crash_at_cycle with
-    | Some c when c <= 0 -> Error "crash cycle must be positive"
-    | _ -> (
-      match p.pcrash_at_cycle with
-      | Some c when c <= 0 -> Error "pcrash cycle must be positive"
-      | _ -> Ok ())
-
-let plan_of_string s =
-  let parse_field plan kv =
-    match String.split_on_char '=' (String.trim kv) with
-    | [ "" ] -> Ok plan
-    (* plan_to_string renders the empty plan as "none"; accept it back. *)
-    | [ "none" ] -> Ok plan
-    | [ key; value ] -> (
-      let fl () =
-        match float_of_string_opt value with
-        | Some f -> Ok f
-        | None -> Error (Printf.sprintf "bad number %S for %s" value key)
-      in
-      match key with
-      | "batch" -> Result.map (fun f -> { plan with batch_fail_rate = f }) (fl ())
-      | "stall" -> Result.map (fun f -> { plan with stall_rate = f }) (fl ())
-      | "stall-dur" ->
-        Result.map (fun f -> { plan with stall_duration = f }) (fl ())
-      | "poison" -> Result.map (fun f -> { plan with poison_rate = f }) (fl ())
-      | "disconnect" ->
-        Result.map (fun f -> { plan with disconnect_rate = f }) (fl ())
-      | "crash" -> (
-        match int_of_string_opt value with
-        | Some c -> Ok { plan with crash_at_cycle = Some c }
-        | None -> Error (Printf.sprintf "bad cycle %S for crash" value))
-      | "pcrash" -> (
-        match int_of_string_opt value with
-        | Some c -> Ok { plan with pcrash_at_cycle = Some c }
-        | None -> Error (Printf.sprintf "bad cycle %S for pcrash" value))
-      | "wcrash" ->
-        Result.map (fun f -> { plan with worker_crash_rate = f }) (fl ())
-      | "wdeath" ->
-        Result.map (fun f -> { plan with worker_death_rate = f }) (fl ())
-      | "wstall" ->
-        Result.map (fun f -> { plan with worker_stall_rate = f }) (fl ())
-      | "wstall-dur" ->
-        Result.map (fun f -> { plan with worker_stall_duration = f }) (fl ())
-      | _ -> Error (Printf.sprintf "unknown fault key %S" key))
-    | _ -> Error (Printf.sprintf "expected key=value, got %S" kv)
-  in
-  let parsed =
-    List.fold_left
-      (fun acc kv -> Result.bind acc (fun plan -> parse_field plan kv))
-      (Ok none)
-      (String.split_on_char ',' s)
-  in
-  Result.bind parsed (fun plan ->
-      Result.map (fun () -> plan) (validate plan))
-
-let plan_to_string p =
-  let parts =
-    List.filter_map
-      (fun x -> x)
-      [
-        (if p.batch_fail_rate > 0. then
-           Some (Printf.sprintf "batch=%g" p.batch_fail_rate)
-         else None);
-        (if p.stall_rate > 0. then Some (Printf.sprintf "stall=%g" p.stall_rate)
-         else None);
-        (if p.stall_rate > 0. then
-           Some (Printf.sprintf "stall-dur=%g" p.stall_duration)
-         else None);
-        (if p.poison_rate > 0. then
-           Some (Printf.sprintf "poison=%g" p.poison_rate)
-         else None);
-        (if p.disconnect_rate > 0. then
-           Some (Printf.sprintf "disconnect=%g" p.disconnect_rate)
-         else None);
-        Option.map (Printf.sprintf "crash=%d") p.crash_at_cycle;
-        (if p.worker_crash_rate > 0. then
-           Some (Printf.sprintf "wcrash=%g" p.worker_crash_rate)
-         else None);
-        (if p.worker_death_rate > 0. then
-           Some (Printf.sprintf "wdeath=%g" p.worker_death_rate)
-         else None);
-        (if p.worker_stall_rate > 0. then
-           Some (Printf.sprintf "wstall=%g" p.worker_stall_rate)
-         else None);
-        (if p.worker_stall_rate > 0. then
-           Some (Printf.sprintf "wstall-dur=%g" p.worker_stall_duration)
-         else None);
-        Option.map (Printf.sprintf "pcrash=%d") p.pcrash_at_cycle;
-      ]
-  in
-  if parts = [] then "none" else String.concat "," parts
-
-let pp_plan ppf p = Format.pp_print_string ppf (plan_to_string p)
+let validate = Ds_util.Kv.validate codec
+let plan_of_string = Ds_util.Kv.of_string codec
+let plan_to_string = Ds_util.Kv.to_string codec
+let pp_plan = Ds_util.Kv.pp codec
 
 (* Capped exponential backoff shared by the middleware retry ladder.  The
    exponent is clamped before shifting: [2^attempt] overflows a native int

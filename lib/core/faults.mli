@@ -52,21 +52,20 @@ type plan = {
 (** The zero plan: no faults. [Middleware.default_config] uses it. *)
 val none : plan
 
+(** The plan's [key=value,...] format: one row per field, each with its
+    key, range and help line. The functions below are derived from it. *)
+val codec : plan Ds_util.Kv.t
+
 val is_none : plan -> bool
 
 (** True iff the plan injects any worker-scoped fault (crash, permanent
     death or straggler stall). *)
 val has_worker_faults : plan -> bool
 
-(** @return [Error _] on negative rates, rates above 1, or a non-positive
-    crash cycle. *)
+(** {!Ds_util.Kv.validate} over {!codec}. *)
 val validate : plan -> (unit, string) result
 
-(** Parses a compact spec like
-    ["batch=0.1,stall=0.05,stall-dur=0.05,poison=0.01,disconnect=0.02,crash=40"].
-    Worker-scoped faults use [wcrash=R,wdeath=R,wstall=R,wstall-dur=S];
-    [pcrash=N] kills the primary at cycle [N] (hot-standby failover).
-    Every key is optional; unknown keys are errors. *)
+(** {!Ds_util.Kv.of_string} over {!codec}: unknown keys are errors. *)
 val plan_of_string : string -> (plan, string) result
 
 val plan_to_string : plan -> string

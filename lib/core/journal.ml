@@ -276,7 +276,7 @@ let log_qualified t keys =
     keys
 
 (* Sharded variant: each qualification carries its global admission sequence
-   number (gseq), the merge key that lets {!recover_dir} reassemble one
+   number (gseq), the merge key that lets {!recover} reassemble one
    continuous rte across per-shard segments. Unsharded journals keep the
    2-field Q record byte-for-byte. *)
 let log_qualified_stamped t entries =
@@ -395,7 +395,7 @@ type recovered = {
   history_stamped : (Request.t * int option) list;
       (* [history] paired with each entry's global admission sequence, when
          the journal recorded one (sharded segments only); the merge key
-         {!recover_dir} sorts by *)
+         {!recover} sorts by *)
   aborted : int list;
   dead : Request.t list;
   replayed : int;
@@ -548,7 +548,7 @@ let qualified_tas path =
    The markers are anchored on their uppercase 'C': kind characters are the
    only place the journal grammar produces one, and a false positive just
    fails to load. *)
-let recover ?(repair = false) path =
+let recover_file ?(repair = false) path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   let file_len = in_channel_length ic in
@@ -791,7 +791,7 @@ let open_ ?(sync = false) ?state path =
   }
 
 let resume ?sync path =
-  let recovered = recover ~repair:true path in
+  let recovered = recover_file ~repair:true path in
   (recovered, open_ ?sync ~state:recovered path)
 
 let promote ~after path =
@@ -800,20 +800,9 @@ let promote ~after path =
   flush t;
   (recovered, t)
 
-(* ------------------------------------------------------------------ *)
-(* Segment directories (sharded journals)                              *)
-(*                                                                     *)
-(* A sharded run journals into a directory of per-lane segment files   *)
-(* instead of one flat file:                                           *)
-(*                                                                     *)
-(*   dir/MANIFEST          "dsched-journal-segments 1\nshards S\n"     *)
-(*   dir/shard-<i>.journal i in 0..S-1, lane i's records               *)
-(*   dir/global.journal    the cross-shard (global) lane's records     *)
-(*                                                                     *)
-(* Each segment is an ordinary journal; its Q records carry the global *)
-(* admission sequence (gseq), which [recover_dir] uses to merge the    *)
-(* per-segment histories back into one continuous rte.                 *)
-(* ------------------------------------------------------------------ *)
+(* A segment directory holds dir/MANIFEST ("dsched-journal-segments 1",
+   then "shards S"), dir/shard-<i>.journal with lane i's records for i in
+   0..S-1, and dir/global.journal with the global lane's. *)
 
 let manifest_magic = "dsched-journal-segments 1"
 let manifest_path dir = Filename.concat dir "MANIFEST"
@@ -845,16 +834,27 @@ let read_manifest dir =
 
 let segment_paths dir = segment_paths_of ~shards:(read_manifest dir) dir
 
-let init_segment_dir dir ~shards =
-  if shards < 2 then
-    invalid_arg "Journal.init_segment_dir: needs at least 2 shards";
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then
-    failwith (Printf.sprintf "%s: exists and is not a directory" dir);
-  let oc = open_out_bin (manifest_path dir) in
-  output_string oc (Printf.sprintf "%s\nshards %d\n" manifest_magic shards);
-  close_out oc;
-  segment_paths_of ~shards dir
+let lane_paths path ~shards =
+  if shards < 1 then invalid_arg "Journal.lane_paths: shards must be >= 1";
+  if shards = 1 then [ path ]
+  else begin
+    if not (Sys.file_exists path) then Unix.mkdir path 0o755
+    else if not (Sys.is_directory path) then
+      failwith (Printf.sprintf "%s: exists and is not a directory" path);
+    let oc = open_out_bin (manifest_path path) in
+    output_string oc (Printf.sprintf "%s\nshards %d\n" manifest_magic shards);
+    close_out oc;
+    segment_paths_of ~shards path
+  end
+
+(* [temp_file] both reserves and creates the name; the directory layout
+   drops the file so [lane_paths] can make the directory. *)
+let temp_path ~shards prefix =
+  let p =
+    Filename.temp_file prefix (if shards > 1 then ".journal.d" else ".journal")
+  in
+  if shards > 1 then Sys.remove p;
+  p
 
 let remove path =
   let rm p = try Sys.remove p with Sys_error _ -> () in
@@ -880,23 +880,6 @@ let empty_recovered =
     valid_lines = 0;
     epoch = 0;
   }
-
-(* Per-segment recovery: each segment repairs (or refuses) independently, so
-   a torn tail in one lane never blocks recovery of its siblings, and a
-   mid-file corruption error names the segment it came from. *)
-let recover_segments ?(repair = false) dir =
-  let paths = segment_paths dir in
-  List.map
-    (fun p ->
-      let name = Filename.basename p in
-      let r =
-        if Sys.file_exists p then
-          try recover ~repair p
-          with Failure m -> failwith (Printf.sprintf "%s: %s" name m)
-        else empty_recovered
-      in
-      (name, r))
-    paths
 
 let merge_segments segs =
   (* Merge: histories interleave by gseq (the admission order each segment
@@ -934,8 +917,31 @@ let merge_segments segs =
     epoch = List.fold_left (fun acc s -> max acc s.epoch) 0 segs;
   }
 
-let recover_dir ?repair dir =
-  merge_segments (List.map snd (recover_segments ?repair dir))
+(* Per-segment recovery: each segment repairs (or refuses) independently, so
+   a torn tail in one lane never blocks recovery of its siblings, and a
+   mid-file corruption error names the segment it came from. A journal file
+   is its own one segment. *)
+let recover_segments ?(repair = false) path =
+  if not (is_segment_dir path) then
+    let r = recover_file ~repair path in
+    ([ (Filename.basename path, r) ], r)
+  else
+    let segs =
+      List.map
+        (fun p ->
+          let name = Filename.basename p in
+          let r =
+            if Sys.file_exists p then
+              try recover_file ~repair p
+              with Failure m -> failwith (Printf.sprintf "%s: %s" name m)
+            else empty_recovered
+          in
+          (name, r))
+        (segment_paths path)
+    in
+    (segs, merge_segments (List.map snd segs))
+
+let recover ?repair path = snd (recover_segments ?repair path)
 
 let restore ?(rte = false) recovered rels =
   Relations.clear rels;

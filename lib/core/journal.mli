@@ -18,7 +18,7 @@
     The optional third [Q] field is the {e global admission sequence}
     (gseq), written only by sharded runs ({!log_qualified_stamped}): each
     scheduler lane journals into its own segment, and the gseq is the merge
-    key that lets {!recover_dir} reassemble one continuous rte across
+    key that lets {!recover} reassemble one continuous rte across
     segments. Unsharded journals keep the 2-field record byte-for-byte.
 
     Every record is framed as [!crc32 payload] (8 lowercase hex digits), so
@@ -102,7 +102,7 @@ val log_qualified : t -> (int * int) list -> unit
 
 (** Sharded variant of {!log_qualified}: each key carries its global
     admission sequence number, persisted as a 3-field [Q] record. The gseq
-    is the cross-segment merge key for {!recover_dir}. *)
+    is the cross-segment merge key for {!recover}. *)
 val log_qualified_stamped : t -> ((int * int) * int) list -> unit
 
 val log_abort : t -> int -> unit
@@ -209,14 +209,27 @@ val size : t -> int
     continue with {!resume} and {!restore}. *)
 val crash : t -> unit
 
-(** Replays a journal file, starting from the last checkpoint block that
-    loads. One locator finds the blocks: a backward byte scan for the last
-    [C END] and the [C BEGIN] before it. The block is loaded forward from
-    its [C BEGIN] and must end in a [C END] whose count matches; then the
-    records after it replay, and [skipped] is the line count its [C BEGIN]
-    records. A block that does not load (torn or corrupt) sends the scan to
-    the bytes before its [C BEGIN], so an earlier block is tried; when no
-    block loads, the whole file replays from its first line.
+(** [lane_paths path ~shards] are the journals of a run's lanes: [[path]]
+    at [shards = 1]; otherwise [path] becomes a segment directory (made if
+    missing) and the result is its segments, shards [0..S-1] followed by
+    the global lane. Only this module tells the two layouts apart.
+    @raise Invalid_argument for [shards < 1]. *)
+val lane_paths : string -> shards:int -> string list
+
+(** A fresh temporary journal name for a run with [shards] shards, whose
+    name starts with the given prefix; {!lane_paths} lays it out. *)
+val temp_path : shards:int -> string -> string
+
+(** Replays a journal of either layout: the merge of {!recover_segments}.
+
+    A journal file replays from the last checkpoint block that loads. One
+    locator finds the blocks: a backward byte scan for the last [C END] and
+    the [C BEGIN] before it. The block is loaded forward from its
+    [C BEGIN] and must end in a [C END] whose count matches; then the
+    records after it replay, and [skipped] is the line count its
+    [C BEGIN] records. A block that does not load (torn or corrupt) sends
+    the scan to the bytes before its [C BEGIN], so an earlier block is
+    tried; when no block loads, the whole file replays from its first line.
 
     A tail of unframed or checksum-invalid lines is dropped and
     reported in [corrupt_dropped]/[valid_bytes]; with [~repair:true] the
@@ -231,54 +244,22 @@ val recover : ?repair:bool -> string -> recovered
     this is what a failover audit asks of a promoted standby journal. *)
 val qualified_tas : string -> int list
 
-(** {2 Segment directories (sharded journals)}
-
-    A sharded run ([--shards S], S > 1) journals into a {e directory} of
-    per-lane segment files instead of one flat file:
-
-    {v
-    dir/MANIFEST           "dsched-journal-segments 1" + "shards S"
-    dir/shard-<i>.journal  lane i's records, i in 0..S-1
-    dir/global.journal     the cross-shard (global) lane's records
-    v}
-
-    Each segment is an ordinary journal whose [Q] records carry the global
-    admission sequence, so the per-segment histories can be merged back
-    into the one continuous rte the run actually produced. *)
-
-(** [init_segment_dir dir ~shards] creates [dir] (if missing) and its
-    manifest, returning the lane-ordered segment paths: shards [0..S-1]
-    followed by the global lane.
-    @raise Invalid_argument for [shards < 2]. *)
-val init_segment_dir : string -> shards:int -> string list
-
-(** True iff [path] is a directory containing a segment manifest — how the
-    CLI and recovery tell a sharded journal from a flat file. *)
-val is_segment_dir : string -> bool
-
-(** Lane-ordered segment paths per the directory's manifest.
-    @raise Failure on a missing or malformed manifest. *)
-val segment_paths : string -> string list
-
 (** Per-segment recovery results in lane order, keyed by segment basename
-    ([shard-<i>.journal], [global.journal]). Missing segment files recover
-    as empty (a lane that never journaled anything). [~repair] is applied
-    per segment, so a torn tail in one segment never blocks recovery of its
-    siblings; a mid-file corruption [Failure] is prefixed with the segment
-    basename. *)
-val recover_segments : ?repair:bool -> string -> (string * recovered) list
+    ([shard-<i>.journal], [global.journal]), and their merge; a journal
+    file is its own one segment. Missing segment files recover as empty (a
+    lane that never journaled anything). [~repair] is applied per segment,
+    so a torn tail in one segment never blocks recovery of its siblings; a
+    segment's mid-file corruption [Failure] is prefixed with its basename.
+    The merge interleaves histories by gseq (stable — unstamped legacy
+    entries sort last in lane order), concatenates pending, aborted and
+    dead in lane order, sums counters, and takes the max [checkpoint_cycle]
+    and [epoch]. @raise Failure on a malformed manifest. *)
+val recover_segments :
+  ?repair:bool -> string -> (string * recovered) list * recovered
 
-(** Merges per-segment results into one logical journal: histories
-    interleave by gseq (stable — unstamped legacy entries sort last in lane
-    order), pending/aborted/dead concatenate in lane order, counters sum,
-    and [checkpoint_cycle] and [epoch] are the max across segments. *)
-val merge_segments : recovered list -> recovered
-
-(** [recover_dir dir] is {!merge_segments} over {!recover_segments}. *)
-val recover_dir : ?repair:bool -> string -> recovered
-
-(** Deletes a journal: a flat file, or a segment directory's segments,
-    manifest and the directory itself. Missing pieces are ignored. *)
+(** Deletes a journal of either layout: a file, or a segment directory's
+    segments, manifest and the directory itself. Missing pieces are
+    ignored. *)
 val remove : string -> unit
 
 (** Rebuilds a relation set from a recovery result: pending requests are

@@ -388,18 +388,16 @@ and begin_txn sim client =
     submit_next sim client
   end
 
-(* Release the wait list once the global lane is idle. It can only go idle
-   where [end_txn] lowers its [active], where its [run_cycle] empties its
-   queue and pending table, and where [recover_lanes] rebuilds the counts;
-   those are the only callers. A request waits in a lane's queue or pending
-   table only while its transaction is entered there (an abort drops the
-   transaction's pending requests before it ends it, and recovery restores
-   only live transactions' requests), so today only the first of the three
-   finds the lane idle; the other two keep the wait list safe should that
-   change. One zero-delay event releases every parked client in FIFO
-   order. A global transaction that entered at the same
-   instant (a global client starting its next transaction) keeps them all
-   parked, and the lane's next drain wakes them again. *)
+(* Release the wait list once the global lane is idle. [end_txn] lowering
+   the lane's [active] is the one place it goes idle: a request waits in a
+   lane's queue or pending table only while its transaction is entered
+   there (an abort drops the transaction's pending requests before it ends
+   it, and recovery restores only live transactions' requests), so neither
+   a cycle nor a recovery leaves the lane idle with clients parked, and
+   [run_clients] fails a run that ends so. One zero-delay event releases
+   every parked client in FIFO order. A global transaction that entered at
+   the same instant (a global client starting its next transaction) keeps
+   them all parked, and its own end wakes them again. *)
 and wake_parked sim =
   if wake_due sim then
     ignore
@@ -521,8 +519,7 @@ and run_cycle sim lane =
          locks from its first admitted request until it ends *)
       List.iter
         (fun (r : Request.t) -> Hashtbl.replace sim.holding_tas r.Request.ta ())
-        qualified;
-      wake_parked sim
+        qualified
     end;
     let dt = Scheduler.total_time stats.Scheduler.times in
     Ds_stats.Summary.add sim.cycle_times dt;
@@ -810,8 +807,7 @@ and recover_lanes sim recover =
         if (not (Request.is_abort_marker r)) && Hashtbl.mem sim.by_ta ta then
           Hashtbl.replace sim.holding_tas ta ())
       (Relations.history_requests
-         (Scheduler.relations sim.lanes.(sim.cfg.shards).sched));
-    wake_parked sim
+         (Scheduler.relations sim.lanes.(sim.cfg.shards).sched))
   end;
   Array.iter (fun l -> maybe_fire sim l) sim.lanes
 
@@ -844,8 +840,14 @@ and reconcile_clients sim recovered_by_lane =
         let key = Request.key req in
         let ta = req.Request.ta in
         if aborted ta || in_dead key then
-          (* The middleware had already given up on this transaction. *)
-          restart ~redo:true sim ta
+          (* Every abort and dead letter clears the client's [outstanding]
+             in the event that journals it, so recovery never finds a
+             client still waiting on one. *)
+          failwith
+            (Printf.sprintf
+               "Middleware.run: recovery found a client waiting on (%d,%d), \
+                aborted or dead-lettered without clearing it"
+               ta req.Request.intrata)
         else if in_history key then begin
           match sim.faults with
           | Some f when Faults.is_poison f req ->
@@ -870,51 +872,40 @@ and reconcile_clients sim recovered_by_lane =
           Scheduler.submit lane.sched req)
     sim.clients
 
-let validate (cfg : config) =
-  let require ok msg = if not ok then invalid_arg ("Middleware.run: " ^ msg) in
-  let valid what = Result.iter_error (fun m -> require false (what ^ m)) in
-  valid "" (Spec.validate cfg.spec);
-  valid "faults: " (Faults.validate cfg.faults);
+let validate ?replicated (cfg : config) =
+  let replicated = Option.value replicated ~default:(cfg.repl <> None) in
   let positive = Option.fold ~none:true ~some:(fun x -> x > 0) in
-  require (cfg.workers >= 1) "workers must be >= 1";
-  require (cfg.shards >= 1) "shards must be >= 1";
-  require (positive cfg.checkpoint_interval)
-    "checkpoint_interval must be positive";
-  require (positive cfg.queue_capacity) "queue_capacity must be positive";
-  match cfg.repl with
-  | Some _ ->
-    require (cfg.shards = 1) "replication requires shards = 1";
-    require (cfg.journal_path <> None) "replication requires a journal";
-    require
-      (cfg.faults.Faults.crash_at_cycle = None)
-      "crash fault is incompatible with replication (use pcrash)"
-  | None ->
-    require
-      (cfg.faults.Faults.pcrash_at_cycle = None)
-      "pcrash fault requires a replication session"
+  let ( let* ) = Result.bind in
+  let* () = Spec.validate cfg.spec in
+  let* () = Result.map_error (( ^ ) "faults: ") (Faults.validate cfg.faults) in
+  if cfg.workers < 1 then Error "workers must be >= 1"
+  else if cfg.shards < 1 then Error "shards must be >= 1"
+  else if not (positive cfg.checkpoint_interval) then
+    Error "checkpoint_interval must be positive"
+  else if not (positive cfg.queue_capacity) then
+    Error "queue_capacity must be positive"
+  else if replicated && cfg.shards <> 1 then
+    Error "replication requires shards = 1"
+  else if replicated && cfg.journal_path = None then
+    Error "replication requires a journal"
+  else if replicated && cfg.faults.Faults.crash_at_cycle <> None then
+    Error "crash fault is incompatible with replication (use pcrash)"
+  else if (not replicated) && cfg.faults.Faults.pcrash_at_cycle <> None then
+    Error "pcrash fault requires a replication session"
+  else Ok ()
 
 (* S shard lanes + 1 global lane; at S=1 a single lane, the historical
-   single-scheduler layout. Each lane journals to its own segment of
-   [cfg.journal_path] (the file itself at S=1). A crash fault needs a
-   journal to recover from, so without a path the run journals to a temp
-   file or directory, returned as the second component for removal after
-   the run. *)
+   single-scheduler layout. Each lane journals to its own path from
+   {!Journal.lane_paths}. A crash fault needs a journal to recover from, so
+   without a path the run journals to a temp one, returned as the second
+   component for removal after the run. *)
 let open_lanes (cfg : config) engine ~stamp =
   let n_lanes = if cfg.shards > 1 then cfg.shards + 1 else 1 in
   let journal_path, auto_journal =
     match (cfg.journal_path, cfg.faults.Faults.crash_at_cycle) with
     | Some p, _ -> (Some p, None)
     | None, Some _ ->
-      let p =
-        if cfg.shards > 1 then begin
-          (* temp_file both reserves and creates the name; drop the file so
-             init_segment_dir can make the directory. *)
-          let p = Filename.temp_file "dsched" ".journal.d" in
-          Sys.remove p;
-          p
-        end
-        else Filename.temp_file "dsched" ".journal"
-      in
+      let p = Journal.temp_path ~shards:cfg.shards "dsched" in
       (Some p, Some p)
     | None, None -> (None, None)
   in
@@ -922,10 +913,8 @@ let open_lanes (cfg : config) engine ~stamp =
     match journal_path with
     | None -> Array.make n_lanes None
     | Some p ->
-      if cfg.shards > 1 then
-        Array.of_list
-          (List.map Option.some (Journal.init_segment_dir p ~shards:cfg.shards))
-      else [| Some p |]
+      Array.of_list
+        (List.map Option.some (Journal.lane_paths p ~shards:cfg.shards))
   in
   let lanes =
     Array.mapi
@@ -1228,7 +1217,9 @@ let collect_stats sim =
   }
 
 let run_sim cfg =
-  validate cfg;
+  Result.iter_error
+    (fun m -> invalid_arg ("Middleware.run: " ^ m))
+    (validate cfg);
   let sim, master, auto_journal = create_sim cfg in
   wire_faults sim master;
   wire_replication sim;

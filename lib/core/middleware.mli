@@ -64,7 +64,7 @@
     more than one group. Each lane is a full scheduler — its own
     [requests]/[history] relations, prepared protocol query, trigger state,
     backend pool and journal segment ([journal_path] becomes a directory of
-    per-lane segments with a manifest; see {!Journal.init_segment_dir}).
+    per-lane segments; see {!Journal.lane_paths}).
 
     Routing is deterministic from the transaction's object footprint, done
     once at submission ({e before} any statement runs), and recorded as one
@@ -234,6 +234,11 @@ type stats = {
   repl_fenced : int;  (** stale-epoch records the standby refused *)
   repl_divergences : int;  (** checkpoint-hash mismatches detected *)
 }
+
+(** The preconditions {!run} checks, naming the first one broken.
+    [replicated] (default: [config.repl] is set) says whether a replication
+    session runs with it, for a caller that checks before making one. *)
+val validate : ?replicated:bool -> config -> (unit, string) result
 
 val run : config -> stats
 

@@ -7,23 +7,6 @@ type outcome = {
   invariants : (string * (unit, string) result) list;
 }
 
-let spec_of (s : Scenario.t) =
-  {
-    Ds_workload.Spec.paper_default with
-    Ds_workload.Spec.n_objects = s.Scenario.n_objects;
-    selects_per_txn = s.Scenario.stmts_per_txn;
-    updates_per_txn = s.Scenario.stmts_per_txn;
-    access =
-      (match s.Scenario.access with
-      | Scenario.Uniform -> Ds_workload.Spec.Uniform
-      | Scenario.Zipf -> Ds_workload.Spec.Zipf 0.8
-      | Scenario.Hotspot -> Ds_workload.Spec.Hotspot (0.1, 0.8));
-    sla_mix =
-      (if s.Scenario.sla_mix then
-         [ (Sla.premium, 0.2); (Sla.standard, 0.5); (Sla.free, 0.3) ]
-       else Ds_workload.Spec.paper_default.Ds_workload.Spec.sla_mix);
-  }
-
 let protocol_of name =
   match Builtin.find name with
   | Some p -> p
@@ -47,27 +30,6 @@ let sibling (s : Scenario.t) =
   | Some family ->
     let others = List.filter (fun p -> p <> name) family in
     Some (List.nth others (abs (s.Scenario.seed mod List.length others)))
-
-let config_of (s : Scenario.t) ~protocol ~journal_path ~trace =
-  {
-    Middleware.default_config with
-    Middleware.n_clients = s.Scenario.clients;
-    duration = s.Scenario.duration;
-    spec = spec_of s;
-    workers = s.Scenario.workers;
-    shards = s.Scenario.shards;
-    seed = s.Scenario.seed;
-    protocol;
-    (* Wall-clock cycle charging would make the simulation depend on the
-       host; scenario runs must reproduce exactly from the seed. *)
-    charge_scheduler_time = false;
-    faults = s.Scenario.faults;
-    queue_capacity = s.Scenario.queue_cap;
-    journal_path = Some journal_path;
-    checkpoint_interval = s.Scenario.checkpoint;
-    hedging = s.Scenario.hedging;
-    trace = Some trace;
-  }
 
 (* The test-only corruption hook: mutate the observed schedules (never the
    run itself) so the failure-reporting and shrinking paths can be exercised
@@ -162,17 +124,7 @@ let failover_report session ~trace_events =
    journal (and standby directory) that [k] may read before they are
    removed. *)
 let execute (s : Scenario.t) protocol k =
-  let sharded = s.Scenario.shards > 1 in
-  let journal_path =
-    if sharded then begin
-      (* sharded runs journal into a segment directory; reserve the name and
-         let the middleware create the directory + manifest *)
-      let p = Filename.temp_file "ds_swarm" ".journal.d" in
-      Sys.remove p;
-      p
-    end
-    else Filename.temp_file "ds_swarm" ".journal"
-  in
+  let journal_path = Journal.temp_path ~shards:s.Scenario.shards "ds_swarm" in
   let repl_dir =
     Option.map
       (fun _ ->
@@ -207,7 +159,7 @@ let execute (s : Scenario.t) protocol k =
       in
       let cfg =
         {
-          (config_of s ~protocol ~journal_path ~trace) with
+          (Scenario.config s ~protocol ~journal_path ~trace) with
           Middleware.repl = Option.map Ds_replica.Session.hooks session;
         }
       in
@@ -260,11 +212,10 @@ let run (s : Scenario.t) =
         (* After a failover the run's journal of record is the promoted
            standby journal — the primary file is the crashed instance's
            abandoned prefix. *)
-        if promoted then
-          Journal.recover
-            (Ds_replica.Session.standby_path (Option.get session))
-        else if s.Scenario.shards > 1 then Journal.recover_dir journal_path
-        else Journal.recover journal_path
+        Journal.recover
+          (if promoted then
+             Ds_replica.Session.standby_path (Option.get session)
+           else journal_path)
       in
       let lane_rels =
         Array.to_list

@@ -1,4 +1,5 @@
 open Ds_core
+open Ds_model
 
 type access = Uniform | Zipf | Hotspot
 
@@ -52,6 +53,46 @@ let access_of_string = function
   | "hotspot" -> Ok Hotspot
   | s -> Error (Printf.sprintf "unknown access pattern %S" s)
 
+let spec t =
+  {
+    Ds_workload.Spec.paper_default with
+    Ds_workload.Spec.n_objects = t.n_objects;
+    selects_per_txn = t.stmts_per_txn;
+    updates_per_txn = t.stmts_per_txn;
+    access =
+      (match t.access with
+      | Uniform -> Ds_workload.Spec.Uniform
+      | Zipf -> Ds_workload.Spec.Zipf 0.8
+      | Hotspot -> Ds_workload.Spec.Hotspot (0.1, 0.8));
+    sla_mix =
+      (if t.sla_mix then
+         [ (Sla.premium, 0.2); (Sla.standard, 0.5); (Sla.free, 0.3) ]
+       else Ds_workload.Spec.paper_default.Ds_workload.Spec.sla_mix);
+  }
+
+let config ?trace t ~protocol ~journal_path =
+  {
+    Middleware.default_config with
+    Middleware.n_clients = t.clients;
+    duration = t.duration;
+    spec = spec t;
+    workers = t.workers;
+    shards = t.shards;
+    seed = t.seed;
+    protocol;
+    (* Wall-clock cycle charging would make the simulation depend on the
+       host; scenario runs must reproduce exactly from the seed. *)
+    charge_scheduler_time = false;
+    faults = t.faults;
+    queue_capacity = t.queue_cap;
+    journal_path = Some journal_path;
+    checkpoint_interval = t.checkpoint;
+    hedging = t.hedging;
+    trace;
+  }
+
+(* The rules only a scenario has; the run's own come from the middleware,
+   so a scenario that decodes is a scenario that runs. *)
 let validate t =
   if not (List.mem t.protocol protocols) then
     Error
@@ -59,30 +100,13 @@ let validate t =
          t.protocol)
   else if t.clients < 1 then Error "clients must be >= 1"
   else if t.duration <= 0. then Error "duration must be positive"
-  else if t.n_objects < 1 then Error "n_objects must be >= 1"
   else if t.stmts_per_txn < 1 then Error "stmts_per_txn must be >= 1"
-  else if t.workers < 1 then Error "workers must be >= 1"
-  else if t.shards < 1 then Error "shards must be >= 1"
-  else if (match t.checkpoint with Some n -> n <= 0 | None -> false) then
-    Error "checkpoint must be positive"
-  else if (match t.queue_cap with Some n -> n <= 0 | None -> false) then
-    Error "queue_cap must be positive"
   else
-    (* Mirror the middleware's own replication preconditions so a scenario
-       that decodes is a scenario that runs. *)
-    match t.repl with
-    | Some r ->
-      if t.shards > 1 then Error "replication requires shards = 1"
-      else if t.faults.Faults.crash_at_cycle <> None then
-        Error "crash fault is incompatible with replication (use pcrash)"
-      else (
-        match Ds_replica.Link.validate r.repl_link with
-        | Error m -> Error ("repl link: " ^ m)
-        | Ok () -> Faults.validate t.faults)
-    | None ->
-      if t.faults.Faults.pcrash_at_cycle <> None then
-        Error "pcrash fault requires replication (repl)"
-      else Faults.validate t.faults
+    (* Every scenario run journals; the path is the runner's to pick. *)
+    Middleware.validate ~replicated:(t.repl <> None)
+      (config t
+         ~protocol:(Option.get (Builtin.find t.protocol))
+         ~journal_path:"")
 
 let inject_to_json = function
   | Dup_delivery k ->
@@ -227,15 +251,12 @@ let of_json j =
 
 let to_string t =
   let opt = function None -> "-" | Some n -> string_of_int n in
-  let faults =
-    let s = Faults.plan_to_string t.faults in
-    if s = "" then "-" else s
-  in
   Printf.sprintf
     "seed=%d clients=%d dur=%g obj=%d stmts=%d access=%s mix=%b proto=%s K=%d \
      S=%d faults=%s ckpt=%s cap=%s hedge=%b%s"
     t.seed t.clients t.duration t.n_objects t.stmts_per_txn
-    (access_to_string t.access) t.sla_mix t.protocol t.workers t.shards faults
+    (access_to_string t.access) t.sla_mix t.protocol t.workers t.shards
+    (Faults.plan_to_string t.faults)
     (opt t.checkpoint) (opt t.queue_cap) t.hedging
     (match t.inject with
     | None -> ""
@@ -245,8 +266,7 @@ let to_string t =
     | Some r ->
       Printf.sprintf " repl=%s:%s"
         (if r.repl_sync then "sync" else "async")
-        (let l = Ds_replica.Link.plan_to_string r.repl_link in
-         if l = "" then "clean" else l))
+        (Ds_replica.Link.plan_to_string r.repl_link))
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 

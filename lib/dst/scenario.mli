@@ -71,8 +71,14 @@ type t = {
     only). *)
 val protocols : string list
 
-(** @return [Error _] on an unknown/non-serializable protocol, non-positive
-    sizes, or an invalid fault plan. *)
+(** The middleware config a run of the scenario uses, host time not
+    charged; the caller adds a replicated scenario's session hooks. *)
+val config :
+  ?trace:Ds_obs.Trace.t -> t -> protocol:Ds_core.Protocol.t ->
+  journal_path:string -> Ds_core.Middleware.config
+
+(** The scenario's own rules (protocol, clients, duration, statements), then
+    {!Ds_core.Middleware.validate} on its {!config}. *)
 val validate : t -> (unit, string) result
 
 val to_json : t -> Ds_obs.Json.t

@@ -8,8 +8,9 @@ type result = {
 
 (* The transformation ladder, strongest reductions first. Each entry maps a
    scenario to a strictly "smaller" candidate, or None when it no longer
-   applies; [shrink] retries the whole ladder after every acceptance, so
-   halving steps compose into full binary search per dimension. *)
+   applies; [shrink] skips a candidate {!Scenario.validate} refuses and
+   retries the whole ladder after every acceptance, so halving steps
+   compose into full binary search per dimension. *)
 let transformations : (string * (Scenario.t -> Scenario.t option)) list =
   let some_if cond s = if cond then Some s else None in
   [
@@ -62,14 +63,11 @@ let transformations : (string * (Scenario.t -> Scenario.t option)) list =
                 Some { r with Scenario.repl_link = Ds_replica.Link.none };
             }
         | _ -> None );
-    (* pcrash requires a session, so this rung only fires once drop-pcrash
-       has landed — the ladder restarts after every acceptance. *)
+    (* A primary crash needs the session, so this rung lands only once
+       drop-pcrash has. *)
     ( "drop-repl",
       fun s ->
-        some_if
-          (s.Scenario.repl <> None
-          && s.Scenario.faults.Faults.pcrash_at_cycle = None)
-          { s with Scenario.repl = None } );
+        some_if (s.Scenario.repl <> None) { s with Scenario.repl = None } );
     ( "zero-batch-failures",
       fun s ->
         some_if (s.Scenario.faults.Faults.batch_fail_rate > 0.)
@@ -132,14 +130,14 @@ let shrink ?(max_runs = 120) scenario ~failed =
       (fun (_name, tf) ->
         if (not !progress) && !runs < max_runs then
           match tf !best with
-          | None -> ()
-          | Some candidate ->
+          | Some candidate when Scenario.validate candidate = Ok () ->
             let outcome = try_run candidate in
             if still_fails outcome then begin
               best := candidate;
               best_outcome := outcome;
               progress := true
-            end)
+            end
+          | _ -> ())
       transformations
   done;
   { shrunk = !best; outcome = !best_outcome; runs = !runs }

@@ -28,103 +28,59 @@ let none =
     flap_down = 0.05;
   }
 
-let is_none p =
-  p.drop_rate = 0. && p.dup_rate = 0. && p.reorder_rate = 0.
-  && p.delay_rate = 0.
-  && p.partition_at = None
-  && p.flap_period = None
-
-let validate p =
-  let rate name v =
-    if v < 0. || v > 1. then Error (Printf.sprintf "%s must be in [0,1]" name)
-    else Ok ()
+let codec =
+  let open Ds_util.Kv in
+  let delay =
+    row Rate "delay" "a record's latency spikes"
+      (fun p -> p.delay_rate)
+      (fun p v -> { p with delay_rate = v })
   in
-  let ( >>= ) r f = Result.bind r (fun () -> f ()) in
-  rate "drop_rate" p.drop_rate
-  >>= fun () ->
-  rate "dup_rate" p.dup_rate
-  >>= fun () ->
-  rate "reorder_rate" p.reorder_rate
-  >>= fun () ->
-  rate "delay_rate" p.delay_rate
-  >>= fun () ->
-  if p.spike_delay < 0. then Error "spike_delay must be non-negative"
-  else if p.partition_for < 0. then Error "partition_for must be non-negative"
-  else if p.flap_down < 0. then Error "flap_down must be non-negative"
-  else
-    match p.partition_at with
-    | Some t when t < 0. -> Error "partition time must be non-negative"
-    | _ -> (
-      match p.flap_period with
-      | Some t when t <= 0. -> Error "flap period must be positive"
-      | _ -> Ok ())
-
-let plan_of_string s =
-  let parse_field plan kv =
-    match String.split_on_char '=' (String.trim kv) with
-    | [ "" ] -> Ok plan
-    (* plan_to_string renders the empty plan as "none"; accept it back. *)
-    | [ "none" ] -> Ok plan
-    | [ key; value ] -> (
-      let fl () =
-        match float_of_string_opt value with
-        | Some f -> Ok f
-        | None -> Error (Printf.sprintf "bad number %S for %s" value key)
-      in
-      match key with
-      | "drop" -> Result.map (fun f -> { plan with drop_rate = f }) (fl ())
-      | "dup" -> Result.map (fun f -> { plan with dup_rate = f }) (fl ())
-      | "reorder" -> Result.map (fun f -> { plan with reorder_rate = f }) (fl ())
-      | "delay" -> Result.map (fun f -> { plan with delay_rate = f }) (fl ())
-      | "spike" -> Result.map (fun f -> { plan with spike_delay = f }) (fl ())
-      | "partition" ->
-        Result.map (fun f -> { plan with partition_at = Some f }) (fl ())
-      | "partition-dur" ->
-        Result.map (fun f -> { plan with partition_for = f }) (fl ())
-      | "flap" ->
-        Result.map (fun f -> { plan with flap_period = Some f }) (fl ())
-      | "flap-down" -> Result.map (fun f -> { plan with flap_down = f }) (fl ())
-      | _ -> Error (Printf.sprintf "unknown link fault key %S" key))
-    | _ -> Error (Printf.sprintf "expected key=value, got %S" kv)
+  let partition =
+    row Time "partition" "the link goes down once, at that virtual time"
+      (fun p -> p.partition_at)
+      (fun p v -> { p with partition_at = v })
   in
-  let parsed =
-    List.fold_left
-      (fun acc kv -> Result.bind acc (fun plan -> parse_field plan kv))
-      (Ok none)
-      (String.split_on_char ',' s)
+  let flap =
+    row Period "flap" "the link goes down at the end of every period"
+      (fun p -> p.flap_period)
+      (fun p v -> { p with flap_period = v })
   in
-  Result.bind parsed (fun plan -> Result.map (fun () -> plan) (validate plan))
-
-let plan_to_string p =
-  let parts =
-    List.filter_map
-      (fun x -> x)
+  {
+    what = "link fault";
+    none;
+    rows =
       [
-        (if p.drop_rate > 0. then Some (Printf.sprintf "drop=%g" p.drop_rate)
-         else None);
-        (if p.dup_rate > 0. then Some (Printf.sprintf "dup=%g" p.dup_rate)
-         else None);
-        (if p.reorder_rate > 0. then
-           Some (Printf.sprintf "reorder=%g" p.reorder_rate)
-         else None);
-        (if p.delay_rate > 0. then Some (Printf.sprintf "delay=%g" p.delay_rate)
-         else None);
-        (if p.delay_rate > 0. then
-           Some (Printf.sprintf "spike=%g" p.spike_delay)
-         else None);
-        Option.map (Printf.sprintf "partition=%g") p.partition_at;
-        (if p.partition_at <> None then
-           Some (Printf.sprintf "partition-dur=%g" p.partition_for)
-         else None);
-        Option.map (Printf.sprintf "flap=%g") p.flap_period;
-        (if p.flap_period <> None then
-           Some (Printf.sprintf "flap-down=%g" p.flap_down)
-         else None);
-      ]
-  in
-  if parts = [] then "none" else String.concat "," parts
+        row Rate "drop" "a record is lost in flight"
+          (fun p -> p.drop_rate)
+          (fun p v -> { p with drop_rate = v });
+        row Rate "dup" "a record is delivered twice"
+          (fun p -> p.dup_rate)
+          (fun p v -> { p with dup_rate = v });
+        row Rate "reorder" "a record is delayed past later ones"
+          (fun p -> p.reorder_rate)
+          (fun p v -> { p with reorder_rate = v });
+        delay;
+        row ~gate:delay Seconds "spike"
+          "the extra delay of a spiked record, over the 2 ms floor"
+          (fun p -> p.spike_delay)
+          (fun p v -> { p with spike_delay = v });
+        partition;
+        row ~gate:partition Seconds "partition-dur"
+          "how long the partition lasts"
+          (fun p -> p.partition_for)
+          (fun p v -> { p with partition_for = v });
+        flap;
+        row ~gate:flap Seconds "flap-down" "how long each flap is down"
+          (fun p -> p.flap_down)
+          (fun p v -> { p with flap_down = v });
+      ];
+  }
 
-let pp_plan ppf p = Format.pp_print_string ppf (plan_to_string p)
+let is_none = Ds_util.Kv.is_none codec
+let validate = Ds_util.Kv.validate codec
+let plan_of_string = Ds_util.Kv.of_string codec
+let plan_to_string = Ds_util.Kv.to_string codec
+let pp_plan = Ds_util.Kv.pp codec
 
 type message = {
   m_epoch : int;

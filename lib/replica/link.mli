@@ -36,15 +36,16 @@ type plan = {
     record after a one-way latency floor of 2 ms (virtual), plus jitter. *)
 val none : plan
 
+(** The plan's [key=value,...] format: one row per field, each with its
+    key, range and help line. The functions below are derived from it. *)
+val codec : plan Ds_util.Kv.t
+
 val is_none : plan -> bool
 
-(** @return [Error _] on out-of-range rates or negative durations. *)
+(** {!Ds_util.Kv.validate} over {!codec}. *)
 val validate : plan -> (unit, string) result
 
-(** Parses a compact spec like
-    ["drop=0.1,dup=0.05,reorder=0.2,delay=0.1,spike=0.05,partition=1.5,partition-dur=0.5,flap=0.4,flap-down=0.05"].
-    Every key is optional; unknown keys are errors; [""] and ["none"] parse
-    to {!none}. *)
+(** {!Ds_util.Kv.of_string} over {!codec}: unknown keys are errors. *)
 val plan_of_string : string -> (plan, string) result
 
 val plan_to_string : plan -> string

@@ -122,29 +122,26 @@ let run_single cfg =
    that decide alike give identical runs. *)
 let whole_run ?(tweak = Fun.id) protocol =
   let open Ds_core in
-  let path = Filename.temp_file "ds_whole_run" ".journal" in
-  Sys.remove path;
-  let rm_journal p =
-    if Journal.is_segment_dir p then begin
-      List.iter Sys.remove (Journal.segment_paths p);
-      (try Sys.remove (Filename.concat p "MANIFEST") with Sys_error _ -> ());
-      try Sys.rmdir p with Sys_error _ -> ()
-    end
-    else try Sys.remove p with Sys_error _ -> ()
+  let base =
+    {
+      Middleware.default_config with
+      Middleware.n_clients = 12;
+      duration = 2.;
+      spec =
+        {
+          Ds_workload.Spec.paper_default with
+          Ds_workload.Spec.n_objects = 2_000;
+        };
+      protocol;
+      charge_scheduler_time = false;
+    }
   in
-  Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
+  let path =
+    Journal.temp_path ~shards:(tweak base).Middleware.shards "ds_whole_run"
+  in
+  Fun.protect ~finally:(fun () -> Journal.remove path) @@ fun () ->
   Middleware.run_sharded
-    (tweak
-       {
-         Middleware.default_config with
-         Middleware.n_clients = 12;
-         duration = 2.;
-         spec =
-           { Ds_workload.Spec.paper_default with Ds_workload.Spec.n_objects = 2_000 };
-         protocol;
-         charge_scheduler_time = false;
-         journal_path = Some path;
-       })
+    (tweak { base with Middleware.journal_path = Some path })
 
 (* Host-time fields are measurements, everything else must match. *)
 let deterministic = Ds_core.Middleware.without_host_time
@@ -161,3 +158,68 @@ let plan_exn s =
   match Ds_core.Faults.plan_of_string s with
   | Ok p -> p
   | Error e -> Alcotest.failf "plan %S rejected: %s" s e
+
+(* --- key=value plans, checked row by row from their tables ---------------- *)
+
+(* A random plan: every knob on or off at random, and a duration that would
+   be written set at random too; values are ones [%g] prints exactly. *)
+let gen_plan (codec : 'p Ds_util.Kv.t) =
+  let open QCheck2.Gen in
+  let scaled lo hi d = map (fun k -> float_of_int k /. d) (int_range lo hi) in
+  let value : type a. a Ds_util.Kv.kind -> a QCheck2.Gen.t = function
+    | Ds_util.Kv.Rate -> scaled 0 1000 1000.
+    | Ds_util.Kv.Seconds -> scaled 0 5000 1000.
+    | Ds_util.Kv.Cycle -> opt (int_range 1 500)
+    | Ds_util.Kv.Time -> opt (scaled 0 1000 100.)
+    | Ds_util.Kv.Period -> opt (scaled 1 1000 100.)
+  in
+  List.fold_left
+    (fun acc (Ds_util.Kv.Row r as row) ->
+      acc >>= fun p ->
+      match r.gate with
+      | Some _ when not (Ds_util.Kv.shown row p) -> return p
+      | _ -> map (r.set p) (value r.kind))
+    (return codec.Ds_util.Kv.none)
+    codec.Ds_util.Kv.rows
+
+(* Values each kind must refuse: out of its range, or not a number of its
+   type at all. *)
+let bad_values : type a. a Ds_util.Kv.kind -> string list = function
+  | Ds_util.Kv.Rate -> [ "-0.1"; "1.5"; "nan"; "lots" ]
+  | Ds_util.Kv.Seconds -> [ "-1"; "nan"; "long" ]
+  | Ds_util.Kv.Cycle -> [ "0"; "-3"; "2.5"; "soon" ]
+  | Ds_util.Kv.Time -> [ "-1"; "nan"; "later" ]
+  | Ds_util.Kv.Period -> [ "0"; "-1"; "nan"; "often" ]
+
+(* What every plan codec must do, for each row of its table: random plans
+   round-trip as records, the printed plan is "none" exactly when no knob
+   is on, and every key refuses a bad value. *)
+let plan_codec_tests name (codec : 'p Ds_util.Kv.t) =
+  let print = Ds_util.Kv.to_string codec in
+  let roundtrip =
+    QCheck2.Test.make ~name:(name ^ " plans round-trip as records")
+      ~count:(Config.qcheck_count 300) ~print (gen_plan codec) (fun p ->
+        Ds_util.Kv.of_string codec (print p) = Ok p)
+  in
+  let none =
+    QCheck2.Test.make ~name:(name ^ " plan is none iff it prints none")
+      ~count:(Config.qcheck_count 300) ~print (gen_plan codec) (fun p ->
+        Ds_util.Kv.is_none codec p = (print p = "none"))
+  in
+  let rejects () =
+    List.iter
+      (fun (Ds_util.Kv.Row r) ->
+        List.iter
+          (fun v ->
+            let spec = r.key ^ "=" ^ v in
+            match Ds_util.Kv.of_string codec spec with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s plan %S was accepted" name spec)
+          (bad_values r.kind))
+      codec.Ds_util.Kv.rows
+  in
+  [
+    QCheck_alcotest.to_alcotest roundtrip;
+    QCheck_alcotest.to_alcotest none;
+    Alcotest.test_case (name ^ " plan keys reject bad values") `Quick rejects;
+  ]

@@ -74,8 +74,7 @@ let rejects flag ~needle values () =
    the same pass as the per-segment report, so the torn tail it truncated
    shows in both. *)
 let test_recover_repair_segment_dir () =
-  let dir = Filename.temp_file "dsched_cli" ".seg.d" in
-  Sys.remove dir;
+  let dir = Ds_core.Journal.temp_path ~shards:2 "dsched_cli" in
   Fun.protect
     ~finally:(fun () -> Ds_core.Journal.remove dir)
     (fun () ->

@@ -551,3 +551,4 @@ let tests =
     Alcotest.test_case "non-positive queue cap rejected" `Quick
       test_rejects_nonpositive_bounds;
   ]
+  @ Helpers.plan_codec_tests "fault" Faults.codec

@@ -455,15 +455,9 @@ let test_repair_checkpoint_only_journal () =
 (* --- sharded journal segments --------------------------------------------- *)
 
 let with_segment_dir ~shards f =
-  let dir = Filename.temp_file "ds_journal" ".seg.d" in
-  Sys.remove dir;
-  let paths = Journal.init_segment_dir dir ~shards in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
-      (try Sys.remove (Filename.concat dir "MANIFEST") with Sys_error _ -> ());
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () -> f dir paths)
+  let dir = Journal.temp_path ~shards "ds_journal" in
+  let paths = Journal.lane_paths dir ~shards in
+  Fun.protect ~finally:(fun () -> Journal.remove dir) (fun () -> f dir paths)
 
 let test_stamped_roundtrip () =
   with_journal_file (fun path ->
@@ -520,9 +514,9 @@ let test_segment_dir_merges_by_gseq () =
       Journal.log_submit jg (Request.v 2 1 Op.Write 7);
       Journal.log_qualified_stamped jg [ ((2, 1), 1) ];
       Journal.close jg;
-      Alcotest.(check bool) "manifest makes it a segment dir" true
-        (Journal.is_segment_dir dir);
-      let r = Journal.recover_dir dir in
+      Alcotest.(check int) "one segment per lane" 3
+        (List.length (fst (Journal.recover_segments dir)));
+      let r = Journal.recover dir in
       Alcotest.(check (list (pair int int)))
         "merged history interleaves lanes by gseq"
         [ (1, 1); (2, 1); (3, 1) ]
@@ -550,7 +544,7 @@ let test_segment_mid_corruption_names_segment () =
         let rec at i = i + nn <= nh && (String.sub m i nn = needle || at (i + 1)) in
         at 0
       in
-      (match Journal.recover_dir dir with
+      (match Journal.recover dir with
       | exception Failure m ->
         Alcotest.(check bool)
           (Printf.sprintf "error names the bad segment (got: %s)" m)
@@ -580,36 +574,64 @@ let test_segment_torn_tail_isolated () =
       Journal.log_submit jg (Request.v 2 1 Op.Write 7);
       Journal.log_qualified_stamped jg [ ((2, 1), 1) ];
       Journal.close jg;
-      let segs = Journal.recover_segments ~repair:true dir in
+      let segs, _ = Journal.recover_segments ~repair:true dir in
       let seg name = List.assoc name segs in
       Alcotest.(check int) "torn tail dropped in the bad segment" 1
         (seg (Filename.basename shard0)).Journal.corrupt_dropped;
       Alcotest.(check int) "sibling segment replays clean" 0
         (seg (Filename.basename global)).Journal.corrupt_dropped;
       (* The merged view still interleaves both lanes' history... *)
-      let r = Journal.recover_dir dir in
+      let r = Journal.recover dir in
       Alcotest.(check (list (pair int int)))
         "merged history survives the torn sibling"
         [ (1, 1); (2, 1) ]
         (List.map Request.key r.Journal.history);
       (* ...and the repair physically truncated the torn tail. *)
-      let again = Journal.recover_segments dir in
+      let again, _ = Journal.recover_segments dir in
       Alcotest.(check int) "repaired segment is clean on re-read" 0
         (List.assoc (Filename.basename shard0) again).Journal.corrupt_dropped)
 
 let test_segment_dir_rejects_bad_manifest () =
   with_segment_dir ~shards:2 (fun dir _paths ->
-      let oc = open_out_bin (Filename.concat dir "MANIFEST") in
+      (* No lane has written yet: the directory holds its manifest alone. *)
+      let manifest =
+        match Sys.readdir dir with
+        | [| name |] -> Filename.concat dir name
+        | names ->
+          Alcotest.failf "%d files before any lane wrote" (Array.length names)
+      in
+      let oc = open_out_bin manifest in
       output_string oc "not a manifest\n";
       close_out oc;
       Alcotest.(check bool) "garbage manifest refused" true
         (try
-           ignore (Journal.recover_dir dir);
+           ignore (Journal.recover dir);
            false
          with Failure _ -> true);
-      Alcotest.check_raises "single shard refused"
-        (Invalid_argument "Journal.init_segment_dir: needs at least 2 shards")
-        (fun () -> ignore (Journal.init_segment_dir dir ~shards:1)))
+      Alcotest.(check (list string)) "one shard journals to the path itself"
+        [ dir ]
+        (Journal.lane_paths dir ~shards:1);
+      Alcotest.check_raises "no shards refused"
+        (Invalid_argument "Journal.lane_paths: shards must be >= 1")
+        (fun () -> ignore (Journal.lane_paths dir ~shards:0)))
+
+(* A temporary journal of either layout, every lane written, leaves nothing
+   behind once removed. *)
+let test_temp_journal_removed () =
+  List.iter
+    (fun shards ->
+      let path = Journal.temp_path ~shards "ds_journal" in
+      List.iter
+        (fun p ->
+          let j = Journal.open_ p in
+          Journal.log_submit j (Request.v 1 1 Op.Write 5);
+          Journal.close j)
+        (Journal.lane_paths path ~shards);
+      Journal.remove path;
+      Alcotest.(check bool)
+        (Printf.sprintf "S=%d journal gone" shards)
+        false (Sys.file_exists path))
+    [ 1; 3 ]
 
 (* Record payloads of a journal file, CRC frames stripped. *)
 let payloads path =
@@ -1103,4 +1125,6 @@ let tests =
     Alcotest.test_case "move phase splits exactly" `Quick test_move_phase_split;
     Alcotest.test_case "checkpoint bytes bounded by record bytes" `Quick
       test_checkpoint_growth_bounded;
+    Alcotest.test_case "temp journal of each layout removed whole" `Quick
+      test_temp_journal_removed;
   ]

@@ -32,13 +32,7 @@ let temp_name suffix =
 
 let rm_f p = try Sys.remove p with Sys_error _ -> ()
 
-let rm_journal p =
-  if Journal.is_segment_dir p then begin
-    List.iter rm_f (Journal.segment_paths p);
-    rm_f (Filename.concat p "MANIFEST");
-    try Sys.rmdir p with Sys_error _ -> ()
-  end
-  else rm_f p
+let temp_journal ~shards = Journal.temp_path ~shards "ds_recovery_test"
 
 let outcome (s : Middleware.stats) =
   Middleware.
@@ -72,8 +66,8 @@ let check_order name ~length ~crc (h : Middleware.handle) =
           (List.map (fun (ta, i) -> Printf.sprintf "%d,%d" ta i) order)))
 
 let test_crash_single_lane () =
-  let path = temp_name ".journal" in
-  Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
+  let path = temp_journal ~shards:1 in
+  Fun.protect ~finally:(fun () -> Journal.remove path) @@ fun () ->
   let s, h =
     Middleware.run_sharded
       {
@@ -105,8 +99,8 @@ let test_crash_single_lane () =
   check_order "S=1 crash" ~length:2602 ~crc:0x6601cbb1 h
 
 let test_crash_sharded () =
-  let path = temp_name ".journal.d" in
-  Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
+  let path = temp_journal ~shards:4 in
+  Fun.protect ~finally:(fun () -> Journal.remove path) @@ fun () ->
   let s, h =
     Middleware.run_sharded
       {
@@ -132,11 +126,11 @@ let test_crash_sharded () =
   check_order "S=4 crash" ~length:2614 ~crc:0x6af3878a h
 
 let test_failover_sync_standby () =
-  let journal = temp_name ".journal" in
+  let journal = temp_journal ~shards:1 in
   let dir = temp_name ".repl.d" in
   Fun.protect
     ~finally:(fun () ->
-      rm_f journal;
+      Journal.remove journal;
       rm_f (Ds_replica.Session.standby_path_of dir);
       rm_f (Filename.concat dir "REPL");
       try Sys.rmdir dir with Sys_error _ -> ())
@@ -195,8 +189,8 @@ let test_failover_sync_standby () =
    records: the second run crashes and recovers from the same path, and its
    merged rte must still be serializable and its journal recoverable. *)
 let test_journal_reuse ~shards () =
-  let path = temp_name (if shards > 1 then ".journal.d" else ".journal") in
-  Fun.protect ~finally:(fun () -> rm_journal path) @@ fun () ->
+  let path = temp_journal ~shards in
+  Fun.protect ~finally:(fun () -> Journal.remove path) @@ fun () ->
   let run faults =
     Middleware.run_sharded
       { (cfg ~faults) with Middleware.shards; journal_path = Some path }
@@ -211,9 +205,7 @@ let test_journal_reuse ~shards () =
   if not (Ds_check.Serializability.is_clean report) then
     Alcotest.failf "rte after journal reuse: %a"
       Ds_check.Serializability.pp_report report;
-  let r =
-    if shards > 1 then Journal.recover_dir path else Journal.recover path
-  in
+  let r = Journal.recover path in
   Alcotest.(check int) "no corrupt records" 0 r.Journal.corrupt_dropped
 
 let tests =

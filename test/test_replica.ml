@@ -366,3 +366,4 @@ let tests =
     Alcotest.test_case "failover: sync loses nothing, async only its lag"
       `Quick test_failover_durability;
   ]
+  @ Helpers.plan_codec_tests "link" Link.codec

@@ -302,31 +302,23 @@ let test_sharded_crash_recovery () =
     (List.length (List.sort_uniq compare ks))
     (List.length ks)
 
-(* Sharded runs with a journal write a segment directory; recover_dir merges
-   the per-lane histories back into one stamped order. *)
+(* Sharded runs with a journal write a segment directory; recovering it
+   merges the per-lane histories back into one stamped order. *)
 let test_segment_dir_layout () =
-  let dir = Filename.temp_file "dsched_test" ".journal.d" in
-  Sys.remove dir;
+  let dir = Ds_core.Journal.temp_path ~shards:2 "dsched_test" in
   Fun.protect
-    ~finally:(fun () ->
-      if Ds_core.Journal.is_segment_dir dir then begin
-        List.iter
-          (fun p -> try Sys.remove p with Sys_error _ -> ())
-          (Ds_core.Journal.segment_paths dir);
-        (try Sys.remove (Filename.concat dir "MANIFEST") with Sys_error _ -> ());
-        try Sys.rmdir dir with Sys_error _ -> ()
-      end)
+    ~finally:(fun () -> Ds_core.Journal.remove dir)
     (fun () ->
       let sp = spec ~access:(Ds_workload.Spec.Partitioned (2, 0.3)) () in
       let config =
         { (cfg ~shards:2 ~spec:sp ()) with Middleware.journal_path = Some dir }
       in
       let _, h = Middleware.run_sharded config in
-      Alcotest.(check bool) "manifest dir written" true
-        (Ds_core.Journal.is_segment_dir dir);
+      Alcotest.(check bool) "segment directory written" true
+        (Sys.is_directory dir);
       Alcotest.(check int) "segments per lane" 3
-        (List.length (Ds_core.Journal.segment_paths dir));
-      let recovered = Ds_core.Journal.recover_dir dir in
+        (List.length (fst (Ds_core.Journal.recover_segments dir)));
+      let recovered = Ds_core.Journal.recover dir in
       (* the merged history replays in stamp order: its data rows are exactly
          the merged rte's prefix set (rte = executed; history may hold
          admitted-but-unexecuted tails) *)
