@@ -299,13 +299,6 @@ let run_cmd =
       prerr_endline "run: --standby needs --journal (there is nothing to replicate)";
       exit 2
     | Some _ -> ());
-    let session =
-      Option.map
-        (fun dir ->
-          Ds_replica.Session.create ~mode:repl_mode ~plan:repl_faults ~seed
-            ?trace:sink ~dir ())
-        standby
-    in
     let cfg =
       {
         Middleware.default_config with
@@ -322,7 +315,6 @@ let run_cmd =
         journal_path = journal;
         checkpoint_interval = checkpoint;
         hedging = hedge;
-        repl = Option.map Ds_replica.Session.hooks session;
         trace = sink;
         metrics = mets;
         (* Wall-clock cycle charging is non-deterministic; fault runs must
@@ -332,6 +324,21 @@ let run_cmd =
            else Middleware.default_config.Middleware.charge_scheduler_time);
       }
     in
+    (* The middleware's rules, checked before the standby directory is
+       made, so a refused combination leaves nothing behind. *)
+    (match Middleware.validate ~replicated:(standby <> None) cfg with
+    | Ok () -> ()
+    | Error m ->
+      prerr_endline ("run: " ^ m);
+      exit 2);
+    let session =
+      Option.map
+        (fun dir ->
+          Ds_replica.Session.create ~mode:repl_mode ~plan:repl_faults ~seed
+            ?trace:sink ~dir ())
+        standby
+    in
+    let cfg = { cfg with Middleware.repl = Option.map Ds_replica.Session.hooks session } in
     if faulty then
       Format.printf "fault plan: %a (seed %d)@." Faults.pp_plan faults seed;
     let s, h = Middleware.run_sharded cfg in
@@ -843,7 +850,13 @@ let recover_cmd =
     (* Per segment, so --repair reports which lane had the torn tail (repair
        is per segment; a torn tail in one lane never blocks its siblings). A
        journal file is one segment; a segment directory has at least three. *)
-    let segs, r = Journal.recover_segments ~repair file in
+    let segs, r =
+      match Journal.recover_segments ~repair file with
+      | result -> result
+      | exception Failure m ->
+        Printf.eprintf "recover: %s: %s\n" file m;
+        exit 1
+    in
     if List.length segs > 1 then begin
       Printf.printf "segment directory: merging %d lane journal(s)\n"
         (List.length segs);

@@ -49,9 +49,8 @@ let measure ?(runs = 5) ~n_clients protocol =
   let acc_cycle = ref 0. and acc_query = ref 0. and acc_maintain = ref 0. in
   let acc_qualified = ref 0 and acc_pending = ref 0 and acc_history = ref 0 in
   for run_idx = 1 to runs do
-    (* The fill goes through the tables' change feeds: a protocol's views
-       catch up here, outside the timed cycle, so that upkeep is reported
-       on its own. *)
+    (* The fill extends the tables' hash indexes outside the timed cycle;
+       that upkeep is reported on its own. *)
     let m0 = Ds_relal.Table.maintenance_time () in
     fill ~n_clients sched run_idx;
     acc_maintain := !acc_maintain +. (Ds_relal.Table.maintenance_time () -. m0);

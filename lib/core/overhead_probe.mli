@@ -17,9 +17,8 @@ type measurement = {
   cycle_time : float;  (** seconds for the full drain/insert/query/move cycle *)
   query_time : float;  (** seconds for the protocol query alone *)
   maintain_time : float;
-      (** seconds of index and view upkeep the table fill triggered before
-          the cycle ran: the catch-up a protocol's incrementally maintained
-          views pay for rows that arrive outside a cycle *)
+      (** seconds of hash-index upkeep the table fill triggered before the
+          cycle ran *)
 }
 
 (** [measure ?runs ~n_clients protocol] fills the tables for [n_clients]

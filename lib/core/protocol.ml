@@ -21,10 +21,10 @@ let find_col schema name =
 (* Turns a plan into a per-cycle thunk yielding (TA, INTRATA) keys, shared
    by the static and dynamic SQL constructors: in the query's own order when
    it has a top-level ORDER BY, otherwise by request id. A protocol plan
-   lives as long as its scheduler, so at [`Full] it runs as a standing plan:
-   its stateful subplans over the relations (Listing 1's lock tables) become
-   views kept up to date from the tables' change feeds, and the rest is
-   compiled once ({!View.standing}). The lower levels run in [Eval] and stay
+   lives as long as its scheduler, so at [`Full] it runs as a standing plan,
+   compiled once ({!Standing.standing}): each pending request probes
+   Listing 1's lock tables through history's indexes, so a cycle costs the
+   pending batch, not the history. The lower levels run in [Eval] and stay
    the references. *)
 let key_runner ~optimize sql plan =
   let schema = Ra.schema_of plan in
@@ -32,7 +32,7 @@ let key_runner ~optimize sql plan =
   let intrata_col = find_col schema "intrata" in
   let ordered = (Ds_sql.Parser.parse_query sql).Ds_sql.Ast.order_by <> [] in
   let id_col = if ordered then -1 else find_col schema "id" in
-  let run = if optimize = `Full then View.standing plan else fun () -> Eval.run plan in
+  let run = if optimize = `Full then Standing.standing plan else fun () -> Eval.run plan in
   fun () ->
     let rows = run () in
     let rows =
@@ -86,8 +86,8 @@ let of_sql_dynamic ?(optimize = `Full) ?(description = "") ~name ~guarantee
     in
     bind !current;
     all_binders := bind :: !all_binders;
-    (* Subplans reading a placeholder are never views, so a new binding
-       takes effect on the next cycle. *)
+    (* A standing plan reads the placeholder on every run, so a new
+       binding takes effect on the next cycle. *)
     key_runner ~optimize sql plan
   in
   let set v =

@@ -32,9 +32,9 @@ type t = {
     written; without one the result is sorted by request id (column [id]
     must then be in the output). [optimize] selects the plan
     rewriting level (ablation A2). At [`Full] (the default) each prepared
-    plan is a standing plan ({!Ds_relal.View.standing}): its stateful
-    subplans over the scheduler relations become incrementally maintained
-    views, and the rest is compiled once into the per-cycle runner. The
+    plan is a standing plan ({!Ds_relal.Standing.standing}), compiled once
+    into the per-cycle runner: pending requests probe Listing 1's lock
+    tables through history's hash indexes, key by key. The
     lower levels evaluate the plan with {!Ds_relal.Eval} every cycle and
     are its references. *)
 val of_sql :

@@ -29,7 +29,8 @@ let create () =
   let dead = Table.create ~name:"dead" schema in
   (* The protocol queries join on ta and on object; declare the hash indexes
      the optimizer ablation toggles. Range predicates (rationing's
-     [object < T]) filter a scan or a view and need no index. *)
+     [object < T]) are tested on the rows a probe finds and need no
+     index. *)
   List.iter
     (fun t ->
       Table.create_index t [ 1 ];
@@ -194,7 +195,7 @@ let blocker_lookup t =
 
 (* Terminal rows come straight off the operation index, and every finished
    transaction is deleted through the ta index in one batch: O(batch), no
-   full scan, and one change notification for the views over history. *)
+   full scan. *)
 let prune_history t =
   Table.delete_by_keys t.history [ 1 ]
     (Hashtbl.fold

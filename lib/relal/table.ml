@@ -27,7 +27,7 @@ end)
    compacts. *)
 type postings = { ints : int Vec.t Int_tbl.t; others : int Vec.t Key_tbl.t }
 
-type index = { cols : int list; pack : Value.t array -> int; mutable map : postings option }
+type ix = { cols : int list; pack : Value.t array -> int; mutable map : postings option }
 
 type t = {
   name : string;
@@ -35,8 +35,7 @@ type t = {
   rows : Value.t array Vec.t;  (* slots; dead slots linger until compaction *)
   mutable live : Bytes.t;  (* parallel to [rows]: '\001' live, '\000' dead *)
   mutable n_dead : int;
-  mutable indexes : index list;
-  mutable subscribers : (added:Value.t array list -> removed:Value.t array list -> unit) list;
+  mutable indexes : ix list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -47,26 +46,16 @@ let maintenance_clock = ref 0.
 
 let maintenance_time () = !maintenance_clock
 
-(* Nesting depth of [timed_maintenance]: view upkeep runs inside a base
-   table's section and mutates the view's own table, whose index work must
-   not be counted a second time. *)
-let maintenance_depth = ref 0
-
 (* Time the index work of one mutation/build. Callers only wrap the
    index-maintenance part, never the base row work, so the counter isolates
-   what incremental maintenance is supposed to shrink. Only the outermost
-   section is timed. *)
+   what incremental maintenance is supposed to shrink. *)
 let timed_maintenance f =
-  if !maintenance_depth > 0 then f ()
-  else begin
-    let t0 = Hook.now () in
-    incr maintenance_depth;
-    let r = Fun.protect ~finally:(fun () -> decr maintenance_depth) f in
-    let dt = Hook.now () -. t0 in
-    maintenance_clock := !maintenance_clock +. dt;
-    Hook.note "index-maintenance" dt;
-    r
-  end
+  let t0 = Hook.now () in
+  let r = f () in
+  let dt = Hook.now () -. t0 in
+  maintenance_clock := !maintenance_clock +. dt;
+  Hook.note "index-maintenance" dt;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* basics                                                             *)
@@ -80,7 +69,6 @@ let create ~name schema =
     live = Bytes.create 0;
     n_dead = 0;
     indexes = [];
-    subscribers = [];
   }
 
 let name t = t.name
@@ -90,21 +78,6 @@ let schema t = t.schema
 let row_count t = Vec.length t.rows - t.n_dead
 
 let is_live t pos = Bytes.unsafe_get t.live pos = '\001'
-
-(* ------------------------------------------------------------------ *)
-(* change feed                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
-
-let has_subscribers t = t.subscribers <> []
-
-(* Hand one finished mutation's rows to every subscriber. Their upkeep is
-   index maintenance in the wide sense, so it is timed as such. *)
-let notify t ~added ~removed =
-  if added <> [] || removed <> [] then
-    timed_maintenance (fun () ->
-        List.iter (fun f -> f ~added ~removed) t.subscribers)
 
 let invalidate t = List.iter (fun ix -> ix.map <- None) t.indexes
 
@@ -118,9 +91,9 @@ let packer = function
   | [ c; d ] -> fun row -> Value.pack_pair row.(c) row.(d)
   | _ -> fun _ -> min_int
 
-let pack_key = function
-  | [ v ] -> Value.exact_int v
-  | [ a; b ] -> Value.pack_pair a b
+let pack_values = function
+  | [| v |] -> Value.exact_int v
+  | [| a; b |] -> Value.pack_pair a b
   | _ -> min_int
 
 (* The posting of [row]'s key in [ix], if any. *)
@@ -129,9 +102,15 @@ let posting_of ix map row =
   if k <> min_int then Int_tbl.find_opt map.ints k
   else Key_tbl.find_opt map.others (key_of_row ix.cols row)
 
+let no_posting : int Vec.t = Vec.create ()
+
+(* The posting of [key] (one value per index column), [no_posting] when
+   there is none: neither an option nor an exception, so a probe of an int
+   key allocates nothing. *)
 let posting_of_key map key =
-  let k = pack_key key in
-  if k <> min_int then Int_tbl.find_opt map.ints k else Key_tbl.find_opt map.others key
+  let k = pack_values key in
+  if k <> min_int then if Int_tbl.mem map.ints k then Int_tbl.find map.ints k else no_posting
+  else Option.value ~default:no_posting (Key_tbl.find_opt map.others (Array.to_list key))
 
 (* Append slot [pos] to the posting of [row]'s key, creating it if needed. *)
 let file ix map pos row =
@@ -185,11 +164,10 @@ let insert t row =
   check_arity t row;
   let pos = push_row t row in
   if has_built_index t then
-    timed_maintenance (fun () -> index_insert t pos row);
-  if has_subscribers t then notify t ~added:[ row ] ~removed:[]
+    timed_maintenance (fun () -> index_insert t pos row)
 
 let insert_many t rows =
-  (match rows with
+  match rows with
   | [] -> ()
   | _ ->
     let first = ref (-1) in
@@ -203,8 +181,7 @@ let insert_many t rows =
       timed_maintenance (fun () ->
           for pos = !first to Vec.length t.rows - 1 do
             index_insert t pos (Vec.get t.rows pos)
-          done));
-  if has_subscribers t then notify t ~added:rows ~removed:[]
+          done)
 
 (* ------------------------------------------------------------------ *)
 (* compaction                                                         *)
@@ -255,29 +232,22 @@ let maybe_compact t =
 (* delete / update / clear                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Tombstone slot [pos]; its row joins [gone] only when someone listens. *)
-let kill t gone pos =
-  Bytes.unsafe_set t.live pos '\000';
-  if has_subscribers t then gone := Vec.get t.rows pos :: !gone
-
-(* [gone] holds the removed rows newest slot first. *)
-let finish_delete t gone removed =
+let finish_delete t removed =
   if removed > 0 then begin
     t.n_dead <- t.n_dead + removed;
-    maybe_compact t;
-    if has_subscribers t then notify t ~added:[] ~removed:(List.rev gone)
+    maybe_compact t
   end;
   removed
 
 let delete_where t p =
-  let removed = ref 0 and gone = ref [] in
+  let removed = ref 0 in
   for pos = 0 to Vec.length t.rows - 1 do
     if is_live t pos && p (Vec.get t.rows pos) then begin
-      kill t gone pos;
+      Bytes.unsafe_set t.live pos '\000';
       incr removed
     end
   done;
-  finish_delete t !gone !removed
+  finish_delete t !removed
 
 (* Move slot [pos] from the hash-index postings of its [old] row to those of
    [row]. Postings must stay ascending so probes return rows in insertion
@@ -315,11 +285,9 @@ let reindex_hash t pos ~old row =
     t.indexes
 
 (* A row never changes once it is in the table: [f] updates a copy, which
-   takes the row's slot. The feed reports the old row as removed and the
-   copy as added, so a subscriber may keep the rows it is handed. *)
+   takes the row's slot, so rows handed out earlier stay as they were. *)
 let update_where t p f =
   let touched = ref 0 in
-  let before = ref [] and after = ref [] in
   for pos = 0 to Vec.length t.rows - 1 do
     if is_live t pos then begin
       let row = Vec.get t.rows pos in
@@ -329,15 +297,10 @@ let update_where t p f =
         Vec.set t.rows pos updated;
         if has_built_index t then
           timed_maintenance (fun () -> reindex_hash t pos ~old:row updated);
-        if has_subscribers t then begin
-          before := row :: !before;
-          after := updated :: !after
-        end;
         incr touched
       end
     end
   done;
-  if has_subscribers t then notify t ~added:(List.rev !after) ~removed:(List.rev !before);
   !touched
 
 (* ------------------------------------------------------------------ *)
@@ -356,19 +319,11 @@ let iter f t =
     if is_live t pos then f (Vec.get t.rows pos)
   done
 
-let fold f acc t =
-  let acc = ref acc in
-  iter (fun row -> acc := f !acc row) t;
-  !acc
-
-(* After the scans: the change feed reports every live row as removed. *)
 let clear t =
-  let gone = if has_subscribers t then rows t else [] in
   Vec.clear t.rows;
   Bytes.fill t.live 0 (Bytes.length t.live) '\000';
   t.n_dead <- 0;
-  invalidate t;
-  if gone <> [] then notify t ~added:[] ~removed:gone
+  invalidate t
 
 (* ------------------------------------------------------------------ *)
 (* hash indexes                                                       *)
@@ -407,43 +362,84 @@ let index_map t cols what =
 
 (* Postings are ascending slots = insertion order; dead slots are skipped
    here and swept out by compaction. *)
-let live_rows t = function
-  | None -> []
-  | Some posting ->
-    let out = ref [] in
-    for i = Vec.length posting - 1 downto 0 do
-      let pos = Vec.get posting i in
-      if is_live t pos then out := Vec.get t.rows pos :: !out
-    done;
-    !out
-
-let probe t cols key = live_rows t (posting_of_key (index_map t cols "probe") key)
-
-let probe_int t cols k = live_rows t (Int_tbl.find_opt (index_map t cols "probe_int").ints k)
+let probe t cols key =
+  let posting = posting_of_key (index_map t cols "probe") (Array.of_list key) in
+  let out = ref [] in
+  for i = Vec.length posting - 1 downto 0 do
+    let pos = Vec.get posting i in
+    if is_live t pos then out := Vec.get t.rows pos :: !out
+  done;
+  !out
 
 (* Probe the hash index on [cols] for each key and tombstone every matching
    live row its test accepts; returns how many were removed. The batched
-   delete of the scheduler's history pruning and of view upkeep: O(postings)
-   instead of a full scan, and one change notification, in slot order, for
-   the whole batch. *)
+   delete of the scheduler's history pruning: O(postings) instead of a full
+   scan. *)
 let delete_by_keys t cols keys =
   let map = index_map t cols "delete_by_keys" in
-  let killed = ref [] in
+  let killed = ref 0 in
   List.iter
     (fun (key, p) ->
-      match posting_of_key map key with
-      | None -> ()
-      | Some posting ->
-        Vec.iter
-          (fun pos ->
-            if is_live t pos && p (Vec.get t.rows pos) then begin
-              Bytes.unsafe_set t.live pos '\000';
-              killed := pos :: !killed
-            end)
-          posting)
+      Vec.iter
+        (fun pos ->
+          if is_live t pos && p (Vec.get t.rows pos) then begin
+            Bytes.unsafe_set t.live pos '\000';
+            incr killed
+          end)
+        (posting_of_key map (Array.of_list key)))
     keys;
-  let gone =
-    if has_subscribers t then List.rev_map (Vec.get t.rows) (List.sort Int.compare !killed)
-    else []
-  in
-  finish_delete t gone (List.length !killed)
+  finish_delete t !killed
+
+(* ------------------------------------------------------------------ *)
+(* posting walks                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type index = { table : t; ix : ix }
+
+let index t cols =
+  Option.map (fun ix -> { table = t; ix })
+    (List.find_opt (fun ix -> same_cols ix.cols cols) t.indexes)
+
+let index_cols t = List.map (fun ix -> ix.cols) t.indexes
+
+let map_of { table; ix } = match ix.map with Some m -> m | None -> build ix table
+
+let posting x key = posting_of_key (map_of x) key
+
+let posting_length x key = Vec.length (posting x key)
+
+let key_count x =
+  let map = map_of x in
+  Int_tbl.length map.ints + Key_tbl.length map.others
+
+let walk ({ table; _ } as x) key f a =
+  let p = posting x key in
+  let n = Vec.length p and i = ref 0 and hit = ref false in
+  while (not !hit) && !i < n do
+    let pos = Vec.get p !i in
+    if is_live table pos && f a (Vec.get table.rows pos) then hit := true;
+    incr i
+  done;
+  !hit
+
+(* Distinct keys have disjoint postings: merge them by slot, the order of a
+   scan. *)
+let walk_keys ({ table; _ } as x) keys f a =
+  let ps = Array.of_list (List.map (posting x) keys) in
+  let cur = Array.make (Array.length ps) 0 and hit = ref false and more = ref true in
+  while (not !hit) && !more do
+    (* The posting whose next slot comes first. *)
+    let best = ref (-1) in
+    for i = 0 to Array.length ps - 1 do
+      if cur.(i) < Vec.length ps.(i)
+         && (!best < 0 || Vec.get ps.(i) cur.(i) < Vec.get ps.(!best) cur.(!best))
+      then best := i
+    done;
+    if !best < 0 then more := false
+    else begin
+      let pos = Vec.get ps.(!best) cur.(!best) in
+      cur.(!best) <- cur.(!best) + 1;
+      if is_live table pos && f a (Vec.get table.rows pos) then hit := true
+    end
+  done;
+  !hit

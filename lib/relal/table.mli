@@ -7,7 +7,7 @@
     per-key posting list of slots, updated in place on every insert/update.
     A key that packs into an int under {!Value.pack_pair}'s rule (one
     int-valued column, or two that fit 31 bits) is filed in an int-keyed
-    table and can be probed by that int ({!probe_int}); any other key (a
+    table, which a {!walk} reaches without allocating; any other key (a
     NULL, a text, a wide or non-integral number, three or more columns) is
     filed by its values. An index is built from scratch only on its first
     probe and after {!clear}. *)
@@ -22,10 +22,9 @@ val schema : t -> Schema.t
 val row_count : t -> int
 
 (** Cumulative wall-clock seconds spent on index maintenance (incremental
-    updates, lazy builds, compaction, change-feed
-    subscribers such as {!View} upkeep) across all tables since start-up;
-    nested sections count once. Also reported per section through
-    {!Profile.set_section_observer} under the label ["index-maintenance"]. *)
+    updates, lazy builds, compaction) across all tables since start-up. Also
+    reported per section through {!Profile.set_section_observer} under the
+    label ["index-maintenance"]. *)
 val maintenance_time : unit -> float
 
 (** @raise Invalid_argument on arity mismatch with the schema. *)
@@ -45,8 +44,7 @@ val delete_where : t -> (Value.t array -> bool) -> int
     turn, the rows matching [key] on the hash index over [cols] that [p]
     accepts ([p] sees each such live row once, in insertion order, and may
     keep state); returns how many. Equivalent to [delete_where] with a
-    conjunctive key test, but costs O(postings) instead of a full scan, and
-    the change feed reports the whole batch once.
+    conjunctive key test, but costs O(postings) instead of a full scan.
     @raise Invalid_argument if no such index was declared. *)
 val delete_by_keys :
   t -> int list -> (Value.t list * (Value.t array -> bool)) list -> int
@@ -57,24 +55,13 @@ val delete_by_keys :
     between keys exactly. *)
 val update_where : t -> (Value.t array -> bool) -> (Value.t array -> unit) -> int
 
-(** Removes every row; the change feed reports each of them as removed. *)
+(** Removes every row. *)
 val clear : t -> unit
-
-(** [subscribe t f] adds [f] to [t]'s change feed: after every mutation that
-    changed rows, [f ~added ~removed] receives the rows it inserted and the
-    rows it took out, in slot order. [update_where] reports each old row as
-    removed and its updated copy as added. The rows are the table's own
-    arrays, which never change, so a subscriber may keep them. Subscribers run
-    inside the mutation's ["index-maintenance"] section. A table without
-    subscribers pays one check per mutation. *)
-val subscribe :
-  t -> (added:Value.t array list -> removed:Value.t array list -> unit) -> unit
 
 (** Snapshot of live rows in insertion order. *)
 val rows : t -> Value.t array list
 
 val iter : (Value.t array -> unit) -> t -> unit
-val fold : ('acc -> Value.t array -> 'acc) -> 'acc -> t -> 'acc
 
 (** [create_index t cols] declares an index on the column positions [cols]
     (leftmost significant). Duplicate declarations are no-ops. *)
@@ -91,9 +78,28 @@ val build_indexes : t -> unit
     @raise Invalid_argument if no such index was declared. *)
 val probe : t -> int list -> Value.t list -> Value.t array list
 
-(** [probe_int t cols k] is [probe t cols key] for the key that packs to
-    [k]: {!Value.exact_int} of its value for one column,
-    {!Value.pack_pair} of its values for two. [k] must be such an int, not
-    [min_int].
-    @raise Invalid_argument if no such index was declared. *)
-val probe_int : t -> int list -> int -> Value.t array list
+(** A declared hash index, handed out for walking its postings. *)
+type index
+
+(** [index t cols] is the index declared on exactly [cols], if any. *)
+val index : t -> int list -> index option
+
+(** The column lists of [t]'s declared indexes. *)
+val index_cols : t -> int list list
+
+(** [posting_length ix key] is the number of slots filed under [key] (one
+    value per index column), dead ones included: what walking it costs. *)
+val posting_length : index -> Value.t array -> int
+
+(** The number of distinct keys filed in the index. *)
+val key_count : index -> int
+
+(** [walk ix key f a] applies [f a] to each live row whose index columns
+    equal [key]'s values, in insertion order, until [f] returns true;
+    returns whether it did. Builds the index if needed, and otherwise
+    allocates nothing when the key packs into an int. *)
+val walk : index -> Value.t array -> ('a -> Value.t array -> bool) -> 'a -> bool
+
+(** [walk_keys ix keys f a] is {!walk} over the rows filed under any of the
+    distinct [keys], merged into insertion order. *)
+val walk_keys : index -> Value.t array list -> ('a -> Value.t array -> bool) -> 'a -> bool

@@ -8,7 +8,7 @@ let () =
       ("relal", Test_relal.tests);
       ("sql", Test_sql.tests);
       ("sql-random", Test_sql_random.tests);
-      ("view", Test_view.tests);
+      ("standing", Test_standing.tests);
       ("datalog", Test_datalog.tests);
       ("workload", Test_workload.tests);
       ("server", Test_server.tests);

@@ -1,7 +1,8 @@
 (* CLI argument validation: the strict numeric converters behind
    --checkpoint, --shards and the other numeric run flags, and the
    replication flag preconditions; what [recover --repair] reports on a
-   segment directory; and that [check] only validates a logged schedule.
+   segment directory and [recover] on a journal with a hole; and that
+   [check] only validates a logged schedule.
    These run the real dsched binary — the tests execute from
    _build/default/test, next to bin/. *)
 
@@ -103,6 +104,58 @@ let test_recover_repair_segment_dir () =
           "dropped 2 corrupt tail line(s) (file truncated)";
         ])
 
+(* A flag combination the middleware refuses is a usage error, reported
+   before the standby directory is made: exit 2, nothing left behind. *)
+let test_run_validates_before_standby () =
+  let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name in
+  let standby = tmp "ds_cli_refused_standby.d" and journal = tmp "ds_cli_refused.d" in
+  let code, text =
+    dsched
+      (Printf.sprintf "run --shards 2 --standby %s --journal %s --duration 0.1"
+         (Filename.quote standby) (Filename.quote journal))
+  in
+  Alcotest.(check int) (Printf.sprintf "exit 2 (got: %s)" text) 2 code;
+  Alcotest.(check bool) (Printf.sprintf "names the rule (got: %s)" text) true
+    (contains ~needle:"replication requires shards = 1" text);
+  Alcotest.(check bool) "no standby files" false (Sys.file_exists standby);
+  Alcotest.(check bool) "no journal" false (Sys.file_exists journal)
+
+(* A bad frame with valid records after it is a hole, not a torn tail:
+   [recover] reports it as a recovery error naming the file and the line,
+   and exits 1, for a journal file and for a segment of a directory. *)
+let test_recover_reports_hole () =
+  let corrupt_line_2 path =
+    let lines = String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) in
+    let hole = List.mapi (fun i l -> if i = 1 then "!x" ^ String.sub l 2 (String.length l - 2) else l) lines in
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (String.concat "\n" hole))
+  in
+  List.iter
+    (fun (shards, segment, where) ->
+      let path = Ds_core.Journal.temp_path ~shards "dsched_cli_hole" in
+      Fun.protect
+        ~finally:(fun () -> Ds_core.Journal.remove path)
+        (fun () ->
+          let code, text =
+            dsched
+              (Printf.sprintf "run --shards %d --duration 0.2 --journal %s" shards
+                 (Filename.quote path))
+          in
+          Alcotest.(check int) (Printf.sprintf "run exits 0 (got: %s)" text) 0 code;
+          corrupt_line_2 (if segment = "" then path else Filename.concat path segment);
+          let code, text = dsched (Printf.sprintf "recover %s" (Filename.quote path)) in
+          Alcotest.(check int) (Printf.sprintf "%s: recover exits 1 (got: %s)" where text) 1 code;
+          List.iter
+            (fun needle ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: output has %S (got: %s)" where needle text)
+                true (contains ~needle text))
+            [
+              "recover: " ^ path ^ ": ";
+              segment;
+              "journal line 2: checksum mismatch before valid records";
+            ]))
+    [ (1, "", "journal file"); (2, "global.journal", "segment") ]
+
 (* [check] validates a logged schedule and nothing else: the lockstep
    fuzzing flags are gone, and cmdliner refuses unknown options with 124. *)
 let test_check_refuses_fuzz_flags () =
@@ -135,6 +188,9 @@ let tests =
       (rejects "--objects" ~needle:"--objects must be positive" [ " 0" ]);
     Alcotest.test_case "recover --repair reports a torn segment once, merged"
       `Quick test_recover_repair_segment_dir;
+    Alcotest.test_case "run refuses a bad combination before the standby" `Quick
+      test_run_validates_before_standby;
+    Alcotest.test_case "recover reports a hole in a journal" `Quick test_recover_reports_hole;
     Alcotest.test_case "check refuses the removed fuzzing flags" `Quick
       test_check_refuses_fuzz_flags;
   ]
