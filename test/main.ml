@@ -9,6 +9,7 @@ let () =
       ("sql", Test_sql.tests);
       ("sql-random", Test_sql_random.tests);
       ("standing", Test_standing.tests);
+      ("view", Test_standing.view_tests);
       ("datalog", Test_datalog.tests);
       ("workload", Test_workload.tests);
       ("server", Test_server.tests);
